@@ -27,6 +27,9 @@ from .mesh import TriangleMesh, triangle_areas, triangle_normals
 logger = logging.getLogger(__name__)
 
 DIRECTION_NAMES = ("+x", "-x", "+y", "-y", "+z", "-z")
+#: Relative margin by which a growth option must beat the incumbent; closer
+#: scores are ties up to rounding and go to the option scanned first.
+SCORE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,6 @@ class Block:
     @property
     def cell_extent(self) -> np.ndarray:
         return self.hi - self.lo + 1
-
-    def physical_dims(self, cell_size: float) -> np.ndarray:
-        return self.cell_extent * cell_size
 
     def centroid(self) -> np.ndarray:
         """Box center in grid units."""
@@ -295,10 +295,13 @@ def apply_growth(state: GrowthState, option: GrowthOption) -> None:
 def grow_blocks(state: GrowthState, trace: list | None = None) -> list[Block]:
     """Run the serial growth loop until no move is allowed or needed.
 
-    Each iteration scores all (block, direction) pairs and applies the one
-    with the smallest positive score; ties go to the lowest block id, then
-    the direction order +x,-x,+y,-y,+z,-z.  The loop stops when every
-    option is forbidden or no unassigned boundary cells remain.
+    Each iteration scores all (block, direction) pairs, in block id order
+    and then the direction order +x,-x,+y,-y,+z,-z, and applies the one
+    with the smallest positive score.  A later option replaces the
+    incumbent only when its score is lower by more than SCORE_RTOL
+    relative, so scores equal up to rounding go to the lowest (block id,
+    direction).  The loop stops when every option is forbidden or no
+    unassigned boundary cells remain.
     """
     while state.unassigned_boundary() > 0:
         best: GrowthOption | None = None
@@ -307,9 +310,7 @@ def grow_blocks(state: GrowthState, trace: list | None = None) -> list[Block]:
                 opt = score_growth(state, block, direction)
                 if opt.score <= 0:
                     continue
-                if (best is None or opt.score < best.score
-                        or (opt.score == best.score
-                            and (opt.block_id, opt.direction) < (best.block_id, best.direction))):
+                if best is None or opt.score < best.score * (1.0 - SCORE_RTOL):
                     best = opt
         if best is None:
             break

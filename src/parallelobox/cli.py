@@ -20,6 +20,7 @@ import configparser
 import csv
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -248,6 +249,46 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
 # argument plumbing
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return ((_is_int(value) or isinstance(value, float))
+            and math.isfinite(value))
+
+
+ALGORITHM_CHOICES = ("parallelobox", "symmetry", "both")
+
+#: Manifest options: key -> (RunPlan field it overrides or None,
+#: accepts the value?, what it must be).
+_MANIFEST_OPTIONS = {
+    "granularity": ("granularity",
+                    lambda v: isinstance(v, str) and v in GRANULARITY_CELLS,
+                    "one of " + ", ".join(sorted(GRANULARITY_CELLS))),
+    "sample_tries": ("sample_tries", lambda v: _is_int(v) and v >= 1,
+                     "an integer >= 1"),
+    "seed": ("seed_base", lambda v: _is_int(v) and v >= 0,
+             "an integer >= 0"),
+    "min_printers": ("min_printers", lambda v: _is_int(v) and v >= 1,
+                     "an integer >= 1"),
+    "infill": ("infill_fraction", lambda v: _is_number(v) and 0 <= v <= 1,
+               "a number in [0, 1]"),
+    "overhang_tolerance": ("overhang_tolerance_deg",
+                           lambda v: _is_number(v) and 0 <= v <= 90,
+                           "a number of degrees in [0, 90]"),
+    "symmetry_threshold": ("symmetry_threshold",
+                           lambda v: _is_number(v) and v >= 0,
+                           "a number >= 0"),
+    "skip_symmetry": ("skip_symmetry_cut", lambda v: isinstance(v, bool),
+                      "true or false"),
+    "baseline": (None, lambda v: isinstance(v, str) and v in ALGORITHM_CHOICES,
+                 "one of " + ", ".join(ALGORITHM_CHOICES)),
+    "out": (None, lambda v: isinstance(v, str), "a path string"),
+    "config": (None, lambda v: isinstance(v, str), "a path string"),
+}
+
+
 def load_manifest(path) -> dict:
     """A sweep manifest: {"models": [...], "printers": [...], ...options}."""
     path = Path(path)
@@ -260,12 +301,17 @@ def load_manifest(path) -> dict:
     if not isinstance(raw, dict) or "models" not in raw:
         raise ConfigError(f"{path}: expected an object with a 'models' list")
     models = raw["models"]
-    if not isinstance(models, list) or not models:
-        raise ConfigError(f"{path}: 'models' must be a non-empty list")
+    if (not isinstance(models, list) or not models
+            or not all(isinstance(m, str) for m in models)):
+        raise ConfigError(f"{path}: 'models' must be a non-empty list of paths")
     counts = raw.get("printers", [4])
     if not isinstance(counts, list) or not all(
-            isinstance(c, int) and c >= 1 for c in counts):
+            _is_int(c) and c >= 1 for c in counts):
         raise ConfigError(f"{path}: 'printers' must be a list of counts >= 1")
+    for key, (_, ok, expected) in _MANIFEST_OPTIONS.items():
+        if key in raw and not ok(raw[key]):
+            raise ConfigError(f"{path}: {key!r} must be {expected}, "
+                              f"got {raw[key]!r}")
     # model paths are relative to the manifest's own directory
     raw["models"] = [path.parent / m for m in models]
     raw["printers"] = counts
@@ -293,7 +339,7 @@ def _add_shared_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=Path, default=Path("out"), metavar="DIR",
                      help="report/output directory")
     sub.add_argument("--baseline", default="parallelobox",
-                     choices=("parallelobox", "symmetry", "both"),
+                     choices=ALGORITHM_CHOICES,
                      help="which algorithm(s) to run")
     sub.add_argument("--min-printers", type=int, default=1, metavar="N",
                      help="stop the outer search below this seed count")
@@ -332,18 +378,10 @@ def _plan_from_args(args, overrides: dict | None = None) -> RunPlan:
         "symmetry_threshold": args.symmetry_threshold,
         "skip_symmetry_cut": args.skip_symmetry,
     }
-    if overrides:
-        mapping = {"granularity": "granularity",
-                   "sample_tries": "sample_tries",
-                   "seed": "seed_base",
-                   "min_printers": "min_printers",
-                   "infill": "infill_fraction",
-                   "overhang_tolerance": "overhang_tolerance_deg",
-                   "symmetry_threshold": "symmetry_threshold",
-                   "skip_symmetry": "skip_symmetry_cut"}
-        for key, attr in mapping.items():
-            if key in overrides:
-                opt[attr] = overrides[key]
+    overrides = overrides or {}
+    for key, (attr, _, _) in _MANIFEST_OPTIONS.items():
+        if attr is not None and key in overrides:
+            opt[attr] = overrides[key]
     return RunPlan(**opt)
 
 

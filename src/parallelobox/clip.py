@@ -27,7 +27,6 @@ from .mesh import (
     Aabb,
     TriangleMesh,
     compact,
-    measure,
     triangle_normals,
     validate_watertight,
 )
@@ -649,114 +648,3 @@ def _stubborn_parity(point, p0, e1, e2, scale, rng) -> int:
             return int(crossings[0])
     logger.warning("containment ray stays ambiguous; using the last cast")
     return int(crossings[0])
-
-
-# ---------------------------------------------------------------------------
-# per-cell volumes over a regular grid
-
-
-def grid_cell_volumes(mesh: TriangleMesh, origin, cell_size: float, dims) -> np.ndarray:
-    """Exact solid volume of the mesh inside every cell of a regular grid.
-
-    Slices the solid into x slabs, each slab into y columns, each column
-    into z cells, always by watertight half-space cuts, so the cell volumes
-    sum to the mesh volume up to float rounding.
-    """
-    if not validate_watertight(mesh).is_watertight:
-        raise NonWatertightInput("cell volumes need a closed mesh")
-    origin = np.asarray(origin, dtype=np.float64).reshape(3)
-    nx, ny, nz = (int(x) for x in dims)
-    out = np.zeros((nx, ny, nz))
-    for ix, slab in enumerate(_axis_slabs(mesh, 0, origin[0], cell_size, nx)):
-        if slab.is_empty:
-            continue
-        for iy, column in enumerate(_axis_slabs(slab, 1, origin[1], cell_size, ny)):
-            if column.is_empty:
-                continue
-            out[ix, iy, :] = _axis_volumes(column, 2, origin[2], cell_size, nz)
-    return out
-
-
-def _axis_slabs(mesh: TriangleMesh, axis: int, start: float, step: float, count: int):
-    """Cut a solid into `count` slabs along an axis; yields watertight pieces."""
-    normal = np.zeros(3)
-    normal[axis] = 1.0
-    current = mesh
-    for i in range(count - 1):
-        plane = start + (i + 1) * step
-        if current.is_empty:
-            yield current
-            continue
-        below = clip_halfspace(current, normal, plane, keep_coplanar=True)
-        current = clip_halfspace(current, -normal, -plane, keep_coplanar=False)
-        yield below
-    yield current
-
-
-def _axis_volumes(mesh: TriangleMesh, axis: int, start: float, step: float,
-                  count: int) -> np.ndarray:
-    """Solid volumes of successive slabs along an axis, one closed mesh in.
-
-    Uses the divergence theorem on the virtually clipped surface — the flux
-    of the kept triangle parts plus the cap term ``plane * area / 3`` — so
-    nothing is cut and no caps are triangulated.  Sums to the mesh volume
-    to float rounding, like the mesh-cutting route.
-    """
-    if mesh.is_empty:
-        return np.zeros(count)
-    corners = mesh.vertices[mesh.triangles]
-    below = np.empty(count + 1)
-    below[0] = 0.0
-    below[count] = measure(mesh).volume
-    for k in range(1, count):
-        below[k] = _volume_below_plane(corners, axis, start + k * step)
-    return np.maximum(np.diff(below), 0.0)
-
-
-def _volume_below_plane(corners: np.ndarray, axis: int, plane: float) -> float:
-    """Volume of the closed surface's solid on the low side of an axis plane."""
-    d = corners[:, :, axis] - plane
-    d[np.abs(d) <= PLANE_EPS] = 0.0
-    below = d <= 0.0
-    n_below = below.sum(axis=1)
-
-    flux = 0.0       # sum of signed tetra volumes a.(b x c)/6
-    vec_area = 0.0   # axis component of the kept surface's vector area
-
-    def accumulate(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        nonlocal flux, vec_area
-        if len(a) == 0:
-            return
-        flux += float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum()) / 6.0
-        vec_area += float(np.cross(b - a, c - a)[:, axis].sum()) / 2.0
-
-    full = corners[n_below == 3]
-    if len(full):
-        accumulate(full[:, 0], full[:, 1], full[:, 2])
-
-    def rotated(rows: np.ndarray, pos: np.ndarray):
-        """Corner triples and distances cycled so vertex `pos` leads."""
-        out = []
-        for off in range(3):
-            sel = (pos + off) % 3
-            out.append(corners[rows, sel])
-            out.append(d[rows, sel])
-        return out
-
-    rows = np.nonzero(n_below == 1)[0]
-    if len(rows):
-        a, da, b, db, c, dc = rotated(rows, below[rows].argmax(axis=1))
-        cut_ab = a + (da / (da - db))[:, None] * (b - a)
-        cut_ca = c + (dc / (dc - da))[:, None] * (a - c)
-        accumulate(cut_ca, a, cut_ab)
-
-    rows = np.nonzero(n_below == 2)[0]
-    if len(rows):
-        a, da, b, db, c, dc = rotated(rows, (~below[rows]).argmax(axis=1))
-        cut_ab = a + (da / (da - db))[:, None] * (b - a)
-        cut_ca = c + (dc / (dc - da))[:, None] * (a - c)
-        accumulate(cut_ca, cut_ab, b)
-        accumulate(cut_ca, b, c)
-
-    # The cap closing the clipped surface has area -vec_area at the plane.
-    return flux - plane * vec_area / 3.0

@@ -1,22 +1,33 @@
-"""Cubic occupancy grid over a mesh and boundary/internal/external labels.
+"""Cubic occupancy grid over a mesh, cell labels, and per-cell measures.
 
 The grid covers the mesh's bounding box scaled by 1.001 about its center
 (so cell faces avoid lying exactly in mesh faces), with cubic cells sized by
 a named granularity preset along the longest axis.  A cell is *boundary*
 when the surface clipped to it is non-empty, otherwise *internal* or
 *external* by a ray-parity test at the cell center.
+
+Every per-cell measure comes from that one clip of the surface to each
+cell: shell area and overhang areas directly, and solid volume by the
+divergence theorem (Mirtich 1996, "Fast and accurate computation of
+polyhedral mass properties").  With F = (0, 0, z - z0), z0 the cell's bottom
+plane, F has no flux through the bottom and side faces, so
+
+    V(cell) = sum over pieces in the cell of (z_mean - z0) * n_z dA
+              + h * A_top
+
+where h is the cell size and A_top, the solid's cross-section on the
+cell's top face, is the sum of n_z dA over the pieces in the cells above it
+in the same column.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .clip import clip_surface_to_box, grid_cell_volumes, points_in_mesh
-from .errors import NonWatertightInput
+from .clip import clip_surface_to_box, points_in_mesh
 from .mesh import Aabb, TriangleMesh, aabb_of, triangle_normals, validate_watertight
 
 logger = logging.getLogger(__name__)
@@ -33,16 +44,6 @@ class CellClass(IntEnum):
     EXTERNAL = 0
     BOUNDARY = 1
     INTERNAL = 2
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Read-only view of one grid cell."""
-
-    coord: tuple[int, int, int]
-    classification: CellClass
-    owner: int
-    clipped_surface_vertex_count: int
 
 
 @dataclass
@@ -65,14 +66,6 @@ class Grid:
             self.owner = np.full(self.dims, -1, dtype=np.int32)
         if self.surface_count is None:
             self.surface_count = np.zeros(self.dims, dtype=np.int32)
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.dims))
-
-    def cell(self, i: int, j: int, k: int) -> Cell:
-        return Cell((i, j, k), CellClass(int(self.classification[i, j, k])),
-                    int(self.owner[i, j, k]), int(self.surface_count[i, j, k]))
 
     def cell_box(self, i: int, j: int, k: int) -> Aabb:
         lo = self.origin + np.array([i, j, k], dtype=np.float64) * self.cell_size
@@ -135,17 +128,6 @@ def _triangle_cell_bins(mesh: TriangleMesh, grid: Grid) -> dict[tuple[int, int, 
     return bins
 
 
-def classify_cells(grid: Grid, mesh: TriangleMesh) -> Grid:
-    """Label every cell boundary/internal/external, in place.
-
-    Boundary means the clipped surface inside the cell has vertices; the
-    remaining cells are resolved by ray parity at their centers, with a
-    3-ray majority vote when the mesh is not closed.
-    """
-    _classify_and_measure(grid, mesh, want_measures=False)
-    return grid
-
-
 @dataclass
 class CellMeasures:
     """Per-cell quantities the growth objective consumes."""
@@ -165,78 +147,68 @@ DIRECTIONS = np.array(
 
 def measure_cells(grid: Grid, mesh: TriangleMesh,
                   overhang_tolerance_deg: float = 1.0) -> CellMeasures:
-    """Compute per-cell solid volume, surface area, and overhang areas."""
-    return _classify_and_measure(grid, mesh, want_measures=True,
-                                 overhang_tolerance_deg=overhang_tolerance_deg)
-
-
-def _classify_and_measure(grid: Grid, mesh: TriangleMesh, want_measures: bool,
-                          overhang_tolerance_deg: float = 1.0):
+    """Label every cell in place and compute its volume, area and overhangs."""
     bins = _triangle_cell_bins(mesh, grid)
     nx, ny, nz = grid.dims
-    area = np.zeros(grid.dims) if want_measures else None
-    over = np.zeros((6,) + grid.dims) if want_measures else None
-    normals = triangle_normals(mesh) if want_measures else None
+    area = np.zeros(grid.dims)
+    over = np.zeros((6,) + grid.dims)
+    flux = np.zeros(grid.dims)   # sum of (z_mean - z0) * n_z dA per cell
+    lift = np.zeros(grid.dims)   # sum of n_z dA per cell
+    normals = triangle_normals(mesh)
     sin_tol = np.sin(np.radians(overhang_tolerance_deg))
 
     classification = np.full(grid.dims, _UNSET, dtype=np.int8)
     for (i, j, k), tri_ids in bins.items():
-        pieces, sources = clip_surface_to_box(mesh, grid.cell_box(i, j, k), tri_ids)
+        box = grid.cell_box(i, j, k)
+        pieces, sources = clip_surface_to_box(mesh, box, tri_ids)
         if len(pieces) == 0:
             continue
         flat = pieces.reshape(-1, 3)
         keys = np.round(flat / 1e-9).astype(np.int64)
-        count = len(np.unique(keys, axis=0))
-        if count == 0:
-            continue
-        grid.surface_count[i, j, k] = count
+        grid.surface_count[i, j, k] = len(np.unique(keys, axis=0))
         classification[i, j, k] = CellClass.BOUNDARY
-        if want_measures:
-            cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
-            piece_area = 0.5 * np.linalg.norm(cross, axis=1)
-            area[i, j, k] = float(piece_area.sum())
-            piece_n = normals[sources]
-            for d in range(6):
-                mask = piece_n @ DIRECTIONS[d] > sin_tol
-                over[d, i, j, k] = float(piece_area[mask].sum())
+        cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
+        piece_area = 0.5 * np.linalg.norm(cross, axis=1)
+        area[i, j, k] = float(piece_area.sum())
+        piece_n = normals[sources]
+        for d in range(6):
+            mask = piece_n @ DIRECTIONS[d] > sin_tol
+            over[d, i, j, k] = float(piece_area[mask].sum())
+        nz_da = 0.5 * cross[:, 2]
+        z_mean = pieces[:, :, 2].mean(axis=1)
+        flux[i, j, k] = float(((z_mean - box.min[2]) * nz_da).sum())
+        lift[i, j, k] = float(nz_da.sum())
 
     # Cells without surface: parity test at centers.
+    watertight = validate_watertight(mesh).is_watertight
     undecided = classification == _UNSET
     if undecided.any():
-        watertight = validate_watertight(mesh).is_watertight
         centers = grid.centers().reshape(nx, ny, nz, 3)[undecided]
         inside = points_in_mesh(mesh, centers, votes=1 if watertight else 3)
         filled = np.where(inside, np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
         classification[undecided] = filled
     grid.classification = classification
 
-    if not want_measures:
-        return None
-
-    try:
-        volume = grid_cell_volumes(mesh, grid.origin, grid.cell_size, grid.dims)
-        approx = False
-    except NonWatertightInput:
-        # Open surface: estimate as full interior cells plus half-full
-        # boundary cells; only relative scoring consumes these anyway.
-        logger.warning("open mesh: per-cell volumes are parity estimates")
-        cs3 = grid.cell_size ** 3
-        volume = np.zeros(grid.dims)
-        volume[classification == CellClass.INTERNAL] = cs3
-        volume[classification == CellClass.BOUNDARY] = 0.5 * cs3
-        approx = True
-    return CellMeasures(volume, area, over, approx)
+    if watertight:
+        volume = grid_cell_volumes(flux, lift, grid.cell_size)
+        return CellMeasures(volume, area, over, False)
+    # Open surface: the flux does not bound a solid.  Estimate full interior
+    # cells plus half-full boundary cells; only relative scoring consumes
+    # these anyway.
+    logger.warning("open mesh: per-cell volumes are parity estimates")
+    cs3 = grid.cell_size ** 3
+    volume = np.zeros(grid.dims)
+    volume[classification == CellClass.INTERNAL] = cs3
+    volume[classification == CellClass.BOUNDARY] = 0.5 * cs3
+    return CellMeasures(volume, area, over, True)
 
 
-def dump_classification_csv(grid: Grid, path) -> None:
-    """Voxel debug dump: one `x,y,z,class` row per cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "class"])
-        nx, ny, nz = grid.dims
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    writer.writerow(
-                        [i, j, k, CellClass(int(grid.classification[i, j, k])).name.lower()]
-                    )
+def grid_cell_volumes(flux: np.ndarray, lift: np.ndarray, cell_size: float) -> np.ndarray:
+    """Solid volume per cell of a closed surface from its per-cell flux sums.
+
+    The solid's cross-section on a cell's top face is the lift of all cells
+    above it in the same column, an exclusive reverse cumulative sum.
+    """
+    top = np.zeros_like(lift)
+    top[:, :, :-1] = np.cumsum(lift[:, :, :0:-1], axis=2)[:, :, ::-1]
+    return flux + cell_size * top

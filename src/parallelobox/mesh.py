@@ -103,13 +103,6 @@ class Aabb:
         half = 0.5 * factor * self.extent
         return Aabb(c - half, c + half)
 
-    def contains_point(self, p) -> bool:
-        p = np.asarray(p, dtype=np.float64)
-        return bool(np.all(p >= self.min) and np.all(p <= self.max))
-
-    def intersects(self, other: "Aabb") -> bool:
-        return bool(np.all(self.min <= other.max) and np.all(other.min <= self.max))
-
 
 @dataclass(frozen=True)
 class MeshMeasures:

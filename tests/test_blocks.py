@@ -172,6 +172,18 @@ def test_growth_tie_breaks_lowest_block_then_direction():
     assert owned0 == 3  # block 0 wins the middle cell by the id tie-break
 
 
+def test_growth_ties_up_to_rounding_go_to_the_first_direction():
+    classes = np.full((3, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
+    state = _uniform_state((3, 1, 1), classes, [(1, 0, 0)])
+    # -x scores lower than +x by rounding only; that is still a tie.
+    state.measures.volume[0, 0, 0] -= 1e-13
+    assert score_growth(state, state.blocks[0], 1).score \
+        < score_growth(state, state.blocks[0], 0).score
+    trace = []
+    grow_blocks(state, trace)
+    assert trace[0][2] == "+x"
+
+
 def test_apply_growth_claims_only_non_external():
     classes = np.full((2, 2, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     classes[1, 1, 0] = int(CellClass.EXTERNAL)

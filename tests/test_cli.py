@@ -74,7 +74,20 @@ def test_load_manifest_resolves_relative_paths(tmp_path):
     '{"models": ["a.stl"], "printers": 4}',        # counts not a list
     '{"models": ["a.stl"], "printers": [0]}',      # count below 1
     '{"models": ["a.stl"], "printers": ["2"]}',    # count not an int
+    '{"models": ["a.stl"], "printers": [true]}',   # count a bool
     "{broken",                                     # invalid json
+    '{"models": [3]}',                             # model not a path
+    '{"models": ["a.stl"], "granularity": "huge"}',
+    '{"models": ["a.stl"], "sample_tries": "3"}',
+    '{"models": ["a.stl"], "sample_tries": 0}',
+    '{"models": ["a.stl"], "seed": 1.5}',
+    '{"models": ["a.stl"], "min_printers": true}',
+    '{"models": ["a.stl"], "infill": 2}',
+    '{"models": ["a.stl"], "overhang_tolerance": "1"}',
+    '{"models": ["a.stl"], "symmetry_threshold": -0.1}',
+    '{"models": ["a.stl"], "skip_symmetry": "yes"}',
+    '{"models": ["a.stl"], "baseline": "plane"}',
+    '{"models": ["a.stl"], "out": 7}',
 ])
 def test_load_manifest_rejects(tmp_path, payload):
     manifest = _write(tmp_path / "m.json", payload)
@@ -207,3 +220,14 @@ def test_batch_unreadable_model_exits_2(tmp_path):
 
 def test_batch_missing_manifest_exits_2(tmp_path):
     assert main(["batch", str(tmp_path / "m.json")]) == 2
+
+
+@pytest.mark.parametrize("override", [{"granularity": "huge"},
+                                      {"sample_tries": "3"}])
+def test_batch_bad_override_exits_2(tmp_path, override):
+    save_stl(dumbbell(), tmp_path / "dumbbell.stl")
+    manifest = _write(tmp_path / "m.json", json.dumps(
+        {"models": ["dumbbell.stl"], "printers": [2],
+         "out": str(tmp_path / "out"), **override}))
+    assert main(["batch", str(manifest)]) == 2
+    assert not (tmp_path / "out").exists()

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from parallelobox.clip import (clip_halfspace, clip_surface_to_box,
-                               clip_to_box, cut_by_plane, grid_cell_volumes,
-                               point_in_mesh, points_in_mesh)
-from parallelobox.fixtures import box_mesh, dumbbell, icosphere, unit_cube
-from parallelobox.grid import build_grid
+                               clip_to_box, cut_by_plane, point_in_mesh,
+                               points_in_mesh)
+from parallelobox.fixtures import (box_mesh, dumbbell, hollow_box, icosphere,
+                                   l_bracket, unit_cube)
+from parallelobox.grid import build_grid, measure_cells
 from parallelobox.mesh import Aabb, aabb_of, measure, validate_watertight
 
 
@@ -115,10 +116,15 @@ def test_coplanar_surface_triangles_single_owner():
     assert area(lower) + area(upper) == pytest.approx(6.0, rel=1e-12)
 
 
-def test_grid_cell_volumes_match_per_cell_clips():
-    mesh = icosphere(radius=6.0, subdivisions=2)
+@pytest.mark.parametrize("make_mesh", [
+    lambda: icosphere(radius=6.0, subdivisions=2),
+    hollow_box,   # its cavity puts external cells under solid ones
+    l_bracket,
+], ids=["icosphere", "hollow_box", "l_bracket"])
+def test_grid_cell_volumes_match_per_cell_clips(make_mesh):
+    mesh = make_mesh()
     grid = build_grid(mesh, "coarse")
-    vols = grid_cell_volumes(mesh, grid.origin, grid.cell_size, grid.dims)
+    vols = measure_cells(grid, mesh).volume
     assert float(vols.sum()) == pytest.approx(measure(mesh).volume, rel=1e-9)
     rng = np.random.default_rng(5)
     nx, ny, nz = grid.dims
