@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clip import clip_surface_to_box
 from .errors import InsufficientBoundaryCells
 from .grid import DIRECTIONS, CellClass, CellMeasures, Grid
-from .mesh import TriangleMesh, triangle_areas, triangle_normals
+from .mesh import TriangleMesh
 
 logger = logging.getLogger(__name__)
 
@@ -82,34 +81,6 @@ def print_score(volume: float, surface_area: float, params: ObjectiveParams) -> 
     """P = speed_infill * (infill * volume) + speed_shell * area."""
     return (params.speed_infill * (params.infill_fraction * volume)
             + params.speed_shell * surface_area)
-
-
-def overhang_score(part_box, mesh: TriangleMesh, params: ObjectiveParams,
-                   grid: Grid | None = None) -> float:
-    """Minimum oriented overhang area of the surface clipped to a box.
-
-    part_box may be an Aabb or a Block (the latter needs the grid to find
-    its physical box).  For each of the six candidate down directions d the
-    overhanging area is the area of faces whose normal tilts into d past
-    the tolerance; the best (smallest) orientation wins.
-    """
-    if isinstance(part_box, Block):
-        if grid is None:
-            raise ValueError("a Block part_box needs the grid")
-        box = grid.box_of_range(part_box.lo, part_box.hi)
-    else:
-        box = part_box
-    pieces, sources = clip_surface_to_box(mesh, box)
-    if len(pieces) == 0:
-        return 0.0
-    cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    normals = triangle_normals(mesh)[sources]
-    sin_tol = np.sin(np.radians(params.overhang_tolerance_deg))
-    best = np.inf
-    for d in DIRECTIONS.astype(np.float64):
-        best = min(best, float(areas[normals @ d > sin_tol].sum()))
-    return best
 
 
 def fits_printer(physical_dims, printer_dims) -> bool:

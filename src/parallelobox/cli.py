@@ -368,21 +368,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _plan_from_args(args, overrides: dict | None = None) -> RunPlan:
-    opt = {
+    """The run plan from the command line, manifest overrides taking
+    precedence; command-line values must pass the manifest checks too."""
+    given = {
         "granularity": args.granularity,
         "sample_tries": args.sample_tries,
-        "seed_base": args.seed,
+        "seed": args.seed,
         "min_printers": args.min_printers,
-        "infill_fraction": args.infill,
-        "overhang_tolerance_deg": args.overhang_tolerance,
+        "infill": args.infill,
+        "overhang_tolerance": args.overhang_tolerance,
         "symmetry_threshold": args.symmetry_threshold,
-        "skip_symmetry_cut": args.skip_symmetry,
+        "skip_symmetry": args.skip_symmetry,
     }
+    for key, value in given.items():
+        _, ok, expected = _MANIFEST_OPTIONS[key]
+        if not ok(value):
+            raise ConfigError(f"--{key.replace('_', '-')} must be {expected}, "
+                              f"got {value!r}")
     overrides = overrides or {}
-    for key, (attr, _, _) in _MANIFEST_OPTIONS.items():
-        if attr is not None and key in overrides:
-            opt[attr] = overrides[key]
-    return RunPlan(**opt)
+    return RunPlan(**{_MANIFEST_OPTIONS[key][0]: overrides.get(key, value)
+                      for key, value in given.items()})
 
 
 def _algorithms(choice: str) -> list[str]:
@@ -396,6 +401,9 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         if args.command == "decompose":
+            if args.printers < 1:
+                raise ConfigError(f"--printers must be an integer >= 1, "
+                                  f"got {args.printers}")
             profile = (parse_config(args.config) if args.config
                        else PrinterProfile())
             report = run_batch([args.model], [args.printers],

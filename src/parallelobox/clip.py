@@ -9,6 +9,13 @@ half-space cuts.  Intersection points are interpolated once per undirected
 edge, so both triangles sharing an edge reuse the bit-identical point and
 the cut never tears the surface.
 
+The surface-only clip, which needs no topology, is Sutherland-Hodgman
+("Reentrant polygon clipping", CACM 1974) over many (triangle, box) pairs at
+once: the polygons live in one padded (n, width, 3) array, and each of the
+six box planes is one vectorized pass over all of them.  The width grows
+with the longest polygon (a triangle gains at most one vertex per plane, so
+at most 9); the pieces come back fan-triangulated.
+
 Vertices within PLANE_EPS of a cut plane are snapped onto it before
 classification, which keeps near-tangent geometry from generating sliver
 loops.
@@ -27,7 +34,6 @@ from .mesh import (
     Aabb,
     TriangleMesh,
     compact,
-    triangle_normals,
     validate_watertight,
 )
 
@@ -54,76 +60,81 @@ class ClipResult:
 # surface-only clipping (coordinate polygons, no topology needed)
 
 
-def _clip_polygon(points: list[np.ndarray], dists: list[float]) -> list[np.ndarray]:
-    """One Sutherland-Hodgman pass keeping d <= 0."""
-    out_p: list[np.ndarray] = []
-    n = len(points)
-    for i in range(n):
-        prev = (i - 1) % n
-        dp, dc = dists[prev], dists[i]
-        if dc <= 0.0:
-            if dp > 0.0 and dc < 0.0:
-                t = dp / (dp - dc)
-                out_p.append(points[prev] + t * (points[i] - points[prev]))
-            out_p.append(points[i])
-        elif dp < 0.0:
-            t = dp / (dp - dc)
-            out_p.append(points[prev] + t * (points[i] - points[prev]))
-    return out_p
+def clip_surface_to_box(mesh: TriangleMesh, box, tri_indices=None):
+    """Clip triangles to boxes, keeping no volume information.
 
-
-def clip_surface_to_box(mesh: TriangleMesh, box: Aabb, tri_indices=None):
-    """Clip triangles to a box, keeping no volume information.
-
-    Returns (pieces, sources): pieces is a (k, 3, 3) array of output
-    triangles, sources the index of the input triangle each piece came from.
+    box is one Aabb for every triangle, or a (lo, hi) pair of (n, 3) corner
+    arrays giving one box per entry of tri_indices.  Returns (pieces,
+    sources): pieces is a (k, 3, 3) array of output triangles, sources the
+    position in tri_indices (the triangle id when tri_indices is None) of
+    the input each piece came from, in input order.
     """
-    _check_box(box)
     v, t = mesh.vertices, mesh.triangles
-    if tri_indices is None:
-        tri_indices = range(len(t))
-    pieces = []
-    sources = []
-    lo, hi = box.min, box.max
-    for ti in tri_indices:
-        poly = [v[t[ti, 0]], v[t[ti, 1]], v[t[ti, 2]]]
-        alive = True
-        for axis in range(3):
-            for sign, bound in ((1.0, hi[axis]), (-1.0, lo[axis])):
-                dists = []
-                for p in poly:
-                    d = sign * (p[axis] - bound)
-                    dists.append(0.0 if abs(d) <= PLANE_EPS else d)
-                if all(d == 0.0 for d in dists):
-                    # Same half-open convention as the volumetric clip: a
-                    # box owns triangles lying in its max faces, its
-                    # neighbour across the min face owns the rest.
-                    if sign < 0.0:
-                        alive = False
-                        break
-                    continue
-                if all(d <= 0.0 for d in dists):
-                    continue
-                poly = _clip_polygon(poly, dists)
-                if len(poly) < 3:
-                    alive = False
-                    break
-            if not alive:
-                break
-        if alive and len(poly) >= 3:
-            for k in range(1, len(poly) - 1):
-                pieces.append((poly[0], poly[k], poly[k + 1]))
-                sources.append(ti)
-    if not pieces:
-        return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64)
-    return np.asarray(pieces), np.asarray(sources, dtype=np.int64)
+    ids = (np.arange(len(t)) if tri_indices is None
+           else np.asarray(tri_indices, dtype=np.int64).reshape(-1))
+    if isinstance(box, Aabb):
+        _check_box(box)
+        lo = np.broadcast_to(box.min, (len(ids), 3))
+        hi = np.broadcast_to(box.max, (len(ids), 3))
+    else:
+        lo, hi = (np.asarray(c, dtype=np.float64).reshape(len(ids), 3) for c in box)
+        if np.any(hi - lo <= 0.0):
+            raise DegenerateBox("every box extent must be positive")
+    poly = v[t[ids]]                        # (n, width, 3), padded polygons
+    count = np.full(len(ids), 3)            # live vertices per polygon
+    pos = np.arange(len(ids))               # position of each row in ids
+    for axis in range(3):
+        for bound, sign in ((hi, 1.0), (lo, -1.0)):
+            d = sign * (poly[:, :, axis] - bound[pos, axis, None])
+            d[np.abs(d) <= PLANE_EPS] = 0.0
+            valid = np.arange(poly.shape[1]) < count[:, None]
+            d[~valid] = 0.0
+            if sign < 0.0:
+                # Same half-open convention as the volumetric clip: a box
+                # owns triangles lying in its max faces, its neighbour
+                # across the min face owns the rest.
+                live = (d != 0.0).any(axis=1)
+                poly, count, pos, d, valid = (
+                    a[live] for a in (poly, count, pos, d, valid))
+            cut = np.nonzero((d > 0.0).any(axis=1))[0]
+            if len(cut):
+                out, count[cut] = _clip_rows(poly[cut], count[cut], d[cut], valid[cut])
+                if out.shape[1] > poly.shape[1]:
+                    pad = np.zeros((len(poly), out.shape[1] - poly.shape[1], 3))
+                    poly = np.concatenate([poly, pad], axis=1)
+                poly[cut, :out.shape[1]] = out
+                live = count >= 3
+                poly, count, pos = poly[live], count[live], pos[live]
+    # Fan triangulation (poly[0], poly[k], poly[k + 1]), row-major order.
+    rows, k = np.nonzero(np.arange(1, poly.shape[1] - 1) < count[:, None] - 1)
+    k = k + 1
+    pieces = np.stack([poly[rows, 0], poly[rows, k], poly[rows, k + 1]], axis=1)
+    return pieces, pos[rows]
 
 
-def _weld_count(points: np.ndarray, tol: float = PLANE_EPS) -> int:
-    if len(points) == 0:
-        return 0
-    keys = np.round(points / tol).astype(np.int64)
-    return len(np.unique(keys, axis=0))
+def _clip_rows(p, count, d, valid):
+    """One Sutherland-Hodgman pass keeping d <= 0 on padded polygons.
+
+    Each vertex emits the crossing point of the edge from its predecessor
+    when that edge changes sign strictly, then itself when d <= 0.  An
+    exclusive cumulative sum over the emission counts places the points.
+    Returns the new polygons and their vertex counts.
+    """
+    prev = (np.arange(p.shape[1]) - 1) % count[:, None]
+    dp = np.take_along_axis(d, prev, axis=1)
+    cross = valid & (((dp > 0.0) & (d < 0.0)) | ((dp < 0.0) & (d > 0.0)))
+    keep = valid & (d <= 0.0)
+    emitted = cross.astype(np.int64) + keep
+    end = np.cumsum(emitted, axis=1)
+    start = end - emitted
+    out = np.zeros((len(p), int(end[:, -1].max()), 3))
+    r, c = np.nonzero(cross)
+    pc = prev[r, c]
+    t = dp[r, c] / (dp[r, c] - d[r, c])
+    out[r, start[r, c]] = p[r, pc] + t[:, None] * (p[r, c] - p[r, pc])
+    r, c = np.nonzero(keep)
+    out[r, start[r, c] + cross[r, c]] = p[r, c]
+    return out, end[:, -1]
 
 
 def _soup_mesh(pieces: np.ndarray, name: str) -> TriangleMesh:

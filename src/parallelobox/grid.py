@@ -6,8 +6,10 @@ a named granularity preset along the longest axis.  A cell is *boundary*
 when the surface clipped to it is non-empty, otherwise *internal* or
 *external* by a ray-parity test at the cell center.
 
-Every per-cell measure comes from that one clip of the surface to each
-cell: shell area and overhang areas directly, and solid volume by the
+The surface is clipped to the cells in one batched call over every
+(cell, triangle) pair whose bounding boxes overlap, and the pieces are
+summed per cell with ``np.bincount``.  Every per-cell measure comes from
+that one clip: shell area and overhang areas directly, and solid volume by the
 divergence theorem (Mirtich 1996, "Fast and accurate computation of
 polyhedral mass properties").  With F = (0, 0, z - z0), z0 the cell's bottom
 plane, F has no flux through the bottom and side faces, so
@@ -48,14 +50,13 @@ class CellClass(IntEnum):
 
 @dataclass
 class Grid:
-    """Dense cubic grid; classification/owner/surface counts live in arrays."""
+    """Dense cubic grid; classification and owner live in arrays."""
 
     origin: np.ndarray
     cell_size: float
     dims: tuple[int, int, int]
     classification: np.ndarray = field(default=None)  # int8, CellClass values
     owner: np.ndarray = field(default=None)           # int32, -1 = unowned
-    surface_count: np.ndarray = field(default=None)   # int32
 
     def __post_init__(self) -> None:
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
@@ -64,8 +65,6 @@ class Grid:
             self.classification = np.full(self.dims, _UNSET, dtype=np.int8)
         if self.owner is None:
             self.owner = np.full(self.dims, -1, dtype=np.int32)
-        if self.surface_count is None:
-            self.surface_count = np.zeros(self.dims, dtype=np.int32)
 
     def cell_box(self, i: int, j: int, k: int) -> Aabb:
         lo = self.origin + np.array([i, j, k], dtype=np.float64) * self.cell_size
@@ -107,12 +106,13 @@ def build_grid(mesh: TriangleMesh, granularity: str = "very_fine") -> Grid:
     return Grid(origin=box.min, cell_size=cell_size, dims=dims)
 
 
-def _triangle_cell_bins(mesh: TriangleMesh, grid: Grid) -> dict[tuple[int, int, int], list[int]]:
-    """Map each cell to the triangles whose bounding boxes overlap it."""
-    bins: dict[tuple[int, int, int], list[int]] = {}
+def _triangle_cell_bins(mesh: TriangleMesh, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Every (cell, triangle) pair whose bounding boxes overlap.
+
+    Returns the (p, 3) cell indices and the (p,) triangle ids, sorted by
+    cell in C order and by triangle within a cell.
+    """
     v, t = mesh.vertices, mesh.triangles
-    if len(t) == 0:
-        return bins
     corners = v[t]  # (m, 3, 3)
     tri_lo = corners.min(axis=1)
     tri_hi = corners.max(axis=1)
@@ -120,12 +120,16 @@ def _triangle_cell_bins(mesh: TriangleMesh, grid: Grid) -> dict[tuple[int, int, 
     hi_idx = np.floor((tri_hi - grid.origin) / grid.cell_size + 1e-12).astype(np.int64)
     lo_idx = np.clip(lo_idx, 0, np.array(grid.dims) - 1)
     hi_idx = np.clip(hi_idx, 0, np.array(grid.dims) - 1)
-    for ti in range(len(t)):
-        for i in range(lo_idx[ti, 0], hi_idx[ti, 0] + 1):
-            for j in range(lo_idx[ti, 1], hi_idx[ti, 1] + 1):
-                for k in range(lo_idx[ti, 2], hi_idx[ti, 2] + 1):
-                    bins.setdefault((i, j, k), []).append(ti)
-    return bins
+    span = hi_idx - lo_idx + 1
+    per_tri = span.prod(axis=1)
+    tris = np.repeat(np.arange(len(t)), per_tri)
+    # Rank of each pair within its triangle's cell range, unravelled C-order.
+    rank = np.arange(len(tris)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
+    ny, nz = span[tris, 1], span[tris, 2]
+    offset = np.stack([rank // (ny * nz), rank // nz % ny, rank % nz], axis=1)
+    cells = lo_idx[tris] + offset
+    order = np.argsort(np.ravel_multi_index(cells.T, grid.dims), kind="stable")
+    return cells[order], tris[order]
 
 
 @dataclass
@@ -148,37 +152,29 @@ DIRECTIONS = np.array(
 def measure_cells(grid: Grid, mesh: TriangleMesh,
                   overhang_tolerance_deg: float = 1.0) -> CellMeasures:
     """Label every cell in place and compute its volume, area and overhangs."""
-    bins = _triangle_cell_bins(mesh, grid)
+    cells, tris = _triangle_cell_bins(mesh, grid)
     nx, ny, nz = grid.dims
-    area = np.zeros(grid.dims)
-    over = np.zeros((6,) + grid.dims)
-    flux = np.zeros(grid.dims)   # sum of (z_mean - z0) * n_z dA per cell
-    lift = np.zeros(grid.dims)   # sum of n_z dA per cell
-    normals = triangle_normals(mesh)
+    lo = grid.origin + cells * grid.cell_size
+    pieces, sources = clip_surface_to_box(mesh, (lo, lo + grid.cell_size), tris)
+    flat = np.ravel_multi_index(cells[sources].T, grid.dims)
+
+    def per_cell(weights):
+        return np.bincount(flat, weights, minlength=nx * ny * nz).reshape(grid.dims)
+
+    cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
+    piece_area = 0.5 * np.linalg.norm(cross, axis=1)
+    area = per_cell(piece_area)
+    tilt = triangle_normals(mesh)[tris[sources]] @ DIRECTIONS.T
     sin_tol = np.sin(np.radians(overhang_tolerance_deg))
+    over = np.stack([per_cell(np.where(tilt[:, d] > sin_tol, piece_area, 0.0))
+                     for d in range(6)])
+    nz_da = 0.5 * cross[:, 2]
+    z_mean = pieces[:, :, 2].mean(axis=1)
+    flux = per_cell((z_mean - lo[sources, 2]) * nz_da)   # (z_mean - z0) * n_z dA
+    lift = per_cell(nz_da)                               # n_z dA
 
     classification = np.full(grid.dims, _UNSET, dtype=np.int8)
-    for (i, j, k), tri_ids in bins.items():
-        box = grid.cell_box(i, j, k)
-        pieces, sources = clip_surface_to_box(mesh, box, tri_ids)
-        if len(pieces) == 0:
-            continue
-        flat = pieces.reshape(-1, 3)
-        keys = np.round(flat / 1e-9).astype(np.int64)
-        grid.surface_count[i, j, k] = len(np.unique(keys, axis=0))
-        classification[i, j, k] = CellClass.BOUNDARY
-        cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
-        piece_area = 0.5 * np.linalg.norm(cross, axis=1)
-        area[i, j, k] = float(piece_area.sum())
-        piece_n = normals[sources]
-        for d in range(6):
-            mask = piece_n @ DIRECTIONS[d] > sin_tol
-            over[d, i, j, k] = float(piece_area[mask].sum())
-        nz_da = 0.5 * cross[:, 2]
-        z_mean = pieces[:, :, 2].mean(axis=1)
-        flux[i, j, k] = float(((z_mean - box.min[2]) * nz_da).sum())
-        lift[i, j, k] = float(nz_da.sum())
-
+    classification[per_cell(None) > 0] = CellClass.BOUNDARY
     # Cells without surface: parity test at centers.
     watertight = validate_watertight(mesh).is_watertight
     undecided = classification == _UNSET

@@ -221,11 +221,10 @@ def _shell_area_in_box(shell: TriangleMesh, box) -> float:
 
 
 def _fresh_grid(grid: Grid) -> Grid:
-    """Share classification/surface arrays but reset ownership."""
+    """Share the classification array but reset ownership."""
     return Grid(origin=grid.origin, cell_size=grid.cell_size, dims=grid.dims,
                 classification=grid.classification,
-                owner=np.full(grid.dims, -1, dtype=np.int32),
-                surface_count=grid.surface_count)
+                owner=np.full(grid.dims, -1, dtype=np.int32))
 
 
 def _proportional_share(total: int, v_first: float, v_second: float) -> int:

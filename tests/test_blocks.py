@@ -4,7 +4,7 @@ import pytest
 
 from parallelobox.blocks import (Block, GrowthState, ObjectiveParams,
                                  _kmeans_pp, apply_growth, fits_printer,
-                                 grow_blocks, overhang_score, print_score,
+                                 grow_blocks, print_score,
                                  score_growth, select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
 from parallelobox.fixtures import box_mesh, icosphere, unit_cube
@@ -34,18 +34,24 @@ def test_fits_printer_reorients_by_sorting():
     assert fits_printer((10.0, 20.0, 100.0), (100.0, 20.0, 10.0))
 
 
+def _one_cell_overhang(box: Aabb, mesh) -> float:
+    """Minimum oriented overhang area of a single-cell grid over box."""
+    grid = Grid(origin=box.min, cell_size=float(box.extent[0]), dims=(1, 1, 1))
+    params = ObjectiveParams()
+    over = measure_cells(grid, mesh, params.overhang_tolerance_deg).overhang
+    return float(over[:, 0, 0, 0].min())
+
+
 def test_overhang_score_cube_is_one_face():
     cube = unit_cube()
-    params = ObjectiveParams()
     box = Aabb((-1.0, -1.0, -1.0), (2.0, 2.0, 2.0))
     # all 6 down choices see exactly the one face pointing that way
-    assert overhang_score(box, cube, params) == pytest.approx(1.0, rel=1e-9)
+    assert _one_cell_overhang(box, cube) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_overhang_score_empty_region():
-    params = ObjectiveParams()
     far = Aabb((5.0, 5.0, 5.0), (6.0, 6.0, 6.0))
-    assert overhang_score(far, unit_cube(), params) == 0.0
+    assert _one_cell_overhang(far, unit_cube()) == 0.0
 
 
 def test_kmeans_two_far_clusters():

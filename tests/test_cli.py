@@ -192,6 +192,24 @@ def test_decompose_missing_config_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ["--seed", "-5000"],
+    ["--infill", "2"],
+    ["--overhang-tolerance", "120"],
+    ["--symmetry-threshold", "-1"],
+    ["--min-printers", "0"],
+    ["--printers", "0"],
+    ["--sample-tries", "0"],
+    ["--infill", "nan"],
+])
+def test_decompose_bad_option_exits_2(tmp_path, extra):
+    model = tmp_path / "dumbbell.stl"
+    save_stl(dumbbell(), model)
+    out = tmp_path / "out"
+    assert main(_decompose_args(model, out, extra)) == 2
+    assert not out.exists()
+
+
 def test_batch_end_to_end(tmp_path):
     save_stl(dumbbell(), tmp_path / "dumbbell.stl")
     out = tmp_path / "sweep"
