@@ -11,11 +11,20 @@ minimum oriented overhang area over the six axis build directions, and
 S_prox the L1 box-gap to the nearest other block in grid units.  Hard
 failures (leaving the grid, outgrowing the printer, an empty new layer, or
 bumping into owned cells) score -1 and are never applied.
+
+A step scores all 6k options in one numpy pass.  The measures summed over
+the one-cell layer beyond a block face depend only on the static cell
+measures and that block's own box, so :class:`GrowthState` caches them per
+(block, direction) and a move re-sums only the grown block's layers, with
+the same slice sums as a per-option loop; scores stay bit-identical to
+one.  Ownership lives in ``grid.owner`` alone: the overlap check counts the
+owned cells of every layer from a summed-volume table of it, and the number
+of unowned boundary cells is a counter that each move decrements.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,35 +55,15 @@ class ObjectiveParams:
 
 @dataclass
 class Block:
-    """Axis-aligned range of cells [lo, hi] inclusive, plus owned cell set."""
+    """Axis-aligned range of cells [lo, hi] inclusive."""
 
     id: int
     lo: np.ndarray
     hi: np.ndarray
-    owned_cells: set[tuple[int, int, int]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         self.lo = np.asarray(self.lo, dtype=np.int64).reshape(3)
         self.hi = np.asarray(self.hi, dtype=np.int64).reshape(3)
-
-    @property
-    def cell_extent(self) -> np.ndarray:
-        return self.hi - self.lo + 1
-
-    def centroid(self) -> np.ndarray:
-        """Box center in grid units."""
-        return 0.5 * (self.lo + self.hi + 1)
-
-    def size(self) -> float:
-        """Half the L1 extent in grid units."""
-        return 0.5 * float(self.cell_extent.sum())
-
-
-@dataclass(frozen=True)
-class GrowthOption:
-    block_id: int
-    direction: int  # index into DIRECTIONS
-    score: float    # -1 when forbidden
 
 
 def print_score(volume: float, surface_area: float, params: ObjectiveParams) -> float:
@@ -83,10 +72,15 @@ def print_score(volume: float, surface_area: float, params: ObjectiveParams) -> 
             + params.speed_shell * surface_area)
 
 
-def fits_printer(physical_dims, printer_dims) -> bool:
-    """Sorted-extent comparison: the part may be reoriented axis-to-axis."""
-    return bool(np.all(np.sort(np.asarray(physical_dims, dtype=np.float64))
-                       <= np.sort(np.asarray(printer_dims, dtype=np.float64)) + 1e-9))
+def fits_printer(physical_dims, printer_dims):
+    """Sorted-extent comparison: the part may be reoriented axis-to-axis.
+
+    ``physical_dims`` may hold a stack of extents along its last axis; the
+    answer then has its leading shape.
+    """
+    return np.all(np.sort(np.asarray(physical_dims, dtype=np.float64), axis=-1)
+                  <= np.sort(np.asarray(printer_dims, dtype=np.float64)) + 1e-9,
+                  axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +148,53 @@ def select_seed_blocks(grid: Grid, mesh: TriangleMesh, k: int,
             else:  # pragma: no cover - guarded by the k <= len(boundary) check
                 raise InsufficientBoundaryCells("ran out of boundary cells")
         taken.add(key)
-        blocks.append(Block(bid, np.array(key), np.array(key), {key}))
+        blocks.append(Block(bid, np.array(key), np.array(key)))
     return blocks
 
 
 # ---------------------------------------------------------------------------
 # growth
 
+def _cells(lo, hi) -> tuple[slice, slice, slice]:
+    """Index of the inclusive cell range [lo, hi]."""
+    return tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+
+
+def _layer_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive cell ranges of the one-cell layer beyond each face of the
+    boxes [lo, hi], (k, 3) each; returns two (k, 6, 3) arrays in DIRECTIONS
+    order.  A layer beyond the grid edge reads -1 or dims on its axis."""
+    lo, hi = lo[:, None], hi[:, None]
+    return (np.where(DIRECTIONS > 0, hi + 1, lo + np.minimum(DIRECTIONS, 0)),
+            np.where(DIRECTIONS < 0, lo - 1, hi + np.maximum(DIRECTIONS, 0)))
+
+
+def _owned_counts(owner: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Owned cells in each inclusive range [lo, hi], (..., 3) each, read from
+    a summed-volume table of ``owner >= 0`` (Crow 1984).  Ranges are clipped
+    to the grid."""
+    table = np.zeros(tuple(n + 1 for n in owner.shape), dtype=np.int64)
+    table[1:, 1:, 1:] = (owner >= 0).cumsum(0).cumsum(1).cumsum(2)
+    x0, y0, z0 = np.maximum(lo, 0).T
+    x1, y1, z1 = np.minimum(hi + 1, owner.shape).T
+    return (table[x1, y1, z1] - table[x0, y1, z1] - table[x1, y0, z1]
+            - table[x1, y1, z0] + table[x0, y0, z1] + table[x0, y1, z0]
+            + table[x1, y0, z0] - table[x0, y0, z0]).T
+
 
 class GrowthState:
-    """Grid ownership plus per-block cached objective sums."""
+    """Block boxes, ownership, and cached objective sums for the growth loop.
+
+    ``grid.owner`` is the only record of which block owns a cell; the state
+    claims the non-external cells of each block's starting box.  Per-block
+    arrays are indexed by position in ``blocks``, and each block's ``lo``
+    and ``hi`` are views of its rows in ``self.lo`` and ``self.hi``.  The
+    ``layer_*`` arrays hold the sums over the one-cell layer beyond each
+    block face, (k, 6) or (k, 6, 6); they depend only on the measures and
+    that block's own box, so a move re-sums only the grown block's layers.
+    A layer is open when it lies inside the grid and holds a non-external
+    cell; a layer outside the grid sums to zero.
+    """
 
     def __init__(self, grid: Grid, measures: CellMeasures, blocks: list[Block],
                  params: ObjectiveParams):
@@ -171,122 +202,133 @@ class GrowthState:
         self.measures = measures
         self.params = params
         self.blocks = blocks
-        self.volume = {}
-        self.area = {}
-        self.overhang = {}
-        for b in blocks:
-            vol = ar = 0.0
-            ov = np.zeros(6)
-            for cell in b.owned_cells:
-                grid.owner[cell] = b.id
-                vol += measures.volume[cell]
-                ar += measures.area[cell]
-                ov += measures.overhang[(slice(None),) + cell]
-            self.volume[b.id] = vol
-            self.area[b.id] = ar
-            self.overhang[b.id] = ov
+        k = len(blocks)
+        self.lo = np.array([b.lo for b in blocks], dtype=np.int64).reshape(k, 3)
+        self.hi = np.array([b.hi for b in blocks], dtype=np.int64).reshape(k, 3)
+        self.volume = np.zeros(k)
+        self.area = np.zeros(k)
+        self.overhang = np.zeros((k, 6))
+        self.layer_volume = np.zeros((k, 6))
+        self.layer_area = np.zeros((k, 6))
+        self.layer_overhang = np.zeros((k, 6, 6))
+        self.layer_open = np.zeros((k, 6), dtype=bool)
+        for i, b in enumerate(blocks):
+            b.lo, b.hi = self.lo[i], self.hi[i]
+            sl = _cells(b.lo, b.hi)
+            grid.owner[sl][grid.classification[sl] != CellClass.EXTERNAL] = b.id
+            self.volume[i], self.area[i], self.overhang[i] = self._sums(sl)
+            self._sum_layers(i)
+        self._unassigned = int(((grid.classification == CellClass.BOUNDARY)
+                                & (grid.owner < 0)).sum())
+
+    def _sums(self, sl):
+        """Volume, area and the six overhang areas of the cells in sl."""
+        m = self.measures
+        return (m.volume[sl].sum(), m.area[sl].sum(),
+                m.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1))
+
+    def _sum_layers(self, i: int, directions=range(6)) -> None:
+        """Sum the measures over the layers beyond block i's faces."""
+        grid = self.grid
+        layer_lo, layer_hi = _layer_boxes(self.lo[i:i + 1], self.hi[i:i + 1])
+        for d in directions:
+            lo, hi = layer_lo[0, d].tolist(), layer_hi[0, d].tolist()
+            if min(lo) < 0 or any(h >= n for h, n in zip(hi, grid.dims)):
+                self.layer_open[i, d] = False
+                self.layer_volume[i, d] = self.layer_area[i, d] = 0.0
+                self.layer_overhang[i, d] = 0.0
+                continue
+            sl = _cells(lo, hi)
+            self.layer_open[i, d] = (grid.classification[sl] != CellClass.EXTERNAL).any()
+            (self.layer_volume[i, d], self.layer_area[i, d],
+             self.layer_overhang[i, d]) = self._sums(sl)
 
     def unassigned_boundary(self) -> int:
-        return int(((self.grid.classification == CellClass.BOUNDARY)
-                    & (self.grid.owner < 0)).sum())
+        """Boundary cells no block owns yet."""
+        return self._unassigned
 
 
-def _layer_range(block: Block, direction: int):
-    """Cell range (lo, hi) of the one-cell-thick layer beyond the block."""
-    d = DIRECTIONS[direction]
-    lo = block.lo.copy()
-    hi = block.hi.copy()
-    axis = int(np.argmax(np.abs(d)))
-    if d[axis] > 0:
-        lo[axis] = hi[axis] = block.hi[axis] + 1
-    else:
-        lo[axis] = hi[axis] = block.lo[axis] - 1
-    return lo, hi
+def score_growth(state: GrowthState) -> np.ndarray:
+    """Score every (block, direction) option at once.
 
+    Returns a (k, 6) array, rows in ``state.blocks`` order and columns in
+    DIRECTIONS order; -1 encodes a hard constraint failure.
+    """
+    grid, params = state.grid, state.params
+    layer_lo, layer_hi = _layer_boxes(state.lo, state.hi)
+    new_lo = np.minimum(state.lo[:, None], layer_lo)
+    new_hi = np.maximum(state.hi[:, None], layer_hi)
+    extent = new_hi - new_lo + 1
+    fits = fits_printer(extent * grid.cell_size, params.printer_dims)
+    clear = _owned_counts(grid.owner, layer_lo, layer_hi) == 0
+    allowed = state.layer_open & fits & clear  # not open: off-grid or empty
 
-def score_growth(state: GrowthState, block: Block, direction: int) -> GrowthOption:
-    """Score one candidate expansion; -1 encodes a hard constraint failure."""
-    grid = state.grid
-    params = state.params
-    lo, hi = _layer_range(block, direction)
-    dims = np.array(grid.dims)
-    if np.any(lo < 0) or np.any(hi >= dims):
-        return GrowthOption(block.id, direction, -1.0)
-    new_lo = np.minimum(block.lo, lo)
-    new_hi = np.maximum(block.hi, hi)
-    if not fits_printer((new_hi - new_lo + 1) * grid.cell_size, params.printer_dims):
-        return GrowthOption(block.id, direction, -1.0)
-    sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-    layer_class = grid.classification[sl]
-    if not np.any(layer_class != CellClass.EXTERNAL):
-        return GrowthOption(block.id, direction, -1.0)  # M_new is empty
-    if np.any(grid.owner[sl] >= 0):
-        return GrowthOption(block.id, direction, -1.0)  # overlap
-
-    volume = state.volume[block.id] + float(state.measures.volume[sl].sum())
-    area = state.area[block.id] + float(state.measures.area[sl].sum())
-    over6 = state.overhang[block.id] + state.measures.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
+    volume = state.volume[:, None] + state.layer_volume
+    area = state.area[:, None] + state.layer_area
+    o_score = (state.overhang[:, None] + state.layer_overhang).min(axis=2)
     p_score = print_score(volume, area, params)
-    o_score = float(over6.min())
 
-    grown_centroid = 0.5 * (new_lo + new_hi + 1)
-    grown_size = 0.5 * float((new_hi - new_lo + 1).sum())
-    prox = np.inf
-    for other in state.blocks:
-        if other.id == block.id:
-            continue
-        gap = float(np.abs(grown_centroid - other.centroid()).sum()) \
-            - (grown_size + other.size())
-        prox = min(prox, gap)
-    if not np.isfinite(prox):
-        prox = params.proximity_floor  # single block: proximity is moot
-    denom = max(prox, params.proximity_floor)
-    return GrowthOption(block.id, direction, (p_score + params.overhang_weight * o_score) / denom)
+    # L1 box gap of each grown block to every other block, in grid units;
+    # all terms are multiples of 0.5, so the sums are exact.
+    k = len(state.blocks)
+    centroid = 0.5 * (new_lo + new_hi + 1)
+    size = 0.5 * extent.sum(axis=2)
+    other_centroid = 0.5 * (state.lo + state.hi + 1)
+    other_size = 0.5 * (state.hi - state.lo + 1).sum(axis=1)
+    gap = (np.abs(centroid[:, :, None] - other_centroid).sum(axis=3)
+           - (size[:, :, None] + other_size))
+    gap[np.arange(k), :, np.arange(k)] = np.inf
+    prox = gap.min(axis=2, initial=np.inf)
+    # A single block has no neighbour: proximity is moot.
+    prox = np.where(np.isfinite(prox), prox, params.proximity_floor)
+    denom = np.maximum(prox, params.proximity_floor)
+    score = (p_score + params.overhang_weight * o_score) / denom
+    return np.where(allowed, score, -1.0)
 
 
-def apply_growth(state: GrowthState, option: GrowthOption) -> None:
-    """Extend the block one layer and claim the layer's non-external cells."""
-    block = next(b for b in state.blocks if b.id == option.block_id)
-    lo, hi = _layer_range(block, option.direction)
-    sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+def apply_growth(state: GrowthState, index: int, direction: int) -> None:
+    """Extend block ``state.blocks[index]`` one layer and claim the layer's
+    non-external cells, none of which may be owned."""
+    block = state.blocks[index]
+    layer_lo, layer_hi = _layer_boxes(state.lo[index:index + 1],
+                                      state.hi[index:index + 1])
+    lo, hi = layer_lo[0, direction], layer_hi[0, direction]
+    sl = _cells(lo, hi)
     grid = state.grid
-    claim = grid.classification[sl] != CellClass.EXTERNAL
-    coords = np.argwhere(claim) + lo
-    for c in coords:
-        key = tuple(int(x) for x in c)
-        grid.owner[key] = block.id
-        block.owned_cells.add(key)
-    block.lo = np.minimum(block.lo, lo)
-    block.hi = np.maximum(block.hi, hi)
-    state.volume[block.id] += float(state.measures.volume[sl].sum())
-    state.area[block.id] += float(state.measures.area[sl].sum())
-    state.overhang[block.id] += state.measures.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
+    layer = grid.classification[sl]
+    grid.owner[sl][layer != CellClass.EXTERNAL] = block.id
+    state._unassigned -= int((layer == CellClass.BOUNDARY).sum())
+    state.volume[index] += state.layer_volume[index, direction]
+    state.area[index] += state.layer_area[index, direction]
+    state.overhang[index] += state.layer_overhang[index, direction]
+    np.minimum(block.lo, lo, out=block.lo)
+    np.maximum(block.hi, hi, out=block.hi)
+    # The layer behind the grown face is unchanged: directions pair up as
+    # (+x, -x), (+y, -y), (+z, -z).
+    state._sum_layers(index, [d for d in range(6) if d != direction ^ 1])
 
 
 def grow_blocks(state: GrowthState, trace: list | None = None) -> list[Block]:
     """Run the serial growth loop until no move is allowed or needed.
 
-    Each iteration scores all (block, direction) pairs, in block id order
-    and then the direction order +x,-x,+y,-y,+z,-z, and applies the one
-    with the smallest positive score.  A later option replaces the
-    incumbent only when its score is lower by more than SCORE_RTOL
-    relative, so scores equal up to rounding go to the lowest (block id,
-    direction).  The loop stops when every option is forbidden or no
-    unassigned boundary cells remain.
+    Each iteration scores all (block, direction) options in one pass and
+    scans them in block order and then the direction order
+    +x,-x,+y,-y,+z,-z, applying the one with the smallest positive score.
+    A later option replaces the incumbent only when its score is lower by
+    more than SCORE_RTOL relative, so scores equal up to rounding go to the
+    lowest (block id, direction).  The loop stops when every option is
+    forbidden or no unassigned boundary cells remain.
     """
     while state.unassigned_boundary() > 0:
-        best: GrowthOption | None = None
-        for block in state.blocks:
-            for direction in range(6):
-                opt = score_growth(state, block, direction)
-                if opt.score <= 0:
-                    continue
-                if best is None or opt.score < best.score * (1.0 - SCORE_RTOL):
-                    best = opt
-        if best is None:
+        best, best_score = -1, 0.0
+        for option, score in enumerate(score_growth(state).ravel().tolist()):
+            if score > 0 and (best < 0 or score < best_score * (1.0 - SCORE_RTOL)):
+                best, best_score = option, score
+        if best < 0:
             break
-        apply_growth(state, best)
+        index, direction = divmod(best, 6)
+        apply_growth(state, index, direction)
         if trace is not None:
-            trace.append((len(trace), best.block_id,
-                          DIRECTION_NAMES[best.direction], best.score))
+            trace.append((len(trace), state.blocks[index].id,
+                          DIRECTION_NAMES[direction], best_score))
     return state.blocks

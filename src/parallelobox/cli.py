@@ -290,7 +290,11 @@ _MANIFEST_OPTIONS = {
 
 
 def load_manifest(path) -> dict:
-    """A sweep manifest: {"models": [...], "printers": [...], ...options}."""
+    """A sweep manifest: {"models": [...], "printers": [...], ...options}.
+
+    The paths it names (``models``, ``config`` and ``out``) are relative to
+    the manifest's own directory, not the working directory.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
@@ -312,8 +316,10 @@ def load_manifest(path) -> dict:
         if key in raw and not ok(raw[key]):
             raise ConfigError(f"{path}: {key!r} must be {expected}, "
                               f"got {raw[key]!r}")
-    # model paths are relative to the manifest's own directory
     raw["models"] = [path.parent / m for m in models]
+    for key in ("config", "out"):
+        if key in raw:
+            raw[key] = path.parent / raw[key]
     raw["printers"] = counts
     return raw
 

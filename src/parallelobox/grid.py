@@ -3,8 +3,10 @@
 The grid covers the mesh's bounding box scaled by 1.001 about its center
 (so cell faces avoid lying exactly in mesh faces), with cubic cells sized by
 a named granularity preset along the longest axis.  A cell is *boundary*
-when the surface clipped to it is non-empty, otherwise *internal* or
-*external* by a ray-parity test at the cell center.
+when the surface clipped to it is non-empty.  A cell without surface is
+*internal* when its solid volume (below) exceeds half the cell, otherwise
+*external*; for an open mesh, whose volumes are only estimates, a majority
+of ray-parity votes at the cell center decides instead.
 
 The surface is clipped to the cells in one batched call over every
 (cell, triangle) pair whose bounding boxes overlap, and the pieces are
@@ -175,23 +177,26 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
 
     classification = np.full(grid.dims, _UNSET, dtype=np.int8)
     classification[per_cell(None) > 0] = CellClass.BOUNDARY
-    # Cells without surface: parity test at centers.
-    watertight = validate_watertight(mesh).is_watertight
     undecided = classification == _UNSET
+    grid.classification = classification
+    if validate_watertight(mesh).is_watertight:
+        # A cell without surface is all solid or all void, so its flux
+        # volume is about cell_size**3 or 0.
+        volume = grid_cell_volumes(flux, lift, grid.cell_size)
+        classification[undecided] = np.where(
+            volume[undecided] > 0.5 * grid.cell_size ** 3,
+            np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
+        return CellMeasures(volume, area, over, False)
+    # Open surface: the flux does not bound a solid.  Label cells without
+    # surface by a majority of ray-parity votes at their centers, and
+    # estimate full interior cells plus half-full boundary cells; only
+    # relative scoring consumes these anyway.
+    logger.warning("open mesh: per-cell volumes are parity estimates")
     if undecided.any():
         centers = grid.centers().reshape(nx, ny, nz, 3)[undecided]
-        inside = points_in_mesh(mesh, centers, votes=1 if watertight else 3)
-        filled = np.where(inside, np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
-        classification[undecided] = filled
-    grid.classification = classification
-
-    if watertight:
-        volume = grid_cell_volumes(flux, lift, grid.cell_size)
-        return CellMeasures(volume, area, over, False)
-    # Open surface: the flux does not bound a solid.  Estimate full interior
-    # cells plus half-full boundary cells; only relative scoring consumes
-    # these anyway.
-    logger.warning("open mesh: per-cell volumes are parity estimates")
+        inside = points_in_mesh(mesh, centers, votes=3)
+        classification[undecided] = np.where(
+            inside, np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
     cs3 = grid.cell_size ** 3
     volume = np.zeros(grid.dims)
     volume[classification == CellClass.INTERNAL] = cs3

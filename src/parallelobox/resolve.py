@@ -16,16 +16,9 @@ import logging
 import numpy as np
 
 from .blocks import fits_printer
-from .clip import clip_to_box
 from .grid import DIRECTIONS, CellClass, Grid
-from .mesh import TriangleMesh
 
 logger = logging.getLogger(__name__)
-
-
-def coverage_complete(grid: Grid) -> bool:
-    """True when every boundary cell has an owner."""
-    return not np.any((grid.classification == CellClass.BOUNDARY) & (grid.owner < 0))
 
 
 def _first_unassigned(grid: Grid, region_mask: np.ndarray):
@@ -92,26 +85,3 @@ def get_discrete_empty_regions(grid: Grid, num_free_printers: int,
         logger.debug("carved empty region %s..%s", lo, hi)
     return regions
 
-
-def assign_mesh_boxes(grid: Grid, mesh: TriangleMesh,
-                      regions: list[tuple[np.ndarray, np.ndarray]]) -> list[TriangleMesh]:
-    """Clip the solid to each carved region box; empty clips are dropped."""
-    parts: list[TriangleMesh] = []
-    for i, (lo, hi) in enumerate(regions):
-        box = grid.box_of_range(lo, hi)
-        result = clip_to_box(mesh, box, mode="volumetric")
-        if not result.mesh.is_empty:
-            part = result.mesh
-            part.name = f"void_{i}"
-            parts.append(part)
-    return parts
-
-
-def leftover_after(grid: Grid, regions: list[tuple[np.ndarray, np.ndarray]]) -> int:
-    """Unassigned boundary cells not covered by any carved region."""
-    mask = np.zeros(grid.dims, dtype=bool)
-    for lo, hi in regions:
-        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-        mask[sl] = True
-    return int(((grid.classification == CellClass.BOUNDARY)
-                & (grid.owner < 0) & ~mask).sum())

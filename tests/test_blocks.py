@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from parallelobox.blocks import (Block, GrowthState, ObjectiveParams,
-                                 _kmeans_pp, apply_growth, fits_printer,
-                                 grow_blocks, print_score,
-                                 score_growth, select_seed_blocks)
+from parallelobox.blocks import (SCORE_RTOL, Block, GrowthState,
+                                 ObjectiveParams, _kmeans_pp, fits_printer,
+                                 grow_blocks, print_score, score_growth,
+                                 select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
-from parallelobox.fixtures import box_mesh, icosphere, unit_cube
+from parallelobox.fixtures import (box_mesh, hollow_box, icosphere, l_bracket,
+                                   unit_cube)
 from parallelobox.grid import CellClass, CellMeasures, Grid, build_grid, measure_cells
 from parallelobox.mesh import Aabb, TriangleMesh
 
@@ -113,8 +114,7 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None):
                             area=solid.astype(float),
                             overhang=np.zeros((6,) + tuple(dims)),
                             approximate_volume=False)
-    blocks = [Block(i, np.array(s), np.array(s), {tuple(s)})
-              for i, s in enumerate(seeds)]
+    blocks = [Block(i, np.array(s), np.array(s)) for i, s in enumerate(seeds)]
     state = GrowthState(grid, measures, blocks,
                         params or ObjectiveParams(printer_dims=(1e9, 1e9, 1e9)))
     return state
@@ -128,7 +128,7 @@ def test_growth_single_block_covers_bar():
     assert state.unassigned_boundary() == 0
     b = state.blocks[0]
     assert tuple(b.lo) == (0, 0, 0) and tuple(b.hi) == (2, 0, 0)
-    assert len(b.owned_cells) == 3
+    assert int((state.grid.owner == b.id).sum()) == 3
     # two growth steps, both along +x
     assert [t[2] for t in trace] == ["+x", "+x"]
 
@@ -136,12 +136,12 @@ def test_growth_single_block_covers_bar():
 def test_growth_score_matches_hand_computation():
     classes = np.full((3, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     state = _uniform_state((3, 1, 1), classes, [(0, 0, 0)])
-    opt = score_growth(state, state.blocks[0], 0)  # +x
-    # P = 20*(0.05*2) + 20*2 = 42; single block, prox = floor = 1
-    assert opt.score == pytest.approx(42.0)
+    scores = score_growth(state)
+    # +x: P = 20*(0.05*2) + 20*2 = 42; single block, prox = floor = 1
+    assert scores[0, 0] == pytest.approx(42.0)
     # off-grid directions are hard failures
-    assert score_growth(state, state.blocks[0], 1).score == -1.0
-    assert score_growth(state, state.blocks[0], 2).score == -1.0
+    assert scores[0, 1] == -1.0
+    assert scores[0, 2] == -1.0
 
 
 def test_growth_hard_constraints():
@@ -150,18 +150,18 @@ def test_growth_hard_constraints():
     params = ObjectiveParams(printer_dims=(250.0, 250.0, 250.0))
     state = _uniform_state((3, 1, 1), classes, [(0, 0, 0)],
                            cell_size=200.0, params=params)
-    assert score_growth(state, state.blocks[0], 0).score == -1.0
+    assert score_growth(state)[0, 0] == -1.0
 
     # an all-external layer is never claimable
     classes = np.full((2, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     classes[1, 0, 0] = int(CellClass.EXTERNAL)
     state = _uniform_state((2, 1, 1), classes, [(0, 0, 0)])
-    assert score_growth(state, state.blocks[0], 0).score == -1.0
+    assert score_growth(state)[0, 0] == -1.0
 
     # bumping into an owned cell is forbidden
     classes = np.full((2, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     state = _uniform_state((2, 1, 1), classes, [(0, 0, 0), (1, 0, 0)])
-    assert score_growth(state, state.blocks[0], 0).score == -1.0
+    assert score_growth(state)[0, 0] == -1.0
 
 
 def test_growth_tie_breaks_lowest_block_then_direction():
@@ -172,8 +172,8 @@ def test_growth_tie_breaks_lowest_block_then_direction():
     assert state.unassigned_boundary() == 0
     # both blocks face symmetric scores; block 0 must move first
     assert trace[0][1] == 0
-    owned0 = len(state.blocks[0].owned_cells)
-    owned1 = len(state.blocks[1].owned_cells)
+    owned0 = int((state.grid.owner == state.blocks[0].id).sum())
+    owned1 = int((state.grid.owner == state.blocks[1].id).sum())
     assert owned0 + owned1 == 5
     assert owned0 == 3  # block 0 wins the middle cell by the id tie-break
 
@@ -183,8 +183,10 @@ def test_growth_ties_up_to_rounding_go_to_the_first_direction():
     state = _uniform_state((3, 1, 1), classes, [(1, 0, 0)])
     # -x scores lower than +x by rounding only; that is still a tie.
     state.measures.volume[0, 0, 0] -= 1e-13
-    assert score_growth(state, state.blocks[0], 1).score \
-        < score_growth(state, state.blocks[0], 0).score
+    # The state caches layer sums of the measures: build it again.
+    state = GrowthState(state.grid, state.measures, state.blocks, state.params)
+    scores = score_growth(state)
+    assert scores[0, 1] < scores[0, 0]
     trace = []
     grow_blocks(state, trace)
     assert trace[0][2] == "+x"
@@ -228,12 +230,132 @@ def test_grown_blocks_stay_disjoint_random():
         seeds = [tuple(int(x) for x in boundary[p]) for p in picks]
         state = _uniform_state(dims, classes, seeds)
         grow_blocks(state)
-        cells0 = state.blocks[0].owned_cells
-        cells1 = state.blocks[1].owned_cells
-        assert not (cells0 & cells1)
+        grid = state.grid
         for b in state.blocks:
             assert np.all(b.lo >= 0)
             assert np.all(b.hi < np.array(dims))
-            for cell in b.owned_cells:
-                assert np.all(np.array(cell) >= b.lo)
-                assert np.all(np.array(cell) <= b.hi)
+            owned = np.argwhere(grid.owner == b.id)
+            assert np.all(owned >= b.lo)
+            assert np.all(owned <= b.hi)
+            # Every solid cell of a block's box is its own, so the solid
+            # parts of two boxes never overlap.
+            sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(b.lo, b.hi))
+            solid = grid.classification[sl] != int(CellClass.EXTERNAL)
+            assert np.all(grid.owner[sl][solid] == b.id)
+
+
+def _reference_grow(grid, measures, seeds, params):
+    """The per-option growth loop, kept as the bit-exact reference.
+
+    Scores one (block, direction) option at a time with its own slice sums,
+    keeps each block's owned cells in a set and rescans the grid for
+    unassigned boundary cells every step.  ``seeds`` are unit blocks.
+    Returns the trace, the owner array, the boxes and the cached sums.
+    """
+    owner = np.full(grid.dims, -1, dtype=np.int32)
+    cls = grid.classification
+    dims = np.array(grid.dims)
+    boxes = [[np.array(lo), np.array(hi)] for lo, hi in seeds]
+    volume, area, overhang = [], [], []
+    for bid, (lo, _) in enumerate(boxes):
+        cell = tuple(int(x) for x in lo)
+        owner[cell] = bid
+        ov = np.zeros(6)
+        ov += measures.overhang[(slice(None),) + cell]
+        volume.append(0.0 + measures.volume[cell])
+        area.append(0.0 + measures.area[cell])
+        overhang.append(ov)
+
+    def layer(bid, d):
+        lo, hi = boxes[bid][0].copy(), boxes[bid][1].copy()
+        axis = d // 2
+        edge = hi[axis] + 1 if d % 2 == 0 else lo[axis] - 1
+        lo[axis] = hi[axis] = edge
+        return lo, hi
+
+    def score(bid, d):
+        lo, hi = layer(bid, d)
+        if np.any(lo < 0) or np.any(hi >= dims):
+            return -1.0
+        new_lo = np.minimum(boxes[bid][0], lo)
+        new_hi = np.maximum(boxes[bid][1], hi)
+        if not np.all(np.sort((new_hi - new_lo + 1) * grid.cell_size)
+                      <= np.sort(np.asarray(params.printer_dims, dtype=float)) + 1e-9):
+            return -1.0
+        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+        if not np.any(cls[sl] != int(CellClass.EXTERNAL)):
+            return -1.0
+        if np.any(owner[sl] >= 0):
+            return -1.0
+        vol = volume[bid] + float(measures.volume[sl].sum())
+        ar = area[bid] + float(measures.area[sl].sum())
+        over6 = overhang[bid] + measures.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
+        p_score = print_score(vol, ar, params)
+        o_score = float(over6.min())
+        centroid = 0.5 * (new_lo + new_hi + 1)
+        size = 0.5 * float((new_hi - new_lo + 1).sum())
+        prox = np.inf
+        for other, (olo, ohi) in enumerate(boxes):
+            if other == bid:
+                continue
+            gap = float(np.abs(centroid - 0.5 * (olo + ohi + 1)).sum()) \
+                - (size + 0.5 * float((ohi - olo + 1).sum()))
+            prox = min(prox, gap)
+        if not np.isfinite(prox):
+            prox = params.proximity_floor
+        denom = max(prox, params.proximity_floor)
+        return (p_score + params.overhang_weight * o_score) / denom
+
+    trace = []
+    while int(((cls == int(CellClass.BOUNDARY)) & (owner < 0)).sum()) > 0:
+        best = None
+        for bid in range(len(boxes)):
+            for d in range(6):
+                s = score(bid, d)
+                if s <= 0:
+                    continue
+                if best is None or s < best[2] * (1.0 - SCORE_RTOL):
+                    best = (bid, d, s)
+        if best is None:
+            break
+        bid, d, s = best
+        lo, hi = layer(bid, d)
+        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+        for c in np.argwhere(cls[sl] != int(CellClass.EXTERNAL)) + lo:
+            owner[tuple(int(x) for x in c)] = bid
+        boxes[bid] = [np.minimum(boxes[bid][0], lo), np.maximum(boxes[bid][1], hi)]
+        volume[bid] += float(measures.volume[sl].sum())
+        area[bid] += float(measures.area[sl].sum())
+        overhang[bid] += measures.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
+        trace.append((len(trace), bid, ("+x", "-x", "+y", "-y", "+z", "-z")[d], s))
+    boxes = [(tuple(int(x) for x in lo), tuple(int(x) for x in hi)) for lo, hi in boxes]
+    return trace, owner, boxes, (volume, area, overhang)
+
+
+@pytest.mark.parametrize("fixture", [icosphere, hollow_box, l_bracket])
+@pytest.mark.parametrize("granularity", ["coarse", "fine"])
+def test_grow_blocks_matches_reference(fixture, granularity):
+    mesh = fixture()
+    grid = build_grid(mesh, granularity)
+    meas = measure_cells(grid, mesh)
+    for k in (2, 8):
+        for printer in (30.0, 250.0):
+            params = ObjectiveParams(printer_dims=(printer,) * 3)
+            blocks = select_seed_blocks(grid, mesh, k, rng_seed=k)
+            seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
+            want_trace, want_owner, want_boxes, want_sums = _reference_grow(
+                grid, meas, seeds, params)
+            grid.owner[...] = -1
+            state = GrowthState(grid, meas, blocks, params)
+            trace = []
+            grow_blocks(state, trace)
+            assert trace == want_trace
+            assert len(trace) > 0
+            assert np.array_equal(grid.owner, want_owner)
+            assert [(tuple(int(x) for x in b.lo), tuple(int(x) for x in b.hi))
+                    for b in blocks] == want_boxes
+            assert state.volume.tolist() == want_sums[0]
+            assert state.area.tolist() == want_sums[1]
+            assert np.array_equal(state.overhang, np.array(want_sums[2]))
+            assert state.unassigned_boundary() == int(
+                ((grid.classification == CellClass.BOUNDARY) & (grid.owner < 0)).sum())

@@ -227,6 +227,32 @@ def test_batch_end_to_end(tmp_path):
     assert body[0][8] == "true"
 
 
+
+def test_batch_paths_resolve_against_the_manifest(tmp_path, monkeypatch):
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    save_stl(dumbbell(), jobs / "dumbbell.stl")
+    _write(jobs / "printer.ini", "[printer]\nvolume_x = 200\n")
+    manifest = _write(jobs / "m.json", json.dumps({
+        "models": ["dumbbell.stl"],
+        "printers": [2],
+        "granularity": "coarse",
+        "sample_tries": 1,
+        "config": "printer.ini",
+        "out": "sweep",
+    }))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    raw = load_manifest(manifest)
+    assert raw["config"] == jobs / "printer.ini"
+    assert raw["out"] == jobs / "sweep"
+    # The config is read from next to the manifest; a miss would exit 2.
+    assert main(["batch", str(manifest)]) == 0
+    assert (jobs / "sweep" / "results.csv").is_file()
+    assert not (elsewhere / "sweep").exists()
+    assert list(elsewhere.iterdir()) == []
+
 def test_batch_unreadable_model_exits_2(tmp_path):
     manifest = _write(tmp_path / "m.json", json.dumps(
         {"models": ["ghost.stl"], "printers": [2],

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from parallelobox.clip import point_in_mesh
+from parallelobox import fixtures
+from parallelobox.clip import point_in_mesh, points_in_mesh
 from parallelobox.fixtures import box_mesh, icosphere, unit_cube
 from parallelobox.grid import (BBOX_SCALE, GRANULARITY_CELLS, CellClass, Grid,
                                build_grid, measure_cells)
@@ -94,6 +95,22 @@ def test_classification_against_containment_samples():
         elif c == CellClass.EXTERNAL:
             assert not point_in_mesh(mesh, center)
 
+
+
+@pytest.mark.parametrize("name", ["unit_cube", "icosphere", "dumbbell",
+                                  "l_bracket", "hollow_box", "asymmetric_blob"])
+@pytest.mark.parametrize("granularity", ["coarse", "fine"])
+def test_flux_labels_match_ray_parity(name, granularity):
+    """Cells without surface are labelled from their flux volume; that
+    agrees with a ray-parity test at every such cell center."""
+    mesh = getattr(fixtures, name)()
+    g = build_grid(mesh, granularity)
+    measure_cells(g, mesh)
+    free = g.classification != CellClass.BOUNDARY
+    centers = g.centers().reshape(g.dims + (3,))[free]
+    want = np.where(points_in_mesh(mesh, centers), CellClass.INTERNAL,
+                    CellClass.EXTERNAL)
+    assert np.array_equal(g.classification[free], want)
 
 def test_box_of_range_round_trip():
     g = Grid(origin=(1.0, 2.0, 3.0), cell_size=0.5, dims=(4, 4, 4))

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from parallelobox.blocks import fits_printer
+from parallelobox.clip import clip_to_box
 from parallelobox.fixtures import box_mesh
 from parallelobox.grid import CellClass, Grid, build_grid, measure_cells
-from parallelobox.resolve import (assign_mesh_boxes, coverage_complete,
-                                  get_discrete_empty_regions, leftover_after)
+from parallelobox.meta import _uncovered_cells
+from parallelobox.resolve import get_discrete_empty_regions
 
 
 def _reference_regions(classification, owner, cell_size, num_free, printer_dims):
@@ -132,13 +133,13 @@ def test_zero_free_printers_carves_nothing():
 def test_coverage_and_leftover_accounting():
     grid = Grid(origin=(0.0, 0.0, 0.0), cell_size=1.0, dims=(2, 2, 1))
     grid.classification[...] = int(CellClass.BOUNDARY)
-    assert not coverage_complete(grid)
+    assert _uncovered_cells(grid, [])[0] > 0
     grid.owner[...] = 0
-    assert coverage_complete(grid)
+    assert _uncovered_cells(grid, []) == (0, 0)
     grid.owner[1, 1, 0] = -1
-    assert not coverage_complete(grid)
+    assert _uncovered_cells(grid, [])[0] > 0
     regions = get_discrete_empty_regions(grid, 1, (250.0,) * 3)
-    assert leftover_after(grid, regions) == 0
+    assert _uncovered_cells(grid, regions)[0] == 0
 
 
 def test_assign_mesh_boxes_clips_solid():
@@ -146,7 +147,9 @@ def test_assign_mesh_boxes_clips_solid():
     grid = build_grid(mesh, "coarse")
     measure_cells(grid, mesh)
     regions = get_discrete_empty_regions(grid, 2, (250.0,) * 3)
-    parts = assign_mesh_boxes(grid, mesh, regions)
+    parts = [clip_to_box(mesh, grid.box_of_range(lo, hi), mode="volumetric").mesh
+             for lo, hi in regions]
+    parts = [part for part in parts if not part.is_empty]
     assert parts, "a fully unowned solid grid must produce at least one part"
     for part in parts:
         assert not part.is_empty
