@@ -156,7 +156,8 @@ def run_model(mesh: TriangleMesh, model_name: str, printers: int,
                 parallel_score=result.parallel_score,
                 parallel_time_s=result.parallel_time_s,
                 aggregate_time_s=result.aggregate_time_s,
-                reason=result.reason, wall_clock_s=elapsed))
+                reason=result.reason, clipped=result.clipped,
+                wall_clock_s=elapsed))
 
         if result is None:
             report.rows.append(RunRow(

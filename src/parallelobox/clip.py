@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBox, NonWatertightInput
-from .fixtures import box_mesh
 from .mesh import (
     Aabb,
     TriangleMesh,
+    box_mesh,
     compact,
     validate_watertight,
 )
@@ -518,24 +518,17 @@ def _check_box(box: Aabb) -> None:
         raise DegenerateBox(f"box extent must be positive, got {box.extent}")
 
 
-def clip_to_box(mesh: TriangleMesh, box: Aabb, mode: str = "volumetric") -> ClipResult:
-    """Clip a mesh to an axis-aligned box.
+def clip_to_box(mesh: TriangleMesh, box: Aabb) -> ClipResult:
+    """Clip a watertight mesh to an axis-aligned box.
 
-    mode "surface-only" returns the open clipped surface; "volumetric"
-    requires a watertight input and returns a watertight solid with caps on
-    the box faces.  In both modes surface_vertex_count reflects only the
-    clipped input surface.
+    Returns a watertight solid with caps on the box faces;
+    surface_vertex_count reflects only the clipped input surface.
     """
     _check_box(box)
-    pieces, _ = clip_surface_to_box(mesh, box)
-    surface = _soup_mesh(pieces, mesh.name)
-    count = len(surface.vertices)
-    if mode == "surface-only":
-        return ClipResult(surface, count, False)
-    if mode != "volumetric":
-        raise ValueError(f"unknown clip mode {mode!r}")
     if not validate_watertight(mesh).is_watertight:
         raise NonWatertightInput("volumetric clipping needs a closed mesh")
+    pieces, _ = clip_surface_to_box(mesh, box)
+    count = len(_soup_mesh(pieces, mesh.name).vertices)
 
     if count == 0:
         # No surface inside the box: either completely inside or outside.

@@ -3,40 +3,14 @@
 Everything here is exact, constructed geometry: boxes, an icosphere, and
 polycube solids extracted from voxel masks.  The shapes exist so tests and
 demos have known volumes, areas, and symmetries without shipping binary
-mesh files.
+mesh files.  ``box_mesh`` lives in :mod:`parallelobox.mesh`, where the box
+clip uses it too, and is available here as well.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriangleMesh, clean_mesh
-
-# Corner offsets and the two CCW-outward triangles of each cube face.
-_BOX_CORNERS = np.array(
-    [
-        [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
-        [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
-    ],
-    dtype=np.float64,
-)
-_BOX_TRIS = np.array(
-    [
-        [0, 2, 1], [0, 3, 2],  # bottom (z = 0), normal -z
-        [4, 5, 6], [4, 6, 7],  # top, normal +z
-        [0, 1, 5], [0, 5, 4],  # front (y = 0), normal -y
-        [2, 3, 7], [2, 7, 6],  # back, normal +y
-        [0, 4, 7], [0, 7, 3],  # left (x = 0), normal -x
-        [1, 2, 6], [1, 6, 5],  # right, normal +x
-    ],
-    dtype=np.int32,
-)
-
-
-def box_mesh(size=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), name="box") -> TriangleMesh:
-    """Axis-aligned solid box: 8 vertices, 12 triangles."""
-    size = np.asarray(size, dtype=np.float64)
-    origin = np.asarray(origin, dtype=np.float64)
-    return TriangleMesh(_BOX_CORNERS * size + origin, _BOX_TRIS.copy(), name)
+from .mesh import TriangleMesh, box_mesh, clean_mesh
 
 
 def unit_cube(name="cube") -> TriangleMesh:

@@ -21,7 +21,10 @@ plane, F has no flux through the bottom and side faces, so
 
 where h is the cell size and A_top, the solid's cross-section on the
 cell's top face, is the sum of n_z dA over the pieces in the cells above it
-in the same column.
+in the same column.  The same sums along x and y give the cross-section on
+every cell's max face, so any cell-aligned box gets its solid volume and
+its capped surface area (shell plus the six box-face caps) from slice sums
+over these tables, with no mesh clipped.
 """
 from __future__ import annotations
 
@@ -141,7 +144,26 @@ class CellMeasures:
     volume: np.ndarray        # solid volume inside each cell
     area: np.ndarray          # cap-free clipped surface area
     overhang: np.ndarray      # (6, nx, ny, nz): per down-direction overhang area
+    section: np.ndarray       # (3, nx, ny, nz): solid cross-section on the max
+                              # x, y and z face of each cell
     approximate_volume: bool  # True when a parity fallback estimated volumes
+
+    def box(self, lo, hi) -> tuple[float, float]:
+        """Solid volume and capped surface area of cells lo..hi inclusive.
+
+        The caps are the solid's cross-sections on the six box faces: on a
+        max face the section of the box's own last layer, on a min face
+        that of the layer before it (none at the grid's edge).
+        """
+        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+        area = float(self.area[sl].sum())
+        for axis in range(3):
+            for layer in (int(hi[axis]), int(lo[axis]) - 1):
+                if layer >= 0:
+                    face = list(sl)
+                    face[axis] = layer
+                    area += float(self.section[axis][tuple(face)].sum())
+        return float(self.volume[sl].sum()), area
 
 
 #: Growth direction order: +x, -x, +y, -y, +z, -z.
@@ -153,7 +175,8 @@ DIRECTIONS = np.array(
 
 def measure_cells(grid: Grid, mesh: TriangleMesh,
                   overhang_tolerance_deg: float = 1.0) -> CellMeasures:
-    """Label every cell in place and compute its volume, area and overhangs."""
+    """Label every cell in place and compute its volume, area, overhangs and
+    face sections."""
     cells, tris = _triangle_cell_bins(mesh, grid)
     nx, ny, nz = grid.dims
     lo = grid.origin + cells * grid.cell_size
@@ -174,6 +197,9 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
     z_mean = pieces[:, :, 2].mean(axis=1)
     flux = per_cell((z_mean - lo[sources, 2]) * nz_da)   # (z_mean - z0) * n_z dA
     lift = per_cell(nz_da)                               # n_z dA
+    section = np.stack([face_sections(per_cell(0.5 * cross[:, 0]), 0),
+                        face_sections(per_cell(0.5 * cross[:, 1]), 1),
+                        face_sections(lift, 2)])
 
     classification = np.full(grid.dims, _UNSET, dtype=np.int8)
     classification[per_cell(None) > 0] = CellClass.BOUNDARY
@@ -186,11 +212,12 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
         classification[undecided] = np.where(
             volume[undecided] > 0.5 * grid.cell_size ** 3,
             np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
-        return CellMeasures(volume, area, over, False)
+        return CellMeasures(volume, area, over, section, False)
     # Open surface: the flux does not bound a solid.  Label cells without
     # surface by a majority of ray-parity votes at their centers, and
     # estimate full interior cells plus half-full boundary cells; only
-    # relative scoring consumes these anyway.
+    # relative scoring consumes these anyway.  The sections are estimates
+    # too: an open surface bounds no cross-section.
     logger.warning("open mesh: per-cell volumes are parity estimates")
     if undecided.any():
         centers = grid.centers().reshape(nx, ny, nz, 3)[undecided]
@@ -201,15 +228,22 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
     volume = np.zeros(grid.dims)
     volume[classification == CellClass.INTERNAL] = cs3
     volume[classification == CellClass.BOUNDARY] = 0.5 * cs3
-    return CellMeasures(volume, area, over, True)
+    return CellMeasures(volume, area, over, section, True)
+
+
+def face_sections(lift: np.ndarray, axis: int) -> np.ndarray:
+    """Solid cross-section on each cell's max face along axis.
+
+    lift holds the per-cell sums of n_axis dA of a closed surface; the
+    section is the lift of all cells beyond the face in the same row, an
+    exclusive reverse cumulative sum.
+    """
+    out = np.zeros_like(lift)
+    np.moveaxis(out, axis, -1)[..., :-1] = np.cumsum(
+        np.moveaxis(lift, axis, -1)[..., :0:-1], axis=-1)[..., ::-1]
+    return out
 
 
 def grid_cell_volumes(flux: np.ndarray, lift: np.ndarray, cell_size: float) -> np.ndarray:
-    """Solid volume per cell of a closed surface from its per-cell flux sums.
-
-    The solid's cross-section on a cell's top face is the lift of all cells
-    above it in the same column, an exclusive reverse cumulative sum.
-    """
-    top = np.zeros_like(lift)
-    top[:, :, :-1] = np.cumsum(lift[:, :, :0:-1], axis=2)[:, :, ::-1]
-    return flux + cell_size * top
+    """Solid volume per cell of a closed surface from its per-cell flux sums."""
+    return flux + cell_size * face_sections(lift, 2)

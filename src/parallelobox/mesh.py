@@ -117,6 +117,34 @@ class WatertightReport:
     open_edge_count: int
 
 
+# Corner offsets and the two CCW-outward triangles of each cube face.
+_BOX_CORNERS = np.array(
+    [
+        [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+        [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
+    ],
+    dtype=np.float64,
+)
+_BOX_TRIS = np.array(
+    [
+        [0, 2, 1], [0, 3, 2],  # bottom (z = 0), normal -z
+        [4, 5, 6], [4, 6, 7],  # top, normal +z
+        [0, 1, 5], [0, 5, 4],  # front (y = 0), normal -y
+        [2, 3, 7], [2, 7, 6],  # back, normal +y
+        [0, 4, 7], [0, 7, 3],  # left (x = 0), normal -x
+        [1, 2, 6], [1, 6, 5],  # right, normal +x
+    ],
+    dtype=np.int32,
+)
+
+
+def box_mesh(size=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), name="box") -> TriangleMesh:
+    """Axis-aligned solid box: 8 vertices, 12 triangles."""
+    size = np.asarray(size, dtype=np.float64)
+    origin = np.asarray(origin, dtype=np.float64)
+    return TriangleMesh(_BOX_CORNERS * size + origin, _BOX_TRIS.copy(), name)
+
+
 def triangle_corners(mesh: TriangleMesh):
     """The three (m, 3) corner arrays of every triangle."""
     v, t = mesh.vertices, mesh.triangles

@@ -13,6 +13,18 @@ printers for patching uncovered voids, so late iterations trade
 parallelism for robustness.  The best valid iteration wins: smallest
 parallel print score, then fewest printers used, then smallest aggregate
 time.
+
+Every part score is a sum over grid cells plus the caps on the box faces,
+so an iteration is scored from the per-cell tables of
+:class:`~parallelobox.grid.CellMeasures` without clipping anything.  Meshes
+are clipped only for the iterations that can still win: those whose
+boxes are larger than the printer (the tables cannot tell whether the part
+inside fits), and the valid ones in ascending order of table score until
+the next one exceeds the best clipped score.  The table score of a part
+equals that of its clipped mesh up to rounding where the mesh caps cover
+each box face once, and is lower where a faulty cap covers part of a face
+twice; it has not been seen above it.  So the winner is the one a search
+clipping every iteration would pick, and it is scored from its meshes.
 """
 from __future__ import annotations
 
@@ -22,7 +34,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .blocks import (GrowthState, ObjectiveParams, fits_printer,
+from .blocks import (SCORE_RTOL, GrowthState, ObjectiveParams, fits_printer,
                      grow_blocks, print_score, select_seed_blocks)
 from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane
 from .errors import InsufficientBoundaryCells, NoValidDecomposition
@@ -33,8 +45,6 @@ from .preprocess import (SYMMETRY_THRESHOLD, Pose, SymmetryPlane,
 from .resolve import get_discrete_empty_regions
 
 logger = logging.getLogger(__name__)
-
-FIT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,12 @@ def estimate_time(volume: float, surface_area: float, profile: PrinterProfile,
 
 @dataclass
 class PartResult:
-    mesh: TriangleMesh
+    """One part; scored from the cell tables until it is clipped.
+
+    A table-scored part has no mesh yet and no shell_area (NaN).
+    """
+
+    mesh: TriangleMesh | None
     volume: float
     surface_area: float     # of the capped, printable part
     shell_area: float       # share of the original model surface (cap-free)
@@ -109,6 +124,7 @@ class PartResult:
     piece: int = 0          # which prepared piece the part was carved from
     cell_lo: tuple[int, int, int] | None = None  # grid cell range, blocks/voids only
     cell_hi: tuple[int, int, int] | None = None  # inclusive
+    name: str = ""          # the mesh name, known before the part is clipped
 
 
 @dataclass
@@ -125,6 +141,7 @@ class Decomposition:
     aggregate_time_s: float
     symmetry_error: float
     symmetry_cut: bool
+    clipped: bool           # the parts are clipped meshes, scored from them
 
     @property
     def printers_used(self) -> int:
@@ -144,6 +161,7 @@ class RunRecord:
     parallel_time_s: float
     aggregate_time_s: float
     reason: str
+    clipped: bool           # scored from clipped meshes, not cell tables
     wall_clock_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -248,11 +266,20 @@ def _uncovered_cells(grid: Grid, regions) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # one iteration
 
+#: Reason of a table-scored result with a box larger than the printer: the
+#: part inside may still fit, so only its clipped mesh can tell.
+BOX_EXCEEDS_PRINTER = "a part box exceeds the printer"
+
 
 def run_decomposition(prepared: PreparedModel, plan: RunPlan,
                       profile: PrinterProfile, seed_blocks: int,
                       seed: int) -> Decomposition:
-    """Grow seed_blocks boxes over the prepared model with one RNG seed."""
+    """Grow seed_blocks boxes over the prepared model with one RNG seed.
+
+    Every box is scored from the per-cell tables and nothing is clipped:
+    the parts carry no mesh (``clipped`` is False) until
+    :func:`clip_parts` turns them into meshes.
+    """
     params = objective_of(plan, profile)
     total_printers = plan.printers_available
     pieces = prepared.pieces
@@ -270,6 +297,7 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
 
     parts: list[PartResult] = []
     reason = ""
+    fits = True
     for index, (piece, k, budget) in enumerate(zip(pieces, growth_split,
                                                    budget_split)):
         grid = _fresh_grid(piece.grid)
@@ -288,41 +316,78 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
             reason = (f"piece {index}: {left_b} boundary / {left_i} internal "
                       "cells uncovered")
             break
-        for b in blocks:
-            box = grid.box_of_range(b.lo, b.hi)
-            clipped = clip_to_box(piece.mesh, box, mode="volumetric").mesh
-            if clipped.is_empty:
+        boxes = ([(b.lo, b.hi, "block", f"_b{b.id}") for b in blocks]
+                 + [(lo, hi, "void", f"_v{r}")
+                    for r, (lo, hi) in enumerate(regions)])
+        for lo, hi, source, suffix in boxes:
+            sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+            if not (grid.classification[sl] != CellClass.EXTERNAL).any():
                 continue
-            clipped.name = f"{piece.mesh.name}_b{b.id}"
-            parts.append(_score_part(clipped, "block", plan, profile, params,
-                                     _shell_area_in_box(piece.shell, box),
-                                     piece=index,
-                                     cell_lo=tuple(int(x) for x in b.lo),
-                                     cell_hi=tuple(int(x) for x in b.hi)))
-        for r, (lo, hi) in enumerate(regions):
-            box = grid.box_of_range(lo, hi)
-            clipped = clip_to_box(piece.mesh, box, mode="volumetric").mesh
-            if clipped.is_empty:
-                continue
-            clipped.name = f"{piece.mesh.name}_v{r}"
-            parts.append(_score_part(clipped, "void", plan, profile, params,
-                                     _shell_area_in_box(piece.shell, box),
-                                     piece=index,
-                                     cell_lo=tuple(int(x) for x in lo),
-                                     cell_hi=tuple(int(x) for x in hi)))
+            volume, area = piece.measures.box(lo, hi)
+            fits = fits and bool(fits_printer(grid.box_of_range(lo, hi).extent,
+                                              profile.dims))
+            parts.append(PartResult(
+                mesh=None, volume=volume, surface_area=area,
+                shell_area=float("nan"),
+                print_score=print_score(volume, area, params),
+                time_s=estimate_time(volume, area, profile,
+                                     plan.infill_fraction),
+                source=source, piece=index,
+                cell_lo=tuple(int(x) for x in lo),
+                cell_hi=tuple(int(x) for x in hi),
+                name=piece.mesh.name + suffix))
+    reason = _count_verdict(parts, reason, total_printers)
+    if not reason and not fits:
+        reason = BOX_EXCEEDS_PRINTER
+    return _decomposition(prepared, plan, seed_blocks, seed, parts, reason,
+                          clipped=False)
 
-    valid = not reason
-    if valid and len(parts) == 0:
-        valid, reason = False, "no parts produced"
-    if valid and len(parts) > total_printers:
-        valid, reason = False, f"{len(parts)} parts exceed {total_printers} printers"
-    if valid:
+
+def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
+               result: Decomposition) -> Decomposition:
+    """Clip the boxes of a covered iteration to meshes and score the meshes.
+
+    result is what :func:`run_decomposition` returned for an iteration whose
+    every piece was covered.  A box whose clipped mesh is empty is dropped,
+    and validity is judged again from the meshes.
+    """
+    params = objective_of(plan, profile)
+    parts: list[PartResult] = []
+    for part in result.parts:
+        piece = prepared.pieces[part.piece]
+        box = piece.grid.box_of_range(part.cell_lo, part.cell_hi)
+        clipped = clip_to_box(piece.mesh, box).mesh
+        if clipped.is_empty:
+            continue
+        clipped.name = part.name
+        parts.append(_score_part(clipped, part.source, plan, profile, params,
+                                 _shell_area_in_box(piece.shell, box),
+                                 piece=part.piece, cell_lo=part.cell_lo,
+                                 cell_hi=part.cell_hi))
+    reason = _count_verdict(parts, "", plan.printers_available)
+    if not reason:
         for part in parts:
-            extent = aabb_of(part.mesh).extent
-            if not fits_printer(extent, profile.dims):
-                valid, reason = False, f"part {part.mesh.name} exceeds the printer"
+            if not fits_printer(aabb_of(part.mesh).extent, profile.dims):
+                reason = f"part {part.name} exceeds the printer"
                 break
+    return _decomposition(prepared, plan, result.seed_blocks, result.seed,
+                          parts, reason, clipped=True)
 
+
+def _count_verdict(parts: list[PartResult], reason: str, printers: int) -> str:
+    """Why a result is invalid before any part's extent is looked at."""
+    if reason:
+        return reason
+    if not parts:
+        return "no parts produced"
+    if len(parts) > printers:
+        return f"{len(parts)} parts exceed {printers} printers"
+    return ""
+
+
+def _decomposition(prepared: PreparedModel, plan: RunPlan, seed_blocks: int,
+                   seed: int, parts: list[PartResult], reason: str,
+                   clipped: bool) -> Decomposition:
     if parts:
         parallel_score = max(p.print_score for p in parts)
         parallel_time = max(p.time_s for p in parts)
@@ -330,13 +395,13 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
     else:
         parallel_score = parallel_time = aggregate_time = float("nan")
     return Decomposition(parts=parts, algorithm="parallelobox",
-                         printers_available=total_printers,
-                         seed_blocks=seed_blocks, seed=seed, valid=valid,
+                         printers_available=plan.printers_available,
+                         seed_blocks=seed_blocks, seed=seed, valid=not reason,
                          reason=reason, parallel_score=parallel_score,
                          parallel_time_s=parallel_time,
                          aggregate_time_s=aggregate_time,
                          symmetry_error=prepared.plane.error_score,
-                         symmetry_cut=prepared.cut)
+                         symmetry_cut=prepared.cut, clipped=clipped)
 
 
 def _score_part(mesh: TriangleMesh, source: str, plan: RunPlan,
@@ -351,7 +416,8 @@ def _score_part(mesh: TriangleMesh, source: str, plan: RunPlan,
         print_score=print_score(mm.volume, mm.surface_area, params),
         time_s=estimate_time(mm.volume, mm.surface_area, profile,
                              plan.infill_fraction),
-        source=source, piece=piece, cell_lo=cell_lo, cell_hi=cell_hi)
+        source=source, piece=piece, cell_lo=cell_lo, cell_hi=cell_hi,
+        name=mesh.name)
 
 
 # ---------------------------------------------------------------------------
@@ -373,36 +439,68 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                       records: list[RunRecord] | None = None) -> Decomposition:
     """Sweep seed-block counts and retries; return the best valid result.
 
+    Every iteration is scored from the cell tables first.  Then the
+    iterations whose boxes do not all fit the printer are clipped, and the
+    valid ones in ascending order of table score, until the next table
+    score exceeds the best clipped score by more than ``SCORE_RTOL``.  A
+    table score does not exceed the score of the clipped meshes, so no
+    iteration left unclipped could have won.  The winner is the best
+    clipped result by :func:`_beats`, the earlier iteration on ties.
+
     Raises NoValidDecomposition when every iteration fails.
     """
     prepared = prepare_model(mesh, plan, profile)
     floor = max(plan.min_printers, len(prepared.pieces), 1)
-    best: Decomposition | None = None
-    attempts = 0
+    runs: list[tuple[int, int, int]] = []
+    results: list[Decomposition] = []
+    seconds: list[float] = []
     for p in range(plan.printers_available, floor - 1, -1):
         for t in range(1, plan.sample_tries + 1):
             seed = plan.seed_base + 1000 * p + t
             tick = time.perf_counter()
-            result = run_decomposition(prepared, plan, profile, p, seed)
-            attempts += 1
-            if records is not None:
-                records.append(RunRecord(
-                    seed_blocks=p, try_index=t, seed=seed, valid=result.valid,
-                    parts=result.printers_used,
-                    parallel_score=result.parallel_score,
-                    parallel_time_s=result.parallel_time_s,
-                    aggregate_time_s=result.aggregate_time_s,
-                    reason=result.reason,
-                    wall_clock_s=time.perf_counter() - tick))
-            logger.debug("p=%d t=%d seed=%d valid=%s score=%.6g (%s)",
-                         p, t, seed, result.valid, result.parallel_score,
-                         result.reason or "ok")
-            if result.valid and _beats(result, best):
-                best = result
+            results.append(run_decomposition(prepared, plan, profile, p, seed))
+            seconds.append(time.perf_counter() - tick)
+            runs.append((p, t, seed))
+
+    def clip(i: int) -> Decomposition:
+        tick = time.perf_counter()
+        results[i] = clip_parts(prepared, plan, profile, results[i])
+        seconds[i] += time.perf_counter() - tick
+        return results[i]
+
+    best_score = float("inf")
+    for i, result in enumerate(results):
+        if result.reason == BOX_EXCEEDS_PRINTER and clip(i).valid:
+            best_score = min(best_score, results[i].parallel_score)
+    ranked = sorted((i for i, r in enumerate(results)
+                     if r.valid and not r.clipped),
+                    key=lambda i: results[i].parallel_score)
+    for i in ranked:
+        if results[i].parallel_score > best_score * (1.0 + SCORE_RTOL):
+            break
+        if clip(i).valid:
+            best_score = min(best_score, results[i].parallel_score)
+
+    best: Decomposition | None = None
+    for (p, t, seed), result, wall in zip(runs, results, seconds):
+        if records is not None:
+            records.append(RunRecord(
+                seed_blocks=p, try_index=t, seed=seed, valid=result.valid,
+                parts=result.printers_used,
+                parallel_score=result.parallel_score,
+                parallel_time_s=result.parallel_time_s,
+                aggregate_time_s=result.aggregate_time_s,
+                reason=result.reason, clipped=result.clipped,
+                wall_clock_s=wall))
+        logger.debug("p=%d t=%d seed=%d valid=%s score=%.6g clipped=%s (%s)",
+                     p, t, seed, result.valid, result.parallel_score,
+                     result.clipped, result.reason or "ok")
+        if result.clipped and result.valid and _beats(result, best):
+            best = result
     if best is None:
         raise NoValidDecomposition(
             f"no valid decomposition for {mesh.name or 'mesh'!r} "
-            f"in {attempts} iterations with {plan.printers_available} printers")
+            f"in {len(results)} iterations with {plan.printers_available} printers")
     return best
 
 
@@ -463,4 +561,4 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                          parallel_time_s=max(p.time_s for p in parts),
                          aggregate_time_s=sum(p.time_s for p in parts),
                          symmetry_error=plane.error_score,
-                         symmetry_cut=len(parts) > 1)
+                         symmetry_cut=len(parts) > 1, clipped=True)

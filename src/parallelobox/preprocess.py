@@ -1,4 +1,4 @@
-"""Symmetry detection, optional symmetry cutting, and build orientation.
+"""Symmetry detection and build orientation.
 
 Candidate mirror planes come from the vertex cloud's three principal axes,
 each swept through five offsets around the centroid.  A plane's error is
@@ -8,16 +8,12 @@ mirror and the score is scale-free.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .clip import cut_by_plane
 from .mesh import TriangleMesh, aabb_of, triangle_areas, triangle_normals
-
-logger = logging.getLogger(__name__)
 
 #: Default symmetry acceptance threshold (fraction of the bbox diagonal).
 SYMMETRY_THRESHOLD = 0.01
@@ -126,27 +122,6 @@ def find_best_symmetry_plane(mesh: TriangleMesh) -> SymmetryPlane:
                 best = SymmetryPlane(axis.copy(), offset, score)
     assert best is not None
     return best
-
-
-def maybe_symmetry_cut(mesh: TriangleMesh, threshold: float = SYMMETRY_THRESHOLD,
-                       plane: SymmetryPlane | None = None) -> list[TriangleMesh]:
-    """Cut at the best symmetry plane when its error is under the threshold.
-
-    Returns [mesh] untouched when no plane qualifies, otherwise the two
-    capped halves.
-    """
-    if plane is None:
-        plane = find_best_symmetry_plane(mesh)
-    if plane.error_score > threshold:
-        return [mesh]
-    positive, negative = cut_by_plane(mesh, plane.normal, plane.offset)
-    halves = [h for h in (positive, negative) if not h.is_empty]
-    if len(halves) < 2:
-        logger.warning("symmetry plane produced an empty half; keeping the input")
-        return [mesh]
-    for i, half in enumerate(halves):
-        half.name = f"{mesh.name}_half{i}" if mesh.name else f"half{i}"
-    return halves
 
 
 def _proper_axis_rotations() -> list[np.ndarray]:

@@ -113,6 +113,7 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None):
     measures = CellMeasures(volume=solid.astype(float),
                             area=solid.astype(float),
                             overhang=np.zeros((6,) + tuple(dims)),
+                            section=np.zeros((3,) + tuple(dims)),
                             approximate_volume=False)
     blocks = [Block(i, np.array(s), np.array(s)) for i, s in enumerate(seeds)]
     state = GrowthState(grid, measures, blocks,

@@ -146,7 +146,19 @@ def test_decompose_end_to_end(tmp_path):
     for line in log_lines:
         assert {"model", "printers", "algorithm", "seed_blocks", "try_index",
                 "seed", "valid", "parts", "parallel_score", "wall_clock_s",
-                "reason"} <= set(line)
+                "reason", "clipped"} <= set(line)
+        assert isinstance(line["clipped"], bool)
+    # The baseline is scored from its meshes, and so is the search winner,
+    # the best valid line of the search.
+    assert all(line["clipped"] for line in log_lines
+               if line["algorithm"] == "symmetry")
+    search = [line for line in log_lines if line["algorithm"] == "parallelobox"]
+    best = min((line for line in search if line["valid"]),
+               key=lambda line: (line["parallel_score"], line["parts"],
+                                 line["aggregate_time_s"]))
+    assert best["clipped"]
+    assert float(body[[r[1] for r in body].index("parallelobox")][4]) == (
+        best["parallel_time_s"])
 
 
 def test_decompose_is_deterministic(tmp_path):

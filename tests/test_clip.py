@@ -65,7 +65,7 @@ def test_clip_to_box_unit_cube_analytic():
         lo = rng.uniform(-0.5, 1.0, size=3)
         hi = lo + rng.uniform(0.05, 1.2, size=3)
         box = Aabb(lo, hi)
-        clipped = clip_to_box(cube, box, mode="volumetric").mesh
+        clipped = clip_to_box(cube, box).mesh
         got = measure(clipped).volume if not clipped.is_empty else 0.0
         want = float(np.prod(np.clip(np.minimum(hi, 1.0) - np.maximum(lo, 0.0), 0.0, None)))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)

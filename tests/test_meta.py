@@ -1,14 +1,23 @@
 """Time estimation, preparation, the retry search, and the cut-in-half baseline."""
+import math
+
 import numpy as np
 import pytest
 
-from parallelobox.errors import NoValidDecomposition
+from parallelobox import fixtures, meta
+from parallelobox.blocks import GrowthState, grow_blocks, select_seed_blocks
+from parallelobox.clip import clip_to_box
+from parallelobox.errors import InsufficientBoundaryCells, NoValidDecomposition
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, unit_cube)
 from parallelobox.mesh import aabb_of, measure, triangle_areas
-from parallelobox.meta import (PrinterProfile, RunPlan, _proportional_share,
-                               estimate_time, objective_of, prepare_model,
+from parallelobox.meta import (Decomposition, PrinterProfile, RunPlan,
+                               _beats, _fresh_grid, _proportional_share,
+                               _score_part, _shell_area_in_box,
+                               _uncovered_cells, estimate_time, fits_printer,
+                               objective_of, prepare_model,
                                recursive_symmetry_baseline, run_metaheuristic)
+from parallelobox.resolve import get_discrete_empty_regions
 
 PROFILE = PrinterProfile()
 
@@ -149,3 +158,237 @@ def test_baseline_single_printer_returns_whole_model():
         dumbbell(), RunPlan(printers_available=1, granularity="coarse"), PROFILE)
     assert len(dec.parts) == 1
     assert dec.valid
+
+
+# ---------------------------------------------------------------------------
+# the table-scored search against a search that clips every iteration
+
+
+def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
+    """One iteration with every block and void box clipped and scored from
+    its mesh, as the search did before it scored from the cell tables."""
+    params = objective_of(plan, profile)
+    total_printers = plan.printers_available
+    pieces = prepared.pieces
+    if len(pieces) == 2:
+        v1, v2 = pieces[0].volume, pieces[1].volume
+        first = _proportional_share(seed_blocks, v1, v2)
+        growth_split = [first, seed_blocks - first]
+        first_budget = _proportional_share(total_printers, v1, v2)
+        budget_split = [first_budget, total_printers - first_budget]
+    else:
+        growth_split = [seed_blocks]
+        budget_split = [total_printers]
+    parts = []
+    reason = ""
+    for index, (piece, k, budget) in enumerate(zip(pieces, growth_split,
+                                                   budget_split)):
+        grid = _fresh_grid(piece.grid)
+        try:
+            blocks = select_seed_blocks(grid, piece.mesh, k,
+                                        rng_seed=seed * 2 + index)
+        except InsufficientBoundaryCells as exc:
+            reason = f"piece {index}: {exc}"
+            break
+        grow_blocks(GrowthState(grid, piece.measures, blocks, params))
+        free = max(0, budget - len(blocks))
+        regions = get_discrete_empty_regions(grid, free, params.printer_dims)
+        left_b, left_i = _uncovered_cells(grid, regions)
+        if left_b or left_i:
+            reason = (f"piece {index}: {left_b} boundary / {left_i} internal "
+                      "cells uncovered")
+            break
+        boxes = ([(b.lo, b.hi, "block", f"_b{b.id}") for b in blocks]
+                 + [(lo, hi, "void", f"_v{r}")
+                    for r, (lo, hi) in enumerate(regions)])
+        for lo, hi, source, suffix in boxes:
+            box = grid.box_of_range(lo, hi)
+            clipped = clip_to_box(piece.mesh, box).mesh
+            if clipped.is_empty:
+                continue
+            clipped.name = piece.mesh.name + suffix
+            parts.append(_score_part(clipped, source, plan, profile, params,
+                                     _shell_area_in_box(piece.shell, box),
+                                     piece=index,
+                                     cell_lo=tuple(int(x) for x in lo),
+                                     cell_hi=tuple(int(x) for x in hi)))
+    valid = not reason
+    if valid and len(parts) == 0:
+        valid, reason = False, "no parts produced"
+    if valid and len(parts) > total_printers:
+        valid, reason = False, f"{len(parts)} parts exceed {total_printers} printers"
+    if valid:
+        for part in parts:
+            if not fits_printer(aabb_of(part.mesh).extent, profile.dims):
+                valid, reason = False, f"part {part.mesh.name} exceeds the printer"
+                break
+    nan = float("nan")
+    return Decomposition(
+        parts=parts, algorithm="parallelobox", printers_available=total_printers,
+        seed_blocks=seed_blocks, seed=seed, valid=valid, reason=reason,
+        parallel_score=max((p.print_score for p in parts), default=nan),
+        parallel_time_s=max((p.time_s for p in parts), default=nan),
+        aggregate_time_s=sum(p.time_s for p in parts) if parts else nan,
+        symmetry_error=prepared.plane.error_score, symmetry_cut=prepared.cut,
+        clipped=True)
+
+
+def _reference_search(prepared, plan, profile):
+    """The retry loop over clipped iterations; (winner or None, results)."""
+    floor = max(plan.min_printers, len(prepared.pieces), 1)
+    best, results = None, []
+    for p in range(plan.printers_available, floor - 1, -1):
+        for t in range(1, plan.sample_tries + 1):
+            result = _reference_decomposition(prepared, plan, profile, p,
+                                              plan.seed_base + 1000 * p + t)
+            results.append(result)
+            if result.valid and _beats(result, best):
+                best = result
+    return best, results
+
+
+def _caps_cover_once(mesh, box) -> bool:
+    """Do the faces of a clipped mesh on each box plane cover it once?
+
+    On a plane covered once, the unsigned area of the faces lying in it
+    equals the magnitude of their signed area along the plane normal.
+    """
+    corners = mesh.vertices[mesh.triangles]
+    half_cross = 0.5 * np.cross(corners[:, 1] - corners[:, 0],
+                                corners[:, 2] - corners[:, 0])
+    for axis in range(3):
+        for plane in (box.min[axis], box.max[axis]):
+            on = (np.abs(corners[:, :, axis] - plane) <= 1e-9).all(axis=1)
+            unsigned = float(np.linalg.norm(half_cross[on], axis=1).sum())
+            signed = abs(float(half_cross[on, axis].sum()))
+            if unsigned - signed > 1e-9 * max(unsigned, 1.0):
+                return False
+    return True
+
+
+def _record_fields(record):
+    return (record.seed_blocks, record.try_index, record.seed, record.valid,
+            record.parts, record.parallel_score, record.parallel_time_s,
+            record.aggregate_time_s, record.reason)
+
+
+def _part_fields(part):
+    return (part.piece, part.source, part.cell_lo, part.cell_hi, part.name,
+            part.volume, part.surface_area, part.shell_area, part.print_score,
+            part.time_s, part.mesh.vertices.tobytes(),
+            part.mesh.triangles.tobytes())
+
+
+@pytest.mark.parametrize("granularity", ["coarse", "fine"])
+@pytest.mark.parametrize("fixture", ["unit_cube", "icosphere", "dumbbell",
+                                     "l_bracket", "hollow_box",
+                                     "asymmetric_blob"])
+def test_search_matches_reference(fixture, granularity, monkeypatch):
+    mesh = getattr(fixtures, fixture)()
+    # Printer counts >= 2 share one prepared model; prepare it once.
+    prepared = prepare_model(mesh, RunPlan(printers_available=2,
+                                           granularity=granularity), PROFILE)
+    monkeypatch.setattr(meta, "prepare_model", lambda *args: prepared)
+    for printers in (2, 4, 8):
+        for side in (30.0, 250.0):
+            profile = PrinterProfile(volume_x=side, volume_y=side, volume_z=side)
+            for seed_base in (0, 10, 20):
+                case = (printers, side, seed_base)
+                plan = RunPlan(printers_available=printers,
+                               granularity=granularity, sample_tries=1,
+                               seed_base=seed_base)
+                want, reference = _reference_search(prepared, plan, profile)
+                records = []
+                try:
+                    got = run_metaheuristic(mesh, plan, profile, records)
+                except NoValidDecomposition:
+                    got = None
+                assert (got is None) == (want is None), case
+                if got is not None:
+                    assert (got.seed_blocks, got.seed) == (want.seed_blocks,
+                                                           want.seed), case
+                    assert ([_part_fields(p) for p in got.parts]
+                            == [_part_fields(p) for p in want.parts]), case
+                    assert (got.parallel_score, got.parallel_time_s,
+                            got.aggregate_time_s) == (
+                        want.parallel_score, want.parallel_time_s,
+                        want.aggregate_time_s), case
+                assert len(records) == len(reference), case
+                for record, exact in zip(records, reference):
+                    fields = (record.seed, record.valid, record.parts,
+                              record.reason)
+                    assert fields == (exact.seed, exact.valid,
+                                      exact.printers_used, exact.reason), case
+                    if record.clipped:
+                        assert (record.parallel_score, record.parallel_time_s,
+                                record.aggregate_time_s) == (
+                            exact.parallel_score, exact.parallel_time_s,
+                            exact.aggregate_time_s), case
+                        continue
+                    if not exact.parts:
+                        assert math.isnan(record.parallel_score), case
+                        continue
+                    # Tables never score above the meshes, and match them
+                    # wherever the mesh caps cover each box plane once.
+                    assert record.parallel_score <= exact.parallel_score * (
+                        1.0 + 1e-12), case
+                    once = all(_caps_cover_once(
+                        p.mesh, prepared.pieces[p.piece].grid.box_of_range(
+                            p.cell_lo, p.cell_hi)) for p in exact.parts)
+                    if once:
+                        assert record.parallel_score == pytest.approx(
+                            exact.parallel_score, rel=1e-9), case
+
+
+@pytest.mark.parametrize("granularity", ["coarse", "fine"])
+def test_box_tables_match_clipped_meshes(granularity):
+    """CellMeasures.box against clip_to_box on random cell-aligned boxes."""
+    rng = np.random.default_rng(5)
+    for make in (unit_cube, fixtures.icosphere, dumbbell, fixtures.l_bracket,
+                 hollow_box, asymmetric_blob):
+        prepared = prepare_model(make(), RunPlan(printers_available=2,
+                                                 granularity=granularity),
+                                 PROFILE)
+        for piece in prepared.pieces:
+            dims = np.array(piece.grid.dims)
+            face = piece.grid.cell_size ** 2
+            cell = piece.grid.cell_size ** 3
+            for _ in range(12):
+                a, b = rng.integers(0, dims), rng.integers(0, dims)
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+                box = piece.grid.box_of_range(lo, hi)
+                clipped = clip_to_box(piece.mesh, box).mesh
+                exact = measure(clipped)
+                volume, area = piece.measures.box(lo, hi)
+                case = (make.__name__, lo, hi)
+                assert volume == pytest.approx(
+                    exact.volume, rel=1e-9, abs=1e-9 * cell), case
+                assert area <= exact.surface_area + 1e-9 * max(
+                    exact.surface_area, face), case
+                if _caps_cover_once(clipped, box):
+                    assert area == pytest.approx(
+                        exact.surface_area, rel=1e-9, abs=1e-9 * face), case
+
+
+def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
+    """A cell wider than the printer may hold a part that fits: the tables
+    cannot judge such an iteration, so it is clipped, once."""
+    rod = box_mesh(size=(8.0, 0.5, 0.5), name="rod")
+    plan = RunPlan(printers_available=8, granularity="coarse", sample_tries=2,
+                   skip_symmetry_cut=True)
+    # Cells are 1.001 mm cubes; the part in a cell is at most 0.5 mm thick.
+    profile = PrinterProfile(volume_x=0.6)
+    calls = []
+    clip = meta.clip_to_box
+    monkeypatch.setattr(meta, "clip_to_box",
+                        lambda *args: calls.append(args) or clip(*args))
+    records = []
+    got = run_metaheuristic(rod, plan, profile, records)
+    want, reference = _reference_search(prepare_model(rod, plan, PROFILE),
+                                        plan, profile)
+    assert got.valid and all(r.valid and r.clipped for r in records)
+    assert len(calls) == sum(r.parts for r in records)
+    assert [_part_fields(p) for p in got.parts] == [_part_fields(p)
+                                                    for p in want.parts]
+    assert [(r.parallel_score, r.parts) for r in records] == [
+        (r.parallel_score, r.printers_used) for r in reference]

@@ -5,9 +5,10 @@ import pytest
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    icosphere, unit_cube, wedge)
 from parallelobox.mesh import TriangleMesh, aabb_of, measure, triangle_areas, triangle_normals
+from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
 from parallelobox.preprocess import (SYMMETRY_THRESHOLD, _principal_axes,
                                      find_best_symmetry_plane,
-                                     maybe_symmetry_cut, optimize_orientation,
+                                     optimize_orientation,
                                      overhang_area_for_up_z, symmetry_error)
 
 
@@ -77,6 +78,13 @@ def test_principal_axes_recover_true_frame():
     axes = _principal_axes(pts @ rot.T)
     want_first = rot @ np.array([1.0, 0.0, 0.0])
     assert abs(float(axes[0] @ want_first)) > 0.999
+
+
+def maybe_symmetry_cut(mesh, threshold):
+    """The pieces prepare_model cuts a mesh into at a symmetry threshold."""
+    plan = RunPlan(printers_available=2, granularity="coarse",
+                   symmetry_threshold=threshold)
+    return [piece.mesh for piece in prepare_model(mesh, plan, PrinterProfile()).pieces]
 
 
 def test_maybe_symmetry_cut_behaviour():
