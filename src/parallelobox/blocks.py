@@ -12,14 +12,17 @@ S_prox the L1 box-gap to the nearest other block in grid units.  Hard
 failures (leaving the grid, outgrowing the printer, an empty new layer, or
 bumping into owned cells) score -1 and are never applied.
 
-A step scores all 6k options in one numpy pass.  The measures summed over
-the one-cell layer beyond a block face depend only on the static cell
-measures and that block's own box, so :class:`GrowthState` caches them per
-(block, direction) and a move re-sums only the grown block's layers, with
-the same slice sums as a per-option loop; scores stay bit-identical to
-one.  Ownership lives in ``grid.owner`` alone: the overlap check counts the
-owned cells of every layer from a summed-volume table of it, and the number
-of unowned boundary cells is a counter that each move decrements.
+A search grows many independent problems on one piece, one per (seed
+count, retry) iteration.  :class:`GrowthState` holds them all, padded to
+the largest block count, and :func:`grow_blocks` steps them in lockstep:
+one numpy pass scores every option of every active problem, and each
+problem then picks its own move exactly as a serial loop over its options
+would.  Every sum is read in O(1) from the summed-volume table of
+:class:`~parallelobox.grid.CellMeasures`, whose sums are exact, so scores
+are bit-identical to a loop summing slices.  Ownership is box arithmetic:
+a block owns every solid cell of its box, so the owned cells of a layer
+are the solid cells of its overlaps with the other boxes, and each
+problem's owner grid is painted once, when its growth ends.
 """
 from __future__ import annotations
 
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBoundaryCells
-from .grid import DIRECTIONS, CellClass, CellMeasures, Grid
+from .grid import (AREA, BOUNDARY, DIRECTIONS, OVERHANG, SOLID, VOLUME,
+                   CellClass, CellMeasures, Grid)
 from .mesh import TriangleMesh
 
 logger = logging.getLogger(__name__)
@@ -160,125 +164,102 @@ def _cells(lo, hi) -> tuple[slice, slice, slice]:
     return tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
 
 
-def _layer_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive cell ranges of the one-cell layer beyond each face of the
-    boxes [lo, hi], (k, 3) each; returns two (k, 6, 3) arrays in DIRECTIONS
-    order.  A layer beyond the grid edge reads -1 or dims on its axis."""
-    lo, hi = lo[:, None], hi[:, None]
-    return (np.where(DIRECTIONS > 0, hi + 1, lo + np.minimum(DIRECTIONS, 0)),
-            np.where(DIRECTIONS < 0, lo - 1, hi + np.maximum(DIRECTIONS, 0)))
-
-
-def _owned_counts(owner: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Owned cells in each inclusive range [lo, hi], (..., 3) each, read from
-    a summed-volume table of ``owner >= 0`` (Crow 1984).  Ranges are clipped
-    to the grid."""
-    table = np.zeros(tuple(n + 1 for n in owner.shape), dtype=np.int64)
-    table[1:, 1:, 1:] = (owner >= 0).cumsum(0).cumsum(1).cumsum(2)
-    x0, y0, z0 = np.maximum(lo, 0).T
-    x1, y1, z1 = np.minimum(hi + 1, owner.shape).T
-    return (table[x1, y1, z1] - table[x0, y1, z1] - table[x1, y0, z1]
-            - table[x1, y1, z0] + table[x0, y0, z1] + table[x0, y1, z0]
-            + table[x1, y0, z0] - table[x0, y0, z0]).T
+def _layers(lo: np.ndarray, hi: np.ndarray,
+            directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive cell range of the one-cell layer beyond the face of the
+    box [lo, hi] that each direction leaves through; the arguments
+    broadcast.  A layer beyond the grid edge reads -1 or dims on its
+    axis."""
+    return (np.where(directions > 0, hi + 1, lo + np.minimum(directions, 0)),
+            np.where(directions < 0, lo - 1, hi + np.maximum(directions, 0)))
 
 
 class GrowthState:
-    """Block boxes, ownership, and cached objective sums for the growth loop.
+    """n growth problems on one piece, grown in lockstep.
 
-    ``grid.owner`` is the only record of which block owns a cell; the state
-    claims the non-external cells of each block's starting box.  Per-block
-    arrays are indexed by position in ``blocks``, and each block's ``lo``
-    and ``hi`` are views of its rows in ``self.lo`` and ``self.hi``.  The
-    ``layer_*`` arrays hold the sums over the one-cell layer beyond each
-    block face, (k, 6) or (k, 6, 6); they depend only on the measures and
-    that block's own box, so a move re-sums only the grown block's layers.
-    A layer is open when it lies inside the grid and holds a non-external
-    cell; a layer outside the grid sums to zero.
+    Problem p grows the blocks ``blocks[p]``, whose starting boxes hold
+    disjoint solid cells, and paints ``grids[p].owner`` when its growth
+    ends; the grids share the piece's classification.  Per-block arrays are
+    (n, K, ...), K the largest block count; ``real`` marks the slots that
+    hold a block, and each block's ``lo`` and ``hi`` are views of its rows
+    in ``self.lo`` and ``self.hi``.  ``sums`` holds every channel of the
+    measures' table summed over each block's box.  Per problem, ``moves``
+    counts the moves made and ``active`` says whether it is still growing.
     """
 
-    def __init__(self, grid: Grid, measures: CellMeasures, blocks: list[Block],
-                 params: ObjectiveParams):
-        self.grid = grid
+    def __init__(self, grids: list[Grid], measures: CellMeasures,
+                 blocks: list[list[Block]], params: ObjectiveParams):
+        self.grids = grids
         self.measures = measures
         self.params = params
         self.blocks = blocks
-        k = len(blocks)
-        self.lo = np.array([b.lo for b in blocks], dtype=np.int64).reshape(k, 3)
-        self.hi = np.array([b.hi for b in blocks], dtype=np.int64).reshape(k, 3)
-        self.volume = np.zeros(k)
-        self.area = np.zeros(k)
-        self.overhang = np.zeros((k, 6))
-        self.layer_volume = np.zeros((k, 6))
-        self.layer_area = np.zeros((k, 6))
-        self.layer_overhang = np.zeros((k, 6, 6))
-        self.layer_open = np.zeros((k, 6), dtype=bool)
-        for i, b in enumerate(blocks):
-            b.lo, b.hi = self.lo[i], self.hi[i]
-            sl = _cells(b.lo, b.hi)
-            grid.owner[sl][grid.classification[sl] != CellClass.EXTERNAL] = b.id
-            self.volume[i], self.area[i], self.overhang[i] = self._sums(sl)
-            self._sum_layers(i)
-        self._unassigned = int(((grid.classification == CellClass.BOUNDARY)
-                                & (grid.owner < 0)).sum())
+        n, k = len(blocks), max((len(b) for b in blocks), default=0)
+        self.lo = np.zeros((n, k, 3), dtype=np.int64)
+        self.hi = np.zeros((n, k, 3), dtype=np.int64)
+        self.real = np.zeros((n, k), dtype=bool)
+        for p, problem in enumerate(blocks):
+            for i, b in enumerate(problem):
+                self.lo[p, i], self.hi[p, i] = b.lo, b.hi
+                b.lo, b.hi = self.lo[p, i], self.hi[p, i]
+                self.real[p, i] = True
+        # others[p, i, j]: slot j of problem p holds a block other than i.
+        self.others = self.real[:, None, :] & ~np.eye(k, dtype=bool)
+        self.sums = np.where(self.real[..., None],
+                             measures.sums(self.lo, self.hi), 0.0)
+        self.moves = np.zeros(n, dtype=np.int64)
+        self.active = self.unassigned > 0
 
-    def _sums(self, sl):
-        """Volume, area and the six overhang areas of the cells in sl."""
-        m = self.measures
-        return (m.volume[sl].sum(), m.area[sl].sum(),
-                m.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1))
-
-    def _sum_layers(self, i: int, directions=range(6)) -> None:
-        """Sum the measures over the layers beyond block i's faces."""
-        grid = self.grid
-        layer_lo, layer_hi = _layer_boxes(self.lo[i:i + 1], self.hi[i:i + 1])
-        for d in directions:
-            lo, hi = layer_lo[0, d].tolist(), layer_hi[0, d].tolist()
-            if min(lo) < 0 or any(h >= n for h, n in zip(hi, grid.dims)):
-                self.layer_open[i, d] = False
-                self.layer_volume[i, d] = self.layer_area[i, d] = 0.0
-                self.layer_overhang[i, d] = 0.0
-                continue
-            sl = _cells(lo, hi)
-            self.layer_open[i, d] = (grid.classification[sl] != CellClass.EXTERNAL).any()
-            (self.layer_volume[i, d], self.layer_area[i, d],
-             self.layer_overhang[i, d]) = self._sums(sl)
-
-    def unassigned_boundary(self) -> int:
-        """Boundary cells no block owns yet."""
-        return self._unassigned
+    @property
+    def unassigned(self) -> np.ndarray:
+        """Boundary cells no block owns, per problem."""
+        boundary = self.measures.table[-1, BOUNDARY]  # the whole grid's
+        return (boundary - self.sums[..., BOUNDARY].sum(axis=1)).astype(np.int64)
 
 
-def score_growth(state: GrowthState) -> np.ndarray:
-    """Score every (block, direction) option at once.
+def score_growth(state: GrowthState, problems=None) -> np.ndarray:
+    """Score every (block, direction) option of some problems at once.
 
-    Returns a (k, 6) array, rows in ``state.blocks`` order and columns in
-    DIRECTIONS order; -1 encodes a hard constraint failure.
+    ``problems`` indexes the state's problems (default: all).  Returns a
+    (len(problems), K, 6) array, blocks in ``state.blocks`` order and
+    directions in DIRECTIONS order; -1 encodes a hard constraint failure
+    or an empty block slot.
     """
-    grid, params = state.grid, state.params
-    layer_lo, layer_hi = _layer_boxes(state.lo, state.hi)
-    new_lo = np.minimum(state.lo[:, None], layer_lo)
-    new_hi = np.maximum(state.hi[:, None], layer_hi)
+    if problems is None:
+        problems = np.arange(len(state.blocks))
+    params, measures = state.params, state.measures
+    lo, hi, real = state.lo[problems], state.hi[problems], state.real[problems]
+    layer_lo, layer_hi = _layers(lo[:, :, None], hi[:, :, None], DIRECTIONS)
+    new_lo = np.minimum(lo[:, :, None], layer_lo)
+    new_hi = np.maximum(hi[:, :, None], layer_hi)
     extent = new_hi - new_lo + 1
-    fits = fits_printer(extent * grid.cell_size, params.printer_dims)
-    clear = _owned_counts(grid.owner, layer_lo, layer_hi) == 0
-    allowed = state.layer_open & fits & clear  # not open: off-grid or empty
+    layer = measures.sums(layer_lo, layer_hi)  # zero beyond the grid edge
+    allowed = (real[:, :, None] & (layer[..., SOLID] > 0)
+               & fits_printer(extent * state.grids[0].cell_size,
+                              params.printer_dims))
+    # A block owns every solid cell of its box, so the owned cells of a
+    # layer are the solid cells of its overlaps with the other boxes; only
+    # allowed layers and the boxes they meet are queried.
+    overlap_lo = np.maximum(layer_lo[:, :, :, None], lo[:, None, None])
+    overlap_hi = np.minimum(layer_hi[:, :, :, None], hi[:, None, None])
+    meets = ((overlap_lo <= overlap_hi).all(axis=-1) & allowed[..., None]
+             & real[:, None, None])
+    owned = np.zeros(meets.shape, dtype=bool)
+    owned[meets] = measures.sums(overlap_lo[meets],
+                                 overlap_hi[meets])[:, SOLID] > 0
+    allowed &= ~owned.any(axis=-1)
 
-    volume = state.volume[:, None] + state.layer_volume
-    area = state.area[:, None] + state.layer_area
-    o_score = (state.overhang[:, None] + state.layer_overhang).min(axis=2)
-    p_score = print_score(volume, area, params)
+    grown = state.sums[problems][:, :, None] + layer
+    p_score = print_score(grown[..., VOLUME], grown[..., AREA], params)
+    o_score = grown[..., OVERHANG].min(axis=-1)
 
-    # L1 box gap of each grown block to every other block, in grid units;
-    # all terms are multiples of 0.5, so the sums are exact.
-    k = len(state.blocks)
-    centroid = 0.5 * (new_lo + new_hi + 1)
-    size = 0.5 * extent.sum(axis=2)
-    other_centroid = 0.5 * (state.lo + state.hi + 1)
-    other_size = 0.5 * (state.hi - state.lo + 1).sum(axis=1)
-    gap = (np.abs(centroid[:, :, None] - other_centroid).sum(axis=3)
-           - (size[:, :, None] + other_size))
-    gap[np.arange(k), :, np.arange(k)] = np.inf
-    prox = gap.min(axis=2, initial=np.inf)
+    # L1 box gap of each grown block to every other block, in grid units:
+    # half of an integer (twice the centroid distance less the extents).
+    twice_gap = (np.abs((new_lo + new_hi)[:, :, :, None]
+                        - (lo + hi)[:, None, None]).sum(axis=-1)
+                 - (extent.sum(axis=-1)[..., None]
+                    + (hi - lo + 1).sum(axis=-1)[:, None, None]))
+    prox = np.where(state.others[problems][:, :, None], 0.5 * twice_gap,
+                    np.inf).min(axis=-1, initial=np.inf)
     # A single block has no neighbour: proximity is moot.
     prox = np.where(np.isfinite(prox), prox, params.proximity_floor)
     denom = np.maximum(prox, params.proximity_floor)
@@ -286,49 +267,64 @@ def score_growth(state: GrowthState) -> np.ndarray:
     return np.where(allowed, score, -1.0)
 
 
-def apply_growth(state: GrowthState, index: int, direction: int) -> None:
-    """Extend block ``state.blocks[index]`` one layer and claim the layer's
-    non-external cells, none of which may be owned."""
-    block = state.blocks[index]
-    layer_lo, layer_hi = _layer_boxes(state.lo[index:index + 1],
-                                      state.hi[index:index + 1])
-    lo, hi = layer_lo[0, direction], layer_hi[0, direction]
-    sl = _cells(lo, hi)
-    grid = state.grid
-    layer = grid.classification[sl]
-    grid.owner[sl][layer != CellClass.EXTERNAL] = block.id
-    state._unassigned -= int((layer == CellClass.BOUNDARY).sum())
-    state.volume[index] += state.layer_volume[index, direction]
-    state.area[index] += state.layer_area[index, direction]
-    state.overhang[index] += state.layer_overhang[index, direction]
-    np.minimum(block.lo, lo, out=block.lo)
-    np.maximum(block.hi, hi, out=block.hi)
-    # The layer behind the grown face is unchanged: directions pair up as
-    # (+x, -x), (+y, -y), (+z, -z).
-    state._sum_layers(index, [d for d in range(6) if d != direction ^ 1])
+def _apply(state: GrowthState, rows: np.ndarray, index: np.ndarray,
+           direction: np.ndarray) -> None:
+    """Grow block index[m] of problem rows[m] one layer along
+    direction[m]; the layers hold no owned cell."""
+    lo, hi = state.lo[rows, index], state.hi[rows, index]
+    layer_lo, layer_hi = _layers(lo, hi, DIRECTIONS[direction])
+    state.sums[rows, index] += state.measures.sums(layer_lo, layer_hi)
+    state.lo[rows, index] = np.minimum(lo, layer_lo)
+    state.hi[rows, index] = np.maximum(hi, layer_hi)
+    state.moves[rows] += 1
 
 
-def grow_blocks(state: GrowthState, trace: list | None = None) -> list[Block]:
-    """Run the serial growth loop until no move is allowed or needed.
+def _finish(state: GrowthState, row: int) -> None:
+    """Stop problem row and paint its owner grid from its boxes."""
+    state.active[row] = False
+    grid = state.grids[row]
+    for b in state.blocks[row]:
+        sl = _cells(b.lo, b.hi)
+        grid.owner[sl][grid.classification[sl] != CellClass.EXTERNAL] = b.id
 
-    Each iteration scores all (block, direction) options in one pass and
-    scans them in block order and then the direction order
-    +x,-x,+y,-y,+z,-z, applying the one with the smallest positive score.
-    A later option replaces the incumbent only when its score is lower by
-    more than SCORE_RTOL relative, so scores equal up to rounding go to the
-    lowest (block id, direction).  The loop stops when every option is
-    forbidden or no unassigned boundary cells remain.
+
+def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Block]]:
+    """Grow every problem of the state in lockstep until each one stops.
+
+    Each step scores the options of all active problems in one pass.  Each
+    problem then scans its own options in block order and then the
+    direction order +x,-x,+y,-y,+z,-z, and applies the one with the
+    smallest positive score.  A later option replaces the incumbent only
+    when its score is lower by more than SCORE_RTOL relative, so scores
+    equal up to rounding go to the lowest (block id, direction).  A problem
+    stops when every option is forbidden or no unassigned boundary cells
+    remain.  ``trace`` receives one (problem, move, block id, direction,
+    score) tuple per move, problems in order within a step.
     """
-    while state.unassigned_boundary() > 0:
-        best, best_score = -1, 0.0
-        for option, score in enumerate(score_growth(state).ravel().tolist()):
-            if score > 0 and (best < 0 or score < best_score * (1.0 - SCORE_RTOL)):
-                best, best_score = option, score
-        if best < 0:
-            break
-        index, direction = divmod(best, 6)
-        apply_growth(state, index, direction)
-        if trace is not None:
-            trace.append((len(trace), state.blocks[index].id,
-                          DIRECTION_NAMES[direction], best_score))
+    for row in np.flatnonzero(~state.active).tolist():
+        _finish(state, row)
+    while state.active.any():
+        active = np.flatnonzero(state.active)
+        scores = score_growth(state, active).reshape(len(active), -1)
+        rows, options = [], []
+        for row, row_scores in zip(active.tolist(), scores.tolist()):
+            best, best_score = -1, 0.0
+            for option, score in enumerate(row_scores):
+                if score > 0 and (best < 0 or score < best_score * (1.0 - SCORE_RTOL)):
+                    best, best_score = option, score
+            if best < 0:
+                _finish(state, row)
+                continue
+            rows.append(row)
+            options.append(best)
+            if trace is not None:
+                trace.append((row, int(state.moves[row]),
+                              state.blocks[row][best // 6].id,
+                              DIRECTION_NAMES[best % 6], best_score))
+        if rows:
+            index, direction = np.divmod(np.array(options), 6)
+            _apply(state, np.array(rows), index, direction)
+            for row, left in zip(rows, state.unassigned[rows].tolist()):
+                if left <= 0:
+                    _finish(state, row)
     return state.blocks

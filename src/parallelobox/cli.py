@@ -26,11 +26,12 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import meta
 from .errors import ConfigError, ParalleloboxError
 from .grid import GRANULARITY_CELLS
 from .mesh import TriangleMesh, clean_mesh, load_mesh, save_stl
-from .meta import (Decomposition, PrinterProfile, RunPlan, RunRecord,
-                   recursive_symmetry_baseline, run_metaheuristic)
+from .meta import (Decomposition, PreparedModel, PrinterProfile, RunPlan,
+                   RunRecord, recursive_symmetry_baseline, run_metaheuristic)
 from .preprocess import SYMMETRY_THRESHOLD
 
 logger = logging.getLogger(__name__)
@@ -130,8 +131,13 @@ def _log_record(report: BatchReport, model: str, printers: int,
 
 def run_model(mesh: TriangleMesh, model_name: str, printers: int,
               plan: RunPlan, profile: PrinterProfile, algorithms: list[str],
-              out_dir: Path, report: BatchReport) -> None:
-    """Run the requested algorithms for one (model, printer count) pair."""
+              out_dir: Path, report: BatchReport,
+              prepared: dict[tuple, PreparedModel]) -> None:
+    """Run the requested algorithms for one (model, printer count) pair.
+
+    ``prepared`` caches the model's prepared forms by
+    :func:`~parallelobox.meta.preparation_key` across printer counts.
+    """
     plan = replace(plan, printers_available=printers)
     for algorithm in algorithms:
         tick = time.perf_counter()
@@ -139,7 +145,11 @@ def run_model(mesh: TriangleMesh, model_name: str, printers: int,
         records: list[RunRecord] = []
         try:
             if algorithm == "parallelobox":
-                result = run_metaheuristic(mesh, plan, profile, records)
+                key = meta.preparation_key(plan)
+                if key not in prepared:
+                    prepared[key] = meta.prepare_model(mesh, plan, profile)
+                result = run_metaheuristic(mesh, plan, profile, records,
+                                           prepared=prepared[key])
             else:
                 result = recursive_symmetry_baseline(mesh, plan, profile)
         except ParalleloboxError as exc:
@@ -221,7 +231,11 @@ def write_runlog(report: BatchReport, path: Path) -> None:
 def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
               profile: PrinterProfile, algorithms: list[str],
               out_dir: Path) -> BatchReport:
-    """Run every (model, printer count) pair and write the report files."""
+    """Run every (model, printer count) pair and write the report files.
+
+    Each model is prepared once per preparation key, so printer counts of
+    two or more share one prepared model.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     report = BatchReport()
     for model_path in models:
@@ -237,9 +251,10 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
                         parts=0, parallel_time_s=None, aggregate_time_s=None,
                         parallel_score=None, compute_time_s=0.0, valid=False))
             continue
+        prepared: dict[tuple, PreparedModel] = {}
         for printers in printer_counts:
             run_model(mesh, name, printers, plan, profile, algorithms,
-                      out_dir, report)
+                      out_dir, report, prepared)
     write_results_csv(report, out_dir / "results.csv")
     write_plotdata(report, out_dir / "plotdata.json")
     write_runlog(report, out_dir / "runlog.jsonl")

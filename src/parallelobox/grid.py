@@ -23,8 +23,17 @@ where h is the cell size and A_top, the solid's cross-section on the
 cell's top face, is the sum of n_z dA over the pieces in the cells above it
 in the same column.  The same sums along x and y give the cross-section on
 every cell's max face, so any cell-aligned box gets its solid volume and
-its capped surface area (shell plus the six box-face caps) from slice sums
-over these tables, with no mesh clipped.
+its capped surface area (shell plus the six box-face caps) from sums over
+these tables, with no mesh clipped.
+
+Every measure is rounded to a multiple of a power of two q, chosen per
+array so that the array's absolute sum is below 2**EXACT_BITS * q.
+Every partial sum of a rounded array is then an exact float64, whatever
+the order of summation.  One summed-volume table (Crow 1984, "Summed-area
+tables for texture mapping") over all measures and the solid and boundary
+cell counts answers the sum over any cell range with one 8-term
+inclusion-exclusion, which is exact too: a table sum equals the slice sum
+bit for bit.
 """
 from __future__ import annotations
 
@@ -137,16 +146,86 @@ def _triangle_cell_bins(mesh: TriangleMesh, grid: Grid) -> tuple[np.ndarray, np.
     return cells[order], tris[order]
 
 
+#: Bits, in units of its quantum, of a measure array's absolute sum.  A
+#: float64 holds integers to 2**53 exactly; an 8-term inclusion-exclusion
+#: of table entries needs 3 more bits than one entry, rounding may add one
+#: to the sum, and one is spare.
+EXACT_BITS = 48
+
+#: Channels of CellMeasures.table: volume, area, the six overhangs (in
+#: DIRECTIONS order), the three face sections (x, y, z), and the counts of
+#: non-external (solid) and of boundary cells.
+VOLUME, AREA = 0, 1
+OVERHANG = slice(2, 8)
+SECTION = slice(8, 11)
+SOLID, BOUNDARY = 11, 12
+N_CHANNELS = 13
+
+#: The 8 corners of a cell range in a summed-volume table, as 0/1 picks of
+#: (start, end) per axis, and the sign each corner enters the sum with.
+_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+_CORNER_SIGNS = np.where((3 - _CORNERS.sum(axis=1)) % 2 == 0, 1.0, -1.0)
+
+
+def quantize(values: np.ndarray) -> np.ndarray:
+    """values rounded to the multiples of a power of two q chosen so that
+    sum(|values|) < 2**EXACT_BITS * q; every partial sum is then exact."""
+    total = float(np.abs(values).sum())
+    if total == 0.0:
+        return np.zeros_like(values, dtype=np.float64)
+    exponent = np.frexp(total)[1] - EXACT_BITS    # total < 2**frexp exponent
+    return np.ldexp(np.rint(np.ldexp(values, -exponent)), exponent)
+
+
 @dataclass
 class CellMeasures:
-    """Per-cell quantities the growth objective consumes."""
+    """Per-cell quantities the growth objective consumes.
+
+    The measures are rounded on construction (see :func:`quantize`), and
+    ``table`` is built from them, so arrays changed afterwards are not seen
+    by the sums: build a new instance instead.
+    """
 
     volume: np.ndarray        # solid volume inside each cell
     area: np.ndarray          # cap-free clipped surface area
     overhang: np.ndarray      # (6, nx, ny, nz): per down-direction overhang area
     section: np.ndarray       # (3, nx, ny, nz): solid cross-section on the max
                               # x, y and z face of each cell
+    classification: np.ndarray  # CellClass per cell
     approximate_volume: bool  # True when a parity fallback estimated volumes
+    table: np.ndarray = field(init=False, repr=False)  # ((nx+1)(ny+1)(nz+1), 13)
+
+    def __post_init__(self) -> None:
+        self.volume = quantize(self.volume)
+        self.area = quantize(self.area)
+        self.overhang = quantize(self.overhang)
+        self.section = quantize(self.section)
+        self.classification = np.asarray(self.classification)
+        shape = self.classification.shape
+        channels = np.concatenate([
+            self.volume[None], self.area[None], self.overhang, self.section,
+            (self.classification != CellClass.EXTERNAL)[None],
+            (self.classification == CellClass.BOUNDARY)[None]])
+        table = np.zeros(tuple(n + 1 for n in shape) + (N_CHANNELS,))
+        table[1:, 1:, 1:] = np.moveaxis(channels, 0, -1).cumsum(0).cumsum(1).cumsum(2)
+        self.table = table.reshape(-1, N_CHANNELS)
+        self._dims = np.array(shape)
+        # (start, end) of a range along x, y, z -> the flat table index of
+        # each corner: corner c takes the end on the axes where it has a 1.
+        strides = np.array([(shape[1] + 1) * (shape[2] + 1), shape[2] + 1, 1])
+        self._corner_index = np.concatenate([strides * (1 - _CORNERS),
+                                             strides * _CORNERS], axis=1).T
+
+    def sums(self, lo, hi) -> np.ndarray:
+        """Every channel summed over the inclusive cell ranges [lo, hi].
+
+        lo and hi are (..., 3); the result is (..., N_CHANNELS).  Ranges are
+        clipped to the grid, and an empty range sums to zero.
+        """
+        start = np.minimum(np.maximum(lo, 0), self._dims)
+        end = np.maximum(np.minimum(np.asarray(hi) + 1, self._dims), start)
+        corners = np.concatenate([start, end], axis=-1) @ self._corner_index
+        return _CORNER_SIGNS @ self.table[corners]
 
     def box(self, lo, hi) -> tuple[float, float]:
         """Solid volume and capped surface area of cells lo..hi inclusive.
@@ -155,15 +234,17 @@ class CellMeasures:
         max face the section of the box's own last layer, on a min face
         that of the layer before it (none at the grid's edge).
         """
-        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-        area = float(self.area[sl].sum())
-        for axis in range(3):
-            for layer in (int(hi[axis]), int(lo[axis]) - 1):
-                if layer >= 0:
-                    face = list(sl)
-                    face[axis] = layer
-                    area += float(self.section[axis][tuple(face)].sum())
-        return float(self.volume[sl].sum()), area
+        # Range 0 is the box, range 1 + f the layer of face f's cap, faces
+        # in DIRECTIONS order.
+        ranges = np.array([(lo, hi)] * 7, dtype=np.int64)
+        for face in range(6):
+            axis = face // 2
+            ranges[1 + face, :, axis] = hi[axis] if face % 2 == 0 else lo[axis] - 1
+        sums = self.sums(ranges[:, 0], ranges[:, 1])
+        area = float(sums[0, AREA])
+        for face in range(6):
+            area += float(sums[1 + face, SECTION][face // 2])
+        return float(sums[0, VOLUME]), area
 
 
 #: Growth direction order: +x, -x, +y, -y, +z, -z.
@@ -212,7 +293,7 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
         classification[undecided] = np.where(
             volume[undecided] > 0.5 * grid.cell_size ** 3,
             np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
-        return CellMeasures(volume, area, over, section, False)
+        return CellMeasures(volume, area, over, section, classification, False)
     # Open surface: the flux does not bound a solid.  Label cells without
     # surface by a majority of ray-parity votes at their centers, and
     # estimate full interior cells plus half-full boundary cells; only
@@ -228,7 +309,7 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
     volume = np.zeros(grid.dims)
     volume[classification == CellClass.INTERNAL] = cs3
     volume[classification == CellClass.BOUNDARY] = 0.5 * cs3
-    return CellMeasures(volume, area, over, section, True)
+    return CellMeasures(volume, area, over, section, classification, True)
 
 
 def face_sections(lift: np.ndarray, axis: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 A decomposition run is deterministic given (model, plan, seed).  The
 expensive per-model work — symmetry detection, orientation, grid build,
 cell classification and measures — happens once in :func:`prepare_model`;
-every search iteration reuses it with a fresh ownership array.
+every search iteration reuses it with a fresh ownership array.  Plans
+with the same :func:`preparation_key` share one prepared model, so a batch
+prepares each model once per key.
 
 The search itself is a two-loop sweep: the outer loop walks the number of
 seed blocks ``p`` down from ``printers_available``, the inner loop retries
@@ -12,7 +14,10 @@ each ``p`` with ``sample_tries`` different RNG seeds
 printers for patching uncovered voids, so late iterations trade
 parallelism for robustness.  The best valid iteration wins: smallest
 parallel print score, then fewest printers used, then smallest aggregate
-time.
+time.  Every iteration is seeded up front, and all iterations of a piece
+grow together in one lockstep :func:`~parallelobox.blocks.grow_blocks`
+call (:func:`grow_runs`); :func:`run_decomposition` then fills the voids
+of one grown iteration and scores it.
 
 Every part score is a sum over grid cells plus the caps on the box faces,
 so an iteration is scored from the per-cell tables of
@@ -34,8 +39,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .blocks import (SCORE_RTOL, GrowthState, ObjectiveParams, fits_printer,
-                     grow_blocks, print_score, select_seed_blocks)
+from .blocks import (SCORE_RTOL, Block, GrowthState, ObjectiveParams,
+                     fits_printer, grow_blocks, print_score, select_seed_blocks)
 from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane
 from .errors import InsufficientBoundaryCells, NoValidDecomposition
 from .grid import CellClass, CellMeasures, Grid, build_grid, measure_cells
@@ -162,7 +167,8 @@ class RunRecord:
     aggregate_time_s: float
     reason: str
     clipped: bool           # scored from clipped meshes, not cell tables
-    wall_clock_s: float = 0.0
+    growth_steps: int = 0   # growth moves of the iteration, every piece
+    wall_clock_s: float = 0.0   # void fill and scoring; growth is shared
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -219,6 +225,14 @@ def prepare_model(mesh: TriangleMesh, plan: RunPlan,
     return PreparedModel(pieces, plane, cut)
 
 
+def preparation_key(plan: RunPlan) -> tuple:
+    """The fields of a plan that :func:`prepare_model` reads: plans with
+    equal keys give equal prepared models."""
+    return (plan.granularity, plan.overhang_tolerance_deg,
+            plan.skip_symmetry_cut, plan.symmetry_threshold,
+            plan.printers_available >= 2)
+
+
 def _split_shell(shell: TriangleMesh, normal, offset: float) -> list[TriangleMesh]:
     """Split an open surface by a plane, without caps, half-open like
     cut_by_plane so the two sides never share a coplanar triangle."""
@@ -271,44 +285,86 @@ def _uncovered_cells(grid: Grid, regions) -> tuple[int, int]:
 BOX_EXCEEDS_PRINTER = "a part box exceeds the printer"
 
 
-def run_decomposition(prepared: PreparedModel, plan: RunPlan,
-                      profile: PrinterProfile, seed_blocks: int,
-                      seed: int) -> Decomposition:
-    """Grow seed_blocks boxes over the prepared model with one RNG seed.
+def _splits(prepared: PreparedModel, printers: int,
+            seed_blocks: int) -> tuple[list[int], list[int]]:
+    """Seed blocks and printer budget of each piece."""
+    pieces = prepared.pieces
+    if len(pieces) == 1:
+        return [seed_blocks], [printers]
+    v1, v2 = pieces[0].volume, pieces[1].volume
+    if seed_blocks < 2:
+        raise ValueError("a symmetry-cut model needs at least 2 seed blocks")
+    first = _proportional_share(seed_blocks, v1, v2)
+    first_budget = _proportional_share(printers, v1, v2)
+    return [first, seed_blocks - first], [first_budget, printers - first_budget]
 
-    Every box is scored from the per-cell tables and nothing is clipped:
-    the parts carry no mesh (``clipped`` is False) until
-    :func:`clip_parts` turns them into meshes.
+
+@dataclass
+class GrownPiece:
+    """One piece of one iteration after growth."""
+
+    grid: Grid              # its owner array painted by growth
+    blocks: list[Block]
+    steps: int              # growth moves
+
+
+def grow_runs(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
+              runs: list[tuple[int, int]]) -> list[list[GrownPiece | str]]:
+    """Seed and grow every (seed blocks, seed) run on every piece.
+
+    All runs of a piece grow in one lockstep :func:`grow_blocks` call.
+    Returns, per run, one entry per piece: the grown piece, or why it
+    could not be seeded.
+    """
+    params = objective_of(plan, profile)
+    grown: list[list[GrownPiece | str]] = [[] for _ in runs]
+    for index, piece in enumerate(prepared.pieces):
+        members, grids, seeds = [], [], []
+        for r, (seed_blocks, seed) in enumerate(runs):
+            k = _splits(prepared, plan.printers_available, seed_blocks)[0][index]
+            grid = _fresh_grid(piece.grid)
+            try:
+                blocks = select_seed_blocks(grid, piece.mesh, k,
+                                            rng_seed=seed * 2 + index)
+            except InsufficientBoundaryCells as exc:
+                grown[r].append(f"piece {index}: {exc}")
+                continue
+            members.append(r)
+            grids.append(grid)
+            seeds.append(blocks)
+        if not members:
+            continue
+        state = GrowthState(grids, piece.measures, seeds, params)
+        grow_blocks(state)
+        for r, grid, blocks, steps in zip(members, grids, seeds,
+                                          state.moves.tolist()):
+            grown[r].append(GrownPiece(grid, blocks, steps))
+    return grown
+
+
+def run_decomposition(prepared: PreparedModel, plan: RunPlan,
+                      profile: PrinterProfile, seed_blocks: int, seed: int,
+                      grown: list[GrownPiece | str]) -> Decomposition:
+    """Fill the voids of one grown iteration and score its boxes.
+
+    ``grown`` is the iteration's entry of :func:`grow_runs`.  The first
+    piece that failed to seed or stays uncovered gives the reason.  Every
+    box is scored from the per-cell tables and nothing is clipped: the
+    parts carry no mesh (``clipped`` is False) until :func:`clip_parts`
+    turns them into meshes.
     """
     params = objective_of(plan, profile)
     total_printers = plan.printers_available
-    pieces = prepared.pieces
-    if len(pieces) == 2:
-        v1, v2 = pieces[0].volume, pieces[1].volume
-        if seed_blocks < 2:
-            raise ValueError("a symmetry-cut model needs at least 2 seed blocks")
-        first = _proportional_share(seed_blocks, v1, v2)
-        growth_split = [first, seed_blocks - first]
-        first_budget = _proportional_share(total_printers, v1, v2)
-        budget_split = [first_budget, total_printers - first_budget]
-    else:
-        growth_split = [seed_blocks]
-        budget_split = [total_printers]
-
+    budget_split = _splits(prepared, total_printers, seed_blocks)[1]
     parts: list[PartResult] = []
     reason = ""
     fits = True
-    for index, (piece, k, budget) in enumerate(zip(pieces, growth_split,
-                                                   budget_split)):
-        grid = _fresh_grid(piece.grid)
-        try:
-            blocks = select_seed_blocks(grid, piece.mesh, k,
-                                        rng_seed=seed * 2 + index)
-        except InsufficientBoundaryCells as exc:
-            reason = f"piece {index}: {exc}"
+    for index, (piece, entry, budget) in enumerate(zip(prepared.pieces, grown,
+                                                       budget_split)):
+        if isinstance(entry, str):
+            reason = entry
             break
-        state = GrowthState(grid, piece.measures, blocks, params)
-        grow_blocks(state)
+        grid, blocks = entry.grid, entry.blocks
         free = max(0, budget - len(blocks))
         regions = get_discrete_empty_regions(grid, free, params.printer_dims)
         left_b, left_i = _uncovered_cells(grid, regions)
@@ -436,31 +492,38 @@ def _beats(challenger: Decomposition, incumbent: Decomposition | None) -> bool:
 
 def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                       profile: PrinterProfile,
-                      records: list[RunRecord] | None = None) -> Decomposition:
+                      records: list[RunRecord] | None = None,
+                      prepared: PreparedModel | None = None) -> Decomposition:
     """Sweep seed-block counts and retries; return the best valid result.
 
-    Every iteration is scored from the cell tables first.  Then the
-    iterations whose boxes do not all fit the printer are clipped, and the
-    valid ones in ascending order of table score, until the next table
-    score exceeds the best clipped score by more than ``SCORE_RTOL``.  A
+    ``prepared``, when given, is the model :func:`prepare_model` makes of
+    mesh for a plan with the same :func:`preparation_key`.  Every run is
+    seeded and grown up front, all runs of a piece in lockstep
+    (:func:`grow_runs`), and then filled and scored from the cell tables
+    in the search's order.  Then the iterations whose boxes do not all fit
+    the printer are clipped, and the valid ones in ascending order of table
+    score, until the next table score exceeds the best clipped score by
+    more than ``SCORE_RTOL``.  A
     table score does not exceed the score of the clipped meshes, so no
     iteration left unclipped could have won.  The winner is the best
     clipped result by :func:`_beats`, the earlier iteration on ties.
 
     Raises NoValidDecomposition when every iteration fails.
     """
-    prepared = prepare_model(mesh, plan, profile)
+    if prepared is None:
+        prepared = prepare_model(mesh, plan, profile)
     floor = max(plan.min_printers, len(prepared.pieces), 1)
-    runs: list[tuple[int, int, int]] = []
+    runs = [(p, t, plan.seed_base + 1000 * p + t)
+            for p in range(plan.printers_available, floor - 1, -1)
+            for t in range(1, plan.sample_tries + 1)]
+    grown = grow_runs(prepared, plan, profile, [(p, seed) for p, _, seed in runs])
     results: list[Decomposition] = []
     seconds: list[float] = []
-    for p in range(plan.printers_available, floor - 1, -1):
-        for t in range(1, plan.sample_tries + 1):
-            seed = plan.seed_base + 1000 * p + t
-            tick = time.perf_counter()
-            results.append(run_decomposition(prepared, plan, profile, p, seed))
-            seconds.append(time.perf_counter() - tick)
-            runs.append((p, t, seed))
+    for (p, _, seed), pieces in zip(runs, grown):
+        tick = time.perf_counter()
+        results.append(run_decomposition(prepared, plan, profile, p, seed,
+                                         pieces))
+        seconds.append(time.perf_counter() - tick)
 
     def clip(i: int) -> Decomposition:
         tick = time.perf_counter()
@@ -482,7 +545,8 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
             best_score = min(best_score, results[i].parallel_score)
 
     best: Decomposition | None = None
-    for (p, t, seed), result, wall in zip(runs, results, seconds):
+    for (p, t, seed), pieces, result, wall in zip(runs, grown, results,
+                                                  seconds):
         if records is not None:
             records.append(RunRecord(
                 seed_blocks=p, try_index=t, seed=seed, valid=result.valid,
@@ -491,6 +555,8 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                 parallel_time_s=result.parallel_time_s,
                 aggregate_time_s=result.aggregate_time_s,
                 reason=result.reason, clipped=result.clipped,
+                growth_steps=sum(g.steps for g in pieces
+                                 if isinstance(g, GrownPiece)),
                 wall_clock_s=wall))
         logger.debug("p=%d t=%d seed=%d valid=%s score=%.6g clipped=%s (%s)",
                      p, t, seed, result.valid, result.parallel_score,

@@ -9,7 +9,8 @@ from parallelobox.blocks import (SCORE_RTOL, Block, GrowthState,
 from parallelobox.errors import InsufficientBoundaryCells
 from parallelobox.fixtures import (box_mesh, hollow_box, icosphere, l_bracket,
                                    unit_cube)
-from parallelobox.grid import CellClass, CellMeasures, Grid, build_grid, measure_cells
+from parallelobox.grid import (AREA, OVERHANG, VOLUME, CellClass, CellMeasures,
+                               Grid, build_grid, measure_cells)
 from parallelobox.mesh import Aabb, TriangleMesh
 
 
@@ -105,18 +106,21 @@ def test_select_seed_blocks_insufficient():
         select_seed_blocks(grid, mesh, n_boundary + 1, rng_seed=0)
 
 
-def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None):
-    """Synthetic grid with unit volume/area per non-external cell."""
+def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
+                   volume=None):
+    """Synthetic grid with unit volume/area per non-external cell, holding
+    one growth problem."""
     grid = Grid(origin=(0.0, 0.0, 0.0), cell_size=cell_size, dims=dims)
     grid.classification[...] = classes
     solid = np.asarray(classes) != int(CellClass.EXTERNAL)
-    measures = CellMeasures(volume=solid.astype(float),
+    measures = CellMeasures(volume=solid.astype(float) if volume is None else volume,
                             area=solid.astype(float),
                             overhang=np.zeros((6,) + tuple(dims)),
                             section=np.zeros((3,) + tuple(dims)),
+                            classification=grid.classification,
                             approximate_volume=False)
     blocks = [Block(i, np.array(s), np.array(s)) for i, s in enumerate(seeds)]
-    state = GrowthState(grid, measures, blocks,
+    state = GrowthState([grid], measures, [blocks],
                         params or ObjectiveParams(printer_dims=(1e9, 1e9, 1e9)))
     return state
 
@@ -126,18 +130,19 @@ def test_growth_single_block_covers_bar():
     state = _uniform_state((3, 1, 1), classes, [(0, 0, 0)])
     trace = []
     grow_blocks(state, trace)
-    assert state.unassigned_boundary() == 0
-    b = state.blocks[0]
+    assert state.unassigned.tolist() == [0]
+    b = state.blocks[0][0]
     assert tuple(b.lo) == (0, 0, 0) and tuple(b.hi) == (2, 0, 0)
-    assert int((state.grid.owner == b.id).sum()) == 3
+    assert int((state.grids[0].owner == b.id).sum()) == 3
     # two growth steps, both along +x
-    assert [t[2] for t in trace] == ["+x", "+x"]
+    assert [t[3] for t in trace] == ["+x", "+x"]
+    assert state.moves.tolist() == [2]
 
 
 def test_growth_score_matches_hand_computation():
     classes = np.full((3, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     state = _uniform_state((3, 1, 1), classes, [(0, 0, 0)])
-    scores = score_growth(state)
+    scores = score_growth(state)[0]
     # +x: P = 20*(0.05*2) + 20*2 = 42; single block, prox = floor = 1
     assert scores[0, 0] == pytest.approx(42.0)
     # off-grid directions are hard failures
@@ -151,18 +156,18 @@ def test_growth_hard_constraints():
     params = ObjectiveParams(printer_dims=(250.0, 250.0, 250.0))
     state = _uniform_state((3, 1, 1), classes, [(0, 0, 0)],
                            cell_size=200.0, params=params)
-    assert score_growth(state)[0, 0] == -1.0
+    assert score_growth(state)[0, 0, 0] == -1.0
 
     # an all-external layer is never claimable
     classes = np.full((2, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     classes[1, 0, 0] = int(CellClass.EXTERNAL)
     state = _uniform_state((2, 1, 1), classes, [(0, 0, 0)])
-    assert score_growth(state)[0, 0] == -1.0
+    assert score_growth(state)[0, 0, 0] == -1.0
 
     # bumping into an owned cell is forbidden
     classes = np.full((2, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     state = _uniform_state((2, 1, 1), classes, [(0, 0, 0), (1, 0, 0)])
-    assert score_growth(state)[0, 0] == -1.0
+    assert score_growth(state)[0, 0, 0] == -1.0
 
 
 def test_growth_tie_breaks_lowest_block_then_direction():
@@ -170,27 +175,29 @@ def test_growth_tie_breaks_lowest_block_then_direction():
     state = _uniform_state((5, 1, 1), classes, [(0, 0, 0), (4, 0, 0)])
     trace = []
     grow_blocks(state, trace)
-    assert state.unassigned_boundary() == 0
+    assert state.unassigned.tolist() == [0]
     # both blocks face symmetric scores; block 0 must move first
-    assert trace[0][1] == 0
-    owned0 = int((state.grid.owner == state.blocks[0].id).sum())
-    owned1 = int((state.grid.owner == state.blocks[1].id).sum())
+    assert trace[0][2] == 0
+    blocks, owner = state.blocks[0], state.grids[0].owner
+    owned0 = int((owner == blocks[0].id).sum())
+    owned1 = int((owner == blocks[1].id).sum())
     assert owned0 + owned1 == 5
     assert owned0 == 3  # block 0 wins the middle cell by the id tie-break
 
 
 def test_growth_ties_up_to_rounding_go_to_the_first_direction():
     classes = np.full((3, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
-    state = _uniform_state((3, 1, 1), classes, [(1, 0, 0)])
-    # -x scores lower than +x by rounding only; that is still a tie.
-    state.measures.volume[0, 0, 0] -= 1e-13
-    # The state caches layer sums of the measures: build it again.
-    state = GrowthState(state.grid, state.measures, state.blocks, state.params)
-    scores = score_growth(state)
+    # -x scores lower than +x by rounding only; that is still a tie.  The
+    # measures are rounded on construction and the offset survives it.
+    volume = np.ones((3, 1, 1))
+    volume[0, 0, 0] -= 1e-13
+    state = _uniform_state((3, 1, 1), classes, [(1, 0, 0)], volume=volume)
+    assert state.measures.volume[0, 0, 0] < 1.0
+    scores = score_growth(state)[0]
     assert scores[0, 1] < scores[0, 0]
     trace = []
     grow_blocks(state, trace)
-    assert trace[0][2] == "+x"
+    assert trace[0][3] == "+x"
 
 
 def test_apply_growth_claims_only_non_external():
@@ -198,7 +205,7 @@ def test_apply_growth_claims_only_non_external():
     classes[1, 1, 0] = int(CellClass.EXTERNAL)
     state = _uniform_state((2, 2, 1), classes, [(0, 0, 0)])
     grow_blocks(state)
-    grid = state.grid
+    grid = state.grids[0]
     assert grid.owner[1, 1, 0] == -1
     assert grid.owner[0, 0, 0] == 0
 
@@ -209,12 +216,12 @@ def test_growth_caches_match_measures_on_real_mesh():
     meas = measure_cells(grid, mesh)
     blocks = select_seed_blocks(grid, mesh, 2, rng_seed=9)
     params = ObjectiveParams()
-    state = GrowthState(grid, meas, blocks, params)
+    state = GrowthState([grid], meas, [blocks], params)
     grow_blocks(state)
     for b in blocks:
         sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(b.lo, b.hi))
-        assert state.volume[b.id] == pytest.approx(float(meas.volume[sl].sum()), rel=1e-9)
-        assert state.area[b.id] == pytest.approx(float(meas.area[sl].sum()), rel=1e-9)
+        assert state.sums[0, b.id, VOLUME] == float(meas.volume[sl].sum())
+        assert state.sums[0, b.id, AREA] == float(meas.area[sl].sum())
 
 
 def test_grown_blocks_stay_disjoint_random():
@@ -231,8 +238,8 @@ def test_grown_blocks_stay_disjoint_random():
         seeds = [tuple(int(x) for x in boundary[p]) for p in picks]
         state = _uniform_state(dims, classes, seeds)
         grow_blocks(state)
-        grid = state.grid
-        for b in state.blocks:
+        grid = state.grids[0]
+        for b in state.blocks[0]:
             assert np.all(b.lo >= 0)
             assert np.all(b.hi < np.array(dims))
             owned = np.argwhere(grid.owner == b.id)
@@ -333,6 +340,24 @@ def _reference_grow(grid, measures, seeds, params):
     return trace, owner, boxes, (volume, area, overhang)
 
 
+def _assert_matches_reference(state, p, trace, want):
+    """Problem p of a grown state against one _reference_grow result."""
+    want_trace, want_owner, want_boxes, want_sums = want
+    blocks, grid = state.blocks[p], state.grids[p]
+    got = [t[1:] for t in trace if t[0] == p]
+    assert got == want_trace
+    assert len(got) == state.moves[p] > 0
+    assert np.array_equal(grid.owner, want_owner)
+    assert [(tuple(int(x) for x in b.lo), tuple(int(x) for x in b.hi))
+            for b in blocks] == want_boxes
+    sums = state.sums[p, :len(blocks)]
+    assert sums[:, VOLUME].tolist() == want_sums[0]
+    assert sums[:, AREA].tolist() == want_sums[1]
+    assert np.array_equal(sums[:, OVERHANG], np.array(want_sums[2]))
+    assert state.unassigned[p] == int(
+        ((grid.classification == CellClass.BOUNDARY) & (grid.owner < 0)).sum())
+
+
 @pytest.mark.parametrize("fixture", [icosphere, hollow_box, l_bracket])
 @pytest.mark.parametrize("granularity", ["coarse", "fine"])
 def test_grow_blocks_matches_reference(fixture, granularity):
@@ -344,19 +369,36 @@ def test_grow_blocks_matches_reference(fixture, granularity):
             params = ObjectiveParams(printer_dims=(printer,) * 3)
             blocks = select_seed_blocks(grid, mesh, k, rng_seed=k)
             seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
-            want_trace, want_owner, want_boxes, want_sums = _reference_grow(
-                grid, meas, seeds, params)
+            want = _reference_grow(grid, meas, seeds, params)
             grid.owner[...] = -1
-            state = GrowthState(grid, meas, blocks, params)
+            state = GrowthState([grid], meas, [blocks], params)
             trace = []
             grow_blocks(state, trace)
-            assert trace == want_trace
-            assert len(trace) > 0
-            assert np.array_equal(grid.owner, want_owner)
-            assert [(tuple(int(x) for x in b.lo), tuple(int(x) for x in b.hi))
-                    for b in blocks] == want_boxes
-            assert state.volume.tolist() == want_sums[0]
-            assert state.area.tolist() == want_sums[1]
-            assert np.array_equal(state.overhang, np.array(want_sums[2]))
-            assert state.unassigned_boundary() == int(
-                ((grid.classification == CellClass.BOUNDARY) & (grid.owner < 0)).sum())
+            _assert_matches_reference(state, 0, trace, want)
+
+
+@pytest.mark.parametrize("printer", [30.0, 250.0])
+@pytest.mark.parametrize("fixture", [icosphere, hollow_box, l_bracket])
+def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
+    """Problems with different block counts grown together on one grid each
+    equal the reference loop run alone, bit for bit."""
+    mesh = fixture()
+    grid = build_grid(mesh, "fine")
+    meas = measure_cells(grid, mesh)
+    params = ObjectiveParams(printer_dims=(printer,) * 3)
+    counts = (1, 2, 5, 8, 3)
+    grids, problems, wants = [], [], []
+    for seed, k in enumerate(counts):
+        blocks = select_seed_blocks(grid, mesh, k, rng_seed=100 + seed)
+        seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
+        wants.append(_reference_grow(grid, meas, seeds, params))
+        grids.append(Grid(grid.origin, grid.cell_size, grid.dims,
+                          classification=grid.classification))
+        problems.append(blocks)
+    state = GrowthState(grids, meas, problems, params)
+    assert state.lo.shape == (len(counts), max(counts), 3)
+    trace = []
+    grow_blocks(state, trace)
+    assert not state.active.any()
+    for p, want in enumerate(wants):
+        _assert_matches_reference(state, p, trace, want)

@@ -4,10 +4,15 @@ import json
 
 import pytest
 
-from parallelobox.cli import (CSV_COLUMNS, load_manifest, main, parse_config)
+import time
+
+from parallelobox import meta
+from parallelobox.cli import (CSV_COLUMNS, load_manifest, main, parse_config,
+                              run_batch)
 from parallelobox.errors import ConfigError
-from parallelobox.fixtures import box_mesh, dumbbell
+from parallelobox.fixtures import box_mesh, dumbbell, l_bracket
 from parallelobox.mesh import save_stl
+from parallelobox.meta import PrinterProfile, RunPlan
 
 
 def _write(path, text):
@@ -146,8 +151,9 @@ def test_decompose_end_to_end(tmp_path):
     for line in log_lines:
         assert {"model", "printers", "algorithm", "seed_blocks", "try_index",
                 "seed", "valid", "parts", "parallel_score", "wall_clock_s",
-                "reason", "clipped"} <= set(line)
+                "reason", "clipped", "growth_steps"} <= set(line)
         assert isinstance(line["clipped"], bool)
+        assert isinstance(line["growth_steps"], int)
     # The baseline is scored from its meshes, and so is the search winner,
     # the best valid line of the search.
     assert all(line["clipped"] for line in log_lines
@@ -159,6 +165,63 @@ def test_decompose_end_to_end(tmp_path):
     assert best["clipped"]
     assert float(body[[r[1] for r in body].index("parallelobox")][4]) == (
         best["parallel_time_s"])
+
+
+def test_runlog_growth_steps_and_wall_clock(tmp_path, monkeypatch):
+    """growth_steps counts each iteration's growth moves; wall_clock_s
+    leaves out the growth pass that the iterations share."""
+    model = tmp_path / "dumbbell.stl"
+    save_stl(dumbbell(), model)
+    pause = 0.5
+    moves = []
+    grow = meta.grow_blocks
+
+    def slow_grow(state, trace=None):
+        time.sleep(pause)
+        grow(state, moves)
+
+    monkeypatch.setattr(meta, "grow_blocks", slow_grow)
+    out = tmp_path / "out"
+    assert main(_decompose_args(model, out, ["--printers", "4",
+                                             "--sample-tries", "2"])) == 0
+    lines = [json.loads(line) for line in
+             (out / "runlog.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(lines) == 6  # seed counts 4, 3, 2 on two pieces, 2 tries each
+    assert sum(line["growth_steps"] for line in lines) == len(moves) > 0
+    assert all(line["growth_steps"] > 0 for line in lines)
+    assert all(0.0 < line["wall_clock_s"] < pause for line in lines)
+
+
+def test_batch_prepares_each_model_once_per_key(tmp_path, monkeypatch):
+    """Printer counts 2 and 4 share one prepared model and give the rows
+    of separate runs."""
+    models = []
+    for mesh in (dumbbell(), l_bracket()):
+        models.append(tmp_path / f"{mesh.name}.stl")
+        save_stl(mesh, models[-1])
+    plan = RunPlan(granularity="coarse", sample_tries=1)
+    algorithms = ["parallelobox", "symmetry"]
+    prepare = meta.prepare_model
+    calls = []
+    monkeypatch.setattr(meta, "prepare_model",
+                        lambda *args: calls.append(args[0].name) or prepare(*args))
+
+    def rows(printer_counts, out):
+        run_batch(models, printer_counts, plan, PrinterProfile(), algorithms,
+                  out)
+        return [r[:7] + r[8:] for r in _read_csv(out / "results.csv")]
+
+    shared = rows([2, 4], tmp_path / "shared")
+    assert calls == ["dumbbell", "l_bracket"]
+    apart = {printers: rows([printers], tmp_path / str(printers))
+             for printers in (2, 4)}
+    assert len(calls) == 6
+    want = [apart[2][0]]  # the header
+    for model in range(2):
+        want += apart[2][1 + 2 * model:3 + 2 * model]
+        want += apart[4][1 + 2 * model:3 + 2 * model]
+    assert shared == want
+    assert len(shared) == 9
 
 
 def test_decompose_is_deterministic(tmp_path):

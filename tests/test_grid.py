@@ -5,7 +5,9 @@ import pytest
 from parallelobox import fixtures
 from parallelobox.clip import point_in_mesh, points_in_mesh
 from parallelobox.fixtures import box_mesh, icosphere, unit_cube
-from parallelobox.grid import (BBOX_SCALE, GRANULARITY_CELLS, CellClass, Grid,
+from parallelobox.grid import (AREA, BBOX_SCALE, BOUNDARY, EXACT_BITS,
+                               GRANULARITY_CELLS, N_CHANNELS, OVERHANG,
+                               SECTION, SOLID, VOLUME, CellClass, Grid,
                                build_grid, measure_cells)
 from parallelobox.mesh import aabb_of, measure
 
@@ -120,3 +122,56 @@ def test_box_of_range_round_trip():
     single = g.cell_box(0, 0, 0)
     assert np.allclose(single.min, g.origin)
     assert np.allclose(single.extent, 0.5)
+
+
+def _slice_channels(meas):
+    """The table's channels as (N_CHANNELS, nx, ny, nz) per-cell arrays."""
+    channels = np.zeros((N_CHANNELS,) + meas.volume.shape)
+    channels[VOLUME] = meas.volume
+    channels[AREA] = meas.area
+    channels[OVERHANG] = meas.overhang
+    channels[SECTION] = meas.section
+    channels[SOLID] = meas.classification != CellClass.EXTERNAL
+    channels[BOUNDARY] = meas.classification == CellClass.BOUNDARY
+    return channels
+
+
+@pytest.mark.parametrize("name", ["unit_cube", "icosphere", "dumbbell",
+                                  "l_bracket", "hollow_box", "asymmetric_blob"])
+@pytest.mark.parametrize("granularity", ["coarse", "fine"])
+def test_table_sums_equal_slice_sums(name, granularity):
+    """Every channel's table sum over a random box equals its slice sum bit
+    for bit, and so does the capped area of CellMeasures.box."""
+    mesh = getattr(fixtures, name)()
+    g = build_grid(mesh, granularity)
+    meas = measure_cells(g, mesh)
+    channels = _slice_channels(meas)
+    for values in (meas.volume, meas.area, meas.overhang, meas.section):
+        # Multiples of a power of two q with sum(|values|) < 2**EXACT_BITS * q
+        # before rounding; rounding may carry the sum one bit higher.
+        total = float(np.abs(values).sum())
+        q = 2.0 ** (np.frexp(total)[1] - EXACT_BITS - 1)
+        assert total < 2.0 ** (EXACT_BITS + 1) * q
+        assert np.array_equal(values / q, np.rint(values / q))
+    rng = np.random.default_rng(len(name))
+    dims = np.array(g.dims)
+    for _ in range(60):
+        a, b = rng.integers(0, dims), rng.integers(0, dims)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        sl = (slice(None),) + tuple(slice(x, y + 1) for x, y in zip(lo, hi))
+        want = channels[sl].reshape(N_CHANNELS, -1).sum(axis=1)
+        got = meas.sums(lo, hi)
+        # Adding 0.0 only turns a -0.0 into 0.0.
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (lo, hi)
+        area = float(want[AREA])
+        for axis in range(3):
+            for layer in (hi[axis], lo[axis] - 1):
+                if layer >= 0:
+                    face = list(sl[1:])
+                    face[axis] = layer
+                    area += float(meas.section[axis][tuple(face)].sum())
+        assert meas.box(lo, hi) == (float(want[VOLUME]), area), (lo, hi)
+    # Ranges reaching past the grid are clipped to it.
+    assert meas.sums(-dims, 2 * dims).tolist() == meas.table[-1].tolist()
+    assert not meas.sums(dims, 2 * dims).any()
+

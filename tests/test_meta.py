@@ -190,7 +190,7 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
         except InsufficientBoundaryCells as exc:
             reason = f"piece {index}: {exc}"
             break
-        grow_blocks(GrowthState(grid, piece.measures, blocks, params))
+        grow_blocks(GrowthState([grid], piece.measures, [blocks], params))
         free = max(0, budget - len(blocks))
         regions = get_discrete_empty_regions(grid, free, params.printer_dims)
         left_b, left_i = _uncovered_cells(grid, regions)
