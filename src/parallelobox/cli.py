@@ -30,8 +30,9 @@ from . import meta
 from .errors import ConfigError, ParalleloboxError
 from .grid import GRANULARITY_CELLS
 from .mesh import TriangleMesh, clean_mesh, load_mesh, save_stl
-from .meta import (Decomposition, PreparedModel, PrinterProfile, RunPlan,
-                   RunRecord, recursive_symmetry_baseline, run_metaheuristic)
+from .meta import (BaselineRounds, Decomposition, PreparedModel,
+                   PrinterProfile, RunPlan, RunRecord,
+                   recursive_symmetry_baseline, run_metaheuristic)
 from .preprocess import SYMMETRY_THRESHOLD
 
 logger = logging.getLogger(__name__)
@@ -113,10 +114,14 @@ class BatchReport:
         return any(row.valid for row in self.rows)
 
 
-def _export_parts(result: Decomposition, part_dir: Path) -> int:
-    part_dir.mkdir(parents=True, exist_ok=True)
+def _clear_parts(part_dir: Path) -> None:
     for stale in sorted(part_dir.glob("part_*.stl")):
         stale.unlink()
+
+
+def _export_parts(result: Decomposition, part_dir: Path) -> int:
+    part_dir.mkdir(parents=True, exist_ok=True)
+    _clear_parts(part_dir)
     for i, part in enumerate(result.parts):
         save_stl(part.mesh, part_dir / f"part_{i:03d}.stl")
     return len(result.parts)
@@ -132,11 +137,14 @@ def _log_record(report: BatchReport, model: str, printers: int,
 def run_model(mesh: TriangleMesh, model_name: str, printers: int,
               plan: RunPlan, profile: PrinterProfile, algorithms: list[str],
               out_dir: Path, report: BatchReport,
-              prepared: dict[tuple, PreparedModel]) -> None:
+              prepared: dict[tuple, PreparedModel | BaselineRounds]) -> None:
     """Run the requested algorithms for one (model, printer count) pair.
 
-    ``prepared`` caches the model's prepared forms by
-    :func:`~parallelobox.meta.preparation_key` across printer counts.
+    ``prepared`` caches, across printer counts, the model's prepared forms
+    by :func:`~parallelobox.meta.preparation_key` and its baseline rounds
+    by :func:`~parallelobox.meta.baseline_key`.  Part files left in an
+    algorithm's directory by an earlier run are removed when this run
+    exports none.
     """
     plan = replace(plan, printers_available=printers)
     for algorithm in algorithms:
@@ -151,7 +159,10 @@ def run_model(mesh: TriangleMesh, model_name: str, printers: int,
                 result = run_metaheuristic(mesh, plan, profile, records,
                                            prepared=prepared[key])
             else:
-                result = recursive_symmetry_baseline(mesh, plan, profile)
+                rounds = prepared.setdefault(meta.baseline_key(plan),
+                                             BaselineRounds())
+                result = recursive_symmetry_baseline(mesh, plan, profile,
+                                                     rounds=rounds)
         except ParalleloboxError as exc:
             logger.error("%s x%d (%s): %s", model_name, printers,
                          algorithm, exc)
@@ -169,16 +180,16 @@ def run_model(mesh: TriangleMesh, model_name: str, printers: int,
                 reason=result.reason, clipped=result.clipped,
                 wall_clock_s=elapsed))
 
+        part_dir = out_dir / model_name / str(printers) / algorithm
+        if result is None or not result.valid:
+            _clear_parts(part_dir)
         if result is None:
             report.rows.append(RunRow(
                 model=model_name, algorithm=algorithm, printers=printers,
                 parts=0, parallel_time_s=None, aggregate_time_s=None,
                 parallel_score=None, compute_time_s=elapsed, valid=False))
             continue
-        exported = 0
-        if result.valid:
-            exported = _export_parts(
-                result, out_dir / model_name / str(printers) / algorithm)
+        exported = _export_parts(result, part_dir) if result.valid else 0
         report.rows.append(RunRow(
             model=model_name, algorithm=algorithm, printers=printers,
             parts=exported if result.valid else result.printers_used,
@@ -234,7 +245,8 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
     """Run every (model, printer count) pair and write the report files.
 
     Each model is prepared once per preparation key, so printer counts of
-    two or more share one prepared model.
+    two or more share one prepared model, and every printer count shares
+    the baseline's halving rounds.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     report = BatchReport()
@@ -251,7 +263,7 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
                         parts=0, parallel_time_s=None, aggregate_time_s=None,
                         parallel_score=None, compute_time_s=0.0, valid=False))
             continue
-        prepared: dict[tuple, PreparedModel] = {}
+        prepared: dict[tuple, PreparedModel | BaselineRounds] = {}
         for printers in printer_counts:
             run_model(mesh, name, printers, plan, profile, algorithms,
                       out_dir, report, prepared)

@@ -9,6 +9,17 @@ half-space cuts.  Intersection points are interpolated once per undirected
 edge, so both triangles sharing an edge reuse the bit-identical point and
 the cut never tears the surface.
 
+The half-space cut is built from arrays, not a loop over triangles.  Slot
+j of a crossing triangle stands for the edge into corner j: it emits the
+edge's cut point when the edge changes sign strictly, then the corner when
+it is kept, in a padded (crossing, 6) array.  The cut edges, read
+row-major, are numbered by first occurrence (``np.unique`` and an argsort
+of the first indices), so the new points come out in the order of a
+triangle-by-triangle walk; each row's emitted ids are closed up and
+fan-triangulated.  The cap's boundary edges, its hole bridges (one bridge
+candidate against every ring edge at once) and its ear tests (every convex
+vertex of a pass at once) are numpy passes too.
+
 The surface-only clip, which needs no topology, is Sutherland-Hodgman
 ("Reentrant polygon clipping", CACM 1974) over many (triangle, box) pairs at
 once: the polygons live in one padded (n, width, 3) array, and each of the
@@ -24,7 +35,6 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +52,8 @@ logger = logging.getLogger(__name__)
 #: Distance (mm) below which a vertex is considered to lie on a cut plane.
 PLANE_EPS = 1e-9
 
-
-@dataclass(frozen=True)
-class ClipResult:
-    """Outcome of clip_to_box.
-
-    surface_vertex_count counts welded vertices coming from the input
-    surface (before any caps), so `> 0` means the surface crosses the box.
-    """
-
-    mesh: TriangleMesh
-    surface_vertex_count: int
-    capped: bool
+#: Most (ear, ring vertex) pairs one ear-clipping block tests at once.
+_EAR_PAIRS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +137,6 @@ def _clip_rows(p, count, d, valid):
     return out, end[:, -1]
 
 
-def _soup_mesh(pieces: np.ndarray, name: str) -> TriangleMesh:
-    if len(pieces) == 0:
-        return TriangleMesh.empty(name)
-    verts = pieces.reshape(-1, 3)
-    tris = np.arange(len(verts), dtype=np.int32).reshape(-1, 3)
-    # Weld exactly so shared cut points merge but geometry is untouched.
-    keys = np.round(verts / PLANE_EPS).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    mesh = TriangleMesh(verts[first], inverse.reshape(-1)[tris].astype(np.int32), name)
-    keep = (
-        (mesh.triangles[:, 0] != mesh.triangles[:, 1])
-        & (mesh.triangles[:, 1] != mesh.triangles[:, 2])
-        & (mesh.triangles[:, 2] != mesh.triangles[:, 0])
-    )
-    return compact(TriangleMesh(mesh.vertices, mesh.triangles[keep], name))
-
-
 # ---------------------------------------------------------------------------
 # watertight half-space clipping
 
@@ -188,42 +171,45 @@ def clip_halfspace(mesh: TriangleMesh, normal, offset: float, *,
         return mesh.copy()
 
     verts = mesh.vertices
-    new_points: list[np.ndarray] = []
-    edge_cut: dict[tuple[int, int], int] = {}
+    # Slot j of a crossing triangle walks the edge from corner j - 1 to
+    # corner j: it emits the edge's cut point when the edge changes sign
+    # strictly, then corner j when it is kept.
+    cur = mesh.triangles[crossing].astype(np.int64)
+    prev = np.roll(cur, 1, axis=1)
+    dc = tri_d[crossing]
+    dp = np.roll(dc, 1, axis=1)
+    cut = ((dp > 0.0) & (dc < 0.0)) | ((dp < 0.0) & (dc > 0.0))
+    # One point per undirected edge, numbered in order of first encounter
+    # (row-major over the cut mask), so both sides of an edge share it.
+    rows, cols = np.nonzero(cut)
+    a = np.minimum(prev[rows, cols], cur[rows, cols])
+    b = np.maximum(prev[rows, cols], cur[rows, cols])
+    _, first, inverse = np.unique(a * len(verts) + b, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    a, b = a[first[order]], b[first[order]]
+    t = d[a] / (d[a] - d[b])
+    new_points = verts[a] + t[:, None] * (verts[b] - verts[a])
 
-    def cut_point(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = edge_cut.get(key)
-        if idx is None:
-            pa, pb = verts[key[0]], verts[key[1]]
-            t = d[key[0]] / (d[key[0]] - d[key[1]])
-            idx = len(verts) + len(new_points)
-            new_points.append(pa + t * (pb - pa))
-            edge_cut[key] = idx
-        return idx
+    slots = np.full((len(crossing), 6), -1, dtype=np.int64)
+    slots[rows, 2 * cols] = len(verts) + rank[inverse.reshape(-1)]
+    slots[:, 1::2] = np.where(dc <= 0.0, cur, -1)
+    # Close up each row's emitted ids, then fan (poly[0], poly[k], poly[k+1]).
+    emitted = slots >= 0
+    count = emitted.sum(axis=1)
+    poly = np.zeros_like(slots)
+    r, c = np.nonzero(emitted)
+    poly[r, (np.cumsum(emitted, axis=1) - 1)[r, c]] = slots[r, c]
+    r, k = np.nonzero(np.arange(1, 5) < count[:, None] - 1)
+    k = k + 1
+    fans = np.stack([poly[r, 0], poly[r, k], poly[r, k + 1]], axis=1)
 
-    out_tris: list[tuple[int, int, int]] = [tuple(tri) for tri in mesh.triangles[keep_full]]
-    for ti in crossing:
-        ia, ib, ic = (int(x) for x in mesh.triangles[ti])
-        poly: list[int] = []
-        prev = ic
-        for cur in (ia, ib, ic):
-            dp, dc = d[prev], d[cur]
-            if dc <= 0.0:
-                if dp > 0.0 and dc < 0.0:
-                    poly.append(cut_point(prev, cur))
-                poly.append(cur)
-            elif dp < 0.0:
-                poly.append(cut_point(prev, cur))
-            prev = cur
-        if len(poly) >= 3:
-            for k in range(1, len(poly) - 1):
-                out_tris.append((poly[0], poly[k], poly[k + 1]))
-
-    if not out_tris:
+    tris = np.concatenate([mesh.triangles[keep_full], fans]).astype(np.int32)
+    if not len(tris):
         return TriangleMesh.empty(mesh.name)
-    all_verts = verts if not new_points else np.vstack([verts, np.asarray(new_points)])
-    tris = np.asarray(out_tris, dtype=np.int32)
+    all_verts = np.vstack([verts, new_points]) if len(new_points) else verts
 
     if cap:
         cap_tris = _build_caps(all_verts, tris, n)
@@ -232,10 +218,11 @@ def clip_halfspace(mesh: TriangleMesh, normal, offset: float, *,
     return compact(TriangleMesh(all_verts, tris, mesh.name))
 
 
-def _boundary_edges(tris: np.ndarray) -> list[tuple[int, int]]:
-    """Directed edges that have no opposite-direction partner."""
+def _boundary_edges(tris: np.ndarray) -> np.ndarray:
+    """(m, 2) directed edges that have no opposite-direction partner, one
+    row per unpartnered copy, in ascending order of (start, end)."""
     if len(tris) == 0:
-        return []
+        return np.zeros((0, 2), dtype=np.int64)
     t = np.asarray(tris, dtype=np.int64)
     ab = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     base = int(ab.max()) + 1
@@ -243,11 +230,9 @@ def _boundary_edges(tris: np.ndarray) -> list[tuple[int, int]]:
     rev = (keys % base) * base + keys // base
     pos = np.clip(np.searchsorted(keys, rev), 0, len(keys) - 1)
     rev_counts = np.where(keys[pos] == rev, counts[pos], 0)
-    out: list[tuple[int, int]] = []
-    for key, excess in zip(keys, counts - rev_counts):
-        if excess > 0:
-            out.extend([(int(key // base), int(key % base))] * int(excess))
-    return out
+    excess = np.maximum(counts - rev_counts, 0)
+    keys = np.repeat(keys, excess)
+    return np.column_stack([keys // base, keys % base])
 
 
 def _plane_basis(n: np.ndarray):
@@ -263,12 +248,11 @@ def _plane_basis(n: np.ndarray):
 def _build_caps(verts: np.ndarray, tris: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Triangulate the open boundary (reversed) into cap faces with normal n."""
     boundary = _boundary_edges(tris)
-    if not boundary:
+    if not len(boundary):
         return np.zeros((0, 3), dtype=np.int32)
-    reversed_edges = [(b, a) for (a, b) in boundary]
     u, v = _plane_basis(n)
     uv = np.column_stack([verts @ u, verts @ v])
-    loops = _assemble_loops(reversed_edges, uv)
+    loops = _assemble_loops(boundary[:, ::-1].tolist(), uv)
     cap = _triangulate_region(uv, loops)
     if not cap:
         return np.zeros((0, 3), dtype=np.int32)
@@ -342,43 +326,6 @@ def _point_in_ring(uv: np.ndarray, ring: list[int], p: np.ndarray) -> bool:
     return inside
 
 
-def _orient2(p, q, r) -> float:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _on_segment(p, q, r, eps: float) -> bool:
-    return (min(p[0], q[0]) - eps <= r[0] <= max(p[0], q[0]) + eps
-            and min(p[1], q[1]) - eps <= r[1] <= max(p[1], q[1]) + eps)
-
-
-def _segment_blocked(m, p, a, b, eps: float) -> bool:
-    """Does edge ab intersect the bridge m-p anywhere other than at m or p?
-
-    eps is a length tolerance; contacts exactly at the bridge endpoints are
-    allowed (incident edges always pass).
-    """
-    span = max(np.hypot(*(np.asarray(p) - m)), np.hypot(*(np.asarray(b) - a)), eps)
-    eps_o = eps * span
-    o1, o2 = _orient2(m, p, a), _orient2(m, p, b)
-    o3, o4 = _orient2(a, b, m), _orient2(a, b, p)
-    if ((o1 > eps_o and o2 < -eps_o) or (o1 < -eps_o and o2 > eps_o)) and \
-       ((o3 > eps_o and o4 < -eps_o) or (o3 < -eps_o and o4 > eps_o)):
-        return True
-    # Any endpoint resting on the other segment blocks unless it rests
-    # exactly on m or p.
-    for r in (a, b):
-        if _touches(r, m, eps) or _touches(r, p, eps):
-            continue
-        if abs(_orient2(m, p, r)) <= eps_o and _on_segment(m, p, r, eps):
-            return True
-    for r in (m, p):
-        if _touches(r, a, eps) or _touches(r, b, eps):
-            continue
-        if abs(_orient2(a, b, r)) <= eps_o and _on_segment(a, b, r, eps):
-            return True
-    return False
-
-
 def _triangulate_region(uv: np.ndarray, loops: list[list[int]]) -> list[tuple[int, int, int]]:
     if not loops:
         return []
@@ -422,33 +369,56 @@ def _triangulate_region(uv: np.ndarray, loops: list[list[int]]) -> list[tuple[in
 
 
 def _splice_hole(uv: np.ndarray, outer: list[int], hole: list[int], eps_area: float) -> list[int]:
-    """Join a hole ring into the outer ring with a two-way bridge edge."""
-    hj = max(range(len(hole)), key=lambda k: (uv[hole[k]][0], -k))
+    """Join a hole ring into the outer ring with a two-way bridge edge.
+
+    The bridge runs from the hole's rightmost vertex to the nearest outer
+    vertex that no edge of either ring blocks.
+    """
+    hj = int(np.argmax(uv[hole, 0]))
     m_pt = uv[hole[hj]]
     eps = max(np.sqrt(eps_area), 1e-12)
-    order = sorted(
-        range(len(outer)),
-        key=lambda k: (float(np.hypot(*(uv[outer[k]] - m_pt))), k),
-    )
-    edges = _ring_edges(outer) + _ring_edges(hole)
-    for pi in order:
-        p_pt = uv[outer[pi]]
-        if np.hypot(*(p_pt - m_pt)) < eps:
-            # Coincident points: a zero-length bridge is always safe.
-            return _splice_at(outer, pi, hole, hj)
-        if all(not _segment_blocked(m_pt, p_pt, uv[sa], uv[sb], eps)
-               for sa, sb in edges):
+    near = uv[outer] - m_pt
+    gap = np.hypot(near[:, 0], near[:, 1])
+    a = uv[np.concatenate([outer, hole])]
+    b = uv[np.concatenate([np.roll(outer, -1), np.roll(hole, -1)])]
+    for pi in np.argsort(gap, kind="stable").tolist():
+        # Coincident points: a zero-length bridge is always safe.
+        if gap[pi] < eps or not _bridge_blocked(m_pt, uv[outer[pi]], a, b, eps).any():
             return _splice_at(outer, pi, hole, hj)
     logger.warning("no visible bridge for cap hole; hole dropped")
     return outer
 
 
-def _touches(p, q, eps: float) -> bool:
-    return abs(p[0] - q[0]) <= eps and abs(p[1] - q[1]) <= eps
+def _bridge_blocked(m, p, a, b, eps: float) -> np.ndarray:
+    """Which ring edges a[i]-b[i] meet the bridge m-p other than at m or p.
 
+    eps is a length tolerance.  A proper crossing blocks, and so does an
+    endpoint of either segment resting on the other, unless it lies within
+    eps of an endpoint of that other segment (incident edges pass).
+    """
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    span = np.maximum(np.maximum(np.hypot(*(p - m)), np.hypot(bx - ax, by - ay)), eps)
+    eps_o = eps * span
+    # Orientations of a, b against m-p and of m, p against a-b.
+    o1 = (p[0] - m[0]) * (ay - m[1]) - (p[1] - m[1]) * (ax - m[0])
+    o2 = (p[0] - m[0]) * (by - m[1]) - (p[1] - m[1]) * (bx - m[0])
+    o3 = (bx - ax) * (m[1] - ay) - (by - ay) * (m[0] - ax)
+    o4 = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+    blocked = ((((o1 > eps_o) & (o2 < -eps_o)) | ((o1 < -eps_o) & (o2 > eps_o)))
+               & (((o3 > eps_o) & (o4 < -eps_o)) | ((o3 < -eps_o) & (o4 > eps_o))))
 
-def _ring_edges(ring: list[int]) -> list[tuple[int, int]]:
-    return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+    def touches(rx, ry, q):
+        return (np.abs(rx - q[0]) <= eps) & (np.abs(ry - q[1]) <= eps)
+
+    for rx, ry, o in ((ax, ay, o1), (bx, by, o2)):
+        blocked |= (~touches(rx, ry, m) & ~touches(rx, ry, p) & (np.abs(o) <= eps_o)
+                    & (min(m[0], p[0]) - eps <= rx) & (rx <= max(m[0], p[0]) + eps)
+                    & (min(m[1], p[1]) - eps <= ry) & (ry <= max(m[1], p[1]) + eps))
+    for r, o in ((m, o3), (p, o4)):
+        blocked |= (~touches(ax, ay, r) & ~touches(bx, by, r) & (np.abs(o) <= eps_o)
+                    & (np.minimum(ax, bx) - eps <= r[0]) & (r[0] <= np.maximum(ax, bx) + eps)
+                    & (np.minimum(ay, by) - eps <= r[1]) & (r[1] <= np.maximum(ay, by) + eps))
+    return blocked
 
 
 def _splice_at(outer: list[int], pi: int, hole: list[int], hj: int) -> list[int]:
@@ -463,6 +433,8 @@ def _ear_clip(uv: np.ndarray, ring: list[int], eps_area: float) -> list[tuple[in
     Every pass harvests all ears whose neighbourhood is untouched so far in
     the pass; blocky models produce cut rings with hundreds of collinear
     vertices and clipping one ear per pass would go quadratic on them.
+    The ears of all convex vertices are tested in one numpy pass, against
+    the ring as the pass found it.
     """
     ring = list(ring)
     tris: list[tuple[int, int, int]] = []
@@ -475,13 +447,12 @@ def _ear_clip(uv: np.ndarray, ring: list[int], eps_area: float) -> list[tuple[in
               - (pts[:, 1] - prv[:, 1]) * (nxt[:, 0] - pts[:, 0]))
         locked = np.zeros(n, dtype=bool)
         removed: list[int] = []
-        for k in np.nonzero(cr > eps_area)[0]:
+        convex = np.nonzero(cr > eps_area)[0]
+        for k, blocked in zip(convex.tolist(),
+                              _ears_blocked(pts, convex, eps_area).tolist()):
             if len(removed) >= n - 3:
                 break
-            k = int(k)
-            if locked[k - 1] or locked[k] or locked[(k + 1) % n]:
-                continue
-            if _ear_blocked(pts, k, eps_area):
+            if blocked or locked[k - 1] or locked[k] or locked[(k + 1) % n]:
                 continue
             tris.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
             locked[[k - 1, k, (k + 1) % n]] = True
@@ -497,16 +468,25 @@ def _ear_clip(uv: np.ndarray, ring: list[int], eps_area: float) -> list[tuple[in
     return tris
 
 
-def _ear_blocked(pts: np.ndarray, k: int, eps_area: float) -> bool:
-    """Any ring vertex strictly inside the ear triangle at k blocks the ear."""
+def _ears_blocked(pts: np.ndarray, ks: np.ndarray, eps_area: float) -> np.ndarray:
+    """For each k of ks: does a ring vertex lie strictly inside the ear
+    triangle at k?  Ears are tested in blocks of at most _EAR_PAIRS
+    (ear, vertex) pairs, which bounds the memory on long rings."""
     n = len(pts)
-    a, b, c = pts[(k - 1) % n], pts[k], pts[(k + 1) % n]
-    s1 = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-    s2 = (c[0] - b[0]) * (pts[:, 1] - b[1]) - (c[1] - b[1]) * (pts[:, 0] - b[0])
-    s3 = (a[0] - c[0]) * (pts[:, 1] - c[1]) - (a[1] - c[1]) * (pts[:, 0] - c[0])
-    inside = (s1 > eps_area) & (s2 > eps_area) & (s3 > eps_area)
-    inside[[(k - 1) % n, k, (k + 1) % n]] = False
-    return bool(inside.any())
+    out = np.zeros(len(ks), dtype=bool)
+    x, y = pts[:, 0], pts[:, 1]
+    step = max(1, _EAR_PAIRS // n)
+    for start in range(0, len(ks), step):
+        k = ks[start:start + step]
+        corners = np.stack([(k - 1) % n, k, (k + 1) % n], axis=1)
+        a, b, c = (pts[corners[:, i]][:, :, None] for i in range(3))
+        s1 = (b[:, 0] - a[:, 0]) * (y - a[:, 1]) - (b[:, 1] - a[:, 1]) * (x - a[:, 0])
+        s2 = (c[:, 0] - b[:, 0]) * (y - b[:, 1]) - (c[:, 1] - b[:, 1]) * (x - b[:, 0])
+        s3 = (a[:, 0] - c[:, 0]) * (y - c[:, 1]) - (a[:, 1] - c[:, 1]) * (x - c[:, 0])
+        inside = (s1 > eps_area) & (s2 > eps_area) & (s3 > eps_area)
+        inside[np.arange(len(k))[:, None], corners] = False
+        out[start:start + step] = inside.any(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +498,26 @@ def _check_box(box: Aabb) -> None:
         raise DegenerateBox(f"box extent must be positive, got {box.extent}")
 
 
-def clip_to_box(mesh: TriangleMesh, box: Aabb) -> ClipResult:
+def clip_to_box(mesh: TriangleMesh, box: Aabb) -> TriangleMesh:
     """Clip a watertight mesh to an axis-aligned box.
 
-    Returns a watertight solid with caps on the box faces;
-    surface_vertex_count reflects only the clipped input surface.
+    Returns a watertight solid with caps on the box faces, empty when the
+    box holds none of the mesh.
     """
     _check_box(box)
     if not validate_watertight(mesh).is_watertight:
         raise NonWatertightInput("volumetric clipping needs a closed mesh")
     pieces, _ = clip_surface_to_box(mesh, box)
-    count = len(_soup_mesh(pieces, mesh.name).vertices)
-
-    if count == 0:
+    # The surface crosses the box when some piece keeps three distinct
+    # corners at PLANE_EPS resolution; slivers that collapse below it do not
+    # count.
+    keys = np.round(pieces / PLANE_EPS).astype(np.int64)
+    apart = (keys != np.roll(keys, -1, axis=1)).any(axis=2)
+    if not apart.all(axis=1).any():
         # No surface inside the box: either completely inside or outside.
         if point_in_mesh(mesh, box.center):
-            solid = box_mesh(box.extent, box.min, mesh.name)
-            return ClipResult(solid, 0, True)
-        return ClipResult(TriangleMesh.empty(mesh.name), 0, False)
+            return box_mesh(box.extent, box.min, mesh.name)
+        return TriangleMesh.empty(mesh.name)
 
     current = mesh
     axes = np.eye(3)
@@ -547,8 +529,7 @@ def clip_to_box(mesh: TriangleMesh, box: Aabb) -> ClipResult:
         current = clip_halfspace(current, -axes[axis], -box.min[axis], keep_coplanar=False)
         if current.is_empty:
             break
-    capped = not current.is_empty and count > 0
-    return ClipResult(current, count, capped)
+    return current
 
 
 def cut_by_plane(mesh: TriangleMesh, normal, offset: float):

@@ -30,12 +30,14 @@ equals that of its clipped mesh up to rounding where the mesh caps cover
 each box face once, and is lower where a faulty cap covers part of a face
 twice; it has not been seen above it.  So the winner is the one a search
 clipping every iteration would pick, and it is scored from its meshes.
+Iterations that share a box share its clipped mesh, so a search clips
+each distinct box once.
 """
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -400,22 +402,29 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
 
 
 def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
-               result: Decomposition) -> Decomposition:
+               result: Decomposition,
+               meshes: dict[tuple, TriangleMesh]) -> Decomposition:
     """Clip the boxes of a covered iteration to meshes and score the meshes.
 
     result is what :func:`run_decomposition` returned for an iteration whose
     every piece was covered.  A box whose clipped mesh is empty is dropped,
-    and validity is judged again from the meshes.
+    and validity is judged again from the meshes.  ``meshes`` holds the
+    clipped mesh of every (piece, cell_lo, cell_hi) box clipped so far in
+    the search and gains the new ones, so boxes shared by iterations are
+    clipped once; each part still gets its own named mesh.
     """
     params = objective_of(plan, profile)
     parts: list[PartResult] = []
     for part in result.parts:
         piece = prepared.pieces[part.piece]
         box = piece.grid.box_of_range(part.cell_lo, part.cell_hi)
-        clipped = clip_to_box(piece.mesh, box).mesh
-        if clipped.is_empty:
+        key = (part.piece, part.cell_lo, part.cell_hi)
+        if key not in meshes:
+            meshes[key] = clip_to_box(piece.mesh, box)
+        if meshes[key].is_empty:
             continue
-        clipped.name = part.name
+        clipped = TriangleMesh(meshes[key].vertices, meshes[key].triangles,
+                               part.name)
         parts.append(_score_part(clipped, part.source, plan, profile, params,
                                  _shell_area_in_box(piece.shell, box),
                                  piece=part.piece, cell_lo=part.cell_lo,
@@ -503,7 +512,7 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
     in the search's order.  Then the iterations whose boxes do not all fit
     the printer are clipped, and the valid ones in ascending order of table
     score, until the next table score exceeds the best clipped score by
-    more than ``SCORE_RTOL``.  A
+    more than ``SCORE_RTOL``; each distinct box is clipped once.  A
     table score does not exceed the score of the clipped meshes, so no
     iteration left unclipped could have won.  The winner is the best
     clipped result by :func:`_beats`, the earlier iteration on ties.
@@ -525,9 +534,11 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                                          pieces))
         seconds.append(time.perf_counter() - tick)
 
+    meshes: dict[tuple, TriangleMesh] = {}
+
     def clip(i: int) -> Decomposition:
         tick = time.perf_counter()
-        results[i] = clip_parts(prepared, plan, profile, results[i])
+        results[i] = clip_parts(prepared, plan, profile, results[i], meshes)
         seconds[i] += time.perf_counter() - tick
         return results[i]
 
@@ -574,43 +585,68 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
 # comparison baseline
 
 
+@dataclass
+class BaselineRounds:
+    """The halving rounds of :func:`recursive_symmetry_baseline` for one
+    model and overhang tolerance.
+
+    Round 0 is the oriented model, and round r + 1 halves every piece of
+    round r.  Only the stop test reads the printer count and size, so every
+    count walks the same rounds, and a batch shares one instance across its
+    counts.  Rounds are added as a count first needs them.
+    """
+
+    plane: SymmetryPlane | None = None  # the whole model's best mirror plane
+    # Per round, (printable mesh, cap-free shell) of every piece.
+    states: list[list[tuple[TriangleMesh, TriangleMesh]]] = field(
+        default_factory=list)
+    done: bool = False      # halving the last round cut nothing
+
+
+def baseline_key(plan: RunPlan) -> tuple:
+    """The fields of a plan that :class:`BaselineRounds` depend on."""
+    return ("baseline", plan.overhang_tolerance_deg)
+
+
 def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                                 profile: PrinterProfile,
-                                max_rounds: int = 10) -> Decomposition:
+                                max_rounds: int = 10,
+                                rounds: BaselineRounds | None = None) -> Decomposition:
     """Halve every part at its best mirror plane until the count reaches the
-    largest power of two <= printers_available and everything fits."""
+    largest power of two <= printers_available and everything fits.
+
+    ``rounds``, when given, holds the rounds already computed for mesh
+    under a plan with the same :func:`baseline_key`; it gains the rounds
+    this call computes.
+    """
     params = objective_of(plan, profile)
-    plane = find_best_symmetry_plane(mesh)
-    oriented, _pose = optimize_orientation(
-        mesh, symmetry=plane,
-        overhang_tolerance_deg=plan.overhang_tolerance_deg)
-    oriented.name = mesh.name
+    rounds = BaselineRounds() if rounds is None else rounds
+    if not rounds.states:
+        rounds.plane = find_best_symmetry_plane(mesh)
+        oriented, _pose = optimize_orientation(
+            mesh, symmetry=rounds.plane,
+            overhang_tolerance_deg=plan.overhang_tolerance_deg)
+        oriented.name = mesh.name
+        rounds.states.append([(oriented, oriented)])
     target = 1
     while target * 2 <= plan.printers_available:
         target *= 2
 
-    pieces = [(oriented, oriented)]  # (printable mesh, cap-free shell)
-    for _ in range(max_rounds):
-        if len(pieces) >= target and all(
-                fits_printer(aabb_of(m).extent, profile.dims)
-                for m, _ in pieces):
-            break
-        cut_any = False
-        nxt: list[tuple[TriangleMesh, TriangleMesh]] = []
-        for m, shell in pieces:
-            best = find_best_symmetry_plane(m)
-            positive, negative = cut_by_plane(m, best.normal, best.offset)
-            if positive.is_empty or negative.is_empty:
-                nxt.append((m, shell))
-                continue
-            positive.name = f"{m.name}a"
-            negative.name = f"{m.name}b"
-            shells = _split_shell(shell, best.normal, best.offset)
-            nxt.extend([(positive, shells[0]), (negative, shells[1])])
-            cut_any = True
-        pieces = nxt
-        if not cut_any:
-            break
+    r = 0
+    while r < max_rounds and not (
+            len(rounds.states[r]) >= target
+            and all(fits_printer(aabb_of(m).extent, profile.dims)
+                    for m, _ in rounds.states[r])):
+        if r + 1 == len(rounds.states):
+            if rounds.done:
+                break
+            halved = _halve(rounds.states[r])
+            if halved is None:
+                rounds.done = True
+                break
+            rounds.states.append(halved)
+        r += 1
+    pieces = rounds.states[r]
 
     parts = [_score_part(m, "block", plan, profile, params,
                          float(triangle_areas(shell).sum()), piece=i)
@@ -626,5 +662,24 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                          parallel_score=max(p.print_score for p in parts),
                          parallel_time_s=max(p.time_s for p in parts),
                          aggregate_time_s=sum(p.time_s for p in parts),
-                         symmetry_error=plane.error_score,
+                         symmetry_error=rounds.plane.error_score,
                          symmetry_cut=len(parts) > 1, clipped=True)
+
+
+def _halve(pieces: list[tuple[TriangleMesh, TriangleMesh]]
+           ) -> list[tuple[TriangleMesh, TriangleMesh]] | None:
+    """Cut every piece at its best mirror plane; None when none was cut."""
+    cut_any = False
+    nxt: list[tuple[TriangleMesh, TriangleMesh]] = []
+    for m, shell in pieces:
+        best = find_best_symmetry_plane(m)
+        positive, negative = cut_by_plane(m, best.normal, best.offset)
+        if positive.is_empty or negative.is_empty:
+            nxt.append((m, shell))
+            continue
+        positive.name = f"{m.name}a"
+        negative.name = f"{m.name}b"
+        shells = _split_shell(shell, best.normal, best.offset)
+        nxt.extend([(positive, shells[0]), (negative, shells[1])])
+        cut_any = True
+    return nxt if cut_any else None

@@ -274,6 +274,6 @@ def test_clip_volume_brute_force():
         hi = np.maximum(*corners) + 1e-3  # keep the box non-degenerate
         expected = float(np.prod(np.maximum(
             np.minimum(hi, 1.0) - np.maximum(lo, 0.0), 0.0)))
-        result = clip_to_box(cube, Aabb(lo, hi))
-        got = 0.0 if result.mesh.is_empty else measure(result.mesh).volume
+        part = clip_to_box(cube, Aabb(lo, hi))
+        got = 0.0 if part.is_empty else measure(part).volume
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12), (lo, hi)

@@ -6,7 +6,7 @@ import pytest
 
 import time
 
-from parallelobox import meta
+from parallelobox import cli, meta
 from parallelobox.cli import (CSV_COLUMNS, load_manifest, main, parse_config,
                               run_batch)
 from parallelobox.errors import ConfigError
@@ -222,6 +222,89 @@ def test_batch_prepares_each_model_once_per_key(tmp_path, monkeypatch):
         want += apart[4][1 + 2 * model:3 + 2 * model]
     assert shared == want
     assert len(shared) == 9
+
+
+def test_batch_shares_baseline_rounds_across_printer_counts(tmp_path,
+                                                           monkeypatch):
+    """A [2, 4] batch writes the rows, runlog records and part files of
+    separate one-count batches, and its baseline plane-searches and cuts
+    only as often as the 4-printer batch alone."""
+    models = []
+    for mesh in (dumbbell(), l_bracket()):
+        models.append(tmp_path / f"{mesh.name}.stl")
+        save_stl(mesh, models[-1])
+    plan = RunPlan(granularity="coarse", sample_tries=1)
+    calls = []
+    in_baseline = []
+    baseline = cli.recursive_symmetry_baseline
+
+    def traced_baseline(*args, **kwargs):
+        in_baseline.append(True)
+        try:
+            return baseline(*args, **kwargs)
+        finally:
+            in_baseline.pop()
+
+    monkeypatch.setattr(cli, "recursive_symmetry_baseline", traced_baseline)
+    for name in ("find_best_symmetry_plane", "cut_by_plane"):
+        fn = getattr(meta, name)
+        monkeypatch.setattr(meta, name, lambda *args, _fn=fn, _name=name: (
+            calls.append(_name) if in_baseline else None) or _fn(*args))
+
+    def outputs(printer_counts):
+        out = tmp_path / "-".join(map(str, printer_counts))
+        calls.clear()
+        run_batch(models, printer_counts, plan, PrinterProfile(),
+                  ["parallelobox", "symmetry"], out)
+        rows = [r[:7] + r[8:] for r in _read_csv(out / "results.csv")[1:]]
+        records = []
+        for line in (out / "runlog.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            del record["wall_clock_s"]
+            records.append(record)
+        parts = {str(path.relative_to(out)): path.read_bytes()
+                 for path in sorted(out.rglob("part_*.stl"))}
+        return rows, records, parts, list(calls)
+
+    rows, records, parts, shared_calls = outputs([2, 4])
+    apart = {printers: outputs([printers]) for printers in (2, 4)}
+    for model in ("dumbbell", "l_bracket"):
+        for printers in (2, 4):
+            want_rows, want_records, want_parts, _ = apart[printers]
+            assert ([r for r in rows if r[0] == model and r[2] == str(printers)]
+                    == [r for r in want_rows if r[0] == model])
+            assert ([r for r in records
+                     if r["model"] == model and r["printers"] == printers]
+                    == [r for r in want_records if r["model"] == model])
+    want_parts = {**apart[2][2], **apart[4][2]}
+    assert parts == want_parts
+    assert {path.split("/")[2] for path in parts} == {"parallelobox", "symmetry"}
+    assert shared_calls == apart[4][3]
+    assert shared_calls.count("cut_by_plane") > 0
+    assert len(shared_calls) < len(apart[2][3]) + len(apart[4][3])
+
+
+def test_invalid_rerun_clears_stale_part_files(tmp_path):
+    """A run that exports nothing removes the part files an earlier run
+    left in the same directories."""
+    model = tmp_path / "l_bracket.stl"
+    save_stl(l_bracket(), model)
+    out = tmp_path / "out"
+    assert main(_decompose_args(model, out, ["--baseline", "both"])) == 0
+    for algorithm in ("parallelobox", "symmetry"):
+        assert list((out / "l_bracket" / "2" / algorithm).glob("part_*.stl"))
+    # The search finds no split into two 40 mm parts, and the baseline's
+    # parts fit only after two halvings, so it returns 4 parts for 2.
+    small = _write(tmp_path / "small.ini",
+                   "[printer]\nvolume_x = 40\nvolume_y = 40\nvolume_z = 40\n")
+    assert main(_decompose_args(model, out, ["--baseline", "both",
+                                             "--config", str(small)])) == 2
+    body = _read_csv(out / "results.csv")[1:]
+    assert [(r[1], r[8]) for r in body] == [("parallelobox", "false"),
+                                            ("symmetry", "false")]
+    assert body[1][3] == "4"
+    for algorithm in ("parallelobox", "symmetry"):
+        assert not list((out / "l_bracket" / "2" / algorithm).glob("part_*.stl"))
 
 
 def test_decompose_is_deterministic(tmp_path):

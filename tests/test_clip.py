@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
+from parallelobox import clip
 from parallelobox.clip import (PLANE_EPS, clip_halfspace, clip_surface_to_box,
                                clip_to_box, cut_by_plane, point_in_mesh,
                                points_in_mesh)
-from parallelobox.fixtures import (box_mesh, dumbbell, hollow_box, icosphere,
-                                   l_bracket, unit_cube)
+from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
+                                   hollow_box, icosphere, l_bracket, unit_cube)
 from parallelobox.grid import _triangle_cell_bins, build_grid, measure_cells
-from parallelobox.mesh import (Aabb, TriangleMesh, aabb_of, measure,
+from parallelobox.mesh import (Aabb, TriangleMesh, aabb_of, compact, measure,
                               validate_watertight)
 
 
@@ -65,7 +66,7 @@ def test_clip_to_box_unit_cube_analytic():
         lo = rng.uniform(-0.5, 1.0, size=3)
         hi = lo + rng.uniform(0.05, 1.2, size=3)
         box = Aabb(lo, hi)
-        clipped = clip_to_box(cube, box).mesh
+        clipped = clip_to_box(cube, box)
         got = measure(clipped).volume if not clipped.is_empty else 0.0
         want = float(np.prod(np.clip(np.minimum(hi, 1.0) - np.maximum(lo, 0.0), 0.0, None)))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -95,8 +96,8 @@ def test_adjacent_boxes_partition_volume_and_surface():
         right_lo[axis] = plane
         left = Aabb(bb.min - 1.0, left_hi)
         right = Aabb(right_lo, bb.max + 1.0)
-        va = measure(clip_to_box(mesh, left).mesh).volume
-        vb = measure(clip_to_box(mesh, right).mesh).volume
+        va = measure(clip_to_box(mesh, left)).volume
+        vb = measure(clip_to_box(mesh, right)).volume
         assert va + vb == pytest.approx(measure(mesh).volume, rel=1e-9)
 
         # surface-only clips of the same two boxes partition the total area,
@@ -231,7 +232,7 @@ def test_grid_cell_volumes_match_per_cell_clips(make_mesh):
     for _ in range(12):
         i, j, k = rng.integers(0, nx), rng.integers(0, ny), rng.integers(0, nz)
         box = grid.cell_box(int(i), int(j), int(k))
-        part = clip_to_box(mesh, box).mesh
+        part = clip_to_box(mesh, box)
         want = measure(part).volume if not part.is_empty else 0.0
         assert vols[i, j, k] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -260,9 +261,9 @@ def test_point_containment_sphere_radial():
 def test_clip_empty_and_disjoint():
     cube = unit_cube()
     far = Aabb((10.0, 10.0, 10.0), (11.0, 11.0, 11.0))
-    assert clip_to_box(cube, far).mesh.is_empty
+    assert clip_to_box(cube, far).is_empty
     whole = Aabb((-1.0, -1.0, -1.0), (2.0, 2.0, 2.0))
-    again = clip_to_box(cube, whole).mesh
+    again = clip_to_box(cube, whole)
     assert measure(again).volume == pytest.approx(1.0, rel=1e-12)
 
 
@@ -286,3 +287,347 @@ def test_random_plane_cut_area_conservation_open_shell():
         a = clip_halfspace(mesh, -n, -off, keep_coplanar=False, cap=False)
         b = clip_halfspace(mesh, n, off, keep_coplanar=True, cap=False)
         assert area(a) + area(b) == pytest.approx(total, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the array-built half-space clip against the loop kernel it replaced
+
+def _reference_clip_halfspace(mesh, normal, offset, *, keep_coplanar=True,
+                              cap=True):
+    """clip_halfspace one crossing triangle and one cut edge at a time."""
+    if mesh.is_empty:
+        return TriangleMesh.empty(mesh.name)
+    n = np.asarray(normal, dtype=np.float64).reshape(3)
+    d = mesh.vertices @ n - float(offset)
+    d[np.abs(d) <= PLANE_EPS] = 0.0
+    tri_d = d[mesh.triangles]
+    below = tri_d <= 0.0
+    keep_full = below.all(axis=1)
+    coplanar = (tri_d == 0.0).all(axis=1)
+    if not keep_coplanar:
+        keep_full &= ~coplanar
+    drop_full = (tri_d > 0.0).all(axis=1)
+    crossing = np.nonzero(~below.all(axis=1) & ~drop_full)[0]
+    if not crossing.size and not keep_full.any():
+        return TriangleMesh.empty(mesh.name)
+    if not crossing.size and keep_full.all() and (keep_coplanar or not coplanar.any()):
+        return mesh.copy()
+
+    verts = mesh.vertices
+    new_points, edge_cut = [], {}
+
+    def cut_point(a, b):
+        key = (a, b) if a < b else (b, a)
+        idx = edge_cut.get(key)
+        if idx is None:
+            pa, pb = verts[key[0]], verts[key[1]]
+            t = d[key[0]] / (d[key[0]] - d[key[1]])
+            idx = len(verts) + len(new_points)
+            new_points.append(pa + t * (pb - pa))
+            edge_cut[key] = idx
+        return idx
+
+    out_tris = [tuple(tri) for tri in mesh.triangles[keep_full]]
+    for ti in crossing:
+        ia, ib, ic = (int(x) for x in mesh.triangles[ti])
+        poly, prev = [], ic
+        for cur in (ia, ib, ic):
+            dp, dc = d[prev], d[cur]
+            if dc <= 0.0:
+                if dp > 0.0 and dc < 0.0:
+                    poly.append(cut_point(prev, cur))
+                poly.append(cur)
+            elif dp < 0.0:
+                poly.append(cut_point(prev, cur))
+            prev = cur
+        for k in range(1, len(poly) - 1):
+            out_tris.append((poly[0], poly[k], poly[k + 1]))
+    if not out_tris:
+        return TriangleMesh.empty(mesh.name)
+    all_verts = verts if not new_points else np.vstack([verts, np.asarray(new_points)])
+    tris = np.asarray(out_tris, dtype=np.int32)
+    if cap:
+        boundary = _reference_boundary_edges(tris)
+        if boundary:
+            u, v = clip._plane_basis(n)
+            uv = np.column_stack([all_verts @ u, all_verts @ v])
+            loops = clip._assemble_loops([(b, a) for a, b in boundary], uv)
+            caps = _reference_triangulate_region(uv, loops)
+            if caps:
+                tris = np.vstack([tris, np.asarray(caps, dtype=np.int32)])
+    return compact(TriangleMesh(all_verts, tris, mesh.name))
+
+
+def _reference_boundary_edges(tris):
+    t = np.asarray(tris, dtype=np.int64)
+    ab = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    base = int(ab.max()) + 1
+    keys, counts = np.unique(ab[:, 0] * base + ab[:, 1], return_counts=True)
+    rev = (keys % base) * base + keys // base
+    pos = np.clip(np.searchsorted(keys, rev), 0, len(keys) - 1)
+    rev_counts = np.where(keys[pos] == rev, counts[pos], 0)
+    out = []
+    for key, excess in zip(keys, counts - rev_counts):
+        if excess > 0:
+            out.extend([(int(key // base), int(key % base))] * int(excess))
+    return out
+
+
+def _reference_triangulate_region(uv, loops):
+    """clip._triangulate_region with the per-edge bridge test."""
+    if not loops:
+        return []
+    scale = max(float((uv[ring].max(axis=0) - uv[ring].min(axis=0)).max())
+                for ring in loops)
+    eps_area = 1e-12 * scale * scale + 1e-300
+    outers = [r for r in loops if clip._signed_area(uv, r) >= 0.0]
+    holes = [r for r in loops if clip._signed_area(uv, r) < 0.0]
+    if not outers:
+        return []
+    grouped = {i: [] for i in range(len(outers))}
+    for hole in holes:
+        candidates = [(abs(clip._signed_area(uv, outer)), i)
+                      for i, outer in enumerate(outers)
+                      if clip._point_in_ring(uv, outer, uv[hole[0]])]
+        if candidates:
+            grouped[min(candidates)[1]].append(hole)
+    tris = []
+    for i, outer in enumerate(outers):
+        ring = list(outer)
+        for hole in sorted(grouped[i], key=lambda h: -float(uv[h][:, 0].max())):
+            ring = _reference_splice_hole(uv, ring, hole, eps_area)
+        tris.extend(_reference_ear_clip(uv, ring, eps_area))
+    return tris
+
+
+def _reference_ear_clip(uv, ring, eps_area):
+    """clip._ear_clip testing one candidate ear at a time."""
+    ring = list(ring)
+    tris = []
+    while len(ring) > 3:
+        n = len(ring)
+        pts = uv[ring]
+        prv = np.concatenate([pts[-1:], pts[:-1]])
+        nxt = np.concatenate([pts[1:], pts[:1]])
+        cr = ((pts[:, 0] - prv[:, 0]) * (nxt[:, 1] - pts[:, 1])
+              - (pts[:, 1] - prv[:, 1]) * (nxt[:, 0] - pts[:, 0]))
+        locked = np.zeros(n, dtype=bool)
+        removed = []
+        for k in np.nonzero(cr > eps_area)[0]:
+            if len(removed) >= n - 3:
+                break
+            k = int(k)
+            if locked[k - 1] or locked[k] or locked[(k + 1) % n]:
+                continue
+            a, b, c = pts[(k - 1) % n], pts[k], pts[(k + 1) % n]
+            s1 = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+            s2 = (c[0] - b[0]) * (pts[:, 1] - b[1]) - (c[1] - b[1]) * (pts[:, 0] - b[0])
+            s3 = (a[0] - c[0]) * (pts[:, 1] - c[1]) - (a[1] - c[1]) * (pts[:, 0] - c[0])
+            inside = (s1 > eps_area) & (s2 > eps_area) & (s3 > eps_area)
+            inside[[(k - 1) % n, k, (k + 1) % n]] = False
+            if inside.any():
+                continue
+            tris.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
+            locked[[k - 1, k, (k + 1) % n]] = True
+            removed.append(k)
+        if removed:
+            for k in sorted(removed, reverse=True):
+                del ring[k]
+            continue
+        k = int(cr.argmax())
+        tris.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
+        del ring[k]
+    tris.append((ring[0], ring[1], ring[2]))
+    return tris
+
+
+def _reference_splice_hole(uv, outer, hole, eps_area):
+    hj = max(range(len(hole)), key=lambda k: (uv[hole[k]][0], -k))
+    m_pt = uv[hole[hj]]
+    eps = max(np.sqrt(eps_area), 1e-12)
+    order = sorted(range(len(outer)),
+                   key=lambda k: (float(np.hypot(*(uv[outer[k]] - m_pt))), k))
+    edges = [(r[i], r[(i + 1) % len(r)]) for r in (outer, hole)
+             for i in range(len(r))]
+    for pi in order:
+        p_pt = uv[outer[pi]]
+        if np.hypot(*(p_pt - m_pt)) < eps or all(
+                not _segment_blocked(m_pt, p_pt, uv[sa], uv[sb], eps)
+                for sa, sb in edges):
+            return clip._splice_at(outer, pi, hole, hj)
+    return outer
+
+
+def _orient2(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _segment_blocked(m, p, a, b, eps):
+    """Does edge ab meet the bridge m-p anywhere other than at m or p?"""
+    def touches(r, q):
+        return abs(r[0] - q[0]) <= eps and abs(r[1] - q[1]) <= eps
+
+    def on_segment(s, q, r):
+        return (min(s[0], q[0]) - eps <= r[0] <= max(s[0], q[0]) + eps
+                and min(s[1], q[1]) - eps <= r[1] <= max(s[1], q[1]) + eps)
+
+    span = max(np.hypot(*(np.asarray(p) - m)), np.hypot(*(np.asarray(b) - a)), eps)
+    eps_o = eps * span
+    o1, o2 = _orient2(m, p, a), _orient2(m, p, b)
+    o3, o4 = _orient2(a, b, m), _orient2(a, b, p)
+    if ((o1 > eps_o and o2 < -eps_o) or (o1 < -eps_o and o2 > eps_o)) and \
+       ((o3 > eps_o and o4 < -eps_o) or (o3 < -eps_o and o4 > eps_o)):
+        return True
+    for r in (a, b):
+        if not (touches(r, m) or touches(r, p)) and \
+                abs(_orient2(m, p, r)) <= eps_o and on_segment(m, p, r):
+            return True
+    for r in (m, p):
+        if not (touches(r, a) or touches(r, b)) and \
+                abs(_orient2(a, b, r)) <= eps_o and on_segment(a, b, r):
+            return True
+    return False
+
+
+def _reference_clip_to_box(mesh, box):
+    """clip_to_box deciding "no surface in the box" by a full weld."""
+    pieces, _ = clip_surface_to_box(mesh, box)
+    verts = pieces.reshape(-1, 3)
+    count = 0
+    if len(verts):
+        keys = np.round(verts / PLANE_EPS).astype(np.int64)
+        _, inverse = np.unique(keys, axis=0, return_inverse=True)
+        t = inverse.reshape(-1, 3)
+        keep = (t[:, 0] != t[:, 1]) & (t[:, 1] != t[:, 2]) & (t[:, 2] != t[:, 0])
+        count = len(np.unique(t[keep]))
+    if count == 0:
+        if point_in_mesh(mesh, box.center):
+            return box_mesh(box.extent, box.min, mesh.name)
+        return TriangleMesh.empty(mesh.name)
+    current = mesh
+    for axis in range(3):
+        for sign, bound, keep in ((1.0, box.max[axis], True),
+                                  (-1.0, box.min[axis], False)):
+            if current.is_empty:
+                break
+            current = _reference_clip_halfspace(
+                current, sign * np.eye(3)[axis], sign * bound, keep_coplanar=keep)
+    return current
+
+
+def _same_mesh(got, want):
+    return (got.vertices.dtype == want.vertices.dtype
+            and got.triangles.dtype == want.triangles.dtype
+            and got.vertices.shape == want.vertices.shape
+            and got.triangles.shape == want.triangles.shape
+            and got.vertices.tobytes() == want.vertices.tobytes()
+            and got.triangles.tobytes() == want.triangles.tobytes()
+            and got.name == want.name)
+
+
+_FIXTURES = [unit_cube, lambda: icosphere(radius=6.0, subdivisions=2), dumbbell,
+             l_bracket, hollow_box, asymmetric_blob]
+_FIXTURE_IDS = ["cube", "icosphere", "dumbbell", "l_bracket", "hollow_box", "blob"]
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
+def test_halfspace_clip_matches_loop_kernel(make_mesh):
+    """Axis planes at grid coordinates (through faces of the voxel models)
+    and random oblique planes, both coplanar rules, with and without caps."""
+    mesh = make_mesh()
+    grid = build_grid(mesh, "fine")
+    rng = np.random.default_rng(61)
+    planes = []
+    for axis in range(3):
+        for i in rng.choice(grid.dims[axis] + 1, size=4, replace=False):
+            for sign in (1.0, -1.0):
+                normal = sign * np.eye(3)[axis]
+                planes.append((normal, sign * (grid.origin[axis] + i * grid.cell_size)))
+    bb = aabb_of(mesh)
+    for _ in range(8):
+        normal = _random_unit(rng)
+        point = bb.min + rng.uniform(0.1, 0.9, size=3) * bb.extent
+        planes.append((normal, float(point @ normal)))
+    for normal, offset in planes:
+        for keep_coplanar in (True, False):
+            for cap in (True, False):
+                options = dict(keep_coplanar=keep_coplanar, cap=cap)
+                got = clip_halfspace(mesh, normal, offset, **options)
+                want = _reference_clip_halfspace(mesh, normal, offset, **options)
+                assert _same_mesh(got, want), (normal, offset, options)
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
+def test_clip_to_box_matches_loop_kernel(make_mesh):
+    mesh = make_mesh()
+    grid = build_grid(mesh, "fine")
+    rng = np.random.default_rng(67)
+    dims = np.array(grid.dims)
+    for _ in range(10):
+        a, b = rng.integers(0, dims), rng.integers(0, dims)
+        box = grid.box_of_range(np.minimum(a, b), np.maximum(a, b))
+        assert _same_mesh(clip_to_box(mesh, box), _reference_clip_to_box(mesh, box))
+
+
+def test_cap_through_a_cavity_bridges_its_hole(monkeypatch):
+    """A cut through hollow_box's cavity caps a ring with a hole, which the
+    bridge test must join to its outer ring."""
+    mesh = hollow_box()
+    bb = aabb_of(mesh)
+    spliced = []
+    splice = clip._splice_hole
+    monkeypatch.setattr(clip, "_splice_hole",
+                        lambda *args: spliced.append(1) or splice(*args))
+    for axis in range(3):
+        offset = float(bb.min[axis] + 0.5 * bb.extent[axis])
+        for sign in (1.0, -1.0):
+            normal = sign * np.eye(3)[axis]
+            got = clip_halfspace(mesh, normal, sign * offset)
+            want = _reference_clip_halfspace(mesh, normal, sign * offset)
+            assert _same_mesh(got, want)
+            assert validate_watertight(got).is_watertight
+    assert len(spliced) == 6
+
+
+def test_touching_boxes_match_the_weld():
+    """Boxes the surface only touches: on a face the box owns, along an
+    edge, at a corner, and a needle tip whose pieces all collapse below
+    PLANE_EPS.  The check agrees with a full weld on each."""
+    cube = unit_cube()
+    boxes = [Aabb((-1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),   # owns the x = 0 face
+             Aabb((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)),    # min face on x = 1
+             Aabb((1.0, 1.0, 0.0), (2.0, 2.0, 1.0)),    # along an edge
+             Aabb((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))]    # at a corner
+    for box in boxes:
+        assert _same_mesh(clip_to_box(cube, box), _reference_clip_to_box(cube, box))
+    # A tetrahedron whose tip pokes 1.5e-9 into the box: the pieces are
+    # slivers about 1.5e-10 wide, distinct points that weld together.
+    tip = TriangleMesh(np.array([[0.0, 0.0, 0.0], [10.0, -1.0, -1.0],
+                                 [10.0, 1.0, -1.0], [10.0, 0.0, 1.0]]),
+                       np.array([[0, 2, 1], [0, 3, 2], [0, 1, 3], [1, 2, 3]],
+                                dtype=np.int32))
+    assert validate_watertight(tip).is_watertight
+    box = Aabb((-1.0, -1.0, -1.0), (1.5e-9, 1.0, 1.0))
+    pieces, _ = clip_surface_to_box(tip, box)
+    assert len(pieces) == 3
+    assert clip_to_box(tip, box).is_empty
+    assert _same_mesh(clip_to_box(tip, box), _reference_clip_to_box(tip, box))
+
+
+def test_bridge_test_matches_per_edge_test():
+    """Bridges against ring edges on a coarse lattice, where collinear
+    overlaps, shared endpoints and endpoints resting on the other segment
+    are common, plus jittered copies within and beyond the tolerance."""
+    rng = np.random.default_rng(73)
+    eps = 1e-6
+    for trial in range(300):
+        m, p = rng.integers(0, 5, size=(2, 2)).astype(float)
+        a = rng.integers(0, 5, size=(40, 2)).astype(float)
+        b = rng.integers(0, 5, size=(40, 2)).astype(float)
+        if trial % 3:
+            scale = eps * (0.5 if trial % 3 == 1 else 3.0)
+            a += rng.uniform(-scale, scale, size=a.shape)
+            p = p + rng.uniform(-scale, scale, size=2)
+        got = clip._bridge_blocked(m, p, a, b, eps)
+        want = [_segment_blocked(m, p, ai, bi, eps) for ai, bi in zip(a, b)]
+        assert got.tolist() == want, trial

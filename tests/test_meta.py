@@ -203,7 +203,7 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
                     for r, (lo, hi) in enumerate(regions)])
         for lo, hi, source, suffix in boxes:
             box = grid.box_of_range(lo, hi)
-            clipped = clip_to_box(piece.mesh, box).mesh
+            clipped = clip_to_box(piece.mesh, box)
             if clipped.is_empty:
                 continue
             clipped.name = piece.mesh.name + suffix
@@ -357,7 +357,7 @@ def test_box_tables_match_clipped_meshes(granularity):
                 a, b = rng.integers(0, dims), rng.integers(0, dims)
                 lo, hi = np.minimum(a, b), np.maximum(a, b)
                 box = piece.grid.box_of_range(lo, hi)
-                clipped = clip_to_box(piece.mesh, box).mesh
+                clipped = clip_to_box(piece.mesh, box)
                 exact = measure(clipped)
                 volume, area = piece.measures.box(lo, hi)
                 case = (make.__name__, lo, hi)
@@ -372,22 +372,29 @@ def test_box_tables_match_clipped_meshes(granularity):
 
 def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
     """A cell wider than the printer may hold a part that fits: the tables
-    cannot judge such an iteration, so it is clipped, once."""
+    cannot judge such an iteration, so it is clipped, once, and each
+    distinct box of the search is clipped to a mesh once."""
     rod = box_mesh(size=(8.0, 0.5, 0.5), name="rod")
     plan = RunPlan(printers_available=8, granularity="coarse", sample_tries=2,
                    skip_symmetry_cut=True)
     # Cells are 1.001 mm cubes; the part in a cell is at most 0.5 mm thick.
     profile = PrinterProfile(volume_x=0.6)
-    calls = []
-    clip = meta.clip_to_box
-    monkeypatch.setattr(meta, "clip_to_box",
-                        lambda *args: calls.append(args) or clip(*args))
+    iterations, boxes = [], []
+    clip_parts, clip_to_box = meta.clip_parts, meta.clip_to_box
+    monkeypatch.setattr(meta, "clip_parts", lambda *args: iterations.append(
+        args[3]) or clip_parts(*args))
+    monkeypatch.setattr(meta, "clip_to_box", lambda mesh, box: boxes.append(
+        (id(mesh), tuple(box.min), tuple(box.max))) or clip_to_box(mesh, box))
     records = []
     got = run_metaheuristic(rod, plan, profile, records)
     want, reference = _reference_search(prepare_model(rod, plan, PROFILE),
                                         plan, profile)
     assert got.valid and all(r.valid and r.clipped for r in records)
-    assert len(calls) == sum(r.parts for r in records)
+    assert sorted(r.seed for r in iterations) == sorted(r.seed for r in records)
+    distinct = {(p.piece, p.cell_lo, p.cell_hi)
+                for r in iterations for p in r.parts}
+    assert len(boxes) == len(set(boxes)) == len(distinct)
+    assert len(boxes) < sum(r.parts for r in records)
     assert [_part_fields(p) for p in got.parts] == [_part_fields(p)
                                                     for p in want.parts]
     assert [(r.parallel_score, r.parts) for r in records] == [

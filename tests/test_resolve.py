@@ -147,7 +147,7 @@ def test_assign_mesh_boxes_clips_solid():
     grid = build_grid(mesh, "coarse")
     measure_cells(grid, mesh)
     regions = get_discrete_empty_regions(grid, 2, (250.0,) * 3)
-    parts = [clip_to_box(mesh, grid.box_of_range(lo, hi)).mesh
+    parts = [clip_to_box(mesh, grid.box_of_range(lo, hi))
              for lo, hi in regions]
     parts = [part for part in parts if not part.is_empty]
     assert parts, "a fully unowned solid grid must produce at least one part"
