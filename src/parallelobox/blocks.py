@@ -12,14 +12,16 @@ S_prox the L1 box-gap to the nearest other block in grid units.  Hard
 failures (leaving the grid, outgrowing the printer, an empty new layer, or
 bumping into owned cells) score -1 and are never applied.
 
-A search grows many independent problems on one piece, one per (seed
-count, retry) iteration.  :class:`GrowthState` holds them all, padded to
-the largest block count, and :func:`grow_blocks` steps them in lockstep:
-one numpy pass scores every option of every active problem, and each
-problem then picks its own move exactly as a serial loop over its options
-would.  Every sum is read in O(1) from the summed-volume table of
-:class:`~parallelobox.grid.CellMeasures`, whose sums are exact, so scores
-are bit-identical to a loop summing slices.  Ownership is box arithmetic:
+A search grows many independent problems, one per (seed count, retry)
+iteration and piece of the model.  :class:`GrowthState` holds them all,
+padded to the largest block count, and :func:`grow_blocks` steps them in
+lockstep: one numpy pass scores every option of every active problem, and
+each problem then picks its own move exactly as a serial loop over its
+options would.  Every sum is read in O(1) from the summed-volume table of
+its piece's :class:`~parallelobox.grid.CellMeasures`, whose sums are
+exact, so scores are bit-identical to a loop summing slices; the tables of
+all pieces are joined into one, which each problem reads from its own
+offset with its own dims and strides.  Ownership is box arithmetic:
 a block owns every solid cell of its box, so the owned cells of a layer
 are the solid cells of its overlaps with the other boxes, and each
 problem's owner grid is painted once, when its growth ends.
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBoundaryCells
-from .grid import (AREA, BOUNDARY, DIRECTIONS, OVERHANG, SOLID, VOLUME,
-                   CellClass, CellMeasures, Grid)
+from .grid import (AREA, BOUNDARY, DIRECTIONS, N_CHANNELS, OVERHANG, SOLID,
+                   VOLUME, CellClass, CellMeasures, Grid, range_sums)
 from .mesh import TriangleMesh
 
 logger = logging.getLogger(__name__)
@@ -175,19 +177,24 @@ def _layers(lo: np.ndarray, hi: np.ndarray,
 
 
 class GrowthState:
-    """n growth problems on one piece, grown in lockstep.
+    """n growth problems, grown in lockstep.
 
     Problem p grows the blocks ``blocks[p]``, whose starting boxes hold
-    disjoint solid cells, and paints ``grids[p].owner`` when its growth
-    ends; the grids share the piece's classification.  Per-block arrays are
-    (n, K, ...), K the largest block count; ``real`` marks the slots that
-    hold a block, and each block's ``lo`` and ``hi`` are views of its rows
-    in ``self.lo`` and ``self.hi``.  ``sums`` holds every channel of the
-    measures' table summed over each block's box.  Per problem, ``moves``
-    counts the moves made and ``active`` says whether it is still growing.
+    disjoint solid cells, on ``grids[p]``, scored from ``measures[p]``, and
+    paints ``grids[p].owner`` when its growth ends.  Problems on one piece
+    share its measures and classification; a model cut in two grows the
+    problems of both pieces in one state.  The summed-volume tables of the
+    distinct measures are joined into one ``table``, and problem p reads
+    its own from row ``base[p]`` on, with its own ``dims``, ``strides`` and
+    ``cell_size``.  Per-block arrays are (n, K, ...), K the largest block
+    count; ``real`` marks the slots that hold a block, and each block's
+    ``lo`` and ``hi`` are views of its rows in ``self.lo`` and ``self.hi``.
+    ``sums`` holds every channel of the measures summed over each block's
+    box.  Per problem, ``moves`` counts the moves made and ``active`` says
+    whether it is still growing.
     """
 
-    def __init__(self, grids: list[Grid], measures: CellMeasures,
+    def __init__(self, grids: list[Grid], measures: list[CellMeasures],
                  blocks: list[list[Block]], params: ObjectiveParams):
         self.grids = grids
         self.measures = measures
@@ -202,18 +209,38 @@ class GrowthState:
                 self.lo[p, i], self.hi[p, i] = b.lo, b.hi
                 b.lo, b.hi = self.lo[p, i], self.hi[p, i]
                 self.real[p, i] = True
+        distinct = list({id(m): m for m in measures}.values())
+        first_row = dict(zip(map(id, distinct), np.cumsum(
+            [0] + [len(m.table) for m in distinct]).tolist()))
+        self.table = np.concatenate([m.table for m in distinct]
+                                    or [np.zeros((0, N_CHANNELS))])
+        self.base = np.array([first_row[id(m)] for m in measures],
+                             dtype=np.int64)
+        self.dims = np.array([m.dims for m in measures],
+                             dtype=np.int64).reshape(n, 3)
+        self.strides = np.array([m.strides for m in measures],
+                                dtype=np.int64).reshape(n, 3)
+        self.cell_size = np.array([g.cell_size for g in grids], dtype=np.float64)
+        # Boundary cells of each problem's whole grid.
+        self.boundary = np.array([m.table[-1, BOUNDARY] for m in measures])
         # others[p, i, j]: slot j of problem p holds a block other than i.
         self.others = self.real[:, None, :] & ~np.eye(k, dtype=bool)
         self.sums = np.where(self.real[..., None],
-                             measures.sums(self.lo, self.hi), 0.0)
+                             self.range_sums(np.arange(n)[:, None],
+                                             self.lo, self.hi), 0.0)
         self.moves = np.zeros(n, dtype=np.int64)
         self.active = self.unassigned > 0
+
+    def range_sums(self, rows, lo, hi) -> np.ndarray:
+        """Every channel summed over the inclusive cell ranges [lo, hi]
+        (..., 3) of problems rows, which broadcast against lo[..., 0]."""
+        return range_sums(self.table, self.base[rows], self.dims[rows],
+                          self.strides[rows], lo, hi)
 
     @property
     def unassigned(self) -> np.ndarray:
         """Boundary cells no block owns, per problem."""
-        boundary = self.measures.table[-1, BOUNDARY]  # the whole grid's
-        return (boundary - self.sums[..., BOUNDARY].sum(axis=1)).astype(np.int64)
+        return (self.boundary - self.sums[..., BOUNDARY].sum(axis=1)).astype(np.int64)
 
 
 def score_growth(state: GrowthState, problems=None) -> np.ndarray:
@@ -224,17 +251,18 @@ def score_growth(state: GrowthState, problems=None) -> np.ndarray:
     directions in DIRECTIONS order; -1 encodes a hard constraint failure
     or an empty block slot.
     """
-    if problems is None:
-        problems = np.arange(len(state.blocks))
-    params, measures = state.params, state.measures
+    problems = (np.arange(len(state.blocks)) if problems is None
+                else np.asarray(problems))
+    params = state.params
     lo, hi, real = state.lo[problems], state.hi[problems], state.real[problems]
+    rows = problems[:, None, None]
     layer_lo, layer_hi = _layers(lo[:, :, None], hi[:, :, None], DIRECTIONS)
     new_lo = np.minimum(lo[:, :, None], layer_lo)
     new_hi = np.maximum(hi[:, :, None], layer_hi)
     extent = new_hi - new_lo + 1
-    layer = measures.sums(layer_lo, layer_hi)  # zero beyond the grid edge
+    layer = state.range_sums(rows, layer_lo, layer_hi)  # 0 beyond the grid
     allowed = (real[:, :, None] & (layer[..., SOLID] > 0)
-               & fits_printer(extent * state.grids[0].cell_size,
+               & fits_printer(extent * state.cell_size[rows][..., None],
                               params.printer_dims))
     # A block owns every solid cell of its box, so the owned cells of a
     # layer are the solid cells of its overlaps with the other boxes; only
@@ -244,8 +272,9 @@ def score_growth(state: GrowthState, problems=None) -> np.ndarray:
     meets = ((overlap_lo <= overlap_hi).all(axis=-1) & allowed[..., None]
              & real[:, None, None])
     owned = np.zeros(meets.shape, dtype=bool)
-    owned[meets] = measures.sums(overlap_lo[meets],
-                                 overlap_hi[meets])[:, SOLID] > 0
+    owned[meets] = state.range_sums(problems[np.nonzero(meets)[0]],
+                                    overlap_lo[meets],
+                                    overlap_hi[meets])[:, SOLID] > 0
     allowed &= ~owned.any(axis=-1)
 
     grown = state.sums[problems][:, :, None] + layer
@@ -273,7 +302,7 @@ def _apply(state: GrowthState, rows: np.ndarray, index: np.ndarray,
     direction[m]; the layers hold no owned cell."""
     lo, hi = state.lo[rows, index], state.hi[rows, index]
     layer_lo, layer_hi = _layers(lo, hi, DIRECTIONS[direction])
-    state.sums[rows, index] += state.measures.sums(layer_lo, layer_hi)
+    state.sums[rows, index] += state.range_sums(rows, layer_lo, layer_hi)
     state.lo[rows, index] = np.minimum(lo, layer_lo)
     state.hi[rows, index] = np.maximum(hi, layer_hi)
     state.moves[rows] += 1

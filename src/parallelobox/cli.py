@@ -12,6 +12,10 @@ Every run appends to ``results.csv``, dumps per-model series into
 ``runlog.jsonl``, and exports the winning parts as binary STL files under
 ``out/<model>/<printers>/<algorithm>/part_###.stl``.  The process exits 0
 when at least one run produced a valid decomposition and 2 otherwise.
+
+A batch does each model's shared work once (:class:`ModelCache`): one
+mirror-plane search, one preparation and one growth pass per preparation
+key across its printer counts, and one set of baseline halving rounds.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .mesh import TriangleMesh, clean_mesh, load_mesh, save_stl
 from .meta import (BaselineRounds, Decomposition, PreparedModel,
                    PrinterProfile, RunPlan, RunRecord,
                    recursive_symmetry_baseline, run_metaheuristic)
-from .preprocess import SYMMETRY_THRESHOLD
+from .preprocess import SYMMETRY_THRESHOLD, SymmetryPlane
 
 logger = logging.getLogger(__name__)
 
@@ -134,18 +138,58 @@ def _log_record(report: BatchReport, model: str, printers: int,
     report.log_lines.append(line)
 
 
-def run_model(mesh: TriangleMesh, model_name: str, printers: int,
-              plan: RunPlan, profile: PrinterProfile, algorithms: list[str],
-              out_dir: Path, report: BatchReport,
-              prepared: dict[tuple, PreparedModel | BaselineRounds]) -> None:
+@dataclass
+class ModelCache:
+    """One model's work, shared by the printer counts of a batch.
+
+    ``prepared`` holds the model's prepared forms by
+    :func:`~parallelobox.meta.preparation_key`, and ``grown`` its grown
+    search runs by the same key: the first search of a key grows the runs
+    of the largest of ``printer_counts`` with that key, which include the
+    runs of every smaller count.  ``rounds`` holds the baseline's halving
+    rounds by :func:`~parallelobox.meta.baseline_key`.  ``plane`` is the
+    model's best mirror plane, which preparation and the baseline's first
+    round both start from.
+    """
+
+    mesh: TriangleMesh
+    printer_counts: list[int]
+    plane: SymmetryPlane | None = None
+    prepared: dict[tuple, PreparedModel] = field(default_factory=dict)
+    grown: dict[tuple, dict] = field(default_factory=dict)
+    rounds: dict[tuple, BaselineRounds] = field(default_factory=dict)
+
+    def mirror_plane(self) -> SymmetryPlane:
+        if self.plane is None:
+            self.plane = meta.find_best_symmetry_plane(self.mesh)
+        return self.plane
+
+    def search_inputs(self, plan: RunPlan,
+                      profile: PrinterProfile) -> tuple[PreparedModel, dict]:
+        """The prepared model and grown runs of plan's search."""
+        key = meta.preparation_key(plan)
+        if key not in self.prepared:
+            self.prepared[key] = meta.prepare_model(self.mesh, plan, profile,
+                                                    self.mirror_plane())
+            self.grown[key] = {}
+            largest = max(n for n in self.printer_counts if meta.preparation_key(
+                replace(plan, printers_available=n)) == key)
+            meta.grow_missing_runs(self.prepared[key],
+                                   replace(plan, printers_available=largest),
+                                   profile, self.grown[key])
+        return self.prepared[key], self.grown[key]
+
+
+def run_model(model_name: str, printers: int, plan: RunPlan,
+              profile: PrinterProfile, algorithms: list[str], out_dir: Path,
+              report: BatchReport, cache: ModelCache) -> None:
     """Run the requested algorithms for one (model, printer count) pair.
 
-    ``prepared`` caches, across printer counts, the model's prepared forms
-    by :func:`~parallelobox.meta.preparation_key` and its baseline rounds
-    by :func:`~parallelobox.meta.baseline_key`.  Part files left in an
-    algorithm's directory by an earlier run are removed when this run
-    exports none.
+    ``cache`` carries the model's mesh and the work its printer counts
+    share.  Part files left in an algorithm's directory by an earlier run
+    are removed when this run exports none.
     """
+    mesh = cache.mesh
     plan = replace(plan, printers_available=printers)
     for algorithm in algorithms:
         tick = time.perf_counter()
@@ -153,16 +197,15 @@ def run_model(mesh: TriangleMesh, model_name: str, printers: int,
         records: list[RunRecord] = []
         try:
             if algorithm == "parallelobox":
-                key = meta.preparation_key(plan)
-                if key not in prepared:
-                    prepared[key] = meta.prepare_model(mesh, plan, profile)
+                prepared, grown = cache.search_inputs(plan, profile)
                 result = run_metaheuristic(mesh, plan, profile, records,
-                                           prepared=prepared[key])
+                                           prepared=prepared, grown=grown)
             else:
-                rounds = prepared.setdefault(meta.baseline_key(plan),
-                                             BaselineRounds())
+                key = meta.baseline_key(plan)
+                if key not in cache.rounds:
+                    cache.rounds[key] = BaselineRounds(cache.mirror_plane())
                 result = recursive_symmetry_baseline(mesh, plan, profile,
-                                                     rounds=rounds)
+                                                     rounds=cache.rounds[key])
         except ParalleloboxError as exc:
             logger.error("%s x%d (%s): %s", model_name, printers,
                          algorithm, exc)
@@ -244,9 +287,10 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
               out_dir: Path) -> BatchReport:
     """Run every (model, printer count) pair and write the report files.
 
-    Each model is prepared once per preparation key, so printer counts of
-    two or more share one prepared model, and every printer count shares
-    the baseline's halving rounds.
+    Each model is prepared and its search runs grown once per preparation
+    key, so printer counts of two or more share one prepared model and one
+    growth pass; every printer count shares the model's mirror plane and
+    the baseline's halving rounds (see :class:`ModelCache`).
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     report = BatchReport()
@@ -263,10 +307,10 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
                         parts=0, parallel_time_s=None, aggregate_time_s=None,
                         parallel_score=None, compute_time_s=0.0, valid=False))
             continue
-        prepared: dict[tuple, PreparedModel | BaselineRounds] = {}
+        cache = ModelCache(mesh, list(printer_counts))
         for printers in printer_counts:
-            run_model(mesh, name, printers, plan, profile, algorithms,
-                      out_dir, report, prepared)
+            run_model(name, printers, plan, profile, algorithms, out_dir,
+                      report, cache)
     write_results_csv(report, out_dir / "results.csv")
     write_plotdata(report, out_dir / "plotdata.json")
     write_runlog(report, out_dir / "runlog.jsonl")

@@ -177,6 +177,32 @@ def quantize(values: np.ndarray) -> np.ndarray:
     return np.ldexp(np.rint(np.ldexp(values, -exponent)), exponent)
 
 
+def table_strides(dims) -> np.ndarray:
+    """Row strides along x, y and z of the flat summed-volume table of a
+    grid with these dims (the table has one more entry along each axis)."""
+    return np.array([(dims[1] + 1) * (dims[2] + 1), dims[2] + 1, 1])
+
+
+def range_sums(table: np.ndarray, base, dims, strides, lo, hi) -> np.ndarray:
+    """Every channel of flat summed-volume tables summed over the inclusive
+    cell ranges [lo, hi].
+
+    table may hold the tables of several grids one after another: a range
+    reads the table that starts at row base, of a grid with the given dims
+    and strides (:func:`table_strides`).  lo and hi are (..., 3), dims and
+    strides broadcast against them and base against their leading shape;
+    the result is (..., N_CHANNELS).  Ranges are clipped to their grid, and
+    an empty range sums to zero.
+    """
+    start = np.minimum(np.maximum(lo, 0), dims)
+    end = np.maximum(np.minimum(np.asarray(hi) + 1, dims), start)
+    # Corner c takes the end on the axes where it has a 1, the start on
+    # the others.
+    first = base + (start * strides).sum(axis=-1)
+    corners = first[..., None] + ((end - start) * strides) @ _CORNERS.T
+    return _CORNER_SIGNS @ table[corners]
+
+
 @dataclass
 class CellMeasures:
     """Per-cell quantities the growth objective consumes.
@@ -194,6 +220,8 @@ class CellMeasures:
     classification: np.ndarray  # CellClass per cell
     approximate_volume: bool  # True when a parity fallback estimated volumes
     table: np.ndarray = field(init=False, repr=False)  # ((nx+1)(ny+1)(nz+1), 13)
+    dims: np.ndarray = field(init=False, repr=False)     # (nx, ny, nz)
+    strides: np.ndarray = field(init=False, repr=False)  # of table, in rows
 
     def __post_init__(self) -> None:
         self.volume = quantize(self.volume)
@@ -209,12 +237,8 @@ class CellMeasures:
         table = np.zeros(tuple(n + 1 for n in shape) + (N_CHANNELS,))
         table[1:, 1:, 1:] = np.moveaxis(channels, 0, -1).cumsum(0).cumsum(1).cumsum(2)
         self.table = table.reshape(-1, N_CHANNELS)
-        self._dims = np.array(shape)
-        # (start, end) of a range along x, y, z -> the flat table index of
-        # each corner: corner c takes the end on the axes where it has a 1.
-        strides = np.array([(shape[1] + 1) * (shape[2] + 1), shape[2] + 1, 1])
-        self._corner_index = np.concatenate([strides * (1 - _CORNERS),
-                                             strides * _CORNERS], axis=1).T
+        self.dims = np.array(shape)
+        self.strides = table_strides(shape)
 
     def sums(self, lo, hi) -> np.ndarray:
         """Every channel summed over the inclusive cell ranges [lo, hi].
@@ -222,10 +246,7 @@ class CellMeasures:
         lo and hi are (..., 3); the result is (..., N_CHANNELS).  Ranges are
         clipped to the grid, and an empty range sums to zero.
         """
-        start = np.minimum(np.maximum(lo, 0), self._dims)
-        end = np.maximum(np.minimum(np.asarray(hi) + 1, self._dims), start)
-        corners = np.concatenate([start, end], axis=-1) @ self._corner_index
-        return _CORNER_SIGNS @ self.table[corners]
+        return range_sums(self.table, 0, self.dims, self.strides, lo, hi)
 
     def box(self, lo, hi) -> tuple[float, float]:
         """Solid volume and capped surface area of cells lo..hi inclusive.

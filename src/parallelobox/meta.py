@@ -14,10 +14,14 @@ each ``p`` with ``sample_tries`` different RNG seeds
 printers for patching uncovered voids, so late iterations trade
 parallelism for robustness.  The best valid iteration wins: smallest
 parallel print score, then fewest printers used, then smallest aggregate
-time.  Every iteration is seeded up front, and all iterations of a piece
-grow together in one lockstep :func:`~parallelobox.blocks.grow_blocks`
+time.  Every iteration is seeded up front, and all iterations of every
+piece grow together in one lockstep :func:`~parallelobox.blocks.grow_blocks`
 call (:func:`grow_runs`); :func:`run_decomposition` then fills the voids
-of one grown iteration and scores it.
+of one grown iteration and scores it.  An iteration's seeds and growth do
+not depend on the printer count, so a search takes its grown runs from a
+map that a batch shares across printer counts (:func:`grow_missing_runs`):
+the runs of the largest count include those of every smaller one, and
+each is grown once.
 
 Every part score is a sum over grid cells plus the caps on the box faces,
 so an iteration is scored from the per-cell tables of
@@ -197,10 +201,14 @@ class PreparedModel:
     cut: bool
 
 
-def prepare_model(mesh: TriangleMesh, plan: RunPlan,
-                  profile: PrinterProfile) -> PreparedModel:
-    """Symmetry-cut (maybe), orient, and grid each piece once."""
-    plane = find_best_symmetry_plane(mesh)
+def prepare_model(mesh: TriangleMesh, plan: RunPlan, profile: PrinterProfile,
+                  plane: SymmetryPlane | None = None) -> PreparedModel:
+    """Symmetry-cut (maybe), orient, and grid each piece once.
+
+    ``plane``, when given, is ``find_best_symmetry_plane(mesh)``.
+    """
+    if plane is None:
+        plane = find_best_symmetry_plane(mesh)
     raw: list[TriangleMesh] = [mesh]
     shells: list[TriangleMesh] = [mesh]
     cut = False
@@ -314,34 +322,63 @@ def grow_runs(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
               runs: list[tuple[int, int]]) -> list[list[GrownPiece | str]]:
     """Seed and grow every (seed blocks, seed) run on every piece.
 
-    All runs of a piece grow in one lockstep :func:`grow_blocks` call.
-    Returns, per run, one entry per piece: the grown piece, or why it
-    could not be seeded.
+    Every run of every piece is one problem of a single lockstep
+    :func:`grow_blocks` call, so a model cut in two takes as many lockstep
+    passes as its longest growth, not the sum over its pieces.  Returns,
+    per run, one entry per piece: the grown piece, or why it could not be
+    seeded.
     """
-    params = objective_of(plan, profile)
-    grown: list[list[GrownPiece | str]] = [[] for _ in runs]
-    for index, piece in enumerate(prepared.pieces):
-        members, grids, seeds = [], [], []
-        for r, (seed_blocks, seed) in enumerate(runs):
-            k = _splits(prepared, plan.printers_available, seed_blocks)[0][index]
+    grown: list[list[GrownPiece | str]] = []
+    problems: list[tuple[GrownPiece, CellMeasures]] = []
+    for seed_blocks, seed in runs:
+        entry: list[GrownPiece | str] = []
+        counts = _splits(prepared, plan.printers_available, seed_blocks)[0]
+        for index, (piece, k) in enumerate(zip(prepared.pieces, counts)):
             grid = _fresh_grid(piece.grid)
             try:
                 blocks = select_seed_blocks(grid, piece.mesh, k,
                                             rng_seed=seed * 2 + index)
             except InsufficientBoundaryCells as exc:
-                grown[r].append(f"piece {index}: {exc}")
+                entry.append(f"piece {index}: {exc}")
                 continue
-            members.append(r)
-            grids.append(grid)
-            seeds.append(blocks)
-        if not members:
-            continue
-        state = GrowthState(grids, piece.measures, seeds, params)
+            entry.append(GrownPiece(grid, blocks, 0))
+            problems.append((entry[-1], piece.measures))
+        grown.append(entry)
+    if problems:
+        state = GrowthState([g.grid for g, _ in problems],
+                            [m for _, m in problems],
+                            [g.blocks for g, _ in problems],
+                            objective_of(plan, profile))
         grow_blocks(state)
-        for r, grid, blocks, steps in zip(members, grids, seeds,
-                                          state.moves.tolist()):
-            grown[r].append(GrownPiece(grid, blocks, steps))
+        for (g, _), steps in zip(problems, state.moves.tolist()):
+            g.steps = steps
     return grown
+
+
+def search_runs(prepared: PreparedModel,
+                plan: RunPlan) -> list[tuple[int, int, int]]:
+    """(seed blocks, try index, seed) of every iteration of the search, in
+    the search's order."""
+    floor = max(plan.min_printers, len(prepared.pieces), 1)
+    return [(p, t, plan.seed_base + 1000 * p + t)
+            for p in range(plan.printers_available, floor - 1, -1)
+            for t in range(1, plan.sample_tries + 1)]
+
+
+def grow_missing_runs(prepared: PreparedModel, plan: RunPlan,
+                      profile: PrinterProfile, grown: dict) -> None:
+    """Grow, in one :func:`grow_runs` call, the runs of the search that
+    ``grown`` lacks, and add them to it.
+
+    ``grown`` maps (seed blocks, seed) to a run's entry of
+    :func:`grow_runs`.  A run's seeds and growth read neither the printer
+    count nor anything else a batch varies, so a search at fewer printers
+    finds all of its runs among those of a search at more.
+    """
+    runs = [(p, seed) for p, _, seed in search_runs(prepared, plan)
+            if (p, seed) not in grown]
+    if runs:
+        grown.update(zip(runs, grow_runs(prepared, plan, profile, runs)))
 
 
 def run_decomposition(prepared: PreparedModel, plan: RunPlan,
@@ -403,32 +440,33 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
 
 def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
                result: Decomposition,
-               meshes: dict[tuple, TriangleMesh]) -> Decomposition:
+               meshes: dict[tuple, tuple[TriangleMesh, float]]) -> Decomposition:
     """Clip the boxes of a covered iteration to meshes and score the meshes.
 
     result is what :func:`run_decomposition` returned for an iteration whose
     every piece was covered.  A box whose clipped mesh is empty is dropped,
     and validity is judged again from the meshes.  ``meshes`` holds the
-    clipped mesh of every (piece, cell_lo, cell_hi) box clipped so far in
-    the search and gains the new ones, so boxes shared by iterations are
-    clipped once; each part still gets its own named mesh.
+    clipped mesh and shell area of every (piece, cell_lo, cell_hi) box
+    clipped so far in the search and gains the new ones, so boxes shared by
+    iterations are clipped once; each part still gets its own named mesh.
     """
     params = objective_of(plan, profile)
     parts: list[PartResult] = []
     for part in result.parts:
         piece = prepared.pieces[part.piece]
-        box = piece.grid.box_of_range(part.cell_lo, part.cell_hi)
         key = (part.piece, part.cell_lo, part.cell_hi)
         if key not in meshes:
-            meshes[key] = clip_to_box(piece.mesh, box)
-        if meshes[key].is_empty:
+            box = piece.grid.box_of_range(part.cell_lo, part.cell_hi)
+            clipped = clip_to_box(piece.mesh, box)
+            meshes[key] = (clipped, 0.0 if clipped.is_empty
+                           else _shell_area_in_box(piece.shell, box))
+        clipped, shell_area = meshes[key]
+        if clipped.is_empty:
             continue
-        clipped = TriangleMesh(meshes[key].vertices, meshes[key].triangles,
-                               part.name)
-        parts.append(_score_part(clipped, part.source, plan, profile, params,
-                                 _shell_area_in_box(piece.shell, box),
-                                 piece=part.piece, cell_lo=part.cell_lo,
-                                 cell_hi=part.cell_hi))
+        parts.append(_score_part(
+            TriangleMesh(clipped.vertices, clipped.triangles, part.name),
+            part.source, plan, profile, params, shell_area, piece=part.piece,
+            cell_lo=part.cell_lo, cell_hi=part.cell_hi))
     reason = _count_verdict(parts, "", plan.printers_available)
     if not reason:
         for part in parts:
@@ -502,39 +540,41 @@ def _beats(challenger: Decomposition, incumbent: Decomposition | None) -> bool:
 def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                       profile: PrinterProfile,
                       records: list[RunRecord] | None = None,
-                      prepared: PreparedModel | None = None) -> Decomposition:
+                      prepared: PreparedModel | None = None,
+                      grown: dict | None = None) -> Decomposition:
     """Sweep seed-block counts and retries; return the best valid result.
 
     ``prepared``, when given, is the model :func:`prepare_model` makes of
-    mesh for a plan with the same :func:`preparation_key`.  Every run is
-    seeded and grown up front, all runs of a piece in lockstep
-    (:func:`grow_runs`), and then filled and scored from the cell tables
-    in the search's order.  Then the iterations whose boxes do not all fit
-    the printer are clipped, and the valid ones in ascending order of table
+    mesh for a plan with the same :func:`preparation_key`.  ``grown``, when
+    given, holds runs already grown for prepared under this plan and
+    profile, up to the printer count (see :func:`grow_missing_runs`); it
+    gains the runs this search grows.  Every run missing from it is seeded
+    and grown up front, all in one lockstep pass (:func:`grow_runs`), and
+    then every run is filled and scored from the cell tables in the
+    search's order.  Then the iterations whose boxes do not all fit the
+    printer are clipped, and the valid ones in ascending order of table
     score, until the next table score exceeds the best clipped score by
-    more than ``SCORE_RTOL``; each distinct box is clipped once.  A
-    table score does not exceed the score of the clipped meshes, so no
-    iteration left unclipped could have won.  The winner is the best
-    clipped result by :func:`_beats`, the earlier iteration on ties.
+    more than ``SCORE_RTOL``; each distinct box is clipped once.  A table
+    score does not exceed the score of the clipped meshes, so no iteration
+    left unclipped could have won.  The winner is the best clipped result
+    by :func:`_beats`, the earlier iteration on ties.
 
     Raises NoValidDecomposition when every iteration fails.
     """
     if prepared is None:
         prepared = prepare_model(mesh, plan, profile)
-    floor = max(plan.min_printers, len(prepared.pieces), 1)
-    runs = [(p, t, plan.seed_base + 1000 * p + t)
-            for p in range(plan.printers_available, floor - 1, -1)
-            for t in range(1, plan.sample_tries + 1)]
-    grown = grow_runs(prepared, plan, profile, [(p, seed) for p, _, seed in runs])
+    grown = {} if grown is None else grown
+    grow_missing_runs(prepared, plan, profile, grown)
+    runs = search_runs(prepared, plan)
     results: list[Decomposition] = []
     seconds: list[float] = []
-    for (p, _, seed), pieces in zip(runs, grown):
+    for p, _, seed in runs:
         tick = time.perf_counter()
         results.append(run_decomposition(prepared, plan, profile, p, seed,
-                                         pieces))
+                                         grown[(p, seed)]))
         seconds.append(time.perf_counter() - tick)
 
-    meshes: dict[tuple, TriangleMesh] = {}
+    meshes: dict[tuple, tuple[TriangleMesh, float]] = {}
 
     def clip(i: int) -> Decomposition:
         tick = time.perf_counter()
@@ -556,8 +596,7 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
             best_score = min(best_score, results[i].parallel_score)
 
     best: Decomposition | None = None
-    for (p, t, seed), pieces, result, wall in zip(runs, grown, results,
-                                                  seconds):
+    for (p, t, seed), result, wall in zip(runs, results, seconds):
         if records is not None:
             records.append(RunRecord(
                 seed_blocks=p, try_index=t, seed=seed, valid=result.valid,
@@ -566,7 +605,7 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                 parallel_time_s=result.parallel_time_s,
                 aggregate_time_s=result.aggregate_time_s,
                 reason=result.reason, clipped=result.clipped,
-                growth_steps=sum(g.steps for g in pieces
+                growth_steps=sum(g.steps for g in grown[(p, seed)]
                                  if isinstance(g, GrownPiece)),
                 wall_clock_s=wall))
         logger.debug("p=%d t=%d seed=%d valid=%s score=%.6g clipped=%s (%s)",
@@ -593,7 +632,8 @@ class BaselineRounds:
     Round 0 is the oriented model, and round r + 1 halves every piece of
     round r.  Only the stop test reads the printer count and size, so every
     count walks the same rounds, and a batch shares one instance across its
-    counts.  Rounds are added as a count first needs them.
+    counts.  Rounds are added as a count first needs them.  ``plane`` may be
+    given up front, when the caller already searched the model for it.
     """
 
     plane: SymmetryPlane | None = None  # the whole model's best mirror plane
@@ -615,14 +655,17 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
     """Halve every part at its best mirror plane until the count reaches the
     largest power of two <= printers_available and everything fits.
 
-    ``rounds``, when given, holds the rounds already computed for mesh
-    under a plan with the same :func:`baseline_key`; it gains the rounds
-    this call computes.
+    A round with more pieces than printers ends the halving: rounds never
+    lose pieces, so neither it nor any later round is valid, and it is
+    returned as the invalid result.  ``rounds``, when given, holds the
+    rounds already computed for mesh under a plan with the same
+    :func:`baseline_key`; it gains the rounds this call computes.
     """
     params = objective_of(plan, profile)
     rounds = BaselineRounds() if rounds is None else rounds
     if not rounds.states:
-        rounds.plane = find_best_symmetry_plane(mesh)
+        if rounds.plane is None:
+            rounds.plane = find_best_symmetry_plane(mesh)
         oriented, _pose = optimize_orientation(
             mesh, symmetry=rounds.plane,
             overhang_tolerance_deg=plan.overhang_tolerance_deg)
@@ -632,11 +675,14 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
     while target * 2 <= plan.printers_available:
         target *= 2
 
-    r = 0
-    while r < max_rounds and not (
-            len(rounds.states[r]) >= target
+    def final(pieces) -> bool:
+        return len(pieces) > plan.printers_available or (
+            len(pieces) >= target
             and all(fits_printer(aabb_of(m).extent, profile.dims)
-                    for m, _ in rounds.states[r])):
+                    for m, _ in pieces))
+
+    r = 0
+    while r < max_rounds and not final(rounds.states[r]):
         if r + 1 == len(rounds.states):
             if rounds.done:
                 break

@@ -12,6 +12,7 @@ from parallelobox.fixtures import (box_mesh, hollow_box, icosphere, l_bracket,
 from parallelobox.grid import (AREA, OVERHANG, VOLUME, CellClass, CellMeasures,
                                Grid, build_grid, measure_cells)
 from parallelobox.mesh import Aabb, TriangleMesh
+from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
 
 
 def test_print_score_reference_values():
@@ -120,7 +121,7 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
                             classification=grid.classification,
                             approximate_volume=False)
     blocks = [Block(i, np.array(s), np.array(s)) for i, s in enumerate(seeds)]
-    state = GrowthState([grid], measures, [blocks],
+    state = GrowthState([grid], [measures], [blocks],
                         params or ObjectiveParams(printer_dims=(1e9, 1e9, 1e9)))
     return state
 
@@ -192,7 +193,7 @@ def test_growth_ties_up_to_rounding_go_to_the_first_direction():
     volume = np.ones((3, 1, 1))
     volume[0, 0, 0] -= 1e-13
     state = _uniform_state((3, 1, 1), classes, [(1, 0, 0)], volume=volume)
-    assert state.measures.volume[0, 0, 0] < 1.0
+    assert state.measures[0].volume[0, 0, 0] < 1.0
     scores = score_growth(state)[0]
     assert scores[0, 1] < scores[0, 0]
     trace = []
@@ -216,7 +217,7 @@ def test_growth_caches_match_measures_on_real_mesh():
     meas = measure_cells(grid, mesh)
     blocks = select_seed_blocks(grid, mesh, 2, rng_seed=9)
     params = ObjectiveParams()
-    state = GrowthState([grid], meas, [blocks], params)
+    state = GrowthState([grid], [meas], [blocks], params)
     grow_blocks(state)
     for b in blocks:
         sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(b.lo, b.hi))
@@ -371,7 +372,7 @@ def test_grow_blocks_matches_reference(fixture, granularity):
             seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
             want = _reference_grow(grid, meas, seeds, params)
             grid.owner[...] = -1
-            state = GrowthState([grid], meas, [blocks], params)
+            state = GrowthState([grid], [meas], [blocks], params)
             trace = []
             grow_blocks(state, trace)
             _assert_matches_reference(state, 0, trace, want)
@@ -380,23 +381,37 @@ def test_grow_blocks_matches_reference(fixture, granularity):
 @pytest.mark.parametrize("printer", [30.0, 250.0])
 @pytest.mark.parametrize("fixture", [icosphere, hollow_box, l_bracket])
 def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
-    """Problems with different block counts grown together on one grid each
-    equal the reference loop run alone, bit for bit."""
+    """Problems with different block counts, on one grid of the whole model
+    and on both pieces of the model cut at its mirror plane, grown together
+    in one state, each equal the reference loop run alone, bit for bit."""
     mesh = fixture()
     grid = build_grid(mesh, "fine")
     meas = measure_cells(grid, mesh)
+    prepared = prepare_model(mesh, RunPlan(printers_available=2,
+                                           granularity="fine"),
+                             PrinterProfile())
+    assert prepared.cut
+    # (mesh, grid, measures) of the whole model and of each cut piece,
+    # whose grids differ from it in dims and cell size.
+    surfaces = [(mesh, grid, meas)] + [(piece.mesh, piece.grid, piece.measures)
+                                       for piece in prepared.pieces]
     params = ObjectiveParams(printer_dims=(printer,) * 3)
     counts = (1, 2, 5, 8, 3)
-    grids, problems, wants = [], [], []
+    grids, measures, problems, wants = [], [], [], []
     for seed, k in enumerate(counts):
-        blocks = select_seed_blocks(grid, mesh, k, rng_seed=100 + seed)
-        seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
-        wants.append(_reference_grow(grid, meas, seeds, params))
-        grids.append(Grid(grid.origin, grid.cell_size, grid.dims,
-                          classification=grid.classification))
-        problems.append(blocks)
-    state = GrowthState(grids, meas, problems, params)
-    assert state.lo.shape == (len(counts), max(counts), 3)
+        # Problems of the three grids interleave in the state.
+        for surface, (shape, base, cells) in enumerate(surfaces):
+            blocks = select_seed_blocks(base, shape, k,
+                                        rng_seed=100 + 10 * seed + surface)
+            seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
+            wants.append(_reference_grow(base, cells, seeds, params))
+            grids.append(Grid(base.origin, base.cell_size, base.dims,
+                              classification=base.classification))
+            measures.append(cells)
+            problems.append(blocks)
+    state = GrowthState(grids, measures, problems, params)
+    assert state.lo.shape == (len(problems), max(counts), 3)
+    assert len({g.dims for g in grids}) > 1
     trace = []
     grow_blocks(state, trace)
     assert not state.active.any()

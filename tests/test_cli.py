@@ -227,8 +227,10 @@ def test_batch_prepares_each_model_once_per_key(tmp_path, monkeypatch):
 def test_batch_shares_baseline_rounds_across_printer_counts(tmp_path,
                                                            monkeypatch):
     """A [2, 4] batch writes the rows, runlog records and part files of
-    separate one-count batches, and its baseline plane-searches and cuts
-    only as often as the 4-printer batch alone."""
+    separate one-count batches.  Its baseline plane-searches and cuts only
+    as often as the 4-printer batch alone, and its searches grow each
+    (piece, seed blocks, seed) problem once, in one growth pass per model:
+    the problems of the 4-printer batch alone."""
     models = []
     for mesh in (dumbbell(), l_bracket()):
         models.append(tmp_path / f"{mesh.name}.stl")
@@ -250,10 +252,27 @@ def test_batch_shares_baseline_rounds_across_printer_counts(tmp_path,
         fn = getattr(meta, name)
         monkeypatch.setattr(meta, name, lambda *args, _fn=fn, _name=name: (
             calls.append(_name) if in_baseline else None) or _fn(*args))
+    # Each seeded problem by the id of its block list: (piece mesh name,
+    # seed blocks of the piece, RNG seed), which names (piece, p, seed).
+    seeded, grown = {}, []
+    select, grow = meta.select_seed_blocks, meta.grow_blocks
+
+    def traced_select(grid, mesh, k, rng_seed=0):
+        blocks = select(grid, mesh, k, rng_seed=rng_seed)
+        seeded[id(blocks)] = (mesh.name, k, rng_seed)
+        return blocks
+
+    def traced_grow(state, trace=None):
+        grown.append([seeded[id(blocks)] for blocks in state.blocks])
+        return grow(state, trace)
+
+    monkeypatch.setattr(meta, "select_seed_blocks", traced_select)
+    monkeypatch.setattr(meta, "grow_blocks", traced_grow)
 
     def outputs(printer_counts):
         out = tmp_path / "-".join(map(str, printer_counts))
         calls.clear()
+        grown.clear()
         run_batch(models, printer_counts, plan, PrinterProfile(),
                   ["parallelobox", "symmetry"], out)
         rows = [r[:7] + r[8:] for r in _read_csv(out / "results.csv")[1:]]
@@ -264,13 +283,13 @@ def test_batch_shares_baseline_rounds_across_printer_counts(tmp_path,
             records.append(record)
         parts = {str(path.relative_to(out)): path.read_bytes()
                  for path in sorted(out.rglob("part_*.stl"))}
-        return rows, records, parts, list(calls)
+        return rows, records, parts, list(calls), list(grown)
 
-    rows, records, parts, shared_calls = outputs([2, 4])
+    rows, records, parts, shared_calls, shared_growth = outputs([2, 4])
     apart = {printers: outputs([printers]) for printers in (2, 4)}
     for model in ("dumbbell", "l_bracket"):
         for printers in (2, 4):
-            want_rows, want_records, want_parts, _ = apart[printers]
+            want_rows, want_records, want_parts, _, _ = apart[printers]
             assert ([r for r in rows if r[0] == model and r[2] == str(printers)]
                     == [r for r in want_rows if r[0] == model])
             assert ([r for r in records
@@ -282,6 +301,37 @@ def test_batch_shares_baseline_rounds_across_printer_counts(tmp_path,
     assert shared_calls == apart[4][3]
     assert shared_calls.count("cut_by_plane") > 0
     assert len(shared_calls) < len(apart[2][3]) + len(apart[4][3])
+    # One growth pass per model, over both pieces of each cut model.
+    assert len(shared_growth) == len(models)
+    assert all(len({name for name, _, _ in call}) == 2
+               for call in shared_growth)
+    problems = [problem for call in shared_growth for problem in call]
+    assert len(problems) == len(set(problems))
+    assert sorted(problems) == sorted(
+        problem for call in apart[4][4] for problem in call)
+    assert set(problem for call in apart[2][4] for problem in call) < set(
+        problems)
+
+
+def test_batch_searches_each_model_for_its_mirror_plane_once(tmp_path,
+                                                            monkeypatch):
+    """Preparation under two keys and the baseline's first round share one
+    mirror-plane search of the model."""
+    model = tmp_path / "dumbbell.stl"
+    save_stl(dumbbell(), model)
+    prepared, searched = [], []
+    prepare, find = meta.prepare_model, meta.find_best_symmetry_plane
+    monkeypatch.setattr(meta, "prepare_model", lambda *args: prepared.append(
+        args[0]) or prepare(*args))
+    monkeypatch.setattr(meta, "find_best_symmetry_plane", lambda mesh: (
+        searched.append(mesh)) or find(mesh))
+    report = run_batch([model], [1, 2], RunPlan(granularity="coarse",
+                                                sample_tries=1),
+                       PrinterProfile(), ["parallelobox", "symmetry"],
+                       tmp_path / "out")
+    assert all(row.valid for row in report.rows) and len(report.rows) == 4
+    assert len(prepared) == 2 and prepared[0] is prepared[1]
+    assert sum(mesh is prepared[0] for mesh in searched) == 1
 
 
 def test_invalid_rerun_clears_stale_part_files(tmp_path):

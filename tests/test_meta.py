@@ -160,6 +160,22 @@ def test_baseline_single_printer_returns_whole_model():
     assert dec.valid
 
 
+def test_baseline_stops_once_pieces_outnumber_printers(monkeypatch):
+    """Rounds never lose pieces, so the first round with more pieces than
+    printers is returned, invalid, without halving further."""
+    halvings = []
+    halve = meta._halve
+    monkeypatch.setattr(meta, "_halve", lambda pieces: halvings.append(
+        len(pieces)) or halve(pieces))
+    dec = recursive_symmetry_baseline(
+        fixtures.l_bracket(), RunPlan(printers_available=2,
+                                      granularity="coarse"),
+        PrinterProfile(volume_x=22.0, volume_y=22.0, volume_z=22.0))
+    assert not dec.valid
+    assert len(dec.parts) > 2
+    assert 1 <= len(halvings) <= 3
+
+
 # ---------------------------------------------------------------------------
 # the table-scored search against a search that clips every iteration
 
@@ -190,7 +206,7 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
         except InsufficientBoundaryCells as exc:
             reason = f"piece {index}: {exc}"
             break
-        grow_blocks(GrowthState([grid], piece.measures, [blocks], params))
+        grow_blocks(GrowthState([grid], [piece.measures], [blocks], params))
         free = max(0, budget - len(blocks))
         regions = get_discrete_empty_regions(grid, free, params.printer_dims)
         left_b, left_i = _uncovered_cells(grid, regions)
@@ -373,18 +389,24 @@ def test_box_tables_match_clipped_meshes(granularity):
 def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
     """A cell wider than the printer may hold a part that fits: the tables
     cannot judge such an iteration, so it is clipped, once, and each
-    distinct box of the search is clipped to a mesh once."""
+    distinct box of the search is clipped to a mesh, and its shell area
+    measured, once."""
     rod = box_mesh(size=(8.0, 0.5, 0.5), name="rod")
     plan = RunPlan(printers_available=8, granularity="coarse", sample_tries=2,
                    skip_symmetry_cut=True)
     # Cells are 1.001 mm cubes; the part in a cell is at most 0.5 mm thick.
     profile = PrinterProfile(volume_x=0.6)
     iterations, boxes = [], []
+    shells = []
     clip_parts, clip_to_box = meta.clip_parts, meta.clip_to_box
+    shell_area = meta._shell_area_in_box
     monkeypatch.setattr(meta, "clip_parts", lambda *args: iterations.append(
         args[3]) or clip_parts(*args))
     monkeypatch.setattr(meta, "clip_to_box", lambda mesh, box: boxes.append(
         (id(mesh), tuple(box.min), tuple(box.max))) or clip_to_box(mesh, box))
+    monkeypatch.setattr(meta, "_shell_area_in_box", lambda shell, box: (
+        shells.append((id(shell), tuple(box.min), tuple(box.max))))
+        or shell_area(shell, box))
     records = []
     got = run_metaheuristic(rod, plan, profile, records)
     want, reference = _reference_search(prepare_model(rod, plan, PROFILE),
@@ -394,6 +416,7 @@ def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
     distinct = {(p.piece, p.cell_lo, p.cell_hi)
                 for r in iterations for p in r.parts}
     assert len(boxes) == len(set(boxes)) == len(distinct)
+    assert len(shells) == len(set(shells)) == len(boxes)
     assert len(boxes) < sum(r.parts for r in records)
     assert [_part_fields(p) for p in got.parts] == [_part_fields(p)
                                                     for p in want.parts]
