@@ -5,7 +5,7 @@ from .errors import (ConfigError, DegenerateBox, EmptyMesh,
                      NoValidDecomposition, ParalleloboxError, ParseError)
 from .mesh import (Aabb, TriangleMesh, aabb_of, clean_mesh, load_mesh,
                    measure, save_stl, validate_watertight)
-from .clip import clip_to_box, cut_by_plane, point_in_mesh, points_in_mesh
+from .clip import clip_to_box, cut_by_plane, points_in_mesh
 from .preprocess import (SymmetryPlane, find_best_symmetry_plane,
                          optimize_orientation)
 from .grid import CellClass, Grid, build_grid, measure_cells
@@ -27,7 +27,7 @@ __all__ = [
     "clip_to_box", "cut_by_plane", "estimate_time",
     "find_best_symmetry_plane", "get_discrete_empty_regions", "load_mesh",
     "measure", "measure_cells", "optimize_orientation", "parse_config",
-    "point_in_mesh", "points_in_mesh", "print_score",
+    "points_in_mesh", "print_score",
     "recursive_symmetry_baseline", "run_metaheuristic", "save_stl",
     "select_seed_blocks", "validate_watertight",
 ]

@@ -33,7 +33,7 @@ from pathlib import Path
 from . import meta
 from .errors import ConfigError, ParalleloboxError
 from .grid import GRANULARITY_CELLS
-from .mesh import TriangleMesh, clean_mesh, load_mesh, save_stl
+from .mesh import TriangleMesh, load_mesh, save_stl
 from .meta import (BaselineRounds, Decomposition, PreparedModel,
                    PrinterProfile, RunPlan, RunRecord,
                    recursive_symmetry_baseline, run_metaheuristic)
@@ -297,7 +297,7 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
     for model_path in models:
         name = Path(model_path).stem
         try:
-            mesh = clean_mesh(load_mesh(model_path))
+            mesh = load_mesh(model_path)
         except (ParalleloboxError, OSError) as exc:
             logger.error("skipping %s: %s", model_path, exc)
             for printers in printer_counts:

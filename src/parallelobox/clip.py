@@ -30,6 +30,10 @@ at most 9); the pieces come back fan-triangulated.
 Vertices within PLANE_EPS of a cut plane are snapped onto it before
 classification, which keeps near-tangent geometry from generating sliver
 loops.
+
+Volumetric operations need a closed mesh (NonWatertightInput otherwise).  A
+box the surface does not cross is all solid or all void, and one winding
+number at its center (:func:`points_in_mesh`) tells which.
 """
 from __future__ import annotations
 
@@ -54,6 +58,9 @@ PLANE_EPS = 1e-9
 
 #: Most (ear, ring vertex) pairs one ear-clipping block tests at once.
 _EAR_PAIRS = 1 << 18
+
+#: Most (point, triangle) pairs one winding-number block sums at once.
+_WINDING_PAIRS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +522,7 @@ def clip_to_box(mesh: TriangleMesh, box: Aabb) -> TriangleMesh:
     apart = (keys != np.roll(keys, -1, axis=1)).any(axis=2)
     if not apart.all(axis=1).any():
         # No surface inside the box: either completely inside or outside.
-        if point_in_mesh(mesh, box.center):
+        if points_in_mesh(mesh, [box.center])[0]:
             return box_mesh(box.extent, box.min, mesh.name)
         return TriangleMesh.empty(mesh.name)
 
@@ -548,88 +555,24 @@ def cut_by_plane(mesh: TriangleMesh, normal, offset: float):
 # point containment
 
 
-def points_in_mesh(mesh: TriangleMesh, points, *, votes: int = 1,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Ray-parity containment test for many points.
+def points_in_mesh(mesh: TriangleMesh, points) -> np.ndarray:
+    """Which points lie inside a closed mesh.
 
-    Casts one axis ray per vote; any numerically ambiguous hit (grazing an
-    edge, running inside a triangle plane) triggers a re-cast of that point
-    along a random direction.  With votes=3 the majority of the three axis
-    rays wins, which tolerates moderately damaged surfaces.
+    The generalized winding number (Jacobson, Kavan & Sorkine-Hornung,
+    SIGGRAPH 2013): the signed solid angles of the triangles seen from a
+    point (Van Oosterom & Strackee 1983) sum to 0 outside and to +-4 pi
+    inside.  Points are taken in blocks of at most _WINDING_PAIRS
+    (point, triangle) pairs, which bounds the memory.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if mesh.is_empty or len(pts) == 0:
-        return np.zeros(len(pts), dtype=bool)
-    if rng is None:
-        rng = np.random.default_rng(9173)
-    votes = 3 if votes >= 2 else 1
-    dirs = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
-            np.array([0.0, 0.0, 1.0])][:votes]
-    tally = np.zeros(len(pts), dtype=np.int64)
-    for d in dirs:
-        tally += _parity_along(mesh, pts, d, rng).astype(np.int64)
-    return tally * 2 > votes
-
-
-def point_in_mesh(mesh: TriangleMesh, point, rng: np.random.Generator | None = None) -> bool:
-    """Single-point ray-parity containment (mesh assumed closed)."""
-    return bool(points_in_mesh(mesh, [point], rng=rng)[0])
-
-
-def _parity_along(mesh: TriangleMesh, pts: np.ndarray, direction: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    e1 = mesh.vertices[mesh.triangles[:, 1]] - p0
-    e2 = mesh.vertices[mesh.triangles[:, 2]] - p0
-    scale = max(float(np.abs(mesh.vertices).max()), 1.0)
-    inside = np.zeros(len(pts), dtype=bool)
-    chunk = 512
-    for start in range(0, len(pts), chunk):
-        sub = pts[start:start + chunk]
-        crossings, ambiguous = _count_crossings(sub, direction, p0, e1, e2, scale)
-        for local in np.nonzero(ambiguous)[0]:
-            crossings[local] = _stubborn_parity(sub[local], p0, e1, e2, scale, rng)
-        inside[start:start + chunk] = crossings % 2 == 1
-    return inside
-
-
-def _count_crossings(pts, direction, p0, e1, e2, scale):
-    eps_par = 1e-12 * scale * scale
-    eps_bary = 1e-10
-    eps_t = 1e-9 * scale
-    d = direction
-    h = np.cross(d, e2)  # (T, 3)
-    a = np.einsum("tj,tj->t", e1, h)
-    ok = np.abs(a) > eps_par
-    f = np.zeros_like(a)
-    f[ok] = 1.0 / a[ok]
-    s = pts[:, None, :] - p0[None, :, :]  # (P, T, 3)
-    u = np.einsum("ptj,tj->pt", s, h) * f
-    q = np.cross(s, e1[None, :, :])
-    v = np.einsum("ptj,j->pt", q, d) * f
-    t = np.einsum("ptj,tj->pt", q, e2) * f
-    hit = ok[None, :] & (t > eps_t) & (u > eps_bary) & (v > eps_bary) & (u + v < 1.0 - eps_bary)
-    grazing = ok[None, :] & (t > -eps_t) & (
-        (np.abs(u) <= eps_bary) | (np.abs(v) <= eps_bary)
-        | (np.abs(u + v - 1.0) <= eps_bary) | (np.abs(t) <= eps_t)
-    ) & (u > -10 * eps_bary) & (v > -10 * eps_bary) & (u + v < 1.0 + 10 * eps_bary)
-    # A ray running inside a triangle's plane is also unreliable.  Degenerate
-    # (zero-area) triangles are excluded: they can never flip the parity.
-    normal = np.cross(e1, e2)
-    norm_n = np.linalg.norm(normal, axis=1)
-    plane_risk = ((~ok) & (norm_n > eps_par))[None, :] & (
-        np.abs(np.einsum("ptj,tj->pt", s, normal)) <= eps_t * norm_n[None, :] + eps_par
-    )
-    ambiguous = (grazing | plane_risk).any(axis=1)
-    return hit.sum(axis=1), ambiguous
-
-
-def _stubborn_parity(point, p0, e1, e2, scale, rng) -> int:
-    for _ in range(32):
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        crossings, ambiguous = _count_crossings(point[None, :], d, p0, e1, e2, scale)
-        if not ambiguous[0]:
-            return int(crossings[0])
-    logger.warning("containment ray stays ambiguous; using the last cast")
-    return int(crossings[0])
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    corners = mesh.vertices[mesh.triangles]
+    angles = np.zeros(len(pts))
+    step = max(1, _WINDING_PAIRS // max(len(corners), 1))
+    for start in range(0, len(pts), step):
+        a, b, c = np.moveaxis(corners[None] - pts[start:start + step, None, None], 2, 0)
+        la, lb, lc = (np.linalg.norm(x, axis=-1) for x in (a, b, c))
+        det = (a * np.cross(b, c)).sum(axis=-1)
+        den = (la * lb * lc + (a * b).sum(axis=-1) * lc
+               + (a * c).sum(axis=-1) * lb + (b * c).sum(axis=-1) * la)
+        angles[start:start + step] = 2.0 * np.arctan2(det, den).sum(axis=1)
+    return np.abs(angles) > 2.0 * np.pi

@@ -5,8 +5,8 @@ The grid covers the mesh's bounding box scaled by 1.001 about its center
 a named granularity preset along the longest axis.  A cell is *boundary*
 when the surface clipped to it is non-empty.  A cell without surface is
 *internal* when its solid volume (below) exceeds half the cell, otherwise
-*external*; for an open mesh, whose volumes are only estimates, a majority
-of ray-parity votes at the cell center decides instead.
+*external*.  Only a closed mesh bounds a solid, so an open one raises
+NonWatertightInput.
 
 The surface is clipped to the cells in one batched call over every
 (cell, triangle) pair whose bounding boxes overlap, and the pieces are
@@ -37,16 +37,15 @@ bit for bit.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .clip import clip_surface_to_box, points_in_mesh
+# points_in_mesh is not called here: the benchmark's traced mode patches it.
+from .clip import clip_surface_to_box, points_in_mesh  # noqa: F401
+from .errors import NonWatertightInput
 from .mesh import Aabb, TriangleMesh, aabb_of, triangle_normals, validate_watertight
-
-logger = logging.getLogger(__name__)
 
 #: Cells along the longest bounding-box axis for each named granularity.
 GRANULARITY_CELLS = {"coarse": 8, "medium": 10, "fine": 12, "very_fine": 15}
@@ -80,26 +79,12 @@ class Grid:
         if self.owner is None:
             self.owner = np.full(self.dims, -1, dtype=np.int32)
 
-    def cell_box(self, i: int, j: int, k: int) -> Aabb:
-        lo = self.origin + np.array([i, j, k], dtype=np.float64) * self.cell_size
-        return Aabb(lo, lo + self.cell_size)
-
     def box_of_range(self, lo, hi) -> Aabb:
         """Physical box spanned by cells lo..hi inclusive."""
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
         return Aabb(self.origin + lo * self.cell_size,
                     self.origin + (hi + 1.0) * self.cell_size)
-
-    def cell_center(self, i: int, j: int, k: int) -> np.ndarray:
-        return self.origin + (np.array([i, j, k], dtype=np.float64) + 0.5) * self.cell_size
-
-    def centers(self) -> np.ndarray:
-        """(n, 3) centers for all cells in C-order."""
-        nx, ny, nz = self.dims
-        idx = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                                   indexing="ij"), axis=-1).reshape(-1, 3)
-        return self.origin + (idx + 0.5) * self.cell_size
 
 
 def build_grid(mesh: TriangleMesh, granularity: str = "very_fine") -> Grid:
@@ -218,7 +203,6 @@ class CellMeasures:
     section: np.ndarray       # (3, nx, ny, nz): solid cross-section on the max
                               # x, y and z face of each cell
     classification: np.ndarray  # CellClass per cell
-    approximate_volume: bool  # True when a parity fallback estimated volumes
     table: np.ndarray = field(init=False, repr=False)  # ((nx+1)(ny+1)(nz+1), 13)
     dims: np.ndarray = field(init=False, repr=False)     # (nx, ny, nz)
     strides: np.ndarray = field(init=False, repr=False)  # of table, in rows
@@ -278,7 +262,12 @@ DIRECTIONS = np.array(
 def measure_cells(grid: Grid, mesh: TriangleMesh,
                   overhang_tolerance_deg: float = 1.0) -> CellMeasures:
     """Label every cell in place and compute its volume, area, overhangs and
-    face sections."""
+    face sections.
+
+    Raises NonWatertightInput when the mesh is not closed.
+    """
+    if not validate_watertight(mesh).is_watertight:
+        raise NonWatertightInput("cell volumes need a closed mesh")
     cells, tris = _triangle_cell_bins(mesh, grid)
     nx, ny, nz = grid.dims
     lo = grid.origin + cells * grid.cell_size
@@ -303,34 +292,14 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
                         face_sections(per_cell(0.5 * cross[:, 1]), 1),
                         face_sections(lift, 2)])
 
-    classification = np.full(grid.dims, _UNSET, dtype=np.int8)
+    # A cell without surface is all solid or all void, so its flux volume
+    # is about cell_size**3 or 0.
+    volume = grid_cell_volumes(flux, lift, grid.cell_size)
+    classification = np.where(volume > 0.5 * grid.cell_size ** 3,
+                              np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
     classification[per_cell(None) > 0] = CellClass.BOUNDARY
-    undecided = classification == _UNSET
     grid.classification = classification
-    if validate_watertight(mesh).is_watertight:
-        # A cell without surface is all solid or all void, so its flux
-        # volume is about cell_size**3 or 0.
-        volume = grid_cell_volumes(flux, lift, grid.cell_size)
-        classification[undecided] = np.where(
-            volume[undecided] > 0.5 * grid.cell_size ** 3,
-            np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
-        return CellMeasures(volume, area, over, section, classification, False)
-    # Open surface: the flux does not bound a solid.  Label cells without
-    # surface by a majority of ray-parity votes at their centers, and
-    # estimate full interior cells plus half-full boundary cells; only
-    # relative scoring consumes these anyway.  The sections are estimates
-    # too: an open surface bounds no cross-section.
-    logger.warning("open mesh: per-cell volumes are parity estimates")
-    if undecided.any():
-        centers = grid.centers().reshape(nx, ny, nz, 3)[undecided]
-        inside = points_in_mesh(mesh, centers, votes=3)
-        classification[undecided] = np.where(
-            inside, np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
-    cs3 = grid.cell_size ** 3
-    volume = np.zeros(grid.dims)
-    volume[classification == CellClass.INTERNAL] = cs3
-    volume[classification == CellClass.BOUNDARY] = 0.5 * cs3
-    return CellMeasures(volume, area, over, section, classification, True)
+    return CellMeasures(volume, area, over, section, classification)
 
 
 def face_sections(lift: np.ndarray, axis: int) -> np.ndarray:

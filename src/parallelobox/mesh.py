@@ -287,8 +287,8 @@ def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
     report = validate_watertight(mesh)
     if not report.is_watertight:
         logger.warning(
-            "%s is not watertight (%d open edges); volumetric operations will "
-            "fall back to ray-parity tests", path.name, report.open_edge_count,
+            "%s is not watertight (%d open edges); decomposing it raises "
+            "NonWatertightInput", path.name, report.open_edge_count,
         )
     return mesh
 

@@ -48,9 +48,11 @@ import numpy as np
 from .blocks import (SCORE_RTOL, Block, GrowthState, ObjectiveParams,
                      fits_printer, grow_blocks, print_score, select_seed_blocks)
 from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane
-from .errors import InsufficientBoundaryCells, NoValidDecomposition
+from .errors import (InsufficientBoundaryCells, NonWatertightInput,
+                     NoValidDecomposition)
 from .grid import CellClass, CellMeasures, Grid, build_grid, measure_cells
-from .mesh import TriangleMesh, aabb_of, measure, triangle_areas
+from .mesh import (TriangleMesh, aabb_of, measure, triangle_areas,
+                   validate_watertight)
 from .preprocess import (SYMMETRY_THRESHOLD, Pose, SymmetryPlane,
                          find_best_symmetry_plane, optimize_orientation)
 from .resolve import get_discrete_empty_regions
@@ -623,6 +625,9 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
 # ---------------------------------------------------------------------------
 # comparison baseline
 
+#: Most halving rounds of the baseline.
+BASELINE_MAX_ROUNDS = 10
+
 
 @dataclass
 class BaselineRounds:
@@ -650,7 +655,6 @@ def baseline_key(plan: RunPlan) -> tuple:
 
 def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                                 profile: PrinterProfile,
-                                max_rounds: int = 10,
                                 rounds: BaselineRounds | None = None) -> Decomposition:
     """Halve every part at its best mirror plane until the count reaches the
     largest power of two <= printers_available and everything fits.
@@ -660,10 +664,14 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
     returned as the invalid result.  ``rounds``, when given, holds the
     rounds already computed for mesh under a plan with the same
     :func:`baseline_key`; it gains the rounds this call computes.
+
+    Raises NonWatertightInput when the mesh is not closed.
     """
     params = objective_of(plan, profile)
     rounds = BaselineRounds() if rounds is None else rounds
     if not rounds.states:
+        if not validate_watertight(mesh).is_watertight:
+            raise NonWatertightInput("the baseline needs a closed mesh")
         if rounds.plane is None:
             rounds.plane = find_best_symmetry_plane(mesh)
         oriented, _pose = optimize_orientation(
@@ -682,7 +690,7 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                     for m, _ in pieces))
 
     r = 0
-    while r < max_rounds and not final(rounds.states[r]):
+    while r < BASELINE_MAX_ROUNDS and not final(rounds.states[r]):
         if r + 1 == len(rounds.states):
             if rounds.done:
                 break

@@ -118,8 +118,7 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
                             area=solid.astype(float),
                             overhang=np.zeros((6,) + tuple(dims)),
                             section=np.zeros((3,) + tuple(dims)),
-                            classification=grid.classification,
-                            approximate_volume=False)
+                            classification=grid.classification)
     blocks = [Block(i, np.array(s), np.array(s)) for i, s in enumerate(seeds)]
     state = GrowthState([grid], [measures], [blocks],
                         params or ObjectiveParams(printer_dims=(1e9, 1e9, 1e9)))

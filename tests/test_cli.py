@@ -11,7 +11,7 @@ from parallelobox.cli import (CSV_COLUMNS, load_manifest, main, parse_config,
                               run_batch)
 from parallelobox.errors import ConfigError
 from parallelobox.fixtures import box_mesh, dumbbell, l_bracket
-from parallelobox.mesh import save_stl
+from parallelobox.mesh import TriangleMesh, save_stl
 from parallelobox.meta import PrinterProfile, RunPlan
 
 
@@ -390,6 +390,21 @@ def test_decompose_failure_exits_2(tmp_path):
     assert body[0][8] == "false"
     assert body[0][3] == "0"
     assert not (out / "big" / "2" / "parallelobox").exists()
+
+
+def test_decompose_open_mesh_exits_2(tmp_path):
+    """An open mesh fails both algorithms up front and exports no part."""
+    bracket = l_bracket()
+    model = tmp_path / "holed.stl"
+    save_stl(TriangleMesh(bracket.vertices, bracket.triangles[:-1]), model)
+    out = tmp_path / "out"
+    code = main(_decompose_args(model, out, ["--printers", "1",
+                                             "--baseline", "both"]))
+    assert code == 2
+    body = _read_csv(out / "results.csv")[1:]
+    assert sorted(r[1] for r in body) == ["parallelobox", "symmetry"]
+    assert all(r[8] == "false" for r in body)
+    assert not list(out.rglob("part_*.stl"))
 
 
 def test_decompose_missing_config_exits_2(tmp_path):

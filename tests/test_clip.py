@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from parallelobox import clip
+from parallelobox import clip, fixtures
 from parallelobox.clip import (PLANE_EPS, clip_halfspace, clip_surface_to_box,
-                               clip_to_box, cut_by_plane, point_in_mesh,
-                               points_in_mesh)
+                               clip_to_box, cut_by_plane, points_in_mesh)
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket, unit_cube)
-from parallelobox.grid import _triangle_cell_bins, build_grid, measure_cells
+from parallelobox.grid import (CellClass, _triangle_cell_bins, build_grid,
+                               measure_cells)
 from parallelobox.mesh import (Aabb, TriangleMesh, aabb_of, compact, measure,
                               validate_watertight)
 
@@ -208,7 +208,9 @@ def test_batched_clip_matches_per_cell_clips(make_mesh):
     piece_cell = pair_cell[sources]
     for c in np.unique(pair_cell):
         ids = tris[pair_cell == c]
-        box = grid.cell_box(*np.unravel_index(c, grid.dims))
+        # The cell's box as the batched clip builds it, bit for bit.
+        lo = grid.origin + np.array(np.unravel_index(c, grid.dims)) * grid.cell_size
+        box = Aabb(lo, lo + grid.cell_size)
         want, want_sources = clip_surface_to_box(mesh, box, ids)
         ref, ref_sources = _reference_clip(mesh, box, ids)
         assert np.array_equal(want, ref) and np.array_equal(want_sources, ref_sources)
@@ -231,7 +233,7 @@ def test_grid_cell_volumes_match_per_cell_clips(make_mesh):
     nx, ny, nz = grid.dims
     for _ in range(12):
         i, j, k = rng.integers(0, nx), rng.integers(0, ny), rng.integers(0, nz)
-        box = grid.cell_box(int(i), int(j), int(k))
+        box = grid.box_of_range((i, j, k), (i, j, k))
         part = clip_to_box(mesh, box)
         want = measure(part).volume if not part.is_empty else 0.0
         assert vols[i, j, k] == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -254,8 +256,83 @@ def test_point_containment_sphere_radial():
     keep = np.abs(r - 10.0) > 0.2  # skip the faceted shell's fuzzy band
     inside = points_in_mesh(mesh, pts[keep])
     assert np.array_equal(inside, r[keep] < 10.0)
-    assert point_in_mesh(mesh, (0.0, 0.0, 0.0))
-    assert not point_in_mesh(mesh, (11.0, 0.0, 0.0))
+    assert points_in_mesh(mesh, [(0.0, 0.0, 0.0)])[0]
+    assert not points_in_mesh(mesh, [(11.0, 0.0, 0.0)])[0]
+
+
+def _reference_points_in_mesh(mesh, points):
+    """Ray-parity containment: count the crossings of a +x ray, re-cast a
+    numerically ambiguous hit (grazing an edge, running inside a triangle
+    plane) along random directions."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if mesh.is_empty or len(pts) == 0:
+        return np.zeros(len(pts), dtype=bool)
+    rng = np.random.default_rng(9173)
+    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    e1 = mesh.vertices[mesh.triangles[:, 1]] - p0
+    e2 = mesh.vertices[mesh.triangles[:, 2]] - p0
+    scale = max(float(np.abs(mesh.vertices).max()), 1.0)
+    inside = np.zeros(len(pts), dtype=bool)
+    for start in range(0, len(pts), 512):
+        sub = pts[start:start + 512]
+        crossings, ambiguous = _count_crossings(
+            sub, np.array([1.0, 0.0, 0.0]), p0, e1, e2, scale)
+        for local in np.nonzero(ambiguous)[0]:
+            for _ in range(32):
+                d = rng.normal(size=3)
+                d /= np.linalg.norm(d)
+                count, unsure = _count_crossings(sub[local][None], d, p0, e1, e2, scale)
+                crossings[local] = count[0]
+                if not unsure[0]:
+                    break
+        inside[start:start + 512] = crossings % 2 == 1
+    return inside
+
+
+def _count_crossings(pts, direction, p0, e1, e2, scale):
+    """Moeller-Trumbore hits of rays from pts along direction, and which
+    rays hit a triangle too close to an edge or its plane to count."""
+    eps_par = 1e-12 * scale * scale
+    eps_bary = 1e-10
+    eps_t = 1e-9 * scale
+    d = direction
+    h = np.cross(d, e2)
+    a = np.einsum("tj,tj->t", e1, h)
+    ok = np.abs(a) > eps_par
+    f = np.zeros_like(a)
+    f[ok] = 1.0 / a[ok]
+    s = pts[:, None, :] - p0[None, :, :]
+    u = np.einsum("ptj,tj->pt", s, h) * f
+    q = np.cross(s, e1[None, :, :])
+    v = np.einsum("ptj,j->pt", q, d) * f
+    t = np.einsum("ptj,tj->pt", q, e2) * f
+    hit = ok[None, :] & (t > eps_t) & (u > eps_bary) & (v > eps_bary) & (u + v < 1.0 - eps_bary)
+    grazing = ok[None, :] & (t > -eps_t) & (
+        (np.abs(u) <= eps_bary) | (np.abs(v) <= eps_bary)
+        | (np.abs(u + v - 1.0) <= eps_bary) | (np.abs(t) <= eps_t)
+    ) & (u > -10 * eps_bary) & (v > -10 * eps_bary) & (u + v < 1.0 + 10 * eps_bary)
+    normal = np.cross(e1, e2)
+    norm_n = np.linalg.norm(normal, axis=1)
+    plane_risk = ((~ok) & (norm_n > eps_par))[None, :] & (
+        np.abs(np.einsum("ptj,tj->pt", s, normal)) <= eps_t * norm_n[None, :] + eps_par
+    )
+    ambiguous = (grazing | plane_risk).any(axis=1)
+    return hit.sum(axis=1), ambiguous
+
+
+@pytest.mark.parametrize("name", ["unit_cube", "icosphere", "dumbbell",
+                                  "l_bracket", "hollow_box", "asymmetric_blob"])
+@pytest.mark.parametrize("granularity", ["coarse", "fine"])
+def test_winding_number_matches_ray_parity(name, granularity):
+    """The winding number and ray parity agree at every cell center
+    without surface, the points clip_to_box asks about."""
+    mesh = getattr(fixtures, name)()
+    grid = build_grid(mesh, granularity)
+    measure_cells(grid, mesh)
+    free = np.argwhere(grid.classification != CellClass.BOUNDARY)
+    centers = grid.origin + (free + 0.5) * grid.cell_size
+    assert np.array_equal(points_in_mesh(mesh, centers),
+                          _reference_points_in_mesh(mesh, centers))
 
 
 def test_clip_empty_and_disjoint():
@@ -501,7 +578,7 @@ def _reference_clip_to_box(mesh, box):
         keep = (t[:, 0] != t[:, 1]) & (t[:, 1] != t[:, 2]) & (t[:, 2] != t[:, 0])
         count = len(np.unique(t[keep]))
     if count == 0:
-        if point_in_mesh(mesh, box.center):
+        if _reference_points_in_mesh(mesh, [box.center])[0]:
             return box_mesh(box.extent, box.min, mesh.name)
         return TriangleMesh.empty(mesh.name)
     current = mesh

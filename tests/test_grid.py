@@ -3,13 +3,14 @@ import numpy as np
 import pytest
 
 from parallelobox import fixtures
-from parallelobox.clip import point_in_mesh, points_in_mesh
+from parallelobox.clip import points_in_mesh
 from parallelobox.fixtures import box_mesh, icosphere, unit_cube
 from parallelobox.grid import (AREA, BBOX_SCALE, BOUNDARY, EXACT_BITS,
                                GRANULARITY_CELLS, N_CHANNELS, OVERHANG,
                                SECTION, SOLID, VOLUME, CellClass, Grid,
                                build_grid, measure_cells)
 from parallelobox.mesh import aabb_of, measure
+from test_clip import _reference_points_in_mesh
 
 
 def test_preset_cell_counts():
@@ -70,7 +71,6 @@ def test_measures_conserve_volume_and_area():
         # each oriented overhang total is bounded by the total area
         for d in range(6):
             assert float(meas.overhang[d].sum()) <= mm.surface_area + 1e-9
-        assert not meas.approximate_volume
 
 
 def test_external_cells_carry_no_volume():
@@ -91,11 +91,11 @@ def test_classification_against_containment_samples():
     for _ in range(40):
         i, j, k = (int(rng.integers(0, n)) for n in (nx, ny, nz))
         c = CellClass(int(g.classification[i, j, k]))
-        center = g.cell_center(i, j, k)
+        center = g.origin + (np.array([i, j, k]) + 0.5) * g.cell_size
         if c == CellClass.INTERNAL:
-            assert point_in_mesh(mesh, center)
+            assert points_in_mesh(mesh, [center])[0]
         elif c == CellClass.EXTERNAL:
-            assert not point_in_mesh(mesh, center)
+            assert not points_in_mesh(mesh, [center])[0]
 
 
 
@@ -109,8 +109,8 @@ def test_flux_labels_match_ray_parity(name, granularity):
     g = build_grid(mesh, granularity)
     measure_cells(g, mesh)
     free = g.classification != CellClass.BOUNDARY
-    centers = g.centers().reshape(g.dims + (3,))[free]
-    want = np.where(points_in_mesh(mesh, centers), CellClass.INTERNAL,
+    centers = g.origin + (np.argwhere(free) + 0.5) * g.cell_size
+    want = np.where(_reference_points_in_mesh(mesh, centers), CellClass.INTERNAL,
                     CellClass.EXTERNAL)
     assert np.array_equal(g.classification[free], want)
 
@@ -119,7 +119,7 @@ def test_box_of_range_round_trip():
     box = g.box_of_range((1, 0, 2), (2, 3, 3))
     assert np.allclose(box.min, [1.5, 2.0, 4.0])
     assert np.allclose(box.max, [2.5, 4.0, 5.0])
-    single = g.cell_box(0, 0, 0)
+    single = g.box_of_range((0, 0, 0), (0, 0, 0))
     assert np.allclose(single.min, g.origin)
     assert np.allclose(single.extent, 0.5)
 

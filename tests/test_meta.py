@@ -7,10 +7,11 @@ import pytest
 from parallelobox import fixtures, meta
 from parallelobox.blocks import GrowthState, grow_blocks, select_seed_blocks
 from parallelobox.clip import clip_to_box
-from parallelobox.errors import InsufficientBoundaryCells, NoValidDecomposition
+from parallelobox.errors import (InsufficientBoundaryCells, NonWatertightInput,
+                                 NoValidDecomposition)
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, unit_cube)
-from parallelobox.mesh import aabb_of, measure, triangle_areas
+from parallelobox.mesh import TriangleMesh, aabb_of, measure, triangle_areas
 from parallelobox.meta import (Decomposition, PrinterProfile, RunPlan,
                                _beats, _fresh_grid, _proportional_share,
                                _score_part, _shell_area_in_box,
@@ -174,6 +175,37 @@ def test_baseline_stops_once_pieces_outnumber_printers(monkeypatch):
     assert not dec.valid
     assert len(dec.parts) > 2
     assert 1 <= len(halvings) <= 3
+
+
+def _open_mesh(name):
+    """A fixture with its last triangle removed: a surface with a hole."""
+    mesh = getattr(fixtures, name)()
+    return TriangleMesh(mesh.vertices, mesh.triangles[:-1], mesh.name)
+
+
+@pytest.mark.parametrize("name", ["l_bracket", "icosphere"])
+@pytest.mark.parametrize("printers", [1, 2, 4])
+@pytest.mark.parametrize("skip_symmetry_cut", [False, True])
+def test_search_rejects_open_mesh_before_growth(name, printers,
+                                                skip_symmetry_cut, monkeypatch):
+    calls = []
+    for attr in ("grow_blocks", "clip_to_box"):
+        fn = getattr(meta, attr)
+        monkeypatch.setattr(meta, attr, lambda *args, _attr=attr, _fn=fn, **kwargs:
+                            calls.append(_attr) or _fn(*args, **kwargs))
+    plan = RunPlan(printers_available=printers, granularity="coarse",
+                   sample_tries=1, skip_symmetry_cut=skip_symmetry_cut)
+    with pytest.raises(NonWatertightInput):
+        run_metaheuristic(_open_mesh(name), plan, PROFILE)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["l_bracket", "icosphere"])
+@pytest.mark.parametrize("printers", [1, 2, 4])
+def test_baseline_rejects_open_mesh(name, printers):
+    plan = RunPlan(printers_available=printers, granularity="coarse")
+    with pytest.raises(NonWatertightInput):
+        recursive_symmetry_baseline(_open_mesh(name), plan, PROFILE)
 
 
 # ---------------------------------------------------------------------------

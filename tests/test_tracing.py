@@ -1,0 +1,36 @@
+"""The benchmark's traced mode patches program functions by name; every name
+it patches must exist, and uninstalling must put every original back."""
+import importlib
+import logging
+from pathlib import Path
+
+from parallelobox import blocks, cli, grid, meta
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _attributes():
+    return {(m.__name__, k): v for m in (blocks, cli, grid, meta)
+            for k, v in vars(m).items()}
+
+
+def test_tracer_install_patches_and_uninstall_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    handlers = list(logging.getLogger("parallelobox").handlers)
+    before = _attributes()
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        during = _attributes()
+    finally:
+        tracer.uninstall()
+
+    assert during.keys() == before.keys()
+    patched = {key for key in before if during[key] is not before[key]}
+    assert ("parallelobox.grid", "points_in_mesh") in patched
+    after = _attributes()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    assert logging.getLogger("parallelobox").handlers == handlers
