@@ -3,11 +3,10 @@
 The volumetric kernel cuts a closed mesh with one plane at a time: each
 triangle is clipped Sutherland-Hodgman style against the half-space, the
 open boundary left on the plane is assembled into loops, and the loops are
-triangulated (ear clipping, holes bridged to their outer ring) into cap
-faces so every intermediate stays watertight.  A box clip is six successive
-half-space cuts.  Intersection points are interpolated once per undirected
-edge, so both triangles sharing an edge reuse the bit-identical point and
-the cut never tears the surface.
+triangulated into cap faces so every intermediate stays watertight.  A box
+clip is six successive half-space cuts.  Intersection points are
+interpolated once per undirected edge, so both triangles sharing an edge
+reuse the bit-identical point and the cut never tears the surface.
 
 The half-space cut is built from arrays, not a loop over triangles.  Slot
 j of a crossing triangle stands for the edge into corner j: it emits the
@@ -16,16 +15,25 @@ it is kept, in a padded (crossing, 6) array.  The cut edges, read
 row-major, are numbered by first occurrence (``np.unique`` and an argsort
 of the first indices), so the new points come out in the order of a
 triangle-by-triangle walk; each row's emitted ids are closed up and
-fan-triangulated.  The cap's boundary edges, its hole bridges (one bridge
-candidate against every ring edge at once) and its ear tests (every convex
-vertex of a pass at once) are numpy passes too.
+fan-triangulated.  The cap's boundary edges are read from the edges in
+the cut plane only.
+
+A cap is triangulated over the corners of its loops.  Cut loops of
+voxel-like models are mostly vertices collinear with both neighbours;
+those are set aside, each run under the corner edge that spans it.  Holes
+are bridged to their outer ring (Eberly, "Triangulation by Ear Clipping",
+2002), each corner ring is ear-clipped as a linked list, testing only
+reflex corners against an ear, and each run is fanned back into the one
+cap triangle that holds its corner edge.
 
 The surface-only clip, which needs no topology, is Sutherland-Hodgman
 ("Reentrant polygon clipping", CACM 1974) over many (triangle, box) pairs at
 once: the polygons live in one padded (n, width, 3) array, and each of the
-six box planes is one vectorized pass over all of them.  The width grows
-with the longest polygon (a triangle gains at most one vertex per plane, so
-at most 9); the pieces come back fan-triangulated.
+six box planes is one vectorized pass over all of them.  Triangles
+farther than PLANE_EPS outside their box are dropped before the first
+pass.  The width grows with the longest polygon (a triangle gains at most
+one vertex per plane, so at most 9); the pieces come back
+fan-triangulated.
 
 Vertices within PLANE_EPS of a cut plane are snapped onto it before
 classification, which keeps near-tangent geometry from generating sliver
@@ -56,9 +64,6 @@ logger = logging.getLogger(__name__)
 #: Distance (mm) below which a vertex is considered to lie on a cut plane.
 PLANE_EPS = 1e-9
 
-#: Most (ear, ring vertex) pairs one ear-clipping block tests at once.
-_EAR_PAIRS = 1 << 18
-
 #: Most (point, triangle) pairs one winding-number block sums at once.
 _WINDING_PAIRS = 1 << 16
 
@@ -88,8 +93,13 @@ def clip_surface_to_box(mesh: TriangleMesh, box, tri_indices=None):
         if np.any(hi - lo <= 0.0):
             raise DegenerateBox("every box extent must be positive")
     poly = v[t[ids]]                        # (n, width, 3), padded polygons
-    count = np.full(len(ids), 3)            # live vertices per polygon
-    pos = np.arange(len(ids))               # position of each row in ids
+    # Triangles farther than PLANE_EPS outside their box on some axis
+    # would be clipped away; drop them before the six passes.
+    near = ~((poly.min(axis=1) - hi > PLANE_EPS)
+             | (lo - poly.max(axis=1) > PLANE_EPS)).any(axis=1)
+    pos = np.nonzero(near)[0]               # position of each row in ids
+    poly = poly[pos]
+    count = np.full(len(pos), 3)            # live vertices per polygon
     for axis in range(3):
         for bound, sign in ((hi, 1.0), (lo, -1.0)):
             d = sign * (poly[:, :, axis] - bound[pos, axis, None])
@@ -219,19 +229,25 @@ def clip_halfspace(mesh: TriangleMesh, normal, offset: float, *,
     all_verts = np.vstack([verts, new_points]) if len(new_points) else verts
 
     if cap:
-        cap_tris = _build_caps(all_verts, tris, n)
+        on = np.concatenate([d == 0.0, np.ones(len(new_points), dtype=bool)])
+        cap_tris = _build_caps(all_verts, tris, on, n)
         if len(cap_tris):
             tris = np.vstack([tris, cap_tris])
     return compact(TriangleMesh(all_verts, tris, mesh.name))
 
 
-def _boundary_edges(tris: np.ndarray) -> np.ndarray:
+def _boundary_edges(tris: np.ndarray, on: np.ndarray) -> np.ndarray:
     """(m, 2) directed edges that have no opposite-direction partner, one
-    row per unpartnered copy, in ascending order of (start, end)."""
-    if len(tris) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
+    row per unpartnered copy, in ascending order of (start, end).
+
+    Only edges with both ends marked in ``on`` are read: every open edge
+    of a cut through a closed mesh lies in the cut plane.
+    """
     t = np.asarray(tris, dtype=np.int64)
     ab = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    ab = ab[on[ab[:, 0]] & on[ab[:, 1]]]
+    if len(ab) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
     base = int(ab.max()) + 1
     keys, counts = np.unique(ab[:, 0] * base + ab[:, 1], return_counts=True)
     rev = (keys % base) * base + keys // base
@@ -252,9 +268,11 @@ def _plane_basis(n: np.ndarray):
     return u, v
 
 
-def _build_caps(verts: np.ndarray, tris: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Triangulate the open boundary (reversed) into cap faces with normal n."""
-    boundary = _boundary_edges(tris)
+def _build_caps(verts: np.ndarray, tris: np.ndarray, on: np.ndarray,
+                n: np.ndarray) -> np.ndarray:
+    """Triangulate the open boundary (reversed) into cap faces with normal n;
+    on marks the vertices in the cut plane."""
+    boundary = _boundary_edges(tris, on)
     if not len(boundary):
         return np.zeros((0, 3), dtype=np.int32)
     u, v = _plane_basis(n)
@@ -334,6 +352,12 @@ def _point_in_ring(uv: np.ndarray, ring: list[int], p: np.ndarray) -> bool:
 
 
 def _triangulate_region(uv: np.ndarray, loops: list[list[int]]) -> list[tuple[int, int, int]]:
+    """Triangulate the region bounded by CCW outer loops and CW holes.
+
+    Each loop is cut down to its corners first (:func:`_corner_ring`);
+    holes are bridged into their outer ring, each ring is ear-clipped, and
+    the dropped runs are fanned back in (:func:`_fan_runs`).
+    """
     if not loops:
         return []
     scale = 0.0
@@ -343,9 +367,11 @@ def _triangulate_region(uv: np.ndarray, loops: list[list[int]]) -> list[tuple[in
         scale = max(scale, float(ext.max()))
     eps_area = 1e-12 * scale * scale + 1e-300
 
+    runs: list[tuple[int, int, list[int]]] = []
     outers: list[list[int]] = []
     holes: list[list[int]] = []
     for ring in loops:
+        ring = _corner_ring(uv, ring, eps_area, runs)
         if _signed_area(uv, ring) >= 0.0:
             outers.append(ring)
         else:
@@ -372,7 +398,35 @@ def _triangulate_region(uv: np.ndarray, loops: list[list[int]]) -> list[tuple[in
         for hole in sorted(grouped[i], key=lambda h: -float(uv[h][:, 0].max())):
             ring = _splice_hole(uv, ring, hole, eps_area)
         tris.extend(_ear_clip(uv, ring, eps_area))
-    return tris
+    return _fan_runs(tris, runs)
+
+
+def _corner_ring(uv: np.ndarray, ring: list[int], eps_area: float,
+                 runs: list[tuple[int, int, list[int]]]) -> list[int]:
+    """The ring without the vertices that lie on a straight edge.
+
+    A vertex at the same point as its predecessor is dropped, and so is a
+    vertex collinear with both neighbours (turn within eps_area) and
+    between them.  Each run of dropped vertices is appended to runs as
+    (a, b, [p1, ..., pk]) under the corner edge a -> b that now spans it.
+    Cut rings of voxel-like models are mostly such vertices.  A ring that
+    would keep fewer than three corners is kept whole.
+    """
+    pts = uv[ring]
+    moved = np.nonzero((pts != np.roll(pts, 1, axis=0)).any(axis=1))[0]
+    q = pts[moved]
+    e_in = q - np.roll(q, 1, axis=0)
+    e_out = np.roll(q, -1, axis=0) - q
+    turn = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
+    ahead = (e_in * e_out).sum(axis=1) > 0.0
+    kept = moved[(np.abs(turn) > eps_area) | ~ahead].tolist()
+    n = len(ring)
+    if len(kept) < 3 or len(kept) == n:
+        return list(ring)
+    for a, b in zip(kept, kept[1:] + [kept[0] + n]):
+        if b - a > 1:
+            runs.append((ring[a], ring[b % n], [ring[k % n] for k in range(a + 1, b)]))
+    return [ring[k] for k in kept]
 
 
 def _splice_hole(uv: np.ndarray, outer: list[int], hole: list[int], eps_area: float) -> list[int]:
@@ -434,66 +488,93 @@ def _splice_at(outer: list[int], pi: int, hole: list[int], hj: int) -> list[int]
 
 
 def _ear_clip(uv: np.ndarray, ring: list[int], eps_area: float) -> list[tuple[int, int, int]]:
-    """Triangulate a weakly simple CCW ring; degenerate ears are emitted as a
-    last resort so edge pairing stays intact.
+    """Triangulate a weakly simple CCW ring by ear clipping (Eberly 2002).
 
-    Every pass harvests all ears whose neighbourhood is untouched so far in
-    the pass; blocky models produce cut rings with hundreds of collinear
-    vertices and clipping one ear per pass would go quadratic on them.
-    The ears of all convex vertices are tested in one numpy pass, against
-    the ring as the pass found it.
+    The ring is a linked list.  A convex corner is an ear when no reflex
+    corner lies in its closed triangle; a reflex corner at the same point
+    as a corner of the ear (a bridge's duplicate) does not block it.  When
+    no ear is left the most convex corner is clipped anyway, so edge
+    pairing stays intact.
     """
-    ring = list(ring)
-    tris: list[tuple[int, int, int]] = []
-    while len(ring) > 3:
-        n = len(ring)
-        pts = uv[ring]
-        prv = np.concatenate([pts[-1:], pts[:-1]])
-        nxt = np.concatenate([pts[1:], pts[:1]])
-        cr = ((pts[:, 0] - prv[:, 0]) * (nxt[:, 1] - pts[:, 1])
-              - (pts[:, 1] - prv[:, 1]) * (nxt[:, 0] - pts[:, 0]))
-        locked = np.zeros(n, dtype=bool)
-        removed: list[int] = []
-        convex = np.nonzero(cr > eps_area)[0]
-        for k, blocked in zip(convex.tolist(),
-                              _ears_blocked(pts, convex, eps_area).tolist()):
-            if len(removed) >= n - 3:
-                break
-            if blocked or locked[k - 1] or locked[k] or locked[(k + 1) % n]:
+    n = len(ring)
+    xy = uv[ring].tolist()
+    prv = [n - 1] + list(range(n - 1))
+    nxt = list(range(1, n)) + [0]
+
+    def turn(k: int) -> float:
+        (ax, ay), (bx, by), (cx, cy) = xy[prv[k]], xy[k], xy[nxt[k]]
+        return (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+
+    def blocked(a: int, b: int, c: int) -> bool:
+        corners = (xy[a], xy[b], xy[c])
+        (ax, ay), (bx, by), (cx, cy) = corners
+        for r in reflex:
+            p = xy[r]
+            if p in corners:
                 continue
-            tris.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
-            locked[[k - 1, k, (k + 1) % n]] = True
-            removed.append(k)
-        if removed:
-            for k in sorted(removed, reverse=True):
-                del ring[k]
-            continue
-        k = int(cr.argmax())
-        tris.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
-        del ring[k]
-    tris.append((ring[0], ring[1], ring[2]))
+            px, py = p
+            if ((bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0
+                    and (cx - bx) * (py - by) - (cy - by) * (px - bx) >= 0.0
+                    and (ax - cx) * (py - cy) - (ay - cy) * (px - cx) >= 0.0):
+                return True
+        return False
+
+    turns = [turn(k) for k in range(n)]
+    reflex = {k for k in range(n) if turns[k] <= eps_area}
+    tris: list[tuple[int, int, int]] = []
+    k, live, misses = 0, n, 0
+    while live > 3:
+        if turns[k] <= eps_area or blocked(prv[k], k, nxt[k]):
+            misses += 1
+            if misses <= live:
+                k = nxt[k]
+                continue
+            # No ear left: clip the most convex corner.
+            best = k
+            for _ in range(live):
+                k = nxt[k]
+                if turns[k] > turns[best]:
+                    best = k
+            k = best
+        a, c = prv[k], nxt[k]
+        tris.append((ring[a], ring[k], ring[c]))
+        nxt[a], prv[c] = c, a
+        reflex.discard(k)
+        live, misses = live - 1, 0
+        for j in (a, c):
+            turns[j] = turn(j)
+            if turns[j] > eps_area:
+                reflex.discard(j)
+            else:
+                reflex.add(j)
+        k = c
+    tris.append((ring[prv[k]], ring[k], ring[nxt[k]]))
     return tris
 
 
-def _ears_blocked(pts: np.ndarray, ks: np.ndarray, eps_area: float) -> np.ndarray:
-    """For each k of ks: does a ring vertex lie strictly inside the ear
-    triangle at k?  Ears are tested in blocks of at most _EAR_PAIRS
-    (ear, vertex) pairs, which bounds the memory on long rings."""
-    n = len(pts)
-    out = np.zeros(len(ks), dtype=bool)
-    x, y = pts[:, 0], pts[:, 1]
-    step = max(1, _EAR_PAIRS // n)
-    for start in range(0, len(ks), step):
-        k = ks[start:start + step]
-        corners = np.stack([(k - 1) % n, k, (k + 1) % n], axis=1)
-        a, b, c = (pts[corners[:, i]][:, :, None] for i in range(3))
-        s1 = (b[:, 0] - a[:, 0]) * (y - a[:, 1]) - (b[:, 1] - a[:, 1]) * (x - a[:, 0])
-        s2 = (c[:, 0] - b[:, 0]) * (y - b[:, 1]) - (c[:, 1] - b[:, 1]) * (x - b[:, 0])
-        s3 = (a[:, 0] - c[:, 0]) * (y - c[:, 1]) - (a[:, 1] - c[:, 1]) * (x - c[:, 0])
-        inside = (s1 > eps_area) & (s2 > eps_area) & (s3 > eps_area)
-        inside[np.arange(len(k))[:, None], corners] = False
-        out[start:start + step] = inside.any(axis=1)
-    return out
+def _fan_runs(tris: list[tuple[int, int, int]],
+              runs: list[tuple[int, int, list[int]]]) -> list[tuple[int, int, int]]:
+    """Fan each run (a, b, [p1, ..., pk]) into the triangle (a, b, c) that
+    holds its corner edge: (a, p1, c), (p1, p2, c), ..., (pk, b, c).  A run
+    whose ring was not triangulated is dropped with it."""
+    owner: dict[tuple[int, int], list[int]] = {(a, b): [] for a, b, _ in runs}
+    for i, (x, y, z) in enumerate(tris):
+        for edge in ((x, y), (y, z), (z, x)):
+            if edge in owner:
+                owner[edge].append(i)
+    for a, b, run in runs:
+        if not owner[(a, b)]:
+            continue
+        i = owner[(a, b)].pop()
+        x, y, z = tris[i]
+        c = z if (x, y) == (a, b) else x if (y, z) == (a, b) else y
+        tris[i] = (a, run[0], c)
+        tris.extend(zip(run, run[1:] + [b], [c] * len(run)))
+        # Edge b -> c moved to the last triangle of the fan.
+        if (b, c) in owner:
+            held = owner[(b, c)]
+            held[held.index(i)] = len(tris) - 1
+    return tris
 
 
 # ---------------------------------------------------------------------------

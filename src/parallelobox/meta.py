@@ -29,11 +29,10 @@ so an iteration is scored from the per-cell tables of
 are clipped only for the iterations that can still win: those whose
 boxes are larger than the printer (the tables cannot tell whether the part
 inside fits), and the valid ones in ascending order of table score until
-the next one exceeds the best clipped score.  The table score of a part
-equals that of its clipped mesh up to rounding where the mesh caps cover
-each box face once, and is lower where a faulty cap covers part of a face
-twice; it has not been seen above it.  So the winner is the one a search
-clipping every iteration would pick, and it is scored from its meshes.
+the next one exceeds the best clipped score.  The caps of a clipped mesh
+cover each box face once, so the table score of a part equals that of
+its mesh up to rounding, and the winner is the one a search clipping
+every iteration would pick.  It is scored from its meshes.
 Iterations that share a box share its clipped mesh, so a search clips
 each distinct box once.
 """

@@ -11,6 +11,7 @@ from parallelobox.grid import (CellClass, _triangle_cell_bins, build_grid,
                                measure_cells)
 from parallelobox.mesh import (Aabb, TriangleMesh, aabb_of, compact, measure,
                               validate_watertight)
+from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
 
 
 def _random_unit(rng):
@@ -451,7 +452,9 @@ def _reference_boundary_edges(tris):
 
 
 def _reference_triangulate_region(uv, loops):
-    """clip._triangulate_region with the per-edge bridge test."""
+    """Caps as the loop kernel built them: the bridges of
+    clip._triangulate_region, tested per edge, then ear clipping over every
+    ring vertex, which can cover part of a cap twice."""
     if not loops:
         return []
     scale = max(float((uv[ring].max(axis=0) - uv[ring].min(axis=0)).max())
@@ -478,7 +481,8 @@ def _reference_triangulate_region(uv, loops):
 
 
 def _reference_ear_clip(uv, ring, eps_area):
-    """clip._ear_clip testing one candidate ear at a time."""
+    """The loop kernel's ear clipping: every vertex is a candidate, one ear
+    at a time, and a degenerate ear is forced when none is found."""
     ring = list(ring)
     tris = []
     while len(ring) > 3:
@@ -607,10 +611,145 @@ _FIXTURES = [unit_cube, lambda: icosphere(radius=6.0, subdivisions=2), dumbbell,
 _FIXTURE_IDS = ["cube", "icosphere", "dumbbell", "l_bracket", "hollow_box", "blob"]
 
 
+def _plane_areas(mesh, normal, offset):
+    """Unsigned area of the faces lying in the plane normal . x = offset,
+    and their signed area along normal."""
+    corners = mesh.vertices[mesh.triangles]
+    on = (np.abs(corners @ normal - offset) <= PLANE_EPS).all(axis=1)
+    half = 0.5 * np.cross(corners[on, 1] - corners[on, 0],
+                          corners[on, 2] - corners[on, 0])
+    return float(np.linalg.norm(half, axis=1).sum()), float((half @ normal).sum())
+
+
+def _assert_capped(got, bare, normal):
+    """got is bare, the cut without caps, with caps that close it: the same
+    vertices and leading triangles bit for bit, a watertight mesh, and caps
+    that cover their loops once (their unsigned area equals their signed
+    area along the normal, which equals the loops' signed area)."""
+    assert got.is_empty == bare.is_empty
+    if got.is_empty:
+        return
+    m = len(bare.triangles)
+    assert got.vertices.tobytes() == bare.vertices.tobytes()
+    assert got.triangles[:m].tobytes() == bare.triangles.tobytes()
+    assert validate_watertight(got).is_watertight
+    cap = got.vertices[got.triangles[m:]]
+    half = 0.5 * np.cross(cap[:, 1] - cap[:, 0], cap[:, 2] - cap[:, 0])
+    unsigned = float(np.linalg.norm(half, axis=1).sum())
+    signed = float((half @ normal).sum())
+    loops = 0.0
+    edges = np.reshape(_reference_boundary_edges(bare.triangles), (-1, 2))
+    if len(edges):
+        a, b = bare.vertices[edges[:, 0]], bare.vertices[edges[:, 1]]
+        loops = -0.5 * float((np.cross(a, b) @ normal).sum())
+    tol = 1e-9 * max(unsigned, 1.0)
+    assert abs(unsigned - signed) <= tol, (unsigned, signed)
+    assert abs(signed - loops) <= tol, (signed, loops)
+
+
+def _box_plane_areas(mesh, box):
+    """_plane_areas on each of the box's six planes, normals outward."""
+    return [_plane_areas(mesh, sign * np.eye(3)[axis], sign * bound)
+            for axis in range(3)
+            for sign, bound in ((1.0, box.max[axis]), (-1.0, box.min[axis]))]
+
+
+def _assert_same_solid(got, want, box):
+    """A clipped box solid against the loop kernel's.  Solids without caps
+    match bit for bit.  Otherwise got is watertight, the faces on each box
+    plane cover it once and have the same signed area as want's there, and
+    the faces off the planes have the same area, and the solids the same
+    volume."""
+    if got.is_empty or want.is_empty or _same_mesh(got, want):
+        assert _same_mesh(got, want)
+        return
+    assert validate_watertight(got).is_watertight
+    got_planes, want_planes = _box_plane_areas(got, box), _box_plane_areas(want, box)
+    tol = 1e-9 * max(measure(got).surface_area, 1.0)
+    for (unsigned, signed), (_, want_signed) in zip(got_planes, want_planes):
+        assert abs(unsigned - signed) <= tol, (unsigned, signed)
+        assert abs(signed - want_signed) <= tol, (signed, want_signed)
+    got_off, want_off = (measure(m).surface_area - sum(u for u, _ in planes)
+                         for m, planes in ((got, got_planes), (want, want_planes)))
+    assert got_off == pytest.approx(want_off, rel=1e-9, abs=tol)
+    assert measure(got).volume == pytest.approx(measure(want).volume, rel=1e-9)
+
+
+_FIXTURES = [unit_cube, lambda: icosphere(radius=6.0, subdivisions=2), dumbbell,
+             l_bracket, hollow_box, asymmetric_blob]
+_FIXTURE_IDS = ["cube", "icosphere", "dumbbell", "l_bracket", "hollow_box", "blob"]
+
+
+def _plane_areas(mesh, normal, offset):
+    """Unsigned area of the faces lying in the plane normal . x = offset,
+    and their signed area along normal."""
+    corners = mesh.vertices[mesh.triangles]
+    on = (np.abs(corners @ normal - offset) <= PLANE_EPS).all(axis=1)
+    half = 0.5 * np.cross(corners[on, 1] - corners[on, 0],
+                          corners[on, 2] - corners[on, 0])
+    return float(np.linalg.norm(half, axis=1).sum()), float((half @ normal).sum())
+
+
+def _assert_capped(got, bare, normal):
+    """got is bare, the cut without caps, with caps that close it: the same
+    vertices and leading triangles bit for bit, a watertight mesh, and caps
+    that cover their loops once (their unsigned area equals their signed
+    area along the normal, which equals the loops' signed area)."""
+    assert got.is_empty == bare.is_empty
+    if got.is_empty:
+        return
+    m = len(bare.triangles)
+    assert got.vertices.tobytes() == bare.vertices.tobytes()
+    assert got.triangles[:m].tobytes() == bare.triangles.tobytes()
+    assert validate_watertight(got).is_watertight
+    cap = got.vertices[got.triangles[m:]]
+    half = 0.5 * np.cross(cap[:, 1] - cap[:, 0], cap[:, 2] - cap[:, 0])
+    unsigned = float(np.linalg.norm(half, axis=1).sum())
+    signed = float((half @ normal).sum())
+    loops = 0.0
+    edges = np.reshape(_reference_boundary_edges(bare.triangles), (-1, 2))
+    if len(edges):
+        a, b = bare.vertices[edges[:, 0]], bare.vertices[edges[:, 1]]
+        loops = -0.5 * float((np.cross(a, b) @ normal).sum())
+    tol = 1e-9 * max(unsigned, 1.0)
+    assert abs(unsigned - signed) <= tol, (unsigned, signed)
+    assert abs(signed - loops) <= tol, (signed, loops)
+
+
+def _assert_same_solid(got, want, box):
+    """A clipped box solid against the loop kernel's.  Solids without caps
+    match bit for bit.  Otherwise got is watertight, the faces on each box
+    plane cover it once and have the same signed area as want's there, and
+    the faces off the planes have the same area, and the solids the same
+    volume."""
+    if got.is_empty or want.is_empty or _same_mesh(got, want):
+        assert _same_mesh(got, want)
+        return
+    assert validate_watertight(got).is_watertight
+    plane_area = {}
+    for mesh in (got, want):
+        areas = []
+        for axis in range(3):
+            for sign, bound in ((1.0, box.max[axis]), (-1.0, box.min[axis])):
+                areas.append(_plane_areas(mesh, sign * np.eye(3)[axis], sign * bound))
+        plane_area[id(mesh)] = areas
+    total = measure(got).surface_area
+    tol = 1e-9 * max(total, 1.0)
+    for (unsigned, signed), (_, want_signed) in zip(plane_area[id(got)],
+                                                    plane_area[id(want)]):
+        assert abs(unsigned - signed) <= tol, (unsigned, signed)
+        assert abs(signed - want_signed) <= tol, (signed, want_signed)
+    off = [measure(m).surface_area - sum(u for u, _ in plane_area[id(m)])
+           for m in (got, want)]
+    assert off[0] == pytest.approx(off[1], rel=1e-9, abs=tol)
+    assert measure(got).volume == pytest.approx(measure(want).volume, rel=1e-9)
+
+
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
 def test_halfspace_clip_matches_loop_kernel(make_mesh):
     """Axis planes at grid coordinates (through faces of the voxel models)
-    and random oblique planes, both coplanar rules, with and without caps."""
+    and random oblique planes, both coplanar rules: without caps bit for
+    bit, with caps the same mesh plus caps that close it once."""
     mesh = make_mesh()
     grid = build_grid(mesh, "fine")
     rng = np.random.default_rng(61)
@@ -627,11 +766,14 @@ def test_halfspace_clip_matches_loop_kernel(make_mesh):
         planes.append((normal, float(point @ normal)))
     for normal, offset in planes:
         for keep_coplanar in (True, False):
-            for cap in (True, False):
-                options = dict(keep_coplanar=keep_coplanar, cap=cap)
-                got = clip_halfspace(mesh, normal, offset, **options)
-                want = _reference_clip_halfspace(mesh, normal, offset, **options)
-                assert _same_mesh(got, want), (normal, offset, options)
+            case = (normal, offset, keep_coplanar)
+            bare = clip_halfspace(mesh, normal, offset, keep_coplanar=keep_coplanar,
+                                  cap=False)
+            want = _reference_clip_halfspace(mesh, normal, offset,
+                                             keep_coplanar=keep_coplanar, cap=False)
+            assert _same_mesh(bare, want), case
+            got = clip_halfspace(mesh, normal, offset, keep_coplanar=keep_coplanar)
+            _assert_capped(got, want, normal)
 
 
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
@@ -643,7 +785,7 @@ def test_clip_to_box_matches_loop_kernel(make_mesh):
     for _ in range(10):
         a, b = rng.integers(0, dims), rng.integers(0, dims)
         box = grid.box_of_range(np.minimum(a, b), np.maximum(a, b))
-        assert _same_mesh(clip_to_box(mesh, box), _reference_clip_to_box(mesh, box))
+        _assert_same_solid(clip_to_box(mesh, box), _reference_clip_to_box(mesh, box), box)
 
 
 def test_cap_through_a_cavity_bridges_its_hole(monkeypatch):
@@ -660,10 +802,14 @@ def test_cap_through_a_cavity_bridges_its_hole(monkeypatch):
         for sign in (1.0, -1.0):
             normal = sign * np.eye(3)[axis]
             got = clip_halfspace(mesh, normal, sign * offset)
-            want = _reference_clip_halfspace(mesh, normal, sign * offset)
-            assert _same_mesh(got, want)
-            assert validate_watertight(got).is_watertight
+            _assert_capped(got, _reference_clip_halfspace(
+                mesh, normal, sign * offset, cap=False), normal)
     assert len(spliced) == 6
+
+
+def _rotated_to_min(tris):
+    """Each triangle's corners rotated to start at its smallest id."""
+    return [tuple(t[k:] + t[:k]) for t in tris.tolist() for k in [t.index(min(t))]]
 
 
 def test_touching_boxes_match_the_weld():
@@ -676,7 +822,13 @@ def test_touching_boxes_match_the_weld():
              Aabb((1.0, 1.0, 0.0), (2.0, 2.0, 1.0)),    # along an edge
              Aabb((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))]    # at a corner
     for box in boxes:
-        assert _same_mesh(clip_to_box(cube, box), _reference_clip_to_box(cube, box))
+        got, want = clip_to_box(cube, box), _reference_clip_to_box(cube, box)
+        # Owning a face gives a sheet of no volume, the face and its cap:
+        # the loop kernel's triangles, each up to the rotation of its
+        # corners.
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert _rotated_to_min(got.triangles) == _rotated_to_min(want.triangles)
+        assert got.is_empty or validate_watertight(got).is_watertight
     # A tetrahedron whose tip pokes 1.5e-9 into the box: the pieces are
     # slivers about 1.5e-10 wide, distinct points that weld together.
     tip = TriangleMesh(np.array([[0.0, 0.0, 0.0], [10.0, -1.0, -1.0],
@@ -688,7 +840,177 @@ def test_touching_boxes_match_the_weld():
     pieces, _ = clip_surface_to_box(tip, box)
     assert len(pieces) == 3
     assert clip_to_box(tip, box).is_empty
-    assert _same_mesh(clip_to_box(tip, box), _reference_clip_to_box(tip, box))
+    _assert_same_solid(clip_to_box(tip, box), _reference_clip_to_box(tip, box), box)
+
+
+def _cut_loops(mesh, normal, offset, keep_coplanar):
+    """The plane coordinates and boundary loops clip_halfspace caps, from
+    the loop kernel's uncapped cut."""
+    bare = _reference_clip_halfspace(mesh, normal, offset,
+                                     keep_coplanar=keep_coplanar, cap=False)
+    u, v = clip._plane_basis(normal)
+    uv = np.column_stack([bare.vertices @ u, bare.vertices @ v])
+    edges = _reference_boundary_edges(bare.triangles)
+    return uv, clip._assemble_loops([(b, a) for a, b in edges], uv)
+
+
+def _region_areas(uv, tris):
+    """Unsigned and signed area of triangles given as uv indices."""
+    p = uv[np.asarray(tris)]
+    cross = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+    return 0.5 * float(np.abs(cross).sum()), 0.5 * float(cross.sum())
+
+
+def test_dumbbell_ring_is_capped_once(monkeypatch):
+    """The 53-vertex ring on the y-min face of a dumbbell part (fine, 4
+    printers, piece 0, cells (0, 4, 0)-(7, 7, 11)), the face on the
+    symmetry plane, with the piece cut by the loop kernel.  Most of its
+    vertices are collinear with both neighbours; ear clipping every vertex
+    covered 500 mm² for its 440."""
+    with monkeypatch.context() as patch:
+        patch.setattr(clip, "clip_halfspace", _reference_clip_halfspace)
+        prepared = prepare_model(dumbbell(), RunPlan(printers_available=4,
+                                                     granularity="fine"),
+                                 PrinterProfile())
+    piece = prepared.pieces[0]
+    box = piece.grid.box_of_range((0, 4, 0), (7, 7, 11))
+    uv, loops = _cut_loops(piece.mesh, -np.eye(3)[1], -box.min[1], False)
+    assert [len(ring) for ring in loops] == [53]
+    assert clip._signed_area(uv, loops[0]) == pytest.approx(440.0, rel=1e-9)
+    unsigned, signed = _region_areas(uv, clip._triangulate_region(uv, loops))
+    assert signed == pytest.approx(440.0, rel=1e-9)
+    assert unsigned == pytest.approx(signed, rel=1e-12)
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.5])
+def test_comb_ring_with_many_reflex_corners(angle):
+    """A comb (a spine with twelve teeth, two reflex corners between each
+    pair) with a hole in its spine, every edge split into collinear
+    vertices, axis-aligned and rotated: the triangles tile the region
+    once, each ring edge in one triangle and every other edge paired."""
+    teeth = 12
+    outer = [(0.0, 0.0), (2.0 * teeth - 1.0, 0.0)]
+    for i in reversed(range(teeth)):
+        outer += [(2.0 * i + 1.0, 6.0), (2.0 * i, 6.0)]
+        if i:
+            outer += [(2.0 * i, 2.0), (2.0 * i - 1.0, 2.0)]
+    hole = [(3.5, 0.5), (3.5, 1.5), (9.5, 1.5), (9.5, 0.5)]      # clockwise
+
+    def split(corners):
+        ring = []
+        for p, q in zip(corners, corners[1:] + corners[:1]):
+            ring += [tuple(np.add(p, t * np.subtract(q, p))) for t in (0.0, 0.25, 0.5, 0.75)]
+        return ring
+
+    points = split(outer) + split(hole)
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    uv = np.asarray(points) @ rot.T
+    n_outer = 4 * len(outer)
+    loops = [list(range(n_outer)), list(range(n_outer, len(points)))]
+    tris = clip._triangulate_region(uv, loops)
+    # A ring of n vertices with h holes has n + 2h - 2 triangles.
+    assert len(tris) == len(points) + 2 - 2
+    area = clip._signed_area(uv, loops[0]) + clip._signed_area(uv, loops[1])
+    assert area == pytest.approx(teeth * 4.0 + (2 * teeth - 1) * 2.0 - 6.0, rel=1e-12)
+    unsigned, signed = _region_areas(uv, tris)
+    assert signed == pytest.approx(area, rel=1e-12)
+    assert unsigned == pytest.approx(signed, rel=1e-12)
+    edges = [e for a, b, c in tris for e in ((a, b), (b, c), (c, a))]
+    assert len(set(edges)) == len(edges)
+    ring_edges = {(r[k], r[(k + 1) % len(r)]) for r in loops for k in range(len(r))}
+    inner = set(edges) - ring_edges
+    assert ring_edges <= set(edges)
+    assert {(b, a) for a, b in inner} == inner
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
+def test_random_axis_cuts_stay_watertight(make_mesh):
+    """Axis cuts at random offsets at least 1e-6 from every vertex: the
+    capped halves are watertight and their caps cover the cut once."""
+    mesh = make_mesh()
+    bb = aabb_of(mesh)
+    rng = np.random.default_rng(71)
+    for trial in range(12):
+        axis = trial % 3
+        offset = float(bb.min[axis] + rng.uniform(0.02, 0.98) * bb.extent[axis])
+        while np.abs(mesh.vertices[:, axis] - offset).min() <= 1e-6:
+            offset = float(bb.min[axis] + rng.uniform(0.02, 0.98) * bb.extent[axis])
+        for sign in (1.0, -1.0):
+            normal = sign * np.eye(3)[axis]
+            got = clip_halfspace(mesh, normal, sign * offset)
+            assert not got.is_empty
+            _assert_capped(got, _reference_clip_halfspace(
+                mesh, normal, sign * offset, cap=False), normal)
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
+def test_culled_surface_clip_matches_unculled_kernel(make_mesh):
+    """clip_surface_to_box drops the triangles beyond PLANE_EPS of their
+    box before clipping; on random boxes, half of them with every plane on
+    a vertex coordinate or PLANE_EPS-scale nudges off it, its pieces are
+    the per-triangle kernel's over every triangle, bit for bit, in both
+    the one-box and the per-pair form."""
+    mesh = make_mesh()
+    bb = aabb_of(mesh)
+    ids = np.arange(len(mesh.triangles))
+    rng = np.random.default_rng(79)
+    boxes = []
+    for trial in range(16):
+        if trial % 2:
+            v = mesh.vertices[rng.integers(len(mesh.vertices), size=(2, 3)), np.arange(3)]
+            nudge = rng.choice([0.0, 0.5, 1.0, 1.5, -0.5, -1.0, -1.5], size=(2, 3))
+            lo, hi = np.sort(v + nudge * PLANE_EPS, axis=0)
+            if np.any(hi - lo <= 0.0):
+                continue
+        else:
+            lo = bb.min + rng.uniform(-0.1, 0.8, size=3) * bb.extent
+            hi = lo + rng.uniform(0.05, 0.6, size=3) * bb.extent
+        boxes.append(Aabb(lo, hi))
+        got, got_sources = clip_surface_to_box(mesh, boxes[-1])
+        want, want_sources = _reference_clip(mesh, boxes[-1], ids)
+        assert np.array_equal(got, want) and np.array_equal(got_sources, want_sources)
+    assert len(boxes) >= 12
+    m = len(ids)
+    pieces, sources = clip_surface_to_box(
+        mesh, (np.repeat([b.min for b in boxes], m, axis=0),
+               np.repeat([b.max for b in boxes], m, axis=0)), np.tile(ids, len(boxes)))
+    for k, box in enumerate(boxes):
+        want, want_sources = _reference_clip(mesh, box, ids)
+        mine = sources // m == k
+        assert np.array_equal(pieces[mine], want)
+        assert np.array_equal(sources[mine] - k * m, want_sources)
+
+
+def test_boundary_edges_read_only_the_cut_plane(monkeypatch):
+    """The caps read the open edges among the edges in the cut plane; on
+    random cuts (axis planes on vertices and between them, oblique
+    planes, both coplanar rules) those are all the open edges."""
+    seen = []
+    build = clip._build_caps
+    monkeypatch.setattr(clip, "_build_caps", lambda verts, tris, on, n: seen.append(
+        (tris, on)) or build(verts, tris, on, n))
+    rng = np.random.default_rng(83)
+    for make_mesh in _FIXTURES:
+        mesh = make_mesh()
+        bb = aabb_of(mesh)
+        for trial in range(9):
+            axis = trial % 3
+            if trial < 3:
+                normal = np.eye(3)[axis]
+                offset = float(mesh.vertices[rng.integers(len(mesh.vertices)), axis])
+            elif trial < 6:
+                normal = -np.eye(3)[axis]
+                offset = -float(bb.min[axis] + rng.uniform(0.1, 0.9) * bb.extent[axis])
+            else:
+                normal = _random_unit(rng)
+                offset = float((bb.min + rng.uniform(0.1, 0.9, size=3) * bb.extent) @ normal)
+            for keep_coplanar in (True, False):
+                clip_halfspace(mesh, normal, offset, keep_coplanar=keep_coplanar)
+    assert len(seen) >= 90
+    for tris, on in seen:
+        got = clip._boundary_edges(tris, on)
+        assert got.tolist() == [list(e) for e in _reference_boundary_edges(tris)]
 
 
 def test_bridge_test_matches_per_edge_test():

@@ -11,7 +11,8 @@ from parallelobox.errors import (InsufficientBoundaryCells, NonWatertightInput,
                                  NoValidDecomposition)
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, unit_cube)
-from parallelobox.mesh import TriangleMesh, aabb_of, measure, triangle_areas
+from parallelobox.mesh import (TriangleMesh, aabb_of, measure, triangle_areas,
+                              validate_watertight)
 from parallelobox.meta import (Decomposition, PrinterProfile, RunPlan,
                                _beats, _fresh_grid, _proportional_share,
                                _score_part, _shell_area_in_box,
@@ -376,16 +377,15 @@ def test_search_matches_reference(fixture, granularity, monkeypatch):
                     if not exact.parts:
                         assert math.isnan(record.parallel_score), case
                         continue
-                    # Tables never score above the meshes, and match them
-                    # wherever the mesh caps cover each box plane once.
+                    # The mesh caps cover each box plane once, so tables
+                    # and meshes score alike.
                     assert record.parallel_score <= exact.parallel_score * (
                         1.0 + 1e-12), case
-                    once = all(_caps_cover_once(
+                    assert all(_caps_cover_once(
                         p.mesh, prepared.pieces[p.piece].grid.box_of_range(
-                            p.cell_lo, p.cell_hi)) for p in exact.parts)
-                    if once:
-                        assert record.parallel_score == pytest.approx(
-                            exact.parallel_score, rel=1e-9), case
+                            p.cell_lo, p.cell_hi)) for p in exact.parts), case
+                    assert record.parallel_score == pytest.approx(
+                        exact.parallel_score, rel=1e-9), case
 
 
 @pytest.mark.parametrize("granularity", ["coarse", "fine"])
@@ -413,9 +413,44 @@ def test_box_tables_match_clipped_meshes(granularity):
                     exact.volume, rel=1e-9, abs=1e-9 * cell), case
                 assert area <= exact.surface_area + 1e-9 * max(
                     exact.surface_area, face), case
-                if _caps_cover_once(clipped, box):
-                    assert area == pytest.approx(
-                        exact.surface_area, rel=1e-9, abs=1e-9 * face), case
+                assert _caps_cover_once(clipped, box), case
+                assert area == pytest.approx(
+                    exact.surface_area, rel=1e-9, abs=1e-9 * face), case
+
+
+def test_dumbbell_box_mesh_matches_its_table():
+    """Piece 0 of the dumbbell at fine with 4 printers, cells (0, 4, 0) to
+    (7, 7, 11): the clipped mesh has the table's 1720 mm².  A cap covering
+    part of the box's y-min face twice made it 1780."""
+    prepared = prepare_model(dumbbell(), RunPlan(printers_available=4,
+                                                 granularity="fine"), PROFILE)
+    piece = prepared.pieces[0]
+    lo, hi = np.array([0, 4, 0]), np.array([7, 7, 11])
+    clipped = clip_to_box(piece.mesh, piece.grid.box_of_range(lo, hi))
+    _, area = piece.measures.box(lo, hi)
+    assert area == pytest.approx(1720.0, rel=1e-9)
+    assert measure(clipped).surface_area == pytest.approx(area, rel=1e-9)
+
+
+def test_blob_seed_4002_parts_are_closed(caplog):
+    """asymmetric_blob at fine with 4 printers, seed 4002: a cap on part
+    0's box found no bridge for its hole and dropped it, and two of the
+    valid result's parts were open.  Every part is closed now, with the
+    table's area and volume."""
+    plan = RunPlan(printers_available=4, granularity="fine")
+    prepared = prepare_model(asymmetric_blob(), plan, PROFILE)
+    grown = meta.grow_runs(prepared, plan, PROFILE, [(4, 4002)])[0]
+    result = meta.clip_parts(prepared, plan, PROFILE, meta.run_decomposition(
+        prepared, plan, PROFILE, 4, 4002, grown), {})
+    assert result.valid and len(result.parts) == 4
+    assert not [r for r in caplog.records if r.name == "parallelobox.clip"]
+    for part in result.parts:
+        volume, area = prepared.pieces[part.piece].measures.box(
+            np.array(part.cell_lo), np.array(part.cell_hi))
+        exact = measure(part.mesh)
+        assert validate_watertight(part.mesh).is_watertight, part.name
+        assert exact.surface_area == pytest.approx(area, rel=1e-9), part.name
+        assert exact.volume == pytest.approx(volume, rel=1e-9), part.name
 
 
 def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
