@@ -42,7 +42,8 @@ from .preprocess import SYMMETRY_THRESHOLD, SymmetryPlane
 logger = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("model", "algorithm", "printers", "parts", "parallel_time_s",
-               "aggregate_time_s", "parallel_score", "compute_time_s", "valid")
+               "aggregate_time_s", "parallel_score", "compute_time_s", "valid",
+               "cut_area_mm2")
 
 _PROFILE_KEYS = ("volume_x", "volume_y", "volume_z", "speed_shell",
                  "speed_infill", "line_width", "layer_height")
@@ -70,14 +71,12 @@ def parse_config(path) -> PrinterProfile:
                 raise ConfigError(
                     f"{path}: [printer] {key} = {section[key]!r} "
                     "is not a number") from exc
+            if not (math.isfinite(values[key]) and values[key] > 0.0):
+                raise ConfigError(f"{path}: [printer] {key} must be a finite "
+                                  f"positive number, got {section[key]!r}")
     else:
         logger.warning("%s has no [printer] section; using defaults", path)
-    profile = PrinterProfile(**values)
-    for key in _PROFILE_KEYS:
-        if getattr(profile, key) <= 0.0:
-            raise ConfigError(f"{path}: [printer] {key} must be positive, "
-                              f"got {getattr(profile, key)}")
-    return profile
+    return PrinterProfile(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +85,18 @@ def parse_config(path) -> PrinterProfile:
 
 @dataclass
 class RunRow:
-    """One results.csv row."""
+    """One results.csv row; the defaults are a run that gave no result."""
 
     model: str
     algorithm: str
     printers: int
-    parts: int
-    parallel_time_s: float | None
-    aggregate_time_s: float | None
-    parallel_score: float | None
-    compute_time_s: float
-    valid: bool
+    compute_time_s: float = 0.0
+    valid: bool = False
+    parts: int = 0
+    parallel_time_s: float | None = None
+    aggregate_time_s: float | None = None
+    parallel_score: float | None = None
+    cut_area_mm2: float | None = None
 
     def csv_values(self) -> list[str]:
         def num(x):
@@ -105,7 +105,8 @@ class RunRow:
         return [self.model, self.algorithm, str(self.printers),
                 str(self.parts), num(self.parallel_time_s),
                 num(self.aggregate_time_s), num(self.parallel_score),
-                num(self.compute_time_s), "true" if self.valid else "false"]
+                num(self.compute_time_s), "true" if self.valid else "false",
+                num(self.cut_area_mm2)]
 
 
 @dataclass
@@ -221,16 +222,14 @@ def run_model(model_name: str, printers: int, plan: RunPlan,
                 parallel_time_s=result.parallel_time_s,
                 aggregate_time_s=result.aggregate_time_s,
                 reason=result.reason, clipped=result.clipped,
-                wall_clock_s=elapsed))
+                cut_area_mm2=result.cut_area_mm2, wall_clock_s=elapsed))
 
         part_dir = out_dir / model_name / str(printers) / algorithm
         if result is None or not result.valid:
             _clear_parts(part_dir)
         if result is None:
-            report.rows.append(RunRow(
-                model=model_name, algorithm=algorithm, printers=printers,
-                parts=0, parallel_time_s=None, aggregate_time_s=None,
-                parallel_score=None, compute_time_s=elapsed, valid=False))
+            report.rows.append(RunRow(model_name, algorithm, printers,
+                                      compute_time_s=elapsed))
             continue
         exported = _export_parts(result, part_dir) if result.valid else 0
         report.rows.append(RunRow(
@@ -239,7 +238,8 @@ def run_model(model_name: str, printers: int, plan: RunPlan,
             parallel_time_s=result.parallel_time_s,
             aggregate_time_s=result.aggregate_time_s,
             parallel_score=result.parallel_score,
-            compute_time_s=elapsed, valid=result.valid))
+            compute_time_s=elapsed, valid=result.valid,
+            cut_area_mm2=result.cut_area_mm2))
         logger.info("%s x%d %s: %d parts, parallel %.1f s, valid=%s",
                     model_name, printers, algorithm, result.printers_used,
                     result.parallel_time_s, result.valid)
@@ -264,13 +264,14 @@ def write_plotdata(report: BatchReport, path: Path) -> None:
         series = data.setdefault(row.model, {}).setdefault(
             row.algorithm, {"printers": [], "parts": [], "parallel_time_s": [],
                             "aggregate_time_s": [], "parallel_score": [],
-                            "valid": []})
+                            "valid": [], "cut_area_mm2": []})
         series["printers"].append(row.printers)
         series["parts"].append(row.parts)
         series["parallel_time_s"].append(row.parallel_time_s)
         series["aggregate_time_s"].append(row.aggregate_time_s)
         series["parallel_score"].append(row.parallel_score)
         series["valid"].append(row.valid)
+        series["cut_area_mm2"].append(row.cut_area_mm2)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -302,10 +303,7 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
             logger.error("skipping %s: %s", model_path, exc)
             for printers in printer_counts:
                 for algorithm in algorithms:
-                    report.rows.append(RunRow(
-                        model=name, algorithm=algorithm, printers=printers,
-                        parts=0, parallel_time_s=None, aggregate_time_s=None,
-                        parallel_score=None, compute_time_s=0.0, valid=False))
+                    report.rows.append(RunRow(name, algorithm, printers))
             continue
         cache = ModelCache(mesh, list(printer_counts))
         for printers in printer_counts:

@@ -41,7 +41,13 @@ loops.
 
 Volumetric operations need a closed mesh (NonWatertightInput otherwise).  A
 box the surface does not cross is all solid or all void, and one winding
-number at its center (:func:`points_in_mesh`) tells which.
+number at its center (:func:`points_in_mesh`) tells which.  The surface
+crosses a box when a piece of its surface-only clip keeps three corners
+apart at PLANE_EPS resolution.  The clip keeps a triangle whole when every
+corner is in the closed box and not all lie within PLANE_EPS of one min
+face, so it runs only when no such triangle answers.  A box clip skips
+each cut whose plane the mesh lies more than PLANE_EPS inside of: that
+cut would only copy the mesh.
 """
 from __future__ import annotations
 
@@ -595,13 +601,7 @@ def clip_to_box(mesh: TriangleMesh, box: Aabb) -> TriangleMesh:
     _check_box(box)
     if not validate_watertight(mesh).is_watertight:
         raise NonWatertightInput("volumetric clipping needs a closed mesh")
-    pieces, _ = clip_surface_to_box(mesh, box)
-    # The surface crosses the box when some piece keeps three distinct
-    # corners at PLANE_EPS resolution; slivers that collapse below it do not
-    # count.
-    keys = np.round(pieces / PLANE_EPS).astype(np.int64)
-    apart = (keys != np.roll(keys, -1, axis=1)).any(axis=2)
-    if not apart.all(axis=1).any():
+    if not _surface_crosses(mesh, box):
         # No surface inside the box: either completely inside or outside.
         if points_in_mesh(mesh, [box.center])[0]:
             return box_mesh(box.extent, box.min, mesh.name)
@@ -611,13 +611,30 @@ def clip_to_box(mesh: TriangleMesh, box: Aabb) -> TriangleMesh:
     axes = np.eye(3)
     for axis in range(3):
         # Own the max face (keep coplanar there), give away the min face.
-        current = clip_halfspace(current, axes[axis], box.max[axis], keep_coplanar=True)
-        if current.is_empty:
-            break
-        current = clip_halfspace(current, -axes[axis], -box.min[axis], keep_coplanar=False)
-        if current.is_empty:
-            break
-    return current
+        for normal, offset, keep in ((axes[axis], box.max[axis], True),
+                                     (-axes[axis], -box.min[axis], False)):
+            # normal . v - offset, exactly as clip_halfspace computes it.
+            if (current.vertices[:, axis] * normal[axis] - offset < -PLANE_EPS).all():
+                continue
+            current = clip_halfspace(current, normal, offset, keep_coplanar=keep)
+            if current.is_empty:
+                return current
+    return mesh.copy() if current is mesh else current
+
+
+def _surface_crosses(mesh: TriangleMesh, box: Aabb) -> bool:
+    """Does a piece of the surface clipped to the box keep three corners
+    apart at PLANE_EPS resolution?  Triangles the clip keeps whole are
+    asked first; a min face's triangles are its neighbour's."""
+    def apart(corners: np.ndarray) -> bool:
+        keys = np.round(corners / PLANE_EPS).astype(np.int64)
+        return bool((keys != np.roll(keys, -1, axis=1)).any(axis=2).all(axis=1).any())
+
+    v, t = mesh.vertices, mesh.triangles
+    inside = ((v >= box.min) & (v <= box.max)).all(axis=1)
+    on_min = np.abs(v - box.min) <= PLANE_EPS
+    whole = inside[t].all(axis=1) & ~on_min[t].all(axis=1).any(axis=1)
+    return apart(v[t[whole]]) or apart(clip_surface_to_box(mesh, box)[0])
 
 
 def cut_by_plane(mesh: TriangleMesh, normal, offset: float):

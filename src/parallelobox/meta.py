@@ -34,7 +34,9 @@ cover each box face once, so the table score of a part equals that of
 its mesh up to rounding, and the winner is the one a search clipping
 every iteration would pick.  It is scored from its meshes.
 Iterations that share a box share its clipped mesh, so a search clips
-each distinct box once.
+each distinct box once; scoring clips nothing more.  A result's cut area,
+its parts' surface area less the model's, is read from the tables until
+its parts are clipped.
 """
 from __future__ import annotations
 
@@ -46,12 +48,12 @@ import numpy as np
 
 from .blocks import (SCORE_RTOL, Block, GrowthState, ObjectiveParams,
                      fits_printer, grow_blocks, print_score, select_seed_blocks)
-from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane
+# The benchmark's traced mode patches clip_halfspace and clip_surface_to_box.
+from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane  # noqa: F401
 from .errors import (InsufficientBoundaryCells, NonWatertightInput,
                      NoValidDecomposition)
 from .grid import CellClass, CellMeasures, Grid, build_grid, measure_cells
-from .mesh import (TriangleMesh, aabb_of, measure, triangle_areas,
-                   validate_watertight)
+from .mesh import TriangleMesh, aabb_of, measure, validate_watertight
 from .preprocess import (SYMMETRY_THRESHOLD, Pose, SymmetryPlane,
                          find_best_symmetry_plane, optimize_orientation)
 from .resolve import get_discrete_empty_regions
@@ -121,15 +123,11 @@ def estimate_time(volume: float, surface_area: float, profile: PrinterProfile,
 
 @dataclass
 class PartResult:
-    """One part; scored from the cell tables until it is clipped.
-
-    A table-scored part has no mesh yet and no shell_area (NaN).
-    """
+    """One part; scored from the cell tables (no mesh) until it is clipped."""
 
     mesh: TriangleMesh | None
     volume: float
     surface_area: float     # of the capped, printable part
-    shell_area: float       # share of the original model surface (cap-free)
     print_score: float
     time_s: float
     source: str  # "block" or "void"
@@ -154,6 +152,7 @@ class Decomposition:
     symmetry_error: float
     symmetry_cut: bool
     clipped: bool           # the parts are clipped meshes, scored from them
+    cut_area_mm2: float     # Σ part − model surface area; NaN when uncovered
 
     @property
     def printers_used(self) -> int:
@@ -174,6 +173,7 @@ class RunRecord:
     aggregate_time_s: float
     reason: str
     clipped: bool           # scored from clipped meshes, not cell tables
+    cut_area_mm2: float     # Σ part surface area − model surface area
     growth_steps: int = 0   # growth moves of the iteration, every piece
     wall_clock_s: float = 0.0   # void fill and scoring; growth is shared
 
@@ -187,8 +187,9 @@ class RunRecord:
 
 @dataclass
 class PreparedPiece:
+    """The model or one side of its symmetry cut, oriented and gridded."""
+
     mesh: TriangleMesh          # capped, oriented, watertight
-    shell: TriangleMesh         # its share of the original surface, oriented
     pose: Pose
     grid: Grid
     measures: CellMeasures
@@ -200,6 +201,7 @@ class PreparedModel:
     pieces: list[PreparedPiece]
     plane: SymmetryPlane
     cut: bool
+    surface_area: float         # of the model before the symmetry cut
 
 
 def prepare_model(mesh: TriangleMesh, plan: RunPlan, profile: PrinterProfile,
@@ -211,29 +213,27 @@ def prepare_model(mesh: TriangleMesh, plan: RunPlan, profile: PrinterProfile,
     if plane is None:
         plane = find_best_symmetry_plane(mesh)
     raw: list[TriangleMesh] = [mesh]
-    shells: list[TriangleMesh] = [mesh]
     cut = False
     if (not plan.skip_symmetry_cut and plan.printers_available >= 2
             and plane.error_score <= plan.symmetry_threshold):
         positive, negative = cut_by_plane(mesh, plane.normal, plane.offset)
         if not positive.is_empty and not negative.is_empty:
             raw = [positive, negative]
-            shells = _split_shell(mesh, plane.normal, plane.offset)
             cut = True
             logger.info("symmetry cut accepted (error %.4g)", plane.error_score)
         else:
             logger.warning("symmetry plane cut off nothing; skipping the cut")
     pieces = []
-    for i, (piece, shell) in enumerate(zip(raw, shells)):
+    for i, piece in enumerate(raw):
         piece.name = f"{mesh.name}_half{i}" if cut else mesh.name
         oriented, pose = optimize_orientation(
             piece, symmetry=plane,
             overhang_tolerance_deg=plan.overhang_tolerance_deg)
         grid = build_grid(oriented, plan.granularity)
         measures = measure_cells(grid, oriented, plan.overhang_tolerance_deg)
-        pieces.append(PreparedPiece(oriented, pose.apply(shell), pose, grid,
-                                    measures, measure(oriented).volume))
-    return PreparedModel(pieces, plane, cut)
+        pieces.append(PreparedPiece(oriented, pose, grid, measures,
+                                    measure(oriented).volume))
+    return PreparedModel(pieces, plane, cut, measure(mesh).surface_area)
 
 
 def preparation_key(plan: RunPlan) -> tuple:
@@ -242,25 +242,6 @@ def preparation_key(plan: RunPlan) -> tuple:
     return (plan.granularity, plan.overhang_tolerance_deg,
             plan.skip_symmetry_cut, plan.symmetry_threshold,
             plan.printers_available >= 2)
-
-
-def _split_shell(shell: TriangleMesh, normal, offset: float) -> list[TriangleMesh]:
-    """Split an open surface by a plane, without caps, half-open like
-    cut_by_plane so the two sides never share a coplanar triangle."""
-    positive = clip_halfspace(shell, -np.asarray(normal), -float(offset),
-                              keep_coplanar=False, cap=False)
-    negative = clip_halfspace(shell, np.asarray(normal), float(offset),
-                              keep_coplanar=True, cap=False)
-    return [positive, negative]
-
-
-def _shell_area_in_box(shell: TriangleMesh, box) -> float:
-    """Area of the cap-free surface owned by one part box."""
-    pieces, _ = clip_surface_to_box(shell, box)
-    if len(pieces) == 0:
-        return 0.0
-    cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
-    return float(0.5 * np.linalg.norm(cross, axis=1).sum())
 
 
 def _fresh_grid(grid: Grid) -> Grid:
@@ -424,7 +405,6 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
                                               profile.dims))
             parts.append(PartResult(
                 mesh=None, volume=volume, surface_area=area,
-                shell_area=float("nan"),
                 print_score=print_score(volume, area, params),
                 time_s=estimate_time(volume, area, profile,
                                      plan.infill_fraction),
@@ -441,15 +421,15 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
 
 def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
                result: Decomposition,
-               meshes: dict[tuple, tuple[TriangleMesh, float]]) -> Decomposition:
+               meshes: dict[tuple, TriangleMesh]) -> Decomposition:
     """Clip the boxes of a covered iteration to meshes and score the meshes.
 
     result is what :func:`run_decomposition` returned for an iteration whose
     every piece was covered.  A box whose clipped mesh is empty is dropped,
     and validity is judged again from the meshes.  ``meshes`` holds the
-    clipped mesh and shell area of every (piece, cell_lo, cell_hi) box
-    clipped so far in the search and gains the new ones, so boxes shared by
-    iterations are clipped once; each part still gets its own named mesh.
+    clipped mesh of every (piece, cell_lo, cell_hi) box clipped so far in
+    the search and gains the new ones, so boxes shared by iterations are
+    clipped once; each part still gets its own named mesh.
     """
     params = objective_of(plan, profile)
     parts: list[PartResult] = []
@@ -457,16 +437,14 @@ def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
         piece = prepared.pieces[part.piece]
         key = (part.piece, part.cell_lo, part.cell_hi)
         if key not in meshes:
-            box = piece.grid.box_of_range(part.cell_lo, part.cell_hi)
-            clipped = clip_to_box(piece.mesh, box)
-            meshes[key] = (clipped, 0.0 if clipped.is_empty
-                           else _shell_area_in_box(piece.shell, box))
-        clipped, shell_area = meshes[key]
+            meshes[key] = clip_to_box(piece.mesh, piece.grid.box_of_range(
+                part.cell_lo, part.cell_hi))
+        clipped = meshes[key]
         if clipped.is_empty:
             continue
         parts.append(_score_part(
             TriangleMesh(clipped.vertices, clipped.triangles, part.name),
-            part.source, plan, profile, params, shell_area, piece=part.piece,
+            part.source, plan, profile, params, piece=part.piece,
             cell_lo=part.cell_lo, cell_hi=part.cell_hi))
     reason = _count_verdict(parts, "", plan.printers_available)
     if not reason:
@@ -498,6 +476,11 @@ def _decomposition(prepared: PreparedModel, plan: RunPlan, seed_blocks: int,
         aggregate_time = sum(p.time_s for p in parts)
     else:
         parallel_score = parallel_time = aggregate_time = float("nan")
+    # An iteration stops at its first uncovered piece, and a covered piece
+    # has parts: the parts cover the model when every piece has some.
+    covered = {p.piece for p in parts} == set(range(len(prepared.pieces)))
+    cut_area = (sum(p.surface_area for p in parts) - prepared.surface_area
+                if covered else float("nan"))
     return Decomposition(parts=parts, algorithm="parallelobox",
                          printers_available=plan.printers_available,
                          seed_blocks=seed_blocks, seed=seed, valid=not reason,
@@ -505,18 +488,17 @@ def _decomposition(prepared: PreparedModel, plan: RunPlan, seed_blocks: int,
                          parallel_time_s=parallel_time,
                          aggregate_time_s=aggregate_time,
                          symmetry_error=prepared.plane.error_score,
-                         symmetry_cut=prepared.cut, clipped=clipped)
+                         symmetry_cut=prepared.cut, clipped=clipped,
+                         cut_area_mm2=cut_area)
 
 
 def _score_part(mesh: TriangleMesh, source: str, plan: RunPlan,
-                profile: PrinterProfile, params: ObjectiveParams,
-                shell_area: float, piece: int = 0,
+                profile: PrinterProfile, params: ObjectiveParams, piece: int = 0,
                 cell_lo: tuple[int, int, int] | None = None,
                 cell_hi: tuple[int, int, int] | None = None) -> PartResult:
     mm = measure(mesh)
     return PartResult(
         mesh=mesh, volume=mm.volume, surface_area=mm.surface_area,
-        shell_area=shell_area,
         print_score=print_score(mm.volume, mm.surface_area, params),
         time_s=estimate_time(mm.volume, mm.surface_area, profile,
                              plan.infill_fraction),
@@ -575,7 +557,7 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                                          grown[(p, seed)]))
         seconds.append(time.perf_counter() - tick)
 
-    meshes: dict[tuple, tuple[TriangleMesh, float]] = {}
+    meshes: dict[tuple, TriangleMesh] = {}
 
     def clip(i: int) -> Decomposition:
         tick = time.perf_counter()
@@ -606,6 +588,7 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                 parallel_time_s=result.parallel_time_s,
                 aggregate_time_s=result.aggregate_time_s,
                 reason=result.reason, clipped=result.clipped,
+                cut_area_mm2=result.cut_area_mm2,
                 growth_steps=sum(g.steps for g in grown[(p, seed)]
                                  if isinstance(g, GrownPiece)),
                 wall_clock_s=wall))
@@ -641,9 +624,8 @@ class BaselineRounds:
     """
 
     plane: SymmetryPlane | None = None  # the whole model's best mirror plane
-    # Per round, (printable mesh, cap-free shell) of every piece.
-    states: list[list[tuple[TriangleMesh, TriangleMesh]]] = field(
-        default_factory=list)
+    # Per round, the printable mesh of every piece.
+    states: list[list[TriangleMesh]] = field(default_factory=list)
     done: bool = False      # halving the last round cut nothing
 
 
@@ -677,7 +659,7 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
             mesh, symmetry=rounds.plane,
             overhang_tolerance_deg=plan.overhang_tolerance_deg)
         oriented.name = mesh.name
-        rounds.states.append([(oriented, oriented)])
+        rounds.states.append([oriented])
     target = 1
     while target * 2 <= plan.printers_available:
         target *= 2
@@ -686,7 +668,7 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
         return len(pieces) > plan.printers_available or (
             len(pieces) >= target
             and all(fits_printer(aabb_of(m).extent, profile.dims)
-                    for m, _ in pieces))
+                    for m in pieces))
 
     r = 0
     while r < BASELINE_MAX_ROUNDS and not final(rounds.states[r]):
@@ -701,9 +683,8 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
         r += 1
     pieces = rounds.states[r]
 
-    parts = [_score_part(m, "block", plan, profile, params,
-                         float(triangle_areas(shell).sum()), piece=i)
-             for i, (m, shell) in enumerate(pieces)]
+    parts = [_score_part(m, "block", plan, profile, params, piece=i)
+             for i, m in enumerate(pieces)]
     valid = (len(parts) <= plan.printers_available
              and all(fits_printer(aabb_of(p.mesh).extent, profile.dims)
                      for p in parts))
@@ -716,23 +697,23 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                          parallel_time_s=max(p.time_s for p in parts),
                          aggregate_time_s=sum(p.time_s for p in parts),
                          symmetry_error=rounds.plane.error_score,
-                         symmetry_cut=len(parts) > 1, clipped=True)
+                         symmetry_cut=len(parts) > 1, clipped=True,
+                         cut_area_mm2=sum(p.surface_area for p in parts)
+                         - measure(mesh).surface_area)
 
 
-def _halve(pieces: list[tuple[TriangleMesh, TriangleMesh]]
-           ) -> list[tuple[TriangleMesh, TriangleMesh]] | None:
+def _halve(pieces: list[TriangleMesh]) -> list[TriangleMesh] | None:
     """Cut every piece at its best mirror plane; None when none was cut."""
     cut_any = False
-    nxt: list[tuple[TriangleMesh, TriangleMesh]] = []
-    for m, shell in pieces:
+    nxt: list[TriangleMesh] = []
+    for m in pieces:
         best = find_best_symmetry_plane(m)
         positive, negative = cut_by_plane(m, best.normal, best.offset)
         if positive.is_empty or negative.is_empty:
-            nxt.append((m, shell))
+            nxt.append(m)
             continue
         positive.name = f"{m.name}a"
         negative.name = f"{m.name}b"
-        shells = _split_shell(shell, best.normal, best.offset)
-        nxt.extend([(positive, shells[0]), (negative, shells[1])])
+        nxt.extend([positive, negative])
         cut_any = True
     return nxt if cut_any else None

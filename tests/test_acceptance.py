@@ -27,6 +27,7 @@ from parallelobox.meta import (PrinterProfile, RunPlan, estimate_time,
                                prepare_model, recursive_symmetry_baseline,
                                run_metaheuristic)
 from parallelobox.resolve import get_discrete_empty_regions
+from test_meta import table_cut_area
 
 PROFILE = PrinterProfile()
 FIXTURES = (unit_cube, icosphere, dumbbell, l_bracket, hollow_box)
@@ -54,14 +55,17 @@ def test_part_conservation_and_fit():
     for make in FIXTURES:
         mesh = make()
         total = measure(mesh)
-        dec = run_metaheuristic(
-            mesh, RunPlan(printers_available=4, granularity="very_fine"),
-            PROFILE)
+        plan = RunPlan(printers_available=4, granularity="very_fine")
+        prepared = prepare_model(mesh, plan, PROFILE)
+        dec = run_metaheuristic(mesh, plan, PROFILE, prepared=prepared)
         assert dec.valid, mesh.name
         assert sum(p.volume for p in dec.parts) == pytest.approx(
             total.volume, rel=1e-4), mesh.name
-        assert sum(p.shell_area for p in dec.parts) == pytest.approx(
-            total.surface_area, rel=1e-4), mesh.name
+        # The cut area is the box caps plus the symmetry cut's caps.
+        assert dec.cut_area_mm2 >= 0.0, mesh.name
+        assert dec.cut_area_mm2 == pytest.approx(
+            table_cut_area(mesh, prepared, dec.parts), rel=1e-6,
+            abs=1e-9 * total.surface_area), mesh.name
         ranges = defaultdict(list)
         for p in dec.parts:
             assert np.all(np.sort(aabb_of(p.mesh).extent) <= limit + 1e-9)
@@ -173,9 +177,9 @@ def test_deterministic_reruns(tmp_path):
     runs = [run_metaheuristic(dumbbell(), plan, PROFILE) for _ in range(2)]
 
     def fingerprint(dec):
-        return [(p.piece, p.source, p.cell_lo, p.cell_hi, p.volume,
-                 p.surface_area, p.shell_area, p.print_score, p.time_s)
-                for p in dec.parts]
+        return [dec.cut_area_mm2] + [
+            (p.piece, p.source, p.cell_lo, p.cell_hi, p.volume,
+             p.surface_area, p.print_score, p.time_s) for p in dec.parts]
 
     assert fingerprint(runs[0]) == fingerprint(runs[1])
     assert (runs[0].seed_blocks, runs[0].seed) == (runs[1].seed_blocks,

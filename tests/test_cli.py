@@ -57,6 +57,22 @@ def test_parse_config_rejects_bad_values(tmp_path, body):
         parse_config(ini)
 
 
+@pytest.mark.parametrize("key, value", [("volume_x", "nan"),
+                                        ("speed_shell", "inf"),
+                                        ("line_width", "-inf")])
+def test_parse_config_rejects_non_finite_values(tmp_path, key, value):
+    """A NaN or infinite printer setting fails up front, naming its key,
+    and the command exits 2 before any model is read."""
+    ini = _write(tmp_path / "p.ini", f"[printer]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        parse_config(ini)
+    model = tmp_path / "dumbbell.stl"
+    save_stl(dumbbell(), model)
+    out = tmp_path / "out"
+    assert main(_decompose_args(model, out, ["--config", str(ini)])) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
@@ -136,6 +152,7 @@ def test_decompose_end_to_end(tmp_path):
         assert r[2] == "2"
         assert r[8] == "true"
         float(r[4]), float(r[5]), float(r[6]), float(r[7])  # parse as numbers
+        assert float(r[9]) > 0.0  # two parts: the cut area of one cut
         part_dir = out / "dumbbell" / "2" / r[1]
         parts = sorted(part_dir.glob("part_*.stl"))
         assert len(parts) == int(r[3]) > 0
@@ -144,6 +161,9 @@ def test_decompose_end_to_end(tmp_path):
     plot = json.loads((out / "plotdata.json").read_text(encoding="utf-8"))
     assert set(plot["dumbbell"]) == {"parallelobox", "symmetry"}
     assert plot["dumbbell"]["parallelobox"]["printers"] == [2]
+    for algorithm, series in plot["dumbbell"].items():
+        row = body[[r[1] for r in body].index(algorithm)]
+        assert series["cut_area_mm2"] == [float(row[9])]
 
     log_lines = [json.loads(line) for line in
                  (out / "runlog.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -151,7 +171,7 @@ def test_decompose_end_to_end(tmp_path):
     for line in log_lines:
         assert {"model", "printers", "algorithm", "seed_blocks", "try_index",
                 "seed", "valid", "parts", "parallel_score", "wall_clock_s",
-                "reason", "clipped", "growth_steps"} <= set(line)
+                "reason", "clipped", "growth_steps", "cut_area_mm2"} <= set(line)
         assert isinstance(line["clipped"], bool)
         assert isinstance(line["growth_steps"], int)
     # The baseline is scored from its meshes, and so is the search winner,
@@ -163,8 +183,9 @@ def test_decompose_end_to_end(tmp_path):
                key=lambda line: (line["parallel_score"], line["parts"],
                                  line["aggregate_time_s"]))
     assert best["clipped"]
-    assert float(body[[r[1] for r in body].index("parallelobox")][4]) == (
-        best["parallel_time_s"])
+    row = body[[r[1] for r in body].index("parallelobox")]
+    assert float(row[4]) == best["parallel_time_s"]
+    assert float(row[9]) == best["cut_area_mm2"]
 
 
 def test_runlog_growth_steps_and_wall_clock(tmp_path, monkeypatch):

@@ -1030,3 +1030,134 @@ def test_bridge_test_matches_per_edge_test():
         got = clip._bridge_blocked(m, p, a, b, eps)
         want = [_segment_blocked(m, p, ai, bi, eps) for ai, bi in zip(a, b)]
         assert got.tolist() == want, trial
+
+
+def _surface_pass_crosses(mesh, box) -> bool:
+    """The surface pass's answer: some piece keeps three corners apart at
+    PLANE_EPS resolution."""
+    pieces, _ = clip_surface_to_box(mesh, box)
+    keys = np.round(pieces / PLANE_EPS).astype(np.int64)
+    return bool((keys != np.roll(keys, -1, axis=1)).any(axis=2).all(axis=1).any())
+
+
+def _crossing_boxes(mesh, rng):
+    """Random boxes on the fine grid, boxes with every face on a vertex
+    coordinate or PLANE_EPS-scale nudges off it, and boxes whose min face
+    holds a triangle of the mesh."""
+    grid = build_grid(mesh, "fine")
+    dims = np.array(grid.dims)
+    boxes = []
+    for _ in range(12):
+        a, b = rng.integers(0, dims), rng.integers(0, dims)
+        boxes.append(grid.box_of_range(np.minimum(a, b), np.maximum(a, b)))
+    v = mesh.vertices
+    for _ in range(12):
+        corners = v[rng.integers(len(v), size=(2, 3)), np.arange(3)]
+        nudge = rng.choice([0.0, 0.5, 1.0, -0.5, -1.0], size=(2, 3))
+        lo, hi = np.sort(corners + nudge * PLANE_EPS, axis=0)
+        if np.all(hi - lo > 0.0):
+            boxes.append(Aabb(lo, hi))
+    corners = v[mesh.triangles]
+    flat = np.ptp(corners, axis=1) == 0.0          # (m, 3): in an axis plane
+    for tri, axis in zip(*np.nonzero(flat)):
+        if len(boxes) >= 40:
+            break
+        lo, hi = corners[tri].min(axis=0), corners[tri].max(axis=0)
+        hi = hi + rng.uniform(0.0, 1.0) * (hi - lo)
+        hi[axis] = lo[axis] + rng.choice([PLANE_EPS / 2, 1.0])
+        boxes.append(Aabb(lo, np.maximum(hi, lo + PLANE_EPS / 2)))
+    return boxes
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
+def test_vertex_rule_agrees_with_the_surface_pass(make_mesh, monkeypatch):
+    """clip_to_box decides that the surface crosses a box from a triangle
+    with every corner in the closed box, not all within PLANE_EPS of one
+    min face, and three corners apart.  Such a triangle comes back whole
+    from the surface pass, so both rules give the same answer; the pass
+    runs only when the vertices cannot tell."""
+    mesh = make_mesh()
+    boxes = _crossing_boxes(mesh, np.random.default_rng(83))
+    passes = []
+    surface = clip.clip_surface_to_box
+    monkeypatch.setattr(clip, "clip_surface_to_box",
+                        lambda *args: passes.append(1) or surface(*args))
+    v, t = mesh.vertices, mesh.triangles
+    decided_by_vertices = 0
+    for box in boxes:
+        before = len(passes)
+        assert clip._surface_crosses(mesh, box) == _surface_pass_crosses(mesh, box), box
+        decided_by_vertices += len(passes) == before
+        inside = ((v >= box.min) & (v <= box.max)).all(axis=1)[t].all(axis=1)
+        on_min = (np.abs(v - box.min) <= PLANE_EPS)[t].all(axis=1).any(axis=1)
+        pieces, sources = surface(mesh, box)
+        for tri in np.nonzero(inside & ~on_min)[0]:
+            mine = np.nonzero(sources == tri)[0]
+            assert len(mine) == 1 and np.array_equal(pieces[mine[0]], v[t[tri]]), box
+    assert 0 < decided_by_vertices < len(boxes)
+
+
+def test_vertex_rule_on_the_needle_tip_and_a_min_face():
+    """The needle tip's pieces collapse below PLANE_EPS, and a triangle in
+    a box's min face is not the box's: neither counts as a crossing."""
+    tip = TriangleMesh(np.array([[0.0, 0.0, 0.0], [10.0, -1.0, -1.0],
+                                 [10.0, 1.0, -1.0], [10.0, 0.0, 1.0]]),
+                       np.array([[0, 2, 1], [0, 3, 2], [0, 1, 3], [1, 2, 3]],
+                                dtype=np.int32))
+    boxes = [Aabb((-1.0, -1.0, -1.0), (1.5e-9, 1.0, 1.0)),
+             Aabb((-1.0, -1.0, -1.0), (PLANE_EPS / 2, 1.0, 1.0))]
+    for box in boxes:
+        assert not clip._surface_crosses(tip, box)
+        assert not _surface_pass_crosses(tip, box)
+    # The base triangle of the tip lies in x = 10: a box from there on
+    # holds it whole but does not own it.
+    base = Aabb((10.0, -2.0, -2.0), (11.0, 2.0, 2.0))
+    assert not clip._surface_crosses(tip, base)
+    assert not _surface_pass_crosses(tip, base)
+    assert clip_to_box(tip, base).is_empty
+    assert clip._surface_crosses(tip, Aabb((9.0, -2.0, -2.0), (10.0, 2.0, 2.0)))
+
+
+def _six_cuts(mesh, box):
+    """clip_to_box's cuts, every one of them made."""
+    current = mesh
+    for axis in range(3):
+        for sign, bound, keep in ((1.0, box.max[axis], True),
+                                  (-1.0, box.min[axis], False)):
+            current = clip_halfspace(current, sign * np.eye(3)[axis],
+                                     sign * bound, keep_coplanar=keep)
+            if current.is_empty:
+                return current
+    return current
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
+def test_skipped_cuts_match_six_cuts(make_mesh, monkeypatch):
+    """Box faces at the mesh bounds, PLANE_EPS inside and outside them,
+    beyond them, and well inside: clip_to_box skips the cuts the mesh lies
+    more than PLANE_EPS inside of and gives the six cuts' mesh bit for
+    bit, a copy when it skips all six."""
+    mesh = make_mesh()
+    bb = aabb_of(mesh)
+    rng = np.random.default_rng(89)
+    steps = [0.0, PLANE_EPS, -PLANE_EPS, 2 * PLANE_EPS, 1.0, None]  # None: inside
+    cuts = []
+    halfspace = clip.clip_halfspace
+    monkeypatch.setattr(clip, "clip_halfspace",
+                        lambda *args, **kw: cuts.append(1) or halfspace(*args, **kw))
+    faces = [[1.0] * 6, [0.0] * 6] + [rng.choice(steps, size=6).tolist()
+                                      for _ in range(30)]
+    skipped = 0
+    for out in faces:
+        out = np.array([-0.25 * bb.extent[k // 2] if s is None else s
+                        for k, s in enumerate(out)])
+        box = Aabb(bb.min - out[1::2], bb.max + out[0::2])
+        if not _surface_pass_crosses(mesh, box):
+            continue
+        before = len(cuts)
+        got = clip_to_box(mesh, box)
+        skipped += 6 - (len(cuts) - before)
+        assert _same_mesh(got, _six_cuts(mesh, box)), out
+        if len(cuts) == before:
+            assert got.vertices is not mesh.vertices and _same_mesh(got, mesh)
+    assert skipped > 0

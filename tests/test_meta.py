@@ -6,18 +6,18 @@ import pytest
 
 from parallelobox import fixtures, meta
 from parallelobox.blocks import GrowthState, grow_blocks, select_seed_blocks
-from parallelobox.clip import clip_to_box
+from parallelobox.clip import clip_to_box, cut_by_plane
 from parallelobox.errors import (InsufficientBoundaryCells, NonWatertightInput,
                                  NoValidDecomposition)
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, unit_cube)
+from parallelobox.grid import AREA
 from parallelobox.mesh import (TriangleMesh, aabb_of, measure, triangle_areas,
                               validate_watertight)
 from parallelobox.meta import (Decomposition, PrinterProfile, RunPlan,
                                _beats, _fresh_grid, _proportional_share,
-                               _score_part, _shell_area_in_box,
-                               _uncovered_cells, estimate_time, fits_printer,
-                               objective_of, prepare_model,
+                               _score_part, _uncovered_cells, estimate_time,
+                               fits_printer, objective_of, prepare_model,
                                recursive_symmetry_baseline, run_metaheuristic)
 from parallelobox.resolve import get_discrete_empty_regions
 
@@ -62,17 +62,40 @@ def test_objective_of_copies_plan_and_profile():
     assert params.printer_dims == tuple(PROFILE.dims)
 
 
+def table_cut_area(mesh, prepared, parts) -> float:
+    """The caps of the parts' boxes, read from the cell tables, plus the
+    caps of the symmetry cut, measured on the two halves of mesh."""
+    caps = 0.0
+    for p in parts:
+        measures = prepared.pieces[p.piece].measures
+        lo, hi = np.array(p.cell_lo), np.array(p.cell_hi)
+        caps += measures.box(lo, hi)[1] - measures.sums(lo, hi)[AREA]
+    if prepared.cut:
+        normal, offset = prepared.plane.normal, prepared.plane.offset
+        for half in cut_by_plane(mesh, normal, offset):
+            corners = half.vertices[half.triangles]
+            on = (np.abs(corners @ normal - offset) <= 1e-9).all(axis=1)
+            caps += float(triangle_areas(half)[on].sum())
+    return caps
+
+
 def test_prepare_model_symmetric_cut_and_shells():
     plan = RunPlan(printers_available=4, granularity="coarse")
     prep = prepare_model(hollow_box(), plan, PROFILE)
     assert prep.cut
     assert len(prep.pieces) == 2
     total = measure(hollow_box())
+    assert prep.surface_area == total.surface_area
     vol = sum(p.volume for p in prep.pieces)
     assert vol == pytest.approx(total.volume, rel=1e-9)
-    # cap-free shells carry exactly the original surface, split between pieces
-    shell_area = sum(float(triangle_areas(p.shell).sum()) for p in prep.pieces)
-    assert shell_area == pytest.approx(total.surface_area, rel=1e-9)
+    # The cells of a piece share its whole surface, and the pieces carry
+    # the model's surface plus the two caps of the symmetry cut.
+    areas = [measure(p.mesh).surface_area for p in prep.pieces]
+    for piece, area in zip(prep.pieces, areas):
+        assert piece.measures.area.sum() == pytest.approx(area, rel=1e-9)
+    caps = table_cut_area(hollow_box(), prep, [])
+    assert caps > 0.0
+    assert sum(areas) - total.surface_area == pytest.approx(caps, rel=1e-9)
 
 
 def test_prepare_model_skips_asymmetric_and_single_printer():
@@ -111,10 +134,15 @@ def test_run_metaheuristic_conserves_model():
     mesh = dumbbell()
     total = measure(mesh)
     plan = RunPlan(printers_available=4, granularity="coarse", sample_tries=2)
-    dec = run_metaheuristic(mesh, plan, PROFILE)
+    prepared = prepare_model(mesh, plan, PROFILE)
+    dec = run_metaheuristic(mesh, plan, PROFILE, prepared=prepared)
     assert sum(p.volume for p in dec.parts) == pytest.approx(total.volume, rel=1e-6)
-    assert sum(p.shell_area for p in dec.parts) == pytest.approx(
-        total.surface_area, rel=1e-6)
+    assert dec.cut_area_mm2 == (sum(p.surface_area for p in dec.parts)
+                                - total.surface_area)
+    assert dec.cut_area_mm2 >= 0.0
+    assert dec.cut_area_mm2 == pytest.approx(
+        table_cut_area(mesh, prepared, dec.parts), rel=1e-9,
+        abs=1e-9 * total.surface_area)
     for p in dec.parts:
         assert p.source in ("block", "void")
         assert p.cell_lo is not None and p.cell_hi is not None
@@ -148,8 +176,10 @@ def test_baseline_respects_budget_and_conserves():
         assert dec.valid
         assert 1 <= len(dec.parts) <= printers
         assert sum(p.volume for p in dec.parts) == pytest.approx(total.volume, rel=1e-9)
-        assert sum(p.shell_area for p in dec.parts) == pytest.approx(
-            total.surface_area, rel=1e-9)
+        assert dec.cut_area_mm2 == (sum(p.surface_area for p in dec.parts)
+                                    - total.surface_area)
+        assert dec.cut_area_mm2 >= 0.0
+        assert (dec.cut_area_mm2 > 1e-9 * total.surface_area) == (len(dec.parts) > 1)
         for p in dec.parts:
             ext = aabb_of(p.mesh).extent
             assert np.all(np.sort(ext) <= np.sort(np.array(PROFILE.dims)) + 1e-9)
@@ -257,7 +287,6 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
                 continue
             clipped.name = piece.mesh.name + suffix
             parts.append(_score_part(clipped, source, plan, profile, params,
-                                     _shell_area_in_box(piece.shell, box),
                                      piece=index,
                                      cell_lo=tuple(int(x) for x in lo),
                                      cell_hi=tuple(int(x) for x in hi)))
@@ -279,7 +308,10 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
         parallel_time_s=max((p.time_s for p in parts), default=nan),
         aggregate_time_s=sum(p.time_s for p in parts) if parts else nan,
         symmetry_error=prepared.plane.error_score, symmetry_cut=prepared.cut,
-        clipped=True)
+        clipped=True,
+        cut_area_mm2=(float("nan") if not parts or reason.startswith("piece")
+                      else sum(p.surface_area for p in parts)
+                      - prepared.surface_area))
 
 
 def _reference_search(prepared, plan, profile):
@@ -323,7 +355,7 @@ def _record_fields(record):
 
 def _part_fields(part):
     return (part.piece, part.source, part.cell_lo, part.cell_hi, part.name,
-            part.volume, part.surface_area, part.shell_area, part.print_score,
+            part.volume, part.surface_area, part.print_score,
             part.time_s, part.mesh.vertices.tobytes(),
             part.mesh.triangles.tobytes())
 
@@ -359,24 +391,30 @@ def test_search_matches_reference(fixture, granularity, monkeypatch):
                     assert ([_part_fields(p) for p in got.parts]
                             == [_part_fields(p) for p in want.parts]), case
                     assert (got.parallel_score, got.parallel_time_s,
-                            got.aggregate_time_s) == (
+                            got.aggregate_time_s, got.cut_area_mm2) == (
                         want.parallel_score, want.parallel_time_s,
-                        want.aggregate_time_s), case
+                        want.aggregate_time_s, want.cut_area_mm2), case
                 assert len(records) == len(reference), case
                 for record, exact in zip(records, reference):
                     fields = (record.seed, record.valid, record.parts,
                               record.reason)
                     assert fields == (exact.seed, exact.valid,
                                       exact.printers_used, exact.reason), case
+                    assert (math.isnan(record.cut_area_mm2)
+                            == math.isnan(exact.cut_area_mm2)), case
                     if record.clipped:
                         assert (record.parallel_score, record.parallel_time_s,
-                                record.aggregate_time_s) == (
+                                record.aggregate_time_s, record.cut_area_mm2) == (
                             exact.parallel_score, exact.parallel_time_s,
-                            exact.aggregate_time_s), case
+                            exact.aggregate_time_s, exact.cut_area_mm2), case
                         continue
                     if not exact.parts:
                         assert math.isnan(record.parallel_score), case
                         continue
+                    # Table and mesh areas agree, and so do the cut areas.
+                    assert record.cut_area_mm2 == pytest.approx(
+                        exact.cut_area_mm2, rel=1e-9,
+                        abs=1e-9 * prepared.surface_area, nan_ok=True), case
                     # The mesh caps cover each box plane once, so tables
                     # and meshes score alike.
                     assert record.parallel_score <= exact.parallel_score * (
@@ -456,24 +494,18 @@ def test_blob_seed_4002_parts_are_closed(caplog):
 def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
     """A cell wider than the printer may hold a part that fits: the tables
     cannot judge such an iteration, so it is clipped, once, and each
-    distinct box of the search is clipped to a mesh, and its shell area
-    measured, once."""
+    distinct box of the search is clipped to a mesh once."""
     rod = box_mesh(size=(8.0, 0.5, 0.5), name="rod")
     plan = RunPlan(printers_available=8, granularity="coarse", sample_tries=2,
                    skip_symmetry_cut=True)
     # Cells are 1.001 mm cubes; the part in a cell is at most 0.5 mm thick.
     profile = PrinterProfile(volume_x=0.6)
     iterations, boxes = [], []
-    shells = []
     clip_parts, clip_to_box = meta.clip_parts, meta.clip_to_box
-    shell_area = meta._shell_area_in_box
     monkeypatch.setattr(meta, "clip_parts", lambda *args: iterations.append(
         args[3]) or clip_parts(*args))
     monkeypatch.setattr(meta, "clip_to_box", lambda mesh, box: boxes.append(
         (id(mesh), tuple(box.min), tuple(box.max))) or clip_to_box(mesh, box))
-    monkeypatch.setattr(meta, "_shell_area_in_box", lambda shell, box: (
-        shells.append((id(shell), tuple(box.min), tuple(box.max))))
-        or shell_area(shell, box))
     records = []
     got = run_metaheuristic(rod, plan, profile, records)
     want, reference = _reference_search(prepare_model(rod, plan, PROFILE),
@@ -483,7 +515,6 @@ def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
     distinct = {(p.piece, p.cell_lo, p.cell_hi)
                 for r in iterations for p in r.parts}
     assert len(boxes) == len(set(boxes)) == len(distinct)
-    assert len(shells) == len(set(shells)) == len(boxes)
     assert len(boxes) < sum(r.parts for r in records)
     assert [_part_fields(p) for p in got.parts] == [_part_fields(p)
                                                     for p in want.parts]
