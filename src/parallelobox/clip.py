@@ -27,13 +27,17 @@ reflex corners against an ear, and each run is fanned back into the one
 cap triangle that holds its corner edge.
 
 The surface-only clip, which needs no topology, is Sutherland-Hodgman
-("Reentrant polygon clipping", CACM 1974) over many (triangle, box) pairs at
-once: the polygons live in one padded (n, width, 3) array, and each of the
-six box planes is one vectorized pass over all of them.  Triangles
-farther than PLANE_EPS outside their box are dropped before the first
-pass.  The width grows with the longest polygon (a triangle gains at most
-one vertex per plane, so at most 9); the pieces come back
-fan-triangulated.
+("Reentrant polygon clipping", CACM 1974) to one box or to every cell of a
+grid, one axis at a time.  Each triangle is expanded into the x-slabs its
+bounding box overlaps and clipped to their max then min x plane; the
+survivors are expanded into their (x, y) columns and clipped in y, and
+those into their cells and clipped in z.  A triangle's x passes are so
+shared by the cells of a slab, and its y passes by those of a column,
+while each cell still sees its own six planes in the order max x, min x,
+max y, min y, max z, min z.  A pass is vectorized over all polygons at
+once, their vertices one after another in one flat array.  A triangle
+is not taken into a slab it lies farther than PLANE_EPS outside of; the
+pieces come back fan-triangulated.
 
 Vertices within PLANE_EPS of a cut plane are snapped onto it before
 classification, which keeps near-tangent geometry from generating sliver
@@ -78,86 +82,131 @@ _WINDING_PAIRS = 1 << 16
 # surface-only clipping (coordinate polygons, no topology needed)
 
 
-def clip_surface_to_box(mesh: TriangleMesh, box, tri_indices=None):
-    """Clip triangles to boxes, keeping no volume information.
+def clip_surface_to_box(mesh: TriangleMesh, box):
+    """Clip the surface to a box, or to every cell of a grid, keeping no
+    volume information.
 
-    box is one Aabb for every triangle, or a (lo, hi) pair of (n, 3) corner
-    arrays giving one box per entry of tri_indices.  Returns (pieces,
-    sources): pieces is a (k, 3, 3) array of output triangles, sources the
-    position in tri_indices (the triangle id when tri_indices is None) of
-    the input each piece came from, in input order.
+    box is one Aabb, or a :class:`~parallelobox.grid.Grid` whose cells are
+    the boxes: cell (i, j, k) spans origin + (i, j, k) * cell_size to that
+    plus cell_size on each axis, and each triangle is clipped to the cells
+    its bounding box overlaps.  Returns (pieces, sources, cells): the
+    (k, 3, 3) output triangles, the triangle id each came from, and the
+    flat C-order index of its cell (0 for an Aabb), sorted by cell, then
+    triangle, then fan order.
     """
-    v, t = mesh.vertices, mesh.triangles
-    ids = (np.arange(len(t)) if tri_indices is None
-           else np.asarray(tri_indices, dtype=np.int64).reshape(-1))
+    corners = mesh.vertices[mesh.triangles]
+    tri_lo, tri_hi = corners.min(axis=1), corners.max(axis=1)
     if isinstance(box, Aabb):
         _check_box(box)
-        lo = np.broadcast_to(box.min, (len(ids), 3))
-        hi = np.broadcast_to(box.max, (len(ids), 3))
+        dims = (1, 1, 1)
+        first = last = np.zeros(tri_lo.shape, dtype=np.int64)
+        planes = [(box.min[[axis]], box.max[[axis]]) for axis in range(3)]
     else:
-        lo, hi = (np.asarray(c, dtype=np.float64).reshape(len(ids), 3) for c in box)
-        if np.any(hi - lo <= 0.0):
-            raise DegenerateBox("every box extent must be positive")
-    poly = v[t[ids]]                        # (n, width, 3), padded polygons
-    # Triangles farther than PLANE_EPS outside their box on some axis
-    # would be clipped away; drop them before the six passes.
-    near = ~((poly.min(axis=1) - hi > PLANE_EPS)
-             | (lo - poly.max(axis=1) > PLANE_EPS)).any(axis=1)
-    pos = np.nonzero(near)[0]               # position of each row in ids
-    poly = poly[pos]
-    count = np.full(len(pos), 3)            # live vertices per polygon
+        dims, size = box.dims, box.cell_size
+        top = np.array(dims) - 1
+        first = np.clip(np.floor((tri_lo - box.origin) / size - 1e-12).astype(np.int64), 0, top)
+        last = np.clip(np.floor((tri_hi - box.origin) / size + 1e-12).astype(np.int64), 0, top)
+        planes = []
+        for axis in range(3):
+            lo = box.origin[axis] + np.arange(dims[axis]) * size
+            planes.append((lo, lo + size))
+    # The polygons so far, one per row, lie one after another in verts.  A
+    # row also has its triangle and the flat index of its cell over the
+    # axes done.
+    verts, count = corners.reshape(-1, 3), np.full(len(corners), 3)
+    tris = np.arange(len(corners))
+    cells = np.zeros(len(corners), dtype=np.int64)
     for axis in range(3):
-        for bound, sign in ((hi, 1.0), (lo, -1.0)):
-            d = sign * (poly[:, :, axis] - bound[pos, axis, None])
-            d[np.abs(d) <= PLANE_EPS] = 0.0
-            valid = np.arange(poly.shape[1]) < count[:, None]
-            d[~valid] = 0.0
-            if sign < 0.0:
-                # Same half-open convention as the volumetric clip: a box
-                # owns triangles lying in its max faces, its neighbour
-                # across the min face owns the rest.
-                live = (d != 0.0).any(axis=1)
-                poly, count, pos, d, valid = (
-                    a[live] for a in (poly, count, pos, d, valid))
-            cut = np.nonzero((d > 0.0).any(axis=1))[0]
-            if len(cut):
-                out, count[cut] = _clip_rows(poly[cut], count[cut], d[cut], valid[cut])
-                if out.shape[1] > poly.shape[1]:
-                    pad = np.zeros((len(poly), out.shape[1] - poly.shape[1], 3))
-                    poly = np.concatenate([poly, pad], axis=1)
-                poly[cut, :out.shape[1]] = out
-                live = count >= 3
-                poly, count, pos = poly[live], count[live], pos[live]
-    # Fan triangulation (poly[0], poly[k], poly[k + 1]), row-major order.
-    rows, k = np.nonzero(np.arange(1, poly.shape[1] - 1) < count[:, None] - 1)
-    k = k + 1
-    pieces = np.stack([poly[rows, 0], poly[rows, k], poly[rows, k + 1]], axis=1)
-    return pieces, pos[rows]
+        # Each row becomes one row per slab along the axis that its
+        # triangle's bounding box overlaps, less those its triangle lies
+        # farther than PLANE_EPS outside of: they would be clipped away.
+        parent, rank = _expand((last - first + 1)[tris, axis])
+        tri = tris[parent]
+        slab = first[tri, axis] + rank
+        lo, hi = planes[axis][0][slab], planes[axis][1][slab]
+        near = np.flatnonzero((tri_lo[tri, axis] - hi <= PLANE_EPS)
+                              & (lo - tri_hi[tri, axis] <= PLANE_EPS))
+        at = (np.cumsum(count) - count)[parent[near]]
+        count = count[parent[near]]
+        polygon, vertex = _expand(count)
+        verts = verts.take(at[polygon] + vertex, axis=0)
+        verts, count, kept = _clip_axis(verts, count, axis, lo[near], hi[near])
+        rows = near[kept]
+        tris = tri[rows]
+        cells = cells[parent[rows]] * dims[axis] + slab[rows]
+    order = np.argsort(cells * len(corners) + tris)
+    # Fan triangulation (poly[0], poly[k], poly[k + 1]), polygon by polygon.
+    polygon, k = _expand(count[order] - 2)
+    at = (np.cumsum(count) - count)[order][polygon]
+    pieces = verts.take(np.stack([at, at + k + 1, at + k + 2], axis=1), axis=0)
+    return pieces, tris[order][polygon], cells[order][polygon]
 
 
-def _clip_rows(p, count, d, valid):
-    """One Sutherland-Hodgman pass keeping d <= 0 on padded polygons.
+def _expand(counts):
+    """(group, rank) of sum(counts) items laid out group after group:
+    counts[g] items of group g, ranked 0 to counts[g] - 1."""
+    group = np.repeat(np.arange(len(counts)), counts)
+    return group, np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
+
+
+def _clip_axis(verts, count, axis, lo, hi):
+    """Clip polygons to lo <= x[axis] <= hi: a Sutherland-Hodgman pass
+    against the max plane, then one against the min plane.
+
+    The polygons lie one after another in verts, count[i] vertices for
+    polygon i, and each has its own lo and hi.  Returns the surviving
+    polygons in the same layout, their vertex counts and their positions
+    in the input.
+    """
+    pos = np.arange(len(count))
+    for bound, sign in ((hi, 1.0), (lo, -1.0)):
+        owner = np.repeat(np.arange(len(count)), count)
+        d = sign * (verts[:, axis] - bound[pos].take(owner))
+        d[np.abs(d) <= PLANE_EPS] = 0.0
+        if sign < 0.0:
+            # A polygon the max pass cut down to fewer than three vertices
+            # is dropped, and so is one lying in the min plane: the same
+            # half-open convention as the volumetric clip, a box owns
+            # triangles lying in its max faces, its neighbour across the
+            # min face owns the rest.
+            live = (count >= 3) & (np.bincount(owner, d != 0.0, len(count)) > 0.0)
+            verts, d = verts.compress(live[owner], axis=0), d.compress(live[owner])
+            count, pos = count[live], pos[live]
+        verts, count = _clip_pass(verts, count, d)
+    live = count >= 3
+    owner = np.repeat(np.arange(len(count)), count)
+    return verts.compress(live[owner], axis=0), count[live], pos[live]
+
+
+def _clip_pass(verts, count, d):
+    """One Sutherland-Hodgman pass keeping d <= 0, over polygons laid out
+    as in :func:`_clip_axis`, each of at least three vertices.
 
     Each vertex emits the crossing point of the edge from its predecessor
-    when that edge changes sign strictly, then itself when d <= 0.  An
-    exclusive cumulative sum over the emission counts places the points.
-    Returns the new polygons and their vertex counts.
+    when that edge changes sign strictly, then itself when d <= 0: the
+    vertices are repeated by their emission counts, and the crossing
+    points written over the first copies.  Returns the new polygons and
+    their vertex counts.
     """
-    prev = (np.arange(p.shape[1]) - 1) % count[:, None]
-    dp = np.take_along_axis(d, prev, axis=1)
-    cross = valid & (((dp > 0.0) & (d < 0.0)) | ((dp < 0.0) & (d > 0.0)))
-    keep = valid & (d <= 0.0)
-    emitted = cross.astype(np.int64) + keep
-    end = np.cumsum(emitted, axis=1)
-    start = end - emitted
-    out = np.zeros((len(p), int(end[:, -1].max()), 3))
-    r, c = np.nonzero(cross)
-    pc = prev[r, c]
-    t = dp[r, c] / (dp[r, c] - d[r, c])
-    out[r, start[r, c]] = p[r, pc] + t[:, None] * (p[r, c] - p[r, pc])
-    r, c = np.nonzero(keep)
-    out[r, start[r, c] + cross[r, c]] = p[r, c]
-    return out, end[:, -1]
+    first = np.cumsum(count) - count
+    prev = np.arange(len(d)) - 1
+    prev[first] = first + count - 1
+    dp = d.take(prev)
+    cross = ((dp > 0.0) & (d < 0.0)) | ((dp < 0.0) & (d > 0.0))
+    emitted = cross.astype(np.int8) + (d <= 0.0)
+    c = np.flatnonzero(cross)
+    # Only the crossing edges are read from here on; dropping the rest
+    # frees their arrays before the output copy.
+    prev, dp = prev[c], dp[c]
+    t = dp / (dp - d[c])
+    a = verts.take(prev, axis=0)
+    points = a + t[:, None] * (verts.take(c, axis=0) - a)
+    out = np.repeat(verts, emitted, axis=0)
+    # Written through a view with one item per point: numpy scatters such
+    # items much faster than rows of three floats.
+    row = np.dtype((np.void, out.itemsize * 3))
+    out.view(row)[np.cumsum(emitted)[c] - emitted[c], 0] = points.view(row)[:, 0]
+    return out, np.add.reduceat(emitted, first, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ when the surface clipped to it is non-empty.  A cell without surface is
 *external*.  Only a closed mesh bounds a solid, so an open one raises
 NonWatertightInput.
 
-The surface is clipped to the cells in one batched call over every
-(cell, triangle) pair whose bounding boxes overlap, and the pieces are
-summed per cell with ``np.bincount``.  Every per-cell measure comes from
-that one clip: shell area and overhang areas directly, and solid volume by the
+The surface is clipped to the cells in one call, one axis at a time: each
+triangle is clipped to the x-slabs its bounding box overlaps, the pieces
+to their (x, y) columns, and those to their cells (see
+:func:`~parallelobox.clip.clip_surface_to_box`).  The pieces are summed
+per cell with ``np.bincount``.  Every per-cell measure comes from that
+one clip: shell area and overhang areas directly, and solid volume by the
 divergence theorem (Mirtich 1996, "Fast and accurate computation of
 polyhedral mass properties").  With F = (0, 0, z - z0), z0 the cell's bottom
 plane, F has no flux through the bottom and side faces, so
@@ -103,32 +105,6 @@ def build_grid(mesh: TriangleMesh, granularity: str = "very_fine") -> Grid:
     dims = tuple(int(np.ceil(e / cell_size - 1e-9)) if e > 0 else 1 for e in extent)
     dims = tuple(max(d, 1) for d in dims)
     return Grid(origin=box.min, cell_size=cell_size, dims=dims)
-
-
-def _triangle_cell_bins(mesh: TriangleMesh, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Every (cell, triangle) pair whose bounding boxes overlap.
-
-    Returns the (p, 3) cell indices and the (p,) triangle ids, sorted by
-    cell in C order and by triangle within a cell.
-    """
-    v, t = mesh.vertices, mesh.triangles
-    corners = v[t]  # (m, 3, 3)
-    tri_lo = corners.min(axis=1)
-    tri_hi = corners.max(axis=1)
-    lo_idx = np.floor((tri_lo - grid.origin) / grid.cell_size - 1e-12).astype(np.int64)
-    hi_idx = np.floor((tri_hi - grid.origin) / grid.cell_size + 1e-12).astype(np.int64)
-    lo_idx = np.clip(lo_idx, 0, np.array(grid.dims) - 1)
-    hi_idx = np.clip(hi_idx, 0, np.array(grid.dims) - 1)
-    span = hi_idx - lo_idx + 1
-    per_tri = span.prod(axis=1)
-    tris = np.repeat(np.arange(len(t)), per_tri)
-    # Rank of each pair within its triangle's cell range, unravelled C-order.
-    rank = np.arange(len(tris)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
-    ny, nz = span[tris, 1], span[tris, 2]
-    offset = np.stack([rank // (ny * nz), rank // nz % ny, rank % nz], axis=1)
-    cells = lo_idx[tris] + offset
-    order = np.argsort(np.ravel_multi_index(cells.T, grid.dims), kind="stable")
-    return cells[order], tris[order]
 
 
 #: Bits, in units of its quantum, of a measure array's absolute sum.  A
@@ -268,11 +244,8 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
     """
     if not validate_watertight(mesh).is_watertight:
         raise NonWatertightInput("cell volumes need a closed mesh")
-    cells, tris = _triangle_cell_bins(mesh, grid)
+    pieces, tris, flat = clip_surface_to_box(mesh, grid)
     nx, ny, nz = grid.dims
-    lo = grid.origin + cells * grid.cell_size
-    pieces, sources = clip_surface_to_box(mesh, (lo, lo + grid.cell_size), tris)
-    flat = np.ravel_multi_index(cells[sources].T, grid.dims)
 
     def per_cell(weights):
         return np.bincount(flat, weights, minlength=nx * ny * nz).reshape(grid.dims)
@@ -280,13 +253,14 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
     cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
     piece_area = 0.5 * np.linalg.norm(cross, axis=1)
     area = per_cell(piece_area)
-    tilt = triangle_normals(mesh)[tris[sources]] @ DIRECTIONS.T
+    tilt = triangle_normals(mesh)[tris] @ DIRECTIONS.T
     sin_tol = np.sin(np.radians(overhang_tolerance_deg))
     over = np.stack([per_cell(np.where(tilt[:, d] > sin_tol, piece_area, 0.0))
                      for d in range(6)])
     nz_da = 0.5 * cross[:, 2]
     z_mean = pieces[:, :, 2].mean(axis=1)
-    flux = per_cell((z_mean - lo[sources, 2]) * nz_da)   # (z_mean - z0) * n_z dA
+    z0 = grid.origin[2] + flat % nz * grid.cell_size
+    flux = per_cell((z_mean - z0) * nz_da)               # (z_mean - z0) * n_z dA
     lift = per_cell(nz_da)                               # n_z dA
     section = np.stack([face_sections(per_cell(0.5 * cross[:, 0]), 0),
                         face_sections(per_cell(0.5 * cross[:, 1]), 1),

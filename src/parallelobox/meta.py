@@ -369,10 +369,10 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
     """Fill the voids of one grown iteration and score its boxes.
 
     ``grown`` is the iteration's entry of :func:`grow_runs`.  The first
-    piece that failed to seed or stays uncovered gives the reason.  Every
-    box is scored from the per-cell tables and nothing is clipped: the
-    parts carry no mesh (``clipped`` is False) until :func:`clip_parts`
-    turns them into meshes.
+    piece that failed to seed or stays uncovered gives the reason, and the
+    iteration then has no parts.  Every box is scored from the per-cell
+    tables and nothing is clipped: the parts carry no mesh (``clipped`` is
+    False) until :func:`clip_parts` turns them into meshes.
     """
     params = objective_of(plan, profile)
     total_printers = plan.printers_available
@@ -412,6 +412,10 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
                 cell_lo=tuple(int(x) for x in lo),
                 cell_hi=tuple(int(x) for x in hi),
                 name=piece.mesh.name + suffix))
+    if reason:
+        # The parts of the pieces before the one that stopped the iteration
+        # cover only part of the model: the iteration has no result.
+        parts = []
     reason = _count_verdict(parts, reason, total_printers)
     if not reason and not fits:
         reason = BOX_EXCEEDS_PRINTER

@@ -6,12 +6,19 @@ from parallelobox import clip, fixtures
 from parallelobox.clip import (PLANE_EPS, clip_halfspace, clip_surface_to_box,
                                clip_to_box, cut_by_plane, points_in_mesh)
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
-                                   hollow_box, icosphere, l_bracket, unit_cube)
-from parallelobox.grid import (CellClass, _triangle_cell_bins, build_grid,
-                               measure_cells)
+                                   hollow_box, icosphere, l_bracket, unit_cube,
+                                   wedge)
+from parallelobox.grid import (DIRECTIONS, GRANULARITY_CELLS, CellClass,
+                               CellMeasures, Grid, build_grid, face_sections,
+                               grid_cell_volumes, measure_cells)
 from parallelobox.mesh import (Aabb, TriangleMesh, aabb_of, compact, measure,
-                              validate_watertight)
+                              triangle_normals, validate_watertight)
 from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
+
+
+_FIXTURES = [unit_cube, lambda: icosphere(radius=6.0, subdivisions=2), dumbbell,
+             l_bracket, hollow_box, asymmetric_blob]
+_FIXTURE_IDS = ["cube", "icosphere", "dumbbell", "l_bracket", "hollow_box", "blob"]
 
 
 def _random_unit(rng):
@@ -108,14 +115,18 @@ def test_adjacent_boxes_partition_volume_and_surface():
         a_right = _piece_area(clip_surface_to_box(mesh, right)[0])
         assert a_left + a_right == pytest.approx(total, rel=1e-9)
 
-        # One per-pair call with both boxes gives the same two pieces.
+        # One per-pair call of the reference kernel with both boxes gives
+        # the same two sets of pieces.
         m = len(mesh.triangles)
         lo = np.repeat([left.min, right.min], m, axis=0)
         hi = np.repeat([left.max, right.max], m, axis=0)
-        pieces, sources = clip_surface_to_box(
-            mesh, (lo, hi), np.tile(np.arange(m), 2))
+        pieces, sources = _reference_pair_clip(mesh, lo, hi, np.tile(np.arange(m), 2))
         assert _piece_area(pieces[sources < m]) == a_left
         assert _piece_area(pieces[sources >= m]) == a_right
+        for box, mine in ((left, sources < m), (right, sources >= m)):
+            got, got_sources, _ = clip_surface_to_box(mesh, box)
+            assert np.array_equal(got, pieces[mine])
+            assert np.array_equal(got_sources, sources[mine] % m)
 
 
 def test_coplanar_surface_triangles_single_owner():
@@ -138,13 +149,15 @@ def test_coplanar_surface_triangles_single_owner():
 
         assert area(lower) == pytest.approx(lower_area, rel=1e-12)
         assert area(upper) == pytest.approx(6.0 - lower_area, rel=1e-12)
-        # The per-pair form applies the same rule to each pair's own box.
-        pieces, sources = clip_surface_to_box(
-            cube, (np.repeat([lower.min, upper.min], 12, axis=0),
-                   np.repeat([lower.max, upper.max], 12, axis=0)),
-            np.tile(np.arange(12), 2))
+        # The per-pair reference kernel applies the same rule to each
+        # pair's own box.
+        pieces, sources = _reference_pair_clip(
+            cube, np.repeat([lower.min, upper.min], 12, axis=0),
+            np.repeat([lower.max, upper.max], 12, axis=0), np.tile(np.arange(12), 2))
         assert _piece_area(pieces[sources < 12]) == area(lower)
         assert _piece_area(pieces[sources >= 12]) == area(upper)
+        assert np.array_equal(pieces[sources < 12], clip_surface_to_box(cube, lower)[0])
+        assert np.array_equal(pieces[sources >= 12], clip_surface_to_box(cube, upper)[0])
 
 
 def test_clip_snaps_vertices_within_plane_eps():
@@ -156,7 +169,8 @@ def test_clip_snaps_vertices_within_plane_eps():
         verts = np.array([[0.0, 0.0, 0.0], [1.0 + over, 0.5, 0.0],
                           [0.0, -1.0 - 1e-10, 0.5]])
         mesh = TriangleMesh(verts, np.array([[0, 1, 2]], dtype=np.int32))
-        pieces, sources = clip_surface_to_box(mesh, box)
+        pieces, sources, cells = clip_surface_to_box(mesh, box)
+        assert np.array_equal(cells, np.zeros(len(pieces), dtype=np.int64))
         if clipped:
             assert len(pieces) == 2
             assert pieces[:, :, 0].max() == 1.0
@@ -194,30 +208,214 @@ def _reference_clip(mesh, box, tri_ids):
     return np.reshape(pieces, (-1, 3, 3)), np.asarray(sources, dtype=np.int64)
 
 
+# ---------------------------------------------------------------------------
+# the per-pair surface clip measure_cells used before the staged one, as
+# the reference of the grid form
+
+
+def _reference_cell_bins(mesh, grid):
+    """Every (cell, triangle) pair whose bounding boxes overlap.
+
+    Returns the (p, 3) cell indices and the (p,) triangle ids, sorted by
+    cell in C order and by triangle within a cell.
+    """
+    v, t = mesh.vertices, mesh.triangles
+    corners = v[t]  # (m, 3, 3)
+    tri_lo = corners.min(axis=1)
+    tri_hi = corners.max(axis=1)
+    lo_idx = np.floor((tri_lo - grid.origin) / grid.cell_size - 1e-12).astype(np.int64)
+    hi_idx = np.floor((tri_hi - grid.origin) / grid.cell_size + 1e-12).astype(np.int64)
+    lo_idx = np.clip(lo_idx, 0, np.array(grid.dims) - 1)
+    hi_idx = np.clip(hi_idx, 0, np.array(grid.dims) - 1)
+    span = hi_idx - lo_idx + 1
+    per_tri = span.prod(axis=1)
+    tris = np.repeat(np.arange(len(t)), per_tri)
+    # Rank of each pair within its triangle's cell range, unravelled C-order.
+    rank = np.arange(len(tris)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
+    ny, nz = span[tris, 1], span[tris, 2]
+    offset = np.stack([rank // (ny * nz), rank // nz % ny, rank % nz], axis=1)
+    cells = lo_idx[tris] + offset
+    order = np.argsort(np.ravel_multi_index(cells.T, grid.dims), kind="stable")
+    return cells[order], tris[order]
+
+
+def _reference_pair_clip(mesh, lo, hi, tri_ids):
+    """Six Sutherland-Hodgman passes over padded rows, one (triangle, box)
+    pair a row: tri_ids[i] is clipped to the box lo[i], hi[i].  Returns the
+    pieces and the position in tri_ids each came from, in input order."""
+    v, t = mesh.vertices, mesh.triangles
+    ids = np.asarray(tri_ids, dtype=np.int64)
+    poly = v[t[ids]]                        # (n, width, 3), padded polygons
+    near = ~((poly.min(axis=1) - hi > PLANE_EPS)
+             | (lo - poly.max(axis=1) > PLANE_EPS)).any(axis=1)
+    pos = np.nonzero(near)[0]               # position of each row in ids
+    poly = poly[pos]
+    count = np.full(len(pos), 3)            # live vertices per polygon
+    for axis in range(3):
+        for bound, sign in ((hi, 1.0), (lo, -1.0)):
+            d = sign * (poly[:, :, axis] - bound[pos, axis, None])
+            d[np.abs(d) <= PLANE_EPS] = 0.0
+            valid = np.arange(poly.shape[1]) < count[:, None]
+            d[~valid] = 0.0
+            if sign < 0.0:
+                live = (d != 0.0).any(axis=1)
+                poly, count, pos, d, valid = (
+                    a[live] for a in (poly, count, pos, d, valid))
+            cut = np.nonzero((d > 0.0).any(axis=1))[0]
+            if len(cut):
+                out, count[cut] = _reference_clip_rows(poly[cut], count[cut], d[cut],
+                                                       valid[cut])
+                if out.shape[1] > poly.shape[1]:
+                    pad = np.zeros((len(poly), out.shape[1] - poly.shape[1], 3))
+                    poly = np.concatenate([poly, pad], axis=1)
+                poly[cut, :out.shape[1]] = out
+                live = count >= 3
+                poly, count, pos = poly[live], count[live], pos[live]
+    rows, k = np.nonzero(np.arange(1, poly.shape[1] - 1) < count[:, None] - 1)
+    k = k + 1
+    pieces = np.stack([poly[rows, 0], poly[rows, k], poly[rows, k + 1]], axis=1)
+    return pieces, pos[rows]
+
+
+def _reference_clip_rows(p, count, d, valid):
+    """One Sutherland-Hodgman pass keeping d <= 0 on padded polygons."""
+    prev = (np.arange(p.shape[1]) - 1) % count[:, None]
+    dp = np.take_along_axis(d, prev, axis=1)
+    cross = valid & (((dp > 0.0) & (d < 0.0)) | ((dp < 0.0) & (d > 0.0)))
+    keep = valid & (d <= 0.0)
+    emitted = cross.astype(np.int64) + keep
+    end = np.cumsum(emitted, axis=1)
+    start = end - emitted
+    out = np.zeros((len(p), int(end[:, -1].max()), 3))
+    r, c = np.nonzero(cross)
+    pc = prev[r, c]
+    t = dp[r, c] / (dp[r, c] - d[r, c])
+    out[r, start[r, c]] = p[r, pc] + t[:, None] * (p[r, c] - p[r, pc])
+    r, c = np.nonzero(keep)
+    out[r, start[r, c] + cross[r, c]] = p[r, c]
+    return out, end[:, -1]
+
+
+def _reference_grid_clip(mesh, grid):
+    """The per-pair clip of every (cell, triangle) pair, as
+    (pieces, sources, flat cells)."""
+    cells, tris = _reference_cell_bins(mesh, grid)
+    lo = grid.origin + cells * grid.cell_size
+    pieces, pos = _reference_pair_clip(mesh, lo, lo + grid.cell_size, tris)
+    return pieces, tris[pos], np.ravel_multi_index(cells[pos].T, grid.dims)
+
+
+def _reference_measure_cells(grid, mesh, overhang_tolerance_deg=1.0):
+    """measure_cells summing the per-pair clip, each piece's z0 read from
+    its pair's box."""
+    cells, tris = _reference_cell_bins(mesh, grid)
+    nx, ny, nz = grid.dims
+    lo = grid.origin + cells * grid.cell_size
+    pieces, sources = _reference_pair_clip(mesh, lo, lo + grid.cell_size, tris)
+    flat = np.ravel_multi_index(cells[sources].T, grid.dims)
+
+    def per_cell(weights):
+        return np.bincount(flat, weights, minlength=nx * ny * nz).reshape(grid.dims)
+
+    cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
+    piece_area = 0.5 * np.linalg.norm(cross, axis=1)
+    tilt = triangle_normals(mesh)[tris[sources]] @ DIRECTIONS.T
+    sin_tol = np.sin(np.radians(overhang_tolerance_deg))
+    over = np.stack([per_cell(np.where(tilt[:, d] > sin_tol, piece_area, 0.0))
+                     for d in range(6)])
+    nz_da = 0.5 * cross[:, 2]
+    z_mean = pieces[:, :, 2].mean(axis=1)
+    lift = per_cell(nz_da)
+    section = np.stack([face_sections(per_cell(0.5 * cross[:, 0]), 0),
+                        face_sections(per_cell(0.5 * cross[:, 1]), 1),
+                        face_sections(lift, 2)])
+    volume = grid_cell_volumes(per_cell((z_mean - lo[sources, 2]) * nz_da), lift,
+                               grid.cell_size)
+    classification = np.where(volume > 0.5 * grid.cell_size ** 3,
+                              np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
+    classification[per_cell(None) > 0] = CellClass.BOUNDARY
+    return CellMeasures(volume, per_cell(piece_area), over, section, classification)
+
+
 @pytest.mark.parametrize("make_mesh", [
     lambda: icosphere(radius=6.0, subdivisions=2),
     hollow_box,
 ], ids=["icosphere", "hollow_box"])
 def test_batched_clip_matches_per_cell_clips(make_mesh):
+    """The grid form gives each cell the pieces of a one-box clip of the
+    triangles binned to it, and those are the loop kernel's."""
     mesh = make_mesh()
     grid = build_grid(mesh, "fine")
-    cells, tris = _triangle_cell_bins(mesh, grid)
-    lo = grid.origin + cells * grid.cell_size
-    pieces, sources = clip_surface_to_box(mesh, (lo, lo + grid.cell_size), tris)
+    pieces, sources, cells = clip_surface_to_box(mesh, grid)
     assert len(pieces)
-    pair_cell = np.ravel_multi_index(cells.T, grid.dims)
-    piece_cell = pair_cell[sources]
+    pair_cells, pair_tris = _reference_cell_bins(mesh, grid)
+    pair_cell = np.ravel_multi_index(pair_cells.T, grid.dims)
+    seen = 0
     for c in np.unique(pair_cell):
-        ids = tris[pair_cell == c]
-        # The cell's box as the batched clip builds it, bit for bit.
+        ids = pair_tris[pair_cell == c]
+        # The cell's box as the grid form builds it, bit for bit.
         lo = grid.origin + np.array(np.unravel_index(c, grid.dims)) * grid.cell_size
         box = Aabb(lo, lo + grid.cell_size)
-        want, want_sources = clip_surface_to_box(mesh, box, ids)
+        binned = TriangleMesh(mesh.vertices, mesh.triangles[ids])
+        want, want_sources, _ = clip_surface_to_box(binned, box)
         ref, ref_sources = _reference_clip(mesh, box, ids)
         assert np.array_equal(want, ref) and np.array_equal(want_sources, ref_sources)
-        mine = piece_cell == c
+        mine = cells == c
         assert np.array_equal(pieces[mine], want)
-        assert np.array_equal(tris[sources[mine]], ids[want_sources])
+        assert np.array_equal(sources[mine], ids[want_sources])
+        seen += int(mine.sum())
+    assert seen == len(pieces)
+
+
+def _rigid_motion(mesh, rng):
+    """mesh under a random rotation and translation."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return TriangleMesh(mesh.vertices @ q.T + rng.uniform(-50.0, 50.0, size=3),
+                        mesh.triangles, mesh.name)
+
+
+def _staged_clip_cases(mesh, rng):
+    """The mesh, three rigid motions of it and its two halves across the
+    middle plane of its longest axis."""
+    yield "unmoved", mesh
+    for k in range(3):
+        yield f"moved{k}", _rigid_motion(mesh, rng)
+    bb = aabb_of(mesh)
+    axis = int(np.argmax(bb.extent))
+    for side, half in zip(("upper", "lower"), cut_by_plane(
+            mesh, np.eye(3)[axis], float(bb.min[axis] + 0.5 * bb.extent[axis]))):
+        yield side, half
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES + [wedge],
+                         ids=_FIXTURE_IDS + ["wedge"])
+def test_staged_grid_clip_matches_per_pair_kernel(make_mesh):
+    """The grid form clips one axis at a time, sharing each triangle's x
+    and y passes among the cells that need them; its pieces, cells,
+    triangles and their order are the per-pair kernel's bit for bit, and
+    so are the measure_cells tables.  Cases: the fixture, rotated and
+    moved copies and symmetry-cut halves, at every granularity, on the
+    default grid and on one whose planes pass through the mesh's min
+    corner."""
+    rng = np.random.default_rng(97)
+    for name, mesh in _staged_clip_cases(make_mesh(), rng):
+        for granularity in GRANULARITY_CELLS:
+            default = build_grid(mesh, granularity)
+            cornered = Grid(aabb_of(mesh).min, default.cell_size, default.dims)
+            for grid in (default, cornered):
+                case = (name, granularity, tuple(grid.origin))
+                got = clip_surface_to_box(mesh, grid)
+                want = _reference_grid_clip(mesh, grid)
+                assert len(want[0]), case
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), case
+                tables = measure_cells(grid, mesh)
+                reference = _reference_measure_cells(grid, mesh)
+                assert tables.table.tobytes() == reference.table.tobytes(), case
+                assert np.array_equal(grid.classification, reference.classification), case
 
 
 @pytest.mark.parametrize("make_mesh", [
@@ -572,7 +770,7 @@ def _segment_blocked(m, p, a, b, eps):
 
 def _reference_clip_to_box(mesh, box):
     """clip_to_box deciding "no surface in the box" by a full weld."""
-    pieces, _ = clip_surface_to_box(mesh, box)
+    pieces = clip_surface_to_box(mesh, box)[0]
     verts = pieces.reshape(-1, 3)
     count = 0
     if len(verts):
@@ -604,11 +802,6 @@ def _same_mesh(got, want):
             and got.vertices.tobytes() == want.vertices.tobytes()
             and got.triangles.tobytes() == want.triangles.tobytes()
             and got.name == want.name)
-
-
-_FIXTURES = [unit_cube, lambda: icosphere(radius=6.0, subdivisions=2), dumbbell,
-             l_bracket, hollow_box, asymmetric_blob]
-_FIXTURE_IDS = ["cube", "icosphere", "dumbbell", "l_bracket", "hollow_box", "blob"]
 
 
 def _plane_areas(mesh, normal, offset):
@@ -672,76 +865,6 @@ def _assert_same_solid(got, want, box):
     got_off, want_off = (measure(m).surface_area - sum(u for u, _ in planes)
                          for m, planes in ((got, got_planes), (want, want_planes)))
     assert got_off == pytest.approx(want_off, rel=1e-9, abs=tol)
-    assert measure(got).volume == pytest.approx(measure(want).volume, rel=1e-9)
-
-
-_FIXTURES = [unit_cube, lambda: icosphere(radius=6.0, subdivisions=2), dumbbell,
-             l_bracket, hollow_box, asymmetric_blob]
-_FIXTURE_IDS = ["cube", "icosphere", "dumbbell", "l_bracket", "hollow_box", "blob"]
-
-
-def _plane_areas(mesh, normal, offset):
-    """Unsigned area of the faces lying in the plane normal . x = offset,
-    and their signed area along normal."""
-    corners = mesh.vertices[mesh.triangles]
-    on = (np.abs(corners @ normal - offset) <= PLANE_EPS).all(axis=1)
-    half = 0.5 * np.cross(corners[on, 1] - corners[on, 0],
-                          corners[on, 2] - corners[on, 0])
-    return float(np.linalg.norm(half, axis=1).sum()), float((half @ normal).sum())
-
-
-def _assert_capped(got, bare, normal):
-    """got is bare, the cut without caps, with caps that close it: the same
-    vertices and leading triangles bit for bit, a watertight mesh, and caps
-    that cover their loops once (their unsigned area equals their signed
-    area along the normal, which equals the loops' signed area)."""
-    assert got.is_empty == bare.is_empty
-    if got.is_empty:
-        return
-    m = len(bare.triangles)
-    assert got.vertices.tobytes() == bare.vertices.tobytes()
-    assert got.triangles[:m].tobytes() == bare.triangles.tobytes()
-    assert validate_watertight(got).is_watertight
-    cap = got.vertices[got.triangles[m:]]
-    half = 0.5 * np.cross(cap[:, 1] - cap[:, 0], cap[:, 2] - cap[:, 0])
-    unsigned = float(np.linalg.norm(half, axis=1).sum())
-    signed = float((half @ normal).sum())
-    loops = 0.0
-    edges = np.reshape(_reference_boundary_edges(bare.triangles), (-1, 2))
-    if len(edges):
-        a, b = bare.vertices[edges[:, 0]], bare.vertices[edges[:, 1]]
-        loops = -0.5 * float((np.cross(a, b) @ normal).sum())
-    tol = 1e-9 * max(unsigned, 1.0)
-    assert abs(unsigned - signed) <= tol, (unsigned, signed)
-    assert abs(signed - loops) <= tol, (signed, loops)
-
-
-def _assert_same_solid(got, want, box):
-    """A clipped box solid against the loop kernel's.  Solids without caps
-    match bit for bit.  Otherwise got is watertight, the faces on each box
-    plane cover it once and have the same signed area as want's there, and
-    the faces off the planes have the same area, and the solids the same
-    volume."""
-    if got.is_empty or want.is_empty or _same_mesh(got, want):
-        assert _same_mesh(got, want)
-        return
-    assert validate_watertight(got).is_watertight
-    plane_area = {}
-    for mesh in (got, want):
-        areas = []
-        for axis in range(3):
-            for sign, bound in ((1.0, box.max[axis]), (-1.0, box.min[axis])):
-                areas.append(_plane_areas(mesh, sign * np.eye(3)[axis], sign * bound))
-        plane_area[id(mesh)] = areas
-    total = measure(got).surface_area
-    tol = 1e-9 * max(total, 1.0)
-    for (unsigned, signed), (_, want_signed) in zip(plane_area[id(got)],
-                                                    plane_area[id(want)]):
-        assert abs(unsigned - signed) <= tol, (unsigned, signed)
-        assert abs(signed - want_signed) <= tol, (signed, want_signed)
-    off = [measure(m).surface_area - sum(u for u, _ in plane_area[id(m)])
-           for m in (got, want)]
-    assert off[0] == pytest.approx(off[1], rel=1e-9, abs=tol)
     assert measure(got).volume == pytest.approx(measure(want).volume, rel=1e-9)
 
 
@@ -837,7 +960,7 @@ def test_touching_boxes_match_the_weld():
                                 dtype=np.int32))
     assert validate_watertight(tip).is_watertight
     box = Aabb((-1.0, -1.0, -1.0), (1.5e-9, 1.0, 1.0))
-    pieces, _ = clip_surface_to_box(tip, box)
+    pieces = clip_surface_to_box(tip, box)[0]
     assert len(pieces) == 3
     assert clip_to_box(tip, box).is_empty
     _assert_same_solid(clip_to_box(tip, box), _reference_clip_to_box(tip, box), box)
@@ -949,8 +1072,8 @@ def test_culled_surface_clip_matches_unculled_kernel(make_mesh):
     """clip_surface_to_box drops the triangles beyond PLANE_EPS of their
     box before clipping; on random boxes, half of them with every plane on
     a vertex coordinate or PLANE_EPS-scale nudges off it, its pieces are
-    the per-triangle kernel's over every triangle, bit for bit, in both
-    the one-box and the per-pair form."""
+    the per-triangle kernel's over every triangle, bit for bit, and so are
+    those of the per-pair reference kernel of the grid form."""
     mesh = make_mesh()
     bb = aabb_of(mesh)
     ids = np.arange(len(mesh.triangles))
@@ -967,14 +1090,14 @@ def test_culled_surface_clip_matches_unculled_kernel(make_mesh):
             lo = bb.min + rng.uniform(-0.1, 0.8, size=3) * bb.extent
             hi = lo + rng.uniform(0.05, 0.6, size=3) * bb.extent
         boxes.append(Aabb(lo, hi))
-        got, got_sources = clip_surface_to_box(mesh, boxes[-1])
+        got, got_sources, _ = clip_surface_to_box(mesh, boxes[-1])
         want, want_sources = _reference_clip(mesh, boxes[-1], ids)
         assert np.array_equal(got, want) and np.array_equal(got_sources, want_sources)
     assert len(boxes) >= 12
     m = len(ids)
-    pieces, sources = clip_surface_to_box(
-        mesh, (np.repeat([b.min for b in boxes], m, axis=0),
-               np.repeat([b.max for b in boxes], m, axis=0)), np.tile(ids, len(boxes)))
+    pieces, sources = _reference_pair_clip(
+        mesh, np.repeat([b.min for b in boxes], m, axis=0),
+        np.repeat([b.max for b in boxes], m, axis=0), np.tile(ids, len(boxes)))
     for k, box in enumerate(boxes):
         want, want_sources = _reference_clip(mesh, box, ids)
         mine = sources // m == k
@@ -1035,7 +1158,7 @@ def test_bridge_test_matches_per_edge_test():
 def _surface_pass_crosses(mesh, box) -> bool:
     """The surface pass's answer: some piece keeps three corners apart at
     PLANE_EPS resolution."""
-    pieces, _ = clip_surface_to_box(mesh, box)
+    pieces = clip_surface_to_box(mesh, box)[0]
     keys = np.round(pieces / PLANE_EPS).astype(np.int64)
     return bool((keys != np.roll(keys, -1, axis=1)).any(axis=2).all(axis=1).any())
 
@@ -1090,7 +1213,7 @@ def test_vertex_rule_agrees_with_the_surface_pass(make_mesh, monkeypatch):
         decided_by_vertices += len(passes) == before
         inside = ((v >= box.min) & (v <= box.max)).all(axis=1)[t].all(axis=1)
         on_min = (np.abs(v - box.min) <= PLANE_EPS)[t].all(axis=1).any(axis=1)
-        pieces, sources = surface(mesh, box)
+        pieces, sources, _ = surface(mesh, box)
         for tri in np.nonzero(inside & ~on_min)[0]:
             mine = np.nonzero(sources == tri)[0]
             assert len(mine) == 1 and np.array_equal(pieces[mine[0]], v[t[tri]]), box

@@ -290,6 +290,8 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
                                      piece=index,
                                      cell_lo=tuple(int(x) for x in lo),
                                      cell_hi=tuple(int(x) for x in hi)))
+    if reason:
+        parts = []      # a stopped iteration has no result
     valid = not reason
     if valid and len(parts) == 0:
         valid, reason = False, "no parts produced"
@@ -309,9 +311,31 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
         aggregate_time_s=sum(p.time_s for p in parts) if parts else nan,
         symmetry_error=prepared.plane.error_score, symmetry_cut=prepared.cut,
         clipped=True,
-        cut_area_mm2=(float("nan") if not parts or reason.startswith("piece")
-                      else sum(p.surface_area for p in parts)
-                      - prepared.surface_area))
+        cut_area_mm2=(sum(p.surface_area for p in parts) - prepared.surface_area
+                      if parts else float("nan")))
+
+
+def test_stopped_iteration_reports_no_parts():
+    """An iteration that stops at a piece that failed to seed or stays
+    uncovered reports no parts, and NaN for its score and both times, not
+    the parts of the pieces before it.  unit_cube at fine with 8 printers
+    of 30 mm stops at piece 1 for 7 seed blocks."""
+    plan = RunPlan(printers_available=8, granularity="fine", sample_tries=1,
+                   seed_base=0)
+    profile = PrinterProfile(volume_x=30.0, volume_y=30.0, volume_z=30.0)
+    records = []
+    try:
+        run_metaheuristic(unit_cube(), plan, profile, records)
+    except NoValidDecomposition:
+        pass
+    stopped = [r for r in records if r.reason.startswith("piece ")]
+    assert any(r.seed_blocks == 7 and r.reason.startswith("piece 1: ")
+               and r.reason.endswith("cells uncovered") for r in stopped)
+    for record in stopped:
+        assert not record.valid and record.parts == 0, record
+        assert all(math.isnan(x) for x in (
+            record.parallel_score, record.parallel_time_s,
+            record.aggregate_time_s, record.cut_area_mm2)), record
 
 
 def _reference_search(prepared, plan, profile):

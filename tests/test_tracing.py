@@ -4,7 +4,8 @@ import importlib
 import logging
 from pathlib import Path
 
-from parallelobox import blocks, cli, grid, meta
+from parallelobox import blocks, cli, fixtures, grid, meta
+from parallelobox.meta import PrinterProfile, RunPlan
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,3 +35,22 @@ def test_tracer_install_patches_and_uninstall_restores(monkeypatch):
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     assert logging.getLogger("parallelobox").handlers == handlers
+
+
+def test_traced_preparation_times_the_surface_clip_of_every_grid(monkeypatch):
+    """The traced mode times the surface clip under the name measure_cells
+    calls it by: one clip.surface span per measured grid, each a child of
+    that grid's grid.measure span."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        meta.prepare_model(fixtures.dumbbell(), RunPlan(printers_available=2),
+                           PrinterProfile())
+    finally:
+        tracer.uninstall()
+    measured = [s.id for s in tracer.spans if s.name == "grid.measure"]
+    surface = [s.parent for s in tracer.spans if s.name == "clip.surface"]
+    assert len(measured) == 2     # the two halves of the symmetry cut
+    assert sorted(surface) == measured
