@@ -23,8 +23,8 @@ exact, so scores are bit-identical to a loop summing slices; the tables of
 all pieces are joined into one, which each problem reads from its own
 offset with its own dims and strides.  Ownership is box arithmetic:
 a block owns every solid cell of its box, so the owned cells of a layer
-are the solid cells of its overlaps with the other boxes, and each
-problem's owner grid is painted once, when its growth ends.
+are the solid cells of its overlaps with the other boxes.  The boxes are
+the only record of ownership.
 """
 from __future__ import annotations
 
@@ -109,17 +109,18 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
     for _ in range(max_iter):
         dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = dists.argmin(axis=1)
-        moved = 0.0
-        for c in range(k):
-            members = points[assign == c]
-            if len(members) == 0:
-                # Re-seed a starved cluster at the point farthest from its center.
-                far = int(dists.min(axis=1).argmax())
-                new = points[far]
-            else:
-                new = members.mean(axis=0)
-            moved = max(moved, float(np.linalg.norm(new - centers[c])))
-            centers[c] = new
+        # Per-cluster coordinate sums, each accumulated in point order as a
+        # row sum of the members would be.
+        counts = np.bincount(assign, minlength=k)
+        sums = np.bincount((3 * assign[:, None] + np.arange(3)).ravel(),
+                           points.ravel(), minlength=3 * k).reshape(k, 3)
+        new = sums / np.maximum(counts, 1)[:, None]
+        starved = counts == 0
+        if starved.any():
+            # Re-seed a starved cluster at the point farthest from its center.
+            new[starved] = points[int(dists.min(axis=1).argmax())]
+        moved = max(float(np.linalg.norm(d)) for d in new - centers)
+        centers = new
         if moved < tol:
             break
     return centers
@@ -161,11 +162,6 @@ def select_seed_blocks(grid: Grid, mesh: TriangleMesh, k: int,
 # ---------------------------------------------------------------------------
 # growth
 
-def _cells(lo, hi) -> tuple[slice, slice, slice]:
-    """Index of the inclusive cell range [lo, hi]."""
-    return tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-
-
 def _layers(lo: np.ndarray, hi: np.ndarray,
             directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inclusive cell range of the one-cell layer beyond the face of the
@@ -180,8 +176,8 @@ class GrowthState:
     """n growth problems, grown in lockstep.
 
     Problem p grows the blocks ``blocks[p]``, whose starting boxes hold
-    disjoint solid cells, on ``grids[p]``, scored from ``measures[p]``, and
-    paints ``grids[p].owner`` when its growth ends.  Problems on one piece
+    disjoint solid cells, on ``grids[p]``, scored from ``measures[p]``; the
+    grown boxes keep disjoint solid cells.  Problems on one piece
     share its measures and classification; a model cut in two grows the
     problems of both pieces in one state.  The summed-volume tables of the
     distinct measures are joined into one ``table``, and problem p reads
@@ -308,15 +304,6 @@ def _apply(state: GrowthState, rows: np.ndarray, index: np.ndarray,
     state.moves[rows] += 1
 
 
-def _finish(state: GrowthState, row: int) -> None:
-    """Stop problem row and paint its owner grid from its boxes."""
-    state.active[row] = False
-    grid = state.grids[row]
-    for b in state.blocks[row]:
-        sl = _cells(b.lo, b.hi)
-        grid.owner[sl][grid.classification[sl] != CellClass.EXTERNAL] = b.id
-
-
 def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Block]]:
     """Grow every problem of the state in lockstep until each one stops.
 
@@ -330,8 +317,6 @@ def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Bloc
     remain.  ``trace`` receives one (problem, move, block id, direction,
     score) tuple per move, problems in order within a step.
     """
-    for row in np.flatnonzero(~state.active).tolist():
-        _finish(state, row)
     while state.active.any():
         active = np.flatnonzero(state.active)
         scores = score_growth(state, active).reshape(len(active), -1)
@@ -342,7 +327,7 @@ def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Bloc
                 if score > 0 and (best < 0 or score < best_score * (1.0 - SCORE_RTOL)):
                     best, best_score = option, score
             if best < 0:
-                _finish(state, row)
+                state.active[row] = False
                 continue
             rows.append(row)
             options.append(best)
@@ -352,8 +337,7 @@ def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Bloc
                               DIRECTION_NAMES[best % 6], best_score))
         if rows:
             index, direction = np.divmod(np.array(options), 6)
-            _apply(state, np.array(rows), index, direction)
-            for row, left in zip(rows, state.unassigned[rows].tolist()):
-                if left <= 0:
-                    _finish(state, row)
+            rows = np.array(rows)
+            _apply(state, rows, index, direction)
+            state.active[rows] = state.unassigned[rows] > 0
     return state.blocks

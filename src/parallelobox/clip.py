@@ -66,6 +66,7 @@ from .mesh import (
     TriangleMesh,
     box_mesh,
     compact,
+    cross,
     validate_watertight,
 )
 
@@ -247,9 +248,9 @@ def clip_halfspace(mesh: TriangleMesh, normal, offset: float, *,
     # corner j: it emits the edge's cut point when the edge changes sign
     # strictly, then corner j when it is kept.
     cur = mesh.triangles[crossing].astype(np.int64)
-    prev = np.roll(cur, 1, axis=1)
+    prev = cur[:, [2, 0, 1]]
     dc = tri_d[crossing]
-    dp = np.roll(dc, 1, axis=1)
+    dp = dc[:, [2, 0, 1]]
     cut = ((dp > 0.0) & (dc < 0.0)) | ((dp < 0.0) & (dc > 0.0))
     # One point per undirected edge, numbered in order of first encounter
     # (row-major over the cut mask), so both sides of an edge share it.
@@ -317,9 +318,9 @@ def _plane_basis(n: np.ndarray):
     """Orthonormal (u, v) in the plane with u x v = n."""
     pick = np.zeros(3)
     pick[int(np.argmin(np.abs(n)))] = 1.0
-    u = np.cross(n, pick)
+    u = cross(n, pick)
     u /= np.linalg.norm(u)
-    v = np.cross(n, u)
+    v = cross(n, u)
     return u, v
 
 
@@ -387,7 +388,8 @@ def _assemble_loops(edges: list[tuple[int, int]], uv: np.ndarray) -> list[list[i
 def _signed_area(uv: np.ndarray, ring: list[int]) -> float:
     pts = uv[ring]
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    after = ring[1:] + ring[:1]
+    return 0.5 * float(np.dot(x, uv[after, 1]) - np.dot(y, uv[after, 0]))
 
 
 def _point_in_ring(uv: np.ndarray, ring: list[int], p: np.ndarray) -> bool:
@@ -468,10 +470,10 @@ def _corner_ring(uv: np.ndarray, ring: list[int], eps_area: float,
     would keep fewer than three corners is kept whole.
     """
     pts = uv[ring]
-    moved = np.nonzero((pts != np.roll(pts, 1, axis=0)).any(axis=1))[0]
+    moved = np.nonzero((pts != uv[ring[-1:] + ring[:-1]]).any(axis=1))[0]
     q = pts[moved]
-    e_in = q - np.roll(q, 1, axis=0)
-    e_out = np.roll(q, -1, axis=0) - q
+    e_out = np.concatenate((q[1:], q[:1])) - q
+    e_in = np.concatenate((e_out[-1:], e_out[:-1]))     # q - its predecessor
     turn = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
     ahead = (e_in * e_out).sum(axis=1) > 0.0
     kept = moved[(np.abs(turn) > eps_area) | ~ahead].tolist()
@@ -495,8 +497,8 @@ def _splice_hole(uv: np.ndarray, outer: list[int], hole: list[int], eps_area: fl
     eps = max(np.sqrt(eps_area), 1e-12)
     near = uv[outer] - m_pt
     gap = np.hypot(near[:, 0], near[:, 1])
-    a = uv[np.concatenate([outer, hole])]
-    b = uv[np.concatenate([np.roll(outer, -1), np.roll(hole, -1)])]
+    a = uv[outer + hole]
+    b = uv[outer[1:] + outer[:1] + hole[1:] + hole[:1]]
     for pi in np.argsort(gap, kind="stable").tolist():
         # Coincident points: a zero-length bridge is always safe.
         if gap[pi] < eps or not _bridge_blocked(m_pt, uv[outer[pi]], a, b, eps).any():
@@ -677,7 +679,7 @@ def _surface_crosses(mesh: TriangleMesh, box: Aabb) -> bool:
     asked first; a min face's triangles are its neighbour's."""
     def apart(corners: np.ndarray) -> bool:
         keys = np.round(corners / PLANE_EPS).astype(np.int64)
-        return bool((keys != np.roll(keys, -1, axis=1)).any(axis=2).all(axis=1).any())
+        return bool((keys != keys[:, [1, 2, 0]]).any(axis=2).all(axis=1).any())
 
     v, t = mesh.vertices, mesh.triangles
     inside = ((v >= box.min) & (v <= box.max)).all(axis=1)
@@ -718,7 +720,7 @@ def points_in_mesh(mesh: TriangleMesh, points) -> np.ndarray:
     for start in range(0, len(pts), step):
         a, b, c = np.moveaxis(corners[None] - pts[start:start + step, None, None], 2, 0)
         la, lb, lc = (np.linalg.norm(x, axis=-1) for x in (a, b, c))
-        det = (a * np.cross(b, c)).sum(axis=-1)
+        det = (a * cross(b, c)).sum(axis=-1)
         den = (la * lb * lc + (a * b).sum(axis=-1) * lc
                + (a * c).sum(axis=-1) * lb + (b * c).sum(axis=-1) * la)
         angles[start:start + step] = 2.0 * np.arctan2(det, den).sum(axis=1)

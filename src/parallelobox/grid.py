@@ -47,7 +47,8 @@ import numpy as np
 # points_in_mesh is not called here: the benchmark's traced mode patches it.
 from .clip import clip_surface_to_box, points_in_mesh  # noqa: F401
 from .errors import NonWatertightInput
-from .mesh import Aabb, TriangleMesh, aabb_of, triangle_normals, validate_watertight
+from .mesh import (Aabb, TriangleMesh, aabb_of, cross, triangle_normals,
+                   validate_watertight)
 
 #: Cells along the longest bounding-box axis for each named granularity.
 GRANULARITY_CELLS = {"coarse": 8, "medium": 10, "fine": 12, "very_fine": 15}
@@ -65,21 +66,19 @@ class CellClass(IntEnum):
 
 @dataclass
 class Grid:
-    """Dense cubic grid; classification and owner live in arrays."""
+    """Dense cubic grid and its cell labels; parts own the cells of their
+    boxes, counted from the :class:`CellMeasures` table."""
 
     origin: np.ndarray
     cell_size: float
     dims: tuple[int, int, int]
     classification: np.ndarray = field(default=None)  # int8, CellClass values
-    owner: np.ndarray = field(default=None)           # int32, -1 = unowned
 
     def __post_init__(self) -> None:
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.dims = tuple(int(d) for d in self.dims)
         if self.classification is None:
             self.classification = np.full(self.dims, _UNSET, dtype=np.int8)
-        if self.owner is None:
-            self.owner = np.full(self.dims, -1, dtype=np.int32)
 
     def box_of_range(self, lo, hi) -> Aabb:
         """Physical box spanned by cells lo..hi inclusive."""
@@ -250,20 +249,21 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
     def per_cell(weights):
         return np.bincount(flat, weights, minlength=nx * ny * nz).reshape(grid.dims)
 
-    cross = np.cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
-    piece_area = 0.5 * np.linalg.norm(cross, axis=1)
+    # Each piece's normal scaled to twice its area.
+    twice_area = cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
+    piece_area = 0.5 * np.linalg.norm(twice_area, axis=1)
     area = per_cell(piece_area)
     tilt = triangle_normals(mesh)[tris] @ DIRECTIONS.T
     sin_tol = np.sin(np.radians(overhang_tolerance_deg))
     over = np.stack([per_cell(np.where(tilt[:, d] > sin_tol, piece_area, 0.0))
                      for d in range(6)])
-    nz_da = 0.5 * cross[:, 2]
+    nz_da = 0.5 * twice_area[:, 2]
     z_mean = pieces[:, :, 2].mean(axis=1)
     z0 = grid.origin[2] + flat % nz * grid.cell_size
     flux = per_cell((z_mean - z0) * nz_da)               # (z_mean - z0) * n_z dA
     lift = per_cell(nz_da)                               # n_z dA
-    section = np.stack([face_sections(per_cell(0.5 * cross[:, 0]), 0),
-                        face_sections(per_cell(0.5 * cross[:, 1]), 1),
+    section = np.stack([face_sections(per_cell(0.5 * twice_area[:, 0]), 0),
+                        face_sections(per_cell(0.5 * twice_area[:, 1]), 1),
                         face_sections(lift, 2)])
 
     # A cell without surface is all solid or all void, so its flux volume

@@ -3,9 +3,9 @@
 A decomposition run is deterministic given (model, plan, seed).  The
 expensive per-model work — symmetry detection, orientation, grid build,
 cell classification and measures — happens once in :func:`prepare_model`;
-every search iteration reuses it with a fresh ownership array.  Plans
-with the same :func:`preparation_key` share one prepared model, so a batch
-prepares each model once per key.
+every search iteration reuses it.  Plans with the same
+:func:`preparation_key` share one prepared model, so a batch prepares each
+model once per key.
 
 The search itself is a two-loop sweep: the outer loop walks the number of
 seed blocks ``p`` down from ``printers_available``, the inner loop retries
@@ -17,11 +17,13 @@ parallel print score, then fewest printers used, then smallest aggregate
 time.  Every iteration is seeded up front, and all iterations of every
 piece grow together in one lockstep :func:`~parallelobox.blocks.grow_blocks`
 call (:func:`grow_runs`); :func:`run_decomposition` then fills the voids
-of one grown iteration and scores it.  An iteration's seeds and growth do
-not depend on the printer count, so a search takes its grown runs from a
-map that a batch shares across printer counts (:func:`grow_missing_runs`):
-the runs of the largest count include those of every smaller one, and
-each is grown once.
+of one grown iteration and scores it.  The grown block boxes are the only
+record of the cells an iteration has claimed: the void fill and the
+coverage count read them against the piece's cell tables.  An iteration's
+seeds and growth do not depend on the printer count, so a search takes its
+grown runs from a map that a batch shares across printer counts
+(:func:`grow_missing_runs`): the runs of the largest count include those
+of every smaller one, and each is grown once.
 
 Every part score is a sum over grid cells plus the caps on the box faces,
 so an iteration is scored from the per-cell tables of
@@ -52,7 +54,8 @@ from .blocks import (SCORE_RTOL, Block, GrowthState, ObjectiveParams,
 from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane  # noqa: F401
 from .errors import (InsufficientBoundaryCells, NonWatertightInput,
                      NoValidDecomposition)
-from .grid import CellClass, CellMeasures, Grid, build_grid, measure_cells
+from .grid import (BOUNDARY, SOLID, CellMeasures, Grid, build_grid,
+                   measure_cells)
 from .mesh import TriangleMesh, aabb_of, measure, validate_watertight
 from .preprocess import (SYMMETRY_THRESHOLD, Pose, SymmetryPlane,
                          find_best_symmetry_plane, optimize_orientation)
@@ -244,29 +247,21 @@ def preparation_key(plan: RunPlan) -> tuple:
             plan.printers_available >= 2)
 
 
-def _fresh_grid(grid: Grid) -> Grid:
-    """Share the classification array but reset ownership."""
-    return Grid(origin=grid.origin, cell_size=grid.cell_size, dims=grid.dims,
-                classification=grid.classification,
-                owner=np.full(grid.dims, -1, dtype=np.int32))
-
-
 def _proportional_share(total: int, v_first: float, v_second: float) -> int:
     """Round total * v1/(v1+v2) to the nearest int, clamped to [1, total-1]."""
     share = int(np.floor(total * v_first / max(v_first + v_second, 1e-300) + 0.5))
     return min(max(share, 1), total - 1)
 
 
-def _uncovered_cells(grid: Grid, regions) -> tuple[int, int]:
-    """(boundary, internal) cells neither owned nor inside a carved region."""
-    mask = np.zeros(grid.dims, dtype=bool)
-    for lo, hi in regions:
-        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-        mask[sl] = True
-    free = (grid.owner < 0) & ~mask
-    b = int((free & (grid.classification == CellClass.BOUNDARY)).sum())
-    i = int((free & (grid.classification == CellClass.INTERNAL)).sum())
-    return b, i
+def _uncovered_cells(measures: CellMeasures, sums: np.ndarray) -> tuple[int, int]:
+    """(boundary, internal) cells of a piece in none of its part boxes.
+
+    ``sums`` holds the channel sums of the boxes (``measures.sums``), which
+    hold disjoint solid cells, so their cell counts add up exactly.
+    """
+    total = measures.table[-1]
+    boundary = int(total[BOUNDARY] - sums[:, BOUNDARY].sum())
+    return boundary, int(total[SOLID] - sums[:, SOLID].sum()) - boundary
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +290,6 @@ def _splits(prepared: PreparedModel, printers: int,
 class GrownPiece:
     """One piece of one iteration after growth."""
 
-    grid: Grid              # its owner array painted by growth
     blocks: list[Block]
     steps: int              # growth moves
 
@@ -311,24 +305,23 @@ def grow_runs(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
     seeded.
     """
     grown: list[list[GrownPiece | str]] = []
-    problems: list[tuple[GrownPiece, CellMeasures]] = []
+    problems: list[tuple[GrownPiece, PreparedPiece]] = []
     for seed_blocks, seed in runs:
         entry: list[GrownPiece | str] = []
         counts = _splits(prepared, plan.printers_available, seed_blocks)[0]
         for index, (piece, k) in enumerate(zip(prepared.pieces, counts)):
-            grid = _fresh_grid(piece.grid)
             try:
-                blocks = select_seed_blocks(grid, piece.mesh, k,
+                blocks = select_seed_blocks(piece.grid, piece.mesh, k,
                                             rng_seed=seed * 2 + index)
             except InsufficientBoundaryCells as exc:
                 entry.append(f"piece {index}: {exc}")
                 continue
-            entry.append(GrownPiece(grid, blocks, 0))
-            problems.append((entry[-1], piece.measures))
+            entry.append(GrownPiece(blocks, 0))
+            problems.append((entry[-1], piece))
         grown.append(entry)
     if problems:
-        state = GrowthState([g.grid for g, _ in problems],
-                            [m for _, m in problems],
+        state = GrowthState([piece.grid for _, piece in problems],
+                            [piece.measures for _, piece in problems],
                             [g.blocks for g, _ in problems],
                             objective_of(plan, profile))
         grow_blocks(state)
@@ -385,10 +378,14 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         if isinstance(entry, str):
             reason = entry
             break
-        grid, blocks = entry.grid, entry.blocks
-        free = max(0, budget - len(blocks))
-        regions = get_discrete_empty_regions(grid, free, params.printer_dims)
-        left_b, left_i = _uncovered_cells(grid, regions)
+        grid, blocks = piece.grid, entry.blocks
+        blocked = [(b.lo, b.hi) for b in blocks]
+        regions = get_discrete_empty_regions(
+            piece.measures, blocked, grid.cell_size,
+            max(0, budget - len(blocks)), params.printer_dims)
+        sums = piece.measures.sums(*np.array(blocked + regions,
+                                             dtype=np.int64).transpose(1, 0, 2))
+        left_b, left_i = _uncovered_cells(piece.measures, sums)
         if left_b or left_i:
             reason = (f"piece {index}: {left_b} boundary / {left_i} internal "
                       "cells uncovered")
@@ -396,9 +393,8 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         boxes = ([(b.lo, b.hi, "block", f"_b{b.id}") for b in blocks]
                  + [(lo, hi, "void", f"_v{r}")
                     for r, (lo, hi) in enumerate(regions)])
-        for lo, hi, source, suffix in boxes:
-            sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-            if not (grid.classification[sl] != CellClass.EXTERNAL).any():
+        for (lo, hi, source, suffix), box_sums in zip(boxes, sums):
+            if box_sums[SOLID] == 0:
                 continue
             volume, area = piece.measures.box(lo, hi)
             fits = fits and bool(fits_printer(grid.box_of_range(lo, hi).extent,

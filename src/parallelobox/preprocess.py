@@ -88,19 +88,6 @@ def _principal_axes(vertices: np.ndarray) -> np.ndarray:
     return axes
 
 
-def symmetry_error(mesh: TriangleMesh, normal, offset: float) -> float:
-    """Mean reflected-vertex nearest-neighbour distance over the bbox diagonal."""
-    n = np.asarray(normal, dtype=np.float64)
-    v = mesh.vertices
-    reflected = v - 2.0 * ((v @ n) - offset)[:, None] * n
-    tree = cKDTree(v)
-    dist, _ = tree.query(reflected)
-    diag = aabb_of(mesh).diagonal
-    if diag <= 0:
-        return 0.0
-    return float(dist.mean()) / diag
-
-
 def find_best_symmetry_plane(mesh: TriangleMesh) -> SymmetryPlane:
     """Best mirror among 3 principal axes x 5 offsets (+-10% of the extent)."""
     v = mesh.vertices

@@ -3,11 +3,17 @@
 Growth can stall with boundary cells that no block may claim (every move
 blocked by ownership or printer limits).  While free printers remain, each
 leftover region is wrapped in a cuboid grown greedily from the first
-unassigned boundary cell in lexicographic (x, y, z) order: all six faces
-are swept repeatedly, each viable face advancing one cell layer per sweep,
-until no face can move.  A face move is viable when it stays inside the
-grid, keeps the box within the printer, and the new layer touches no owned
-cell and no cell of a previously carved region.
+boundary cell, in lexicographic (x, y, z) order, that lies in no block box
+and no earlier region: all six faces are swept repeatedly, each viable face
+advancing one cell layer per sweep, until no face can move.  A face move is
+viable when it stays inside the grid, keeps the box within the printer, and
+the new layer holds no owned cell and meets no previously carved region.
+
+Ownership is box arithmetic, as in growth: a block owns every solid cell of
+its box, so a layer holds an owned cell when its overlap with some block
+box holds a solid cell, one 8-term lookup in the SOLID channel of the
+piece's summed-volume table.  A fill meets a few boxes, so the lookups run
+on Python numbers.
 """
 from __future__ import annotations
 
@@ -15,73 +21,88 @@ import logging
 
 import numpy as np
 
-from .blocks import fits_printer
-from .grid import DIRECTIONS, CellClass, Grid
+from .grid import SOLID, CellClass, CellMeasures
 
 logger = logging.getLogger(__name__)
 
 
-def _first_unassigned(grid: Grid, region_mask: np.ndarray):
-    free = np.argwhere((grid.classification == CellClass.BOUNDARY)
-                       & (grid.owner < 0) & ~region_mask)
-    if len(free) == 0:
-        return None
-    # np.argwhere already emits lexicographic (x, y, z) order.
-    return free[0]
-
-
-def _box_clear(grid: Grid, lo, hi, region_mask: np.ndarray) -> bool:
-    sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-    if np.any(grid.owner[sl] >= 0):
-        return False
-    if np.any(region_mask[sl]):
-        return False
-    return True
-
-
-def get_discrete_empty_regions(grid: Grid, num_free_printers: int,
+def get_discrete_empty_regions(measures: CellMeasures, blocks, cell_size: float,
+                               num_free_printers: int,
                                printer_dims) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Carve up to num_free_printers cuboids over the unassigned leftovers.
+    """Carve up to num_free_printers cuboids over the cells no block owns.
 
-    Returns (lo, hi) inclusive cell ranges.  Cells inside carved boxes are
-    excluded from later boxes but grid ownership is left untouched; the
-    caller turns the ranges into parts.
+    ``measures`` are the piece's cell measures and ``blocks`` the (lo, hi)
+    inclusive cell ranges of its grown blocks, which hold disjoint solid
+    cells.  Returns (lo, hi) inclusive cell ranges.  Carved boxes never
+    overlap, and hold no solid cell of a block box; the caller turns the
+    ranges into parts.
     """
-    regions: list[tuple[np.ndarray, np.ndarray]] = []
-    region_mask = np.zeros(grid.dims, dtype=bool)
-    dims = np.array(grid.dims)
-    for _ in range(max(0, num_free_printers)):
-        seed = _first_unassigned(grid, region_mask)
-        if seed is None:
+    if num_free_printers <= 0:
+        return []
+    boxes = [([int(v) for v in lo], [int(v) for v in hi]) for lo, hi in blocks]
+    # Boundary cells in no block box, in lexicographic (x, y, z) order (the
+    # order of np.argwhere); the seeds are taken from them in turn.
+    boundary = np.argwhere(measures.classification == CellClass.BOUNDARY)
+    lo, hi = np.array(boxes, dtype=np.int64).reshape(-1, 2, 3).transpose(1, 0, 2)
+    inside = ((boundary[:, None] >= lo) & (boundary[:, None] <= hi)).all(axis=2)
+    boundary = boundary[~inside.any(axis=1)]
+    seeds = boundary.tolist()
+    if not seeds:
+        return []
+    dims, (sx, sy, _) = measures.dims.tolist(), measures.strides.tolist()
+    solid = measures.table[:, SOLID].tolist()
+    limit = [d + 1e-9 for d in sorted(float(d) for d in printer_dims)]
+
+    def owned(lo, hi) -> bool:
+        """Whether the cell range [lo, hi] holds a solid cell of a block box."""
+        for blo, bhi in boxes:
+            x0, y0, z0 = (max(a, b) for a, b in zip(lo, blo))
+            x1, y1, z1 = (min(a, b) + 1 for a, b in zip(hi, bhi))
+            if x0 >= x1 or y0 >= y1 or z0 >= z1:
+                continue
+            x0, x1, y0, y1 = x0 * sx, x1 * sx, y0 * sy, y1 * sy
+            if (solid[x1 + y1 + z1] - solid[x0 + y1 + z1] - solid[x1 + y0 + z1]
+                    - solid[x1 + y1 + z0] + solid[x0 + y0 + z1]
+                    + solid[x0 + y1 + z0] + solid[x1 + y0 + z0]
+                    - solid[x0 + y0 + z0]) > 0:
+                return True
+        return False
+
+    def carved(lo, hi) -> bool:
+        """Whether the cell range [lo, hi] meets a region carved earlier."""
+        return any(all(a <= d and c <= b for a, b, c, d in zip(lo, hi, rlo, rhi))
+                   for rlo, rhi in regions)
+
+    regions: list[tuple[list[int], list[int]]] = []
+    next_seed = 0
+    for _ in range(num_free_printers):
+        while next_seed < len(seeds) and carved(seeds[next_seed], seeds[next_seed]):
+            next_seed += 1
+        if next_seed == len(seeds):
             break
-        lo = seed.astype(np.int64).copy()
-        hi = seed.astype(np.int64).copy()
-        while True:
+        lo, hi = list(seeds[next_seed]), list(seeds[next_seed])
+        expanded = True
+        while expanded:
             expanded = False
-            for d in DIRECTIONS:
-                axis = int(np.argmax(np.abs(d)))
-                layer_lo = lo.copy()
-                layer_hi = hi.copy()
-                if d[axis] > 0:
-                    layer_lo[axis] = layer_hi[axis] = hi[axis] + 1
-                else:
-                    layer_lo[axis] = layer_hi[axis] = lo[axis] - 1
-                if np.any(layer_lo < 0) or np.any(layer_hi >= dims):
-                    continue
-                new_lo = np.minimum(lo, layer_lo)
-                new_hi = np.maximum(hi, layer_hi)
-                if not fits_printer((new_hi - new_lo + 1) * grid.cell_size,
-                                    printer_dims):
-                    continue
-                if not _box_clear(grid, layer_lo, layer_hi, region_mask):
-                    continue
-                lo, hi = new_lo, new_hi
-                expanded = True
-            if not expanded:
-                break
-        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-        region_mask[sl] = True
+            for axis in range(3):
+                for sign in (1, -1):
+                    pos = hi[axis] + 1 if sign > 0 else lo[axis] - 1
+                    if not 0 <= pos < dims[axis]:
+                        continue
+                    new_lo, new_hi = lo.copy(), hi.copy()
+                    new_lo[axis] = min(lo[axis], pos)
+                    new_hi[axis] = max(hi[axis], pos)
+                    extent = sorted((b - a + 1) * cell_size
+                                    for a, b in zip(new_lo, new_hi))
+                    if not all(e <= m for e, m in zip(extent, limit)):
+                        continue
+                    layer_lo, layer_hi = lo.copy(), hi.copy()
+                    layer_lo[axis] = layer_hi[axis] = pos
+                    if owned(layer_lo, layer_hi) or carved(layer_lo, layer_hi):
+                        continue
+                    lo, hi = new_lo, new_hi
+                    expanded = True
         regions.append((lo, hi))
         logger.debug("carved empty region %s..%s", lo, hi)
-    return regions
-
+    return [(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
+            for lo, hi in regions]

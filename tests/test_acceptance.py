@@ -21,13 +21,13 @@ from parallelobox.clip import clip_to_box
 from parallelobox.errors import NoValidDecomposition
 from parallelobox.fixtures import (asymmetric_blob, dumbbell, hollow_box,
                                    icosphere, l_bracket, unit_cube)
-from parallelobox.grid import Grid
 from parallelobox.mesh import Aabb, aabb_of, measure, save_stl
 from parallelobox.meta import (PrinterProfile, RunPlan, estimate_time,
                                prepare_model, recursive_symmetry_baseline,
                                run_metaheuristic)
 from parallelobox.resolve import get_discrete_empty_regions
 from test_meta import table_cut_area
+from test_resolve import paint_owner, random_boxes, table_measures
 
 PROFILE = PrinterProfile()
 FIXTURES = (unit_cube, icosphere, dumbbell, l_bracket, hollow_box)
@@ -255,16 +255,16 @@ def test_void_region_reference():
         cell = float(rng.uniform(0.5, 3.0))
         classes = rng.choice([0, 1, 2], size=dims,
                              p=[0.25, 0.5, 0.25]).astype(np.int8)
-        owner = np.where(rng.random(dims) < 0.25, 0, -1).astype(np.int32)
+        # Block boxes holding disjoint solid cells, as growth leaves them.
+        boxes = random_boxes(rng, classes)
         printer = ((2.5 * cell,) * 3 if trial % 4 == 0
                    else (250.0, 250.0, 250.0))
         budget = int(rng.integers(0, 7))
-        grid = Grid(origin=np.zeros(3), cell_size=cell, dims=dims)
-        grid.classification[:] = classes
-        grid.owner[:] = owner
         got = [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
-               for lo, hi in get_discrete_empty_regions(grid, budget, printer)]
-        want = _void_boxes_reference(classes, owner, cell, budget, printer)
+               for lo, hi in get_discrete_empty_regions(
+                   table_measures(classes), boxes, cell, budget, printer)]
+        want = _void_boxes_reference(classes, paint_owner(classes, boxes),
+                                     cell, budget, printer)
         assert got == want, f"trial {trial}: {got} != {want}"
 
 

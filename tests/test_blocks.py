@@ -7,12 +7,14 @@ from parallelobox.blocks import (SCORE_RTOL, Block, GrowthState,
                                  grow_blocks, print_score, score_growth,
                                  select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
-from parallelobox.fixtures import (box_mesh, hollow_box, icosphere, l_bracket,
-                                   unit_cube)
+from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
+                                   hollow_box, icosphere, l_bracket, unit_cube,
+                                   wedge)
 from parallelobox.grid import (AREA, OVERHANG, VOLUME, CellClass, CellMeasures,
                                Grid, build_grid, measure_cells)
 from parallelobox.mesh import Aabb, TriangleMesh
 from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
+from test_resolve import paint_owner
 
 
 def test_print_score_reference_values():
@@ -82,6 +84,52 @@ def test_kmeans_deterministic_per_seed():
     assert np.array_equal(c1, c2)
 
 
+def _reference_kmeans_pp(points, k, rng, tol, max_iter=100):
+    """_kmeans_pp with its Lloyd update as a loop over the clusters, kept as
+    the bit-exact reference."""
+    n = len(points)
+    centers = np.empty((k, 3))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[i] = points[rng.integers(n)]
+        else:
+            centers[i] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+    for _ in range(max_iter):
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = dists.argmin(axis=1)
+        moved = 0.0
+        for c in range(k):
+            members = points[assign == c]
+            if len(members) == 0:
+                new = points[int(dists.min(axis=1).argmax())]
+            else:
+                new = members.mean(axis=0)
+            moved = max(moved, float(np.linalg.norm(new - centers[c])))
+            centers[c] = new
+        if moved < tol:
+            break
+    return centers
+
+
+@pytest.mark.parametrize("fixture", [unit_cube, icosphere, dumbbell, l_bracket,
+                                     hollow_box, asymmetric_blob, wedge])
+def test_kmeans_matches_cluster_loop(fixture):
+    """The bincount Lloyd update gives the loop's centers bit for bit, for
+    k 1-8 at 40 seeds each, starved clusters included (the cube has 8
+    vertices)."""
+    points = fixture().vertices
+    tol = 1e-4 * float(np.ptp(points, axis=0).max()) / 12
+    for k in range(1, 9):
+        for seed in range(40):
+            got = _kmeans_pp(points, k, np.random.default_rng(seed), tol)
+            want = _reference_kmeans_pp(points, k, np.random.default_rng(seed), tol)
+            assert np.array_equal(got, want), (k, seed)
+
+
 def test_select_seed_blocks_snaps_to_boundary():
     mesh = box_mesh(size=(30.0, 10.0, 10.0))
     grid = build_grid(mesh, "medium")
@@ -125,6 +173,13 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
     return state
 
 
+def _owner(state, p=0):
+    """Problem p's owner array, painted from its block boxes (a block's id
+    is its position)."""
+    return paint_owner(state.grids[p].classification,
+                       [(b.lo, b.hi) for b in state.blocks[p]])
+
+
 def test_growth_single_block_covers_bar():
     classes = np.full((3, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     state = _uniform_state((3, 1, 1), classes, [(0, 0, 0)])
@@ -133,7 +188,7 @@ def test_growth_single_block_covers_bar():
     assert state.unassigned.tolist() == [0]
     b = state.blocks[0][0]
     assert tuple(b.lo) == (0, 0, 0) and tuple(b.hi) == (2, 0, 0)
-    assert int((state.grids[0].owner == b.id).sum()) == 3
+    assert int((_owner(state) == b.id).sum()) == 3
     # two growth steps, both along +x
     assert [t[3] for t in trace] == ["+x", "+x"]
     assert state.moves.tolist() == [2]
@@ -178,7 +233,7 @@ def test_growth_tie_breaks_lowest_block_then_direction():
     assert state.unassigned.tolist() == [0]
     # both blocks face symmetric scores; block 0 must move first
     assert trace[0][2] == 0
-    blocks, owner = state.blocks[0], state.grids[0].owner
+    blocks, owner = state.blocks[0], _owner(state)
     owned0 = int((owner == blocks[0].id).sum())
     owned1 = int((owner == blocks[1].id).sum())
     assert owned0 + owned1 == 5
@@ -205,9 +260,9 @@ def test_apply_growth_claims_only_non_external():
     classes[1, 1, 0] = int(CellClass.EXTERNAL)
     state = _uniform_state((2, 2, 1), classes, [(0, 0, 0)])
     grow_blocks(state)
-    grid = state.grids[0]
-    assert grid.owner[1, 1, 0] == -1
-    assert grid.owner[0, 0, 0] == 0
+    owner = _owner(state)
+    assert owner[1, 1, 0] == -1
+    assert owner[0, 0, 0] == 0
 
 
 def test_growth_caches_match_measures_on_real_mesh():
@@ -238,18 +293,16 @@ def test_grown_blocks_stay_disjoint_random():
         seeds = [tuple(int(x) for x in boundary[p]) for p in picks]
         state = _uniform_state(dims, classes, seeds)
         grow_blocks(state)
-        grid = state.grids[0]
+        # Every solid cell of a block's box is its own, so the solid
+        # parts of two boxes never overlap.
+        solid = classes != int(CellClass.EXTERNAL)
+        claims = np.zeros(dims, dtype=np.int64)
         for b in state.blocks[0]:
             assert np.all(b.lo >= 0)
             assert np.all(b.hi < np.array(dims))
-            owned = np.argwhere(grid.owner == b.id)
-            assert np.all(owned >= b.lo)
-            assert np.all(owned <= b.hi)
-            # Every solid cell of a block's box is its own, so the solid
-            # parts of two boxes never overlap.
             sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(b.lo, b.hi))
-            solid = grid.classification[sl] != int(CellClass.EXTERNAL)
-            assert np.all(grid.owner[sl][solid] == b.id)
+            claims[sl] += solid[sl]
+        assert claims.max() <= 1
 
 
 def _reference_grow(grid, measures, seeds, params):
@@ -344,10 +397,11 @@ def _assert_matches_reference(state, p, trace, want):
     """Problem p of a grown state against one _reference_grow result."""
     want_trace, want_owner, want_boxes, want_sums = want
     blocks, grid = state.blocks[p], state.grids[p]
+    owner = _owner(state, p)
     got = [t[1:] for t in trace if t[0] == p]
     assert got == want_trace
     assert len(got) == state.moves[p] > 0
-    assert np.array_equal(grid.owner, want_owner)
+    assert np.array_equal(owner, want_owner)
     assert [(tuple(int(x) for x in b.lo), tuple(int(x) for x in b.hi))
             for b in blocks] == want_boxes
     sums = state.sums[p, :len(blocks)]
@@ -355,7 +409,7 @@ def _assert_matches_reference(state, p, trace, want):
     assert sums[:, AREA].tolist() == want_sums[1]
     assert np.array_equal(sums[:, OVERHANG], np.array(want_sums[2]))
     assert state.unassigned[p] == int(
-        ((grid.classification == CellClass.BOUNDARY) & (grid.owner < 0)).sum())
+        ((grid.classification == CellClass.BOUNDARY) & (owner < 0)).sum())
 
 
 @pytest.mark.parametrize("fixture", [icosphere, hollow_box, l_bracket])
@@ -370,7 +424,6 @@ def test_grow_blocks_matches_reference(fixture, granularity):
             blocks = select_seed_blocks(grid, mesh, k, rng_seed=k)
             seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
             want = _reference_grow(grid, meas, seeds, params)
-            grid.owner[...] = -1
             state = GrowthState([grid], [meas], [blocks], params)
             trace = []
             grow_blocks(state, trace)

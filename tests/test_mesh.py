@@ -6,10 +6,25 @@ import pytest
 
 from parallelobox.errors import EmptyMesh, ParseError
 from parallelobox.fixtures import box_mesh, icosphere, unit_cube
-from parallelobox.mesh import (TriangleMesh, aabb_of, clean_mesh,
+from parallelobox.mesh import (TriangleMesh, aabb_of, clean_mesh, cross,
                                drop_degenerate_triangles, load_mesh, measure,
                                save_stl, triangle_areas, triangle_normals,
                                validate_watertight, weld_vertices)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((3,), (3,)), ((50, 3), (50, 3)), ((50, 3), (3,)), ((3,), (7, 3)),
+    ((4, 1, 3), (1, 6, 3)), ((2, 5, 9, 3), (5, 9, 3))])
+def test_cross_matches_numpy(shape_a, shape_b):
+    """The written-out cross product equals np.cross bit for bit, with the
+    same broadcast shape, on random, huge, tiny and mixed-sign values."""
+    rng = np.random.default_rng(sum(shape_a) + 7 * sum(shape_b))
+    for scale in (1.0, 1e-150, 1e150):
+        a = rng.normal(size=shape_a) * scale
+        b = rng.normal(size=shape_b) * rng.choice([1e-8, 1.0, 1e8], size=shape_b)
+        got, want = cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_measure_box_analytic():

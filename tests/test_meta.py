@@ -11,15 +11,15 @@ from parallelobox.errors import (InsufficientBoundaryCells, NonWatertightInput,
                                  NoValidDecomposition)
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, unit_cube)
-from parallelobox.grid import AREA
+from parallelobox.grid import AREA, CellClass
 from parallelobox.mesh import (TriangleMesh, aabb_of, measure, triangle_areas,
                               validate_watertight)
 from parallelobox.meta import (Decomposition, PrinterProfile, RunPlan,
-                               _beats, _fresh_grid, _proportional_share,
-                               _score_part, _uncovered_cells, estimate_time,
-                               fits_printer, objective_of, prepare_model,
-                               recursive_symmetry_baseline, run_metaheuristic)
-from parallelobox.resolve import get_discrete_empty_regions
+                               _beats, _proportional_share, _score_part,
+                               estimate_time, fits_printer, objective_of,
+                               prepare_model, recursive_symmetry_baseline,
+                               run_metaheuristic)
+from test_resolve import _reference_regions, paint_owner
 
 PROFILE = PrinterProfile()
 
@@ -262,7 +262,7 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
     reason = ""
     for index, (piece, k, budget) in enumerate(zip(pieces, growth_split,
                                                    budget_split)):
-        grid = _fresh_grid(piece.grid)
+        grid = piece.grid
         try:
             blocks = select_seed_blocks(grid, piece.mesh, k,
                                         rng_seed=seed * 2 + index)
@@ -271,8 +271,13 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
             break
         grow_blocks(GrowthState([grid], [piece.measures], [blocks], params))
         free = max(0, budget - len(blocks))
-        regions = get_discrete_empty_regions(grid, free, params.printer_dims)
-        left_b, left_i = _uncovered_cells(grid, regions)
+        cls = grid.classification
+        owner = paint_owner(cls, [(b.lo, b.hi) for b in blocks])
+        regions = _reference_regions(cls, owner, grid.cell_size, free,
+                                     params.printer_dims)
+        left = paint_owner(cls, [(b.lo, b.hi) for b in blocks] + regions) < 0
+        left_b = int((left & (cls == CellClass.BOUNDARY)).sum())
+        left_i = int((left & (cls == CellClass.INTERNAL)).sum())
         if left_b or left_i:
             reason = (f"piece {index}: {left_b} boundary / {left_i} internal "
                       "cells uncovered")

@@ -6,10 +6,10 @@ from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    icosphere, unit_cube, wedge)
 from parallelobox.mesh import TriangleMesh, aabb_of, measure, triangle_areas, triangle_normals
 from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
-from parallelobox.preprocess import (SYMMETRY_THRESHOLD, _principal_axes,
-                                     find_best_symmetry_plane,
+from parallelobox.preprocess import (OFFSET_SWEEP, SYMMETRY_THRESHOLD,
+                                     _principal_axes, find_best_symmetry_plane,
                                      optimize_orientation,
-                                     overhang_area_for_up_z, symmetry_error)
+                                     overhang_area_for_up_z)
 
 
 def _brute_symmetry_error(mesh, normal, offset):
@@ -22,14 +22,24 @@ def _brute_symmetry_error(mesh, normal, offset):
 
 
 def test_symmetry_error_matches_brute_force():
-    rng = np.random.default_rng(3)
-    mesh = box_mesh(size=(2.0, 1.0, 3.0))
-    for _ in range(10):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        offset = rng.uniform(-1.0, 2.0)
-        assert symmetry_error(mesh, n, offset) == pytest.approx(
-            _brute_symmetry_error(mesh, n, offset), rel=1e-9, abs=1e-15)
+    """On each fixture, the best plane's error is its brute-force score, and
+    no candidate plane (principal axis x offset sweep) scores lower by
+    brute force."""
+    for mesh in (box_mesh(size=(2.0, 1.0, 3.0)), unit_cube(), dumbbell(),
+                 wedge(), asymmetric_blob(),
+                 icosphere(radius=5.0, subdivisions=2)):
+        plane = find_best_symmetry_plane(mesh)
+        assert plane.error_score == pytest.approx(
+            _brute_symmetry_error(mesh, plane.normal, plane.offset),
+            rel=1e-9, abs=1e-15), mesh.name
+        v = mesh.vertices
+        for axis in _principal_axes(v):
+            along = v @ axis
+            extent = float(along.max() - along.min())
+            for frac in OFFSET_SWEEP:
+                offset = float(v.mean(axis=0) @ axis) + float(frac) * extent
+                assert _brute_symmetry_error(mesh, axis, offset) >= (
+                    plane.error_score - 1e-12), mesh.name
 
 
 def test_perfect_mirror_scores_zero():

@@ -1,11 +1,14 @@
-"""Void-region carving versus a straight-line reference interpreter."""
+"""Void-region carving versus a straight-line reference interpreter.
+
+The program reads ownership from the block boxes; the references read an
+owner array the tests paint from those boxes.
+"""
 import numpy as np
-import pytest
 
 from parallelobox.blocks import fits_printer
 from parallelobox.clip import clip_to_box
 from parallelobox.fixtures import box_mesh
-from parallelobox.grid import CellClass, Grid, build_grid, measure_cells
+from parallelobox.grid import CellClass, CellMeasures, build_grid, measure_cells
 from parallelobox.meta import _uncovered_cells
 from parallelobox.resolve import get_discrete_empty_regions
 
@@ -74,79 +77,142 @@ def _reference_regions(classification, owner, cell_size, num_free, printer_dims)
     return out
 
 
-def _random_grid(rng):
+def paint_owner(classification, boxes):
+    """The owner array of boxes that hold disjoint solid cells: box i owns
+    the non-external cells of its range, -1 marks a cell no box owns."""
+    owner = np.full(classification.shape, -1, dtype=np.int32)
+    for i, (lo, hi) in enumerate(boxes):
+        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+        owner[sl][classification[sl] != int(CellClass.EXTERNAL)] = i
+    return owner
+
+
+def table_measures(classification):
+    """Cell measures of a classification, every other measure zero."""
+    dims = classification.shape
+    return CellMeasures(np.zeros(dims), np.zeros(dims), np.zeros((6,) + dims),
+                        np.zeros((3,) + dims), classification)
+
+
+def random_boxes(rng, classification, tries=6):
+    """Up to ``tries`` random cell boxes that hold disjoint solid cells;
+    a box whose solid cells meet an earlier box's is dropped."""
+    dims = np.array(classification.shape)
+    solid = classification != int(CellClass.EXTERNAL)
+    taken = np.zeros(classification.shape, dtype=bool)
+    boxes = []
+    for _ in range(int(rng.integers(0, tries + 1))):
+        lo = rng.integers(0, dims)
+        hi = lo + rng.integers(0, np.minimum(dims - lo, 3))
+        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+        if np.any(taken[sl] & solid[sl]):
+            continue
+        taken[sl] |= solid[sl]
+        boxes.append((lo, hi))
+    return boxes
+
+
+def _random_piece(rng):
+    """(classification, cell size, block boxes) of a random grid."""
     dims = tuple(int(x) for x in rng.integers(2, 9, size=3))
-    grid = Grid(origin=(0.0, 0.0, 0.0), cell_size=float(rng.uniform(0.5, 3.0)),
-                dims=dims)
-    grid.classification[...] = rng.choice(
+    classification = rng.choice(
         [int(CellClass.EXTERNAL), int(CellClass.BOUNDARY), int(CellClass.INTERNAL)],
         size=dims, p=[0.25, 0.5, 0.25]).astype(np.int8)
-    owned = rng.random(size=dims) < 0.25
-    grid.owner[owned] = 0
-    return grid
+    return (classification, float(rng.uniform(0.5, 3.0)),
+            random_boxes(rng, classification))
+
+
+def _as_tuples(regions):
+    return [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
+            for lo, hi in regions]
 
 
 def test_matches_reference_on_random_grids():
     rng = np.random.default_rng(1234)
     for trial in range(50):
-        grid = _random_grid(rng)
+        classification, cell_size, boxes = _random_piece(rng)
         free = int(rng.integers(0, 4))
         # occasionally constrain the printer enough to matter
         if trial % 3 == 0:
-            printer = (grid.cell_size * 2.5,) * 3
+            printer = (cell_size * 2.5,) * 3
         else:
             printer = (250.0, 250.0, 250.0)
-        got = get_discrete_empty_regions(grid, free, printer)
-        want = _reference_regions(grid.classification, grid.owner,
-                                  grid.cell_size, free, printer)
-        got_t = [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
-                 for lo, hi in got]
-        assert got_t == want, f"trial {trial}"
+        got = get_discrete_empty_regions(table_measures(classification), boxes,
+                                         cell_size, free, printer)
+        want = _reference_regions(classification,
+                                  paint_owner(classification, boxes),
+                                  cell_size, free, printer)
+        assert _as_tuples(got) == want, f"trial {trial}"
 
 
 def test_regions_respect_invariants():
     rng = np.random.default_rng(555)
     for _ in range(25):
-        grid = _random_grid(rng)
+        classification, cell_size, boxes = _random_piece(rng)
+        owner = paint_owner(classification, boxes)
         free = int(rng.integers(1, 4))
-        printer = (grid.cell_size * 3.5,) * 3
-        regions = get_discrete_empty_regions(grid, free, printer)
+        printer = (cell_size * 3.5,) * 3
+        regions = get_discrete_empty_regions(table_measures(classification),
+                                             boxes, cell_size, free, printer)
         assert len(regions) <= free
-        seen = np.zeros(grid.dims, dtype=bool)
+        seen = np.zeros(classification.shape, dtype=bool)
         for lo, hi in regions:
-            assert np.all(lo >= 0) and np.all(hi < np.array(grid.dims))
-            ext = (hi - lo + 1) * grid.cell_size
+            assert np.all(lo >= 0) and np.all(hi < np.array(classification.shape))
+            ext = (hi - lo + 1) * cell_size
             assert fits_printer(ext, printer)
             sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
             # never overlaps owners or earlier regions
-            assert not np.any(grid.owner[sl] >= 0)
+            assert not np.any(owner[sl] >= 0)
             assert not np.any(seen[sl])
             seen[sl] = True
 
 
 def test_zero_free_printers_carves_nothing():
     rng = np.random.default_rng(9)
-    grid = _random_grid(rng)
-    assert get_discrete_empty_regions(grid, 0, (250.0,) * 3) == []
+    classification, cell_size, boxes = _random_piece(rng)
+    assert get_discrete_empty_regions(table_measures(classification), boxes,
+                                      cell_size, 0, (250.0,) * 3) == []
+
+
+def _uncovered_of(measures, boxes):
+    lo, hi = np.array(boxes, dtype=np.int64).reshape(-1, 2, 3).transpose(1, 0, 2)
+    return _uncovered_cells(measures, measures.sums(lo, hi))
 
 
 def test_coverage_and_leftover_accounting():
-    grid = Grid(origin=(0.0, 0.0, 0.0), cell_size=1.0, dims=(2, 2, 1))
-    grid.classification[...] = int(CellClass.BOUNDARY)
-    assert _uncovered_cells(grid, [])[0] > 0
-    grid.owner[...] = 0
-    assert _uncovered_cells(grid, []) == (0, 0)
-    grid.owner[1, 1, 0] = -1
-    assert _uncovered_cells(grid, [])[0] > 0
-    regions = get_discrete_empty_regions(grid, 1, (250.0,) * 3)
-    assert _uncovered_cells(grid, regions)[0] == 0
+    classification = np.full((2, 2, 1), int(CellClass.BOUNDARY), dtype=np.int8)
+    measures = table_measures(classification)
+    assert _uncovered_of(measures, []) == (4, 0)
+    assert _uncovered_of(measures, [((0, 0, 0), (1, 1, 0))]) == (0, 0)
+    blocks = [((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 1, 0))]
+    assert _uncovered_of(measures, blocks) == (1, 0)
+    regions = get_discrete_empty_regions(measures, blocks, 1.0, 1, (250.0,) * 3)
+    assert _as_tuples(regions) == [((1, 1, 0), (1, 1, 0))]
+    assert _uncovered_of(measures, blocks + regions) == (0, 0)
+
+
+def test_coverage_count_matches_painted_count():
+    """The table count of cells in no block or region box equals the count
+    of cells an owner array painted from the boxes leaves unowned."""
+    rng = np.random.default_rng(4321)
+    for trial in range(50):
+        classification, cell_size, boxes = _random_piece(rng)
+        measures = table_measures(classification)
+        regions = get_discrete_empty_regions(measures, boxes, cell_size,
+                                             int(rng.integers(0, 4)),
+                                             (cell_size * 2.5,) * 3)
+        free = paint_owner(classification, boxes + regions) < 0
+        want = (int((free & (classification == int(CellClass.BOUNDARY))).sum()),
+                int((free & (classification == int(CellClass.INTERNAL))).sum()))
+        assert _uncovered_of(measures, boxes + regions) == want, f"trial {trial}"
 
 
 def test_assign_mesh_boxes_clips_solid():
     mesh = box_mesh(size=(4.0, 4.0, 4.0))
     grid = build_grid(mesh, "coarse")
-    measure_cells(grid, mesh)
-    regions = get_discrete_empty_regions(grid, 2, (250.0,) * 3)
+    measures = measure_cells(grid, mesh)
+    regions = get_discrete_empty_regions(measures, [], grid.cell_size, 2,
+                                         (250.0,) * 3)
     parts = [clip_to_box(mesh, grid.box_of_range(lo, hi))
              for lo, hi in regions]
     parts = [part for part in parts if not part.is_empty]
