@@ -53,7 +53,6 @@ class ObjectiveParams:
     speed_infill: float = 20.0        # mm/s
     speed_shell: float = 20.0         # mm/s
     infill_fraction: float = 0.05
-    overhang_tolerance_deg: float = 1.0
     printer_dims: tuple[float, float, float] = (250.0, 250.0, 250.0)
     overhang_weight: float = 1.0
     proximity_floor: float = 1.0      # grid units
@@ -176,10 +175,10 @@ class GrowthState:
     """n growth problems, grown in lockstep.
 
     Problem p grows the blocks ``blocks[p]``, whose starting boxes hold
-    disjoint solid cells, on ``grids[p]``, scored from ``measures[p]``; the
-    grown boxes keep disjoint solid cells.  Problems on one piece
-    share its measures and classification; a model cut in two grows the
-    problems of both pieces in one state.  The summed-volume tables of the
+    disjoint solid cells, on a grid of cells of side ``cell_sizes[p]``,
+    scored from ``measures[p]``; the grown boxes keep disjoint solid cells.
+    Problems on one piece share its measures and classification; a model
+    cut in two grows the problems of both pieces in one state.  The summed-volume tables of the
     distinct measures are joined into one ``table``, and problem p reads
     its own from row ``base[p]`` on, with its own ``dims``, ``strides`` and
     ``cell_size``.  Per-block arrays are (n, K, ...), K the largest block
@@ -190,9 +189,8 @@ class GrowthState:
     whether it is still growing.
     """
 
-    def __init__(self, grids: list[Grid], measures: list[CellMeasures],
+    def __init__(self, cell_sizes: list[float], measures: list[CellMeasures],
                  blocks: list[list[Block]], params: ObjectiveParams):
-        self.grids = grids
         self.measures = measures
         self.params = params
         self.blocks = blocks
@@ -216,7 +214,7 @@ class GrowthState:
                              dtype=np.int64).reshape(n, 3)
         self.strides = np.array([m.strides for m in measures],
                                 dtype=np.int64).reshape(n, 3)
-        self.cell_size = np.array([g.cell_size for g in grids], dtype=np.float64)
+        self.cell_size = np.array(cell_sizes, dtype=np.float64)
         # Boundary cells of each problem's whole grid.
         self.boundary = np.array([m.table[-1, BOUNDARY] for m in measures])
         # others[p, i, j]: slot j of problem p holds a block other than i.

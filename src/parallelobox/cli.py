@@ -14,8 +14,8 @@ Every run appends to ``results.csv``, dumps per-model series into
 when at least one run produced a valid decomposition and 2 otherwise.
 
 A batch does each model's shared work once (:class:`ModelCache`): one
-mirror-plane search, one preparation and one growth pass per preparation
-key across its printer counts, and one set of baseline halving rounds.
+mirror-plane search, one set of baseline halving rounds, and one
+preparation and growth pass for its one-printer runs and one for the rest.
 """
 from __future__ import annotations
 
@@ -37,13 +37,16 @@ from .mesh import TriangleMesh, load_mesh, save_stl
 from .meta import (BaselineRounds, Decomposition, PreparedModel,
                    PrinterProfile, RunPlan, RunRecord,
                    recursive_symmetry_baseline, run_metaheuristic)
-from .preprocess import SYMMETRY_THRESHOLD, SymmetryPlane
+from .preprocess import SymmetryPlane
 
 logger = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("model", "algorithm", "printers", "parts", "parallel_time_s",
                "aggregate_time_s", "parallel_score", "compute_time_s", "valid",
                "cut_area_mm2")
+#: The per-(model, algorithm) series of plotdata.json, one entry per row.
+PLOT_SERIES = ("printers", "parts", "parallel_time_s", "aggregate_time_s",
+               "parallel_score", "valid", "cut_area_mm2")
 
 _PROFILE_KEYS = ("volume_x", "volume_y", "volume_z", "speed_shell",
                  "speed_infill", "line_width", "layer_height")
@@ -99,14 +102,17 @@ class RunRow:
     cut_area_mm2: float | None = None
 
     def csv_values(self) -> list[str]:
-        def num(x):
-            return "" if x is None else repr(float(x))
+        return [_csv_cell(getattr(self, column)) for column in CSV_COLUMNS]
 
-        return [self.model, self.algorithm, str(self.printers),
-                str(self.parts), num(self.parallel_time_s),
-                num(self.aggregate_time_s), num(self.parallel_score),
-                num(self.compute_time_s), "true" if self.valid else "false",
-                num(self.cut_area_mm2)]
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))   # a numpy float prints as a plain one
+    return str(value)
 
 
 @dataclass
@@ -124,61 +130,51 @@ def _clear_parts(part_dir: Path) -> None:
         stale.unlink()
 
 
-def _export_parts(result: Decomposition, part_dir: Path) -> int:
+def _export_parts(result: Decomposition, part_dir: Path) -> None:
     part_dir.mkdir(parents=True, exist_ok=True)
     _clear_parts(part_dir)
     for i, part in enumerate(result.parts):
         save_stl(part.mesh, part_dir / f"part_{i:03d}.stl")
-    return len(result.parts)
-
-
-def _log_record(report: BatchReport, model: str, printers: int,
-                algorithm: str, record: RunRecord) -> None:
-    line = {"model": model, "printers": printers, "algorithm": algorithm}
-    line.update(record.to_dict())
-    report.log_lines.append(line)
 
 
 @dataclass
 class ModelCache:
-    """One model's work, shared by the printer counts of a batch.
+    """One model's work, shared by the printer counts of a batch, whose
+    runs differ only in their printer count.
 
-    ``prepared`` holds the model's prepared forms by
-    :func:`~parallelobox.meta.preparation_key`, and ``grown`` its grown
-    search runs by the same key: the first search of a key grows the runs
-    of the largest of ``printer_counts`` with that key, which include the
-    runs of every smaller count.  ``rounds`` holds the baseline's halving
-    rounds by :func:`~parallelobox.meta.baseline_key`.  ``plane`` is the
-    model's best mirror plane, which preparation and the baseline's first
-    round both start from.
+    Preparation reads only whether that count is two or more, so
+    ``searches`` holds, by ``printers >= 2``, the prepared model and its
+    grown search runs: the first search of a key grows the runs of the
+    largest of ``printer_counts`` with that key, which include the runs of
+    every smaller count.  ``rounds`` holds the baseline's halving rounds;
+    its ``plane`` is the model's best mirror plane, which preparation and
+    the baseline's first round both start from.
     """
 
     mesh: TriangleMesh
     printer_counts: list[int]
-    plane: SymmetryPlane | None = None
-    prepared: dict[tuple, PreparedModel] = field(default_factory=dict)
-    grown: dict[tuple, dict] = field(default_factory=dict)
-    rounds: dict[tuple, BaselineRounds] = field(default_factory=dict)
+    searches: dict[bool, tuple[PreparedModel, dict]] = field(default_factory=dict)
+    rounds: BaselineRounds = field(default_factory=BaselineRounds)
 
     def mirror_plane(self) -> SymmetryPlane:
-        if self.plane is None:
-            self.plane = meta.find_best_symmetry_plane(self.mesh)
-        return self.plane
+        if self.rounds.plane is None:
+            self.rounds.plane = meta.find_best_symmetry_plane(self.mesh)
+        return self.rounds.plane
 
     def search_inputs(self, plan: RunPlan,
                       profile: PrinterProfile) -> tuple[PreparedModel, dict]:
         """The prepared model and grown runs of plan's search."""
-        key = meta.preparation_key(plan)
-        if key not in self.prepared:
-            self.prepared[key] = meta.prepare_model(self.mesh, plan, profile,
-                                                    self.mirror_plane())
-            self.grown[key] = {}
-            largest = max(n for n in self.printer_counts if meta.preparation_key(
-                replace(plan, printers_available=n)) == key)
-            meta.grow_missing_runs(self.prepared[key],
+        key = plan.printers_available >= 2
+        if key not in self.searches:
+            prepared = meta.prepare_model(self.mesh, plan, profile,
+                                          self.mirror_plane())
+            grown: dict = {}
+            largest = max(n for n in self.printer_counts if (n >= 2) == key)
+            meta.grow_missing_runs(prepared,
                                    replace(plan, printers_available=largest),
-                                   profile, self.grown[key])
-        return self.prepared[key], self.grown[key]
+                                   profile, grown)
+            self.searches[key] = prepared, grown
+        return self.searches[key]
 
 
 def run_model(model_name: str, printers: int, plan: RunPlan,
@@ -202,40 +198,30 @@ def run_model(model_name: str, printers: int, plan: RunPlan,
                 result = run_metaheuristic(mesh, plan, profile, records,
                                            prepared=prepared, grown=grown)
             else:
-                key = meta.baseline_key(plan)
-                if key not in cache.rounds:
-                    cache.rounds[key] = BaselineRounds(cache.mirror_plane())
                 result = recursive_symmetry_baseline(mesh, plan, profile,
-                                                     rounds=cache.rounds[key])
+                                                     records,
+                                                     rounds=cache.rounds)
         except ParalleloboxError as exc:
             logger.error("%s x%d (%s): %s", model_name, printers,
                          algorithm, exc)
         elapsed = time.perf_counter() - tick
 
-        for record in records:
-            _log_record(report, model_name, printers, algorithm, record)
-        if result is not None and algorithm == "symmetry":
-            _log_record(report, model_name, printers, algorithm, RunRecord(
-                seed_blocks=0, try_index=0, seed=plan.seed_base,
-                valid=result.valid, parts=result.printers_used,
-                parallel_score=result.parallel_score,
-                parallel_time_s=result.parallel_time_s,
-                aggregate_time_s=result.aggregate_time_s,
-                reason=result.reason, clipped=result.clipped,
-                cut_area_mm2=result.cut_area_mm2, wall_clock_s=elapsed))
+        report.log_lines.extend(
+            {"model": model_name, "printers": printers, "algorithm": algorithm,
+             **record.to_dict()} for record in records)
 
         part_dir = out_dir / model_name / str(printers) / algorithm
-        if result is None or not result.valid:
+        if result is not None and result.valid:
+            _export_parts(result, part_dir)
+        else:
             _clear_parts(part_dir)
         if result is None:
             report.rows.append(RunRow(model_name, algorithm, printers,
                                       compute_time_s=elapsed))
             continue
-        exported = _export_parts(result, part_dir) if result.valid else 0
         report.rows.append(RunRow(
             model=model_name, algorithm=algorithm, printers=printers,
-            parts=exported if result.valid else result.printers_used,
-            parallel_time_s=result.parallel_time_s,
+            parts=result.printers_used, parallel_time_s=result.parallel_time_s,
             aggregate_time_s=result.aggregate_time_s,
             parallel_score=result.parallel_score,
             compute_time_s=elapsed, valid=result.valid,
@@ -262,16 +248,9 @@ def write_plotdata(report: BatchReport, path: Path) -> None:
     data: dict = {}
     for row in report.rows:
         series = data.setdefault(row.model, {}).setdefault(
-            row.algorithm, {"printers": [], "parts": [], "parallel_time_s": [],
-                            "aggregate_time_s": [], "parallel_score": [],
-                            "valid": [], "cut_area_mm2": []})
-        series["printers"].append(row.printers)
-        series["parts"].append(row.parts)
-        series["parallel_time_s"].append(row.parallel_time_s)
-        series["aggregate_time_s"].append(row.aggregate_time_s)
-        series["parallel_score"].append(row.parallel_score)
-        series["valid"].append(row.valid)
-        series["cut_area_mm2"].append(row.cut_area_mm2)
+            row.algorithm, {key: [] for key in PLOT_SERIES})
+        for key in PLOT_SERIES:
+            series[key].append(getattr(row, key))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -288,9 +267,8 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
               out_dir: Path) -> BatchReport:
     """Run every (model, printer count) pair and write the report files.
 
-    Each model is prepared and its search runs grown once per preparation
-    key, so printer counts of two or more share one prepared model and one
-    growth pass; every printer count shares the model's mirror plane and
+    Printer counts of two or more share one prepared model and one growth
+    pass per model; every printer count shares the model's mirror plane and
     the baseline's halving rounds (see :class:`ModelCache`).
     """
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -378,7 +356,7 @@ def load_manifest(path) -> dict:
     if (not isinstance(models, list) or not models
             or not all(isinstance(m, str) for m in models)):
         raise ConfigError(f"{path}: 'models' must be a non-empty list of paths")
-    counts = raw.get("printers", [4])
+    counts = raw.get("printers", [RunPlan.printers_available])
     if not isinstance(counts, list) or not all(
             _is_int(c) and c >= 1 for c in counts):
         raise ConfigError(f"{path}: 'printers' must be a list of counts >= 1")
@@ -396,29 +374,30 @@ def load_manifest(path) -> dict:
 
 def _add_shared_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--granularity", choices=sorted(GRANULARITY_CELLS),
-                     default="very_fine", help="grid resolution preset")
-    sub.add_argument("--sample-tries", type=int, default=3, metavar="K",
-                     help="random restarts per seed-block count")
+                     default=RunPlan.granularity, help="grid resolution preset")
+    sub.add_argument("--sample-tries", type=int, default=RunPlan.sample_tries,
+                     metavar="K", help="random restarts per seed-block count")
     sub.add_argument("--skip-symmetry", action="store_true",
                      help="never apply the pre-cut, even on mirror models")
     sub.add_argument("--symmetry-threshold", type=float,
-                     default=SYMMETRY_THRESHOLD, metavar="T",
+                     default=RunPlan.symmetry_threshold, metavar="T",
                      help="max normalized mirror error that still cuts")
-    sub.add_argument("--overhang-tolerance", type=float, default=1.0,
-                     metavar="DEG", help="face slope treated as printable")
-    sub.add_argument("--infill", type=float, default=0.05, metavar="F",
-                     help="infill fraction used by the time model")
+    sub.add_argument("--overhang-tolerance", type=float,
+                     default=RunPlan.overhang_tolerance_deg, metavar="DEG",
+                     help="face slope treated as printable")
+    sub.add_argument("--infill", type=float, default=RunPlan.infill_fraction,
+                     metavar="F", help="infill fraction used by the time model")
     sub.add_argument("--config", type=Path, default=None, metavar="INI",
                      help="printer profile .ini (defaults: 250 mm cube)")
-    sub.add_argument("--seed", type=int, default=0, metavar="S",
-                     help="base RNG seed")
+    sub.add_argument("--seed", type=int, default=RunPlan.seed_base,
+                     metavar="S", help="base RNG seed")
     sub.add_argument("--out", type=Path, default=Path("out"), metavar="DIR",
                      help="report/output directory")
     sub.add_argument("--baseline", default="parallelobox",
                      choices=ALGORITHM_CHOICES,
                      help="which algorithm(s) to run")
-    sub.add_argument("--min-printers", type=int, default=1, metavar="N",
-                     help="stop the outer search below this seed count")
+    sub.add_argument("--min-printers", type=int, default=RunPlan.min_printers,
+                     metavar="N", help="stop the outer search below this seed count")
     sub.add_argument("-v", "--verbose", action="store_true",
                      help="debug logging")
 
@@ -432,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     one = subs.add_parser("decompose", help="decompose a single model")
     one.add_argument("model", type=Path, help="STL or OBJ file")
-    one.add_argument("--printers", type=int, default=4, metavar="N",
+    one.add_argument("--printers", type=int,
+                     default=RunPlan.printers_available, metavar="N",
                      help="printers available")
     _add_shared_options(one)
 
@@ -446,16 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _plan_from_args(args, overrides: dict | None = None) -> RunPlan:
     """The run plan from the command line, manifest overrides taking
     precedence; command-line values must pass the manifest checks too."""
-    given = {
-        "granularity": args.granularity,
-        "sample_tries": args.sample_tries,
-        "seed": args.seed,
-        "min_printers": args.min_printers,
-        "infill": args.infill,
-        "overhang_tolerance": args.overhang_tolerance,
-        "symmetry_threshold": args.symmetry_threshold,
-        "skip_symmetry": args.skip_symmetry,
-    }
+    given = {key: getattr(args, key)
+             for key, (name, _, _) in _MANIFEST_OPTIONS.items() if name}
     for key, value in given.items():
         _, ok, expected = _MANIFEST_OPTIONS[key]
         if not ok(value):

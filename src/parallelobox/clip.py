@@ -490,19 +490,23 @@ def _splice_hole(uv: np.ndarray, outer: list[int], hole: list[int], eps_area: fl
     """Join a hole ring into the outer ring with a two-way bridge edge.
 
     The bridge runs from the hole's rightmost vertex to the nearest outer
-    vertex that no edge of either ring blocks.
+    vertex that no edge of either ring blocks.  When every bridge from it
+    is blocked, the other hole vertices are tried the same way, right to
+    left; the hole is dropped only when no bridge is free.
     """
-    hj = int(np.argmax(uv[hole, 0]))
-    m_pt = uv[hole[hj]]
     eps = max(np.sqrt(eps_area), 1e-12)
-    near = uv[outer] - m_pt
-    gap = np.hypot(near[:, 0], near[:, 1])
     a = uv[outer + hole]
     b = uv[outer[1:] + outer[:1] + hole[1:] + hole[:1]]
-    for pi in np.argsort(gap, kind="stable").tolist():
-        # Coincident points: a zero-length bridge is always safe.
-        if gap[pi] < eps or not _bridge_blocked(m_pt, uv[outer[pi]], a, b, eps).any():
-            return _splice_at(outer, pi, hole, hj)
+    # The stable order starts at np.argmax's choice of the rightmost vertex.
+    for hj in np.argsort(-uv[hole, 0], kind="stable").tolist():
+        m_pt = uv[hole[hj]]
+        near = uv[outer] - m_pt
+        gap = np.hypot(near[:, 0], near[:, 1])
+        for pi in np.argsort(gap, kind="stable").tolist():
+            # Coincident points: a zero-length bridge is always safe.
+            if gap[pi] < eps or not _bridge_blocked(m_pt, uv[outer[pi]], a, b,
+                                                    eps).any():
+                return _splice_at(outer, pi, hole, hj)
     logger.warning("no visible bridge for cap hole; hole dropped")
     return outer
 

@@ -330,10 +330,7 @@ def _parse_stl_binary(raw: bytes, path: Path):
 
 
 def _parse_stl_ascii(raw: bytes, path: Path):
-    try:
-        text = raw.decode("utf-8", errors="replace")
-    except Exception as exc:  # pragma: no cover - decode with replace cannot fail
-        raise ParseError(f"{path}: not decodable text") from exc
+    text = raw.decode("utf-8", errors="replace")
     coords: list[float] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()

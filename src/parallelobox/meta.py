@@ -3,9 +3,9 @@
 A decomposition run is deterministic given (model, plan, seed).  The
 expensive per-model work — symmetry detection, orientation, grid build,
 cell classification and measures — happens once in :func:`prepare_model`;
-every search iteration reuses it.  Plans with the same
-:func:`preparation_key` share one prepared model, so a batch prepares each
-model once per key.
+every search iteration reuses it.  Of the printer count it reads only
+whether there are two printers or more, so a batch prepares each model at
+most twice.
 
 The search itself is a two-loop sweep: the outer loop walks the number of
 seed blocks ``p`` down from ``printers_available``, the inner loop retries
@@ -57,7 +57,7 @@ from .errors import (InsufficientBoundaryCells, NonWatertightInput,
 from .grid import (BOUNDARY, SOLID, CellMeasures, Grid, build_grid,
                    measure_cells)
 from .mesh import TriangleMesh, aabb_of, measure, validate_watertight
-from .preprocess import (SYMMETRY_THRESHOLD, Pose, SymmetryPlane,
+from .preprocess import (SYMMETRY_THRESHOLD, SymmetryPlane,
                          find_best_symmetry_plane, optimize_orientation)
 from .resolve import get_discrete_empty_regions
 
@@ -92,8 +92,6 @@ class RunPlan:
     min_printers: int = 1
     infill_fraction: float = 0.05
     overhang_tolerance_deg: float = 1.0
-    overhang_weight: float = 1.0
-    proximity_floor: float = 1.0
     symmetry_threshold: float = SYMMETRY_THRESHOLD
     skip_symmetry_cut: bool = False
 
@@ -103,10 +101,7 @@ def objective_of(plan: RunPlan, profile: PrinterProfile) -> ObjectiveParams:
         speed_infill=profile.speed_infill,
         speed_shell=profile.speed_shell,
         infill_fraction=plan.infill_fraction,
-        overhang_tolerance_deg=plan.overhang_tolerance_deg,
         printer_dims=profile.dims,
-        overhang_weight=plan.overhang_weight,
-        proximity_floor=plan.proximity_floor,
     )
 
 
@@ -128,12 +123,12 @@ def estimate_time(volume: float, surface_area: float, profile: PrinterProfile,
 class PartResult:
     """One part; scored from the cell tables (no mesh) until it is clipped."""
 
-    mesh: TriangleMesh | None
     volume: float
     surface_area: float     # of the capped, printable part
     print_score: float
     time_s: float
     source: str  # "block" or "void"
+    mesh: TriangleMesh | None = None
     piece: int = 0          # which prepared piece the part was carved from
     cell_lo: tuple[int, int, int] | None = None  # grid cell range, blocks/voids only
     cell_hi: tuple[int, int, int] | None = None  # inclusive
@@ -164,10 +159,10 @@ class Decomposition:
 
 @dataclass
 class RunRecord:
-    """One metaheuristic iteration, ready for a jsonl log."""
+    """One search iteration or baseline run, ready for a jsonl log."""
 
     seed_blocks: int
-    try_index: int
+    try_index: int          # 0 for the baseline
     seed: int
     valid: bool
     parts: int
@@ -177,8 +172,21 @@ class RunRecord:
     reason: str
     clipped: bool           # scored from clipped meshes, not cell tables
     cut_area_mm2: float     # Σ part surface area − model surface area
-    growth_steps: int = 0   # growth moves of the iteration, every piece
-    wall_clock_s: float = 0.0   # void fill and scoring; growth is shared
+    growth_steps: int       # growth moves of the iteration, every piece
+    wall_clock_s: float     # of the run; an iteration's omits shared growth
+
+    @classmethod
+    def of(cls, result: Decomposition, try_index: int, growth_steps: int,
+           wall_clock_s: float) -> RunRecord:
+        return cls(seed_blocks=result.seed_blocks, try_index=try_index,
+                   seed=result.seed, valid=result.valid,
+                   parts=result.printers_used,
+                   parallel_score=result.parallel_score,
+                   parallel_time_s=result.parallel_time_s,
+                   aggregate_time_s=result.aggregate_time_s,
+                   reason=result.reason, clipped=result.clipped,
+                   cut_area_mm2=result.cut_area_mm2,
+                   growth_steps=growth_steps, wall_clock_s=wall_clock_s)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -193,7 +201,6 @@ class PreparedPiece:
     """The model or one side of its symmetry cut, oriented and gridded."""
 
     mesh: TriangleMesh          # capped, oriented, watertight
-    pose: Pose
     grid: Grid
     measures: CellMeasures
     volume: float
@@ -229,22 +236,14 @@ def prepare_model(mesh: TriangleMesh, plan: RunPlan, profile: PrinterProfile,
     pieces = []
     for i, piece in enumerate(raw):
         piece.name = f"{mesh.name}_half{i}" if cut else mesh.name
-        oriented, pose = optimize_orientation(
+        oriented, _pose = optimize_orientation(
             piece, symmetry=plane,
             overhang_tolerance_deg=plan.overhang_tolerance_deg)
         grid = build_grid(oriented, plan.granularity)
         measures = measure_cells(grid, oriented, plan.overhang_tolerance_deg)
-        pieces.append(PreparedPiece(oriented, pose, grid, measures,
+        pieces.append(PreparedPiece(oriented, grid, measures,
                                     measure(oriented).volume))
     return PreparedModel(pieces, plane, cut, measure(mesh).surface_area)
-
-
-def preparation_key(plan: RunPlan) -> tuple:
-    """The fields of a plan that :func:`prepare_model` reads: plans with
-    equal keys give equal prepared models."""
-    return (plan.granularity, plan.overhang_tolerance_deg,
-            plan.skip_symmetry_cut, plan.symmetry_threshold,
-            plan.printers_available >= 2)
 
 
 def _proportional_share(total: int, v_first: float, v_second: float) -> int:
@@ -320,7 +319,7 @@ def grow_runs(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
             problems.append((entry[-1], piece))
         grown.append(entry)
     if problems:
-        state = GrowthState([piece.grid for _, piece in problems],
+        state = GrowthState([piece.grid.cell_size for _, piece in problems],
                             [piece.measures for _, piece in problems],
                             [g.blocks for g, _ in problems],
                             objective_of(plan, profile))
@@ -396,18 +395,13 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         for (lo, hi, source, suffix), box_sums in zip(boxes, sums):
             if box_sums[SOLID] == 0:
                 continue
-            volume, area = piece.measures.box(lo, hi)
             fits = fits and bool(fits_printer(grid.box_of_range(lo, hi).extent,
                                               profile.dims))
-            parts.append(PartResult(
-                mesh=None, volume=volume, surface_area=area,
-                print_score=print_score(volume, area, params),
-                time_s=estimate_time(volume, area, profile,
-                                     plan.infill_fraction),
-                source=source, piece=index,
-                cell_lo=tuple(int(x) for x in lo),
-                cell_hi=tuple(int(x) for x in hi),
-                name=piece.mesh.name + suffix))
+            parts.append(_part(*piece.measures.box(lo, hi), source, profile,
+                               params, piece=index,
+                               cell_lo=tuple(int(x) for x in lo),
+                               cell_hi=tuple(int(x) for x in hi),
+                               name=piece.mesh.name + suffix))
     if reason:
         # The parts of the pieces before the one that stopped the iteration
         # cover only part of the model: the iteration has no result.
@@ -444,7 +438,7 @@ def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
             continue
         parts.append(_score_part(
             TriangleMesh(clipped.vertices, clipped.triangles, part.name),
-            part.source, plan, profile, params, piece=part.piece,
+            part.source, profile, params, piece=part.piece,
             cell_lo=part.cell_lo, cell_hi=part.cell_hi))
     reason = _count_verdict(parts, "", plan.printers_available)
     if not reason:
@@ -492,18 +486,23 @@ def _decomposition(prepared: PreparedModel, plan: RunPlan, seed_blocks: int,
                          cut_area_mm2=cut_area)
 
 
-def _score_part(mesh: TriangleMesh, source: str, plan: RunPlan,
-                profile: PrinterProfile, params: ObjectiveParams, piece: int = 0,
-                cell_lo: tuple[int, int, int] | None = None,
-                cell_hi: tuple[int, int, int] | None = None) -> PartResult:
+def _part(volume: float, area: float, source: str, profile: PrinterProfile,
+          params: ObjectiveParams, **where) -> PartResult:
+    """A part of the given volume and capped surface area, scored;
+    ``where`` holds its remaining :class:`PartResult` fields."""
+    return PartResult(volume=volume, surface_area=area,
+                      print_score=print_score(volume, area, params),
+                      time_s=estimate_time(volume, area, profile,
+                                           params.infill_fraction),
+                      source=source, **where)
+
+
+def _score_part(mesh: TriangleMesh, source: str, profile: PrinterProfile,
+                params: ObjectiveParams, **where) -> PartResult:
+    """A part scored from its mesh."""
     mm = measure(mesh)
-    return PartResult(
-        mesh=mesh, volume=mm.volume, surface_area=mm.surface_area,
-        print_score=print_score(mm.volume, mm.surface_area, params),
-        time_s=estimate_time(mm.volume, mm.surface_area, profile,
-                             plan.infill_fraction),
-        source=source, piece=piece, cell_lo=cell_lo, cell_hi=cell_hi,
-        name=mesh.name)
+    return _part(mm.volume, mm.surface_area, source, profile, params,
+                 mesh=mesh, name=mesh.name, **where)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +526,14 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                       grown: dict | None = None) -> Decomposition:
     """Sweep seed-block counts and retries; return the best valid result.
 
-    ``prepared``, when given, is the model :func:`prepare_model` makes of
-    mesh for a plan with the same :func:`preparation_key`.  ``grown``, when
-    given, holds runs already grown for prepared under this plan and
-    profile, up to the printer count (see :func:`grow_missing_runs`); it
-    gains the runs this search grows.  Every run missing from it is seeded
+    ``records``, when given, gains one :class:`RunRecord` per iteration, in
+    the search's order.  ``prepared``, when given, is the model
+    :func:`prepare_model` makes of mesh for this plan, or, when both
+    printer counts are two or more, for one that differs from it only in
+    its printer count.  ``grown``, when given, holds runs already grown for
+    prepared under this plan and profile, up to the printer count (see
+    :func:`grow_missing_runs`); it gains the runs this search grows.
+    Every run missing from it is seeded
     and grown up front, all in one lockstep pass (:func:`grow_runs`), and
     then every run is filled and scored from the cell tables in the
     search's order.  Then the iterations whose boxes do not all fit the
@@ -581,17 +583,9 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
     best: Decomposition | None = None
     for (p, t, seed), result, wall in zip(runs, results, seconds):
         if records is not None:
-            records.append(RunRecord(
-                seed_blocks=p, try_index=t, seed=seed, valid=result.valid,
-                parts=result.printers_used,
-                parallel_score=result.parallel_score,
-                parallel_time_s=result.parallel_time_s,
-                aggregate_time_s=result.aggregate_time_s,
-                reason=result.reason, clipped=result.clipped,
-                cut_area_mm2=result.cut_area_mm2,
-                growth_steps=sum(g.steps for g in grown[(p, seed)]
-                                 if isinstance(g, GrownPiece)),
-                wall_clock_s=wall))
+            records.append(RunRecord.of(
+                result, t, sum(g.steps for g in grown[(p, seed)]
+                               if isinstance(g, GrownPiece)), wall))
         logger.debug("p=%d t=%d seed=%d valid=%s score=%.6g clipped=%s (%s)",
                      p, t, seed, result.valid, result.parallel_score,
                      result.clipped, result.reason or "ok")
@@ -614,7 +608,7 @@ BASELINE_MAX_ROUNDS = 10
 @dataclass
 class BaselineRounds:
     """The halving rounds of :func:`recursive_symmetry_baseline` for one
-    model and overhang tolerance.
+    model and plan.
 
     Round 0 is the oriented model, and round r + 1 halves every piece of
     round r.  Only the stop test reads the printer count and size, so every
@@ -629,25 +623,23 @@ class BaselineRounds:
     done: bool = False      # halving the last round cut nothing
 
 
-def baseline_key(plan: RunPlan) -> tuple:
-    """The fields of a plan that :class:`BaselineRounds` depend on."""
-    return ("baseline", plan.overhang_tolerance_deg)
-
-
 def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                                 profile: PrinterProfile,
+                                records: list[RunRecord] | None = None,
                                 rounds: BaselineRounds | None = None) -> Decomposition:
     """Halve every part at its best mirror plane until the count reaches the
     largest power of two <= printers_available and everything fits.
 
     A round with more pieces than printers ends the halving: rounds never
     lose pieces, so neither it nor any later round is valid, and it is
-    returned as the invalid result.  ``rounds``, when given, holds the
-    rounds already computed for mesh under a plan with the same
-    :func:`baseline_key`; it gains the rounds this call computes.
+    returned as the invalid result.  ``records``, when given, gains the
+    run's :class:`RunRecord`.  ``rounds``, when given, holds the rounds
+    already computed for mesh under a plan that differs from this one at
+    most in its printer count; it gains the rounds this call computes.
 
     Raises NonWatertightInput when the mesh is not closed.
     """
+    tick = time.perf_counter()
     params = objective_of(plan, profile)
     rounds = BaselineRounds() if rounds is None else rounds
     if not rounds.states:
@@ -683,23 +675,26 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
         r += 1
     pieces = rounds.states[r]
 
-    parts = [_score_part(m, "block", plan, profile, params, piece=i)
+    parts = [_score_part(m, "block", profile, params, piece=i)
              for i, m in enumerate(pieces)]
     valid = (len(parts) <= plan.printers_available
              and all(fits_printer(aabb_of(p.mesh).extent, profile.dims)
                      for p in parts))
     reason = "" if valid else "baseline parts exceed the printer or budget"
-    return Decomposition(parts=parts, algorithm="symmetry",
-                         printers_available=plan.printers_available,
-                         seed_blocks=0, seed=plan.seed_base, valid=valid,
-                         reason=reason,
-                         parallel_score=max(p.print_score for p in parts),
-                         parallel_time_s=max(p.time_s for p in parts),
-                         aggregate_time_s=sum(p.time_s for p in parts),
-                         symmetry_error=rounds.plane.error_score,
-                         symmetry_cut=len(parts) > 1, clipped=True,
-                         cut_area_mm2=sum(p.surface_area for p in parts)
-                         - measure(mesh).surface_area)
+    result = Decomposition(parts=parts, algorithm="symmetry",
+                           printers_available=plan.printers_available,
+                           seed_blocks=0, seed=plan.seed_base, valid=valid,
+                           reason=reason,
+                           parallel_score=max(p.print_score for p in parts),
+                           parallel_time_s=max(p.time_s for p in parts),
+                           aggregate_time_s=sum(p.time_s for p in parts),
+                           symmetry_error=rounds.plane.error_score,
+                           symmetry_cut=len(parts) > 1, clipped=True,
+                           cut_area_mm2=sum(p.surface_area for p in parts)
+                           - measure(mesh).surface_area)
+    if records is not None:
+        records.append(RunRecord.of(result, 0, 0, time.perf_counter() - tick))
+    return result
 
 
 def _halve(pieces: list[TriangleMesh]) -> list[TriangleMesh] | None:

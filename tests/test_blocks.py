@@ -42,8 +42,7 @@ def test_fits_printer_reorients_by_sorting():
 def _one_cell_overhang(box: Aabb, mesh) -> float:
     """Minimum oriented overhang area of a single-cell grid over box."""
     grid = Grid(origin=box.min, cell_size=float(box.extent[0]), dims=(1, 1, 1))
-    params = ObjectiveParams()
-    over = measure_cells(grid, mesh, params.overhang_tolerance_deg).overhang
+    over = measure_cells(grid, mesh, RunPlan().overhang_tolerance_deg).overhang
     return float(over[:, 0, 0, 0].min())
 
 
@@ -159,16 +158,16 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
                    volume=None):
     """Synthetic grid with unit volume/area per non-external cell, holding
     one growth problem."""
-    grid = Grid(origin=(0.0, 0.0, 0.0), cell_size=cell_size, dims=dims)
-    grid.classification[...] = classes
-    solid = np.asarray(classes) != int(CellClass.EXTERNAL)
+    classification = np.broadcast_to(np.asarray(classes, dtype=np.int8),
+                                     dims).copy()
+    solid = classification != int(CellClass.EXTERNAL)
     measures = CellMeasures(volume=solid.astype(float) if volume is None else volume,
                             area=solid.astype(float),
                             overhang=np.zeros((6,) + tuple(dims)),
                             section=np.zeros((3,) + tuple(dims)),
-                            classification=grid.classification)
+                            classification=classification)
     blocks = [Block(i, np.array(s), np.array(s)) for i, s in enumerate(seeds)]
-    state = GrowthState([grid], [measures], [blocks],
+    state = GrowthState([cell_size], [measures], [blocks],
                         params or ObjectiveParams(printer_dims=(1e9, 1e9, 1e9)))
     return state
 
@@ -176,7 +175,7 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
 def _owner(state, p=0):
     """Problem p's owner array, painted from its block boxes (a block's id
     is its position)."""
-    return paint_owner(state.grids[p].classification,
+    return paint_owner(state.measures[p].classification,
                        [(b.lo, b.hi) for b in state.blocks[p]])
 
 
@@ -271,7 +270,7 @@ def test_growth_caches_match_measures_on_real_mesh():
     meas = measure_cells(grid, mesh)
     blocks = select_seed_blocks(grid, mesh, 2, rng_seed=9)
     params = ObjectiveParams()
-    state = GrowthState([grid], [meas], [blocks], params)
+    state = GrowthState([grid.cell_size], [meas], [blocks], params)
     grow_blocks(state)
     for b in blocks:
         sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(b.lo, b.hi))
@@ -396,7 +395,7 @@ def _reference_grow(grid, measures, seeds, params):
 def _assert_matches_reference(state, p, trace, want):
     """Problem p of a grown state against one _reference_grow result."""
     want_trace, want_owner, want_boxes, want_sums = want
-    blocks, grid = state.blocks[p], state.grids[p]
+    blocks, classification = state.blocks[p], state.measures[p].classification
     owner = _owner(state, p)
     got = [t[1:] for t in trace if t[0] == p]
     assert got == want_trace
@@ -409,7 +408,7 @@ def _assert_matches_reference(state, p, trace, want):
     assert sums[:, AREA].tolist() == want_sums[1]
     assert np.array_equal(sums[:, OVERHANG], np.array(want_sums[2]))
     assert state.unassigned[p] == int(
-        ((grid.classification == CellClass.BOUNDARY) & (owner < 0)).sum())
+        ((classification == CellClass.BOUNDARY) & (owner < 0)).sum())
 
 
 @pytest.mark.parametrize("fixture", [icosphere, hollow_box, l_bracket])
@@ -424,7 +423,7 @@ def test_grow_blocks_matches_reference(fixture, granularity):
             blocks = select_seed_blocks(grid, mesh, k, rng_seed=k)
             seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
             want = _reference_grow(grid, meas, seeds, params)
-            state = GrowthState([grid], [meas], [blocks], params)
+            state = GrowthState([grid.cell_size], [meas], [blocks], params)
             trace = []
             grow_blocks(state, trace)
             _assert_matches_reference(state, 0, trace, want)
@@ -449,7 +448,7 @@ def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
                                        for piece in prepared.pieces]
     params = ObjectiveParams(printer_dims=(printer,) * 3)
     counts = (1, 2, 5, 8, 3)
-    grids, measures, problems, wants = [], [], [], []
+    cell_sizes, measures, problems, wants = [], [], [], []
     for seed, k in enumerate(counts):
         # Problems of the three grids interleave in the state.
         for surface, (shape, base, cells) in enumerate(surfaces):
@@ -457,13 +456,12 @@ def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
                                         rng_seed=100 + 10 * seed + surface)
             seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
             wants.append(_reference_grow(base, cells, seeds, params))
-            grids.append(Grid(base.origin, base.cell_size, base.dims,
-                              classification=base.classification))
+            cell_sizes.append(base.cell_size)
             measures.append(cells)
             problems.append(blocks)
-    state = GrowthState(grids, measures, problems, params)
+    state = GrowthState(cell_sizes, measures, problems, params)
     assert state.lo.shape == (len(problems), max(counts), 3)
-    assert len({g.dims for g in grids}) > 1
+    assert len({tuple(m.dims) for m in measures}) > 1
     trace = []
     grow_blocks(state, trace)
     assert not state.active.any()

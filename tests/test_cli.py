@@ -7,12 +7,12 @@ import pytest
 import time
 
 from parallelobox import cli, meta
-from parallelobox.cli import (CSV_COLUMNS, load_manifest, main, parse_config,
-                              run_batch)
+from parallelobox.cli import (CSV_COLUMNS, PLOT_SERIES, RunRow, build_parser,
+                              load_manifest, main, parse_config, run_batch)
 from parallelobox.errors import ConfigError
 from parallelobox.fixtures import box_mesh, dumbbell, l_bracket
 from parallelobox.mesh import TriangleMesh, save_stl
-from parallelobox.meta import PrinterProfile, RunPlan
+from parallelobox.meta import PrinterProfile, RunPlan, RunRecord
 
 
 def _write(path, text):
@@ -162,6 +162,7 @@ def test_decompose_end_to_end(tmp_path):
     assert set(plot["dumbbell"]) == {"parallelobox", "symmetry"}
     assert plot["dumbbell"]["parallelobox"]["printers"] == [2]
     for algorithm, series in plot["dumbbell"].items():
+        assert set(series) == set(PLOT_SERIES)
         row = body[[r[1] for r in body].index(algorithm)]
         assert series["cut_area_mm2"] == [float(row[9])]
 
@@ -211,6 +212,44 @@ def test_runlog_growth_steps_and_wall_clock(tmp_path, monkeypatch):
     assert sum(line["growth_steps"] for line in lines) == len(moves) > 0
     assert all(line["growth_steps"] > 0 for line in lines)
     assert all(0.0 < line["wall_clock_s"] < pause for line in lines)
+
+
+def test_no_result_row_cells():
+    """A run that gave no result: empty cells for its missing numbers."""
+    assert RunRow("ghost", "symmetry", 2).csv_values() == [
+        "ghost", "symmetry", "2", "0", "", "", "", "0.0", "false", ""]
+
+
+def test_baseline_runlog_line_is_its_record(tmp_path, monkeypatch):
+    """The baseline logs RunRecord.of its result, and its wall clock is
+    inside the time of the baseline call."""
+    model = tmp_path / "dumbbell.stl"
+    save_stl(dumbbell(), model)
+    calls = []
+    baseline = cli.recursive_symmetry_baseline
+
+    def timed_baseline(*args, **kwargs):
+        tick = time.perf_counter()
+        result = baseline(*args, **kwargs)
+        calls.append((result, time.perf_counter() - tick))
+        return result
+
+    monkeypatch.setattr(cli, "recursive_symmetry_baseline", timed_baseline)
+    out = tmp_path / "out"
+    assert main(_decompose_args(model, out, ["--baseline", "symmetry"])) == 0
+    [(result, seconds)] = calls
+    [line] = [json.loads(line) for line in
+              (out / "runlog.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert ({key: line.pop(key) for key in ("model", "printers", "algorithm")}
+            == {"model": "dumbbell", "printers": 2, "algorithm": "symmetry"})
+    assert line == RunRecord.of(result, 0, 0, line["wall_clock_s"]).to_dict()
+    assert 0.0 < line["wall_clock_s"] <= seconds
+
+
+def test_command_line_defaults_are_the_plan_defaults():
+    args = build_parser().parse_args(["decompose", "model.stl"])
+    assert cli._plan_from_args(args) == RunPlan()
+    assert args.printers == RunPlan().printers_available
 
 
 def test_batch_prepares_each_model_once_per_key(tmp_path, monkeypatch):

@@ -1047,6 +1047,23 @@ def test_comb_ring_with_many_reflex_corners(angle):
     assert {(b, a) for a, b in inner} == inner
 
 
+def test_hole_bridges_from_another_vertex_when_the_rightmost_is_blocked(caplog):
+    """A hole whose rightmost vertex rests, within tolerance, on the outer
+    ring's right edge: that edge blocks every bridge from the vertex, so
+    the bridge leaves from a vertex to its left, and the hole is kept."""
+    uv = np.array([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0),
+                   (10.0 - 1e-7, 5.0), (5.0, 3.0), (5.0, 7.0)])
+    loops = [[0, 1, 2, 3], [4, 5, 6]]                # the hole is clockwise
+    area = clip._signed_area(uv, loops[0]) + clip._signed_area(uv, loops[1])
+    assert area == pytest.approx(90.0000002, rel=1e-12)
+    with caplog.at_level("WARNING", logger="parallelobox.clip"):
+        tris = clip._triangulate_region(uv, loops)
+    assert not caplog.records
+    unsigned, signed = _region_areas(uv, tris)
+    assert signed == pytest.approx(area, rel=1e-12)
+    assert unsigned == pytest.approx(area, rel=1e-12)
+
+
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
 def test_random_axis_cuts_stay_watertight(make_mesh):
     """Axis cuts at random offsets at least 1e-6 from every vertex: the

@@ -52,14 +52,15 @@ def test_proportional_share():
 
 
 def test_objective_of_copies_plan_and_profile():
-    plan = RunPlan(infill_fraction=0.1, overhang_tolerance_deg=5.0,
-                   overhang_weight=2.0, proximity_floor=3.0)
-    params = objective_of(plan, PROFILE)
+    profile = PrinterProfile(volume_x=100.0, volume_y=200.0, volume_z=300.0,
+                             speed_shell=30.0, speed_infill=40.0)
+    params = objective_of(RunPlan(infill_fraction=0.1), profile)
     assert params.infill_fraction == 0.1
-    assert params.overhang_tolerance_deg == 5.0
-    assert params.overhang_weight == 2.0
-    assert params.proximity_floor == 3.0
-    assert params.printer_dims == tuple(PROFILE.dims)
+    assert params.speed_shell == 30.0
+    assert params.speed_infill == 40.0
+    assert params.printer_dims == (100.0, 200.0, 300.0)
+    # The weights of the growth cost keep their defaults.
+    assert params.overhang_weight == params.proximity_floor == 1.0
 
 
 def table_cut_area(mesh, prepared, parts) -> float:
@@ -269,7 +270,8 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
         except InsufficientBoundaryCells as exc:
             reason = f"piece {index}: {exc}"
             break
-        grow_blocks(GrowthState([grid], [piece.measures], [blocks], params))
+        grow_blocks(GrowthState([grid.cell_size], [piece.measures], [blocks],
+                                params))
         free = max(0, budget - len(blocks))
         cls = grid.classification
         owner = paint_owner(cls, [(b.lo, b.hi) for b in blocks])
@@ -291,7 +293,7 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
             if clipped.is_empty:
                 continue
             clipped.name = piece.mesh.name + suffix
-            parts.append(_score_part(clipped, source, plan, profile, params,
+            parts.append(_score_part(clipped, source, profile, params,
                                      piece=index,
                                      cell_lo=tuple(int(x) for x in lo),
                                      cell_hi=tuple(int(x) for x in hi)))
