@@ -82,10 +82,15 @@ class Grid:
 
     def box_of_range(self, lo, hi) -> Aabb:
         """Physical box spanned by cells lo..hi inclusive."""
+        return Aabb(*self.range_corners(lo, hi))
+
+    def range_corners(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Min and max corners of the boxes spanned by cells lo..hi
+        inclusive; lo and hi are (..., 3)."""
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        return Aabb(self.origin + lo * self.cell_size,
-                    self.origin + (hi + 1.0) * self.cell_size)
+        return (self.origin + lo * self.cell_size,
+                self.origin + (hi + 1.0) * self.cell_size)
 
 
 def build_grid(mesh: TriangleMesh, granularity: str = "very_fine") -> Grid:
@@ -214,17 +219,27 @@ class CellMeasures:
         max face the section of the box's own last layer, on a min face
         that of the layer before it (none at the grid's edge).
         """
+        volume, area = self.boxes([lo], [hi])
+        return float(volume[0]), float(area[0])
+
+    def boxes(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """The volumes and areas of :meth:`box` for each of the (k, 3)
+        ranges lo..hi, from one table read.  The table sums are exact, so
+        each equals that of the range read alone."""
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
         # Range 0 is the box, range 1 + f the layer of face f's cap, faces
         # in DIRECTIONS order.
-        ranges = np.array([(lo, hi)] * 7, dtype=np.int64)
+        ranges = np.repeat(np.stack([lo, hi], axis=1)[:, None], 7, axis=1)
         for face in range(6):
             axis = face // 2
-            ranges[1 + face, :, axis] = hi[axis] if face % 2 == 0 else lo[axis] - 1
-        sums = self.sums(ranges[:, 0], ranges[:, 1])
-        area = float(sums[0, AREA])
+            layer = hi[:, axis] if face % 2 == 0 else lo[:, axis] - 1
+            ranges[:, 1 + face, :, axis] = layer[:, None]
+        sums = self.sums(ranges[:, :, 0], ranges[:, :, 1])
+        area = sums[:, 0, AREA]
         for face in range(6):
-            area += float(sums[1 + face, SECTION][face // 2])
-        return float(sums[0, VOLUME]), area
+            area = area + sums[:, 1 + face, SECTION.start + face // 2]
+        return sums[:, 0, VOLUME], area
 
 
 #: Growth direction order: +x, -x, +y, -y, +z, -z.

@@ -69,10 +69,6 @@ class TriangleMesh:
         tr = np.asarray(translation, dtype=np.float64).reshape(3)
         return TriangleMesh(self.vertices @ rot.T + tr, self.triangles.copy(), self.name)
 
-    def translated(self, offset) -> "TriangleMesh":
-        return TriangleMesh(self.vertices + np.asarray(offset, dtype=np.float64),
-                            self.triangles.copy(), self.name)
-
 
 @dataclass(frozen=True)
 class Aabb:

@@ -382,25 +382,27 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         regions = get_discrete_empty_regions(
             piece.measures, blocked, grid.cell_size,
             max(0, budget - len(blocks)), params.printer_dims)
-        sums = piece.measures.sums(*np.array(blocked + regions,
-                                             dtype=np.int64).transpose(1, 0, 2))
+        ranges = np.array(blocked + regions, dtype=np.int64)
+        sums = piece.measures.sums(ranges[:, 0], ranges[:, 1])
         left_b, left_i = _uncovered_cells(piece.measures, sums)
         if left_b or left_i:
             reason = (f"piece {index}: {left_b} boundary / {left_i} internal "
                       "cells uncovered")
             break
-        boxes = ([(b.lo, b.hi, "block", f"_b{b.id}") for b in blocks]
-                 + [(lo, hi, "void", f"_v{r}")
-                    for r, (lo, hi) in enumerate(regions)])
-        for (lo, hi, source, suffix), box_sums in zip(boxes, sums):
-            if box_sums[SOLID] == 0:
-                continue
-            fits = fits and bool(fits_printer(grid.box_of_range(lo, hi).extent,
-                                              profile.dims))
-            parts.append(_part(*piece.measures.box(lo, hi), source, profile,
-                               params, piece=index,
-                               cell_lo=tuple(int(x) for x in lo),
-                               cell_hi=tuple(int(x) for x in hi),
+        names = ([("block", f"_b{b.id}") for b in blocks]
+                 + [("void", f"_v{r}") for r in range(len(regions))])
+        kept = np.flatnonzero(sums[:, SOLID] != 0)
+        lo, hi = ranges[kept, 0], ranges[kept, 1]
+        low, high = grid.range_corners(lo, hi)
+        fits = fits and bool(fits_printer(high - low, profile.dims).all())
+        volumes, areas = piece.measures.boxes(lo, hi)
+        for i, box_lo, box_hi, volume, area in zip(
+                kept.tolist(), lo.tolist(), hi.tolist(), volumes.tolist(),
+                areas.tolist()):
+            source, suffix = names[i]
+            parts.append(_part(volume, area, source, profile, params,
+                               piece=index, cell_lo=tuple(box_lo),
+                               cell_hi=tuple(box_hi),
                                name=piece.mesh.name + suffix))
     if reason:
         # The parts of the pieces before the one that stopped the iteration

@@ -5,13 +5,23 @@ each swept through five offsets around the centroid.  A plane's error is
 the mean distance from every reflected vertex to its nearest original
 vertex, normalized by the bounding-box diagonal, so 0 means a perfect
 mirror and the score is scale-free.
+
+The distances are exact, bit for bit those of a brute-force search.  They
+come from a uniform cell grid over the vertices (Bentley, Stanat and
+Williams 1977, "The complexity of finding fixed-radius near neighbors"):
+each reflected vertex reads the 2x2x2 block of cells nearest to it, which
+answers it exactly when its nearest vertex there is no farther than the
+block's outside, and bounds its distance from below otherwise; the
+unanswered ones are brute-forced.  The bounds skip work: the centre
+offset with the least bound is answered in full first, and every
+candidate whose bounded distance sum exceeds that sum is dropped, first
+from a sample of its points, then from all of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .mesh import TriangleMesh, aabb_of, triangle_areas, triangle_normals
 
@@ -88,25 +98,242 @@ def _principal_axes(vertices: np.ndarray) -> np.ndarray:
     return axes
 
 
+#: The first pass of the mirror search reads every point of the centre
+#: offsets and every ceil(n / _SAMPLES)-th point of the other candidates.
+_SAMPLES = 8
+#: A candidate is dropped when a lower bound of its distance sum exceeds
+#: the best centre sum by this relative margin, which covers rounding.
+_PRUNE_MARGIN = 1e-9
+#: Points per chunk of a grid query, and point-vertex pairs per chunk of a
+#: brute-force one: small enough to keep the temporaries in cache.
+_QUERY_POINTS = 1 << 12
+_BRUTE_PAIRS = 1 << 13
+#: The 0/1 offsets, per axis, of the 8 cells of a block.
+_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+                    dtype=np.float64)
+
+
+class _CellGrid:
+    """Vertices bucketed into cubic cells, for exact nearest-vertex distances.
+
+    The cell side is sqrt(A / n), A the surface area of the vertices'
+    bounding box, grown by 1.25x until the blocks number at most
+    8n + 1000.  A block is 2x2x2 cells, its first cell from -1 (one cell
+    before the grid) to the last, and the block table lists, block after
+    block, the coordinates of the vertices in each: 8n entries, and one
+    sentinel at infinity that empty blocks read instead.  Points are
+    (3, m) arrays, one row per coordinate, so every sum runs over rows and
+    none over a length-3 axis.
+    """
+
+    def __init__(self, vertices: np.ndarray) -> None:
+        n = len(vertices)
+        self.lo = vertices.min(axis=0)[:, None]
+        self.hi = vertices.max(axis=0)[:, None]
+        ex, ey, ez = extent = (self.hi - self.lo)[:, 0].tolist()
+        h = float(np.sqrt(2.0 * (ex * ey + ey * ez + ez * ex) / n))
+        if not h > 0.0:     # collinear or coincident vertices
+            h = max(extent) / n or 1.0
+        while True:
+            dims = [int(e // h) + 1 for e in extent]
+            if (dims[0] + 1) * (dims[1] + 1) * (dims[2] + 1) <= 8 * n + 1000:
+                break
+            h *= 1.25
+        self.h = h
+        self.last = np.array(dims, dtype=np.float64)[:, None] - 1.0
+        # Flat index of a block from its first cell plus one, per axis.
+        self.strides = np.array([[(dims[1] + 1) * (dims[2] + 1)],
+                                 [dims[2] + 1], [1.0]])
+        # Cell faces are computed in floats, so a vertex may lie a rounding
+        # error outside its cell; distances to a block's outside are
+        # shortened by this much.
+        self.slack = 1e-10 * (float(np.abs(self.lo).max()) + max(extent) + h)
+        self.vertices = np.ascontiguousarray(vertices.T)
+        # The blocks holding a vertex start at its cell or the one before,
+        # on each axis.
+        cell = np.minimum(np.floor((self.vertices - self.lo) / h), self.last)
+        own = self._block(cell - 1.0)
+        corners = (_CORNERS @ self.strides).astype(np.int64)
+        blocks = (own[None, :] + corners).ravel()
+        order = np.argsort(blocks, kind="stable")
+        self.table = np.concatenate(
+            [self.vertices[:, order % n], np.full((3, 1), np.inf)], axis=1)
+        self.sentinel = 8 * n
+        count = (dims[0] + 1) * (dims[1] + 1) * (dims[2] + 1)
+        self.starts = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(blocks, minlength=count), out=self.starts[1:])
+
+    def _block(self, first: np.ndarray) -> np.ndarray:
+        """Flat index of the blocks whose first cells are these (3, m)."""
+        return ((first + 1.0) * self.strides).sum(axis=0).astype(np.int64)
+
+    def box_distance(self, points: np.ndarray) -> np.ndarray:
+        """Distance of each point, (3, ...), to the vertices' bounding box.
+
+        It is computed with the operations of a vertex distance, each of
+        which rounds monotonically, so it never exceeds the computed
+        distance to any vertex.
+        """
+        d2 = np.zeros(points.shape[1:])
+        for k in range(3):
+            out = self.lo[k] - points[k]
+            np.maximum(out, points[k] - self.hi[k], out=out)
+            np.maximum(out, 0.0, out=out)
+            out *= out
+            d2 += out
+        return np.sqrt(d2, out=d2)
+
+    def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(nearest, reach) of each of the (3, m) points.
+
+        Each point reads the block of cells nearest to it.  ``nearest`` is
+        the distance to the nearest vertex in the block (inf when it holds
+        none), ``reach`` a lower bound of the distance to every vertex
+        outside it.  Where nearest <= reach, nearest is the point's
+        distance to the nearest vertex; elsewhere reach bounds it from below.
+        """
+        m = points.shape[1]
+        nearest = np.empty(m)
+        reach = np.empty(m)
+        for i in range(0, m, _QUERY_POINTS):
+            part = slice(i, i + _QUERY_POINTS)
+            nearest[part], reach[part] = self._query(points[:, part])
+        return nearest, reach
+
+    def _query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cell = points - self.lo
+        cell /= self.h
+        first = cell - 0.5
+        np.floor(first, out=first)
+        np.maximum(first, -1.0, out=first)
+        np.minimum(first, self.last, out=first)
+        # Distances, in cells, to the block's low and high faces.  No
+        # vertex lies before the first cell or beyond the last.
+        low = cell - first
+        low[first <= 0.0] = np.inf
+        high = first + 2.0
+        edge = high > self.last
+        high -= cell
+        high[edge] = np.inf
+        np.minimum(low, high, out=low)
+        reach = np.minimum(np.minimum(low[0], low[1]), low[2])
+        reach *= self.h
+        reach -= self.slack
+
+        block = self._block(first)
+        begin = self.starts[block]
+        counts = self.starts[block + 1] - begin
+        # An empty block reads the sentinel, at infinity.
+        empty = counts == 0
+        begin[empty] = self.sentinel
+        counts[empty] = 1
+        ends = np.cumsum(counts)
+        lead = ends - counts                    # each point's first pair
+        pick = np.repeat(begin - lead, counts)
+        pick += np.arange(ends[-1])
+        owner = np.repeat(np.arange(len(counts)), counts)
+        d2 = self.table[0][pick]
+        d2 -= points[0][owner]
+        d2 *= d2
+        for k in (1, 2):
+            d = self.table[k][pick]
+            d -= points[k][owner]
+            d *= d
+            d2 += d
+        nearest = np.minimum.reduceat(d2, lead)
+        np.sqrt(nearest, out=nearest)
+        return nearest, reach
+
+    def brute(self, points: np.ndarray) -> np.ndarray:
+        """Exact nearest-vertex distance of each point, against every vertex."""
+        out = np.empty(points.shape[1])
+        step = max(1, _BRUTE_PAIRS // self.vertices.shape[1])
+        for i in range(0, len(out), step):
+            part = slice(i, i + step)
+            d2 = np.subtract.outer(points[0, part], self.vertices[0])
+            d2 *= d2
+            d = np.empty_like(d2)
+            for k in (1, 2):
+                np.subtract.outer(points[k, part], self.vertices[k], out=d)
+                d *= d
+                d2 += d
+            out[part] = np.sqrt(d2.min(axis=1))
+        return out
+
+
 def find_best_symmetry_plane(mesh: TriangleMesh) -> SymmetryPlane:
-    """Best mirror among 3 principal axes x 5 offsets (+-10% of the extent)."""
+    """Best mirror among 3 principal axes x 5 offsets (+-10% of the extent).
+
+    Ties keep the first candidate, axes in order and offsets ascending.
+    Distances come from a :class:`_CellGrid` and are exact; a candidate
+    whose distance sum provably exceeds that of the best centre offset is
+    dropped before it is read in full.
+    """
     v = mesh.vertices
+    n = len(v)
     centroid = v.mean(axis=0)
     axes = _principal_axes(v)
-    tree = cKDTree(v)
     diag = max(aabb_of(mesh).diagonal, 1e-300)
-    best: SymmetryPlane | None = None
+    planes: list[tuple[np.ndarray, float]] = []
+    shifts = []
     for axis in axes:
         along = v @ axis
         extent = float(along.max() - along.min())
         center_offset = float(centroid @ axis)
-        for frac in OFFSET_SWEEP:
-            offset = center_offset + float(frac) * extent
-            reflected = v - 2.0 * (along - offset)[:, None] * axis
-            dist, _ = tree.query(reflected)
-            score = float(dist.mean()) / diag
-            if best is None or score < best.error_score:
-                best = SymmetryPlane(axis.copy(), offset, score)
+        offsets = [center_offset + float(frac) * extent for frac in OFFSET_SWEEP]
+        planes += [(axis, offset) for offset in offsets]
+        shifts.append(2.0 * (along - np.array(offsets)[:, None]))
+    # points[k, c] is coordinate k of the vertices reflected in plane c,
+    # filled one coordinate at a time to bound the memory.
+    shift = np.concatenate(shifts)
+    normals = np.repeat(axes.T, len(OFFSET_SWEEP), axis=1)
+    points = np.empty((3,) + shift.shape)
+    for k in range(3):
+        np.multiply(shift, normals[k][:, None], out=points[k])
+        np.subtract(v[:, k], points[k], out=points[k])
+    grid = _CellGrid(v)
+
+    # A lower bound of each distance until it is made exact.
+    dist = grid.box_distance(points)
+    exact = np.zeros(dist.shape, dtype=bool)
+
+    def query(mask: np.ndarray) -> None:
+        if mask.any():
+            nearest, reach = grid.query(points[:, mask])
+            hit = nearest <= reach
+            exact[mask] = hit
+            dist[mask] = np.where(hit, nearest, np.maximum(reach, dist[mask]))
+
+    def settle(rows: np.ndarray) -> None:
+        """Make every distance of the rows exact."""
+        miss = rows[:, None] & ~exact
+        if miss.any():
+            dist[miss] = grid.brute(points[:, miss])
+            exact[miss] = True
+
+    # Pass 1: every point of the centre offsets and a sample of the other
+    # candidates.  The exact sum of the centre offset with the least bound
+    # bounds the winner's.
+    centre = np.zeros(len(planes), dtype=bool)
+    centre[len(OFFSET_SWEEP) // 2::len(OFFSET_SWEEP)] = True
+    sampled = np.zeros(dist.shape, dtype=bool)
+    sampled[:, ::-(-n // _SAMPLES)] = True
+    sampled[centre] = True
+    query(sampled)
+    lead = int(np.argmin(np.where(centre, dist.sum(axis=1), np.inf)))
+    settle(np.arange(len(planes)) == lead)
+    limit = float(dist[lead].sum()) * (1.0 + _PRUNE_MARGIN)
+    alive = dist.sum(axis=1) <= limit
+    # Pass 2: the other points of the candidates left.
+    query(alive[:, None] & ~sampled)
+    alive &= dist.sum(axis=1) <= limit
+    settle(alive)
+
+    best: SymmetryPlane | None = None
+    for c in np.flatnonzero(alive):
+        score = float(dist[c].mean()) / diag
+        if best is None or score < best.error_score:
+            best = SymmetryPlane(planes[c][0].copy(), planes[c][1], score)
     assert best is not None
     return best
 

@@ -30,7 +30,7 @@ def test_unknown_granularity_rejected():
 
 
 def test_grid_covers_scaled_bbox():
-    mesh = icosphere(radius=7.0, subdivisions=1).translated((3.0, -2.0, 9.0))
+    mesh = icosphere(radius=7.0, subdivisions=1).transformed(np.eye(3), (3.0, -2.0, 9.0))
     g = build_grid(mesh, "medium")
     bb = aabb_of(mesh)
     hi = g.origin + np.array(g.dims) * g.cell_size
@@ -141,7 +141,8 @@ def _slice_channels(meas):
 @pytest.mark.parametrize("granularity", ["coarse", "fine"])
 def test_table_sums_equal_slice_sums(name, granularity):
     """Every channel's table sum over a random box equals its slice sum bit
-    for bit, and so does the capped area of CellMeasures.box."""
+    for bit, and so does the capped area of CellMeasures.box; the boxes
+    read stacked in one CellMeasures.boxes call equal those read alone."""
     mesh = getattr(fixtures, name)()
     g = build_grid(mesh, granularity)
     meas = measure_cells(g, mesh)
@@ -155,9 +156,12 @@ def test_table_sums_equal_slice_sums(name, granularity):
         assert np.array_equal(values / q, np.rint(values / q))
     rng = np.random.default_rng(len(name))
     dims = np.array(g.dims)
+    ranges, alone = [], []
     for _ in range(60):
         a, b = rng.integers(0, dims), rng.integers(0, dims)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ranges.append((lo, hi))
+        alone.append(meas.box(lo, hi))
         sl = (slice(None),) + tuple(slice(x, y + 1) for x, y in zip(lo, hi))
         want = channels[sl].reshape(N_CHANNELS, -1).sum(axis=1)
         got = meas.sums(lo, hi)
@@ -170,7 +174,9 @@ def test_table_sums_equal_slice_sums(name, granularity):
                     face = list(sl[1:])
                     face[axis] = layer
                     area += float(meas.section[axis][tuple(face)].sum())
-        assert meas.box(lo, hi) == (float(want[VOLUME]), area), (lo, hi)
+        assert alone[-1] == (float(want[VOLUME]), area), (lo, hi)
+    volumes, areas = meas.boxes(*np.array(ranges).transpose(1, 0, 2))
+    assert list(zip(volumes.tolist(), areas.tolist())) == alone
     # Ranges reaching past the grid are clipped to it.
     assert meas.sums(-dims, 2 * dims).tolist() == meas.table[-1].tolist()
     assert not meas.sums(dims, 2 * dims).any()

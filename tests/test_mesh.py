@@ -38,7 +38,7 @@ def test_measure_translation_invariant():
     base = icosphere(radius=5.0, subdivisions=2)
     v0 = measure(base).volume
     for _ in range(5):
-        moved = base.translated(rng.uniform(-100.0, 100.0, size=3))
+        moved = base.transformed(np.eye(3), rng.uniform(-100.0, 100.0, size=3))
         assert measure(moved).volume == pytest.approx(v0, rel=1e-9)
 
 

@@ -1,15 +1,25 @@
 """Symmetry planes, the optional cut, and build orientation."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
-                                   icosphere, unit_cube, wedge)
-from parallelobox.mesh import TriangleMesh, aabb_of, measure, triangle_areas, triangle_normals
-from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
+                                   hollow_box, icosphere, l_bracket,
+                                   thin_plate, unit_cube, wedge)
+from parallelobox.mesh import (TriangleMesh, aabb_of, measure, save_stl,
+                               triangle_areas, triangle_normals)
+from parallelobox.meta import PrinterProfile, RunPlan, _halve, prepare_model
 from parallelobox.preprocess import (OFFSET_SWEEP, SYMMETRY_THRESHOLD,
+                                     SymmetryPlane, _CellGrid,
                                      _principal_axes, find_best_symmetry_plane,
                                      optimize_orientation,
                                      overhang_area_for_up_z)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _brute_symmetry_error(mesh, normal, offset):
@@ -117,7 +127,7 @@ def test_maybe_symmetry_cut_behaviour():
 def test_orientation_centers_and_preserves_measure():
     rng = np.random.default_rng(12)
     for make in (unit_cube, dumbbell, wedge):
-        mesh = make().translated(rng.uniform(-40.0, 40.0, size=3))
+        mesh = make().transformed(np.eye(3), rng.uniform(-40.0, 40.0, size=3))
         before = measure(mesh)
         oriented, pose = optimize_orientation(mesh)
         after = measure(oriented)
@@ -148,7 +158,7 @@ def test_orientation_minimizes_overhang_among_24():
 
 
 def test_translated_cube_identity_rotation_family():
-    mesh = unit_cube().translated((10.0, 0.0, 0.0))
+    mesh = unit_cube().transformed(np.eye(3), (10.0, 0.0, 0.0))
     oriented, pose = optimize_orientation(mesh)
     # Any rotation in the cube's symmetry group is fine; the result must be
     # the same axis-aligned cube centered at the origin.
@@ -169,3 +179,152 @@ def test_symmetry_error_rigid_invariance():
     moved = mesh.transformed(rot, shift)
     moved_plane = find_best_symmetry_plane(moved)
     assert moved_plane.error_score == pytest.approx(plane.error_score, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the exact mirror search
+
+
+def _nearest_brute(q, v):
+    """Distance from each row of q to its nearest row of v, by brute force."""
+    return np.sqrt(((q[:, None] - v[None]) ** 2).sum(axis=2)).min(axis=1)
+
+
+def _reference_symmetry_plane(mesh):
+    """The mirror search as a plain loop over the candidates, with
+    brute-force nearest-vertex distances."""
+    v = mesh.vertices
+    centroid = v.mean(axis=0)
+    axes = _principal_axes(v)
+    diag = max(aabb_of(mesh).diagonal, 1e-300)
+    best = None
+    for axis in axes:
+        along = v @ axis
+        extent = float(along.max() - along.min())
+        center_offset = float(centroid @ axis)
+        for frac in OFFSET_SWEEP:
+            offset = center_offset + float(frac) * extent
+            reflected = v - 2.0 * (along - offset)[:, None] * axis
+            score = float(_nearest_brute(reflected, v).mean()) / diag
+            if best is None or score < best.error_score:
+                best = SymmetryPlane(axis.copy(), offset, score)
+    return best
+
+
+def _assert_same_plane(mesh):
+    got = find_best_symmetry_plane(mesh)
+    want = _reference_symmetry_plane(mesh)
+    assert got.normal.tobytes() == want.normal.tobytes(), mesh.name
+    assert got.offset == want.offset, mesh.name
+    assert got.error_score == want.error_score, mesh.name
+
+
+def _rigid_motion(rng):
+    rotation, upper = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation *= np.sign(np.diag(upper))
+    if np.linalg.det(rotation) < 0:
+        rotation[:, 0] = -rotation[:, 0]
+    return rotation, rng.uniform(-50.0, 50.0, size=3)
+
+
+EXACTNESS_FIXTURES = {
+    "unit_cube": unit_cube, "wedge": wedge, "thin_plate": thin_plate,
+    "icosphere": icosphere, "l_bracket": l_bracket,
+    "asymmetric_blob": asymmetric_blob, "dumbbell": dumbbell,
+    "hollow_box": hollow_box,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_FIXTURES))
+def test_mirror_search_is_the_brute_force_search(name):
+    """Normal, offset and score equal the brute-force loop's bit for bit:
+    on the fixture, its halves and quarters as the baseline cuts them, and
+    10 random rigid motions of the fixture."""
+    mesh = EXACTNESS_FIXTURES[name]()
+    meshes = [mesh]
+    halves = _halve([mesh])
+    if halves is not None:
+        meshes += halves
+        meshes += _halve(halves) or []
+    rng = np.random.default_rng(sum(map(ord, name)))
+    meshes += [mesh.transformed(*_rigid_motion(rng)) for _ in range(10)]
+    for m in meshes:
+        _assert_same_plane(m)
+
+
+def _cloud(kind, rng):
+    if kind == "random":
+        return rng.normal(size=(300, 3)) * [30.0, 10.0, 5.0] + 100.0
+    if kind == "duplicates":
+        return np.repeat(rng.uniform(-5.0, 5.0, size=(40, 3)), 4, axis=0)
+    if kind == "flat":
+        return np.column_stack([rng.uniform(-20.0, 20.0, size=(200, 2)),
+                                np.full(200, 3.0)])
+    if kind == "collinear":
+        t = rng.uniform(-10.0, 10.0, size=150)
+        return np.column_stack([t, 2.0 * t, np.full(150, -1.0)])
+    if kind == "lattice":
+        return np.stack(np.meshgrid(*[np.arange(6) * 4.0] * 3),
+                        axis=-1).reshape(-1, 3)
+    return np.array([[1.0, 2.0, 3.0]])                   # "single"
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "flat", "collinear",
+                                  "lattice", "single"])
+def test_cell_grid_matches_brute_force(kind):
+    """Where the grid calls a distance exact it is the brute-force one bit
+    for bit, and its bounds hold: on the vertices, inside the box, near it
+    and far outside it."""
+    rng = np.random.default_rng(5)
+    v = _cloud(kind, rng)
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    size = max(float((hi - lo).max()), 1.0)
+    queries = np.concatenate([
+        v,
+        rng.uniform(lo, hi, size=(2000, 3)),
+        rng.uniform(lo - 0.2 * size, hi + 0.2 * size, size=(2000, 3)),
+        lo + rng.normal(size=(500, 3)) * 1000.0 * size,
+    ])
+    want = _nearest_brute(queries, v)
+    grid = _CellGrid(v)
+    points = np.ascontiguousarray(queries.T)
+    nearest, reach = grid.query(points)
+    hit = nearest <= reach
+    assert hit[:len(v)].all()                  # every vertex finds itself
+    assert (nearest[hit] == want[hit]).all()
+    assert (reach[~hit] <= want[~hit]).all()
+    assert (nearest >= want).all()
+    assert (grid.box_distance(points) <= want).all()
+    assert (grid.brute(points) == want).all()
+
+
+def test_scipy_is_not_imported():
+    code = ("import sys, parallelobox\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_env()).stdout
+    assert out.strip() == "[]"
+
+
+def test_decompose_runs_without_scipy(tmp_path):
+    model = tmp_path / "dumbbell.stl"
+    save_stl(dumbbell(), model)
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import parallelobox\n"
+            "from parallelobox.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "decompose", str(model), "--printers", "2",
+         "--granularity", "coarse", "--sample-tries", "1", "--baseline", "both",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
