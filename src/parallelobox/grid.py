@@ -212,20 +212,15 @@ class CellMeasures:
         """
         return range_sums(self.table, 0, self.dims, self.strides, lo, hi)
 
-    def box(self, lo, hi) -> tuple[float, float]:
-        """Solid volume and capped surface area of cells lo..hi inclusive.
+    def boxes(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Solid volume and capped surface area of each of the (k, 3) cell
+        ranges lo..hi inclusive, from one table read.
 
         The caps are the solid's cross-sections on the six box faces: on a
         max face the section of the box's own last layer, on a min face
-        that of the layer before it (none at the grid's edge).
+        that of the layer before it (none at the grid's edge).  The table
+        sums are exact, so each range reads the same as it would alone.
         """
-        volume, area = self.boxes([lo], [hi])
-        return float(volume[0]), float(area[0])
-
-    def boxes(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """The volumes and areas of :meth:`box` for each of the (k, 3)
-        ranges lo..hi, from one table read.  The table sums are exact, so
-        each equals that of the range read alone."""
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
         # Range 0 is the box, range 1 + f the layer of face f's cap, faces

@@ -7,15 +7,18 @@ vertex, normalized by the bounding-box diagonal, so 0 means a perfect
 mirror and the score is scale-free.
 
 The distances are exact, bit for bit those of a brute-force search.  They
-come from a uniform cell grid over the vertices (Bentley, Stanat and
+come from uniform cell grids over the vertices (Bentley, Stanat and
 Williams 1977, "The complexity of finding fixed-radius near neighbors"):
 each reflected vertex reads the 2x2x2 block of cells nearest to it, which
 answers it exactly when its nearest vertex there is no farther than the
-block's outside, and bounds its distance from below otherwise; the
-unanswered ones are brute-forced.  The bounds skip work: the centre
+block's outside, and bounds its distance from below otherwise.  Crowded
+blocks hand their points to a finer grid of their own vertices, and the
+unanswered points read grids of twice the cell side, one after another,
+or every vertex when they are few.  The bounds skip work: the centre
 offset with the least bound is answered in full first, and every
 candidate whose bounded distance sum exceeds that sum is dropped, first
-from a sample of its points, then from all of them.
+from a sample of its points, then from all of them, and again after each
+coarser grid.
 """
 from __future__ import annotations
 
@@ -104,10 +107,19 @@ _SAMPLES = 8
 #: A candidate is dropped when a lower bound of its distance sum exceeds
 #: the best centre sum by this relative margin, which covers rounding.
 _PRUNE_MARGIN = 1e-9
-#: Points per chunk of a grid query, and point-vertex pairs per chunk of a
-#: brute-force one: small enough to keep the temporaries in cache.
-_QUERY_POINTS = 1 << 12
-_BRUTE_PAIRS = 1 << 13
+#: Points located in one chunk of a grid query, and point-vertex pairs
+#: read in one chunk: enough to spread numpy's call overhead, few enough to
+#: keep the temporaries small.  A point whose block alone holds more pairs
+#: is read on its own.
+_CHUNK_POINTS = 1 << 14
+_CHUNK_PAIRS = 1 << 13
+#: Points that their blocks leave unanswered are compared with every
+#: vertex when that makes at most this many pairs, and read a coarser grid
+#: otherwise.
+_BRUTE_PAIRS = 1 << 16
+#: A block of a grid sized to its vertices is crowded when it holds more
+#: vertices than this; its points then read a finer grid of its vertices.
+_CROWDED = 64
 #: The 0/1 offsets, per axis, of the 8 cells of a block.
 _CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
                     dtype=np.float64)
@@ -116,30 +128,44 @@ _CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
 class _CellGrid:
     """Vertices bucketed into cubic cells, for exact nearest-vertex distances.
 
-    The cell side is sqrt(A / n), A the surface area of the vertices'
-    bounding box, grown by 1.25x until the blocks number at most
-    8n + 1000.  A block is 2x2x2 cells, its first cell from -1 (one cell
-    before the grid) to the last, and the block table lists, block after
-    block, the coordinates of the vertices in each: 8n entries, and one
-    sentinel at infinity that empty blocks read instead.  Points are
-    (3, m) arrays, one row per coordinate, so every sum runs over rows and
-    none over a length-3 axis.
+    A block is 2x2x2 cells, its first cell from -1 (one cell before the
+    grid) to the last, and the block table lists, block after block, the
+    indices of the vertices in each: 8n entries, and one sentinel, a
+    vertex at infinity, that empty blocks read instead.  A point reads the
+    block nearest to it.  Points and vertices are (3, m) arrays, one row
+    per coordinate, so every sum runs over rows and none over a length-3
+    axis.
+
+    Without a cell side ``h`` the grid is sized to its vertices: h is
+    sqrt(A / n), A the surface area of their bounding box, grown by 1.25x
+    until the blocks number at most 8n + 1000.  Such a grid hands the
+    points of its crowded blocks to a grid sized to the distinct vertices
+    of those blocks alone, if they are fewer or its cells at most half as
+    wide.  Points whose nearest vertex may lie outside their block read a
+    grid of twice the cell side, and so on up to one whose block holds
+    every vertex, unless they are few enough to be compared with every
+    vertex at once.
     """
 
-    def __init__(self, vertices: np.ndarray) -> None:
-        n = len(vertices)
-        self.lo = vertices.min(axis=0)[:, None]
-        self.hi = vertices.max(axis=0)[:, None]
+    def __init__(self, vertices: np.ndarray, h: float | None = None) -> None:
+        n = vertices.shape[1]
+        self.vertices = vertices
+        self.lo = vertices.min(axis=1)[:, None]
+        self.hi = vertices.max(axis=1)[:, None]
         ex, ey, ez = extent = (self.hi - self.lo)[:, 0].tolist()
-        h = float(np.sqrt(2.0 * (ex * ey + ey * ez + ez * ex) / n))
-        if not h > 0.0:     # collinear or coincident vertices
-            h = max(extent) / n or 1.0
+        sized = h is None
+        if h is None:
+            h = float(np.sqrt(2.0 * (ex * ey + ey * ez + ez * ex) / n))
+            if not h > 0.0:     # collinear or coincident vertices
+                h = max(extent) / n or 1.0
         while True:
             dims = [int(e // h) + 1 for e in extent]
-            if (dims[0] + 1) * (dims[1] + 1) * (dims[2] + 1) <= 8 * n + 1000:
+            if (not sized
+                    or (dims[0] + 1) * (dims[1] + 1) * (dims[2] + 1) <= 8 * n + 1000):
                 break
             h *= 1.25
         self.h = h
+        self.whole = max(dims) == 1         # every block holds every vertex
         self.last = np.array(dims, dtype=np.float64)[:, None] - 1.0
         # Flat index of a block from its first cell plus one, per axis.
         self.strides = np.array([[(dims[1] + 1) * (dims[2] + 1)],
@@ -148,20 +174,25 @@ class _CellGrid:
         # error outside its cell; distances to a block's outside are
         # shortened by this much.
         self.slack = 1e-10 * (float(np.abs(self.lo).max()) + max(extent) + h)
-        self.vertices = np.ascontiguousarray(vertices.T)
         # The blocks holding a vertex start at its cell or the one before,
         # on each axis.
-        cell = np.minimum(np.floor((self.vertices - self.lo) / h), self.last)
-        own = self._block(cell - 1.0)
+        cell = np.minimum(np.floor((vertices - self.lo) / h), self.last)
         corners = (_CORNERS @ self.strides).astype(np.int64)
-        blocks = (own[None, :] + corners).ravel()
-        order = np.argsort(blocks, kind="stable")
-        self.table = np.concatenate(
-            [self.vertices[:, order % n], np.full((3, 1), np.inf)], axis=1)
+        blocks = (self._block(cell - 1.0)[None, :] + corners).ravel()
+        order = np.argsort(blocks, kind="stable") % n
+        self.table = np.append(order, n)
         self.sentinel = 8 * n
-        count = (dims[0] + 1) * (dims[1] + 1) * (dims[2] + 1)
-        self.starts = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(blocks, minlength=count), out=self.starts[1:])
+        self.coords = np.concatenate([vertices, np.full((3, 1), np.inf)], axis=1)
+        counts = np.bincount(
+            blocks, minlength=(dims[0] + 1) * (dims[1] + 1) * (dims[2] + 1))
+        self.starts = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.starts[1:])
+        self._coarser: _CellGrid | None = None
+        self._crowd: _CellGrid | None = None
+        self.crowded = None
+        if sized and counts.max() > _CROWDED:
+            self.crowded = counts > _CROWDED
+            self._crowd_members = np.unique(order[np.repeat(self.crowded, counts)])
 
     def _block(self, first: np.ndarray) -> np.ndarray:
         """Flat index of the blocks whose first cells are these (3, m)."""
@@ -183,24 +214,26 @@ class _CellGrid:
             d2 += out
         return np.sqrt(d2, out=d2)
 
-    def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def search(self, points: np.ndarray,
+               climb: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """(nearest, reach) of each of the (3, m) points.
 
-        Each point reads the block of cells nearest to it.  ``nearest`` is
-        the distance to the nearest vertex in the block (inf when it holds
-        none), ``reach`` a lower bound of the distance to every vertex
-        outside it.  Where nearest <= reach, nearest is the point's
-        distance to the nearest vertex; elsewhere reach bounds it from below.
+        ``nearest`` is the distance to the nearest vertex the point read,
+        ``reach`` a lower bound of its distance to every vertex it did not
+        read; where nearest <= reach, nearest is the exact distance to the
+        nearest vertex, and elsewhere reach bounds it from below.  With
+        ``climb`` every point reads on until it is exact.  Exact distances
+        are bit for bit those of a brute-force search: both take one
+        square root of the same least sum (dx*dx + dy*dy) + dz*dz.
         """
         m = points.shape[1]
-        nearest = np.empty(m)
-        reach = np.empty(m)
-        for i in range(0, m, _QUERY_POINTS):
-            part = slice(i, i + _QUERY_POINTS)
-            nearest[part], reach[part] = self._query(points[:, part])
-        return nearest, reach
-
-    def _query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if m > _CHUNK_POINTS:
+            nearest = np.empty(m)
+            reach = np.empty(m)
+            for i in range(0, m, _CHUNK_POINTS):
+                part = slice(i, i + _CHUNK_POINTS)
+                nearest[part], reach[part] = self.search(points[:, part], climb)
+            return nearest, reach
         cell = points - self.lo
         cell /= self.h
         first = cell - 0.5
@@ -223,31 +256,56 @@ class _CellGrid:
         block = self._block(first)
         begin = self.starts[block]
         counts = self.starts[block + 1] - begin
-        # An empty block reads the sentinel, at infinity.
+        crowded = None if self.crowded is None else self.crowded[block]
+        if crowded is not None and crowded.any() and self._crowd is None:
+            members = self._crowd_members
+            crowd = _CellGrid(np.unique(self.vertices[:, members], axis=1))
+            if crowd.vertices.shape[1] < len(members) or crowd.h <= 0.5 * self.h:
+                self._crowd = crowd
+            else:
+                self.crowded = crowded = None
         empty = counts == 0
         begin[empty] = self.sentinel
         counts[empty] = 1
-        ends = np.cumsum(counts)
-        lead = ends - counts                    # each point's first pair
-        pick = np.repeat(begin - lead, counts)
-        pick += np.arange(ends[-1])
-        owner = np.repeat(np.arange(len(counts)), counts)
-        d2 = self.table[0][pick]
-        d2 -= points[0][owner]
-        d2 *= d2
-        for k in (1, 2):
-            d = self.table[k][pick]
-            d -= points[k][owner]
-            d *= d
-            d2 += d
-        nearest = np.minimum.reduceat(d2, lead)
-        np.sqrt(nearest, out=nearest)
+        if crowded is None or not crowded.any():
+            nearest = self._read(points, begin, counts)
+        else:
+            nearest = np.empty(m)
+            rest = ~crowded
+            nearest[rest] = self._read(points[:, rest], begin[rest], counts[rest])
+            # Every vertex of a crowded block is in the crowd grid, so the
+            # vertices that grid leaves unread lie beyond its reach or
+            # outside the block.
+            near, far = self._crowd.search(points[:, crowded])
+            nearest[crowded] = near
+            np.minimum(reach[crowded], far, out=far)
+            reach[crowded] = far
+        if climb and not self.whole:
+            miss = np.flatnonzero(nearest > reach)
+            if len(miss):
+                nearest[miss] = self.beyond(points[:, miss])
+                reach[miss] = np.inf
         return nearest, reach
 
+    def coarser(self) -> _CellGrid:
+        """The grid of the same vertices with twice the cell side."""
+        if self._coarser is None:
+            self._coarser = _CellGrid(self.vertices, 2.0 * self.h)
+        return self._coarser
+
+    def beyond(self, points: np.ndarray) -> np.ndarray:
+        """Exact nearest-vertex distance of each of the (3, m) points, for
+        points that their blocks here leave unanswered."""
+        if points.shape[1] * self.vertices.shape[1] > _BRUTE_PAIRS:
+            return self.coarser().search(points)[0]
+        return self.brute(points)
+
     def brute(self, points: np.ndarray) -> np.ndarray:
-        """Exact nearest-vertex distance of each point, against every vertex."""
+        """Exact nearest-vertex distance of each of the (3, m) points,
+        against every vertex."""
+        n = self.vertices.shape[1]
         out = np.empty(points.shape[1])
-        step = max(1, _BRUTE_PAIRS // self.vertices.shape[1])
+        step = max(1, _CHUNK_PAIRS // n)
         for i in range(0, len(out), step):
             part = slice(i, i + step)
             d2 = np.subtract.outer(points[0, part], self.vertices[0])
@@ -260,14 +318,48 @@ class _CellGrid:
             out[part] = np.sqrt(d2.min(axis=1))
         return out
 
+    def _read(self, points: np.ndarray, begin: np.ndarray,
+              counts: np.ndarray) -> np.ndarray:
+        """Least distance from each of the (3, m) points to its ``counts``
+        table entries from ``begin``, read about _CHUNK_PAIRS pairs at a
+        time."""
+        out = np.empty(len(counts))
+        ends = np.cumsum(counts)
+        i = 0
+        while i < len(counts):
+            j = max(i + 1, int(np.searchsorted(
+                ends, ends[i] - counts[i] + _CHUNK_PAIRS, side="right")))
+            out[i:j] = self._pairs(points[:, i:j], begin[i:j], counts[i:j])
+            i = j
+        return out
+
+    def _pairs(self, points: np.ndarray, begin: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+        ends = np.cumsum(counts)
+        lead = ends - counts                    # each point's first pair
+        pick = np.repeat(begin - lead, counts)
+        pick += np.arange(ends[-1])
+        owner = np.repeat(np.arange(len(counts)), counts)
+        entry = self.table[pick]
+        d2 = self.coords[0][entry]
+        d2 -= points[0][owner]
+        d2 *= d2
+        for k in (1, 2):
+            d = self.coords[k][entry]
+            d -= points[k][owner]
+            d *= d
+            d2 += d
+        nearest = np.minimum.reduceat(d2, lead)
+        return np.sqrt(nearest, out=nearest)
+
 
 def find_best_symmetry_plane(mesh: TriangleMesh) -> SymmetryPlane:
     """Best mirror among 3 principal axes x 5 offsets (+-10% of the extent).
 
     Ties keep the first candidate, axes in order and offsets ascending.
-    Distances come from a :class:`_CellGrid` and are exact; a candidate
-    whose distance sum provably exceeds that of the best centre offset is
-    dropped before it is read in full.
+    The distances come from a :class:`_CellGrid` of the vertices and are
+    exact; a candidate whose distance sum provably exceeds that of
+    the best centre offset is dropped before it is read in full.
     """
     v = mesh.vertices
     n = len(v)
@@ -291,25 +383,18 @@ def find_best_symmetry_plane(mesh: TriangleMesh) -> SymmetryPlane:
     for k in range(3):
         np.multiply(shift, normals[k][:, None], out=points[k])
         np.subtract(v[:, k], points[k], out=points[k])
-    grid = _CellGrid(v)
+    grid = _CellGrid(np.ascontiguousarray(v.T))
 
     # A lower bound of each distance until it is made exact.
     dist = grid.box_distance(points)
     exact = np.zeros(dist.shape, dtype=bool)
 
-    def query(mask: np.ndarray) -> None:
+    def query(level: _CellGrid, mask: np.ndarray) -> None:
         if mask.any():
-            nearest, reach = grid.query(points[:, mask])
+            nearest, reach = level.search(points[:, mask], climb=False)
             hit = nearest <= reach
             exact[mask] = hit
             dist[mask] = np.where(hit, nearest, np.maximum(reach, dist[mask]))
-
-    def settle(rows: np.ndarray) -> None:
-        """Make every distance of the rows exact."""
-        miss = rows[:, None] & ~exact
-        if miss.any():
-            dist[miss] = grid.brute(points[:, miss])
-            exact[miss] = True
 
     # Pass 1: every point of the centre offsets and a sample of the other
     # candidates.  The exact sum of the centre offset with the least bound
@@ -319,15 +404,28 @@ def find_best_symmetry_plane(mesh: TriangleMesh) -> SymmetryPlane:
     sampled = np.zeros(dist.shape, dtype=bool)
     sampled[:, ::-(-n // _SAMPLES)] = True
     sampled[centre] = True
-    query(sampled)
+    query(grid, sampled)
     lead = int(np.argmin(np.where(centre, dist.sum(axis=1), np.inf)))
-    settle(np.arange(len(planes)) == lead)
+    miss = (np.arange(len(planes)) == lead)[:, None] & ~exact
+    if miss.any():
+        dist[miss] = grid.beyond(points[:, miss])
+        exact[miss] = True
     limit = float(dist[lead].sum()) * (1.0 + _PRUNE_MARGIN)
     alive = dist.sum(axis=1) <= limit
-    # Pass 2: the other points of the candidates left.
-    query(alive[:, None] & ~sampled)
-    alive &= dist.sum(axis=1) <= limit
-    settle(alive)
+    # Pass 2: the other points of the candidates left, then the points
+    # still unanswered on ever coarser grids, dropping candidates as their
+    # bounds grow.  Few enough are compared with every vertex.
+    level = grid
+    todo = alive[:, None] & ~sampled
+    while True:
+        query(level, todo)
+        alive &= dist.sum(axis=1) <= limit
+        todo = alive[:, None] & ~exact
+        if np.count_nonzero(todo) * n <= _BRUTE_PAIRS:
+            dist[todo] = grid.brute(points[:, todo])
+            exact[todo] = True
+            break
+        level = level.coarser()
 
     best: SymmetryPlane | None = None
     for c in np.flatnonzero(alive):

@@ -161,7 +161,8 @@ def test_table_sums_equal_slice_sums(name, granularity):
         a, b = rng.integers(0, dims), rng.integers(0, dims)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         ranges.append((lo, hi))
-        alone.append(meas.box(lo, hi))
+        volume, area = meas.boxes([lo], [hi])
+        alone.append((float(volume[0]), float(area[0])))
         sl = (slice(None),) + tuple(slice(x, y + 1) for x, y in zip(lo, hi))
         want = channels[sl].reshape(N_CHANNELS, -1).sum(axis=1)
         got = meas.sums(lo, hi)

@@ -13,6 +13,7 @@ from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
 from parallelobox.mesh import (TriangleMesh, aabb_of, measure, save_stl,
                                triangle_areas, triangle_normals)
 from parallelobox.meta import PrinterProfile, RunPlan, _halve, prepare_model
+from parallelobox import preprocess
 from parallelobox.preprocess import (OFFSET_SWEEP, SYMMETRY_THRESHOLD,
                                      SymmetryPlane, _CellGrid,
                                      _principal_axes, find_best_symmetry_plane,
@@ -186,8 +187,12 @@ def test_symmetry_error_rigid_invariance():
 
 
 def _nearest_brute(q, v):
-    """Distance from each row of q to its nearest row of v, by brute force."""
-    return np.sqrt(((q[:, None] - v[None]) ** 2).sum(axis=2)).min(axis=1)
+    """Distance from each row of q to its nearest row of v, by brute force,
+    a few hundred thousand pairs at a time."""
+    parts = min(len(q), 1 + len(q) * len(v) // 200_000)
+    return np.concatenate([
+        np.sqrt(((part[:, None] - v[None]) ** 2).sum(axis=2)).min(axis=1)
+        for part in np.array_split(q, parts)])
 
 
 def _reference_symmetry_plane(mesh):
@@ -238,8 +243,9 @@ EXACTNESS_FIXTURES = {
 @pytest.mark.parametrize("name", sorted(EXACTNESS_FIXTURES))
 def test_mirror_search_is_the_brute_force_search(name):
     """Normal, offset and score equal the brute-force loop's bit for bit:
-    on the fixture, its halves and quarters as the baseline cuts them, and
-    10 random rigid motions of the fixture."""
+    on the fixture, its halves and quarters as the baseline cuts them, 10
+    random rigid motions of the fixture, and 3 copies with every vertex
+    moved at random by about 1e-3 of the bounding-box diagonal."""
     mesh = EXACTNESS_FIXTURES[name]()
     meshes = [mesh]
     halves = _halve([mesh])
@@ -248,6 +254,9 @@ def test_mirror_search_is_the_brute_force_search(name):
         meshes += _halve(halves) or []
     rng = np.random.default_rng(sum(map(ord, name)))
     meshes += [mesh.transformed(*_rigid_motion(rng)) for _ in range(10)]
+    jitter = 1e-3 * aabb_of(mesh).diagonal
+    meshes += [TriangleMesh(mesh.vertices + rng.normal(size=mesh.vertices.shape) * jitter,
+                            mesh.triangles, mesh.name) for _ in range(3)]
     for m in meshes:
         _assert_same_plane(m)
 
@@ -272,9 +281,9 @@ def _cloud(kind, rng):
 @pytest.mark.parametrize("kind", ["random", "duplicates", "flat", "collinear",
                                   "lattice", "single"])
 def test_cell_grid_matches_brute_force(kind):
-    """Where the grid calls a distance exact it is the brute-force one bit
-    for bit, and its bounds hold: on the vertices, inside the box, near it
-    and far outside it."""
+    """Where one grid calls a distance exact it is the brute-force one bit
+    for bit, and its bounds hold; climbing, every distance is exact: on the
+    vertices, inside the box, near it and far outside it."""
     rng = np.random.default_rng(5)
     v = _cloud(kind, rng)
     lo, hi = v.min(axis=0), v.max(axis=0)
@@ -286,9 +295,9 @@ def test_cell_grid_matches_brute_force(kind):
         lo + rng.normal(size=(500, 3)) * 1000.0 * size,
     ])
     want = _nearest_brute(queries, v)
-    grid = _CellGrid(v)
+    grid = _CellGrid(np.ascontiguousarray(v.T))
     points = np.ascontiguousarray(queries.T)
-    nearest, reach = grid.query(points)
+    nearest, reach = grid.search(points, climb=False)
     hit = nearest <= reach
     assert hit[:len(v)].all()                  # every vertex finds itself
     assert (nearest[hit] == want[hit]).all()
@@ -296,6 +305,68 @@ def test_cell_grid_matches_brute_force(kind):
     assert (nearest >= want).all()
     assert (grid.box_distance(points) <= want).all()
     assert (grid.brute(points) == want).all()
+    assert (grid.search(points)[0] == want).all()
+    coarser = grid.coarser()
+    nearest, reach = coarser.search(points, climb=False)
+    hit = nearest <= reach
+    assert (nearest[hit] == want[hit]).all()
+    assert (reach[~hit] <= want[~hit]).all()
+
+
+def test_crowded_cloud_reads_bounded_chunks(monkeypatch):
+    """A dense clump of near-duplicate and duplicate vertices on a sparse
+    plate, ringed by single vertices: every distance stays exact, also
+    where a ring vertex outside a crowded block is nearer than the clump,
+    the clump's points read a finer grid of its distinct vertices, and no
+    chunk reads more than the pair cap unless it is one point's block.
+    The points are located a thousand at a time."""
+    rng = np.random.default_rng(11)
+    plate = np.stack(np.meshgrid(np.linspace(0.0, 100.0, 11),
+                                 np.linspace(0.0, 100.0, 11), [0.0, 10.0]),
+                     axis=-1).reshape(-1, 3)
+    clump = np.array([50.0, 50.0, 10.0]) + rng.normal(size=(3000, 3)) * 1e-3
+    ring = rng.normal(size=(200, 3))
+    ring = np.array([50.0, 50.0, 10.0]) + 3.0 * ring / np.linalg.norm(
+        ring, axis=1)[:, None]
+    v = np.concatenate([plate, clump, np.repeat(clump[:500], 3, axis=0), ring])
+    queries = np.concatenate([
+        v,
+        ring + rng.normal(size=ring.shape) * 0.3,
+        np.array([50.0, 50.0, 10.0]) + rng.normal(size=(3000, 3)) * 2e-3,
+        np.array([50.0, 50.0, 10.0]) + rng.normal(size=(500, 3)) * 3.0,
+        rng.uniform([-20.0, -20.0, -5.0], [120.0, 120.0, 15.0], size=(2000, 3)),
+    ])
+    chunks = []
+    pairs = _CellGrid._pairs
+
+    def counted(self, points, begin, counts):
+        chunks.append((len(counts), int(counts.sum())))
+        return pairs(self, points, begin, counts)
+
+    monkeypatch.setattr(_CellGrid, "_pairs", counted)
+    monkeypatch.setattr(preprocess, "_CHUNK_POINTS", 1000)
+    grid = _CellGrid(np.ascontiguousarray(v.T))
+    nearest, reach = grid.search(np.ascontiguousarray(queries.T))
+    assert (nearest == _nearest_brute(queries, v)).all()
+    assert (nearest <= reach).all()
+    crowd = grid._crowd.vertices                     # duplicates held once
+    assert crowd.shape[1] == np.unique(crowd, axis=1).shape[1] <= 3000 + len(ring)
+    assert all(total <= preprocess._CHUNK_PAIRS or points == 1
+               for points, total in chunks)
+
+
+def test_far_points_climb_coarser_grids():
+    """Points far from a large cloud are answered exactly by coarser grids,
+    not by comparing them with every vertex."""
+    rng = np.random.default_rng(3)
+    direction = rng.normal(size=(8000, 3))
+    v = 50.0 * direction / np.linalg.norm(direction, axis=1)[:, None]
+    queries = rng.normal(size=(200, 3)) * 40.0
+    grid = _CellGrid(np.ascontiguousarray(v.T))
+    assert len(queries) * len(v) > preprocess._BRUTE_PAIRS
+    nearest = grid.search(np.ascontiguousarray(queries.T))[0]
+    assert grid._coarser is not None
+    assert (nearest == _nearest_brute(queries, v)).all()
 
 
 def test_scipy_is_not_imported():
