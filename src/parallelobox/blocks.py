@@ -1,8 +1,8 @@
 """Seed blocks and objective-driven box growth.
 
 Blocks are axis-aligned cell ranges that compete to cover the solid.  Each
-growth step scores every (block, direction) pair and applies the cheapest
-positive option.  The cost of growing block M into M' is
+growth step applies the cheapest positive (block, direction) option.  The
+cost of growing block M into M' is
 
     cost = (P(M') + overhang_weight * O(M')) / max(S_prox(M'), proximity_floor)
 
@@ -15,9 +15,13 @@ bumping into owned cells) score -1 and are never applied.
 A search grows many independent problems, one per (seed count, retry)
 iteration and piece of the model.  :class:`GrowthState` holds them all,
 padded to the largest block count, and :func:`grow_blocks` steps them in
-lockstep: one numpy pass scores every option of every active problem, and
-each problem then picks its own move exactly as a serial loop over its
-options would.  Every sum is read in O(1) from the summed-volume table of
+lockstep: each pass scores every option of every active problem, and each
+problem then picks its own move exactly as a serial loop over its options
+would.  The state keeps every option's layer, grown box, sums, score
+numerator, proximity and allowed flag, and a move rereads only what it can
+change (:meth:`GrowthState.rescore`): the moved block's six options, and
+the ownership and proximity of the other blocks' options, which a move can
+only worsen.  Every sum is read in O(1) from the summed-volume table of
 its piece's :class:`~parallelobox.grid.CellMeasures`, whose sums are
 exact, so scores are bit-identical to a loop summing slices; the tables of
 all pieces are joined into one, which each problem reads from its own
@@ -83,9 +87,9 @@ def fits_printer(physical_dims, printer_dims):
     ``physical_dims`` may hold a stack of extents along its last axis; the
     answer then has its leading shape.
     """
-    return np.all(np.sort(np.asarray(physical_dims, dtype=np.float64), axis=-1)
-                  <= np.sort(np.asarray(printer_dims, dtype=np.float64)) + 1e-9,
-                  axis=-1)
+    return (np.sort(np.asarray(physical_dims, dtype=np.float64), axis=-1)
+            <= np.sort(np.asarray(printer_dims, dtype=np.float64)) + 1e-9
+            ).all(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +109,12 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
         else:
             centers[i] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+    x, y, z = (np.ascontiguousarray(c)[:, None] for c in points.T)
     for _ in range(max_iter):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        # Squared distances summed per coordinate in the order of
+        # ``.sum(axis=2)`` over the coordinates.
+        dx, dy, dz = x - centers[:, 0], y - centers[:, 1], z - centers[:, 2]
+        dists = (dx * dx + dy * dy) + dz * dz
         assign = dists.argmin(axis=1)
         # Per-cluster coordinate sums, each accumulated in point order as a
         # row sum of the members would be.
@@ -118,7 +126,11 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
         if starved.any():
             # Re-seed a starved cluster at the point farthest from its center.
             new[starved] = points[int(dists.min(axis=1).argmax())]
-        moved = max(float(np.linalg.norm(d)) for d in new - centers)
+        step = new - centers
+        moved = float(np.sqrt((step * step).sum(axis=1)).max())
+        if abs(moved - tol) <= 1e-9 * tol:
+            # Too close to call up to rounding: take the per-center norms.
+            moved = max(float(np.linalg.norm(d)) for d in step)
         centers = new
         if moved < tol:
             break
@@ -161,14 +173,28 @@ def select_seed_blocks(grid: Grid, mesh: TriangleMesh, k: int,
 # ---------------------------------------------------------------------------
 # growth
 
-def _layers(lo: np.ndarray, hi: np.ndarray,
-            directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive cell range of the one-cell layer beyond the face of the
-    box [lo, hi] that each direction leaves through; the arguments
-    broadcast.  A layer beyond the grid edge reads -1 or dims on its
-    axis."""
-    return (np.where(directions > 0, hi + 1, lo + np.minimum(directions, 0)),
-            np.where(directions < 0, lo - 1, hi + np.maximum(directions, 0)))
+_POSITIVE, _NEGATIVE = DIRECTIONS > 0, DIRECTIONS < 0
+
+
+def _layers(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive cell range of the one-cell layer beyond each face of the
+    box [lo, hi], in DIRECTIONS order along the second to last axis.  A
+    layer beyond the grid edge reads -1 or dims on its axis."""
+    return (np.where(_POSITIVE, hi, lo) + DIRECTIONS,
+            np.where(_NEGATIVE, lo, hi) + DIRECTIONS)
+
+
+def _gap(lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray,
+         other_hi: np.ndarray) -> np.ndarray:
+    """L1 gap in grid units between the boxes [lo, hi] and [other_lo,
+    other_hi]: the distance of their centroids less their half extents,
+    summed over the axes, an integer; the arguments broadcast.
+
+    On an axis, the centroid distance less the half extents is the signed
+    distance between the near faces, the larger of other_lo - (hi + 1) and
+    lo - (other_hi + 1).
+    """
+    return np.maximum(other_lo - hi, lo - other_hi).sum(axis=-1) - 3
 
 
 class GrowthState:
@@ -178,15 +204,22 @@ class GrowthState:
     disjoint solid cells, on a grid of cells of side ``cell_sizes[p]``,
     scored from ``measures[p]``; the grown boxes keep disjoint solid cells.
     Problems on one piece share its measures and classification; a model
-    cut in two grows the problems of both pieces in one state.  The summed-volume tables of the
-    distinct measures are joined into one ``table``, and problem p reads
-    its own from row ``base[p]`` on, with its own ``dims``, ``strides`` and
-    ``cell_size``.  Per-block arrays are (n, K, ...), K the largest block
-    count; ``real`` marks the slots that hold a block, and each block's
-    ``lo`` and ``hi`` are views of its rows in ``self.lo`` and ``self.hi``.
-    ``sums`` holds every channel of the measures summed over each block's
-    box.  Per problem, ``moves`` counts the moves made and ``active`` says
-    whether it is still growing.
+    cut in two grows the problems of both pieces in one state.  The
+    summed-volume tables of the distinct measures are joined into one
+    ``table``, and problem p reads its own from row ``base[p]`` on, with its
+    own ``dims``, ``strides`` and ``cell_size``.  Per-block arrays are
+    (n, K, ...), K the largest block count; ``real`` marks the slots that
+    hold a block, and each block's ``lo`` and ``hi`` are views of its rows
+    in ``self.lo`` and ``self.hi``.  ``sums`` holds every channel of the
+    measures summed over each block's box.  Per problem, ``moves`` counts
+    the moves made and ``active`` says whether it is still growing.
+
+    Per option, (n, K, 6, ...) arrays in DIRECTIONS order cache the layer a
+    move would add (``layer_lo``, ``layer_hi``), the grown box (``grown_lo``,
+    ``grown_hi``), the layer's sums (``layer_sums``), the score's numerator
+    P + overhang_weight * O, its denominator (the proximity, at least the
+    floor) and whether the move is ``allowed``.  They are built here and,
+    after each move, by :meth:`rescore`.
     """
 
     def __init__(self, cell_sizes: list[float], measures: list[CellMeasures],
@@ -222,6 +255,15 @@ class GrowthState:
         self.sums = np.where(self.real[..., None],
                              self.range_sums(np.arange(n)[:, None],
                                              self.lo, self.hi), 0.0)
+        self.layer_lo = np.zeros((n, k, 6, 3), dtype=np.int64)
+        self.layer_hi = np.zeros((n, k, 6, 3), dtype=np.int64)
+        self.grown_lo = np.zeros((n, k, 6, 3), dtype=np.int64)
+        self.grown_hi = np.zeros((n, k, 6, 3), dtype=np.int64)
+        self.layer_sums = np.zeros((n, k, 6, N_CHANNELS))
+        self.numerator = np.zeros((n, k, 6))
+        self.denominator = np.ones((n, k, 6))
+        self.allowed = np.zeros((n, k, 6), dtype=bool)
+        self.rescore(*np.nonzero(self.real))
         self.moves = np.zeros(n, dtype=np.int64)
         self.active = self.unassigned > 0
 
@@ -236,6 +278,89 @@ class GrowthState:
         """Boundary cells no block owns, per problem."""
         return (self.boundary - self.sums[..., BOUNDARY].sum(axis=1)).astype(np.int64)
 
+    def rescore(self, rows: np.ndarray, index: np.ndarray,
+                added_lo: np.ndarray | None = None,
+                added_hi: np.ndarray | None = None) -> None:
+        """Cache the six options of block index[m] of problem rows[m] from
+        its box, and, given the layer [added_lo[m], added_hi[m]] that block
+        has just grown by, update the other blocks' options of the problem.
+
+        A block's move only worsens the other blocks' options: their
+        layers, grown boxes and sums stay, owned cells only appear (in the
+        added layer), and the gap to the grown box only shrinks.  So an
+        allowed option is forbidden once its layer holds solid cells of the
+        added layer, and its proximity becomes the lesser of the cached one
+        and its gap to the grown box.  All sums come from one table read.
+        """
+        params = self.params
+        lo, hi = self.lo[rows, index][:, None], self.hi[rows, index][:, None]
+        others = self.others[rows, index]
+        layer_lo, layer_hi = _layers(lo, hi)
+        grown_lo = np.minimum(lo, layer_lo)
+        grown_hi = np.maximum(hi, layer_hi)
+        fits = fits_printer((grown_hi - grown_lo + 1)
+                            * self.cell_size[rows][:, None, None],
+                            params.printer_dims)
+        # A block owns every solid cell of its box, so the owned cells of a
+        # layer are the solid cells of its overlaps with the other boxes;
+        # only layers that fit the printer and the boxes they meet are read.
+        box_lo, box_hi = self.lo[rows][:, None], self.hi[rows][:, None]
+        overlap_lo = np.maximum(layer_lo[:, :, None], box_lo)
+        overlap_hi = np.minimum(layer_hi[:, :, None], box_hi)
+        meets = ((overlap_lo <= overlap_hi).all(axis=-1) & fits[..., None]
+                 & others[:, None])
+        read_rows = [np.repeat(rows, 6), rows[np.nonzero(meets)[0]]]
+        read_lo = [layer_lo.reshape(-1, 3), overlap_lo[meets]]
+        read_hi = [layer_hi.reshape(-1, 3), overlap_hi[meets]]
+        if added_lo is not None:
+            # The allowed options of the other blocks whose layers meet
+            # the added layers.
+            hit_lo = np.maximum(self.layer_lo[rows], added_lo[:, None, None])
+            hit_hi = np.minimum(self.layer_hi[rows], added_hi[:, None, None])
+            hit = ((hit_lo <= hit_hi).all(axis=-1) & self.allowed[rows]
+                   & others[..., None])
+            hit_m, hit_j, hit_d = np.nonzero(hit)
+            read_rows.append(rows[hit_m])
+            read_lo.append(hit_lo[hit])
+            read_hi.append(hit_hi[hit])
+        sums = self.range_sums(np.concatenate(read_rows),
+                               np.concatenate(read_lo), np.concatenate(read_hi))
+        layer_end = 6 * len(rows)
+        meets_end = layer_end + len(read_rows[1])
+        layer = sums[:layer_end].reshape(-1, 6, N_CHANNELS)
+        owned = np.zeros(meets.shape, dtype=bool)
+        owned[meets] = sums[layer_end:meets_end, SOLID] > 0
+        grown = self.sums[rows, index][:, None] + layer
+        p_score = print_score(grown[..., VOLUME], grown[..., AREA], params)
+        o_score = grown[..., OVERHANG].min(axis=-1)
+        prox = np.where(others[:, None],
+                        _gap(grown_lo[:, :, None], grown_hi[:, :, None],
+                             box_lo, box_hi),
+                        np.inf).min(axis=-1, initial=np.inf)
+        # A single block has no neighbour: proximity is moot.
+        prox = np.where(np.isfinite(prox), prox, params.proximity_floor)
+        self.layer_lo[rows, index] = layer_lo
+        self.layer_hi[rows, index] = layer_hi
+        self.grown_lo[rows, index] = grown_lo
+        self.grown_hi[rows, index] = grown_hi
+        self.layer_sums[rows, index] = layer
+        self.numerator[rows, index] = p_score + params.overhang_weight * o_score
+        self.denominator[rows, index] = np.maximum(prox, params.proximity_floor)
+        self.allowed[rows, index] = (fits & (layer[..., SOLID] > 0)
+                                     & ~owned.any(axis=-1))
+        if added_lo is None:
+            return
+        owned = sums[meets_end:, SOLID] > 0
+        self.allowed[rows[hit_m[owned]], hit_j[owned], hit_d[owned]] = False
+        # Each axis term of the gap to a box grown by one layer moves by 0
+        # or -1, so the new gap is never the larger.
+        gap = _gap(self.grown_lo[rows], self.grown_hi[rows], lo[:, None],
+                   hi[:, None])
+        self.denominator[rows] = np.minimum(
+            self.denominator[rows],
+            np.where(others[..., None],
+                     np.maximum(gap, params.proximity_floor), np.inf))
+
 
 def score_growth(state: GrowthState, problems=None) -> np.ndarray:
     """Score every (block, direction) option of some problems at once.
@@ -243,99 +368,88 @@ def score_growth(state: GrowthState, problems=None) -> np.ndarray:
     ``problems`` indexes the state's problems (default: all).  Returns a
     (len(problems), K, 6) array, blocks in ``state.blocks`` order and
     directions in DIRECTIONS order; -1 encodes a hard constraint failure
-    or an empty block slot.
+    or an empty block slot.  The scores are the state's cached numerators
+    over its cached denominators.
     """
-    problems = (np.arange(len(state.blocks)) if problems is None
-                else np.asarray(problems))
-    params = state.params
-    lo, hi, real = state.lo[problems], state.hi[problems], state.real[problems]
-    rows = problems[:, None, None]
-    layer_lo, layer_hi = _layers(lo[:, :, None], hi[:, :, None], DIRECTIONS)
-    new_lo = np.minimum(lo[:, :, None], layer_lo)
-    new_hi = np.maximum(hi[:, :, None], layer_hi)
-    extent = new_hi - new_lo + 1
-    layer = state.range_sums(rows, layer_lo, layer_hi)  # 0 beyond the grid
-    allowed = (real[:, :, None] & (layer[..., SOLID] > 0)
-               & fits_printer(extent * state.cell_size[rows][..., None],
-                              params.printer_dims))
-    # A block owns every solid cell of its box, so the owned cells of a
-    # layer are the solid cells of its overlaps with the other boxes; only
-    # allowed layers and the boxes they meet are queried.
-    overlap_lo = np.maximum(layer_lo[:, :, :, None], lo[:, None, None])
-    overlap_hi = np.minimum(layer_hi[:, :, :, None], hi[:, None, None])
-    meets = ((overlap_lo <= overlap_hi).all(axis=-1) & allowed[..., None]
-             & real[:, None, None])
-    owned = np.zeros(meets.shape, dtype=bool)
-    owned[meets] = state.range_sums(problems[np.nonzero(meets)[0]],
-                                    overlap_lo[meets],
-                                    overlap_hi[meets])[:, SOLID] > 0
-    allowed &= ~owned.any(axis=-1)
-
-    grown = state.sums[problems][:, :, None] + layer
-    p_score = print_score(grown[..., VOLUME], grown[..., AREA], params)
-    o_score = grown[..., OVERHANG].min(axis=-1)
-
-    # L1 box gap of each grown block to every other block, in grid units:
-    # half of an integer (twice the centroid distance less the extents).
-    twice_gap = (np.abs((new_lo + new_hi)[:, :, :, None]
-                        - (lo + hi)[:, None, None]).sum(axis=-1)
-                 - (extent.sum(axis=-1)[..., None]
-                    + (hi - lo + 1).sum(axis=-1)[:, None, None]))
-    prox = np.where(state.others[problems][:, :, None], 0.5 * twice_gap,
-                    np.inf).min(axis=-1, initial=np.inf)
-    # A single block has no neighbour: proximity is moot.
-    prox = np.where(np.isfinite(prox), prox, params.proximity_floor)
-    denom = np.maximum(prox, params.proximity_floor)
-    score = (p_score + params.overhang_weight * o_score) / denom
-    return np.where(allowed, score, -1.0)
+    if problems is None:
+        problems = slice(None)
+    return np.where(state.allowed[problems],
+                    state.numerator[problems] / state.denominator[problems],
+                    -1.0)
 
 
 def _apply(state: GrowthState, rows: np.ndarray, index: np.ndarray,
            direction: np.ndarray) -> None:
     """Grow block index[m] of problem rows[m] one layer along
     direction[m]; the layers hold no owned cell."""
-    lo, hi = state.lo[rows, index], state.hi[rows, index]
-    layer_lo, layer_hi = _layers(lo, hi, DIRECTIONS[direction])
-    state.sums[rows, index] += state.range_sums(rows, layer_lo, layer_hi)
-    state.lo[rows, index] = np.minimum(lo, layer_lo)
-    state.hi[rows, index] = np.maximum(hi, layer_hi)
+    option = (rows, index, direction)
+    added_lo, added_hi = state.layer_lo[option], state.layer_hi[option]
+    state.sums[rows, index] += state.layer_sums[option]
+    state.lo[rows, index] = state.grown_lo[option]
+    state.hi[rows, index] = state.grown_hi[option]
     state.moves[rows] += 1
+    # With one block per problem, no other option can change.
+    if state.lo.shape[1] > 1:
+        state.rescore(rows, index, added_lo, added_hi)
+    else:
+        state.rescore(rows, index)
+
+
+def _scan(row_scores) -> tuple[int, float]:
+    """The option a scan in option order keeps, and its score: the first
+    positive one, replaced only by a score lower by more than SCORE_RTOL
+    relative; (-1, inf) when no option is positive."""
+    best, best_score = -1, np.inf
+    for option, score in enumerate(row_scores):
+        if score > 0 and (best < 0 or score < best_score * (1.0 - SCORE_RTOL)):
+            best, best_score = option, score
+    return best, best_score
+
+
+def _pick(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's :func:`_scan` pick of a (rows, options) score array.
+
+    The lowest positive score is the scan's pick unless another positive
+    score lies within SCORE_RTOL of it, so only such rows are scanned.
+    """
+    positive = np.where(scores > 0, scores, np.inf)
+    best = positive.argmin(axis=1)
+    lowest, second = np.partition(positive, 1, axis=1)[:, :2].T
+    near = (second < np.inf) & (lowest >= second * (1.0 - SCORE_RTOL))
+    for row in np.flatnonzero(near):
+        best[row], lowest[row] = _scan(scores[row].tolist())
+    return best, lowest
 
 
 def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Block]]:
     """Grow every problem of the state in lockstep until each one stops.
 
     Each step scores the options of all active problems in one pass.  Each
-    problem then scans its own options in block order and then the
-    direction order +x,-x,+y,-y,+z,-z, and applies the one with the
-    smallest positive score.  A later option replaces the incumbent only
-    when its score is lower by more than SCORE_RTOL relative, so scores
-    equal up to rounding go to the lowest (block id, direction).  A problem
-    stops when every option is forbidden or no unassigned boundary cells
-    remain.  ``trace`` receives one (problem, move, block id, direction,
-    score) tuple per move, problems in order within a step.
+    problem then applies the option that a scan of its options in block
+    order and then the direction order +x,-x,+y,-y,+z,-z picks, the one
+    with the smallest positive score.  A later option replaces the
+    incumbent only when its score is lower by more than SCORE_RTOL
+    relative, so scores equal up to rounding go to the lowest (block id,
+    direction).  A problem stops when every option is forbidden or no
+    unassigned boundary cells remain.  ``trace`` receives one (problem,
+    move, block id, direction, score) tuple per move, problems in order
+    within a step.
     """
     while state.active.any():
         active = np.flatnonzero(state.active)
         scores = score_growth(state, active).reshape(len(active), -1)
-        rows, options = [], []
-        for row, row_scores in zip(active.tolist(), scores.tolist()):
-            best, best_score = -1, 0.0
-            for option, score in enumerate(row_scores):
-                if score > 0 and (best < 0 or score < best_score * (1.0 - SCORE_RTOL)):
-                    best, best_score = option, score
-            if best < 0:
-                state.active[row] = False
-                continue
-            rows.append(row)
-            options.append(best)
-            if trace is not None:
+        best, best_score = _pick(scores)
+        moving = np.isfinite(best_score)
+        state.active[active[~moving]] = False
+        rows, options = active[moving], best[moving]
+        if trace is not None:
+            for row, option, score in zip(rows.tolist(), options.tolist(),
+                                          best_score[moving].tolist()):
                 trace.append((row, int(state.moves[row]),
-                              state.blocks[row][best // 6].id,
-                              DIRECTION_NAMES[best % 6], best_score))
-        if rows:
-            index, direction = np.divmod(np.array(options), 6)
-            rows = np.array(rows)
+                              state.blocks[row][option // 6].id,
+                              DIRECTION_NAMES[option % 6], score))
+        if len(rows):
+            index, direction = np.divmod(options, 6)
             _apply(state, rows, index, direction)
             state.active[rows] = state.unassigned[rows] > 0
     return state.blocks

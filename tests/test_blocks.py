@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from parallelobox import blocks as blocks_module
 from parallelobox.blocks import (SCORE_RTOL, Block, GrowthState,
-                                 ObjectiveParams, _kmeans_pp, fits_printer,
-                                 grow_blocks, print_score, score_growth,
-                                 select_seed_blocks)
+                                 ObjectiveParams, _kmeans_pp, _pick,
+                                 fits_printer, grow_blocks, print_score,
+                                 score_growth, select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket, unit_cube,
@@ -127,6 +128,26 @@ def test_kmeans_matches_cluster_loop(fixture):
             got = _kmeans_pp(points, k, np.random.default_rng(seed), tol)
             want = _reference_kmeans_pp(points, k, np.random.default_rng(seed), tol)
             assert np.array_equal(got, want), (k, seed)
+
+
+@pytest.mark.parametrize("fixture", [dumbbell, l_bracket, asymmetric_blob])
+def test_kmeans_stops_like_the_cluster_loop_at_a_tolerance_tie(fixture):
+    """With tol equal, or one ulp off, to a Lloyd step's largest move as the
+    cluster loop's per-center norms give it, the loop's stopping decision
+    and so its centers are kept."""
+    points = fixture().vertices
+    for k in (2, 5):
+        for seed in range(5):
+            first = _reference_kmeans_pp(points, k, np.random.default_rng(seed),
+                                         np.inf, max_iter=1)
+            start = _reference_kmeans_pp(points, k, np.random.default_rng(seed),
+                                         np.inf, max_iter=0)
+            move = max(float(np.linalg.norm(d)) for d in first - start)
+            for tol in (move, np.nextafter(move, 0.0), np.nextafter(move, np.inf)):
+                got = _kmeans_pp(points, k, np.random.default_rng(seed), tol)
+                want = _reference_kmeans_pp(points, k, np.random.default_rng(seed),
+                                            tol)
+                assert np.array_equal(got, want), (k, seed, tol)
 
 
 def test_select_seed_blocks_snaps_to_boundary():
@@ -252,6 +273,98 @@ def test_growth_ties_up_to_rounding_go_to_the_first_direction():
     trace = []
     grow_blocks(state, trace)
     assert trace[0][3] == "+x"
+
+
+def _serial_pick(row):
+    """The scan of one row of option scores in option order, kept as the
+    reference: a later option replaces the incumbent only when lower by
+    more than SCORE_RTOL relative."""
+    best, best_score = -1, 0.0
+    for option, score in enumerate(row):
+        if score > 0 and (best < 0 or score < best_score * (1.0 - SCORE_RTOL)):
+            best, best_score = option, score
+    return best, best_score
+
+
+def test_pick_is_the_serial_scan(monkeypatch):
+    """Rows with exact ties, a chain of near ties, no allowed option and a
+    single positive option each get the serial scan's option; only rows
+    where a second positive score is within SCORE_RTOL of the lowest are
+    scanned."""
+    near = 1.0 + 0.6 * SCORE_RTOL
+    rows = {
+        "exact ties": [5.0, -1.0, 3.0, 4.0, 3.0, 3.0],
+        # a > b > c, each within SCORE_RTOL of the next, a and c not.
+        "chain": [3.0 * near * near, 3.0 * near, 3.0, 7.0, -1.0, 9.0],
+        "chain, lowest first": [3.0, 3.0 * near * near, 3.0 * near, 7.0,
+                                -1.0, 9.0],
+        "rounding tie": [2.0 * (1.0 + 1e-12), 2.0, 8.0, 8.0, -1.0, 6.0],
+        "forbidden": [-1.0] * 6,
+        "one positive": [-1.0, -1.0, -1.0, 0.25, -1.0, -1.0],
+        "distinct": [4.0, 1.0, 2.0, 1.5, -1.0, 3.0],
+    }
+    scanned = []
+    scan = blocks_module._scan
+
+    def recording_scan(row_scores):
+        scanned.append(list(row_scores))
+        return scan(row_scores)
+
+    monkeypatch.setattr(blocks_module, "_scan", recording_scan)
+    scores = np.array(list(rows.values()))
+    best, best_score = _pick(scores)
+    for (name, row), option, score in zip(rows.items(), best.tolist(),
+                                          best_score.tolist()):
+        want, want_score = _serial_pick(row)
+        if want < 0:
+            assert score == np.inf, name
+        else:
+            assert (option, score) == (want, want_score), name
+    assert rows["chain"][0] > rows["chain"][1] > rows["chain"][2]
+    assert not rows["chain"][2] >= rows["chain"][0] * (1.0 - SCORE_RTOL)
+    assert [rows[n] for n in ("exact ties", "chain", "chain, lowest first",
+                              "rounding tie")] == scanned
+
+
+@pytest.mark.parametrize("printer", [30.0, 250.0])
+@pytest.mark.parametrize("granularity", ["coarse", "fine"])
+@pytest.mark.parametrize("fixture", [icosphere, hollow_box, l_bracket,
+                                     dumbbell, asymmetric_blob])
+def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
+                                           monkeypatch):
+    """After every lockstep pass, the kept option scores and box sums equal,
+    bit for bit, those of a state built anew from the current boxes.  The
+    problems hold 1 to 8 blocks on both pieces of the model cut at its
+    mirror plane, in one state (the blob has no mirror plane and is grown
+    whole)."""
+    prepared = prepare_model(fixture(), RunPlan(printers_available=2,
+                                                granularity=granularity),
+                             PrinterProfile())
+    assert prepared.cut == (fixture is not asymmetric_blob)
+    params = ObjectiveParams(printer_dims=(printer,) * 3)
+    cell_sizes, measures, problems = [], [], []
+    for seed, k in enumerate((1, 8, 3, 5, 2)):
+        for index, piece in enumerate(prepared.pieces):
+            problems.append(select_seed_blocks(piece.grid, piece.mesh, k,
+                                               rng_seed=seed * 2 + index))
+            cell_sizes.append(piece.grid.cell_size)
+            measures.append(piece.measures)
+    state = GrowthState(cell_sizes, measures, problems, params)
+    passes = []
+
+    def checked_score_growth(checked, rows=None):
+        fresh = GrowthState(cell_sizes, measures,
+                            [[Block(b.id, b.lo.copy(), b.hi.copy()) for b in p]
+                             for p in checked.blocks], params)
+        assert np.array_equal(score_growth(checked), score_growth(fresh))
+        assert np.array_equal(checked.sums, fresh.sums)
+        passes.append(len(passes))
+        return score_growth(checked, rows)
+
+    monkeypatch.setattr(blocks_module, "score_growth", checked_score_growth)
+    grow_blocks(state)
+    checked_score_growth(state)
+    assert len(passes) > 10
 
 
 def test_apply_growth_claims_only_non_external():
