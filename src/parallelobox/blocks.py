@@ -4,7 +4,7 @@ Blocks are axis-aligned cell ranges that compete to cover the solid.  Each
 growth step applies the cheapest positive (block, direction) option.  The
 cost of growing block M into M' is
 
-    cost = (P(M') + overhang_weight * O(M')) / max(S_prox(M'), proximity_floor)
+    cost = (P(M') + OVERHANG_WEIGHT * O(M')) / max(S_prox(M'), PROXIMITY_FLOOR)
 
 where P is the print score of the clipped geometry owned by M', O the
 minimum oriented overhang area over the six axis build directions, and
@@ -48,18 +48,20 @@ DIRECTION_NAMES = ("+x", "-x", "+y", "-y", "+z", "-z")
 #: Relative margin by which a growth option must beat the incumbent; closer
 #: scores are ties up to rounding and go to the option scanned first.
 SCORE_RTOL = 1e-9
+#: Weight of the overhang term O in the growth cost.
+OVERHANG_WEIGHT = 1.0
+#: Least proximity (grid units) the growth cost divides by.
+PROXIMITY_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
 class ObjectiveParams:
-    """Knobs of the growth objective and printability constraints."""
+    """Print speeds, infill and printer size of the growth objective."""
 
     speed_infill: float = 20.0        # mm/s
     speed_shell: float = 20.0         # mm/s
     infill_fraction: float = 0.05
     printer_dims: tuple[float, float, float] = (250.0, 250.0, 250.0)
-    overhang_weight: float = 1.0
-    proximity_floor: float = 1.0      # grid units
 
 
 @dataclass
@@ -121,11 +123,10 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
         counts = np.bincount(assign, minlength=k)
         sums = np.bincount((3 * assign[:, None] + np.arange(3)).ravel(),
                            points.ravel(), minlength=3 * k).reshape(k, 3)
-        new = sums / np.maximum(counts, 1)[:, None]
-        starved = counts == 0
-        if starved.any():
-            # Re-seed a starved cluster at the point farthest from its center.
-            new[starved] = points[int(dists.min(axis=1).argmax())]
+        # A starved cluster, which only more centers than distinct points
+        # leave, keeps its center.
+        new = np.where(counts[:, None] > 0,
+                       sums / np.maximum(counts, 1)[:, None], centers)
         step = new - centers
         moved = float(np.sqrt((step * step).sum(axis=1)).max())
         if abs(moved - tol) <= 1e-9 * tol:
@@ -217,7 +218,7 @@ class GrowthState:
     Per option, (n, K, 6, ...) arrays in DIRECTIONS order cache the layer a
     move would add (``layer_lo``, ``layer_hi``), the grown box (``grown_lo``,
     ``grown_hi``), the layer's sums (``layer_sums``), the score's numerator
-    P + overhang_weight * O, its denominator (the proximity, at least the
+    P + OVERHANG_WEIGHT * O, its denominator (the proximity, at least the
     floor) and whether the move is ``allowed``.  They are built here and,
     after each move, by :meth:`rescore`.
     """
@@ -338,14 +339,14 @@ class GrowthState:
                              box_lo, box_hi),
                         np.inf).min(axis=-1, initial=np.inf)
         # A single block has no neighbour: proximity is moot.
-        prox = np.where(np.isfinite(prox), prox, params.proximity_floor)
+        prox = np.where(np.isfinite(prox), prox, PROXIMITY_FLOOR)
         self.layer_lo[rows, index] = layer_lo
         self.layer_hi[rows, index] = layer_hi
         self.grown_lo[rows, index] = grown_lo
         self.grown_hi[rows, index] = grown_hi
         self.layer_sums[rows, index] = layer
-        self.numerator[rows, index] = p_score + params.overhang_weight * o_score
-        self.denominator[rows, index] = np.maximum(prox, params.proximity_floor)
+        self.numerator[rows, index] = p_score + OVERHANG_WEIGHT * o_score
+        self.denominator[rows, index] = np.maximum(prox, PROXIMITY_FLOOR)
         self.allowed[rows, index] = (fits & (layer[..., SOLID] > 0)
                                      & ~owned.any(axis=-1))
         if added_lo is None:
@@ -359,7 +360,7 @@ class GrowthState:
         self.denominator[rows] = np.minimum(
             self.denominator[rows],
             np.where(others[..., None],
-                     np.maximum(gap, params.proximity_floor), np.inf))
+                     np.maximum(gap, PROXIMITY_FLOOR), np.inf))
 
 
 def score_growth(state: GrowthState, problems=None) -> np.ndarray:

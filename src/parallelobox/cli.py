@@ -357,9 +357,10 @@ def load_manifest(path) -> dict:
             or not all(isinstance(m, str) for m in models)):
         raise ConfigError(f"{path}: 'models' must be a non-empty list of paths")
     counts = raw.get("printers", [RunPlan.printers_available])
-    if not isinstance(counts, list) or not all(
+    if not isinstance(counts, list) or not counts or not all(
             _is_int(c) and c >= 1 for c in counts):
-        raise ConfigError(f"{path}: 'printers' must be a list of counts >= 1")
+        raise ConfigError(f"{path}: 'printers' must be a non-empty list of "
+                          "counts >= 1")
     for key, (_, ok, expected) in _MANIFEST_OPTIONS.items():
         if key in raw and not ok(raw[key]):
             raise ConfigError(f"{path}: {key!r} must be {expected}, "

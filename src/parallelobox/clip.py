@@ -44,14 +44,12 @@ classification, which keeps near-tangent geometry from generating sliver
 loops.
 
 Volumetric operations need a closed mesh (NonWatertightInput otherwise).  A
-box the surface does not cross is all solid or all void, and one winding
-number at its center (:func:`points_in_mesh`) tells which.  The surface
-crosses a box when a piece of its surface-only clip keeps three corners
-apart at PLANE_EPS resolution.  The clip keeps a triangle whole when every
-corner is in the closed box and not all lie within PLANE_EPS of one min
-face, so it runs only when no such triangle answers.  A box clip skips
-each cut whose plane the mesh lies more than PLANE_EPS inside of: that
-cut would only copy the mesh.
+box clip is the six cuts alone, less each cut whose plane the mesh lies
+more than PLANE_EPS inside of: that cut would only copy the mesh.  A box
+the surface misses needs no case of its own: inside the solid the cuts
+build it from their caps, outside it they keep nothing.  The result is
+welded at PLANE_EPS resolution, and it is empty when no triangle keeps
+three corners apart, so a surface that only touches a box gives nothing.
 """
 from __future__ import annotations
 
@@ -64,7 +62,6 @@ from .errors import DegenerateBox, NonWatertightInput
 from .mesh import (
     Aabb,
     TriangleMesh,
-    box_mesh,
     compact,
     cross,
     validate_watertight,
@@ -232,16 +229,10 @@ def clip_halfspace(mesh: TriangleMesh, normal, offset: float, *,
     tri_d = d[mesh.triangles]
     below = tri_d <= 0.0
     keep_full = below.all(axis=1)
-    coplanar = (tri_d == 0.0).all(axis=1)
     if not keep_coplanar:
-        keep_full &= ~coplanar
+        keep_full &= ~(tri_d == 0.0).all(axis=1)
     drop_full = (tri_d > 0.0).all(axis=1)
     crossing = np.nonzero(~below.all(axis=1) & ~drop_full)[0]
-
-    if not crossing.size and not keep_full.any():
-        return TriangleMesh.empty(mesh.name)
-    if not crossing.size and keep_full.all() and (keep_coplanar or not coplanar.any()):
-        return mesh.copy()
 
     verts = mesh.vertices
     # Slot j of a crossing triangle walks the edge from corner j - 1 to
@@ -650,18 +641,14 @@ def _check_box(box: Aabb) -> None:
 def clip_to_box(mesh: TriangleMesh, box: Aabb) -> TriangleMesh:
     """Clip a watertight mesh to an axis-aligned box.
 
-    Returns a watertight solid with caps on the box faces, empty when the
-    box holds none of the mesh.
+    Returns a watertight solid with caps on the box faces, the box built
+    from caps alone when it lies inside the solid.  It is empty when the
+    box holds none of the solid, or when no triangle of the result keeps
+    three corners apart at PLANE_EPS resolution.
     """
     _check_box(box)
     if not validate_watertight(mesh).is_watertight:
         raise NonWatertightInput("volumetric clipping needs a closed mesh")
-    if not _surface_crosses(mesh, box):
-        # No surface inside the box: either completely inside or outside.
-        if points_in_mesh(mesh, [box.center])[0]:
-            return box_mesh(box.extent, box.min, mesh.name)
-        return TriangleMesh.empty(mesh.name)
-
     current = mesh
     axes = np.eye(3)
     for axis in range(3):
@@ -674,22 +661,12 @@ def clip_to_box(mesh: TriangleMesh, box: Aabb) -> TriangleMesh:
             current = clip_halfspace(current, normal, offset, keep_coplanar=keep)
             if current.is_empty:
                 return current
+    # A surface that only touches the box leaves slivers narrower than
+    # PLANE_EPS, which weld away.
+    keys = np.round(current.vertices[current.triangles] / PLANE_EPS).astype(np.int64)
+    if not (keys != keys[:, [1, 2, 0]]).any(axis=2).all(axis=1).any():
+        return TriangleMesh.empty(mesh.name)
     return mesh.copy() if current is mesh else current
-
-
-def _surface_crosses(mesh: TriangleMesh, box: Aabb) -> bool:
-    """Does a piece of the surface clipped to the box keep three corners
-    apart at PLANE_EPS resolution?  Triangles the clip keeps whole are
-    asked first; a min face's triangles are its neighbour's."""
-    def apart(corners: np.ndarray) -> bool:
-        keys = np.round(corners / PLANE_EPS).astype(np.int64)
-        return bool((keys != keys[:, [1, 2, 0]]).any(axis=2).all(axis=1).any())
-
-    v, t = mesh.vertices, mesh.triangles
-    inside = ((v >= box.min) & (v <= box.max)).all(axis=1)
-    on_min = np.abs(v - box.min) <= PLANE_EPS
-    whole = inside[t].all(axis=1) & ~on_min[t].all(axis=1).any(axis=1)
-    return apart(v[t[whole]]) or apart(clip_surface_to_box(mesh, box)[0])
 
 
 def cut_by_plane(mesh: TriangleMesh, normal, offset: float):

@@ -55,8 +55,6 @@ GRANULARITY_CELLS = {"coarse": 8, "medium": 10, "fine": 12, "very_fine": 15}
 #: Bounding-box safety scale so mesh faces never coincide with cell faces.
 BBOX_SCALE = 1.001
 
-_UNSET = -1
-
 
 class CellClass(IntEnum):
     EXTERNAL = 0
@@ -72,13 +70,11 @@ class Grid:
     origin: np.ndarray
     cell_size: float
     dims: tuple[int, int, int]
-    classification: np.ndarray = field(default=None)  # int8, CellClass values
+    classification: np.ndarray | None = None  # CellClass values, by measure_cells
 
     def __post_init__(self) -> None:
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.dims = tuple(int(d) for d in self.dims)
-        if self.classification is None:
-            self.classification = np.full(self.dims, _UNSET, dtype=np.int8)
 
     def box_of_range(self, lo, hi) -> Aabb:
         """Physical box spanned by cells lo..hi inclusive."""

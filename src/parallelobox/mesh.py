@@ -104,7 +104,6 @@ class Aabb:
 class MeshMeasures:
     volume: float
     surface_area: float
-    centroid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,18 +177,16 @@ def triangle_normals(mesh: TriangleMesh) -> np.ndarray:
 
 
 def measure(mesh: TriangleMesh) -> MeshMeasures:
-    """Signed volume, surface area, and vertex-mean centroid.
+    """Signed volume and surface area.
 
     The volume is the divergence-theorem sum of signed tetrahedra and is only
     meaningful for closed, consistently wound meshes.
     """
     if mesh.is_empty:
-        return MeshMeasures(0.0, 0.0, np.zeros(3))
+        return MeshMeasures(0.0, 0.0)
     p0, p1, p2 = triangle_corners(mesh)
     volume = float(np.einsum("ij,ij->", p0, cross(p1, p2))) / 6.0
-    area = float(triangle_areas(mesh).sum())
-    centroid = mesh.vertices.mean(axis=0)
-    return MeshMeasures(volume, area, centroid)
+    return MeshMeasures(volume, float(triangle_areas(mesh).sum()))
 
 
 def aabb_of(mesh: TriangleMesh) -> Aabb:

@@ -147,7 +147,6 @@ class Decomposition:
     parallel_score: float
     parallel_time_s: float
     aggregate_time_s: float
-    symmetry_error: float
     symmetry_cut: bool
     clipped: bool           # the parts are clipped meshes, scored from them
     cut_area_mm2: float     # Σ part − model surface area; NaN when uncovered
@@ -483,7 +482,6 @@ def _decomposition(prepared: PreparedModel, plan: RunPlan, seed_blocks: int,
                          reason=reason, parallel_score=parallel_score,
                          parallel_time_s=parallel_time,
                          aggregate_time_s=aggregate_time,
-                         symmetry_error=prepared.plane.error_score,
                          symmetry_cut=prepared.cut, clipped=clipped,
                          cut_area_mm2=cut_area)
 
@@ -690,7 +688,6 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                            parallel_score=max(p.print_score for p in parts),
                            parallel_time_s=max(p.time_s for p in parts),
                            aggregate_time_s=sum(p.time_s for p in parts),
-                           symmetry_error=rounds.plane.error_score,
                            symmetry_cut=len(parts) > 1, clipped=True,
                            cut_area_mm2=sum(p.surface_area for p in parts)
                            - measure(mesh).surface_area)

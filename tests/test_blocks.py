@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from parallelobox import blocks as blocks_module
-from parallelobox.blocks import (SCORE_RTOL, Block, GrowthState,
-                                 ObjectiveParams, _kmeans_pp, _pick,
-                                 fits_printer, grow_blocks, print_score,
-                                 score_growth, select_seed_blocks)
+from parallelobox.blocks import (OVERHANG_WEIGHT, PROXIMITY_FLOOR, SCORE_RTOL,
+                                 Block, GrowthState, ObjectiveParams,
+                                 _kmeans_pp, _pick, fits_printer, grow_blocks,
+                                 print_score, score_growth, select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket, unit_cube,
@@ -104,12 +104,10 @@ def _reference_kmeans_pp(points, k, rng, tol, max_iter=100):
         moved = 0.0
         for c in range(k):
             members = points[assign == c]
-            if len(members) == 0:
-                new = points[int(dists.min(axis=1).argmax())]
-            else:
+            if len(members):    # a starved cluster keeps its center
                 new = members.mean(axis=0)
-            moved = max(moved, float(np.linalg.norm(new - centers[c])))
-            centers[c] = new
+                moved = max(moved, float(np.linalg.norm(new - centers[c])))
+                centers[c] = new
         if moved < tol:
             break
     return centers
@@ -119,15 +117,21 @@ def _reference_kmeans_pp(points, k, rng, tol, max_iter=100):
                                      hollow_box, asymmetric_blob, wedge])
 def test_kmeans_matches_cluster_loop(fixture):
     """The bincount Lloyd update gives the loop's centers bit for bit, for
-    k 1-8 at 40 seeds each, starved clusters included (the cube has 8
-    vertices)."""
+    k 1-8 at 40 seeds each.  A cluster starves only when there are more
+    centers than distinct points, as on the 6-vertex wedge at k 7 and 8;
+    the 8-vertex cube also takes k 9 and 10.  A starved cluster keeps its
+    center, so those centers repeat."""
     points = fixture().vertices
     tol = 1e-4 * float(np.ptp(points, axis=0).max()) / 12
-    for k in range(1, 9):
+    top = 10 if fixture is unit_cube else 8
+    starved = 0
+    for k in range(1, top + 1):
         for seed in range(40):
             got = _kmeans_pp(points, k, np.random.default_rng(seed), tol)
             want = _reference_kmeans_pp(points, k, np.random.default_rng(seed), tol)
             assert np.array_equal(got, want), (k, seed)
+            starved += k - len(np.unique(got, axis=0))
+    assert (starved > 0) == (len(np.unique(points, axis=0)) < top)
 
 
 @pytest.mark.parametrize("fixture", [dumbbell, l_bracket, asymmetric_blob])
@@ -151,10 +155,12 @@ def test_kmeans_stops_like_the_cluster_loop_at_a_tolerance_tie(fixture):
 
 
 def test_select_seed_blocks_snaps_to_boundary():
+    """Seeds take distinct boundary cells, also when k-means++ repeats its
+    centers because there are more seeds than the box's 8 vertices."""
     mesh = box_mesh(size=(30.0, 10.0, 10.0))
     grid = build_grid(mesh, "medium")
     measure_cells(grid, mesh)
-    for k in (1, 2, 4):
+    for k in (1, 2, 4, 9, 10, 12):
         blocks = select_seed_blocks(grid, mesh, k, rng_seed=3)
         assert len(blocks) == k
         keys = set()
@@ -475,9 +481,9 @@ def _reference_grow(grid, measures, seeds, params):
                 - (size + 0.5 * float((ohi - olo + 1).sum()))
             prox = min(prox, gap)
         if not np.isfinite(prox):
-            prox = params.proximity_floor
-        denom = max(prox, params.proximity_floor)
-        return (p_score + params.overhang_weight * o_score) / denom
+            prox = PROXIMITY_FLOOR
+        denom = max(prox, PROXIMITY_FLOOR)
+        return (p_score + OVERHANG_WEIGHT * o_score) / denom
 
     trace = []
     while int(((cls == int(CellClass.BOUNDARY)) & (owner < 0)).sum()) > 0:

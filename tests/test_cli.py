@@ -93,6 +93,7 @@ def test_load_manifest_resolves_relative_paths(tmp_path):
     '{"models": []}',                              # empty list
     '{"models": "a.stl"}',                         # not a list
     '{"models": ["a.stl"], "printers": 4}',        # counts not a list
+    '{"models": ["a.stl"], "printers": []}',       # no counts
     '{"models": ["a.stl"], "printers": [0]}',      # count below 1
     '{"models": ["a.stl"], "printers": ["2"]}',    # count not an int
     '{"models": ["a.stl"], "printers": [true]}',   # count a bool
@@ -550,7 +551,8 @@ def test_batch_missing_manifest_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("override", [{"granularity": "huge"},
-                                      {"sample_tries": "3"}])
+                                      {"sample_tries": "3"},
+                                      {"printers": []}])
 def test_batch_bad_override_exits_2(tmp_path, override):
     save_stl(dumbbell(), tmp_path / "dumbbell.stl")
     manifest = _write(tmp_path / "m.json", json.dumps(

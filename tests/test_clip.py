@@ -769,7 +769,10 @@ def _segment_blocked(m, p, a, b, eps):
 
 
 def _reference_clip_to_box(mesh, box):
-    """clip_to_box deciding "no surface in the box" by a full weld."""
+    """The loop kernel's box clip: a box that no surface piece crosses (by
+    a full weld) is the box or nothing, by the winding number at its
+    center, and any other box takes all six cuts.  clip_to_box, which only
+    cuts, must agree with it up to the triangulation of the caps."""
     pieces = clip_surface_to_box(mesh, box)[0]
     verts = pieces.reshape(-1, 3)
     count = 0
@@ -1047,6 +1050,19 @@ def test_comb_ring_with_many_reflex_corners(angle):
     assert {(b, a) for a, b in inner} == inner
 
 
+def test_squares_sharing_a_corner_make_two_loops():
+    """Two unit squares touching at one corner: the corner has two outgoing
+    edges, and the most counterclockwise turn keeps the squares apart, two
+    loops of 4 vertices whose cap covers each square once."""
+    uv = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                   [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 2)]
+    loops = clip._assemble_loops(edges, uv)
+    assert sorted(sorted(ring) for ring in loops) == [[0, 1, 2, 3], [2, 4, 5, 6]]
+    unsigned, signed = _region_areas(uv, clip._triangulate_region(uv, loops))
+    assert unsigned == signed == 2.0
+
+
 def test_hole_bridges_from_another_vertex_when_the_rightmost_is_blocked(caplog):
     """A hole whose rightmost vertex rests, within tolerance, on the outer
     ring's right edge: that edge blocks every bridge from the vertex, so
@@ -1210,36 +1226,28 @@ def _crossing_boxes(mesh, rng):
 
 
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
-def test_vertex_rule_agrees_with_the_surface_pass(make_mesh, monkeypatch):
-    """clip_to_box decides that the surface crosses a box from a triangle
-    with every corner in the closed box, not all within PLANE_EPS of one
-    min face, and three corners apart.  Such a triangle comes back whole
-    from the surface pass, so both rules give the same answer; the pass
-    runs only when the vertices cannot tell."""
+def test_vertex_rule_agrees_with_the_surface_pass(make_mesh):
+    """A triangle with every corner in the closed box, not all within
+    PLANE_EPS of one min face, comes back whole from the surface pass: one
+    piece, its own corners."""
     mesh = make_mesh()
     boxes = _crossing_boxes(mesh, np.random.default_rng(83))
-    passes = []
-    surface = clip.clip_surface_to_box
-    monkeypatch.setattr(clip, "clip_surface_to_box",
-                        lambda *args: passes.append(1) or surface(*args))
     v, t = mesh.vertices, mesh.triangles
-    decided_by_vertices = 0
+    whole = 0
     for box in boxes:
-        before = len(passes)
-        assert clip._surface_crosses(mesh, box) == _surface_pass_crosses(mesh, box), box
-        decided_by_vertices += len(passes) == before
         inside = ((v >= box.min) & (v <= box.max)).all(axis=1)[t].all(axis=1)
         on_min = (np.abs(v - box.min) <= PLANE_EPS)[t].all(axis=1).any(axis=1)
-        pieces, sources, _ = surface(mesh, box)
+        pieces, sources, _ = clip_surface_to_box(mesh, box)
         for tri in np.nonzero(inside & ~on_min)[0]:
             mine = np.nonzero(sources == tri)[0]
             assert len(mine) == 1 and np.array_equal(pieces[mine[0]], v[t[tri]]), box
-    assert 0 < decided_by_vertices < len(boxes)
+            whole += 1
+    assert whole > 0
 
 
 def test_vertex_rule_on_the_needle_tip_and_a_min_face():
     """The needle tip's pieces collapse below PLANE_EPS, and a triangle in
-    a box's min face is not the box's: neither counts as a crossing."""
+    a box's min face is not the box's: neither gives clip_to_box a part."""
     tip = TriangleMesh(np.array([[0.0, 0.0, 0.0], [10.0, -1.0, -1.0],
                                  [10.0, 1.0, -1.0], [10.0, 0.0, 1.0]]),
                        np.array([[0, 2, 1], [0, 3, 2], [0, 1, 3], [1, 2, 3]],
@@ -1247,15 +1255,44 @@ def test_vertex_rule_on_the_needle_tip_and_a_min_face():
     boxes = [Aabb((-1.0, -1.0, -1.0), (1.5e-9, 1.0, 1.0)),
              Aabb((-1.0, -1.0, -1.0), (PLANE_EPS / 2, 1.0, 1.0))]
     for box in boxes:
-        assert not clip._surface_crosses(tip, box)
         assert not _surface_pass_crosses(tip, box)
+        assert clip_to_box(tip, box).is_empty
     # The base triangle of the tip lies in x = 10: a box from there on
     # holds it whole but does not own it.
     base = Aabb((10.0, -2.0, -2.0), (11.0, 2.0, 2.0))
-    assert not clip._surface_crosses(tip, base)
     assert not _surface_pass_crosses(tip, base)
     assert clip_to_box(tip, base).is_empty
-    assert clip._surface_crosses(tip, Aabb((9.0, -2.0, -2.0), (10.0, 2.0, 2.0)))
+    assert not clip_to_box(tip, Aabb((9.0, -2.0, -2.0), (10.0, 2.0, 2.0))).is_empty
+
+
+def test_boxes_the_surface_misses():
+    """The six cuts alone decide a box the surface misses.  A box inside
+    the solid comes back built from its caps, watertight, with the box's
+    volume and area; a box in hollow_box's cavity comes back empty, and so
+    does a box no thicker than PLANE_EPS, whose min cut snaps its max
+    cap's corners into its plane.  A box 2 * PLANE_EPS thick is kept as
+    its watertight slab."""
+    for mesh, box in ((unit_cube(), Aabb((0.25, 0.25, 0.25), (0.5, 0.75, 0.625))),
+                      (icosphere(radius=6.0, subdivisions=2),
+                       Aabb((-2.0, -1.0, -3.0), (1.0, 2.0, 0.5)))):
+        assert not _surface_pass_crosses(mesh, box)
+        got = clip_to_box(mesh, box)
+        assert validate_watertight(got).is_watertight
+        assert measure(got).volume == pytest.approx(np.prod(box.extent), rel=1e-12)
+        assert measure(got).surface_area == pytest.approx(
+            2.0 * (box.extent @ np.roll(box.extent, 1)), rel=1e-12)
+    hollow = hollow_box()
+    center = aabb_of(hollow).center
+    cavity = Aabb(center - 1.0, center + 1.0)
+    assert not _surface_pass_crosses(hollow, cavity)
+    assert clip_to_box(hollow, cavity).is_empty
+    cube = unit_cube()
+    for thickness in (PLANE_EPS / 2, PLANE_EPS):
+        thin = Aabb((0.5, 0.25, 0.25), (0.5 + thickness, 0.75, 0.75))
+        assert clip_to_box(cube, thin).is_empty
+    slab = clip_to_box(cube, Aabb((0.5, 0.25, 0.25), (0.5 + 2 * PLANE_EPS, 0.75, 0.75)))
+    assert validate_watertight(slab).is_watertight
+    assert measure(slab).volume == pytest.approx(0.5 * PLANE_EPS, rel=1e-6)
 
 
 def _six_cuts(mesh, box):
@@ -1292,8 +1329,6 @@ def test_skipped_cuts_match_six_cuts(make_mesh, monkeypatch):
         out = np.array([-0.25 * bb.extent[k // 2] if s is None else s
                         for k, s in enumerate(out)])
         box = Aabb(bb.min - out[1::2], bb.max + out[0::2])
-        if not _surface_pass_crosses(mesh, box):
-            continue
         before = len(cuts)
         got = clip_to_box(mesh, box)
         skipped += 6 - (len(cuts) - before)

@@ -59,8 +59,6 @@ def test_objective_of_copies_plan_and_profile():
     assert params.speed_shell == 30.0
     assert params.speed_infill == 40.0
     assert params.printer_dims == (100.0, 200.0, 300.0)
-    # The weights of the growth cost keep their defaults.
-    assert params.overhang_weight == params.proximity_floor == 1.0
 
 
 def _box(measures, lo, hi) -> tuple[float, float]:
@@ -323,8 +321,7 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
         parallel_score=max((p.print_score for p in parts), default=nan),
         parallel_time_s=max((p.time_s for p in parts), default=nan),
         aggregate_time_s=sum(p.time_s for p in parts) if parts else nan,
-        symmetry_error=prepared.plane.error_score, symmetry_cut=prepared.cut,
-        clipped=True,
+        symmetry_cut=prepared.cut, clipped=True,
         cut_area_mm2=(sum(p.surface_area for p in parts) - prepared.surface_area
                       if parts else float("nan")))
 
@@ -558,3 +555,36 @@ def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
                                                     for p in want.parts]
     assert [(r.parallel_score, r.parts) for r in records] == [
         (r.parallel_score, r.printers_used) for r in reference]
+
+
+def test_more_seeds_than_boundary_cells_is_a_logged_failure():
+    """A piece with fewer boundary cells than its seed count cannot be
+    seeded, and the iteration's record says so; smaller counts still run.
+    The halves of the 8 x 0.5 x 0.5 mm rod have 8 boundary cells each at
+    coarse, so 20 printers ask one of them for 10 seeds."""
+    rod = box_mesh(size=(8.0, 0.5, 0.5), name="rod")
+    records = []
+    result = run_metaheuristic(rod, RunPlan(printers_available=20,
+                                            granularity="coarse"),
+                               PROFILE, records)
+    assert result.valid
+    failed = [r for r in records if not r.valid]
+    assert "piece 0: need 10 boundary cells, grid has 8" in {
+        r.reason for r in failed}
+    assert all(r.parts == 0 and not r.clipped for r in failed)
+
+
+def test_clipped_part_larger_than_the_printer_is_invalid():
+    """Every box of the 0.5 mm thick rod is larger than a 0.45 mm printer,
+    so every iteration is clipped, and its clipped parts are still too
+    thick: the search fails, each record naming the first such part."""
+    rod = box_mesh(size=(8.0, 0.5, 0.5), name="rod")
+    records = []
+    with pytest.raises(NoValidDecomposition):
+        run_metaheuristic(rod, RunPlan(printers_available=16,
+                                       granularity="coarse"),
+                          PrinterProfile(volume_x=0.45, volume_y=0.45,
+                                         volume_z=0.45), records)
+    assert records
+    assert all(r.clipped and r.reason == "part rod_half0_b0 exceeds the printer"
+               for r in records)

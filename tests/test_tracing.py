@@ -5,6 +5,7 @@ import logging
 from pathlib import Path
 
 from parallelobox import blocks, cli, fixtures, grid, meta
+from parallelobox.mesh import save_stl
 from parallelobox.meta import PrinterProfile, RunPlan
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -54,3 +55,30 @@ def test_traced_preparation_times_the_surface_clip_of_every_grid(monkeypatch):
     surface = [s.parent for s in tracer.spans if s.name == "clip.surface"]
     assert len(measured) == 2     # the two halves of the symmetry cut
     assert sorted(surface) == measured
+
+
+def test_traced_batch_records_every_span_the_layer_metrics_read(monkeypatch,
+                                                                tmp_path):
+    """A traced batch with the baseline records each span that a per-layer
+    metric reads.  A span goes missing when the program stops calling a
+    patched function through the module global the tracer replaces."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    model = tmp_path / "unit_cube.stl"
+    save_stl(fixtures.unit_cube(), model)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli.run_batch([model], [2], RunPlan(granularity="coarse",
+                                            sample_tries=1),
+                      PrinterProfile(), ["parallelobox", "symmetry"],
+                      tmp_path / "out")
+    finally:
+        tracer.uninstall()
+    recorded = {s.name for s in tracer.spans}
+    assert recorded >= {
+        "meta.prepare", "grid.measure", "clip.surface", "clip.cell_volumes",
+        "preprocess.symmetry", "preprocess.orient", "blocks.seed",
+        "blocks.grow", "resolve.void", "meta.iteration", "clip.to_box",
+        "clip.cut", "meta.baseline", "mesh.load", "mesh.save",
+        "cli.reports"}
