@@ -1,26 +1,33 @@
 """Half-space and axis-box clipping of triangle meshes.
 
-The volumetric kernel cuts a closed mesh with one plane at a time: each
-triangle is clipped Sutherland-Hodgman style against the half-space, the
-open boundary left on the plane is assembled into loops, and the loops are
-triangulated into cap faces so every intermediate stays watertight.  A box
-clip is six successive half-space cuts.  Intersection points are
-interpolated once per undirected edge, so both triangles sharing an edge
-reuse the bit-identical point and the cut never tears the surface.
+The volumetric kernel cuts closed meshes with planes: each triangle is
+clipped Sutherland-Hodgman style against its half-space, the open boundary
+left on the plane is assembled into loops, and the loops are triangulated
+into cap faces so every intermediate stays watertight.  Intersection
+points are interpolated once per undirected edge, so both triangles
+sharing an edge reuse the bit-identical point and the cut never tears the
+surface.
 
-The half-space cut is built from arrays, not a loop over triangles.  Slot
-j of a crossing triangle stands for the edge into corner j: it emits the
-edge's cut point when the edge changes sign strictly, then the corner when
-it is kept, in a padded (crossing, 6) array.  The cut edges, read
-row-major, are numbered by first occurrence (``np.unique`` and an argsort
-of the first indices), so the new points come out in the order of a
-triangle-by-triangle walk; each row's emitted ids are closed up and
-fan-triangulated.  The cap's boundary edges are read from the edges in
-the cut plane only.
+The half-space cut is built from arrays, not a loop over triangles, and
+cuts a batch of (mesh, plane) entries in one pass: their vertices and
+triangles are stacked entry after entry, each entry's new points placed
+after its own old vertices, so every entry comes out bit for bit as its
+lone cut.  Slot j of a crossing triangle stands for the edge into corner
+j: it emits the edge's cut point when the edge changes sign strictly, then
+the corner when it is kept, in a padded (crossing, 6) array.  The cut
+edges, read row-major, are numbered by first occurrence (``np.unique``
+and an argsort of the first indices), so the new points come out in the
+order of a triangle-by-triangle walk; each row's emitted ids are closed up
+and fan-triangulated.  The cap's boundary edges are read from the edges in
+the cut plane only, and each entry's loops are capped in its own plane
+coordinates.  A box clip is six batched passes, one per box plane, over
+all the boxes of a call, and :func:`cut_by_plane` is one pass of two
+entries.
 
 A cap is triangulated over the corners of its loops.  Cut loops of
 voxel-like models are mostly vertices collinear with both neighbours;
-those are set aside, each run under the corner edge that spans it.  Holes
+those are set aside, each run under the corner edge that spans it, with
+the turns of every loop of a pass computed at once.  Holes
 are bridged to their outer ring (Eberly, "Triangulation by Ear Clipping",
 2002), each corner ring is ear-clipped as a linked list, testing only
 reflex corners against an ear, and each run is fanned back into the one
@@ -43,9 +50,10 @@ Vertices within PLANE_EPS of a cut plane are snapped onto it before
 classification, which keeps near-tangent geometry from generating sliver
 loops.
 
-Volumetric operations need a closed mesh (NonWatertightInput otherwise).  A
-box clip is the six cuts alone, less each cut whose plane the mesh lies
-more than PLANE_EPS inside of: that cut would only copy the mesh.  A box
+Volumetric operations need a closed mesh (NonWatertightInput otherwise),
+checked once per input mesh and call.  A box clip is the six cuts alone,
+less each cut whose plane the mesh lies more than PLANE_EPS inside of:
+that cut would only copy the mesh.  A box
 the surface misses needs no case of its own: inside the solid the cuts
 build it from their caps, outside it they keep nothing.  The result is
 welded at PLANE_EPS resolution, and it is empty when no triangle keeps
@@ -53,6 +61,7 @@ three corners apart, so a surface that only touches a box gives nothing.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 from collections import defaultdict
 
@@ -62,7 +71,6 @@ from .errors import DegenerateBox, NonWatertightInput
 from .mesh import (
     Aabb,
     TriangleMesh,
-    compact,
     cross,
     validate_watertight,
 )
@@ -220,31 +228,56 @@ def clip_halfspace(mesh: TriangleMesh, normal, offset: float, *,
     the plane are kept or dropped according to keep_coplanar, which lets two
     complementary clips partition a mesh without double-counting them.
     """
-    if mesh.is_empty:
-        return TriangleMesh.empty(mesh.name)
-    n = np.asarray(normal, dtype=np.float64).reshape(3)
-    d = mesh.vertices @ n - float(offset)
+    return _clip_halfspaces([(mesh, normal, offset, keep_coplanar)], cap)[0]
+
+
+def _clip_halfspaces(cuts, cap: bool = True) -> list[TriangleMesh]:
+    """Cut every (mesh, normal, offset, keep_coplanar) entry of cuts as
+    :func:`clip_halfspace` does, in one pass.
+
+    The entries' vertices and triangles are stacked entry after entry, and
+    every step but the triangulation of each cap runs once over the stack.
+    An entry's block of the stack holds its old vertices, then its new
+    points, so each result is bit for bit that of a lone cut: its new
+    points are numbered by first encounter in its own triangles, it keeps
+    its old vertices before its new ones, and its triangles are its kept
+    ones, its fans, then its caps.
+    """
+    if not cuts:
+        return []
+    meshes = [entry[0] for entry in cuts]
+    normals = [np.asarray(entry[1], dtype=np.float64).reshape(3) for entry in cuts]
+    d = np.concatenate([m.vertices @ n - float(entry[2])
+                        for m, n, entry in zip(meshes, normals, cuts)])
     d[np.abs(d) <= PLANE_EPS] = 0.0
+    counts = np.array([len(m.vertices) for m in meshes])
+    vstart = np.cumsum(counts) - counts
+    verts = np.concatenate([m.vertices for m in meshes])
+    tri_entry = np.repeat(np.arange(len(cuts)), [len(m.triangles) for m in meshes])
+    triangles = np.concatenate([m.triangles for m in meshes]).astype(np.int64)
+    triangles += vstart[tri_entry][:, None]
 
-    tri_d = d[mesh.triangles]
-    below = tri_d <= 0.0
-    keep_full = below.all(axis=1)
-    if not keep_coplanar:
-        keep_full &= ~(tri_d == 0.0).all(axis=1)
-    drop_full = (tri_d > 0.0).all(axis=1)
-    crossing = np.nonzero(~below.all(axis=1) & ~drop_full)[0]
+    tri_d = d[triangles]
+    # Per-corner columns: numpy reduces a short last axis slowly.
+    d0, d1, d2 = tri_d.T
+    below = (d0 <= 0.0) & (d1 <= 0.0) & (d2 <= 0.0)
+    in_plane = (d0 == 0.0) & (d1 == 0.0) & (d2 == 0.0)
+    drop_coplanar = np.array([not entry[3] for entry in cuts])
+    keep_full = below & ~(drop_coplanar[tri_entry] & in_plane)
+    drop_full = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
+    crossing = np.nonzero(~below & ~drop_full)[0]
 
-    verts = mesh.vertices
     # Slot j of a crossing triangle walks the edge from corner j - 1 to
     # corner j: it emits the edge's cut point when the edge changes sign
     # strictly, then corner j when it is kept.
-    cur = mesh.triangles[crossing].astype(np.int64)
+    cur = triangles[crossing]
     prev = cur[:, [2, 0, 1]]
     dc = tri_d[crossing]
     dp = dc[:, [2, 0, 1]]
     cut = ((dp > 0.0) & (dc < 0.0)) | ((dp < 0.0) & (dc > 0.0))
     # One point per undirected edge, numbered in order of first encounter
     # (row-major over the cut mask), so both sides of an edge share it.
+    # The rows run entry after entry, and so do the numbers.
     rows, cols = np.nonzero(cut)
     a = np.minimum(prev[rows, cols], cur[rows, cols])
     b = np.maximum(prev[rows, cols], cur[rows, cols])
@@ -257,30 +290,52 @@ def clip_halfspace(mesh: TriangleMesh, normal, offset: float, *,
     t = d[a] / (d[a] - d[b])
     new_points = verts[a] + t[:, None] * (verts[b] - verts[a])
 
+    # Each entry's block: its old vertices, then its new points.
+    added = np.bincount(tri_entry[crossing[rows[first[order]]]],
+                        minlength=len(cuts))
+    before = np.cumsum(added) - added       # new points of earlier entries
+    block = vstart + before
+    old_at = np.arange(len(verts)) + np.repeat(before, counts)
+    new_at = np.arange(len(new_points)) + np.repeat(vstart + counts, added)
+    all_verts = np.empty((len(verts) + len(new_points), 3))
+    all_verts[old_at] = verts
+    all_verts[new_at] = new_points
+
     slots = np.full((len(crossing), 6), -1, dtype=np.int64)
-    slots[rows, 2 * cols] = len(verts) + rank[inverse.reshape(-1)]
-    slots[:, 1::2] = np.where(dc <= 0.0, cur, -1)
+    slots[rows, 2 * cols] = new_at[rank[inverse.reshape(-1)]]
+    slots[:, 1::2] = np.where(dc <= 0.0, old_at[cur], -1)
     # Close up each row's emitted ids, then fan (poly[0], poly[k], poly[k+1]).
-    emitted = slots >= 0
-    count = emitted.sum(axis=1)
+    r, c = np.nonzero(slots >= 0)
+    count = np.bincount(r, minlength=len(slots))
     poly = np.zeros_like(slots)
-    r, c = np.nonzero(emitted)
-    poly[r, (np.cumsum(emitted, axis=1) - 1)[r, c]] = slots[r, c]
+    poly[r, np.arange(len(r)) - (np.cumsum(count) - count)[r]] = slots[r, c]
     r, k = np.nonzero(np.arange(1, 5) < count[:, None] - 1)
     k = k + 1
     fans = np.stack([poly[r, 0], poly[r, k], poly[r, k + 1]], axis=1)
+    tris = np.concatenate([old_at[triangles[keep_full]], fans])
 
-    tris = np.concatenate([mesh.triangles[keep_full], fans]).astype(np.int32)
-    if not len(tris):
-        return TriangleMesh.empty(mesh.name)
-    all_verts = np.vstack([verts, new_points]) if len(new_points) else verts
-
-    if cap:
-        on = np.concatenate([d == 0.0, np.ones(len(new_points), dtype=bool)])
-        cap_tris = _build_caps(all_verts, tris, on, n)
-        if len(cap_tris):
-            tris = np.vstack([tris, cap_tris])
-    return compact(TriangleMesh(all_verts, tris, mesh.name))
+    if cap and len(tris):
+        on = np.ones(len(all_verts), dtype=bool)
+        on[old_at] = d == 0.0
+        planes = [(n, lo, lo + size) for n, lo, size
+                  in zip(normals, block.tolist(), (counts + added).tolist())]
+        tris = np.concatenate([tris, _build_caps(all_verts, tris, on, planes)])
+    # Kept triangles, fans and caps, entry by entry; then the vertices no
+    # triangle uses are dropped, and each entry's are numbered from 0.
+    owner = np.searchsorted(block, tris[:, 0], side="right") - 1
+    tris = tris[np.argsort(owner, kind="stable")]
+    used = np.zeros(len(all_verts), dtype=bool)
+    used[tris] = True
+    prior = np.concatenate([[0], np.cumsum(used)])     # used vertices before
+    faces = np.bincount(owner, minlength=len(cuts))
+    out_verts = all_verts[used]
+    out_tris = (prior[tris] - np.repeat(prior[block], faces)[:, None]).astype(np.int32)
+    v_end = prior[block + counts + added].tolist()
+    t_end = np.cumsum(faces).tolist()
+    return [TriangleMesh(out_verts[v0:v1], out_tris[t0:t1], m.name) if t1 > t0
+            else TriangleMesh.empty(m.name)
+            for m, v0, v1, t0, t1 in zip(meshes, prior[block].tolist(), v_end,
+                                         [0] + t_end[:-1], t_end)]
 
 
 def _boundary_edges(tris: np.ndarray, on: np.ndarray) -> np.ndarray:
@@ -291,12 +346,17 @@ def _boundary_edges(tris: np.ndarray, on: np.ndarray) -> np.ndarray:
     of a cut through a closed mesh lies in the cut plane.
     """
     t = np.asarray(tris, dtype=np.int64)
-    ab = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    ab = ab[on[ab[:, 0]] & on[ab[:, 1]]]
-    if len(ab) == 0:
+    t_on = on[t]
+    start, end = [], []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        both = t_on[:, i] & t_on[:, j]
+        start.append(t[both, i])
+        end.append(t[both, j])
+    start, end = np.concatenate(start), np.concatenate(end)
+    if len(start) == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    base = int(ab.max()) + 1
-    keys, counts = np.unique(ab[:, 0] * base + ab[:, 1], return_counts=True)
+    base = int(max(start.max(), end.max())) + 1
+    keys, counts = np.unique(start * base + end, return_counts=True)
     rev = (keys % base) * base + keys // base
     pos = np.clip(np.searchsorted(keys, rev), 0, len(keys) - 1)
     rev_counts = np.where(keys[pos] == rev, counts[pos], 0)
@@ -316,19 +376,32 @@ def _plane_basis(n: np.ndarray):
 
 
 def _build_caps(verts: np.ndarray, tris: np.ndarray, on: np.ndarray,
-                n: np.ndarray) -> np.ndarray:
-    """Triangulate the open boundary (reversed) into cap faces with normal n;
-    on marks the vertices in the cut plane."""
+                planes) -> np.ndarray:
+    """Triangulate the open boundary (reversed) into cap faces; on marks
+    the vertices in a cut plane.
+
+    planes holds, per entry of a batched cut, its normal n and the range
+    [start, stop) of its vertices.  Each entry's vertices are read in its
+    own plane coordinates and its loops form a region of their own, so
+    its caps are those of a lone cut.
+    """
     boundary = _boundary_edges(tris, on)
     if not len(boundary):
-        return np.zeros((0, 3), dtype=np.int32)
-    u, v = _plane_basis(n)
-    uv = np.column_stack([verts @ u, verts @ v])
+        return np.zeros((0, 3), dtype=np.int64)
+    starts = np.array([start for _, start, _ in planes])
+    uv = np.zeros((len(verts), 2))
+    owner = np.searchsorted(starts, boundary[:, 0], side="right") - 1
+    for e in np.flatnonzero(np.bincount(owner)).tolist():
+        n, start, stop = planes[e]
+        u, v = _plane_basis(n)
+        local = verts[start:stop]
+        uv[start:stop, 0] = local @ u
+        uv[start:stop, 1] = local @ v
     loops = _assemble_loops(boundary[:, ::-1].tolist(), uv)
-    cap = _triangulate_region(uv, loops)
-    if not cap:
-        return np.zeros((0, 3), dtype=np.int32)
-    return np.asarray(cap, dtype=np.int32)
+    region = np.searchsorted(starts, [loop[0] for loop in loops], side="right") - 1
+    cap = _triangulate_region(uv, loops, region)
+    return np.fromiter(itertools.chain.from_iterable(cap), dtype=np.int64,
+                       count=3 * len(cap)).reshape(-1, 3)
 
 
 def _assemble_loops(edges: list[tuple[int, int]], uv: np.ndarray) -> list[list[int]]:
@@ -399,27 +472,47 @@ def _point_in_ring(uv: np.ndarray, ring: list[int], p: np.ndarray) -> bool:
     return inside
 
 
-def _triangulate_region(uv: np.ndarray, loops: list[list[int]]) -> list[tuple[int, int, int]]:
+def _triangulate_region(uv: np.ndarray, loops: list[list[int]],
+                        region=None) -> list[tuple[int, int, int]]:
     """Triangulate the region bounded by CCW outer loops and CW holes.
 
-    Each loop is cut down to its corners first (:func:`_corner_ring`);
-    holes are bridged into their outer ring, each ring is ear-clipped, and
-    the dropped runs are fanned back in (:func:`_fan_runs`).
+    region gives each loop's region, 0 for all when omitted.  Each region
+    is triangulated on its own, with its own area scale: a hole is only
+    bridged into an outer loop of its region.  Each loop is cut down to
+    its corners first (:func:`_corner_rings`); holes are bridged into
+    their outer ring, each ring is ear-clipped, and the dropped runs are
+    fanned back in (:func:`_fan_runs`).
     """
     if not loops:
         return []
-    scale = 0.0
-    for ring in loops:
-        pts = uv[ring]
-        ext = pts.max(axis=0) - pts.min(axis=0)
-        scale = max(scale, float(ext.max()))
+    region = np.zeros(len(loops), dtype=np.int64) if region is None else np.asarray(region)
+    sizes = np.array([len(ring) for ring in loops])
+    flat = np.fromiter(itertools.chain.from_iterable(loops), dtype=np.int64,
+                       count=int(sizes.sum()))
+    first = np.cumsum(sizes) - sizes
+    pts = uv[flat]
+    ext = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
+    ext = np.maximum(ext[:, 0], ext[:, 1])
+    scale = np.zeros(int(region.max()) + 1)
+    np.maximum.at(scale, region, ext)
     eps_area = 1e-12 * scale * scale + 1e-300
 
     runs: list[tuple[int, int, list[int]]] = []
+    rings = _corner_rings(loops, pts, eps_area[region], runs)
+    tris: list[tuple[int, int, int]] = []
+    for r in np.flatnonzero(np.bincount(region)).tolist():
+        mine = np.flatnonzero(region == r).tolist()
+        tris.extend(_triangulate_rings(uv, [rings[i] for i in mine], float(eps_area[r])))
+    return _fan_runs(tris, runs)
+
+
+def _triangulate_rings(uv: np.ndarray, rings: list[list[int]],
+                       eps_area: float) -> list[tuple[int, int, int]]:
+    """Ear-clip the corner rings of one region, each hole bridged into the
+    smallest outer ring that holds it."""
     outers: list[list[int]] = []
     holes: list[list[int]] = []
-    for ring in loops:
-        ring = _corner_ring(uv, ring, eps_area, runs)
+    for ring in rings:
         if _signed_area(uv, ring) >= 0.0:
             outers.append(ring)
         else:
@@ -446,35 +539,55 @@ def _triangulate_region(uv: np.ndarray, loops: list[list[int]]) -> list[tuple[in
         for hole in sorted(grouped[i], key=lambda h: -float(uv[h][:, 0].max())):
             ring = _splice_hole(uv, ring, hole, eps_area)
         tris.extend(_ear_clip(uv, ring, eps_area))
-    return _fan_runs(tris, runs)
+    return tris
 
 
-def _corner_ring(uv: np.ndarray, ring: list[int], eps_area: float,
-                 runs: list[tuple[int, int, list[int]]]) -> list[int]:
-    """The ring without the vertices that lie on a straight edge.
+def _corner_rings(loops: list[list[int]], pts: np.ndarray, eps_area: np.ndarray,
+                  runs: list[tuple[int, int, list[int]]]) -> list[list[int]]:
+    """The loops without the vertices that lie on a straight edge.
 
-    A vertex at the same point as its predecessor is dropped, and so is a
-    vertex collinear with both neighbours (turn within eps_area) and
-    between them.  Each run of dropped vertices is appended to runs as
-    (a, b, [p1, ..., pk]) under the corner edge a -> b that now spans it.
-    Cut rings of voxel-like models are mostly such vertices.  A ring that
-    would keep fewer than three corners is kept whole.
+    pts holds the uv of the loops' vertices, one loop after another, and
+    eps_area the turn tolerance of each loop.  A vertex at the same point
+    as its predecessor is dropped, and so is a vertex collinear with both
+    neighbours (turn within eps_area) and between them; the turns of all
+    loops are computed at once.  Each run of dropped vertices is appended
+    to runs as (a, b, [p1, ..., pk]) under the corner edge a -> b that now
+    spans it.  Cut rings of voxel-like models are mostly such vertices.  A
+    loop that would keep fewer than three corners is kept whole.
     """
-    pts = uv[ring]
-    moved = np.nonzero((pts != uv[ring[-1:] + ring[:-1]]).any(axis=1))[0]
+    sizes = np.array([len(ring) for ring in loops])
+    loop = np.repeat(np.arange(len(loops)), sizes)
+    first = np.cumsum(sizes) - sizes
+    prev = np.arange(len(pts)) - 1
+    prev[first] = first + sizes - 1
+    moved = np.flatnonzero((pts[:, 0] != pts[prev, 0]) | (pts[:, 1] != pts[prev, 1]))
+    # Per loop, each moved vertex's edge to the next one, wrapping.
     q = pts[moved]
-    e_out = np.concatenate((q[1:], q[:1])) - q
-    e_in = np.concatenate((e_out[-1:], e_out[:-1]))     # q - its predecessor
+    owner = loop[moved]
+    count = np.bincount(owner, minlength=len(loops))
+    last = (np.cumsum(count) - 1)[count > 0]
+    after = np.arange(1, len(moved) + 1)
+    after[last] = last + 1 - count[count > 0]
+    e_out = q[after] - q
+    e_in = np.empty_like(e_out)     # q - its predecessor
+    e_in[after] = e_out
     turn = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
-    ahead = (e_in * e_out).sum(axis=1) > 0.0
-    kept = moved[(np.abs(turn) > eps_area) | ~ahead].tolist()
-    n = len(ring)
-    if len(kept) < 3 or len(kept) == n:
-        return list(ring)
-    for a, b in zip(kept, kept[1:] + [kept[0] + n]):
-        if b - a > 1:
-            runs.append((ring[a], ring[b % n], [ring[k % n] for k in range(a + 1, b)]))
-    return [ring[k] for k in kept]
+    ahead = e_in[:, 0] * e_out[:, 0] + e_in[:, 1] * e_out[:, 1] > 0.0
+    corner = (np.abs(turn) > eps_area[owner]) | ~ahead
+    kept_at = (moved - first[owner])[corner].tolist()
+    ends = np.cumsum(np.bincount(owner[corner], minlength=len(loops))).tolist()
+    rings: list[list[int]] = []
+    for ring, end, begin in zip(loops, ends, [0] + ends[:-1]):
+        kept = kept_at[begin:end]
+        n = len(ring)
+        if len(kept) < 3 or len(kept) == n:
+            rings.append(list(ring))
+            continue
+        for a, b in zip(kept, kept[1:] + [kept[0] + n]):
+            if b - a > 1:
+                runs.append((ring[a], ring[b % n], [ring[k % n] for k in range(a + 1, b)]))
+        rings.append([ring[k] for k in kept])
+    return rings
 
 
 def _splice_hole(uv: np.ndarray, outer: list[int], hole: list[int], eps_area: float) -> list[int]:
@@ -638,46 +751,85 @@ def _check_box(box: Aabb) -> None:
         raise DegenerateBox(f"box extent must be positive, got {box.extent}")
 
 
-def clip_to_box(mesh: TriangleMesh, box: Aabb) -> TriangleMesh:
-    """Clip a watertight mesh to an axis-aligned box.
+def clip_to_box(mesh, boxes):
+    """Clip a watertight mesh to an axis-aligned box, or to each of a
+    sequence of boxes.
 
-    Returns a watertight solid with caps on the box faces, the box built
-    from caps alone when it lies inside the solid.  It is empty when the
-    box holds none of the solid, or when no triangle of the result keeps
-    three corners apart at PLANE_EPS resolution.
+    boxes is one Aabb, which gives one mesh, or a sequence of them, which
+    gives a list of meshes in the same order.  mesh is the mesh of every
+    box, or a sequence of meshes, one per box.  Each input mesh is checked
+    to be closed once per call.  A result is a watertight solid with caps
+    on the box faces, the box built from caps alone when it lies inside
+    the solid.  It is empty when the box holds none of the solid, or when
+    no triangle of it keeps three corners apart at PLANE_EPS resolution.
+
+    The boxes are clipped together in six batched passes, one per box
+    plane (max x, min x, max y, min y, max z, min z), each result bit for
+    bit that of clipping its box alone.
     """
-    _check_box(box)
-    if not validate_watertight(mesh).is_watertight:
-        raise NonWatertightInput("volumetric clipping needs a closed mesh")
-    current = mesh
+    one = isinstance(boxes, Aabb)
+    boxes = [boxes] if one else list(boxes)
+    meshes = [mesh] * len(boxes) if isinstance(mesh, TriangleMesh) else list(mesh)
+    if len(meshes) != len(boxes):
+        raise ValueError(f"{len(meshes)} meshes for {len(boxes)} boxes")
+    for box in boxes:
+        _check_box(box)
+    for m in {id(m): m for m in meshes}.values():
+        if not validate_watertight(m).is_watertight:
+            raise NonWatertightInput("volumetric clipping needs a closed mesh")
+    current = list(meshes)
+    live = list(range(len(boxes)))
     axes = np.eye(3)
     for axis in range(3):
         # Own the max face (keep coplanar there), give away the min face.
-        for normal, offset, keep in ((axes[axis], box.max[axis], True),
-                                     (-axes[axis], -box.min[axis], False)):
-            # normal . v - offset, exactly as clip_halfspace computes it.
-            if (current.vertices[:, axis] * normal[axis] - offset < -PLANE_EPS).all():
-                continue
-            current = clip_halfspace(current, normal, offset, keep_coplanar=keep)
-            if current.is_empty:
-                return current
-    # A surface that only touches the box leaves slivers narrower than
-    # PLANE_EPS, which weld away.
-    keys = np.round(current.vertices[current.triangles] / PLANE_EPS).astype(np.int64)
-    if not (keys != keys[:, [1, 2, 0]]).any(axis=2).all(axis=1).any():
-        return TriangleMesh.empty(mesh.name)
-    return mesh.copy() if current is mesh else current
+        for sign, keep in ((1.0, True), (-1.0, False)):
+            normal = sign * axes[axis]
+            cuts, cut = [], []
+            for i in live:
+                offset = sign * (boxes[i].max if keep else boxes[i].min)[axis]
+                # normal . v - offset as clip_halfspace computes it, at the
+                # vertex nearest the plane: it rounds monotonically in v.
+                coords = current[i].vertices[:, axis]
+                if sign * (coords.max() if keep else coords.min()) - offset >= -PLANE_EPS:
+                    cuts.append((current[i], normal, offset, keep))
+                    cut.append(i)
+            for i, result in zip(cut, _clip_halfspaces(cuts)):
+                current[i] = result
+            live = [i for i in live if not current[i].is_empty]
+    results = [TriangleMesh.empty(m.name) for m in meshes]
+    if live:
+        for i, collapsed in zip(live, _weld_away([current[i] for i in live]).tolist()):
+            if not collapsed:
+                results[i] = meshes[i].copy() if current[i] is meshes[i] else current[i]
+    return results[0] if one else results
+
+
+def _weld_away(meshes: list[TriangleMesh]) -> np.ndarray:
+    """Whether each nonempty mesh loses every triangle when welded at
+    PLANE_EPS: a surface that only touches a box leaves slivers narrower
+    than that."""
+    corners = np.concatenate([m.vertices[m.triangles] for m in meshes])
+    keys = np.round(corners / PLANE_EPS).astype(np.int64)
+    a, b, c = keys[:, 0], keys[:, 1], keys[:, 2]
+
+    def differ(p, q):
+        return (p[:, 0] != q[:, 0]) | (p[:, 1] != q[:, 1]) | (p[:, 2] != q[:, 2])
+
+    apart = differ(a, b) & differ(b, c) & differ(c, a)
+    sizes = np.array([len(m.triangles) for m in meshes])
+    return ~np.logical_or.reduceat(apart, np.cumsum(sizes) - sizes)
 
 
 def cut_by_plane(mesh: TriangleMesh, normal, offset: float):
-    """Split a watertight mesh by a plane into capped (positive, negative) halves."""
+    """Split a watertight mesh by a plane into capped (positive, negative)
+    halves, both cut in one batched pass."""
     n = np.asarray(normal, dtype=np.float64).reshape(3)
     if abs(np.linalg.norm(n) - 1.0) > 1e-9:
         raise ValueError("plane normal must be unit length")
     if not validate_watertight(mesh).is_watertight:
         raise NonWatertightInput("plane cutting needs a closed mesh")
-    positive = clip_halfspace(mesh, -n, -float(offset), keep_coplanar=False)
-    negative = clip_halfspace(mesh, n, float(offset), keep_coplanar=True)
+    positive, negative = _clip_halfspaces([(mesh, -n, -float(offset), False),
+                                           (mesh, n, float(offset), True)])
     return positive, negative
 
 

@@ -225,10 +225,16 @@ def weld_vertices(mesh: TriangleMesh, tolerance: float = WELD_TOLERANCE) -> Tria
     if len(mesh.vertices) == 0:
         return mesh.copy()
     keys = np.round(mesh.vertices / tolerance).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # Keys in ascending (x, y, z) order, equal keys in input order.
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
     # Representative position: first occurrence of each key, for determinism.
-    verts = mesh.vertices[first]
-    tris = inverse.reshape(-1)[mesh.triangles.astype(np.int64)].astype(np.int32)
+    verts = mesh.vertices[order[new]]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    tris = inverse[mesh.triangles.astype(np.int64)].astype(np.int32)
     return TriangleMesh(verts, tris, mesh.name)
 
 

@@ -424,17 +424,22 @@ def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
     and validity is judged again from the meshes.  ``meshes`` holds the
     clipped mesh of every (piece, cell_lo, cell_hi) box clipped so far in
     the search and gains the new ones, so boxes shared by iterations are
-    clipped once; each part still gets its own named mesh.
+    clipped once; each part still gets its own named mesh.  The boxes it
+    lacks are clipped in one :func:`clip_to_box` call.
     """
     params = objective_of(plan, profile)
+    missing = [key for key in dict.fromkeys(
+        (part.piece, part.cell_lo, part.cell_hi) for part in result.parts)
+        if key not in meshes]
+    if missing:
+        pieces = [prepared.pieces[piece] for piece, _, _ in missing]
+        meshes.update(zip(missing, clip_to_box(
+            [piece.mesh for piece in pieces],
+            [piece.grid.box_of_range(lo, hi)
+             for piece, (_, lo, hi) in zip(pieces, missing)])))
     parts: list[PartResult] = []
     for part in result.parts:
-        piece = prepared.pieces[part.piece]
-        key = (part.piece, part.cell_lo, part.cell_hi)
-        if key not in meshes:
-            meshes[key] = clip_to_box(piece.mesh, piece.grid.box_of_range(
-                part.cell_lo, part.cell_hi))
-        clipped = meshes[key]
+        clipped = meshes[(part.piece, part.cell_lo, part.cell_hi)]
         if clipped.is_empty:
             continue
         parts.append(_score_part(

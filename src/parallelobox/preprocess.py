@@ -293,6 +293,11 @@ class _CellGrid:
             self._coarser = _CellGrid(self.vertices, 2.0 * self.h)
         return self._coarser
 
+    def drop_grids(self) -> None:
+        """Let go of the coarser and crowd grids built from this one; a
+        later search builds them again."""
+        self._coarser = self._crowd = None
+
     def beyond(self, points: np.ndarray) -> np.ndarray:
         """Exact nearest-vertex distance of each of the (3, m) points, for
         points that their blocks here leave unanswered."""
@@ -425,7 +430,10 @@ def find_best_symmetry_plane(mesh: TriangleMesh) -> SymmetryPlane:
             dist[todo] = grid.brute(points[:, todo])
             exact[todo] = True
             break
+        # Only the finest grid is read again, by brute: it lets go of the
+        # grids it built, so each level the loop passes is freed.
         level = level.coarser()
+        grid.drop_grids()
 
     best: SymmetryPlane | None = None
     for c in np.flatnonzero(alive):

@@ -969,6 +969,13 @@ def test_touching_boxes_match_the_weld():
     _assert_same_solid(clip_to_box(tip, box), _reference_clip_to_box(tip, box), box)
 
 
+def _reference_cuts(cuts, cap=True):
+    """The batched half-space kernel's entries, each cut by the loop kernel."""
+    return [_reference_clip_halfspace(mesh, normal, offset,
+                                      keep_coplanar=keep_coplanar, cap=cap)
+            for mesh, normal, offset, keep_coplanar in cuts]
+
+
 def _cut_loops(mesh, normal, offset, keep_coplanar):
     """The plane coordinates and boundary loops clip_halfspace caps, from
     the loop kernel's uncapped cut."""
@@ -995,7 +1002,7 @@ def test_dumbbell_ring_is_capped_once(monkeypatch):
     vertices are collinear with both neighbours; ear clipping every vertex
     covered 500 mm² for its 440."""
     with monkeypatch.context() as patch:
-        patch.setattr(clip, "clip_halfspace", _reference_clip_halfspace)
+        patch.setattr(clip, "_clip_halfspaces", _reference_cuts)
         prepared = prepare_model(dumbbell(), RunPlan(printers_available=4,
                                                      granularity="fine"),
                                  PrinterProfile())
@@ -1319,9 +1326,9 @@ def test_skipped_cuts_match_six_cuts(make_mesh, monkeypatch):
     rng = np.random.default_rng(89)
     steps = [0.0, PLANE_EPS, -PLANE_EPS, 2 * PLANE_EPS, 1.0, None]  # None: inside
     cuts = []
-    halfspace = clip.clip_halfspace
-    monkeypatch.setattr(clip, "clip_halfspace",
-                        lambda *args, **kw: cuts.append(1) or halfspace(*args, **kw))
+    batched = clip._clip_halfspaces
+    monkeypatch.setattr(clip, "_clip_halfspaces",
+                        lambda entries, *args: cuts.extend(entries) or batched(entries, *args))
     faces = [[1.0] * 6, [0.0] * 6] + [rng.choice(steps, size=6).tolist()
                                       for _ in range(30)]
     skipped = 0
@@ -1331,8 +1338,112 @@ def test_skipped_cuts_match_six_cuts(make_mesh, monkeypatch):
         box = Aabb(bb.min - out[1::2], bb.max + out[0::2])
         before = len(cuts)
         got = clip_to_box(mesh, box)
-        skipped += 6 - (len(cuts) - before)
+        made = len(cuts) - before
+        skipped += 6 - made
         assert _same_mesh(got, _six_cuts(mesh, box)), out
-        if len(cuts) == before:
+        if made == 0:
             assert got.vertices is not mesh.vertices and _same_mesh(got, mesh)
     assert skipped > 0
+
+
+# ---------------------------------------------------------------------------
+# batched box clipping
+
+
+def _one_by_one(meshes, boxes):
+    return [clip_to_box(mesh, box) for mesh, box in zip(meshes, boxes)]
+
+
+def _assert_batching_is_invisible(meshes, boxes):
+    """One call, one call in reverse order and one call per box give the
+    same meshes bit for bit."""
+    alone = _one_by_one(meshes, boxes)
+    together = clip_to_box(meshes, boxes)
+    reverse = clip_to_box(meshes[::-1], boxes[::-1])[::-1]
+    assert len(together) == len(reverse) == len(boxes)
+    for one, got, back, box in zip(alone, together, reverse, boxes):
+        assert _same_mesh(got, one), box
+        assert _same_mesh(back, one), box
+    return alone
+
+
+@pytest.mark.parametrize("granularity", ["coarse", "fine"])
+@pytest.mark.parametrize("name", ["dumbbell", "l_bracket", "hollow_box",
+                                  "asymmetric_blob", "icosphere"])
+def test_batched_box_clip_matches_one_box_per_call(name, granularity):
+    """The part boxes of the seed-0 decompositions at 4 printers of 250 mm
+    and 8 of 30 mm, and random cell ranges, on each prepared piece: each
+    piece's boxes and all pieces' boxes together."""
+    from parallelobox import meta
+    mesh = getattr(fixtures, name)()
+    rng = np.random.default_rng(sum(map(ord, name + granularity)))
+    meshes, boxes = [], []
+    for printers, side in ((4, 250.0), (8, 30.0)):
+        plan = RunPlan(printers_available=printers, granularity=granularity)
+        profile = PrinterProfile(volume_x=side, volume_y=side, volume_z=side)
+        prepared = prepare_model(mesh, plan, profile)
+        grown = meta.grow_runs(prepared, plan, profile, [(printers, 0)])[0]
+        result = meta.run_decomposition(prepared, plan, profile, printers, 0, grown)
+        for part in result.parts:
+            piece = prepared.pieces[part.piece]
+            meshes.append(piece.mesh)
+            boxes.append(piece.grid.box_of_range(part.cell_lo, part.cell_hi))
+        for piece in prepared.pieces:
+            dims = np.array(piece.grid.dims)
+            for _ in range(4):
+                lo = rng.integers(0, dims)
+                hi = lo + rng.integers(0, dims - lo)
+                meshes.append(piece.mesh)
+                boxes.append(piece.grid.box_of_range(lo, hi))
+    assert len(boxes) >= 8
+    for piece_mesh in {id(m): m for m in meshes}.values():
+        mine = [box for m, box in zip(meshes, boxes) if m is piece_mesh]
+        _assert_batching_is_invisible([piece_mesh] * len(mine), mine)
+        assert _same_mesh(clip_to_box(piece_mesh, mine[0]),
+                          clip_to_box(piece_mesh, mine)[0])
+    alone = _assert_batching_is_invisible(meshes, boxes)
+    assert any(not part.is_empty for part in alone)
+
+
+def test_batched_box_clip_edge_cases():
+    """In one batch: a box inside the solid, a box in hollow_box's cavity,
+    a box no thicker than PLANE_EPS, a repeated box and a box the mesh
+    lies wholly inside, each as it comes alone."""
+    cube, hollow = unit_cube(), hollow_box()
+    center = aabb_of(hollow).center
+    inside = Aabb((0.25, 0.25, 0.25), (0.5, 0.75, 0.625))
+    thin = Aabb((0.5, 0.25, 0.25), (0.5 + PLANE_EPS, 0.75, 0.75))
+    whole = Aabb((-1.0, -1.0, -1.0), (2.0, 2.0, 2.0))
+    half = Aabb((-1.0, -1.0, -1.0), (0.5, 2.0, 2.0))
+    meshes = [cube, hollow, cube, cube, hollow, cube, cube]
+    boxes = [inside, Aabb(center - 1.0, center + 1.0), thin, half,
+             Aabb(aabb_of(hollow).min - 1.0, aabb_of(hollow).max + 1.0), half, whole]
+    got = clip_to_box(meshes, boxes)
+    _assert_batching_is_invisible(meshes, boxes)
+    assert measure(got[0]).volume == pytest.approx(np.prod(inside.extent), rel=1e-12)
+    assert validate_watertight(got[0]).is_watertight
+    assert got[1].is_empty and got[2].is_empty
+    assert _same_mesh(got[3], got[5]) and got[3] is not got[5]
+    assert measure(got[3]).volume == pytest.approx(0.5, rel=1e-12)
+    for source, copy in ((hollow, got[4]), (cube, got[6])):
+        assert copy is not source and copy.vertices is not source.vertices
+        assert _same_mesh(copy, source)
+    assert clip_to_box(cube, []) == []
+    with pytest.raises(ValueError):
+        clip_to_box([cube], [inside, whole])
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES + [wedge],
+                         ids=_FIXTURE_IDS + ["wedge"])
+def test_cut_by_plane_is_two_lone_cuts(make_mesh):
+    """cut_by_plane's halves, cut in one batched pass, are bit for bit
+    the two one-entry cuts at the fixture's mirror plane."""
+    from parallelobox.preprocess import find_best_symmetry_plane
+    mesh = make_mesh()
+    plane = find_best_symmetry_plane(mesh)
+    positive, negative = cut_by_plane(mesh, plane.normal, plane.offset)
+    assert not positive.is_empty and not negative.is_empty
+    assert _same_mesh(positive, clip_halfspace(mesh, -plane.normal, -plane.offset,
+                                               keep_coplanar=False))
+    assert _same_mesh(negative, clip_halfspace(mesh, plane.normal, plane.offset,
+                                               keep_coplanar=True))

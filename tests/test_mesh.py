@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from parallelobox.errors import EmptyMesh, ParseError
+from parallelobox import fixtures
 from parallelobox.fixtures import box_mesh, icosphere, unit_cube
 from parallelobox.mesh import (TriangleMesh, aabb_of, clean_mesh, cross,
                                drop_degenerate_triangles, load_mesh, measure,
@@ -68,6 +69,53 @@ def test_weld_merges_duplicate_vertices():
     assert len(welded.vertices) == 8
     assert validate_watertight(welded).is_watertight
     assert measure(welded).volume == pytest.approx(1.0, rel=1e-12)
+
+
+def _weld_by_unique(mesh, tolerance=1e-6):
+    """weld_vertices by a row-wise np.unique of the quantized keys."""
+    keys = np.round(mesh.vertices / tolerance).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return (mesh.vertices[first],
+            inverse.reshape(-1)[mesh.triangles.astype(np.int64)].astype(np.int32))
+
+
+def _soup(mesh):
+    verts = mesh.vertices[mesh.triangles].reshape(-1, 3)
+    return TriangleMesh(verts, np.arange(len(verts)).reshape(-1, 3), mesh.name)
+
+
+@pytest.mark.parametrize("name", ["unit_cube", "icosphere", "dumbbell", "l_bracket",
+                                  "hollow_box", "asymmetric_blob", "thin_plate",
+                                  "wedge"])
+def test_weld_matches_row_unique_on_fixture_soups(name):
+    """The weld equals the np.unique(axis=0) weld bit for bit on each
+    fixture's triangle soup, and gives back the fixture's vertex count."""
+    mesh = getattr(fixtures, name)()
+    soup = _soup(mesh)
+    welded = weld_vertices(soup)
+    verts, tris = _weld_by_unique(soup)
+    assert welded.vertices.tobytes() == verts.tobytes()
+    assert welded.triangles.tobytes() == tris.tobytes()
+    assert len(welded.vertices) == len(np.unique(mesh.vertices, axis=0))
+
+
+def test_weld_matches_row_unique_across_the_quantum():
+    """Random points within and across the 1e-6 weld quantum, with
+    negative, zero and -0.0 coordinates, weld as np.unique(axis=0) does."""
+    rng = np.random.default_rng(61)
+    centres = rng.integers(-3, 4, size=(40, 3)) * 1e-6
+    centres[:5] = -0.0
+    points = (np.repeat(centres, 12, axis=0)
+              + rng.choice([0.0, 2e-7, -2e-7, 4.9e-7, -5.1e-7, 1e-6],
+                           size=(480, 3)))
+    points[rng.random(points.shape) < 0.05] = -0.0
+    points = points[rng.permutation(len(points))]
+    mesh = TriangleMesh(points, rng.integers(0, len(points), size=(300, 3)))
+    welded = weld_vertices(mesh)
+    verts, tris = _weld_by_unique(mesh)
+    assert len(verts) < len(points)
+    assert welded.vertices.tobytes() == verts.tobytes()
+    assert welded.triangles.tobytes() == tris.tobytes()
 
 
 def test_drop_degenerate_triangles():

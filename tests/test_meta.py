@@ -539,8 +539,9 @@ def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
     clip_parts, clip_to_box = meta.clip_parts, meta.clip_to_box
     monkeypatch.setattr(meta, "clip_parts", lambda *args: iterations.append(
         args[3]) or clip_parts(*args))
-    monkeypatch.setattr(meta, "clip_to_box", lambda mesh, box: boxes.append(
-        (id(mesh), tuple(box.min), tuple(box.max))) or clip_to_box(mesh, box))
+    monkeypatch.setattr(meta, "clip_to_box", lambda meshes, batch: boxes.extend(
+        (id(mesh), tuple(box.min), tuple(box.max))
+        for mesh, box in zip(meshes, batch)) or clip_to_box(meshes, batch))
     records = []
     got = run_metaheuristic(rod, plan, profile, records)
     want, reference = _reference_search(prepare_model(rod, plan, PROFILE),
@@ -555,6 +556,52 @@ def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
                                                     for p in want.parts]
     assert [(r.parallel_score, r.parts) for r in records] == [
         (r.parallel_score, r.printers_used) for r in reference]
+
+
+@pytest.mark.parametrize("mesh, profile", [
+    (box_mesh(size=(8.0, 0.5, 0.5), name="rod"), PrinterProfile(volume_x=0.6)),
+    (fixtures.l_bracket(), PrinterProfile(volume_x=30.0, volume_y=30.0,
+                                          volume_z=30.0))])
+def test_clip_parts_clips_what_its_memo_lacks_in_one_call(mesh, profile,
+                                                         monkeypatch):
+    """Each clipped iteration makes one clip_to_box call with exactly the
+    boxes the search's memo lacks, in part order, and none when it lacks
+    none; a box shared by iterations is clipped once.  The L bracket is
+    cut in two, so its call mixes the boxes of both pieces."""
+    plan = RunPlan(printers_available=8, granularity="coarse", sample_tries=2,
+                   skip_symmetry_cut=mesh.name == "rod")
+    calls, rounds = [], []
+    clip_parts, clip_to_box = meta.clip_parts, meta.clip_to_box
+
+    def clipped(meshes, boxes):
+        calls[-1].append([(id(m), tuple(b.min), tuple(b.max))
+                          for m, b in zip(meshes, boxes)])
+        return clip_to_box(meshes, boxes)
+
+    def parts(prepared, plan, profile, result, memo):
+        keys = list(dict.fromkeys((p.piece, p.cell_lo, p.cell_hi)
+                                  for p in result.parts))
+        missing = [k for k in keys if k not in memo]
+        rounds.append((len(keys), [
+            (id(prepared.pieces[k[0]].mesh),
+             tuple(prepared.pieces[k[0]].grid.box_of_range(k[1], k[2]).min),
+             tuple(prepared.pieces[k[0]].grid.box_of_range(k[1], k[2]).max))
+            for k in missing]))
+        calls.append([])
+        return clip_parts(prepared, plan, profile, result, memo)
+
+    monkeypatch.setattr(meta, "clip_parts", parts)
+    monkeypatch.setattr(meta, "clip_to_box", clipped)
+    run_metaheuristic(mesh, plan, profile)
+    assert len(rounds) >= 2
+    for (_, want), got in zip(rounds, calls):
+        assert got == ([want] if want else [])
+    boxes = [box for call in calls for batch in call for box in batch]
+    assert len(boxes) == len(set(boxes))
+    assert len(boxes) < sum(count for count, _ in rounds)
+    if mesh.name == "l_bracket":
+        assert any(len({key[0] for key in batch}) == 2
+                   for call in calls for batch in call)
 
 
 def test_more_seeds_than_boundary_cells_is_a_logged_failure():

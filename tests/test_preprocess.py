@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,52 @@ def test_far_points_climb_coarser_grids():
     nearest = grid.search(np.ascontiguousarray(queries.T))[0]
     assert grid._coarser is not None
     assert (nearest == _nearest_brute(queries, v)).all()
+
+
+def test_mirror_search_lets_passed_levels_go(monkeypatch):
+    """A clump with a few far vertices, whose search climbs at least three
+    grid levels: when the level loop reads a level, no level it has
+    passed is alive but the finest, and no level is built twice.  The
+    plane is the brute-force search's."""
+    rng = np.random.default_rng(0)
+    v = np.concatenate([rng.normal(size=(940, 3)), 100.0 * rng.normal(size=(60, 3))])
+    mesh = TriangleMesh(v, np.zeros((0, 3), dtype=np.int32), "clump")
+    finest, levels, reads = [], [], []
+    init, coarser, search = _CellGrid.__init__, _CellGrid.coarser, _CellGrid.search
+
+    def made(self, vertices, h=None):
+        init(self, vertices, h)
+        if not finest:
+            finest.append(self)
+
+    def climbed(self):
+        built = self._coarser is None
+        out = coarser(self)
+        if built and (self is finest[0] or any(ref() is self for ref, _ in levels)):
+            levels.append((weakref.ref(out), out.h))
+        return out
+
+    def searched(self, points, climb=True):
+        if not climb and (self is finest[0] or any(ref() is self for ref, _ in levels)):
+            reads.append((self.h, [h for ref, h in levels if ref() is not None]))
+        return search(self, points, climb)
+
+    monkeypatch.setattr(_CellGrid, "__init__", made)
+    monkeypatch.setattr(_CellGrid, "coarser", climbed)
+    monkeypatch.setattr(_CellGrid, "search", searched)
+    got = find_best_symmetry_plane(mesh)
+    finest.clear()
+    read = sorted({h for h, _ in reads})
+    assert len(read) >= 3
+    for h, alive in reads:
+        assert all(other >= h for other in alive), (h, alive)
+    assert not [ref for ref, _ in levels if ref() is not None]
+    built = [h for _, h in levels]
+    assert len(built) == len(set(built))
+    monkeypatch.undo()
+    want = _reference_symmetry_plane(mesh)
+    assert (got.normal.tobytes(), got.offset, got.error_score) == (
+        want.normal.tobytes(), want.offset, want.error_score)
 
 
 def test_scipy_is_not_imported():
