@@ -13,7 +13,7 @@ Every run appends to ``results.csv``, dumps per-model series into
 ``out/<model>/<printers>/<algorithm>/part_###.stl``.  The process exits 0
 when at least one run produced a valid decomposition and 2 otherwise.
 
-A batch does each model's shared work once (:class:`ModelCache`): one
+A batch does each model's shared work once (:class:`meta.ModelWork`): one
 mirror-plane search, one set of baseline halving rounds, and one
 preparation and growth pass for its one-printer runs and one for the rest.
 """
@@ -30,14 +30,11 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import meta
 from .errors import ConfigError, ParalleloboxError
 from .grid import GRANULARITY_CELLS
-from .mesh import TriangleMesh, load_mesh, save_stl
-from .meta import (BaselineRounds, Decomposition, PreparedModel,
-                   PrinterProfile, RunPlan, RunRecord,
-                   recursive_symmetry_baseline, run_metaheuristic)
-from .preprocess import SymmetryPlane
+from .mesh import load_mesh, save_stl
+from .meta import (Decomposition, ModelWork, PrinterProfile, RunPlan,
+                   RunRecord, recursive_symmetry_baseline, run_metaheuristic)
 
 logger = logging.getLogger(__name__)
 
@@ -137,70 +134,24 @@ def _export_parts(result: Decomposition, part_dir: Path) -> None:
         save_stl(part.mesh, part_dir / f"part_{i:03d}.stl")
 
 
-@dataclass
-class ModelCache:
-    """One model's work, shared by the printer counts of a batch, whose
-    runs differ only in their printer count.
-
-    Preparation reads only whether that count is two or more, so
-    ``searches`` holds, by ``printers >= 2``, the prepared model and its
-    grown search runs: the first search of a key grows the runs of the
-    largest of ``printer_counts`` with that key, which include the runs of
-    every smaller count.  ``rounds`` holds the baseline's halving rounds;
-    its ``plane`` is the model's best mirror plane, which preparation and
-    the baseline's first round both start from.
-    """
-
-    mesh: TriangleMesh
-    printer_counts: list[int]
-    searches: dict[bool, tuple[PreparedModel, dict]] = field(default_factory=dict)
-    rounds: BaselineRounds = field(default_factory=BaselineRounds)
-
-    def mirror_plane(self) -> SymmetryPlane:
-        if self.rounds.plane is None:
-            self.rounds.plane = meta.find_best_symmetry_plane(self.mesh)
-        return self.rounds.plane
-
-    def search_inputs(self, plan: RunPlan,
-                      profile: PrinterProfile) -> tuple[PreparedModel, dict]:
-        """The prepared model and grown runs of plan's search."""
-        key = plan.printers_available >= 2
-        if key not in self.searches:
-            prepared = meta.prepare_model(self.mesh, plan, profile,
-                                          self.mirror_plane())
-            grown: dict = {}
-            largest = max(n for n in self.printer_counts if (n >= 2) == key)
-            meta.grow_missing_runs(prepared,
-                                   replace(plan, printers_available=largest),
-                                   profile, grown)
-            self.searches[key] = prepared, grown
-        return self.searches[key]
-
-
 def run_model(model_name: str, printers: int, plan: RunPlan,
               profile: PrinterProfile, algorithms: list[str], out_dir: Path,
-              report: BatchReport, cache: ModelCache) -> None:
+              report: BatchReport, work: ModelWork) -> None:
     """Run the requested algorithms for one (model, printer count) pair.
 
-    ``cache`` carries the model's mesh and the work its printer counts
+    ``work`` carries the model's mesh and the work its printer counts
     share.  Part files left in an algorithm's directory by an earlier run
     are removed when this run exports none.
     """
-    mesh = cache.mesh
     plan = replace(plan, printers_available=printers)
     for algorithm in algorithms:
         tick = time.perf_counter()
         result: Decomposition | None = None
         records: list[RunRecord] = []
         try:
-            if algorithm == "parallelobox":
-                prepared, grown = cache.search_inputs(plan, profile)
-                result = run_metaheuristic(mesh, plan, profile, records,
-                                           prepared=prepared, grown=grown)
-            else:
-                result = recursive_symmetry_baseline(mesh, plan, profile,
-                                                     records,
-                                                     rounds=cache.rounds)
+            run = (run_metaheuristic if algorithm == "parallelobox"
+                   else recursive_symmetry_baseline)
+            result = run(work.mesh, plan, profile, records, work=work)
         except ParalleloboxError as exc:
             logger.error("%s x%d (%s): %s", model_name, printers,
                          algorithm, exc)
@@ -269,7 +220,7 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
 
     Printer counts of two or more share one prepared model and one growth
     pass per model; every printer count shares the model's mirror plane and
-    the baseline's halving rounds (see :class:`ModelCache`).
+    the baseline's halving rounds (see :class:`meta.ModelWork`).
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     report = BatchReport()
@@ -283,10 +234,10 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
                 for algorithm in algorithms:
                     report.rows.append(RunRow(name, algorithm, printers))
             continue
-        cache = ModelCache(mesh, list(printer_counts))
+        work = ModelWork(mesh, tuple(printer_counts))
         for printers in printer_counts:
             run_model(name, printers, plan, profile, algorithms, out_dir,
-                      report, cache)
+                      report, work)
     write_results_csv(report, out_dir / "results.csv")
     write_plotdata(report, out_dir / "plotdata.json")
     write_runlog(report, out_dir / "runlog.jsonl")

@@ -522,7 +522,9 @@ def _triangulate_rings(uv: np.ndarray, rings: list[list[int]],
         return []
     grouped: dict[int, list[list[int]]] = {i: [] for i in range(len(outers))}
     for hole in holes:
-        probe = uv[hole[0]]
+        # A point strictly inside the hole: a hole vertex may lie on its
+        # outer ring up to rounding.
+        probe = uv[list(_ear_clip(uv, hole[::-1], eps_area)[0])].mean(axis=0)
         candidates = [
             (abs(_signed_area(uv, outer)), i)
             for i, outer in enumerate(outers)

@@ -266,29 +266,26 @@ def clean_mesh(mesh: TriangleMesh, tolerance: float = WELD_TOLERANCE) -> Triangl
 # file I/O
 
 
-def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
+def load_mesh(path) -> TriangleMesh:
     """Load a mesh from STL (binary or ASCII) or OBJ.
 
-    fmt may be "stl-binary", "stl-ascii", or "obj"; when omitted it is
-    sniffed from the extension and file contents.  The result is welded at
-    1e-6 mm and degenerate triangles are dropped.  Raises ParseError for
-    malformed files and EmptyMesh when nothing survives cleanup.
+    The format is sniffed from the extension and file contents.  The
+    result is welded at 1e-6 mm and degenerate triangles are dropped.
+    Raises ParseError for malformed files and EmptyMesh when nothing
+    survives cleanup.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if fmt is None:
-        fmt = _sniff_format(path, raw)
+    fmt = _sniff_format(path, raw)
     if fmt == "stl-binary":
         verts, tris = _parse_stl_binary(raw, path)
     elif fmt == "stl-ascii":
         verts, tris = _parse_stl_ascii(raw, path)
-    elif fmt == "obj":
-        verts, tris = _parse_obj(raw, path)
     else:
-        raise ParseError(f"unknown mesh format {fmt!r}")
+        verts, tris = _parse_obj(raw, path)
     mesh = clean_mesh(TriangleMesh(verts, tris, path.stem))
     if mesh.is_empty:
         raise EmptyMesh(f"{path} contains no usable triangles")

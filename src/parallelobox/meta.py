@@ -23,7 +23,9 @@ coverage count read them against the piece's cell tables.  An iteration's
 seeds and growth do not depend on the printer count, so a search takes its
 grown runs from a map that a batch shares across printer counts
 (:func:`grow_missing_runs`): the runs of the largest count include those
-of every smaller one, and each is grown once.
+of every smaller one, and each is grown once.  :class:`ModelWork` holds
+all the work a batch shares across one model's printer counts, for the
+search and the baseline alike.
 
 Every part score is a sum over grid cells plus the caps on the box faces,
 so an iteration is scored from the per-cell tables of
@@ -39,12 +41,16 @@ Iterations that share a box share its clipped mesh, so a search clips
 each distinct box once; scoring clips nothing more.  A result's cut area,
 its parts' surface area less the model's, is read from the tables until
 its parts are clipped.
+
+:func:`_decomposition` builds every result, and :func:`_parts_verdict`
+judges every set of part meshes, the search's clipped parts and the
+baseline's alike.
 """
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -407,11 +413,12 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         # The parts of the pieces before the one that stopped the iteration
         # cover only part of the model: the iteration has no result.
         parts = []
-    reason = _count_verdict(parts, reason, total_printers)
+    reason = reason or _count_verdict(parts, total_printers)
     if not reason and not fits:
         reason = BOX_EXCEEDS_PRINTER
-    return _decomposition(prepared, plan, seed_blocks, seed, parts, reason,
-                          clipped=False)
+    return _decomposition(parts, reason, plan, _covered_area(prepared, parts),
+                          algorithm="parallelobox", seed_blocks=seed_blocks,
+                          seed=seed, symmetry_cut=prepared.cut, clipped=False)
 
 
 def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
@@ -446,20 +453,15 @@ def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
             TriangleMesh(clipped.vertices, clipped.triangles, part.name),
             part.source, profile, params, piece=part.piece,
             cell_lo=part.cell_lo, cell_hi=part.cell_hi))
-    reason = _count_verdict(parts, "", plan.printers_available)
-    if not reason:
-        for part in parts:
-            if not fits_printer(aabb_of(part.mesh).extent, profile.dims):
-                reason = f"part {part.name} exceeds the printer"
-                break
-    return _decomposition(prepared, plan, result.seed_blocks, result.seed,
-                          parts, reason, clipped=True)
+    return _decomposition(
+        parts, _parts_verdict(parts, plan.printers_available, profile.dims),
+        plan, _covered_area(prepared, parts), algorithm="parallelobox",
+        seed_blocks=result.seed_blocks, seed=result.seed,
+        symmetry_cut=prepared.cut, clipped=True)
 
 
-def _count_verdict(parts: list[PartResult], reason: str, printers: int) -> str:
+def _count_verdict(parts: list[PartResult], printers: int) -> str:
     """Why a result is invalid before any part's extent is looked at."""
-    if reason:
-        return reason
     if not parts:
         return "no parts produced"
     if len(parts) > printers:
@@ -467,28 +469,47 @@ def _count_verdict(parts: list[PartResult], reason: str, printers: int) -> str:
     return ""
 
 
-def _decomposition(prepared: PreparedModel, plan: RunPlan, seed_blocks: int,
-                   seed: int, parts: list[PartResult], reason: str,
-                   clipped: bool) -> Decomposition:
+def _parts_verdict(parts: list[PartResult], printers: int,
+                   printer_dims: tuple[float, float, float]) -> str:
+    """Why a set of part meshes is invalid, empty when it is valid: the
+    part count, then each part's fit."""
+    reason = _count_verdict(parts, printers)
+    if not reason:
+        for part in parts:
+            if not fits_printer(aabb_of(part.mesh).extent, printer_dims):
+                return f"part {part.name} exceeds the printer"
+    return reason
+
+
+def _covered_area(prepared: PreparedModel, parts: list[PartResult]) -> float:
+    """The model's surface area when parts cover it, NaN otherwise."""
+    # An iteration stops at its first uncovered piece, and a covered piece
+    # has parts: the parts cover the model when every piece has some.
+    covered = {p.piece for p in parts} == set(range(len(prepared.pieces)))
+    return prepared.surface_area if covered else float("nan")
+
+
+def _decomposition(parts: list[PartResult], reason: str, plan: RunPlan,
+                   model_area: float, **fields) -> Decomposition:
+    """A result scored from its parts, valid when there is no reason.
+
+    ``model_area`` is the model's surface area, or NaN when the parts do
+    not cover the model; ``fields`` holds the remaining
+    :class:`Decomposition` fields."""
     if parts:
         parallel_score = max(p.print_score for p in parts)
         parallel_time = max(p.time_s for p in parts)
         aggregate_time = sum(p.time_s for p in parts)
     else:
         parallel_score = parallel_time = aggregate_time = float("nan")
-    # An iteration stops at its first uncovered piece, and a covered piece
-    # has parts: the parts cover the model when every piece has some.
-    covered = {p.piece for p in parts} == set(range(len(prepared.pieces)))
-    cut_area = (sum(p.surface_area for p in parts) - prepared.surface_area
-                if covered else float("nan"))
-    return Decomposition(parts=parts, algorithm="parallelobox",
+    return Decomposition(parts=parts,
                          printers_available=plan.printers_available,
-                         seed_blocks=seed_blocks, seed=seed, valid=not reason,
-                         reason=reason, parallel_score=parallel_score,
+                         valid=not reason, reason=reason,
+                         parallel_score=parallel_score,
                          parallel_time_s=parallel_time,
                          aggregate_time_s=aggregate_time,
-                         symmetry_cut=prepared.cut, clipped=clipped,
-                         cut_area_mm2=cut_area)
+                         cut_area_mm2=sum(p.surface_area for p in parts)
+                         - model_area, **fields)
 
 
 def _part(volume: float, area: float, source: str, profile: PrinterProfile,
@@ -511,6 +532,56 @@ def _score_part(mesh: TriangleMesh, source: str, profile: PrinterProfile,
 
 
 # ---------------------------------------------------------------------------
+# one model's shared work
+
+
+@dataclass
+class ModelWork:
+    """One model's work, shared by runs whose plans and profiles differ at
+    most in their printer count, as a batch's do.
+
+    ``plane`` is the model's best mirror plane, which preparation and the
+    baseline's first round start from.  Preparation reads only whether
+    the printer count is two or more, so ``searches`` holds, by
+    ``printers >= 2``, the prepared model and its grown search runs, first
+    grown for the largest count of that key in ``printer_counts``: its
+    runs include those of every smaller count.  ``rounds`` holds the
+    baseline's halving rounds, the printable mesh of every piece: round 0
+    is the oriented model, and round r + 1 halves every piece of round r.
+    Only the baseline's stop test reads the printer count and size, so
+    every count walks the same rounds, added as a count first needs them.
+    """
+
+    mesh: TriangleMesh
+    printer_counts: tuple[int, ...] = ()
+    plane: SymmetryPlane | None = None
+    searches: dict[bool, tuple[PreparedModel, dict]] = field(default_factory=dict)
+    rounds: list[list[TriangleMesh]] = field(default_factory=list)
+    oriented_plane: SymmetryPlane | None = None  # plane moved with round 0
+    rounds_done: bool = False   # halving the last round cut nothing
+
+    def mirror_plane(self) -> SymmetryPlane:
+        if self.plane is None:
+            self.plane = find_best_symmetry_plane(self.mesh)
+        return self.plane
+
+    def search_inputs(self, plan: RunPlan,
+                      profile: PrinterProfile) -> tuple[PreparedModel, dict]:
+        """The prepared model and grown runs of plan's search."""
+        key = plan.printers_available >= 2
+        if key not in self.searches:
+            prepared = prepare_model(self.mesh, plan, profile, self.plane)
+            self.plane = prepared.plane
+            self.searches[key] = prepared, {}
+        prepared, grown = self.searches[key]
+        largest = max([plan.printers_available] + [
+            n for n in self.printer_counts if (n >= 2) == key])
+        grow_missing_runs(prepared, replace(plan, printers_available=largest),
+                          profile, grown)
+        return prepared, grown
+
+
+# ---------------------------------------------------------------------------
 # search
 
 
@@ -527,34 +598,26 @@ def _beats(challenger: Decomposition, incumbent: Decomposition | None) -> bool:
 def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
                       profile: PrinterProfile,
                       records: list[RunRecord] | None = None,
-                      prepared: PreparedModel | None = None,
-                      grown: dict | None = None) -> Decomposition:
+                      work: ModelWork | None = None) -> Decomposition:
     """Sweep seed-block counts and retries; return the best valid result.
 
     ``records``, when given, gains one :class:`RunRecord` per iteration, in
-    the search's order.  ``prepared``, when given, is the model
-    :func:`prepare_model` makes of mesh for this plan, or, when both
-    printer counts are two or more, for one that differs from it only in
-    its printer count.  ``grown``, when given, holds runs already grown for
-    prepared under this plan and profile, up to the printer count (see
-    :func:`grow_missing_runs`); it gains the runs this search grows.
-    Every run missing from it is seeded
-    and grown up front, all in one lockstep pass (:func:`grow_runs`), and
-    then every run is filled and scored from the cell tables in the
-    search's order.  Then the iterations whose boxes do not all fit the
-    printer are clipped, and the valid ones in ascending order of table
-    score, until the next table score exceeds the best clipped score by
-    more than ``SCORE_RTOL``; each distinct box is clipped once.  A table
-    score does not exceed the score of the clipped meshes, so no iteration
-    left unclipped could have won.  The winner is the best clipped result
-    by :func:`_beats`, the earlier iteration on ties.
+    the search's order.  ``work``, when given, is mesh's
+    :class:`ModelWork`, which gives the prepared model and grown runs; the
+    runs it lacks are seeded and grown up front, all in one lockstep pass
+    (:func:`grow_runs`).  Every run is filled and scored from the cell
+    tables in the search's order.  Then the iterations whose boxes do not
+    all fit the printer are clipped, and the valid ones in ascending order
+    of table score, until the next table score exceeds the best clipped
+    score by more than ``SCORE_RTOL``; each distinct box is clipped once.
+    A table score does not exceed the score of the clipped meshes, so no
+    iteration left unclipped could have won.  The winner is the best
+    clipped result by :func:`_beats`, the earlier iteration on ties.
 
     Raises NoValidDecomposition when every iteration fails.
     """
-    if prepared is None:
-        prepared = prepare_model(mesh, plan, profile)
-    grown = {} if grown is None else grown
-    grow_missing_runs(prepared, plan, profile, grown)
+    work = ModelWork(mesh) if work is None else work
+    prepared, grown = work.search_inputs(plan, profile)
     runs = search_runs(prepared, plan)
     results: list[Decomposition] = []
     seconds: list[float] = []
@@ -610,53 +673,35 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
 BASELINE_MAX_ROUNDS = 10
 
 
-@dataclass
-class BaselineRounds:
-    """The halving rounds of :func:`recursive_symmetry_baseline` for one
-    model and plan.
-
-    Round 0 is the oriented model, and round r + 1 halves every piece of
-    round r.  Only the stop test reads the printer count and size, so every
-    count walks the same rounds, and a batch shares one instance across its
-    counts.  Rounds are added as a count first needs them.  ``plane`` may be
-    given up front, when the caller already searched the model for it.
-    """
-
-    plane: SymmetryPlane | None = None  # the whole model's best mirror plane
-    # Per round, the printable mesh of every piece.
-    states: list[list[TriangleMesh]] = field(default_factory=list)
-    done: bool = False      # halving the last round cut nothing
-
-
 def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                                 profile: PrinterProfile,
                                 records: list[RunRecord] | None = None,
-                                rounds: BaselineRounds | None = None) -> Decomposition:
+                                work: ModelWork | None = None) -> Decomposition:
     """Halve every part at its best mirror plane until the count reaches the
     largest power of two <= printers_available and everything fits.
 
     A round with more pieces than printers ends the halving: rounds never
     lose pieces, so neither it nor any later round is valid, and it is
-    returned as the invalid result.  ``records``, when given, gains the
-    run's :class:`RunRecord`.  ``rounds``, when given, holds the rounds
-    already computed for mesh under a plan that differs from this one at
-    most in its printer count; it gains the rounds this call computes.
+    returned as the invalid result.  Round 0 is halved at the model's
+    mirror plane moved with it.  ``records``, when given, gains the run's
+    :class:`RunRecord`.  ``work``, when given, is mesh's
+    :class:`ModelWork`; it gains the rounds this call computes.
 
     Raises NonWatertightInput when the mesh is not closed.
     """
     tick = time.perf_counter()
     params = objective_of(plan, profile)
-    rounds = BaselineRounds() if rounds is None else rounds
-    if not rounds.states:
+    work = ModelWork(mesh) if work is None else work
+    rounds = work.rounds
+    if not rounds:
         if not validate_watertight(mesh).is_watertight:
             raise NonWatertightInput("the baseline needs a closed mesh")
-        if rounds.plane is None:
-            rounds.plane = find_best_symmetry_plane(mesh)
-        oriented, _pose = optimize_orientation(
-            mesh, symmetry=rounds.plane,
+        oriented, pose = optimize_orientation(
+            mesh, symmetry=work.mirror_plane(),
             overhang_tolerance_deg=plan.overhang_tolerance_deg)
         oriented.name = mesh.name
-        rounds.states.append([oriented])
+        rounds.append([oriented])
+        work.oriented_plane = pose.move(work.plane)
     target = 1
     while target * 2 <= plan.printers_available:
         target *= 2
@@ -668,45 +713,38 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
                     for m in pieces))
 
     r = 0
-    while r < BASELINE_MAX_ROUNDS and not final(rounds.states[r]):
-        if r + 1 == len(rounds.states):
-            if rounds.done:
+    while r < BASELINE_MAX_ROUNDS and not final(rounds[r]):
+        if r + 1 == len(rounds):
+            if work.rounds_done:
                 break
-            halved = _halve(rounds.states[r])
+            halved = _halve(rounds[r], work.oriented_plane if r == 0 else None)
             if halved is None:
-                rounds.done = True
+                work.rounds_done = True
                 break
-            rounds.states.append(halved)
+            rounds.append(halved)
         r += 1
-    pieces = rounds.states[r]
 
     parts = [_score_part(m, "block", profile, params, piece=i)
-             for i, m in enumerate(pieces)]
-    valid = (len(parts) <= plan.printers_available
-             and all(fits_printer(aabb_of(p.mesh).extent, profile.dims)
-                     for p in parts))
-    reason = "" if valid else "baseline parts exceed the printer or budget"
-    result = Decomposition(parts=parts, algorithm="symmetry",
-                           printers_available=plan.printers_available,
-                           seed_blocks=0, seed=plan.seed_base, valid=valid,
-                           reason=reason,
-                           parallel_score=max(p.print_score for p in parts),
-                           parallel_time_s=max(p.time_s for p in parts),
-                           aggregate_time_s=sum(p.time_s for p in parts),
-                           symmetry_cut=len(parts) > 1, clipped=True,
-                           cut_area_mm2=sum(p.surface_area for p in parts)
-                           - measure(mesh).surface_area)
+             for i, m in enumerate(rounds[r])]
+    result = _decomposition(
+        parts, _parts_verdict(parts, plan.printers_available, profile.dims),
+        plan, measure(mesh).surface_area, algorithm="symmetry",
+        seed_blocks=0, seed=plan.seed_base, symmetry_cut=len(parts) > 1,
+        clipped=True)
     if records is not None:
         records.append(RunRecord.of(result, 0, 0, time.perf_counter() - tick))
     return result
 
 
-def _halve(pieces: list[TriangleMesh]) -> list[TriangleMesh] | None:
-    """Cut every piece at its best mirror plane; None when none was cut."""
+def _halve(pieces: list[TriangleMesh],
+           plane: SymmetryPlane | None = None) -> list[TriangleMesh] | None:
+    """Cut every piece at its best mirror plane; None when none was cut.
+
+    ``plane``, when given, is that plane of the one piece of round 0."""
     cut_any = False
     nxt: list[TriangleMesh] = []
     for m in pieces:
-        best = find_best_symmetry_plane(m)
+        best = plane if plane is not None else find_best_symmetry_plane(m)
         positive, negative = cut_by_plane(m, best.normal, best.offset)
         if positive.is_empty or negative.is_empty:
             nxt.append(m)

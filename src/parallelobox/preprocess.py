@@ -53,6 +53,16 @@ class Pose:
     def apply(self, mesh: TriangleMesh) -> TriangleMesh:
         return mesh.transformed(self.rotation, self.translation)
 
+    def move(self, plane: SymmetryPlane) -> SymmetryPlane:
+        """The plane of the moved mesh, signed as :func:`_principal_axes`
+        signs an axis: the normal's largest-magnitude component positive.
+        The error score is kept."""
+        normal = self.rotation @ plane.normal
+        offset = plane.offset + float(normal @ self.translation)
+        if normal[np.argmax(np.abs(normal))] < 0:
+            normal, offset = -normal, -offset
+        return SymmetryPlane(normal, offset, plane.error_score)
+
 
 def _principal_axes(vertices: np.ndarray) -> np.ndarray:
     """Rows are unit principal axes, strongest variance first, determinate sign.

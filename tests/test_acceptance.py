@@ -22,9 +22,9 @@ from parallelobox.errors import NoValidDecomposition
 from parallelobox.fixtures import (asymmetric_blob, dumbbell, hollow_box,
                                    icosphere, l_bracket, unit_cube)
 from parallelobox.mesh import Aabb, aabb_of, measure, save_stl
-from parallelobox.meta import (PrinterProfile, RunPlan, estimate_time,
-                               prepare_model, recursive_symmetry_baseline,
-                               run_metaheuristic)
+from parallelobox.meta import (ModelWork, PrinterProfile, RunPlan,
+                               estimate_time, prepare_model,
+                               recursive_symmetry_baseline, run_metaheuristic)
 from parallelobox.resolve import get_discrete_empty_regions
 from test_meta import table_cut_area
 from test_resolve import paint_owner, random_boxes, table_measures
@@ -56,8 +56,9 @@ def test_part_conservation_and_fit():
         mesh = make()
         total = measure(mesh)
         plan = RunPlan(printers_available=4, granularity="very_fine")
-        prepared = prepare_model(mesh, plan, PROFILE)
-        dec = run_metaheuristic(mesh, plan, PROFILE, prepared=prepared)
+        work = ModelWork(mesh)
+        prepared, _ = work.search_inputs(plan, PROFILE)
+        dec = run_metaheuristic(mesh, plan, PROFILE, work=work)
         assert dec.valid, mesh.name
         assert sum(p.volume for p in dec.parts) == pytest.approx(
             total.volume, rel=1e-4), mesh.name

@@ -377,15 +377,19 @@ def test_batch_shares_baseline_rounds_across_printer_counts(tmp_path,
 def test_batch_searches_each_model_for_its_mirror_plane_once(tmp_path,
                                                             monkeypatch):
     """Preparation under two keys and the baseline's first round share one
-    mirror-plane search of the model."""
+    mirror-plane search of the model; the baseline halves its oriented copy
+    at that plane moved, without searching the copy."""
     model = tmp_path / "dumbbell.stl"
     save_stl(dumbbell(), model)
-    prepared, searched = [], []
+    prepared, searched, oriented = [], [], []
     prepare, find = meta.prepare_model, meta.find_best_symmetry_plane
+    orient = meta.optimize_orientation
     monkeypatch.setattr(meta, "prepare_model", lambda *args: prepared.append(
         args[0]) or prepare(*args))
     monkeypatch.setattr(meta, "find_best_symmetry_plane", lambda mesh: (
         searched.append(mesh)) or find(mesh))
+    monkeypatch.setattr(meta, "optimize_orientation", lambda *args, **kwargs: (
+        oriented.append(out := orient(*args, **kwargs))) or out)
     report = run_batch([model], [1, 2], RunPlan(granularity="coarse",
                                                 sample_tries=1),
                        PrinterProfile(), ["parallelobox", "symmetry"],
@@ -393,6 +397,8 @@ def test_batch_searches_each_model_for_its_mirror_plane_once(tmp_path,
     assert all(row.valid for row in report.rows) and len(report.rows) == 4
     assert len(prepared) == 2 and prepared[0] is prepared[1]
     assert sum(mesh is prepared[0] for mesh in searched) == 1
+    assert oriented and not any(mesh is copy for mesh in searched
+                                for copy, _ in oriented)
 
 
 def test_invalid_rerun_clears_stale_part_files(tmp_path):

@@ -14,11 +14,11 @@ from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
 from parallelobox.grid import AREA, CellClass
 from parallelobox.mesh import (TriangleMesh, aabb_of, measure, triangle_areas,
                               validate_watertight)
-from parallelobox.meta import (Decomposition, PrinterProfile, RunPlan,
-                               _beats, _proportional_share, _score_part,
-                               estimate_time, fits_printer, objective_of,
-                               prepare_model, recursive_symmetry_baseline,
-                               run_metaheuristic)
+from parallelobox.meta import (Decomposition, ModelWork, PrinterProfile,
+                               RunPlan, _beats, _proportional_share,
+                               _score_part, estimate_time, fits_printer,
+                               objective_of, prepare_model,
+                               recursive_symmetry_baseline, run_metaheuristic)
 from test_resolve import _reference_regions, paint_owner
 
 PROFILE = PrinterProfile()
@@ -140,8 +140,9 @@ def test_run_metaheuristic_conserves_model():
     mesh = dumbbell()
     total = measure(mesh)
     plan = RunPlan(printers_available=4, granularity="coarse", sample_tries=2)
-    prepared = prepare_model(mesh, plan, PROFILE)
-    dec = run_metaheuristic(mesh, plan, PROFILE, prepared=prepared)
+    work = ModelWork(mesh)
+    prepared, _ = work.search_inputs(plan, PROFILE)
+    dec = run_metaheuristic(mesh, plan, PROFILE, work=work)
     assert sum(p.volume for p in dec.parts) == pytest.approx(total.volume, rel=1e-6)
     assert dec.cut_area_mm2 == (sum(p.surface_area for p in dec.parts)
                                 - total.surface_area)
@@ -203,8 +204,8 @@ def test_baseline_stops_once_pieces_outnumber_printers(monkeypatch):
     printers is returned, invalid, without halving further."""
     halvings = []
     halve = meta._halve
-    monkeypatch.setattr(meta, "_halve", lambda pieces: halvings.append(
-        len(pieces)) or halve(pieces))
+    monkeypatch.setattr(meta, "_halve", lambda pieces, *plane: halvings.append(
+        len(pieces)) or halve(pieces, *plane))
     dec = recursive_symmetry_baseline(
         fixtures.l_bracket(), RunPlan(printers_available=2,
                                       granularity="coarse"),
@@ -212,6 +213,7 @@ def test_baseline_stops_once_pieces_outnumber_printers(monkeypatch):
     assert not dec.valid
     assert len(dec.parts) > 2
     assert 1 <= len(halvings) <= 3
+    assert dec.reason == f"{len(dec.parts)} parts exceed 2 printers"
 
 
 def _open_mesh(name):
@@ -243,6 +245,25 @@ def test_baseline_rejects_open_mesh(name, printers):
     plan = RunPlan(printers_available=printers, granularity="coarse")
     with pytest.raises(NonWatertightInput):
         recursive_symmetry_baseline(_open_mesh(name), plan, PROFILE)
+
+
+#: A 6 x 6 x 6 voxel model, one bit per voxel: its baseline's second round
+#: cuts a cap whose hole has a vertex 1.8e-15 mm from the outer ring.
+FZ12_20 = "0000002080000002080003cf208c30fcf208df7fcf3c8df7dc71c0"
+
+
+@pytest.mark.parametrize("printers", [4, 8])
+def test_baseline_keeps_cap_hole_touching_its_outer_ring(printers):
+    occupancy = np.unpackbits(np.frombuffer(bytes.fromhex(FZ12_20), np.uint8))
+    mesh = fixtures.voxel_mesh(occupancy[:216].reshape(6, 6, 6).astype(bool),
+                               voxel_size=10.0)
+    dec = recursive_symmetry_baseline(
+        mesh, RunPlan(printers_available=printers, granularity="fine"),
+        PROFILE)
+    assert dec.valid and len(dec.parts) == printers
+    assert all(validate_watertight(p.mesh).is_watertight for p in dec.parts)
+    assert sum(p.volume for p in dec.parts) == pytest.approx(
+        measure(mesh).volume, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
