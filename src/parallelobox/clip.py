@@ -27,11 +27,13 @@ entries.
 A cap is triangulated over the corners of its loops.  Cut loops of
 voxel-like models are mostly vertices collinear with both neighbours;
 those are set aside, each run under the corner edge that spans it, with
-the turns of every loop of a pass computed at once.  Holes
-are bridged to their outer ring (Eberly, "Triangulation by Ear Clipping",
-2002), each corner ring is ear-clipped as a linked list, testing only
-reflex corners against an ear, and each run is fanned back into the one
-cap triangle that holds its corner edge.
+the turns of every loop of a pass computed at once.  One plane sweep
+over all corner rings of a cap, outer rings and holes together, adds a
+diagonal at each split and merge corner (de Berg et al., "Computational
+Geometry", ch. 3), so holes need no bridges.  The y-monotone faces are
+read back by the left-face traversal that assembles the loops, each is
+triangulated with the two-chain stack, and each run is fanned back into
+the one cap triangle that holds its corner edge.
 
 The surface-only clip, which needs no topology, is Sutherland-Hodgman
 ("Reentrant polygon clipping", CACM 1974) to one box or to every cell of a
@@ -61,8 +63,10 @@ three corners apart, so a surface that only touches a box gives nothing.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -397,18 +401,23 @@ def _build_caps(verts: np.ndarray, tris: np.ndarray, on: np.ndarray,
         local = verts[start:stop]
         uv[start:stop, 0] = local @ u
         uv[start:stop, 1] = local @ v
-    loops = _assemble_loops(boundary[:, ::-1].tolist(), uv)
+    ends = boundary.ravel()
+    loops = _assemble_loops(boundary[:, ::-1].tolist(),
+                            dict(zip(ends.tolist(), uv[ends].tolist())))
     region = np.searchsorted(starts, [loop[0] for loop in loops], side="right") - 1
     cap = _triangulate_region(uv, loops, region)
     return np.fromiter(itertools.chain.from_iterable(cap), dtype=np.int64,
                        count=3 * len(cap)).reshape(-1, 3)
 
 
-def _assemble_loops(edges: list[tuple[int, int]], uv: np.ndarray) -> list[list[int]]:
-    """Chain directed edges into closed loops.
+def _assemble_loops(edges: list[tuple[int, int]], uv) -> list[list[int]]:
+    """Chain directed edges into closed loops; uv[i] is vertex i's (u, v).
 
     At a vertex with several outgoing edges the most counterclockwise turn
-    is taken, which keeps touching loops separate (left-face traversal).
+    is taken, and turning back along the edge just walked comes last, which
+    keeps touching loops separate (left-face traversal).  A walk that comes
+    back to a vertex it has passed closes a loop there, so no loop passes a
+    vertex twice.
     """
     succ: dict[int, list[int]] = defaultdict(list)
     for a, b in edges:
@@ -420,56 +429,41 @@ def _assemble_loops(edges: list[tuple[int, int]], uv: np.ndarray) -> list[list[i
     for start in starts:
         while succ[start]:
             loop = [start]
+            at = {start: 0}     # position of each vertex in loop
             prev = None
             cur = start
             while True:
                 options = succ[cur]
                 if not options:
                     logger.warning("open boundary chain at vertex %d; cap skipped", cur)
-                    loop = []
                     break
                 if len(options) == 1 or prev is None:
                     nxt = options.pop(0)
                 else:
-                    din = uv[cur] - uv[prev]
-                    best_k, best_ang = 0, -np.inf
+                    (px, py), (cx, cy) = uv[prev], uv[cur]
+                    dx, dy = cx - px, cy - py
+                    best_k, best_ang = 0, -math.inf
                     for k, cand in enumerate(options):
-                        w = uv[cand] - uv[cur]
-                        ang = np.arctan2(din[0] * w[1] - din[1] * w[0],
-                                         din[0] * w[0] + din[1] * w[1])
+                        wx, wy = uv[cand][0] - cx, uv[cand][1] - cy
+                        ang = -math.inf if cand == prev else math.atan2(
+                            dx * wy - dy * wx, dx * wx + dy * wy)
                         if ang > best_ang:
                             best_k, best_ang = k, ang
                     nxt = options.pop(best_k)
-                if nxt == start:
-                    break
-                loop.append(nxt)
+                if nxt in at:
+                    k = at[nxt]
+                    if len(loop) - k >= 3:
+                        loops.append(loop[k:])
+                    for v in loop[k + 1:]:
+                        del at[v]
+                    del loop[k + 1:]
+                    if k == 0:
+                        break
+                else:
+                    at[nxt] = len(loop)
+                    loop.append(nxt)
                 prev, cur = cur, nxt
-            if len(loop) >= 3:
-                loops.append(loop)
     return loops
-
-
-def _signed_area(uv: np.ndarray, ring: list[int]) -> float:
-    pts = uv[ring]
-    x, y = pts[:, 0], pts[:, 1]
-    after = ring[1:] + ring[:1]
-    return 0.5 * float(np.dot(x, uv[after, 1]) - np.dot(y, uv[after, 0]))
-
-
-def _point_in_ring(uv: np.ndarray, ring: list[int], p: np.ndarray) -> bool:
-    """Even-odd rule."""
-    inside = False
-    pts = uv[ring]
-    j = len(pts) - 1
-    for i in range(len(pts)):
-        xi, yi = pts[i]
-        xj, yj = pts[j]
-        if (yi > p[1]) != (yj > p[1]):
-            x_cross = xi + (p[1] - yi) / (yj - yi) * (xj - xi)
-            if p[0] < x_cross:
-                inside = not inside
-        j = i
-    return inside
 
 
 def _triangulate_region(uv: np.ndarray, loops: list[list[int]],
@@ -477,11 +471,10 @@ def _triangulate_region(uv: np.ndarray, loops: list[list[int]],
     """Triangulate the region bounded by CCW outer loops and CW holes.
 
     region gives each loop's region, 0 for all when omitted.  Each region
-    is triangulated on its own, with its own area scale: a hole is only
-    bridged into an outer loop of its region.  Each loop is cut down to
-    its corners first (:func:`_corner_rings`); holes are bridged into
-    their outer ring, each ring is ear-clipped, and the dropped runs are
-    fanned back in (:func:`_fan_runs`).
+    is triangulated on its own, with its own area scale.  Each loop is cut
+    down to its corners first (:func:`_corner_rings`), the corner rings of
+    a region are triangulated together (:func:`_triangulate_rings`), and
+    the dropped runs are fanned back in (:func:`_fan_runs`).
     """
     if not loops:
         return []
@@ -508,39 +501,143 @@ def _triangulate_region(uv: np.ndarray, loops: list[list[int]],
 
 def _triangulate_rings(uv: np.ndarray, rings: list[list[int]],
                        eps_area: float) -> list[tuple[int, int, int]]:
-    """Ear-clip the corner rings of one region, each hole bridged into the
-    smallest outer ring that holds it."""
-    outers: list[list[int]] = []
-    holes: list[list[int]] = []
-    for ring in rings:
-        if _signed_area(uv, ring) >= 0.0:
-            outers.append(ring)
-        else:
-            holes.append(ring)
-    if not outers:
-        # Pure negative-area trash; triangulate nothing.
+    """Triangulate the corner rings of one region, which lies on the left
+    of every ring edge.
+
+    One sweep in decreasing v, then increasing u, ties broken by vertex id,
+    runs over all rings at once and joins each split and merge corner to
+    the helper of the edge to its west (de Berg et al., Computational
+    Geometry, ch. 3).  The diagonals cut the region into y-monotone faces,
+    holes included, without matching holes to outer rings.  The faces are
+    read back by left-face traversal and triangulated one by one.
+    """
+    # Corner c of the flattened rings is vertex ids[c]; its ring edge runs
+    # to corner nxt[c].  Ring r holds corners bounds[r] to bounds[r + 1].
+    ids = list(itertools.chain.from_iterable(rings))
+    bounds = list(itertools.accumulate([len(ring) for ring in rings], initial=0))
+    nxt, prv = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        nxt += list(range(a + 1, b)) + [a]
+        prv += [b - 1] + list(range(a, b - 1))
+    pts = uv[ids].tolist()
+    order = sorted(range(len(ids)), reverse=True,
+                   key=lambda c: (pts[c][1], -pts[c][0], ids[c], c))
+    rank = [0] * len(ids)
+    for r, c in enumerate(order):
+        rank[c] = r
+
+    def orient(a: int, b: int, c: int) -> float:
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+    # A ring turns the way it winds at its first corner in the sweep; a
+    # region with no CCW ring is trash and gets no triangles.
+    tops = [order[min(rank[a:b])] for a, b in zip(bounds, bounds[1:])]
+    if all(orient(prv[t], t, nxt[t]) < 0.0 for t in tops):
         return []
-    grouped: dict[int, list[list[int]]] = {i: [] for i in range(len(outers))}
-    for hole in holes:
-        # A point strictly inside the hole: a hole vertex may lie on its
-        # outer ring up to rounding.
-        probe = uv[list(_ear_clip(uv, hole[::-1], eps_area)[0])].mean(axis=0)
-        candidates = [
-            (abs(_signed_area(uv, outer)), i)
-            for i, outer in enumerate(outers)
-            if _point_in_ring(uv, outer, probe)
-        ]
-        if not candidates:
-            logger.warning("cap hole outside every outer loop; dropped")
-            continue
-        grouped[min(candidates)[1]].append(hole)
+
+    def east(e: int, f: int) -> bool:
+        """Whether status edge e lies east of status edge f: the one of
+        them that starts lower is compared to the other."""
+        if rank[e] > rank[f]:
+            return (orient(f, nxt[f], e) or orient(f, nxt[f], nxt[e])) > 0.0
+        return (orient(e, nxt[e], f) or orient(e, nxt[e], nxt[f])) < 0.0
+
+    def west_of(q: int):
+        """The status edge nearest west of corner q, None when there is
+        none.  A corner on an edge, within eps_area, is on the side of its
+        ring neighbours."""
+        best = None
+        for e in helper:
+            side = orient(e, nxt[e], q)
+            if abs(side) <= eps_area:
+                side = orient(e, nxt[e], prv[q]) + orient(e, nxt[e], nxt[q])
+            if side > 0.0 and (best is None or east(e, best)):
+                best = e
+        return best
+
+    # The status: each edge c -> nxt[c] that crosses the sweep line with
+    # the region on its east, and its helper, the lowest corner passed so
+    # far whose way west along the sweep line to the edge stays inside.
+    helper: dict[int, int] = {}
+    merges: set[int] = set()
+    diagonals: list[tuple[int, int]] = []
+    for q in order:
+        p, s = prv[q], nxt[q]
+        p_above, s_above = rank[p] < rank[q], rank[s] < rank[q]
+        reflex = orient(p, q, s) <= 0.0
+        split = reflex and not p_above and not s_above
+        merge = reflex and p_above and s_above
+        if p_above:                     # the edge p -> q ends
+            if helper[p] in merges:
+                diagonals.append((q, helper[p]))
+            del helper[p]
+        if split or merge or (s_above and not p_above):
+            e = west_of(q)
+            if e is not None:
+                if split or helper[e] in merges:
+                    diagonals.append((q, helper[e]))
+                helper[e] = q
+            if merge:
+                merges.add(q)
+        if not s_above:                 # the edge q -> s starts
+            helper[q] = q
+    xy = dict(zip(ids, pts))
+    faces = rings
+    if diagonals:
+        edges = [(ids[c], ids[nxt[c]]) for c in range(len(ids))]
+        for a, b in diagonals:
+            if ids[a] != ids[b]:
+                edges += [(ids[a], ids[b]), (ids[b], ids[a])]
+        faces = _assemble_loops(edges, xy)
+    tris: list[tuple[int, int, int]] = []
+    for face in faces:
+        tris.extend(_triangulate_monotone(xy, face, eps_area))
+    return tris
+
+
+def _triangulate_monotone(xy: dict, face: list[int],
+                          eps_area: float) -> list[tuple[int, int, int]]:
+    """Triangulate a y-monotone CCW face with the two-chain stack (de Berg
+    et al., ch. 3.3); xy maps each corner to its (u, v).
+
+    The chains from the top corner down to the bottom one are merged in
+    the sweep's order.  A corner on the other chain than the top of the
+    stack fans to the whole stack; a corner on the same chain cuts off the
+    stacked corners that turn convex (by more than eps_area) as seen from
+    it.  Each chain keeps its own order in the merge, so every triangle
+    joins corners adjacent on what is left of the face.
+    """
+    n = len(face)
+    key = [(xy[i][1], -xy[i][0], i) for i in face]
+    top, bottom = key.index(max(key)), key.index(min(key))
+    west = [(key[(top + k) % n], 0, face[(top + k) % n])
+            for k in range(1, (bottom - top) % n)]
+    east = [(key[(top - k) % n], 1, face[(top - k) % n])
+            for k in range(1, (top - bottom) % n)]
+
+    def tri(hi: int, lo: int, apex: int, chain: int) -> tuple[int, int, int]:
+        """The CCW triangle of apex and the edge hi-lo of a chain."""
+        return (hi, lo, apex) if chain == 0 else (lo, hi, apex)
+
+    def convex(t: tuple[int, int, int]) -> bool:
+        (ax, ay), (bx, by), (cx, cy) = xy[t[0]], xy[t[1]], xy[t[2]]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > eps_area
 
     tris: list[tuple[int, int, int]] = []
-    for i, outer in enumerate(outers):
-        ring = list(outer)
-        for hole in sorted(grouped[i], key=lambda h: -float(uv[h][:, 0].max())):
-            ring = _splice_hole(uv, ring, hole, eps_area)
-        tris.extend(_ear_clip(uv, ring, eps_area))
+    stack, side = [face[top]], -1
+    for _, chain, v in heapq.merge(west, east, reverse=True):
+        if chain != side:
+            tris += [tri(a, b, v, side) for a, b in zip(stack, stack[1:])]
+            stack = [stack[-1], v]
+        else:
+            last = stack.pop()
+            while stack and convex(tri(stack[-1], last, v, chain)):
+                tris.append(tri(stack[-1], last, v, chain))
+                last = stack.pop()
+            stack += [last, v]
+        side = chain
+    tris += [tri(a, b, face[bottom], side) for a, b in zip(stack, stack[1:])]
     return tris
 
 
@@ -590,133 +687,6 @@ def _corner_rings(loops: list[list[int]], pts: np.ndarray, eps_area: np.ndarray,
                 runs.append((ring[a], ring[b % n], [ring[k % n] for k in range(a + 1, b)]))
         rings.append([ring[k] for k in kept])
     return rings
-
-
-def _splice_hole(uv: np.ndarray, outer: list[int], hole: list[int], eps_area: float) -> list[int]:
-    """Join a hole ring into the outer ring with a two-way bridge edge.
-
-    The bridge runs from the hole's rightmost vertex to the nearest outer
-    vertex that no edge of either ring blocks.  When every bridge from it
-    is blocked, the other hole vertices are tried the same way, right to
-    left; the hole is dropped only when no bridge is free.
-    """
-    eps = max(np.sqrt(eps_area), 1e-12)
-    a = uv[outer + hole]
-    b = uv[outer[1:] + outer[:1] + hole[1:] + hole[:1]]
-    # The stable order starts at np.argmax's choice of the rightmost vertex.
-    for hj in np.argsort(-uv[hole, 0], kind="stable").tolist():
-        m_pt = uv[hole[hj]]
-        near = uv[outer] - m_pt
-        gap = np.hypot(near[:, 0], near[:, 1])
-        for pi in np.argsort(gap, kind="stable").tolist():
-            # Coincident points: a zero-length bridge is always safe.
-            if gap[pi] < eps or not _bridge_blocked(m_pt, uv[outer[pi]], a, b,
-                                                    eps).any():
-                return _splice_at(outer, pi, hole, hj)
-    logger.warning("no visible bridge for cap hole; hole dropped")
-    return outer
-
-
-def _bridge_blocked(m, p, a, b, eps: float) -> np.ndarray:
-    """Which ring edges a[i]-b[i] meet the bridge m-p other than at m or p.
-
-    eps is a length tolerance.  A proper crossing blocks, and so does an
-    endpoint of either segment resting on the other, unless it lies within
-    eps of an endpoint of that other segment (incident edges pass).
-    """
-    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-    span = np.maximum(np.maximum(np.hypot(*(p - m)), np.hypot(bx - ax, by - ay)), eps)
-    eps_o = eps * span
-    # Orientations of a, b against m-p and of m, p against a-b.
-    o1 = (p[0] - m[0]) * (ay - m[1]) - (p[1] - m[1]) * (ax - m[0])
-    o2 = (p[0] - m[0]) * (by - m[1]) - (p[1] - m[1]) * (bx - m[0])
-    o3 = (bx - ax) * (m[1] - ay) - (by - ay) * (m[0] - ax)
-    o4 = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-    blocked = ((((o1 > eps_o) & (o2 < -eps_o)) | ((o1 < -eps_o) & (o2 > eps_o)))
-               & (((o3 > eps_o) & (o4 < -eps_o)) | ((o3 < -eps_o) & (o4 > eps_o))))
-
-    def touches(rx, ry, q):
-        return (np.abs(rx - q[0]) <= eps) & (np.abs(ry - q[1]) <= eps)
-
-    for rx, ry, o in ((ax, ay, o1), (bx, by, o2)):
-        blocked |= (~touches(rx, ry, m) & ~touches(rx, ry, p) & (np.abs(o) <= eps_o)
-                    & (min(m[0], p[0]) - eps <= rx) & (rx <= max(m[0], p[0]) + eps)
-                    & (min(m[1], p[1]) - eps <= ry) & (ry <= max(m[1], p[1]) + eps))
-    for r, o in ((m, o3), (p, o4)):
-        blocked |= (~touches(ax, ay, r) & ~touches(bx, by, r) & (np.abs(o) <= eps_o)
-                    & (np.minimum(ax, bx) - eps <= r[0]) & (r[0] <= np.maximum(ax, bx) + eps)
-                    & (np.minimum(ay, by) - eps <= r[1]) & (r[1] <= np.maximum(ay, by) + eps))
-    return blocked
-
-
-def _splice_at(outer: list[int], pi: int, hole: list[int], hj: int) -> list[int]:
-    rotated = hole[hj:] + hole[:hj]
-    return outer[: pi + 1] + rotated + [rotated[0], outer[pi]] + outer[pi + 1:]
-
-
-def _ear_clip(uv: np.ndarray, ring: list[int], eps_area: float) -> list[tuple[int, int, int]]:
-    """Triangulate a weakly simple CCW ring by ear clipping (Eberly 2002).
-
-    The ring is a linked list.  A convex corner is an ear when no reflex
-    corner lies in its closed triangle; a reflex corner at the same point
-    as a corner of the ear (a bridge's duplicate) does not block it.  When
-    no ear is left the most convex corner is clipped anyway, so edge
-    pairing stays intact.
-    """
-    n = len(ring)
-    xy = uv[ring].tolist()
-    prv = [n - 1] + list(range(n - 1))
-    nxt = list(range(1, n)) + [0]
-
-    def turn(k: int) -> float:
-        (ax, ay), (bx, by), (cx, cy) = xy[prv[k]], xy[k], xy[nxt[k]]
-        return (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-
-    def blocked(a: int, b: int, c: int) -> bool:
-        corners = (xy[a], xy[b], xy[c])
-        (ax, ay), (bx, by), (cx, cy) = corners
-        for r in reflex:
-            p = xy[r]
-            if p in corners:
-                continue
-            px, py = p
-            if ((bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0
-                    and (cx - bx) * (py - by) - (cy - by) * (px - bx) >= 0.0
-                    and (ax - cx) * (py - cy) - (ay - cy) * (px - cx) >= 0.0):
-                return True
-        return False
-
-    turns = [turn(k) for k in range(n)]
-    reflex = {k for k in range(n) if turns[k] <= eps_area}
-    tris: list[tuple[int, int, int]] = []
-    k, live, misses = 0, n, 0
-    while live > 3:
-        if turns[k] <= eps_area or blocked(prv[k], k, nxt[k]):
-            misses += 1
-            if misses <= live:
-                k = nxt[k]
-                continue
-            # No ear left: clip the most convex corner.
-            best = k
-            for _ in range(live):
-                k = nxt[k]
-                if turns[k] > turns[best]:
-                    best = k
-            k = best
-        a, c = prv[k], nxt[k]
-        tris.append((ring[a], ring[k], ring[c]))
-        nxt[a], prv[c] = c, a
-        reflex.discard(k)
-        live, misses = live - 1, 0
-        for j in (a, c):
-            turns[j] = turn(j)
-            if turns[j] > eps_area:
-                reflex.discard(j)
-            else:
-                reflex.add(j)
-        k = c
-    tris.append((ring[prv[k]], ring[k], ring[nxt[k]]))
-    return tris
 
 
 def _fan_runs(tris: list[tuple[int, int, int]],

@@ -148,6 +148,41 @@ def asymmetric_blob(voxel_size: float = 4.0, name="blob") -> TriangleMesh:
     return voxel_mesh(occ, voxel_size, name=name)
 
 
+def random_solid(seed: int, name="solid") -> TriangleMesh:
+    """A seeded random polycube: the union of 2-4 random boxes of voxels in
+    a cube of 6, 8 or 12 voxels of 10 mm.  Boxes that ring a gap give
+    cross-sections with holes.  Voxels that touch only along an edge or
+    at a corner are joined through a voxel beside them, until none are
+    left, so the surface is closed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([6, 8, 12]))
+    occ = np.zeros((n, n, n), dtype=bool)
+    for _ in range(int(rng.integers(2, 5))):
+        lo = rng.integers(0, n, size=3)
+        hi = rng.integers(lo + 1, n + 1)
+        occ[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+    # The 8 voxels of every 2 x 2 x 2 block, corner c = 4i + 2j + k.
+    block = [(slice(i, n - 1 + i), slice(j, n - 1 + j), slice(k, n - 1 + k))
+             for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    while True:
+        grow = np.zeros_like(occ)
+        count = sum(occ[b].astype(np.int64) for b in block)
+        for c in range(8):
+            # Corners c and c ^ d share an edge when d has two bits, a
+            # corner when it has three.  They touch only there when the
+            # rest of their square, or of their block, is empty; then
+            # c ^ low, low the lowest bit of d, is filled.
+            for d in (3, 5, 6, 7):
+                if c < c ^ d:
+                    low = d & -d
+                    alone = (count == 2 if d == 7 else
+                             ~occ[block[c ^ low]] & ~occ[block[c ^ d ^ low]])
+                    grow[block[c ^ low]] |= occ[block[c]] & occ[block[c ^ d]] & alone
+        if not grow.any():
+            return voxel_mesh(occ, voxel_size=10.0, name=name)
+        occ |= grow
+
+
 def thin_plate(side: float = 20.0, thickness: float = 0.5, name="plate") -> TriangleMesh:
     """Plate thinner than any grid cell, so no cell is fully interior."""
     return box_mesh((side, side, thickness), name=name)

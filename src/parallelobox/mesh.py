@@ -204,15 +204,16 @@ def validate_watertight(mesh: TriangleMesh) -> WatertightReport:
     t = mesh.triangles
     if len(t) == 0:
         return WatertightReport(False, 0)
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]).astype(np.int64)
-    lo = edges.min(axis=1)
-    hi = edges.max(axis=1)
-    forward = edges[:, 0] < edges[:, 1]
-    key = lo * len(mesh.vertices) + hi
-    order = np.argsort(key, kind="stable")
+    # Edges a -> b, column by column: numpy reduces a short last axis slowly.
+    a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]]).astype(np.int64)
+    b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]]).astype(np.int64)
+    forward = a < b
+    key = np.minimum(a, b) * len(mesh.vertices) + np.maximum(a, b)
+    order = np.argsort(key)
     key_sorted = key[order]
     fwd_sorted = forward[order]
-    uniq, start = np.unique(key_sorted, return_index=True)
+    # Each run of equal keys is one undirected edge.
+    start = np.flatnonzero(np.concatenate([[True], key_sorted[1:] != key_sorted[:-1]]))
     counts = np.diff(np.append(start, len(key_sorted)))
     fwd_counts = np.add.reduceat(fwd_sorted.astype(np.int64), start)
     bad = (counts != 2) | (fwd_counts != 1)

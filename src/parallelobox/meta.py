@@ -453,8 +453,9 @@ def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
             TriangleMesh(clipped.vertices, clipped.triangles, part.name),
             part.source, profile, params, piece=part.piece,
             cell_lo=part.cell_lo, cell_hi=part.cell_hi))
+    volume = sum(piece.volume for piece in prepared.pieces)
     return _decomposition(
-        parts, _parts_verdict(parts, plan.printers_available, profile.dims),
+        parts, _parts_verdict(parts, plan.printers_available, profile.dims, volume),
         plan, _covered_area(prepared, parts), algorithm="parallelobox",
         seed_blocks=result.seed_blocks, seed=result.seed,
         symmetry_cut=prepared.cut, clipped=True)
@@ -470,15 +471,24 @@ def _count_verdict(parts: list[PartResult], printers: int) -> str:
 
 
 def _parts_verdict(parts: list[PartResult], printers: int,
-                   printer_dims: tuple[float, float, float]) -> str:
+                   printer_dims: tuple[float, float, float], volume: float) -> str:
     """Why a set of part meshes is invalid, empty when it is valid: the
-    part count, then each part's fit."""
+    part count, then each part's fit, then ``bad_part`` when a part is not
+    closed or the parts' volumes miss ``volume``, the volume they
+    partition, by more than 1e-9 of it."""
     reason = _count_verdict(parts, printers)
-    if not reason:
-        for part in parts:
-            if not fits_printer(aabb_of(part.mesh).extent, printer_dims):
-                return f"part {part.name} exceeds the printer"
-    return reason
+    if reason:
+        return reason
+    for part in parts:
+        if not fits_printer(aabb_of(part.mesh).extent, printer_dims):
+            return f"part {part.name} exceeds the printer"
+    for part in parts:
+        if not validate_watertight(part.mesh).is_watertight:
+            return f"bad_part: part {part.name} is not closed"
+    total = sum(part.volume for part in parts)
+    if abs(total - volume) > 1e-9 * abs(volume):
+        return f"bad_part: part volumes sum to {total:.12g}, not {volume:.12g}"
+    return ""
 
 
 def _covered_area(prepared: PreparedModel, parts: list[PartResult]) -> float:
@@ -726,9 +736,10 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
 
     parts = [_score_part(m, "block", profile, params, piece=i)
              for i, m in enumerate(rounds[r])]
+    mm = measure(mesh)
     result = _decomposition(
-        parts, _parts_verdict(parts, plan.printers_available, profile.dims),
-        plan, measure(mesh).surface_area, algorithm="symmetry",
+        parts, _parts_verdict(parts, plan.printers_available, profile.dims, mm.volume),
+        plan, mm.surface_area, algorithm="symmetry",
         seed_blocks=0, seed=plan.seed_base, symmetry_cut=len(parts) > 1,
         clipped=True)
     if records is not None:

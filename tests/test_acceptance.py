@@ -20,8 +20,8 @@ from parallelobox.cli import run_batch
 from parallelobox.clip import clip_to_box
 from parallelobox.errors import NoValidDecomposition
 from parallelobox.fixtures import (asymmetric_blob, dumbbell, hollow_box,
-                                   icosphere, l_bracket, unit_cube)
-from parallelobox.mesh import Aabb, aabb_of, measure, save_stl
+                                   icosphere, l_bracket, random_solid, unit_cube)
+from parallelobox.mesh import Aabb, aabb_of, measure, save_stl, validate_watertight
 from parallelobox.meta import (ModelWork, PrinterProfile, RunPlan,
                                estimate_time, prepare_model,
                                recursive_symmetry_baseline, run_metaheuristic)
@@ -79,6 +79,46 @@ def test_part_conservation_and_fit():
                     overlap = all(alo[d] <= bhi[d] and blo[d] <= ahi[d]
                                   for d in range(3))
                     assert not overlap, (mesh.name, boxes[i], boxes[j])
+    assert time.perf_counter() - tick < 60.0
+
+
+#: The random solids of test_random_solids_are_printable: fixtures.random_solid seeds.
+RANDOM_SOLIDS = range(24)
+
+
+def test_random_solids_are_printable():
+    """Random polycubes through both algorithms at 2, 4 and 8 printers,
+    coarse and fine grids, and printers of 250 mm and of 0.6 x the
+    model's longest extent: every valid result has closed parts that fit
+    the printer by sorted extents and sum to the model's volume."""
+    tick = time.perf_counter()
+    checked = 0
+    for seed in RANDOM_SOLIDS:
+        mesh = random_solid(seed)
+        volume = measure(mesh).volume
+        for granularity in ("coarse", "fine"):
+            for side in (250.0, 0.6 * float(aabb_of(mesh).extent.max())):
+                profile = PrinterProfile(volume_x=side, volume_y=side, volume_z=side)
+                work = ModelWork(mesh, printer_counts=(2, 4, 8))
+                for printers in (2, 4, 8):
+                    plan = RunPlan(printers_available=printers,
+                                   granularity=granularity, sample_tries=2)
+                    for algorithm in (run_metaheuristic, recursive_symmetry_baseline):
+                        try:
+                            dec = algorithm(mesh, plan, profile, work=work)
+                        except NoValidDecomposition:
+                            continue
+                        if not dec.valid:
+                            continue
+                        case = (seed, granularity, side, printers, algorithm.__name__)
+                        checked += 1
+                        for p in dec.parts:
+                            assert validate_watertight(p.mesh).is_watertight, case
+                            assert np.all(np.sort(aabb_of(p.mesh).extent)
+                                          <= np.sort(profile.dims) + 1e-9), case
+                        assert sum(p.volume for p in dec.parts) == pytest.approx(
+                            volume, rel=1e-6), case
+    assert checked >= len(RANDOM_SOLIDS) * 8
     assert time.perf_counter() - tick < 60.0
 
 

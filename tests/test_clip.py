@@ -628,7 +628,7 @@ def _reference_clip_halfspace(mesh, normal, offset, *, keep_coplanar=True,
             u, v = clip._plane_basis(n)
             uv = np.column_stack([all_verts @ u, all_verts @ v])
             loops = clip._assemble_loops([(b, a) for a, b in boundary], uv)
-            caps = _reference_triangulate_region(uv, loops)
+            caps = clip._triangulate_region(uv, loops)
             if caps:
                 tris = np.vstack([tris, np.asarray(caps, dtype=np.int32)])
     return compact(TriangleMesh(all_verts, tris, mesh.name))
@@ -647,125 +647,6 @@ def _reference_boundary_edges(tris):
         if excess > 0:
             out.extend([(int(key // base), int(key % base))] * int(excess))
     return out
-
-
-def _reference_triangulate_region(uv, loops):
-    """Caps as the loop kernel built them: the bridges of
-    clip._triangulate_region, tested per edge, then ear clipping over every
-    ring vertex, which can cover part of a cap twice."""
-    if not loops:
-        return []
-    scale = max(float((uv[ring].max(axis=0) - uv[ring].min(axis=0)).max())
-                for ring in loops)
-    eps_area = 1e-12 * scale * scale + 1e-300
-    outers = [r for r in loops if clip._signed_area(uv, r) >= 0.0]
-    holes = [r for r in loops if clip._signed_area(uv, r) < 0.0]
-    if not outers:
-        return []
-    grouped = {i: [] for i in range(len(outers))}
-    for hole in holes:
-        candidates = [(abs(clip._signed_area(uv, outer)), i)
-                      for i, outer in enumerate(outers)
-                      if clip._point_in_ring(uv, outer, uv[hole[0]])]
-        if candidates:
-            grouped[min(candidates)[1]].append(hole)
-    tris = []
-    for i, outer in enumerate(outers):
-        ring = list(outer)
-        for hole in sorted(grouped[i], key=lambda h: -float(uv[h][:, 0].max())):
-            ring = _reference_splice_hole(uv, ring, hole, eps_area)
-        tris.extend(_reference_ear_clip(uv, ring, eps_area))
-    return tris
-
-
-def _reference_ear_clip(uv, ring, eps_area):
-    """The loop kernel's ear clipping: every vertex is a candidate, one ear
-    at a time, and a degenerate ear is forced when none is found."""
-    ring = list(ring)
-    tris = []
-    while len(ring) > 3:
-        n = len(ring)
-        pts = uv[ring]
-        prv = np.concatenate([pts[-1:], pts[:-1]])
-        nxt = np.concatenate([pts[1:], pts[:1]])
-        cr = ((pts[:, 0] - prv[:, 0]) * (nxt[:, 1] - pts[:, 1])
-              - (pts[:, 1] - prv[:, 1]) * (nxt[:, 0] - pts[:, 0]))
-        locked = np.zeros(n, dtype=bool)
-        removed = []
-        for k in np.nonzero(cr > eps_area)[0]:
-            if len(removed) >= n - 3:
-                break
-            k = int(k)
-            if locked[k - 1] or locked[k] or locked[(k + 1) % n]:
-                continue
-            a, b, c = pts[(k - 1) % n], pts[k], pts[(k + 1) % n]
-            s1 = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-            s2 = (c[0] - b[0]) * (pts[:, 1] - b[1]) - (c[1] - b[1]) * (pts[:, 0] - b[0])
-            s3 = (a[0] - c[0]) * (pts[:, 1] - c[1]) - (a[1] - c[1]) * (pts[:, 0] - c[0])
-            inside = (s1 > eps_area) & (s2 > eps_area) & (s3 > eps_area)
-            inside[[(k - 1) % n, k, (k + 1) % n]] = False
-            if inside.any():
-                continue
-            tris.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
-            locked[[k - 1, k, (k + 1) % n]] = True
-            removed.append(k)
-        if removed:
-            for k in sorted(removed, reverse=True):
-                del ring[k]
-            continue
-        k = int(cr.argmax())
-        tris.append((ring[k - 1], ring[k], ring[(k + 1) % n]))
-        del ring[k]
-    tris.append((ring[0], ring[1], ring[2]))
-    return tris
-
-
-def _reference_splice_hole(uv, outer, hole, eps_area):
-    hj = max(range(len(hole)), key=lambda k: (uv[hole[k]][0], -k))
-    m_pt = uv[hole[hj]]
-    eps = max(np.sqrt(eps_area), 1e-12)
-    order = sorted(range(len(outer)),
-                   key=lambda k: (float(np.hypot(*(uv[outer[k]] - m_pt))), k))
-    edges = [(r[i], r[(i + 1) % len(r)]) for r in (outer, hole)
-             for i in range(len(r))]
-    for pi in order:
-        p_pt = uv[outer[pi]]
-        if np.hypot(*(p_pt - m_pt)) < eps or all(
-                not _segment_blocked(m_pt, p_pt, uv[sa], uv[sb], eps)
-                for sa, sb in edges):
-            return clip._splice_at(outer, pi, hole, hj)
-    return outer
-
-
-def _orient2(p, q, r):
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _segment_blocked(m, p, a, b, eps):
-    """Does edge ab meet the bridge m-p anywhere other than at m or p?"""
-    def touches(r, q):
-        return abs(r[0] - q[0]) <= eps and abs(r[1] - q[1]) <= eps
-
-    def on_segment(s, q, r):
-        return (min(s[0], q[0]) - eps <= r[0] <= max(s[0], q[0]) + eps
-                and min(s[1], q[1]) - eps <= r[1] <= max(s[1], q[1]) + eps)
-
-    span = max(np.hypot(*(np.asarray(p) - m)), np.hypot(*(np.asarray(b) - a)), eps)
-    eps_o = eps * span
-    o1, o2 = _orient2(m, p, a), _orient2(m, p, b)
-    o3, o4 = _orient2(a, b, m), _orient2(a, b, p)
-    if ((o1 > eps_o and o2 < -eps_o) or (o1 < -eps_o and o2 > eps_o)) and \
-       ((o3 > eps_o and o4 < -eps_o) or (o3 < -eps_o and o4 > eps_o)):
-        return True
-    for r in (a, b):
-        if not (touches(r, m) or touches(r, p)) and \
-                abs(_orient2(m, p, r)) <= eps_o and on_segment(m, p, r):
-            return True
-    for r in (m, p):
-        if not (touches(r, a) or touches(r, b)) and \
-                abs(_orient2(a, b, r)) <= eps_o and on_segment(a, b, r):
-            return True
-    return False
 
 
 def _reference_clip_to_box(mesh, box):
@@ -914,23 +795,20 @@ def test_clip_to_box_matches_loop_kernel(make_mesh):
         _assert_same_solid(clip_to_box(mesh, box), _reference_clip_to_box(mesh, box), box)
 
 
-def test_cap_through_a_cavity_bridges_its_hole(monkeypatch):
-    """A cut through hollow_box's cavity caps a ring with a hole, which the
-    bridge test must join to its outer ring."""
+def test_cap_through_a_cavity_bridges_its_hole():
+    """A cut through hollow_box's cavity leaves an outer ring and a hole;
+    on each of the six cuts the cap covers the ring less the hole once."""
     mesh = hollow_box()
     bb = aabb_of(mesh)
-    spliced = []
-    splice = clip._splice_hole
-    monkeypatch.setattr(clip, "_splice_hole",
-                        lambda *args: spliced.append(1) or splice(*args))
     for axis in range(3):
         offset = float(bb.min[axis] + 0.5 * bb.extent[axis])
         for sign in (1.0, -1.0):
             normal = sign * np.eye(3)[axis]
+            uv, loops = _cut_loops(mesh, normal, sign * offset, True)
+            assert sorted(_signed_area(uv, ring) > 0.0 for ring in loops) == [False, True]
             got = clip_halfspace(mesh, normal, sign * offset)
             _assert_capped(got, _reference_clip_halfspace(
                 mesh, normal, sign * offset, cap=False), normal)
-    assert len(spliced) == 6
 
 
 def _rotated_to_min(tris):
@@ -987,6 +865,12 @@ def _cut_loops(mesh, normal, offset, keep_coplanar):
     return uv, clip._assemble_loops([(b, a) for a, b in edges], uv)
 
 
+def _signed_area(uv, ring):
+    """The signed area of a ring of uv indices, positive when CCW."""
+    after = uv[ring[1:] + ring[:1]]
+    return 0.5 * float(np.dot(uv[ring, 0], after[:, 1]) - np.dot(uv[ring, 1], after[:, 0]))
+
+
 def _region_areas(uv, tris):
     """Unsigned and signed area of triangles given as uv indices."""
     p = uv[np.asarray(tris)]
@@ -996,11 +880,12 @@ def _region_areas(uv, tris):
 
 
 def test_dumbbell_ring_is_capped_once(monkeypatch):
-    """The 53-vertex ring on the y-min face of a dumbbell part (fine, 4
-    printers, piece 0, cells (0, 4, 0)-(7, 7, 11)), the face on the
-    symmetry plane, with the piece cut by the loop kernel.  Most of its
-    vertices are collinear with both neighbours; ear clipping every vertex
-    covered 500 mm² for its 440."""
+    """The ring on the y-min face of a dumbbell part (fine, 4 printers,
+    piece 0, cells (0, 4, 0)-(7, 7, 11)), the face on the symmetry plane,
+    with the piece cut by the loop kernel.  The face is the symmetry cut's
+    cap, so the ring's 52 vertices are where that cap's triangles cross
+    the part's box.  Most of them are collinear with both neighbours; ear
+    clipping every vertex covered 500 mm² for its 440."""
     with monkeypatch.context() as patch:
         patch.setattr(clip, "_clip_halfspaces", _reference_cuts)
         prepared = prepare_model(dumbbell(), RunPlan(printers_available=4,
@@ -1009,8 +894,8 @@ def test_dumbbell_ring_is_capped_once(monkeypatch):
     piece = prepared.pieces[0]
     box = piece.grid.box_of_range((0, 4, 0), (7, 7, 11))
     uv, loops = _cut_loops(piece.mesh, -np.eye(3)[1], -box.min[1], False)
-    assert [len(ring) for ring in loops] == [53]
-    assert clip._signed_area(uv, loops[0]) == pytest.approx(440.0, rel=1e-9)
+    assert [len(ring) for ring in loops] == [52]
+    assert _signed_area(uv, loops[0]) == pytest.approx(440.0, rel=1e-9)
     unsigned, signed = _region_areas(uv, clip._triangulate_region(uv, loops))
     assert signed == pytest.approx(440.0, rel=1e-9)
     assert unsigned == pytest.approx(signed, rel=1e-12)
@@ -1044,7 +929,7 @@ def test_comb_ring_with_many_reflex_corners(angle):
     tris = clip._triangulate_region(uv, loops)
     # A ring of n vertices with h holes has n + 2h - 2 triangles.
     assert len(tris) == len(points) + 2 - 2
-    area = clip._signed_area(uv, loops[0]) + clip._signed_area(uv, loops[1])
+    area = _signed_area(uv, loops[0]) + _signed_area(uv, loops[1])
     assert area == pytest.approx(teeth * 4.0 + (2 * teeth - 1) * 2.0 - 6.0, rel=1e-12)
     unsigned, signed = _region_areas(uv, tris)
     assert signed == pytest.approx(area, rel=1e-12)
@@ -1072,12 +957,12 @@ def test_squares_sharing_a_corner_make_two_loops():
 
 def test_hole_bridges_from_another_vertex_when_the_rightmost_is_blocked(caplog):
     """A hole whose rightmost vertex rests, within tolerance, on the outer
-    ring's right edge: that edge blocks every bridge from the vertex, so
-    the bridge leaves from a vertex to its left, and the hole is kept."""
+    ring's right edge: the sweep still joins the hole to the outer ring,
+    and the hole is kept."""
     uv = np.array([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0),
                    (10.0 - 1e-7, 5.0), (5.0, 3.0), (5.0, 7.0)])
     loops = [[0, 1, 2, 3], [4, 5, 6]]                # the hole is clockwise
-    area = clip._signed_area(uv, loops[0]) + clip._signed_area(uv, loops[1])
+    area = _signed_area(uv, loops[0]) + _signed_area(uv, loops[1])
     assert area == pytest.approx(90.0000002, rel=1e-12)
     with caplog.at_level("WARNING", logger="parallelobox.clip"):
         tris = clip._triangulate_region(uv, loops)
@@ -1085,6 +970,87 @@ def test_hole_bridges_from_another_vertex_when_the_rightmost_is_blocked(caplog):
     unsigned, signed = _region_areas(uv, tris)
     assert signed == pytest.approx(area, rel=1e-12)
     assert unsigned == pytest.approx(area, rel=1e-12)
+
+
+def _lattice_region(rng, case):
+    """Filled unit cells of a random rectilinear outer: each column a run
+    of cells with ragged ends.  case "holes" carves 0-3 single-cell holes
+    apart from each other and the outer ring, "touching" one hole meeting
+    the outer ring at a corner only, and "sharing" two holes meeting at a
+    corner only."""
+    while True:
+        w, h = rng.integers(6, 10, size=2)
+        occ = np.zeros((w + 2, h + 2), dtype=bool)      # an empty margin
+        for x in range(w):
+            lo, hi = rng.integers(0, 3), h - rng.integers(0, 3)
+            occ[x + 1, lo + 1:hi + 1] = True
+
+        def filled(x, y, skip=()):
+            """Whether the 3 x 3 cells around (x, y) but skip are filled."""
+            return all(occ[x + i, y + j] for i in (-1, 0, 1) for j in (-1, 0, 1)
+                       if (i, j) not in skip)
+
+        cells = [(int(x), int(y)) for x, y in zip(*np.nonzero(occ))]
+        rng.shuffle(cells)
+        if case == "holes":
+            for _ in range(rng.integers(0, 4)):
+                inner = [c for c in cells if filled(*c)]
+                if inner:
+                    occ[inner[0]] = False
+            return occ
+        for x, y in cells:
+            if case == "touching":
+                corner = [(i, j) for i in (-1, 1) for j in (-1, 1)
+                          if not occ[x + i, y + j]]
+                if len(corner) == 1 and filled(x, y, corner):
+                    occ[x, y] = False
+                    return occ
+            elif filled(x, y) and filled(x + 1, y + 1):
+                occ[x, y] = occ[x + 1, y + 1] = False
+                return occ
+
+
+def _lattice_loops(occ, angle):
+    """Lattice points rotated by angle, and the boundary loops of the
+    filled cells of occ as clip assembles them: CCW outer, CW holes."""
+    ids = np.arange(occ.size + sum(occ.shape) + 1).reshape(np.add(occ.shape, 1))
+    edges = set()
+    for x, y in zip(*np.nonzero(occ)):
+        ring = [ids[x, y], ids[x + 1, y], ids[x + 1, y + 1], ids[x, y + 1]]
+        edges.update((int(a), int(b)) for a, b in zip(ring, ring[1:] + ring[:1]))
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    uv = np.argwhere(ids >= 0).astype(float) @ rot.T
+    return uv, clip._assemble_loops(sorted(edges - {(b, a) for a, b in edges}), uv)
+
+
+@pytest.mark.parametrize("case", ["holes", "touching", "sharing"])
+@pytest.mark.parametrize("angle", [0.0, 0.5])
+def test_sweep_tiles_lattice_regions(case, angle):
+    """Random rectilinear regions, axis-aligned and rotated: each ring edge
+    lies in one triangle and every other edge is paired; n ring corners
+    and h holes give n + 2h - 2 triangles, two fewer for each corner two
+    rings share; and the triangles cover the rings' area once."""
+    rng = np.random.default_rng(89)
+    for _ in range(30):
+        uv, loops = _lattice_loops(_lattice_region(rng, case), angle)
+        areas = [_signed_area(uv, ring) for ring in loops]
+        holes = sum(a < 0.0 for a in areas)
+        corners = sum(len(ring) for ring in loops)
+        shared = corners - len({v for ring in loops for v in ring})
+        assert sum(a > 0.0 for a in areas) == 1
+        assert (holes, shared) == {"holes": (holes, 0), "touching": (1, 1),
+                                   "sharing": (2, 1)}[case]
+        tris = clip._triangulate_region(uv, loops)
+        assert len(tris) == corners + 2 * holes - 2 - 2 * shared
+        edges = [e for a, b, c in tris for e in ((a, b), (b, c), (c, a))]
+        assert len(set(edges)) == len(edges)
+        ring_edges = {(r[k], r[(k + 1) % len(r)]) for r in loops for k in range(len(r))}
+        inner = set(edges) - ring_edges
+        assert ring_edges <= set(edges)
+        assert {(b, a) for a, b in inner} == inner
+        unsigned, signed = _region_areas(uv, tris)
+        assert signed == pytest.approx(sum(areas), rel=1e-12)
+        assert unsigned == pytest.approx(signed, rel=1e-12)
 
 
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
@@ -1174,25 +1140,6 @@ def test_boundary_edges_read_only_the_cut_plane(monkeypatch):
     for tris, on in seen:
         got = clip._boundary_edges(tris, on)
         assert got.tolist() == [list(e) for e in _reference_boundary_edges(tris)]
-
-
-def test_bridge_test_matches_per_edge_test():
-    """Bridges against ring edges on a coarse lattice, where collinear
-    overlaps, shared endpoints and endpoints resting on the other segment
-    are common, plus jittered copies within and beyond the tolerance."""
-    rng = np.random.default_rng(73)
-    eps = 1e-6
-    for trial in range(300):
-        m, p = rng.integers(0, 5, size=(2, 2)).astype(float)
-        a = rng.integers(0, 5, size=(40, 2)).astype(float)
-        b = rng.integers(0, 5, size=(40, 2)).astype(float)
-        if trial % 3:
-            scale = eps * (0.5 if trial % 3 == 1 else 3.0)
-            a += rng.uniform(-scale, scale, size=a.shape)
-            p = p + rng.uniform(-scale, scale, size=2)
-        got = clip._bridge_blocked(m, p, a, b, eps)
-        want = [_segment_blocked(m, p, ai, bi, eps) for ai, bi in zip(a, b)]
-        assert got.tolist() == want, trial
 
 
 def _surface_pass_crosses(mesh, box) -> bool:

@@ -4,7 +4,7 @@ import pytest
 
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket,
-                                   thin_plate, unit_cube, wedge)
+                                   random_solid, thin_plate, unit_cube, wedge)
 from parallelobox.mesh import measure, validate_watertight
 
 ALL_FIXTURES = [unit_cube, icosphere, dumbbell, l_bracket, hollow_box,
@@ -54,3 +54,16 @@ def test_box_mesh_parametrized():
         want_a = 2.0 * float(size[0] * size[1] + size[1] * size[2] + size[0] * size[2])
         assert mm.volume == pytest.approx(want_v, rel=1e-12)
         assert mm.surface_area == pytest.approx(want_a, rel=1e-12)
+
+
+def test_random_solids_are_closed_polycubes():
+    """Seeded: the same seed gives the same solid, and every solid is
+    closed, in a cube of 6, 8 or 12 voxels of 10 mm, whole voxels only."""
+    assert random_solid(3).vertices.tobytes() == random_solid(3).vertices.tobytes()
+    for seed in range(40):
+        mesh = random_solid(seed)
+        assert validate_watertight(mesh).is_watertight, seed
+        assert mesh.vertices.min() >= 0.0 and mesh.vertices.max() <= 120.0, seed
+        assert np.all(mesh.vertices % 10.0 == 0.0), seed
+        volume = measure(mesh).volume
+        assert volume > 0.0 and volume % 1000.0 == pytest.approx(0.0, abs=1e-6), seed

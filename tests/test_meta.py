@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from parallelobox import fixtures, meta
+from parallelobox import clip, fixtures, meta
 from parallelobox.blocks import GrowthState, grow_blocks, select_seed_blocks
 from parallelobox.clip import clip_to_box, cut_by_plane
 from parallelobox.errors import (InsufficientBoundaryCells, NonWatertightInput,
@@ -247,8 +247,9 @@ def test_baseline_rejects_open_mesh(name, printers):
         recursive_symmetry_baseline(_open_mesh(name), plan, PROFILE)
 
 
-#: A 6 x 6 x 6 voxel model, one bit per voxel: its baseline's second round
-#: cuts a cap whose hole has a vertex 1.8e-15 mm from the outer ring.
+#: A 6 x 6 x 6 voxel model, one bit per voxel: with the first round's caps
+#: ear-clipped, its baseline's second round cut a cap whose hole had a
+#: vertex 1.8e-15 mm from the outer ring, and the hole was dropped.
 FZ12_20 = "0000002080000002080003cf208c30fcf208df7fcf3c8df7dc71c0"
 
 
@@ -264,6 +265,37 @@ def test_baseline_keeps_cap_hole_touching_its_outer_ring(printers):
     assert all(validate_watertight(p.mesh).is_watertight for p in dec.parts)
     assert sum(p.volume for p in dec.parts) == pytest.approx(
         measure(mesh).volume, rel=1e-9)
+
+
+def test_open_parts_trip_the_gate(monkeypatch):
+    """Caps that lose a triangle leave the cut parts open: the shared rule
+    marks them bad_part, for the baseline and for the search alike."""
+    triangulate = clip._triangulate_region
+    monkeypatch.setattr(clip, "_triangulate_region",
+                        lambda *args: triangulate(*args)[:-1])
+    # No symmetry cut, so preparation triangulates no cap; the 60 mm model
+    # needs two parts on 40 mm printers.
+    plan = RunPlan(printers_available=2, granularity="coarse", sample_tries=1,
+                   skip_symmetry_cut=True)
+    profile = PrinterProfile(volume_x=40.0, volume_y=40.0, volume_z=40.0)
+    baseline = recursive_symmetry_baseline(dumbbell(), plan, profile)
+    assert not baseline.valid
+    assert baseline.reason.startswith("bad_part: part ")
+    records = []
+    with pytest.raises(NoValidDecomposition):
+        run_metaheuristic(dumbbell(), plan, profile, records)
+    clipped = [r for r in records if r.clipped]
+    assert clipped and all(r.reason.startswith("bad_part: part ") for r in clipped)
+
+
+def test_parts_missing_volume_trip_the_gate():
+    """Closed parts whose volumes do not add up to the model's."""
+    params = objective_of(RunPlan(), PROFILE)
+    halves = [meta._score_part(box_mesh((10.0, 10.0, 5.0), name=f"p{i}"), "block",
+                               PROFILE, params, piece=0) for i in range(2)]
+    assert meta._parts_verdict(halves, 2, PROFILE.dims, 1000.0) == ""
+    assert meta._parts_verdict(halves[:1], 2, PROFILE.dims, 1000.0) == (
+        "bad_part: part volumes sum to 500, not 1000")
 
 
 # ---------------------------------------------------------------------------

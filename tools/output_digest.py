@@ -10,9 +10,13 @@ plan and printer the benchmark gives it.  One line is printed per output
 file: workload, seed, the file's path under the job's output directory,
 and the SHA-256 of its bytes.  Two fields are left out of the digest
 because they change from run to run: ``compute_time_s`` of
-``results.csv`` and ``wall_clock_s`` of ``runlog.jsonl``.  Running the
-script in two checkouts and comparing the outputs with ``diff`` shows
-which files differ.
+``results.csv`` and ``wall_clock_s`` of ``runlog.jsonl``.  One more line
+per workload and seed, ``decisions``, is the SHA-256 of the
+``bench/checks.py`` fingerprints of every request, captured with
+``run.Capture``: part count, part boxes, parallel time to 1e-6 and
+validity.  A change that moves only mesh bytes leaves it as it was.
+Running the script in two checkouts and comparing the outputs with
+``diff`` shows which files and decisions differ.
 """
 from __future__ import annotations
 
@@ -55,7 +59,9 @@ def stable_bytes(path: Path) -> bytes:
 
 
 def digest_job(name: str, seed: int, workdir: Path) -> list[str]:
-    """Run every model of one workload at one seed; one line per file."""
+    """Run every model of one workload at one seed; one line per file,
+    then the decisions line."""
+    from checks import fingerprint
     from parallelobox import cli
     from parallelobox.meta import PrinterProfile, RunPlan
 
@@ -65,14 +71,18 @@ def digest_job(name: str, seed: int, workdir: Path) -> list[str]:
     side = workload.printer_mm
     profile = PrinterProfile(volume_x=side, volume_y=side, volume_z=side)
     lines = []
-    for path in run.write_inputs(workload, workdir):
-        out_dir = workdir / "out" / path.stem
-        cli.run_batch([path], list(workload.printers), plan, profile,
-                      list(workload.algorithms), out_dir)
-        for file in sorted(p for p in out_dir.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(stable_bytes(file)).hexdigest()
-            lines.append(f"{name} {seed} {path.stem}/"
-                         f"{file.relative_to(out_dir).as_posix()} {digest}")
+    with run.Capture() as capture:
+        for path in run.write_inputs(workload, workdir):
+            out_dir = workdir / "out" / path.stem
+            cli.run_batch([path], list(workload.printers), plan, profile,
+                          list(workload.algorithms), out_dir)
+            for file in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+                digest = hashlib.sha256(stable_bytes(file)).hexdigest()
+                lines.append(f"{name} {seed} {path.stem}/"
+                             f"{file.relative_to(out_dir).as_posix()} {digest}")
+    decisions = repr([fingerprint(outcome) for outcome in capture.sink])
+    lines.append(f"{name} {seed} decisions "
+                 f"{hashlib.sha256(decisions.encode('utf-8')).hexdigest()}")
     return lines
 
 
