@@ -50,16 +50,18 @@ pieces come back fan-triangulated.
 
 Vertices within PLANE_EPS of a cut plane are snapped onto it before
 classification, which keeps near-tangent geometry from generating sliver
-loops.
+loops.  Both clippers give a face lying in a cut plane, every corner
+snapped onto it, to the side it faces out of: the side whose solid it
+bounds.  So every cut stays closed, and cells and clipped boxes agree.
 
 Volumetric operations need a closed mesh (NonWatertightInput otherwise),
 checked once per input mesh and call.  A box clip is the six cuts alone,
 less each cut whose plane the mesh lies more than PLANE_EPS inside of:
-that cut would only copy the mesh.  A box
-the surface misses needs no case of its own: inside the solid the cuts
-build it from their caps, outside it they keep nothing.  The result is
-welded at PLANE_EPS resolution, and it is empty when no triangle keeps
-three corners apart, so a surface that only touches a box gives nothing.
+that cut would only copy the mesh.  A box the surface misses needs no
+case of its own: inside the solid the cuts build it from their caps,
+outside it they keep nothing.  The result is welded at PLANE_EPS
+resolution, and it is empty when no triangle keeps three corners apart,
+so a surface that only touches a box gives nothing.
 """
 from __future__ import annotations
 
@@ -105,7 +107,10 @@ def clip_surface_to_box(mesh: TriangleMesh, box):
     triangle, then fan order.
     """
     corners = mesh.vertices[mesh.triangles]
-    tri_lo, tri_hi = corners.min(axis=1), corners.max(axis=1)
+    c0, c1, c2 = corners.transpose(1, 0, 2)     # numpy reduces (m, 3, 3) slowly
+    tri_lo = np.minimum(np.minimum(c0, c1), c2)
+    tri_hi = np.maximum(np.maximum(c0, c1), c2)
+    normals = cross(c1 - c0, c2 - c0)
     if isinstance(box, Aabb):
         _check_box(box)
         dims = (1, 1, 1)
@@ -140,7 +145,8 @@ def clip_surface_to_box(mesh: TriangleMesh, box):
         count = count[parent[near]]
         polygon, vertex = _expand(count)
         verts = verts.take(at[polygon] + vertex, axis=0)
-        verts, count, kept = _clip_axis(verts, count, axis, lo[near], hi[near])
+        verts, count, kept = _clip_axis(verts, count, axis, lo[near], hi[near],
+                                        normals[tri[near], axis])
         rows = near[kept]
         tris = tri[rows]
         cells = cells[parent[rows]] * dims[axis] + slab[rows]
@@ -159,27 +165,24 @@ def _expand(counts):
     return group, np.arange(len(group)) - (np.cumsum(counts) - counts)[group]
 
 
-def _clip_axis(verts, count, axis, lo, hi):
+def _clip_axis(verts, count, axis, lo, hi, facing):
     """Clip polygons to lo <= x[axis] <= hi: a Sutherland-Hodgman pass
     against the max plane, then one against the min plane.
 
     The polygons lie one after another in verts, count[i] vertices for
-    polygon i, and each has its own lo and hi.  Returns the surviving
-    polygons in the same layout, their vertex counts and their positions
-    in the input.
+    polygon i, each with its own lo and hi and, in facing, the axis
+    component of its triangle's normal.  Returns the surviving polygons in
+    the same layout, their vertex counts and their positions in the input.
     """
     pos = np.arange(len(count))
     for bound, sign in ((hi, 1.0), (lo, -1.0)):
         owner = np.repeat(np.arange(len(count)), count)
         d = sign * (verts[:, axis] - bound[pos].take(owner))
         d[np.abs(d) <= PLANE_EPS] = 0.0
-        if sign < 0.0:
-            # A polygon the max pass cut down to fewer than three vertices
-            # is dropped, and so is one lying in the min plane: the same
-            # half-open convention as the volumetric clip, a box owns
-            # triangles lying in its max faces, its neighbour across the
-            # min face owns the rest.
-            live = (count >= 3) & (np.bincount(owner, d != 0.0, len(count)) > 0.0)
+        # Drop polygons cut below three vertices, and those in the plane facing in.
+        live = (count >= 3) & ((np.bincount(owner, d != 0.0, len(count)) > 0.0)
+                               | (sign * facing[pos] > 0.0))
+        if not live.all():
             verts, d = verts.compress(live[owner], axis=0), d.compress(live[owner])
             count, pos = count[live], pos[live]
         verts, count = _clip_pass(verts, count, d)
@@ -223,20 +226,19 @@ def _clip_pass(verts, count, d):
 # watertight half-space clipping
 
 
-def clip_halfspace(mesh: TriangleMesh, normal, offset: float, *,
-                   keep_coplanar: bool = True, cap: bool = True) -> TriangleMesh:
+def clip_halfspace(mesh: TriangleMesh, normal, offset: float) -> TriangleMesh:
     """Keep the region of a closed mesh with ``normal . v <= offset``.
 
     The caller is responsible for the input being watertight; the output is
-    then watertight as well (the cut is capped).  Triangles lying exactly in
-    the plane are kept or dropped according to keep_coplanar, which lets two
-    complementary clips partition a mesh without double-counting them.
+    then watertight as well (the cut is capped).  A triangle lying in the
+    plane is kept when it faces out of the kept side, ``(p1 - p0) x (p2 -
+    p0) . normal > 0``: the side whose solid it bounds.
     """
-    return _clip_halfspaces([(mesh, normal, offset, keep_coplanar)], cap)[0]
+    return _clip_halfspaces([(mesh, normal, offset)])[0]
 
 
-def _clip_halfspaces(cuts, cap: bool = True) -> list[TriangleMesh]:
-    """Cut every (mesh, normal, offset, keep_coplanar) entry of cuts as
+def _clip_halfspaces(cuts) -> list[TriangleMesh]:
+    """Cut every (mesh, normal, offset) entry of cuts as
     :func:`clip_halfspace` does, in one pass.
 
     The entries' vertices and triangles are stacked entry after entry, and
@@ -264,12 +266,15 @@ def _clip_halfspaces(cuts, cap: bool = True) -> list[TriangleMesh]:
     tri_d = d[triangles]
     # Per-corner columns: numpy reduces a short last axis slowly.
     d0, d1, d2 = tri_d.T
-    below = (d0 <= 0.0) & (d1 <= 0.0) & (d2 <= 0.0)
-    in_plane = (d0 == 0.0) & (d1 == 0.0) & (d2 == 0.0)
-    drop_coplanar = np.array([not entry[3] for entry in cuts])
-    keep_full = below & ~(drop_coplanar[tri_entry] & in_plane)
+    keep_full = (d0 <= 0.0) & (d1 <= 0.0) & (d2 <= 0.0)
     drop_full = (d0 > 0.0) & (d1 > 0.0) & (d2 > 0.0)
-    crossing = np.nonzero(~below & ~drop_full)[0]
+    crossing = np.nonzero(~keep_full & ~drop_full)[0]
+    # A triangle in the plane is kept when it faces out of the kept side.
+    flat = np.flatnonzero((d0 == 0.0) & (d1 == 0.0) & (d2 == 0.0))
+    if len(flat):
+        p0, p1, p2 = verts[triangles[flat]].transpose(1, 0, 2)
+        keep_full[flat] = np.einsum("ij,ij->i", cross(p1 - p0, p2 - p0),
+                                    np.array(normals)[tri_entry[flat]]) > 0.0
 
     # Slot j of a crossing triangle walks the edge from corner j - 1 to
     # corner j: it emits the edge's cut point when the edge changes sign
@@ -318,7 +323,7 @@ def _clip_halfspaces(cuts, cap: bool = True) -> list[TriangleMesh]:
     fans = np.stack([poly[r, 0], poly[r, k], poly[r, k + 1]], axis=1)
     tris = np.concatenate([old_at[triangles[keep_full]], fans])
 
-    if cap and len(tris):
+    if len(tris):
         on = np.ones(len(all_verts), dtype=bool)
         on[old_at] = d == 0.0
         planes = [(n, lo, lo + size) for n, lo, size
@@ -751,19 +756,16 @@ def clip_to_box(mesh, boxes):
             raise NonWatertightInput("volumetric clipping needs a closed mesh")
     current = list(meshes)
     live = list(range(len(boxes)))
-    axes = np.eye(3)
     for axis in range(3):
-        # Own the max face (keep coplanar there), give away the min face.
-        for sign, keep in ((1.0, True), (-1.0, False)):
-            normal = sign * axes[axis]
+        for sign in (1.0, -1.0):
+            normal = sign * np.eye(3)[axis]
             cuts, cut = [], []
             for i in live:
-                offset = sign * (boxes[i].max if keep else boxes[i].min)[axis]
                 # normal . v - offset as clip_halfspace computes it, at the
                 # vertex nearest the plane: it rounds monotonically in v.
-                coords = current[i].vertices[:, axis]
-                if sign * (coords.max() if keep else coords.min()) - offset >= -PLANE_EPS:
-                    cuts.append((current[i], normal, offset, keep))
+                offset = sign * (boxes[i].max if sign > 0.0 else boxes[i].min)[axis]
+                if (sign * current[i].vertices[:, axis]).max() - offset >= -PLANE_EPS:
+                    cuts.append((current[i], normal, offset))
                     cut.append(i)
             for i, result in zip(cut, _clip_halfspaces(cuts)):
                 current[i] = result
@@ -800,9 +802,7 @@ def cut_by_plane(mesh: TriangleMesh, normal, offset: float):
         raise ValueError("plane normal must be unit length")
     if not validate_watertight(mesh).is_watertight:
         raise NonWatertightInput("plane cutting needs a closed mesh")
-    positive, negative = _clip_halfspaces([(mesh, -n, -float(offset), False),
-                                           (mesh, n, float(offset), True)])
-    return positive, negative
+    return tuple(_clip_halfspaces([(mesh, -n, -float(offset)), (mesh, n, float(offset))]))
 
 
 # ---------------------------------------------------------------------------

@@ -52,19 +52,22 @@ def test_cut_by_plane_caps_add_area():
         assert a == pytest.approx(3.0 * np.pi * 25.0, rel=0.03)
 
 
-def test_clip_halfspace_keep_coplanar_rule():
+def test_clip_halfspace_in_plane_face_rule():
+    """A face lying in the cut plane goes to the side it faces out of: a
+    cut on the cube's top face keeps the whole cube below it and nothing
+    above it, and a cut on its bottom face the reverse."""
     cube = unit_cube()
-    # Plane exactly on the z=1 face: keep_coplanar decides who owns it.
-    kept = clip_halfspace(cube, (0.0, 0.0, 1.0), 1.0, keep_coplanar=True, cap=False)
-    dropped = clip_halfspace(cube, (0.0, 0.0, 1.0), 1.0, keep_coplanar=False, cap=False)
-    def area(m):
-        if m.is_empty:
-            return 0.0
-        v = m.vertices[m.triangles]
-        cr = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        return float(0.5 * np.linalg.norm(cr, axis=1).sum())
-    assert area(kept) == pytest.approx(6.0, rel=1e-12)
-    assert area(dropped) == pytest.approx(5.0, rel=1e-12)
+    up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+    for normal, offset, whole in ((up, 1.0, True), (down, -1.0, False),
+                                  (up, 0.0, False), (down, 0.0, True)):
+        got = clip_halfspace(cube, normal, offset)
+        assert got.is_empty != whole
+        if whole:
+            assert _same_mesh(got, cube)
+    # cut_by_plane gives the whole cube to one half and nothing to the other.
+    for offset, side in ((1.0, 1), (0.0, 0)):
+        halves = cut_by_plane(cube, up, offset)
+        assert _same_mesh(halves[side], cube) and halves[1 - side].is_empty
 
 
 def test_clip_to_box_unit_cube_analytic():
@@ -132,11 +135,12 @@ def test_adjacent_boxes_partition_volume_and_surface():
 def test_coplanar_surface_triangles_single_owner():
     # A unit cube split exactly at one of its own faces: the face lies in
     # the max plane of the lower box and the min plane of the upper box, and
-    # a box owns triangles on its max faces.  Cases: (axis, plane, area of
-    # the lower box); at z = 0 the lower box keeps only the bottom face, at
-    # x = 1 every face.
+    # a box owns the triangles in its planes that face out of it.  Cases:
+    # (axis, plane, area of the lower box); at z = 0 the bottom face faces
+    # out of the upper box, which so owns all six faces, and at x = 1 the
+    # face faces out of the lower box.
     cube = unit_cube()
-    for axis, plane, lower_area in ((2, 0.0, 1.0), (0, 1.0, 6.0), (1, 0.0, 1.0)):
+    for axis, plane, lower_area in ((2, 0.0, 0.0), (0, 1.0, 6.0), (1, 0.0, 0.0)):
         lower_hi = np.array([2.0, 2.0, 2.0])
         lower_hi[axis] = plane
         upper_lo = np.array([-1.0, -1.0, -1.0])
@@ -184,6 +188,7 @@ def _reference_clip(mesh, box, tri_ids):
     pieces, sources = [], []
     for pos, ti in enumerate(tri_ids):
         poly = list(mesh.vertices[mesh.triangles[ti]])
+        normal = np.cross(poly[1] - poly[0], poly[2] - poly[0])
         for axis in range(3):
             for sign, bound in ((1.0, box.max[axis]), (-1.0, box.min[axis])):
                 if not poly:
@@ -191,7 +196,8 @@ def _reference_clip(mesh, box, tri_ids):
                 d = [sign * (p[axis] - bound) for p in poly]
                 d = [0.0 if abs(x) <= PLANE_EPS else x for x in d]
                 if all(x == 0.0 for x in d):
-                    poly = [] if sign < 0.0 else poly   # min faces are not owned
+                    # Kept when it faces out of the box across the plane.
+                    poly = poly if sign * normal[axis] > 0.0 else []
                     continue
                 out = []
                 for i in range(len(poly)):
@@ -246,6 +252,7 @@ def _reference_pair_clip(mesh, lo, hi, tri_ids):
     v, t = mesh.vertices, mesh.triangles
     ids = np.asarray(tri_ids, dtype=np.int64)
     poly = v[t[ids]]                        # (n, width, 3), padded polygons
+    normal = np.cross(poly[:, 1] - poly[:, 0], poly[:, 2] - poly[:, 0])
     near = ~((poly.min(axis=1) - hi > PLANE_EPS)
              | (lo - poly.max(axis=1) > PLANE_EPS)).any(axis=1)
     pos = np.nonzero(near)[0]               # position of each row in ids
@@ -257,10 +264,9 @@ def _reference_pair_clip(mesh, lo, hi, tri_ids):
             d[np.abs(d) <= PLANE_EPS] = 0.0
             valid = np.arange(poly.shape[1]) < count[:, None]
             d[~valid] = 0.0
-            if sign < 0.0:
-                live = (d != 0.0).any(axis=1)
-                poly, count, pos, d, valid = (
-                    a[live] for a in (poly, count, pos, d, valid))
+            # A polygon in the plane is kept when it faces out of the box.
+            live = (d != 0.0).any(axis=1) | (sign * normal[pos, axis] > 0.0)
+            poly, count, pos, d, valid = (a[live] for a in (poly, count, pos, d, valid))
             cut = np.nonzero((d > 0.0).any(axis=1))[0]
             if len(cut):
                 out, count[cut] = _reference_clip_rows(poly[cut], count[cut], d[cut],
@@ -438,6 +444,29 @@ def test_grid_cell_volumes_match_per_cell_clips(make_mesh):
         assert vols[i, j, k] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["l_bracket", "dumbbell", "hollow_box",
+                                  "asymmetric_blob"])
+def test_tables_match_meshes_on_face_aligned_grids(name):
+    """A grid of the voxel size laid on the voxel planes puts mesh faces in
+    cell planes, facing into some ranges' boxes and out of others: on
+    random cell ranges the tables' volume and capped area equal those of
+    the clipped mesh."""
+    mesh = getattr(fixtures, name)()
+    bb = aabb_of(mesh)
+    dims = np.round(bb.extent / 4.0).astype(np.int64) + 2
+    grid = Grid(bb.min - 4.0, 4.0, dims)
+    tables = measure_cells(grid, mesh)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    a, b = rng.integers(0, dims, size=(2, 400, 3))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    volumes, areas = tables.boxes(lo, hi)
+    parts = clip_to_box(mesh, [grid.box_of_range(*r) for r in zip(lo, hi)])
+    for part, volume, area, r in zip(parts, volumes, areas, zip(lo, hi)):
+        got = (0.0, 0.0) if part.is_empty else (measure(part).volume,
+                                                measure(part).surface_area)
+        assert got == pytest.approx((volume, area), abs=1e-6), r
+
+
 def test_point_containment_cube():
     cube = unit_cube()
     rng = np.random.default_rng(17)
@@ -544,8 +573,9 @@ def test_clip_empty_and_disjoint():
 
 
 def test_random_plane_cut_area_conservation_open_shell():
-    # cap=False on both sides splits a closed surface into two open shells
-    # whose areas add back up.
+    # The two sides of a cut, without their caps, split a closed surface into
+    # two open shells whose areas add back up.  A side's shell is its capped
+    # cut's leading triangles, as many as the loop kernel cuts without caps.
     mesh = icosphere(radius=4.0, subdivisions=2)
     rng = np.random.default_rng(31)
     total = measure(mesh).surface_area
@@ -560,17 +590,21 @@ def test_random_plane_cut_area_conservation_open_shell():
     for _ in range(8):
         n = _random_unit(rng)
         off = rng.uniform(-2.0, 2.0)
-        a = clip_halfspace(mesh, -n, -off, keep_coplanar=False, cap=False)
-        b = clip_halfspace(mesh, n, off, keep_coplanar=True, cap=False)
-        assert area(a) + area(b) == pytest.approx(total, rel=1e-9)
+        shells = 0.0
+        for sign in (-1.0, 1.0):
+            got = clip_halfspace(mesh, sign * n, sign * off)
+            bare = _reference_clip_halfspace(mesh, sign * n, sign * off, cap=False)
+            _assert_capped(got, bare, sign * n)
+            shells += area(TriangleMesh(got.vertices, got.triangles[:len(bare.triangles)]))
+        assert shells == pytest.approx(total, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # the array-built half-space clip against the loop kernel it replaced
 
-def _reference_clip_halfspace(mesh, normal, offset, *, keep_coplanar=True,
-                              cap=True):
-    """clip_halfspace one crossing triangle and one cut edge at a time."""
+def _reference_clip_halfspace(mesh, normal, offset, *, cap=True):
+    """clip_halfspace one crossing triangle and one cut edge at a time; with
+    cap=False, the cut without its caps."""
     if mesh.is_empty:
         return TriangleMesh.empty(mesh.name)
     n = np.asarray(normal, dtype=np.float64).reshape(3)
@@ -578,15 +612,15 @@ def _reference_clip_halfspace(mesh, normal, offset, *, keep_coplanar=True,
     d[np.abs(d) <= PLANE_EPS] = 0.0
     tri_d = d[mesh.triangles]
     below = tri_d <= 0.0
-    keep_full = below.all(axis=1)
-    coplanar = (tri_d == 0.0).all(axis=1)
-    if not keep_coplanar:
-        keep_full &= ~coplanar
+    corners = mesh.vertices[mesh.triangles]
+    facing = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]) @ n > 0.0
+    # A triangle in the plane is kept when it faces out of the kept side.
+    keep_full = below.all(axis=1) & (facing | ~(tri_d == 0.0).all(axis=1))
     drop_full = (tri_d > 0.0).all(axis=1)
     crossing = np.nonzero(~below.all(axis=1) & ~drop_full)[0]
     if not crossing.size and not keep_full.any():
         return TriangleMesh.empty(mesh.name)
-    if not crossing.size and keep_full.all() and (keep_coplanar or not coplanar.any()):
+    if not crossing.size and keep_full.all():
         return mesh.copy()
 
     verts = mesh.vertices
@@ -669,12 +703,11 @@ def _reference_clip_to_box(mesh, box):
         return TriangleMesh.empty(mesh.name)
     current = mesh
     for axis in range(3):
-        for sign, bound, keep in ((1.0, box.max[axis], True),
-                                  (-1.0, box.min[axis], False)):
+        for sign, bound in ((1.0, box.max[axis]), (-1.0, box.min[axis])):
             if current.is_empty:
                 break
             current = _reference_clip_halfspace(
-                current, sign * np.eye(3)[axis], sign * bound, keep_coplanar=keep)
+                current, sign * np.eye(3)[axis], sign * bound)
     return current
 
 
@@ -754,9 +787,9 @@ def _assert_same_solid(got, want, box):
 
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
 def test_halfspace_clip_matches_loop_kernel(make_mesh):
-    """Axis planes at grid coordinates (through faces of the voxel models)
-    and random oblique planes, both coplanar rules: without caps bit for
-    bit, with caps the same mesh plus caps that close it once."""
+    """Axis planes at grid coordinates (through faces of the voxel models),
+    both ways, and random oblique planes: the loop kernel's cut without
+    caps bit for bit, plus caps that close it once."""
     mesh = make_mesh()
     grid = build_grid(mesh, "fine")
     rng = np.random.default_rng(61)
@@ -772,15 +805,8 @@ def test_halfspace_clip_matches_loop_kernel(make_mesh):
         point = bb.min + rng.uniform(0.1, 0.9, size=3) * bb.extent
         planes.append((normal, float(point @ normal)))
     for normal, offset in planes:
-        for keep_coplanar in (True, False):
-            case = (normal, offset, keep_coplanar)
-            bare = clip_halfspace(mesh, normal, offset, keep_coplanar=keep_coplanar,
-                                  cap=False)
-            want = _reference_clip_halfspace(mesh, normal, offset,
-                                             keep_coplanar=keep_coplanar, cap=False)
-            assert _same_mesh(bare, want), case
-            got = clip_halfspace(mesh, normal, offset, keep_coplanar=keep_coplanar)
-            _assert_capped(got, want, normal)
+        _assert_capped(clip_halfspace(mesh, normal, offset),
+                       _reference_clip_halfspace(mesh, normal, offset, cap=False), normal)
 
 
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
@@ -804,35 +830,28 @@ def test_cap_through_a_cavity_bridges_its_hole():
         offset = float(bb.min[axis] + 0.5 * bb.extent[axis])
         for sign in (1.0, -1.0):
             normal = sign * np.eye(3)[axis]
-            uv, loops = _cut_loops(mesh, normal, sign * offset, True)
+            uv, loops = _cut_loops(mesh, normal, sign * offset)
             assert sorted(_signed_area(uv, ring) > 0.0 for ring in loops) == [False, True]
             got = clip_halfspace(mesh, normal, sign * offset)
             _assert_capped(got, _reference_clip_halfspace(
                 mesh, normal, sign * offset, cap=False), normal)
 
 
-def _rotated_to_min(tris):
-    """Each triangle's corners rotated to start at its smallest id."""
-    return [tuple(t[k:] + t[:k]) for t in tris.tolist() for k in [t.index(min(t))]]
-
-
 def test_touching_boxes_match_the_weld():
-    """Boxes the surface only touches: on a face the box owns, along an
-    edge, at a corner, and a needle tip whose pieces all collapse below
-    PLANE_EPS.  The check agrees with a full weld on each."""
+    """Boxes the surface only touches: on a face from outside, max face or
+    min face, along an edge, at a corner, and a needle tip whose pieces all
+    collapse below PLANE_EPS.  None of them gets a part or a surface
+    piece, as with the loop kernel: a cube face in a box plane faces into
+    the box, so neither clip keeps it."""
     cube = unit_cube()
-    boxes = [Aabb((-1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),   # owns the x = 0 face
+    boxes = [Aabb((-1.0, 0.0, 0.0), (0.0, 1.0, 1.0)),   # max face on x = 0
              Aabb((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)),    # min face on x = 1
              Aabb((1.0, 1.0, 0.0), (2.0, 2.0, 1.0)),    # along an edge
              Aabb((1.0, 1.0, 1.0), (2.0, 2.0, 2.0))]    # at a corner
     for box in boxes:
-        got, want = clip_to_box(cube, box), _reference_clip_to_box(cube, box)
-        # Owning a face gives a sheet of no volume, the face and its cap:
-        # the loop kernel's triangles, each up to the rotation of its
-        # corners.
-        assert got.vertices.tobytes() == want.vertices.tobytes()
-        assert _rotated_to_min(got.triangles) == _rotated_to_min(want.triangles)
-        assert got.is_empty or validate_watertight(got).is_watertight
+        assert clip_to_box(cube, box).is_empty
+        assert _reference_clip_to_box(cube, box).is_empty
+        assert len(clip_surface_to_box(cube, box)[0]) == 0
     # A tetrahedron whose tip pokes 1.5e-9 into the box: the pieces are
     # slivers about 1.5e-10 wide, distinct points that weld together.
     tip = TriangleMesh(np.array([[0.0, 0.0, 0.0], [10.0, -1.0, -1.0],
@@ -847,18 +866,16 @@ def test_touching_boxes_match_the_weld():
     _assert_same_solid(clip_to_box(tip, box), _reference_clip_to_box(tip, box), box)
 
 
-def _reference_cuts(cuts, cap=True):
+def _reference_cuts(cuts):
     """The batched half-space kernel's entries, each cut by the loop kernel."""
-    return [_reference_clip_halfspace(mesh, normal, offset,
-                                      keep_coplanar=keep_coplanar, cap=cap)
-            for mesh, normal, offset, keep_coplanar in cuts]
+    return [_reference_clip_halfspace(mesh, normal, offset)
+            for mesh, normal, offset in cuts]
 
 
-def _cut_loops(mesh, normal, offset, keep_coplanar):
+def _cut_loops(mesh, normal, offset):
     """The plane coordinates and boundary loops clip_halfspace caps, from
     the loop kernel's uncapped cut."""
-    bare = _reference_clip_halfspace(mesh, normal, offset,
-                                     keep_coplanar=keep_coplanar, cap=False)
+    bare = _reference_clip_halfspace(mesh, normal, offset, cap=False)
     u, v = clip._plane_basis(normal)
     uv = np.column_stack([bare.vertices @ u, bare.vertices @ v])
     edges = _reference_boundary_edges(bare.triangles)
@@ -893,7 +910,7 @@ def test_dumbbell_ring_is_capped_once(monkeypatch):
                                  PrinterProfile())
     piece = prepared.pieces[0]
     box = piece.grid.box_of_range((0, 4, 0), (7, 7, 11))
-    uv, loops = _cut_loops(piece.mesh, -np.eye(3)[1], -box.min[1], False)
+    uv, loops = _cut_loops(piece.mesh, -np.eye(3)[1], -box.min[1])
     assert [len(ring) for ring in loops] == [52]
     assert _signed_area(uv, loops[0]) == pytest.approx(440.0, rel=1e-9)
     unsigned, signed = _region_areas(uv, clip._triangulate_region(uv, loops))
@@ -1074,6 +1091,33 @@ def test_random_axis_cuts_stay_watertight(make_mesh):
 
 
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
+def test_vertex_plane_cuts_stay_closed(make_mesh, caplog):
+    """Axis cuts at vertex coordinates, through faces that lie in the
+    plane: cut_by_plane's halves and the two clip_halfspace sides are each
+    empty or closed with positive volume, and sum to the model's volume,
+    with no clip WARNING."""
+    mesh = make_mesh()
+    total = measure(mesh).volume
+    rng = np.random.default_rng(7)
+    with caplog.at_level("WARNING", logger="parallelobox.clip"):
+        for _ in range(40):
+            axis = int(rng.integers(3))
+            offset = float(mesh.vertices[rng.integers(len(mesh.vertices)), axis])
+            normal = np.eye(3)[axis]
+            for halves in (cut_by_plane(mesh, normal, offset),
+                           [clip_halfspace(mesh, -normal, -offset),
+                            clip_halfspace(mesh, normal, offset)]):
+                volume = 0.0
+                for half in halves:
+                    if not half.is_empty:
+                        assert validate_watertight(half).is_watertight, (axis, offset)
+                        assert measure(half).volume > 0.0, (axis, offset)
+                        volume += measure(half).volume
+                assert volume == pytest.approx(total, rel=1e-9), (axis, offset)
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
 def test_culled_surface_clip_matches_unculled_kernel(make_mesh):
     """clip_surface_to_box drops the triangles beyond PLANE_EPS of their
     box before clipping; on random boxes, half of them with every plane on
@@ -1113,8 +1157,8 @@ def test_culled_surface_clip_matches_unculled_kernel(make_mesh):
 
 def test_boundary_edges_read_only_the_cut_plane(monkeypatch):
     """The caps read the open edges among the edges in the cut plane; on
-    random cuts (axis planes on vertices and between them, oblique
-    planes, both coplanar rules) those are all the open edges."""
+    random cuts (axis planes on vertices and between them, and oblique
+    planes) those are all the open edges."""
     seen = []
     build = clip._build_caps
     monkeypatch.setattr(clip, "_build_caps", lambda verts, tris, on, n: seen.append(
@@ -1134,8 +1178,8 @@ def test_boundary_edges_read_only_the_cut_plane(monkeypatch):
             else:
                 normal = _random_unit(rng)
                 offset = float((bb.min + rng.uniform(0.1, 0.9, size=3) * bb.extent) @ normal)
-            for keep_coplanar in (True, False):
-                clip_halfspace(mesh, normal, offset, keep_coplanar=keep_coplanar)
+            for sign in (1.0, -1.0):
+                clip_halfspace(mesh, sign * normal, sign * offset)
     assert len(seen) >= 90
     for tris, on in seen:
         got = clip._boundary_edges(tris, on)
@@ -1181,18 +1225,20 @@ def _crossing_boxes(mesh, rng):
 
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
 def test_vertex_rule_agrees_with_the_surface_pass(make_mesh):
-    """A triangle with every corner in the closed box, not all within
-    PLANE_EPS of one min face, comes back whole from the surface pass: one
-    piece, its own corners."""
+    """A triangle with every corner in the closed box, not lying (within
+    PLANE_EPS) in a face of the box that it faces into, comes back whole
+    from the surface pass: one piece, its own corners."""
     mesh = make_mesh()
     boxes = _crossing_boxes(mesh, np.random.default_rng(83))
     v, t = mesh.vertices, mesh.triangles
+    normal = triangle_normals(mesh)
     whole = 0
     for box in boxes:
         inside = ((v >= box.min) & (v <= box.max)).all(axis=1)[t].all(axis=1)
-        on_min = (np.abs(v - box.min) <= PLANE_EPS)[t].all(axis=1).any(axis=1)
+        into = (((np.abs(v - box.min) <= PLANE_EPS)[t].all(axis=1) & (normal >= 0.0))
+                | ((np.abs(v - box.max) <= PLANE_EPS)[t].all(axis=1) & (normal <= 0.0)))
         pieces, sources, _ = clip_surface_to_box(mesh, box)
-        for tri in np.nonzero(inside & ~on_min)[0]:
+        for tri in np.nonzero(inside & ~into.any(axis=1))[0]:
             mine = np.nonzero(sources == tri)[0]
             assert len(mine) == 1 and np.array_equal(pieces[mine[0]], v[t[tri]]), box
             whole += 1
@@ -1201,7 +1247,8 @@ def test_vertex_rule_agrees_with_the_surface_pass(make_mesh):
 
 def test_vertex_rule_on_the_needle_tip_and_a_min_face():
     """The needle tip's pieces collapse below PLANE_EPS, and a triangle in
-    a box's min face is not the box's: neither gives clip_to_box a part."""
+    a box's face that it faces into is not the box's: neither gives
+    clip_to_box a part."""
     tip = TriangleMesh(np.array([[0.0, 0.0, 0.0], [10.0, -1.0, -1.0],
                                  [10.0, 1.0, -1.0], [10.0, 0.0, 1.0]]),
                        np.array([[0, 2, 1], [0, 3, 2], [0, 1, 3], [1, 2, 3]],
@@ -1211,8 +1258,8 @@ def test_vertex_rule_on_the_needle_tip_and_a_min_face():
     for box in boxes:
         assert not _surface_pass_crosses(tip, box)
         assert clip_to_box(tip, box).is_empty
-    # The base triangle of the tip lies in x = 10: a box from there on
-    # holds it whole but does not own it.
+    # The base triangle of the tip lies in x = 10 and faces +x: a box from
+    # there on holds it whole but does not own it, a box up to there does.
     base = Aabb((10.0, -2.0, -2.0), (11.0, 2.0, 2.0))
     assert not _surface_pass_crosses(tip, base)
     assert clip_to_box(tip, base).is_empty
@@ -1253,10 +1300,8 @@ def _six_cuts(mesh, box):
     """clip_to_box's cuts, every one of them made."""
     current = mesh
     for axis in range(3):
-        for sign, bound, keep in ((1.0, box.max[axis], True),
-                                  (-1.0, box.min[axis], False)):
-            current = clip_halfspace(current, sign * np.eye(3)[axis],
-                                     sign * bound, keep_coplanar=keep)
+        for sign, bound in ((1.0, box.max[axis]), (-1.0, box.min[axis])):
+            current = clip_halfspace(current, sign * np.eye(3)[axis], sign * bound)
             if current.is_empty:
                 return current
     return current
@@ -1390,7 +1435,5 @@ def test_cut_by_plane_is_two_lone_cuts(make_mesh):
     plane = find_best_symmetry_plane(mesh)
     positive, negative = cut_by_plane(mesh, plane.normal, plane.offset)
     assert not positive.is_empty and not negative.is_empty
-    assert _same_mesh(positive, clip_halfspace(mesh, -plane.normal, -plane.offset,
-                                               keep_coplanar=False))
-    assert _same_mesh(negative, clip_halfspace(mesh, plane.normal, plane.offset,
-                                               keep_coplanar=True))
+    assert _same_mesh(positive, clip_halfspace(mesh, -plane.normal, -plane.offset))
+    assert _same_mesh(negative, clip_halfspace(mesh, plane.normal, plane.offset))
