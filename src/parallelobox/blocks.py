@@ -29,10 +29,15 @@ offset with its own dims and strides.  Ownership is box arithmetic:
 a block owns every solid cell of its box, so the owned cells of a layer
 are the solid cells of its overlaps with the other boxes.  The boxes are
 the only record of ownership.
+
+Seeding is k-means++ on the mesh vertices.  Its draws come from
+:class:`_Pcg64Stream`, which equals ``numpy.random.default_rng(seed)``
+bit for bit, so no run loads ``numpy.random``.
 """
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +102,110 @@ def fits_printer(physical_dims, printer_dims):
 # ---------------------------------------------------------------------------
 # seeding
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# numpy's SeedSequence hash constants and the PCG64 multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
+
+class _Pcg64Stream:
+    """The draws of ``np.random.default_rng(seed)`` that :func:`_kmeans_pp`
+    makes, bit for bit, without importing ``numpy.random``.
+
+    The seed is hashed into a pool of four 32-bit words as numpy's
+    ``SeedSequence`` does, and eight words read from the pool, paired
+    little-endian, give PCG64's initial state and increment (O'Neill,
+    HMC-CS-2014-0905): a 128-bit LCG stepped before each XSL-RR 64-bit
+    output.
+    """
+
+    def __init__(self, seed: int) -> None:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        const = _INIT_A
+
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * _MULT_A & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+            return value ^ value >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        const, state = _INIT_B, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * _MULT_B & _MASK32
+            value = value * const & _MASK32
+            state.append(value ^ value >> 16)
+        # generate_state(4, uint64), the 128-bit values high word first.
+        u64 = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+        initstate, initseq = u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]
+        self._inc = (initseq << 1 | 1) & _MASK128
+        self._state = 0
+        self._step()
+        self._state = (self._state + initstate) & _MASK128
+        self._step()
+        self._half: int | None = None   # high half of the last 64-bit output
+
+    def _step(self) -> None:
+        self._state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+
+    def _next64(self) -> int:
+        self._step()
+        word = (self._state >> 64 ^ self._state) & _MASK64
+        rot = self._state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for 1 <= n <= 2**32: Lemire's bounded
+        method on 32-bit outputs, each 64-bit output giving its low half
+        first and its high half to the next call.  n == 1 draws nothing."""
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = (-n & _MASK32) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def choice(self, n: int, p: np.ndarray) -> int:
+        """``Generator.choice(n, p=p)``: one double in [0, 1) searched in the
+        normalised cumulative sum of p, whose length n is."""
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted((self._next64() >> 11) * 2.0 ** -53,
+                                    side="right"))
+
+
+def _kmeans_pp(points: np.ndarray, k: int, rng: _Pcg64Stream,
                tol: float, max_iter: int = 100) -> np.ndarray:
+    """k-means++ seeding, then Lloyd steps until no center moves by tol.
+    rng is a :class:`_Pcg64Stream` or a numpy ``Generator``, which draw
+    alike."""
     n = len(points)
     centers = np.empty((k, 3))
     centers[0] = points[rng.integers(n)]
@@ -149,7 +255,7 @@ def select_seed_blocks(grid: Grid, mesh: TriangleMesh, k: int,
     if len(boundary) < k:
         raise InsufficientBoundaryCells(
             f"need {k} boundary cells, grid has {len(boundary)}")
-    rng = np.random.default_rng(rng_seed)
+    rng = _Pcg64Stream(rng_seed)
     centers = _kmeans_pp(mesh.vertices, k, rng, tol=1e-4 * grid.cell_size)
     boundary_centers = grid.origin + (boundary + 0.5) * grid.cell_size
     taken: set[tuple[int, int, int]] = set()

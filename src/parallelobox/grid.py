@@ -47,8 +47,8 @@ import numpy as np
 # points_in_mesh is not called here: the benchmark's traced mode patches it.
 from .clip import clip_surface_to_box, points_in_mesh  # noqa: F401
 from .errors import NonWatertightInput
-from .mesh import (Aabb, TriangleMesh, aabb_of, cross, triangle_normals,
-                   validate_watertight)
+from .mesh import (Aabb, TriangleMesh, aabb_of, cross, row_norms,
+                   triangle_normals, validate_watertight)
 
 #: Cells along the longest bounding-box axis for each named granularity.
 GRANULARITY_CELLS = {"coarse": 8, "medium": 10, "fine": 12, "very_fine": 15}
@@ -257,7 +257,7 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
 
     # Each piece's normal scaled to twice its area.
     twice_area = cross(pieces[:, 1] - pieces[:, 0], pieces[:, 2] - pieces[:, 0])
-    piece_area = 0.5 * np.linalg.norm(twice_area, axis=1)
+    piece_area = 0.5 * row_norms(twice_area)
     area = per_cell(piece_area)
     tilt = triangle_normals(mesh)[tris] @ DIRECTIONS.T
     sin_tol = np.sin(np.radians(overhang_tolerance_deg))

@@ -156,11 +156,19 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     axis=-1)
 
 
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Lengths of the rows of an (n, 3) array, the floats of
+    ``np.linalg.norm(v, axis=1)`` summed column by column: numpy reduces a
+    short last axis slowly."""
+    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt((v0 * v0 + v1 * v1) + v2 * v2)
+
+
 def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
     if mesh.is_empty:
         return np.zeros(0)
     p0, p1, p2 = triangle_corners(mesh)
-    return 0.5 * np.linalg.norm(cross(p1 - p0, p2 - p0), axis=1)
+    return 0.5 * row_norms(cross(p1 - p0, p2 - p0))
 
 
 def triangle_normals(mesh: TriangleMesh) -> np.ndarray:
@@ -169,7 +177,7 @@ def triangle_normals(mesh: TriangleMesh) -> np.ndarray:
         return np.zeros((0, 3))
     p0, p1, p2 = triangle_corners(mesh)
     n = cross(p1 - p0, p2 - p0)
-    length = np.linalg.norm(n, axis=1)
+    length = row_norms(n)
     ok = length > 0
     n[ok] /= length[ok, None]
     n[~ok] = 0.0
@@ -228,9 +236,9 @@ def weld_vertices(mesh: TriangleMesh, tolerance: float = WELD_TOLERANCE) -> Tria
     keys = np.round(mesh.vertices / tolerance).astype(np.int64)
     # Keys in ascending (x, y, z) order, equal keys in input order.
     order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
+    x, y, z = (c[order] for c in keys.T)
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (z[1:] != z[:-1])
     # Representative position: first occurrence of each key, for determinism.
     verts = mesh.vertices[order[new]]
     inverse = np.empty(len(keys), dtype=np.int64)

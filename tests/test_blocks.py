@@ -1,11 +1,14 @@
 """Scoring pieces of the growth objective, seeding, and the growth loop."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from parallelobox import blocks as blocks_module
 from parallelobox.blocks import (OVERHANG_WEIGHT, PROXIMITY_FLOOR, SCORE_RTOL,
                                  Block, GrowthState, ObjectiveParams,
-                                 _kmeans_pp, _pick, fits_printer, grow_blocks,
+                                 _kmeans_pp, _Pcg64Stream, _pick, fits_printer, grow_blocks,
                                  print_score, score_growth, select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
@@ -15,6 +18,7 @@ from parallelobox.grid import (AREA, OVERHANG, VOLUME, CellClass, CellMeasures,
                                Grid, build_grid, measure_cells)
 from parallelobox.mesh import Aabb, TriangleMesh
 from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
+from test_preprocess import _env
 from test_resolve import paint_owner
 
 
@@ -152,6 +156,59 @@ def test_kmeans_stops_like_the_cluster_loop_at_a_tolerance_tie(fixture):
                 want = _reference_kmeans_pp(points, k, np.random.default_rng(seed),
                                             tol)
                 assert np.array_equal(got, want), (k, seed, tol)
+
+
+def test_pcg64_stream_matches_default_rng():
+    """Integer draws, among them bounds where about half the 32-bit draws
+    are rejected, and weighted choices in between follow numpy's
+    default_rng; integers(1) consumes nothing."""
+    bounds = [2, 5, 168, 432, 2**31 + 1, 3 * 2**30]
+    for seed in [*range(300), 2**32 + 5, 2**64 + 7]:
+        got, want = _Pcg64Stream(seed), np.random.default_rng(seed)
+        for i, n in enumerate(bounds * 3):
+            assert got.integers(n) == want.integers(n), (seed, n)
+            assert got.integers(1) == 0
+            p = np.arange(1.0, 3.0 + 7 * i) ** 2
+            p /= p.sum()
+            assert got.choice(len(p), p=p) == want.choice(len(p), p=p), (seed, i)
+    with pytest.raises(ValueError):
+        _Pcg64Stream(-1)
+
+
+@pytest.mark.parametrize("fixture", [unit_cube, icosphere, dumbbell, l_bracket,
+                                     hollow_box, asymmetric_blob])
+def test_select_seed_blocks_match_default_rng(fixture, monkeypatch):
+    """The seed blocks are those that numpy's default_rng draws."""
+    mesh = fixture()
+    for granularity in ("coarse", "fine"):
+        grid = build_grid(mesh, granularity)
+        measure_cells(grid, mesh)
+        cells = int((grid.classification == CellClass.BOUNDARY).sum())
+        picks = [(seed, 1 + seed % min(8, cells)) for seed in range(50)]
+        got = [select_seed_blocks(grid, mesh, k, rng_seed=seed) for seed, k in picks]
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks_module, "_Pcg64Stream", np.random.default_rng)
+            want = [select_seed_blocks(grid, mesh, k, rng_seed=seed)
+                    for seed, k in picks]
+        for g, w in zip(got, want):
+            assert [(b.lo.tolist(), b.hi.tolist()) for b in g] == [
+                (b.lo.tolist(), b.hi.tolist()) for b in w]
+
+
+def test_search_does_not_import_numpy_random():
+    """A run seeds its blocks without loading numpy.random."""
+    code = ("import sys\n"
+            "import parallelobox\n"
+            "from parallelobox.fixtures import dumbbell\n"
+            "from parallelobox.meta import PrinterProfile, RunPlan, run_metaheuristic\n"
+            "dec = run_metaheuristic(dumbbell(), RunPlan(printers_available=4,\n"
+            "    granularity='coarse'), PrinterProfile())\n"
+            "print(len(dec.parts), 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_env()).stdout
+    parts, loaded = out.split()
+    assert int(parts) > 0
+    assert loaded == "False"
 
 
 def test_select_seed_blocks_snaps_to_boundary():

@@ -1,6 +1,8 @@
 """Config parsing and the batch front end, driven through ``main()``."""
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from parallelobox.errors import ConfigError
 from parallelobox.fixtures import box_mesh, dumbbell, l_bracket
 from parallelobox.mesh import TriangleMesh, save_stl
 from parallelobox.meta import PrinterProfile, RunPlan, RunRecord
+from test_preprocess import _env
 
 
 def _write(path, text):
@@ -251,6 +254,14 @@ def test_command_line_defaults_are_the_plan_defaults():
     args = build_parser().parse_args(["decompose", "model.stl"])
     assert cli._plan_from_args(args) == RunPlan()
     assert args.printers == RunPlan().printers_available
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = subprocess.run([sys.executable, "-m", "parallelobox", "--help"],
+                          capture_output=True, text=True, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "decompose" in proc.stdout
+    assert proc.stderr == ""
 
 
 def test_batch_prepares_each_model_once_per_key(tmp_path, monkeypatch):
