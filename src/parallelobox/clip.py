@@ -541,23 +541,21 @@ def _triangulate_rings(uv: np.ndarray, rings: list[list[int]],
     if all(orient(prv[t], t, nxt[t]) < 0.0 for t in tops):
         return []
 
-    def east(e: int, f: int) -> bool:
-        """Whether status edge e lies east of status edge f: the one of
-        them that starts lower is compared to the other."""
-        if rank[e] > rank[f]:
-            return (orient(f, nxt[f], e) or orient(f, nxt[f], nxt[e])) > 0.0
-        return (orient(e, nxt[e], f) or orient(e, nxt[e], nxt[f])) < 0.0
-
     def west_of(q: int):
         """The status edge nearest west of corner q, None when there is
         none.  A corner on an edge, within eps_area, is on the side of its
         ring neighbours."""
         best = None
+        # helper holds the status edges in the order they started in the
+        # sweep, so best started before e: e lies east of best when e's
+        # start, or else its end, lies east of best.
         for e in helper:
             side = orient(e, nxt[e], q)
             if abs(side) <= eps_area:
                 side = orient(e, nxt[e], prv[q]) + orient(e, nxt[e], nxt[q])
-            if side > 0.0 and (best is None or east(e, best)):
+            if side > 0.0 and (best is None or (
+                    orient(best, nxt[best], e)
+                    or orient(best, nxt[best], nxt[e])) > 0.0):
                 best = e
         return best
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriangleMesh, box_mesh, clean_mesh
+from .mesh import TriangleMesh, box_mesh
 
 
 def unit_cube(name="cube") -> TriangleMesh:
@@ -70,47 +70,35 @@ def voxel_mesh(occupancy: np.ndarray, voxel_size: float = 1.0,
     Emits one outward-facing quad (two triangles) per solid/empty face pair,
     so cavities get their own inner shells.  Keep solids face-connected;
     voxels touching only along an edge would produce a non-manifold seam.
+    Corners are numbered once, in ascending (x, y, z) order of their
+    integer voxel coordinates: the numbering that welding at 1e-6 mm
+    gives when ``voxel_size`` exceeds 1e-6 mm.
     """
     occ = np.asarray(occupancy, dtype=bool)
     if occ.ndim != 3:
         raise ValueError("occupancy must be a 3-D boolean array")
     padded = np.pad(occ, 1, constant_values=False)
-    vert_ids: dict[tuple[int, int, int], int] = {}
-    verts: list[tuple[int, int, int]] = []
-    tris: list[tuple[int, int, int]] = []
-
-    def vid(p: tuple[int, int, int]) -> int:
-        if p not in vert_ids:
-            vert_ids[p] = len(verts)
-            verts.append(p)
-        return vert_ids[p]
-
+    quads, tris = [], []
     # For each axis, faces exist where solidity flips between neighbours.
     for axis in range(3):
         shifted = np.roll(padded, -1, axis=axis)
-        plus = padded & ~shifted   # solid -> empty while moving +axis
-        minus = ~padded & shifted  # empty -> solid while moving +axis
-        for mask, outward in ((plus, +1), (minus, -1)):
-            for (i, j, k) in zip(*np.nonzero(mask)):
-                cell = np.array([i - 1, j - 1, k - 1])
-                base = cell.copy()
-                base[axis] += 1  # face sits on the +axis side of the cell
-                u, w = (axis + 1) % 3, (axis + 2) % 3
-                du = np.zeros(3, dtype=int)
-                dw = np.zeros(3, dtype=int)
-                du[u] = 1
-                dw[w] = 1
-                c00 = vid(tuple(base))
-                c10 = vid(tuple(base + du))
-                c11 = vid(tuple(base + du + dw))
-                c01 = vid(tuple(base + dw))
-                if outward > 0:
-                    tris += [(c00, c10, c11), (c00, c11, c01)]
-                else:
-                    tris += [(c00, c11, c10), (c00, c01, c11)]
-    positions = (np.asarray(verts, dtype=np.float64) * voxel_size
+        du, dw = np.eye(3, dtype=np.int64)[[(axis + 1) % 3, (axis + 2) % 3]]
+        # A quad's corners are base, +u, +u+w, +w.  A solid -> empty step
+        # along +axis gives a face toward +axis, empty -> solid toward -axis.
+        for mask, order in ((padded & ~shifted, [0, 1, 2, 0, 2, 3]),
+                            (~padded & shifted, [0, 2, 1, 0, 3, 2])):
+            base = np.argwhere(mask) - 1
+            base[:, axis] += 1  # the face sits on the +axis side of the cell
+            first = 4 * sum(len(q) for q in quads)
+            quads.append(np.stack([base, base + du, base + du + dw, base + dw],
+                                  axis=1))
+            tris.append(first + 4 * np.arange(len(base))[:, None] + order)
+    corners, index = np.unique(np.concatenate(quads).reshape(-1, 3), axis=0,
+                               return_inverse=True)
+    positions = (corners.astype(np.float64) * voxel_size
                  + np.asarray(origin, dtype=np.float64))
-    return clean_mesh(TriangleMesh(positions, np.asarray(tris, dtype=np.int32), name))
+    triangles = index.reshape(-1)[np.concatenate(tris).reshape(-1, 3)]
+    return TriangleMesh(positions, triangles.astype(np.int32), name)
 
 
 def dumbbell(voxel_size: float = 4.0, name="dumbbell") -> TriangleMesh:

@@ -22,20 +22,20 @@ record of the cells an iteration has claimed: the void fill and the
 coverage count read them against the piece's cell tables.  An iteration's
 seeds and growth do not depend on the printer count, so a search takes its
 grown runs from a map that a batch shares across printer counts
-(:func:`grow_missing_runs`): the runs of the largest count include those
-of every smaller one, and each is grown once.  :class:`ModelWork` holds
-all the work a batch shares across one model's printer counts, for the
-search and the baseline alike.
+(:meth:`ModelWork.search_inputs`): the runs of the largest count include
+those of every smaller one, and each is grown once.  :class:`ModelWork`
+builds and holds all the work a batch shares across one model's printer
+counts, for the search and the baseline alike.
 
 Every part score is a sum over grid cells plus the caps on the box faces,
 so an iteration is scored from the per-cell tables of
 :class:`~parallelobox.grid.CellMeasures` without clipping anything.  Meshes
-are clipped only for the iterations that can still win: those whose
-boxes are larger than the printer (the tables cannot tell whether the part
-inside fits), and the valid ones in ascending order of table score until
-the next one exceeds the best clipped score.  The caps of a clipped mesh
-cover each box face once, so the table score of a part equals that of
-its mesh up to rounding, and the winner is the one a search clipping
+are clipped only for the covered iterations that can still win: the
+valid ones and those with a box larger than the printer (the tables cannot
+tell whether the part inside fits), in ascending order of table score
+until the next one exceeds the best clipped score.  The caps of a clipped
+mesh cover each box face once, so the table score of a part equals that
+of its mesh up to rounding, and the winner is the one a search clipping
 every iteration would pick.  It is scored from its meshes.
 Iterations that share a box share its clipped mesh, so a search clips
 each distinct box once; scoring clips nothing more.  A result's cut area,
@@ -219,7 +219,7 @@ class PreparedModel:
     surface_area: float         # of the model before the symmetry cut
 
 
-def prepare_model(mesh: TriangleMesh, plan: RunPlan, profile: PrinterProfile,
+def prepare_model(mesh: TriangleMesh, plan: RunPlan,
                   plane: SymmetryPlane | None = None) -> PreparedModel:
     """Symmetry-cut (maybe), orient, and grid each piece once.
 
@@ -342,22 +342,6 @@ def search_runs(prepared: PreparedModel,
     return [(p, t, plan.seed_base + 1000 * p + t)
             for p in range(plan.printers_available, floor - 1, -1)
             for t in range(1, plan.sample_tries + 1)]
-
-
-def grow_missing_runs(prepared: PreparedModel, plan: RunPlan,
-                      profile: PrinterProfile, grown: dict) -> None:
-    """Grow, in one :func:`grow_runs` call, the runs of the search that
-    ``grown`` lacks, and add them to it.
-
-    ``grown`` maps (seed blocks, seed) to a run's entry of
-    :func:`grow_runs`.  A run's seeds and growth read neither the printer
-    count nor anything else a batch varies, so a search at fewer printers
-    finds all of its runs among those of a search at more.
-    """
-    runs = [(p, seed) for p, _, seed in search_runs(prepared, plan)
-            if (p, seed) not in grown]
-    if runs:
-        grown.update(zip(runs, grow_runs(prepared, plan, profile, runs)))
 
 
 def run_decomposition(prepared: PreparedModel, plan: RunPlan,
@@ -551,24 +535,22 @@ class ModelWork:
     most in their printer count, as a batch's do.
 
     ``plane`` is the model's best mirror plane, which preparation and the
-    baseline's first round start from.  Preparation reads only whether
+    baseline's first halving start from.  Preparation reads only whether
     the printer count is two or more, so ``searches`` holds, by
     ``printers >= 2``, the prepared model and its grown search runs, first
     grown for the largest count of that key in ``printer_counts``: its
     runs include those of every smaller count.  ``rounds`` holds the
-    baseline's halving rounds, the printable mesh of every piece: round 0
-    is the oriented model, and round r + 1 halves every piece of round r.
-    Only the baseline's stop test reads the printer count and size, so
-    every count walks the same rounds, added as a count first needs them.
+    baseline's halving rounds built so far (:meth:`halving_round`).  Only
+    the baseline's stop test reads the printer count and size, so every
+    count walks the same rounds.  Only the methods write the fields.
     """
 
     mesh: TriangleMesh
     printer_counts: tuple[int, ...] = ()
     plane: SymmetryPlane | None = None
     searches: dict[bool, tuple[PreparedModel, dict]] = field(default_factory=dict)
-    rounds: list[list[TriangleMesh]] = field(default_factory=list)
+    rounds: list[list[TriangleMesh] | None] = field(default_factory=list)
     oriented_plane: SymmetryPlane | None = None  # plane moved with round 0
-    rounds_done: bool = False   # halving the last round cut nothing
 
     def mirror_plane(self) -> SymmetryPlane:
         if self.plane is None:
@@ -577,18 +559,50 @@ class ModelWork:
 
     def search_inputs(self, plan: RunPlan,
                       profile: PrinterProfile) -> tuple[PreparedModel, dict]:
-        """The prepared model and grown runs of plan's search."""
+        """The prepared model of plan's search, and a map from (seed blocks,
+        seed) to the entry of :func:`grow_runs` of every run of the search.
+
+        A run's seeds and growth read nothing a batch varies, so the runs
+        the map lacks are grown in one :func:`grow_runs` call for the
+        largest count of plan's key, which holds the runs of every smaller
+        count."""
         key = plan.printers_available >= 2
         if key not in self.searches:
-            prepared = prepare_model(self.mesh, plan, profile, self.plane)
-            self.plane = prepared.plane
-            self.searches[key] = prepared, {}
+            self.searches[key] = prepare_model(self.mesh, plan,
+                                               self.mirror_plane()), {}
         prepared, grown = self.searches[key]
-        largest = max([plan.printers_available] + [
-            n for n in self.printer_counts if (n >= 2) == key])
-        grow_missing_runs(prepared, replace(plan, printers_available=largest),
-                          profile, grown)
+        plan = replace(plan, printers_available=max([plan.printers_available] + [
+            n for n in self.printer_counts if (n >= 2) == key]))
+        runs = [(p, seed) for p, _, seed in search_runs(prepared, plan)
+                if (p, seed) not in grown]
+        if runs:
+            grown.update(zip(runs, grow_runs(prepared, plan, profile, runs)))
         return prepared, grown
+
+    def halving_round(self, r: int, plan: RunPlan) -> list[TriangleMesh] | None:
+        """The baseline's round r, the printable mesh of every piece, or
+        None when an earlier halving cut nothing.
+
+        Round 0 is the model, checked closed and oriented; round 1 halves
+        it at the model's mirror plane moved with it, and each later round
+        halves every piece at its own mirror plane.  Rounds are built as
+        they are first asked for.  Raises NonWatertightInput when the mesh
+        is not closed.
+        """
+        rounds = self.rounds
+        if not rounds:
+            if not validate_watertight(self.mesh).is_watertight:
+                raise NonWatertightInput("the baseline needs a closed mesh")
+            oriented, pose = optimize_orientation(
+                self.mesh, symmetry=self.mirror_plane(),
+                overhang_tolerance_deg=plan.overhang_tolerance_deg)
+            oriented.name = self.mesh.name
+            rounds.append([oriented])
+            self.oriented_plane = pose.move(self.plane)
+        while len(rounds) <= r and rounds[-1] is not None:
+            rounds.append(_halve(rounds[-1], self.oriented_plane
+                                 if len(rounds) == 1 else None))
+        return rounds[min(r, len(rounds) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +630,11 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
     :class:`ModelWork`, which gives the prepared model and grown runs; the
     runs it lacks are seeded and grown up front, all in one lockstep pass
     (:func:`grow_runs`).  Every run is filled and scored from the cell
-    tables in the search's order.  Then the iterations whose boxes do not
-    all fit the printer are clipped, and the valid ones in ascending order
-    of table score, until the next table score exceeds the best clipped
-    score by more than ``SCORE_RTOL``; each distinct box is clipped once.
-    A table score does not exceed the score of the clipped meshes, so no
+    tables in the search's order.  Then the covered iterations, valid or
+    with a box larger than the printer, are clipped in ascending order of
+    table score until the next table score exceeds the best clipped score
+    by more than ``SCORE_RTOL``; each distinct box is clipped once.  A
+    table score does not exceed the score of the clipped meshes, so no
     iteration left unclipped could have won.  The winner is the best
     clipped result by :func:`_beats`, the earlier iteration on ties.
 
@@ -638,24 +652,16 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
         seconds.append(time.perf_counter() - tick)
 
     meshes: dict[tuple, TriangleMesh] = {}
-
-    def clip(i: int) -> Decomposition:
+    best_score = float("inf")
+    covered = [i for i, r in enumerate(results)
+               if r.valid or r.reason == BOX_EXCEEDS_PRINTER]
+    for i in sorted(covered, key=lambda i: results[i].parallel_score):
+        if results[i].parallel_score > best_score * (1.0 + SCORE_RTOL):
+            break
         tick = time.perf_counter()
         results[i] = clip_parts(prepared, plan, profile, results[i], meshes)
         seconds[i] += time.perf_counter() - tick
-        return results[i]
-
-    best_score = float("inf")
-    for i, result in enumerate(results):
-        if result.reason == BOX_EXCEEDS_PRINTER and clip(i).valid:
-            best_score = min(best_score, results[i].parallel_score)
-    ranked = sorted((i for i, r in enumerate(results)
-                     if r.valid and not r.clipped),
-                    key=lambda i: results[i].parallel_score)
-    for i in ranked:
-        if results[i].parallel_score > best_score * (1.0 + SCORE_RTOL):
-            break
-        if clip(i).valid:
+        if results[i].valid:
             best_score = min(best_score, results[i].parallel_score)
 
     best: Decomposition | None = None
@@ -692,26 +698,17 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
 
     A round with more pieces than printers ends the halving: rounds never
     lose pieces, so neither it nor any later round is valid, and it is
-    returned as the invalid result.  Round 0 is halved at the model's
-    mirror plane moved with it.  ``records``, when given, gains the run's
+    returned as the invalid result.  The rounds come from
+    :meth:`ModelWork.halving_round`, and the halving also ends at the first
+    round that cuts nothing.  ``records``, when given, gains the run's
     :class:`RunRecord`.  ``work``, when given, is mesh's
-    :class:`ModelWork`; it gains the rounds this call computes.
+    :class:`ModelWork`; it keeps the rounds this call builds.
 
     Raises NonWatertightInput when the mesh is not closed.
     """
     tick = time.perf_counter()
     params = objective_of(plan, profile)
     work = ModelWork(mesh) if work is None else work
-    rounds = work.rounds
-    if not rounds:
-        if not validate_watertight(mesh).is_watertight:
-            raise NonWatertightInput("the baseline needs a closed mesh")
-        oriented, pose = optimize_orientation(
-            mesh, symmetry=work.mirror_plane(),
-            overhang_tolerance_deg=plan.overhang_tolerance_deg)
-        oriented.name = mesh.name
-        rounds.append([oriented])
-        work.oriented_plane = pose.move(work.plane)
     target = 1
     while target * 2 <= plan.printers_available:
         target *= 2
@@ -722,20 +719,15 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
             and all(fits_printer(aabb_of(m).extent, profile.dims)
                     for m in pieces))
 
-    r = 0
-    while r < BASELINE_MAX_ROUNDS and not final(rounds[r]):
-        if r + 1 == len(rounds):
-            if work.rounds_done:
-                break
-            halved = _halve(rounds[r], work.oriented_plane if r == 0 else None)
-            if halved is None:
-                work.rounds_done = True
-                break
-            rounds.append(halved)
-        r += 1
+    pieces = work.halving_round(0, plan)
+    for r in range(1, BASELINE_MAX_ROUNDS + 1):
+        halved = None if final(pieces) else work.halving_round(r, plan)
+        if halved is None:
+            break
+        pieces = halved
 
     parts = [_score_part(m, "block", profile, params, piece=i)
-             for i, m in enumerate(rounds[r])]
+             for i, m in enumerate(pieces)]
     mm = measure(mesh)
     result = _decomposition(
         parts, _parts_verdict(parts, plan.printers_available, profile.dims, mm.volume),

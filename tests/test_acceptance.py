@@ -172,8 +172,7 @@ def test_symmetric_split_balance():
         scores = sorted(p.print_score for p in dec.parts)
         assert scores[1] - scores[0] < 0.01 * scores[1], (make().name, scores)
     prep = prepare_model(asymmetric_blob(),
-                         RunPlan(printers_available=2, granularity="coarse"),
-                         PROFILE)
+                         RunPlan(printers_available=2, granularity="coarse"))
     assert not prep.cut
     assert len(prep.pieces) == 1
 

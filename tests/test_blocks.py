@@ -17,7 +17,7 @@ from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
 from parallelobox.grid import (AREA, OVERHANG, VOLUME, CellClass, CellMeasures,
                                Grid, build_grid, measure_cells)
 from parallelobox.mesh import Aabb, TriangleMesh
-from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
+from parallelobox.meta import RunPlan, prepare_model
 from test_preprocess import _env
 from test_resolve import paint_owner
 
@@ -401,8 +401,7 @@ def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
     mirror plane, in one state (the blob has no mirror plane and is grown
     whole)."""
     prepared = prepare_model(fixture(), RunPlan(printers_available=2,
-                                                granularity=granularity),
-                             PrinterProfile())
+                                                granularity=granularity))
     assert prepared.cut == (fixture is not asymmetric_blob)
     params = ObjectiveParams(printer_dims=(printer,) * 3)
     cell_sizes, measures, problems = [], [], []
@@ -615,8 +614,7 @@ def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
     grid = build_grid(mesh, "fine")
     meas = measure_cells(grid, mesh)
     prepared = prepare_model(mesh, RunPlan(printers_available=2,
-                                           granularity="fine"),
-                             PrinterProfile())
+                                           granularity="fine"))
     assert prepared.cut
     # (mesh, grid, measures) of the whole model and of each cut piece,
     # whose grids differ from it in dims and cell size.

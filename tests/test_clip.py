@@ -906,8 +906,7 @@ def test_dumbbell_ring_is_capped_once(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(clip, "_clip_halfspaces", _reference_cuts)
         prepared = prepare_model(dumbbell(), RunPlan(printers_available=4,
-                                                     granularity="fine"),
-                                 PrinterProfile())
+                                                     granularity="fine"))
     piece = prepared.pieces[0]
     box = piece.grid.box_of_range((0, 4, 0), (7, 7, 11))
     uv, loops = _cut_loops(piece.mesh, -np.eye(3)[1], -box.min[1])
@@ -1373,7 +1372,7 @@ def test_batched_box_clip_matches_one_box_per_call(name, granularity):
     for printers, side in ((4, 250.0), (8, 30.0)):
         plan = RunPlan(printers_available=printers, granularity=granularity)
         profile = PrinterProfile(volume_x=side, volume_y=side, volume_z=side)
-        prepared = prepare_model(mesh, plan, profile)
+        prepared = prepare_model(mesh, plan)
         grown = meta.grow_runs(prepared, plan, profile, [(printers, 0)])[0]
         result = meta.run_decomposition(prepared, plan, profile, printers, 0, grown)
         for part in result.parts:

@@ -4,8 +4,10 @@ import pytest
 
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket,
-                                   random_solid, thin_plate, unit_cube, wedge)
-from parallelobox.mesh import measure, validate_watertight
+                                   random_solid, thin_plate, unit_cube,
+                                   voxel_mesh, wedge)
+from parallelobox.mesh import (TriangleMesh, clean_mesh, measure,
+                               validate_watertight)
 
 ALL_FIXTURES = [unit_cube, icosphere, dumbbell, l_bracket, hollow_box,
                 asymmetric_blob, thin_plate, wedge]
@@ -67,3 +69,48 @@ def test_random_solids_are_closed_polycubes():
         assert np.all(mesh.vertices % 10.0 == 0.0), seed
         volume = measure(mesh).volume
         assert volume > 0.0 and volume % 1000.0 == pytest.approx(0.0, abs=1e-6), seed
+
+
+def _reference_voxel_mesh(occ, voxel_size, origin):
+    """One quad per solid/empty face pair, face by face, its corners
+    numbered as met and then welded by clean_mesh."""
+    padded = np.pad(occ, 1, constant_values=False)
+    ids, verts, tris = {}, [], []
+
+    def vid(p):
+        if p not in ids:
+            ids[p] = len(verts)
+            verts.append(p)
+        return ids[p]
+
+    for axis in range(3):
+        shifted = np.roll(padded, -1, axis=axis)
+        du, dw = np.zeros(3, dtype=int), np.zeros(3, dtype=int)
+        du[(axis + 1) % 3] = dw[(axis + 2) % 3] = 1
+        for mask, outward in ((padded & ~shifted, 1), (~padded & shifted, -1)):
+            for cell in np.argwhere(mask) - 1:
+                base = cell.copy()
+                base[axis] += 1
+                c00, c10 = vid(tuple(base)), vid(tuple(base + du))
+                c11, c01 = vid(tuple(base + du + dw)), vid(tuple(base + dw))
+                if outward > 0:
+                    tris += [(c00, c10, c11), (c00, c11, c01)]
+                else:
+                    tris += [(c00, c11, c10), (c00, c01, c11)]
+    positions = (np.asarray(verts, dtype=np.float64) * voxel_size
+                 + np.asarray(origin, dtype=np.float64))
+    return clean_mesh(TriangleMesh(positions, np.asarray(tris, dtype=np.int32)))
+
+
+def test_voxel_mesh_matches_the_welded_face_loop():
+    """voxel_mesh numbers its corners once in the order of the weld, so it
+    gives the bytes of the face-by-face loop welded at 1e-6 mm."""
+    rng = np.random.default_rng(11)
+    for case in range(30):
+        occ = rng.random(rng.integers(1, 7, size=3)) < 0.6
+        size = float(rng.choice([0.5, 4.0, 10.0]))
+        origin = rng.uniform(-20.0, 20.0, size=3)
+        got = voxel_mesh(occ, size, origin)
+        want = _reference_voxel_mesh(occ, size, origin)
+        assert got.vertices.tobytes() == want.vertices.tobytes(), case
+        assert got.triangles.tobytes() == want.triangles.tobytes(), case

@@ -1,5 +1,7 @@
 """Time estimation, preparation, the retry search, and the cut-in-half baseline."""
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +21,12 @@ from parallelobox.meta import (Decomposition, ModelWork, PrinterProfile,
                                _score_part, estimate_time, fits_printer,
                                objective_of, prepare_model,
                                recursive_symmetry_baseline, run_metaheuristic)
+from parallelobox.preprocess import SymmetryPlane
 from test_resolve import _reference_regions, paint_owner
 
 PROFILE = PrinterProfile()
+#: A mirror plane far beyond every fixture: cutting at it cuts nothing.
+FAR_PLANE = SymmetryPlane(np.array([1.0, 0.0, 0.0]), 1e6, 0.0)
 
 
 def test_estimate_time_reference_value():
@@ -87,7 +92,7 @@ def table_cut_area(mesh, prepared, parts) -> float:
 
 def test_prepare_model_symmetric_cut_and_shells():
     plan = RunPlan(printers_available=4, granularity="coarse")
-    prep = prepare_model(hollow_box(), plan, PROFILE)
+    prep = prepare_model(hollow_box(), plan)
     assert prep.cut
     assert len(prep.pieces) == 2
     total = measure(hollow_box())
@@ -106,14 +111,28 @@ def test_prepare_model_symmetric_cut_and_shells():
 
 def test_prepare_model_skips_asymmetric_and_single_printer():
     plan = RunPlan(printers_available=4, granularity="coarse")
-    prep = prepare_model(asymmetric_blob(), plan, PROFILE)
+    prep = prepare_model(asymmetric_blob(), plan)
     assert not prep.cut
     assert len(prep.pieces) == 1
 
     # with a single printer the pre-cut would be unusable
     plan = RunPlan(printers_available=1, granularity="coarse")
-    prep = prepare_model(unit_cube(), plan, PROFILE)
+    prep = prepare_model(unit_cube(), plan)
     assert not prep.cut
+
+
+def test_prepare_model_keeps_the_model_whole_when_its_plane_cuts_nothing(
+        caplog):
+    with caplog.at_level(logging.WARNING, logger="parallelobox.meta"):
+        prep = prepare_model(dumbbell(), RunPlan(printers_available=2,
+                                                 granularity="coarse"),
+                             FAR_PLANE)
+    assert not prep.cut
+    assert [piece.mesh.name for piece in prep.pieces] == ["dumbbell"]
+    assert prep.pieces[0].volume == pytest.approx(measure(dumbbell()).volume,
+                                                  rel=1e-9)
+    assert [r.getMessage() for r in caplog.records] == [
+        "symmetry plane cut off nothing; skipping the cut"]
 
 
 def test_run_metaheuristic_records_and_selection():
@@ -214,6 +233,30 @@ def test_baseline_stops_once_pieces_outnumber_printers(monkeypatch):
     assert len(dec.parts) > 2
     assert 1 <= len(halvings) <= 3
     assert dec.reason == f"{len(dec.parts)} parts exceed 2 printers"
+
+
+def test_baseline_keeps_uncut_pieces_and_ends_its_rounds(monkeypatch):
+    """A piece whose mirror plane cuts nothing is kept whole, and the first
+    round that cuts nothing ends the halving, for this printer count and
+    every later one on the same ModelWork.  Only the model and the second
+    half of the dumbbell get a plane through them here."""
+    find, cut = meta.find_best_symmetry_plane, meta.cut_by_plane
+    monkeypatch.setattr(meta, "find_best_symmetry_plane", lambda mesh: (
+        find(mesh) if mesh.name in ("dumbbell", "dumbbellb") else FAR_PLANE))
+    cuts = []
+    monkeypatch.setattr(meta, "cut_by_plane", lambda mesh, *plane: cuts.append(
+        mesh.name) or cut(mesh, *plane))
+    work = ModelWork(dumbbell(), (4, 8))
+    plan = RunPlan(printers_available=4, granularity="coarse")
+    four = recursive_symmetry_baseline(work.mesh, plan, PROFILE, work=work)
+    names = ["dumbbella", "dumbbellba", "dumbbellbb"]
+    assert four.valid and [p.mesh.name for p in four.parts] == names
+    assert cuts == ["dumbbell", "dumbbella", "dumbbellb"] + names
+    assert work.rounds[-1] is None and len(work.rounds) == 4
+    eight = recursive_symmetry_baseline(
+        work.mesh, replace(plan, printers_available=8), PROFILE, work=work)
+    assert eight.valid and [p.mesh.name for p in eight.parts] == names
+    assert len(cuts) == 6
 
 
 def _open_mesh(name):
@@ -456,7 +499,7 @@ def test_search_matches_reference(fixture, granularity, monkeypatch):
     mesh = getattr(fixtures, fixture)()
     # Printer counts >= 2 share one prepared model; prepare it once.
     prepared = prepare_model(mesh, RunPlan(printers_available=2,
-                                           granularity=granularity), PROFILE)
+                                           granularity=granularity))
     monkeypatch.setattr(meta, "prepare_model", lambda *args: prepared)
     for printers in (2, 4, 8):
         for side in (30.0, 250.0):
@@ -521,8 +564,7 @@ def test_box_tables_match_clipped_meshes(granularity):
     for make in (unit_cube, fixtures.icosphere, dumbbell, fixtures.l_bracket,
                  hollow_box, asymmetric_blob):
         prepared = prepare_model(make(), RunPlan(printers_available=2,
-                                                 granularity=granularity),
-                                 PROFILE)
+                                                 granularity=granularity))
         for piece in prepared.pieces:
             dims = np.array(piece.grid.dims)
             face = piece.grid.cell_size ** 2
@@ -549,7 +591,7 @@ def test_dumbbell_box_mesh_matches_its_table():
     (7, 7, 11): the clipped mesh has the table's 1720 mm².  A cap covering
     part of the box's y-min face twice made it 1780."""
     prepared = prepare_model(dumbbell(), RunPlan(printers_available=4,
-                                                 granularity="fine"), PROFILE)
+                                                 granularity="fine"))
     piece = prepared.pieces[0]
     lo, hi = np.array([0, 4, 0]), np.array([7, 7, 11])
     clipped = clip_to_box(piece.mesh, piece.grid.box_of_range(lo, hi))
@@ -564,7 +606,7 @@ def test_blob_seed_4002_parts_are_closed(caplog):
     valid result's parts were open.  Every part is closed now, with the
     table's area and volume."""
     plan = RunPlan(printers_available=4, granularity="fine")
-    prepared = prepare_model(asymmetric_blob(), plan, PROFILE)
+    prepared = prepare_model(asymmetric_blob(), plan)
     grown = meta.grow_runs(prepared, plan, PROFILE, [(4, 4002)])[0]
     result = meta.clip_parts(prepared, plan, PROFILE, meta.run_decomposition(
         prepared, plan, PROFILE, 4, 4002, grown), {})
@@ -597,7 +639,7 @@ def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
         for mesh, box in zip(meshes, batch)) or clip_to_box(meshes, batch))
     records = []
     got = run_metaheuristic(rod, plan, profile, records)
-    want, reference = _reference_search(prepare_model(rod, plan, PROFILE),
+    want, reference = _reference_search(prepare_model(rod, plan),
                                         plan, profile)
     assert got.valid and all(r.valid and r.clipped for r in records)
     assert sorted(r.seed for r in iterations) == sorted(r.seed for r in records)
@@ -609,6 +651,64 @@ def test_search_clips_boxes_larger_than_the_printer(monkeypatch):
                                                     for p in want.parts]
     assert [(r.parallel_score, r.parts) for r in records] == [
         (r.parallel_score, r.printers_used) for r in reference]
+
+
+def test_search_leaves_oversize_iterations_that_cannot_win_unclipped(
+        monkeypatch):
+    """The search clips its covered iterations in one pass by ascending
+    table score, until the next one exceeds the best clipped score by more
+    than SCORE_RTOL.  A table score never exceeds its clipped score, so an
+    iteration with a box larger than the printer past that point cannot
+    win, and it keeps its table reason unclipped.  Here the dumbbell's
+    two-block iterations are marked oversize."""
+    plan = RunPlan(printers_available=4, granularity="coarse", sample_tries=2)
+    want = run_metaheuristic(dumbbell(), plan, PROFILE)
+    decompose = meta.run_decomposition
+
+    def marked(*args):
+        result = decompose(*args)
+        if result.seed_blocks == 2:
+            return replace(result, valid=False,
+                           reason=meta.BOX_EXCEEDS_PRINTER)
+        return result
+
+    monkeypatch.setattr(meta, "run_decomposition", marked)
+    records = []
+    got = run_metaheuristic(dumbbell(), plan, PROFILE, records)
+    oversize = [r for r in records if r.seed_blocks == 2]
+    assert len(oversize) == 2
+    for record in oversize:
+        assert record.reason == meta.BOX_EXCEEDS_PRINTER
+        assert not record.valid and not record.clipped
+        assert record.parallel_score > got.parallel_score * (
+            1.0 + meta.SCORE_RTOL)
+    assert (got.seed_blocks, got.seed) == (want.seed_blocks, want.seed)
+    assert [_part_fields(p) for p in got.parts] == [_part_fields(p)
+                                                    for p in want.parts]
+
+
+def test_clip_parts_drops_boxes_that_clip_to_nothing():
+    """A box over empty cells clips to an empty mesh and gives no part; a
+    result left with no parts is invalid."""
+    plan = RunPlan(printers_available=2, granularity="coarse")
+    prepared = prepare_model(dumbbell(), plan)
+    grown = meta.grow_runs(prepared, plan, PROFILE, [(2, 0)])[0]
+    result = meta.run_decomposition(prepared, plan, PROFILE, 2, 0, grown)
+    assert result.valid
+    cell = tuple(np.argwhere(prepared.pieces[0].grid.classification
+                             == CellClass.EXTERNAL)[0].tolist())
+    hollow = meta.PartResult(0.0, 0.0, 0.0, 0.0, "void", piece=0,
+                             cell_lo=cell, cell_hi=cell, name="hollow")
+    want = meta.clip_parts(prepared, plan, PROFILE, result, {})
+    got = meta.clip_parts(prepared, plan, PROFILE,
+                          replace(result, parts=result.parts + [hollow]), {})
+    assert want.valid and got.valid
+    assert [_part_fields(p) for p in got.parts] == [_part_fields(p)
+                                                    for p in want.parts]
+    alone = meta.clip_parts(prepared, plan, PROFILE,
+                            replace(result, parts=[hollow]), {})
+    assert (alone.valid, alone.reason, alone.parts) == (
+        False, "no parts produced", [])
 
 
 @pytest.mark.parametrize("mesh, profile", [

@@ -13,7 +13,7 @@ from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    thin_plate, unit_cube, wedge)
 from parallelobox.mesh import (TriangleMesh, aabb_of, measure, save_stl,
                                triangle_areas, triangle_normals)
-from parallelobox.meta import PrinterProfile, RunPlan, _halve, prepare_model
+from parallelobox.meta import RunPlan, _halve, prepare_model
 from parallelobox import preprocess
 from parallelobox.preprocess import (OFFSET_SWEEP, SYMMETRY_THRESHOLD,
                                      SymmetryPlane, _CellGrid,
@@ -106,7 +106,7 @@ def maybe_symmetry_cut(mesh, threshold):
     """The pieces prepare_model cuts a mesh into at a symmetry threshold."""
     plan = RunPlan(printers_available=2, granularity="coarse",
                    symmetry_threshold=threshold)
-    return [piece.mesh for piece in prepare_model(mesh, plan, PrinterProfile()).pieces]
+    return [piece.mesh for piece in prepare_model(mesh, plan).pieces]
 
 
 def test_maybe_symmetry_cut_behaviour():

@@ -47,8 +47,7 @@ def test_traced_preparation_times_the_surface_clip_of_every_grid(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        meta.prepare_model(fixtures.dumbbell(), RunPlan(printers_available=2),
-                           PrinterProfile())
+        meta.prepare_model(fixtures.dumbbell(), RunPlan(printers_available=2))
     finally:
         tracer.uninstall()
     measured = [s.id for s in tracer.spans if s.name == "grid.measure"]
