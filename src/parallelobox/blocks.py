@@ -30,7 +30,8 @@ a block owns every solid cell of its box, so the owned cells of a layer
 are the solid cells of its overlaps with the other boxes.  The boxes are
 the only record of ownership.
 
-Seeding is k-means++ on the mesh vertices.  Its draws come from
+Seeding is k-means++ on the mesh vertices, one seed cell per block.  Its
+draws come from
 :class:`_Pcg64Stream`, which equals ``numpy.random.default_rng(seed)``
 bit for bit, so no run loads ``numpy.random``.
 """
@@ -67,19 +68,6 @@ class ObjectiveParams:
     speed_shell: float = 20.0         # mm/s
     infill_fraction: float = 0.05
     printer_dims: tuple[float, float, float] = (250.0, 250.0, 250.0)
-
-
-@dataclass
-class Block:
-    """Axis-aligned range of cells [lo, hi] inclusive."""
-
-    id: int
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.lo = np.asarray(self.lo, dtype=np.int64).reshape(3)
-        self.hi = np.asarray(self.hi, dtype=np.int64).reshape(3)
 
 
 def print_score(volume: float, surface_area: float, params: ObjectiveParams) -> float:
@@ -245,11 +233,12 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: _Pcg64Stream,
 
 
 def select_seed_blocks(grid: Grid, mesh: TriangleMesh, k: int,
-                       rng_seed: int = 0) -> list[Block]:
+                       rng_seed: int = 0) -> np.ndarray:
     """k-means++ the vertex cloud and drop one unit block per centroid.
 
-    Centroids landing in internal or external cells snap to the nearest
-    boundary cell; collisions take the next nearest unoccupied one.
+    Returns the (k, 3) seed cells, block i in row i.  Centroids landing in
+    internal or external cells snap to the nearest boundary cell;
+    collisions take the next nearest unoccupied one.
     """
     boundary = np.argwhere(grid.classification == CellClass.BOUNDARY)
     if len(boundary) < k:
@@ -259,8 +248,8 @@ def select_seed_blocks(grid: Grid, mesh: TriangleMesh, k: int,
     centers = _kmeans_pp(mesh.vertices, k, rng, tol=1e-4 * grid.cell_size)
     boundary_centers = grid.origin + (boundary + 0.5) * grid.cell_size
     taken: set[tuple[int, int, int]] = set()
-    blocks: list[Block] = []
-    for bid, c in enumerate(centers):
+    seeds = np.empty((k, 3), dtype=np.int64)
+    for i, c in enumerate(centers):
         coord = np.floor((c - grid.origin) / grid.cell_size).astype(np.int64)
         coord = np.clip(coord, 0, np.array(grid.dims) - 1)
         key = tuple(int(x) for x in coord)
@@ -273,8 +262,8 @@ def select_seed_blocks(grid: Grid, mesh: TriangleMesh, k: int,
             else:  # pragma: no cover - guarded by the k <= len(boundary) check
                 raise InsufficientBoundaryCells("ran out of boundary cells")
         taken.add(key)
-        blocks.append(Block(bid, np.array(key), np.array(key)))
-    return blocks
+        seeds[i] = key
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +296,17 @@ def _gap(lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray,
 class GrowthState:
     """n growth problems, grown in lockstep.
 
-    Problem p grows the blocks ``blocks[p]``, whose starting boxes hold
-    disjoint solid cells, on a grid of cells of side ``cell_sizes[p]``,
-    scored from ``measures[p]``; the grown boxes keep disjoint solid cells.
+    Problem p grows one block from each distinct boundary cell of the
+    (k, 3) ``seeds[p]`` on a grid of cells of side ``cell_sizes[p]``, scored
+    from ``measures[p]``; the grown boxes keep disjoint solid cells.
     Problems on one piece share its measures and classification; a model
     cut in two grows the problems of both pieces in one state.  The
     summed-volume tables of the distinct measures are joined into one
     ``table``, and problem p reads its own from row ``base[p]`` on, with its
     own ``dims``, ``strides`` and ``cell_size``.  Per-block arrays are
-    (n, K, ...), K the largest block count; ``real`` marks the slots that
-    hold a block, and each block's ``lo`` and ``hi`` are views of its rows
-    in ``self.lo`` and ``self.hi``.  ``sums`` holds every channel of the
+    (n, K, ...), K the largest block count, seed i of problem p in slot
+    [p, i]; ``real`` marks the slots that hold a block, whose box is the
+    cells ``lo[p, i]`` to ``hi[p, i]``.  ``sums`` holds every channel of the
     measures summed over each block's box.  Per problem, ``moves`` counts
     the moves made and ``active`` says whether it is still growing.
 
@@ -330,19 +319,18 @@ class GrowthState:
     """
 
     def __init__(self, cell_sizes: list[float], measures: list[CellMeasures],
-                 blocks: list[list[Block]], params: ObjectiveParams):
+                 seeds: list[np.ndarray], params: ObjectiveParams):
         self.measures = measures
         self.params = params
-        self.blocks = blocks
-        n, k = len(blocks), max((len(b) for b in blocks), default=0)
+        # The printer's sides as fits_printer compares them.
+        self.printer = np.sort(params.printer_dims) + 1e-9
+        n, k = len(seeds), max((len(s) for s in seeds), default=0)
         self.lo = np.zeros((n, k, 3), dtype=np.int64)
-        self.hi = np.zeros((n, k, 3), dtype=np.int64)
         self.real = np.zeros((n, k), dtype=bool)
-        for p, problem in enumerate(blocks):
-            for i, b in enumerate(problem):
-                self.lo[p, i], self.hi[p, i] = b.lo, b.hi
-                b.lo, b.hi = self.lo[p, i], self.hi[p, i]
-                self.real[p, i] = True
+        for p, cells in enumerate(seeds):
+            self.lo[p, :len(cells)] = cells
+            self.real[p, :len(cells)] = True
+        self.hi = self.lo.copy()
         distinct = list({id(m): m for m in measures}.values())
         first_row = dict(zip(map(id, distinct), np.cumsum(
             [0] + [len(m.table) for m in distinct]).tolist()))
@@ -370,7 +358,7 @@ class GrowthState:
         self.numerator = np.zeros((n, k, 6))
         self.denominator = np.ones((n, k, 6))
         self.allowed = np.zeros((n, k, 6), dtype=bool)
-        self.rescore(*np.nonzero(self.real))
+        self.rescore(*np.nonzero(self.real), moved=False)
         self.moves = np.zeros(n, dtype=np.int64)
         self.active = self.unassigned > 0
 
@@ -385,29 +373,26 @@ class GrowthState:
         """Boundary cells no block owns, per problem."""
         return (self.boundary - self.sums[..., BOUNDARY].sum(axis=1)).astype(np.int64)
 
-    def rescore(self, rows: np.ndarray, index: np.ndarray,
-                added_lo: np.ndarray | None = None,
-                added_hi: np.ndarray | None = None) -> None:
+    def rescore(self, rows: np.ndarray, index: np.ndarray, moved: bool) -> None:
         """Cache the six options of block index[m] of problem rows[m] from
-        its box, and, given the layer [added_lo[m], added_hi[m]] that block
-        has just grown by, update the other blocks' options of the problem.
+        its box, and, if the blocks have just ``moved``, update the other
+        blocks' options of the problem.
 
         A block's move only worsens the other blocks' options: their
-        layers, grown boxes and sums stay, owned cells only appear (in the
-        added layer), and the gap to the grown box only shrinks.  So an
-        allowed option is forbidden once its layer holds solid cells of the
-        added layer, and its proximity becomes the lesser of the cached one
-        and its gap to the grown box.  All sums come from one table read.
+        layers, grown boxes and sums stay, owned cells only appear, and the
+        gap to the grown box only shrinks.  An allowed option's layer holds
+        no solid cell of any other box, so it is forbidden once its layer
+        holds solid cells of the grown box, and its proximity becomes the
+        lesser of the cached one and its gap to the grown box.  All sums
+        come from one table read.
         """
-        params = self.params
         lo, hi = self.lo[rows, index][:, None], self.hi[rows, index][:, None]
         others = self.others[rows, index]
         layer_lo, layer_hi = _layers(lo, hi)
         grown_lo = np.minimum(lo, layer_lo)
         grown_hi = np.maximum(hi, layer_hi)
-        fits = fits_printer((grown_hi - grown_lo + 1)
-                            * self.cell_size[rows][:, None, None],
-                            params.printer_dims)
+        extents = (grown_hi - grown_lo + 1) * self.cell_size[rows][:, None, None]
+        fits = (np.sort(extents, axis=-1) <= self.printer).all(axis=-1)
         # A block owns every solid cell of its box, so the owned cells of a
         # layer are the solid cells of its overlaps with the other boxes;
         # only layers that fit the printer and the boxes they meet are read.
@@ -419,11 +404,11 @@ class GrowthState:
         read_rows = [np.repeat(rows, 6), rows[np.nonzero(meets)[0]]]
         read_lo = [layer_lo.reshape(-1, 3), overlap_lo[meets]]
         read_hi = [layer_hi.reshape(-1, 3), overlap_hi[meets]]
-        if added_lo is not None:
+        if moved:
             # The allowed options of the other blocks whose layers meet
-            # the added layers.
-            hit_lo = np.maximum(self.layer_lo[rows], added_lo[:, None, None])
-            hit_hi = np.minimum(self.layer_hi[rows], added_hi[:, None, None])
+            # the grown boxes.
+            hit_lo = np.maximum(self.layer_lo[rows], lo[:, None])
+            hit_hi = np.minimum(self.layer_hi[rows], hi[:, None])
             hit = ((hit_lo <= hit_hi).all(axis=-1) & self.allowed[rows]
                    & others[..., None])
             hit_m, hit_j, hit_d = np.nonzero(hit)
@@ -438,7 +423,7 @@ class GrowthState:
         owned = np.zeros(meets.shape, dtype=bool)
         owned[meets] = sums[layer_end:meets_end, SOLID] > 0
         grown = self.sums[rows, index][:, None] + layer
-        p_score = print_score(grown[..., VOLUME], grown[..., AREA], params)
+        p_score = print_score(grown[..., VOLUME], grown[..., AREA], self.params)
         o_score = grown[..., OVERHANG].min(axis=-1)
         prox = np.where(others[:, None],
                         _gap(grown_lo[:, :, None], grown_hi[:, :, None],
@@ -455,7 +440,7 @@ class GrowthState:
         self.denominator[rows, index] = np.maximum(prox, PROXIMITY_FLOOR)
         self.allowed[rows, index] = (fits & (layer[..., SOLID] > 0)
                                      & ~owned.any(axis=-1))
-        if added_lo is None:
+        if not moved:
             return
         owned = sums[meets_end:, SOLID] > 0
         self.allowed[rows[hit_m[owned]], hit_j[owned], hit_d[owned]] = False
@@ -473,7 +458,7 @@ def score_growth(state: GrowthState, problems=None) -> np.ndarray:
     """Score every (block, direction) option of some problems at once.
 
     ``problems`` indexes the state's problems (default: all).  Returns a
-    (len(problems), K, 6) array, blocks in ``state.blocks`` order and
+    (len(problems), K, 6) array, blocks in slot order and
     directions in DIRECTIONS order; -1 encodes a hard constraint failure
     or an empty block slot.  The scores are the state's cached numerators
     over its cached denominators.
@@ -490,16 +475,12 @@ def _apply(state: GrowthState, rows: np.ndarray, index: np.ndarray,
     """Grow block index[m] of problem rows[m] one layer along
     direction[m]; the layers hold no owned cell."""
     option = (rows, index, direction)
-    added_lo, added_hi = state.layer_lo[option], state.layer_hi[option]
     state.sums[rows, index] += state.layer_sums[option]
     state.lo[rows, index] = state.grown_lo[option]
     state.hi[rows, index] = state.grown_hi[option]
     state.moves[rows] += 1
     # With one block per problem, no other option can change.
-    if state.lo.shape[1] > 1:
-        state.rescore(rows, index, added_lo, added_hi)
-    else:
-        state.rescore(rows, index)
+    state.rescore(rows, index, moved=state.lo.shape[1] > 1)
 
 
 def _scan(row_scores) -> tuple[int, float]:
@@ -528,7 +509,7 @@ def _pick(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, lowest
 
 
-def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Block]]:
+def grow_blocks(state: GrowthState, trace: list | None = None) -> None:
     """Grow every problem of the state in lockstep until each one stops.
 
     Each step scores the options of all active problems in one pass.  Each
@@ -536,10 +517,10 @@ def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Bloc
     order and then the direction order +x,-x,+y,-y,+z,-z picks, the one
     with the smallest positive score.  A later option replaces the
     incumbent only when its score is lower by more than SCORE_RTOL
-    relative, so scores equal up to rounding go to the lowest (block id,
+    relative, so scores equal up to rounding go to the lowest (block,
     direction).  A problem stops when every option is forbidden or no
     unassigned boundary cells remain.  ``trace`` receives one (problem,
-    move, block id, direction, score) tuple per move, problems in order
+    move, block slot, direction, score) tuple per move, problems in order
     within a step.
     """
     while state.active.any():
@@ -552,11 +533,9 @@ def grow_blocks(state: GrowthState, trace: list | None = None) -> list[list[Bloc
         if trace is not None:
             for row, option, score in zip(rows.tolist(), options.tolist(),
                                           best_score[moving].tolist()):
-                trace.append((row, int(state.moves[row]),
-                              state.blocks[row][option // 6].id,
+                trace.append((row, int(state.moves[row]), option // 6,
                               DIRECTION_NAMES[option % 6], score))
         if len(rows):
             index, direction = np.divmod(options, 6)
             _apply(state, rows, index, direction)
             state.active[rows] = state.unassigned[rows] > 0
-    return state.blocks

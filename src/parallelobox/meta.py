@@ -17,15 +17,15 @@ parallel print score, then fewest printers used, then smallest aggregate
 time.  Every iteration is seeded up front, and all iterations of every
 piece grow together in one lockstep :func:`~parallelobox.blocks.grow_blocks`
 call (:func:`grow_runs`); :func:`run_decomposition` then fills the voids
-of one grown iteration and scores it.  The grown block boxes are the only
-record of the cells an iteration has claimed: the void fill and the
-coverage count read them against the piece's cell tables.  An iteration's
-seeds and growth do not depend on the printer count, so a search takes its
-grown runs from a map that a batch shares across printer counts
-(:meth:`ModelWork.search_inputs`): the runs of the largest count include
-those of every smaller one, and each is grown once.  :class:`ModelWork`
-builds and holds all the work a batch shares across one model's printer
-counts, for the search and the baseline alike.
+of one grown iteration and scores it.  The grown block boxes, rows of
+cell arrays, are the only record of the cells an iteration has claimed:
+the void fill and the coverage count read them against the piece's cell
+tables.  An iteration's seeds and growth do not depend on the printer
+count, so a search takes its grown runs from a map that a batch shares
+across printer counts (:meth:`ModelWork.search_inputs`): the runs of the
+largest count include those of every smaller one, and each is grown once.
+:class:`ModelWork` builds and holds all the work a batch shares across one
+model's printer counts, for the search and the baseline alike.
 
 Every part score is a sum over grid cells plus the caps on the box faces,
 so an iteration is scored from the per-cell tables of
@@ -54,8 +54,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .blocks import (SCORE_RTOL, Block, GrowthState, ObjectiveParams,
-                     fits_printer, grow_blocks, print_score, select_seed_blocks)
+from .blocks import (SCORE_RTOL, GrowthState, ObjectiveParams, fits_printer,
+                     grow_blocks, print_score, select_seed_blocks)
 # The benchmark's traced mode patches clip_halfspace and clip_surface_to_box.
 from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane  # noqa: F401
 from .errors import (InsufficientBoundaryCells, NonWatertightInput,
@@ -294,7 +294,8 @@ def _splits(prepared: PreparedModel, printers: int,
 class GrownPiece:
     """One piece of one iteration after growth."""
 
-    blocks: list[Block]
+    lo: np.ndarray          # (k, 3): block i spans cells lo[i] to hi[i]
+    hi: np.ndarray
     steps: int              # growth moves
 
 
@@ -315,22 +316,24 @@ def grow_runs(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
         counts = _splits(prepared, plan.printers_available, seed_blocks)[0]
         for index, (piece, k) in enumerate(zip(prepared.pieces, counts)):
             try:
-                blocks = select_seed_blocks(piece.grid, piece.mesh, k,
-                                            rng_seed=seed * 2 + index)
+                seeds = select_seed_blocks(piece.grid, piece.mesh, k,
+                                           rng_seed=seed * 2 + index)
             except InsufficientBoundaryCells as exc:
                 entry.append(f"piece {index}: {exc}")
                 continue
-            entry.append(GrownPiece(blocks, 0))
+            entry.append(GrownPiece(seeds, seeds, 0))
             problems.append((entry[-1], piece))
         grown.append(entry)
     if problems:
         state = GrowthState([piece.grid.cell_size for _, piece in problems],
                             [piece.measures for _, piece in problems],
-                            [g.blocks for g, _ in problems],
+                            [g.lo for g, _ in problems],
                             objective_of(plan, profile))
         grow_blocks(state)
-        for (g, _), steps in zip(problems, state.moves.tolist()):
-            g.steps = steps
+        for p, (g, _) in enumerate(problems):
+            k = len(g.lo)
+            g.lo, g.hi = state.lo[p, :k].copy(), state.hi[p, :k].copy()
+            g.steps = int(state.moves[p])
     return grown
 
 
@@ -366,11 +369,10 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         if isinstance(entry, str):
             reason = entry
             break
-        grid, blocks = piece.grid, entry.blocks
-        blocked = [(b.lo, b.hi) for b in blocks]
+        grid, blocked = piece.grid, list(zip(entry.lo, entry.hi))
         regions = get_discrete_empty_regions(
             piece.measures, blocked, grid.cell_size,
-            max(0, budget - len(blocks)), params.printer_dims)
+            max(0, budget - len(blocked)), params.printer_dims)
         ranges = np.array(blocked + regions, dtype=np.int64)
         sums = piece.measures.sums(ranges[:, 0], ranges[:, 1])
         left_b, left_i = _uncovered_cells(piece.measures, sums)
@@ -378,7 +380,7 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
             reason = (f"piece {index}: {left_b} boundary / {left_i} internal "
                       "cells uncovered")
             break
-        names = ([("block", f"_b{b.id}") for b in blocks]
+        names = ([("block", f"_b{i}") for i in range(len(blocked))]
                  + [("void", f"_v{r}") for r in range(len(regions))])
         kept = np.flatnonzero(sums[:, SOLID] != 0)
         lo, hi = ranges[kept, 0], ranges[kept, 1]

@@ -497,14 +497,21 @@ def optimize_orientation(mesh: TriangleMesh, symmetry: SymmetryPlane | None = No
     eps = 1e-9 * (1.0 + total_area)
     sym_normal = None if symmetry is None else symmetry.normal
 
+    centered = v - centroid
+    # Overhang and height depend on the up axis q[2] alone: 6 for 24 turns.
+    by_up: dict[tuple, tuple[float, float]] = {}
     best = None  # (overhang, -alignment, height, index, rotation)
     for idx, q in enumerate(_AXIS_ROTATIONS):
         rot = q @ base
-        normals = normals0 @ rot.T
-        overhang = overhang_area_for_up_z(normals, areas, overhang_tolerance_deg)
+        up = tuple(q[2].tolist())
+        if up not in by_up:
+            normals = normals0 @ rot.T
+            rotated_z = centered @ rot.T[:, 2]
+            by_up[up] = (overhang_area_for_up_z(normals, areas,
+                                                overhang_tolerance_deg),
+                         float(rotated_z.max() - rotated_z.min()))
+        overhang, height = by_up[up]
         align = 0.0 if sym_normal is None else abs(float((rot @ sym_normal)[0]))
-        rotated_z = (v - centroid) @ rot.T[:, 2]
-        height = float(rotated_z.max() - rotated_z.min())
         if best is None:
             best = (overhang, align, height, idx, rot)
             continue

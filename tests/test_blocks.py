@@ -7,7 +7,7 @@ import pytest
 
 from parallelobox import blocks as blocks_module
 from parallelobox.blocks import (OVERHANG_WEIGHT, PROXIMITY_FLOOR, SCORE_RTOL,
-                                 Block, GrowthState, ObjectiveParams,
+                                 GrowthState, ObjectiveParams,
                                  _kmeans_pp, _Pcg64Stream, _pick, fits_printer, grow_blocks,
                                  print_score, score_growth, select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
@@ -161,9 +161,11 @@ def test_kmeans_stops_like_the_cluster_loop_at_a_tolerance_tie(fixture):
 def test_pcg64_stream_matches_default_rng():
     """Integer draws, among them bounds where about half the 32-bit draws
     are rejected, and weighted choices in between follow numpy's
-    default_rng; integers(1) consumes nothing."""
+    default_rng; integers(1) consumes nothing.  Seeds of 2**128 and more
+    have words past the pool's four, which are mixed in afterwards."""
     bounds = [2, 5, 168, 432, 2**31 + 1, 3 * 2**30]
-    for seed in [*range(300), 2**32 + 5, 2**64 + 7]:
+    for seed in [*range(300), 2**32 + 5, 2**64 + 7, 2**128, 2**128 + 5,
+                 2**129 - 3, 2**200 + 12345, 2**300 + 7]:
         got, want = _Pcg64Stream(seed), np.random.default_rng(seed)
         for i, n in enumerate(bounds * 3):
             assert got.integers(n) == want.integers(n), (seed, n)
@@ -191,8 +193,7 @@ def test_select_seed_blocks_match_default_rng(fixture, monkeypatch):
             want = [select_seed_blocks(grid, mesh, k, rng_seed=seed)
                     for seed, k in picks]
         for g, w in zip(got, want):
-            assert [(b.lo.tolist(), b.hi.tolist()) for b in g] == [
-                (b.lo.tolist(), b.hi.tolist()) for b in w]
+            assert g.tolist() == w.tolist()
 
 
 def test_search_does_not_import_numpy_random():
@@ -218,12 +219,11 @@ def test_select_seed_blocks_snaps_to_boundary():
     grid = build_grid(mesh, "medium")
     measure_cells(grid, mesh)
     for k in (1, 2, 4, 9, 10, 12):
-        blocks = select_seed_blocks(grid, mesh, k, rng_seed=3)
-        assert len(blocks) == k
+        seeds = select_seed_blocks(grid, mesh, k, rng_seed=3)
+        assert seeds.shape == (k, 3)
         keys = set()
-        for b in blocks:
-            key = tuple(int(x) for x in b.lo)
-            assert np.array_equal(b.lo, b.hi)
+        for cell in seeds:
+            key = tuple(int(x) for x in cell)
             assert grid.classification[key] == CellClass.BOUNDARY
             keys.add(key)
         assert len(keys) == k  # no two seeds share a cell
@@ -250,17 +250,21 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
                             overhang=np.zeros((6,) + tuple(dims)),
                             section=np.zeros((3,) + tuple(dims)),
                             classification=classification)
-    blocks = [Block(i, np.array(s), np.array(s)) for i, s in enumerate(seeds)]
-    state = GrowthState([cell_size], [measures], [blocks],
+    state = GrowthState([cell_size], [measures], [np.array(seeds)],
                         params or ObjectiveParams(printer_dims=(1e9, 1e9, 1e9)))
     return state
 
 
+def _boxes(state, p=0):
+    """The (lo, hi) cell ranges of problem p's blocks, in slot order."""
+    real = state.real[p]
+    return list(zip(state.lo[p, real], state.hi[p, real]))
+
+
 def _owner(state, p=0):
-    """Problem p's owner array, painted from its block boxes (a block's id
-    is its position)."""
-    return paint_owner(state.measures[p].classification,
-                       [(b.lo, b.hi) for b in state.blocks[p]])
+    """Problem p's owner array, painted from its block boxes (a block is
+    named by its slot)."""
+    return paint_owner(state.measures[p].classification, _boxes(state, p))
 
 
 def test_growth_single_block_covers_bar():
@@ -269,9 +273,9 @@ def test_growth_single_block_covers_bar():
     trace = []
     grow_blocks(state, trace)
     assert state.unassigned.tolist() == [0]
-    b = state.blocks[0][0]
-    assert tuple(b.lo) == (0, 0, 0) and tuple(b.hi) == (2, 0, 0)
-    assert int((_owner(state) == b.id).sum()) == 3
+    lo, hi = _boxes(state)[0]
+    assert tuple(lo) == (0, 0, 0) and tuple(hi) == (2, 0, 0)
+    assert int((_owner(state) == 0).sum()) == 3
     # two growth steps, both along +x
     assert [t[3] for t in trace] == ["+x", "+x"]
     assert state.moves.tolist() == [2]
@@ -316,9 +320,9 @@ def test_growth_tie_breaks_lowest_block_then_direction():
     assert state.unassigned.tolist() == [0]
     # both blocks face symmetric scores; block 0 must move first
     assert trace[0][2] == 0
-    blocks, owner = state.blocks[0], _owner(state)
-    owned0 = int((owner == blocks[0].id).sum())
-    owned1 = int((owner == blocks[1].id).sum())
+    owner = _owner(state)
+    owned0 = int((owner == 0).sum())
+    owned1 = int((owner == 1).sum())
     assert owned0 + owned1 == 5
     assert owned0 == 3  # block 0 wins the middle cell by the id tie-break
 
@@ -415,9 +419,16 @@ def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
     passes = []
 
     def checked_score_growth(checked, rows=None):
+        # A state built from the seeds, given the current boxes and
+        # scored anew from them, as its constructor scores the seeds.
         fresh = GrowthState(cell_sizes, measures,
-                            [[Block(b.id, b.lo.copy(), b.hi.copy()) for b in p]
-                             for p in checked.blocks], params)
+                            [lo[real] for lo, real in zip(checked.lo,
+                                                          checked.real)],
+                            params)
+        fresh.hi[:] = checked.hi
+        fresh.sums = np.where(fresh.real[..., None], fresh.range_sums(
+            np.arange(len(problems))[:, None], fresh.lo, fresh.hi), 0.0)
+        fresh.rescore(*np.nonzero(fresh.real), moved=False)
         assert np.array_equal(score_growth(checked), score_growth(fresh))
         assert np.array_equal(checked.sums, fresh.sums)
         passes.append(len(passes))
@@ -443,14 +454,14 @@ def test_growth_caches_match_measures_on_real_mesh():
     mesh = icosphere(radius=6.0, subdivisions=2)
     grid = build_grid(mesh, "coarse")
     meas = measure_cells(grid, mesh)
-    blocks = select_seed_blocks(grid, mesh, 2, rng_seed=9)
+    seeds = select_seed_blocks(grid, mesh, 2, rng_seed=9)
     params = ObjectiveParams()
-    state = GrowthState([grid.cell_size], [meas], [blocks], params)
+    state = GrowthState([grid.cell_size], [meas], [seeds], params)
     grow_blocks(state)
-    for b in blocks:
-        sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(b.lo, b.hi))
-        assert state.sums[0, b.id, VOLUME] == float(meas.volume[sl].sum())
-        assert state.sums[0, b.id, AREA] == float(meas.area[sl].sum())
+    for i, (lo, hi) in enumerate(_boxes(state)):
+        sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(lo, hi))
+        assert state.sums[0, i, VOLUME] == float(meas.volume[sl].sum())
+        assert state.sums[0, i, AREA] == float(meas.area[sl].sum())
 
 
 def test_grown_blocks_stay_disjoint_random():
@@ -471,10 +482,10 @@ def test_grown_blocks_stay_disjoint_random():
         # parts of two boxes never overlap.
         solid = classes != int(CellClass.EXTERNAL)
         claims = np.zeros(dims, dtype=np.int64)
-        for b in state.blocks[0]:
-            assert np.all(b.lo >= 0)
-            assert np.all(b.hi < np.array(dims))
-            sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(b.lo, b.hi))
+        for lo, hi in _boxes(state):
+            assert np.all(lo >= 0)
+            assert np.all(hi < np.array(dims))
+            sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(lo, hi))
             claims[sl] += solid[sl]
         assert claims.max() <= 1
 
@@ -570,15 +581,15 @@ def _reference_grow(grid, measures, seeds, params):
 def _assert_matches_reference(state, p, trace, want):
     """Problem p of a grown state against one _reference_grow result."""
     want_trace, want_owner, want_boxes, want_sums = want
-    blocks, classification = state.blocks[p], state.measures[p].classification
+    boxes, classification = _boxes(state, p), state.measures[p].classification
     owner = _owner(state, p)
     got = [t[1:] for t in trace if t[0] == p]
     assert got == want_trace
     assert len(got) == state.moves[p] > 0
     assert np.array_equal(owner, want_owner)
-    assert [(tuple(int(x) for x in b.lo), tuple(int(x) for x in b.hi))
-            for b in blocks] == want_boxes
-    sums = state.sums[p, :len(blocks)]
+    assert [(tuple(int(x) for x in lo), tuple(int(x) for x in hi))
+            for lo, hi in boxes] == want_boxes
+    sums = state.sums[p, :len(boxes)]
     assert sums[:, VOLUME].tolist() == want_sums[0]
     assert sums[:, AREA].tolist() == want_sums[1]
     assert np.array_equal(sums[:, OVERHANG], np.array(want_sums[2]))
@@ -595,10 +606,9 @@ def test_grow_blocks_matches_reference(fixture, granularity):
     for k in (2, 8):
         for printer in (30.0, 250.0):
             params = ObjectiveParams(printer_dims=(printer,) * 3)
-            blocks = select_seed_blocks(grid, mesh, k, rng_seed=k)
-            seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
-            want = _reference_grow(grid, meas, seeds, params)
-            state = GrowthState([grid.cell_size], [meas], [blocks], params)
+            seeds = select_seed_blocks(grid, mesh, k, rng_seed=k)
+            want = _reference_grow(grid, meas, zip(seeds, seeds), params)
+            state = GrowthState([grid.cell_size], [meas], [seeds], params)
             trace = []
             grow_blocks(state, trace)
             _assert_matches_reference(state, 0, trace, want)
@@ -626,13 +636,12 @@ def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
     for seed, k in enumerate(counts):
         # Problems of the three grids interleave in the state.
         for surface, (shape, base, cells) in enumerate(surfaces):
-            blocks = select_seed_blocks(base, shape, k,
-                                        rng_seed=100 + 10 * seed + surface)
-            seeds = [(b.lo.copy(), b.hi.copy()) for b in blocks]
-            wants.append(_reference_grow(base, cells, seeds, params))
+            seeds = select_seed_blocks(base, shape, k,
+                                       rng_seed=100 + 10 * seed + surface)
+            wants.append(_reference_grow(base, cells, zip(seeds, seeds), params))
             cell_sizes.append(base.cell_size)
             measures.append(cells)
-            problems.append(blocks)
+            problems.append(seeds)
     state = GrowthState(cell_sizes, measures, problems, params)
     assert state.lo.shape == (len(problems), max(counts), 3)
     assert len({tuple(m.dims) for m in measures}) > 1

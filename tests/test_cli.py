@@ -324,18 +324,20 @@ def test_batch_shares_baseline_rounds_across_printer_counts(tmp_path,
         fn = getattr(meta, name)
         monkeypatch.setattr(meta, name, lambda *args, _fn=fn, _name=name: (
             calls.append(_name) if in_baseline else None) or _fn(*args))
-    # Each seeded problem by the id of its block list: (piece mesh name,
-    # seed blocks of the piece, RNG seed), which names (piece, p, seed).
-    seeded, grown = {}, []
+    # Each seeded problem as (piece mesh name, seed blocks of the piece, RNG
+    # seed), which names (piece, p, seed).  A growth call's problems are
+    # the seedings since the last one, in order.
+    seeded, grown = [], []
     select, grow = meta.select_seed_blocks, meta.grow_blocks
 
     def traced_select(grid, mesh, k, rng_seed=0):
-        blocks = select(grid, mesh, k, rng_seed=rng_seed)
-        seeded[id(blocks)] = (mesh.name, k, rng_seed)
-        return blocks
+        seeds = select(grid, mesh, k, rng_seed=rng_seed)
+        seeded.append((mesh.name, k, rng_seed))
+        return seeds
 
     def traced_grow(state, trace=None):
-        grown.append([seeded[id(blocks)] for blocks in state.blocks])
+        grown.append(list(seeded))
+        seeded.clear()
         return grow(state, trace)
 
     monkeypatch.setattr(meta, "select_seed_blocks", traced_select)

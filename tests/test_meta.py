@@ -366,26 +366,28 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
                                                    budget_split)):
         grid = piece.grid
         try:
-            blocks = select_seed_blocks(grid, piece.mesh, k,
-                                        rng_seed=seed * 2 + index)
+            seeds = select_seed_blocks(grid, piece.mesh, k,
+                                       rng_seed=seed * 2 + index)
         except InsufficientBoundaryCells as exc:
             reason = f"piece {index}: {exc}"
             break
-        grow_blocks(GrowthState([grid.cell_size], [piece.measures], [blocks],
-                                params))
+        state = GrowthState([grid.cell_size], [piece.measures], [seeds],
+                            params)
+        grow_blocks(state)
+        blocks = list(zip(state.lo[0], state.hi[0]))
         free = max(0, budget - len(blocks))
         cls = grid.classification
-        owner = paint_owner(cls, [(b.lo, b.hi) for b in blocks])
+        owner = paint_owner(cls, blocks)
         regions = _reference_regions(cls, owner, grid.cell_size, free,
                                      params.printer_dims)
-        left = paint_owner(cls, [(b.lo, b.hi) for b in blocks] + regions) < 0
+        left = paint_owner(cls, blocks + regions) < 0
         left_b = int((left & (cls == CellClass.BOUNDARY)).sum())
         left_i = int((left & (cls == CellClass.INTERNAL)).sum())
         if left_b or left_i:
             reason = (f"piece {index}: {left_b} boundary / {left_i} internal "
                       "cells uncovered")
             break
-        boxes = ([(b.lo, b.hi, "block", f"_b{b.id}") for b in blocks]
+        boxes = ([(lo, hi, "block", f"_b{i}") for i, (lo, hi) in enumerate(blocks)]
                  + [(lo, hi, "void", f"_v{r}")
                     for r, (lo, hi) in enumerate(regions)])
         for lo, hi, source, suffix in boxes:

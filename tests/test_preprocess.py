@@ -370,6 +370,38 @@ def test_far_points_climb_coarser_grids():
     assert (nearest == _nearest_brute(queries, v)).all()
 
 
+def test_dense_cloud_grows_the_cell_side():
+    """20,000 points spread through a 100 mm cube would give more than 8n +
+    1000 blocks at the side sqrt(A / n), 1.73 mm, so the grid grows it by
+    1.25x to 2.17 mm; distances near the cloud stay exact."""
+    rng = np.random.default_rng(8)
+    v = rng.uniform(0.0, 100.0, size=(20_000, 3))
+    ex, ey, ez = np.ptp(v, axis=0)
+    side = np.sqrt(2.0 * (ex * ey + ey * ez + ez * ex) / len(v))
+    grid = _CellGrid(np.ascontiguousarray(v.T))
+    assert side == pytest.approx(1.73, abs=0.005)
+    assert grid.h == 1.25 * side
+    queries = np.concatenate([v[:1000] + rng.normal(size=(1000, 3)),
+                              rng.uniform(-5.0, 105.0, size=(1000, 3))])
+    points = np.ascontiguousarray(queries.T)
+    assert (grid.search(points)[0] == grid.brute(points)).all()
+
+
+def test_crowd_grid_that_is_not_finer_is_dropped():
+    """A helix of 8,000 points crowds its blocks, but its crowd grid holds
+    the same distinct vertices at no finer a side, so the grid drops it and
+    reads its own blocks; distances near the helix stay exact."""
+    t = np.linspace(0.0, 4.0 * np.pi, 8000)
+    v = np.stack([30.0 * np.cos(t), 30.0 * np.sin(t), 3.0 * t], axis=1)
+    grid = _CellGrid(np.ascontiguousarray(v.T))
+    assert grid.crowded is not None
+    rng = np.random.default_rng(9)
+    queries = v[::8] + rng.normal(size=(1000, 3))
+    points = np.ascontiguousarray(queries.T)
+    assert (grid.search(points)[0] == grid.brute(points)).all()
+    assert grid.crowded is None and grid._crowd is None
+
+
 def test_mirror_search_lets_passed_levels_go(monkeypatch):
     """A clump with a few far vertices, whose search climbs at least three
     grid levels: when the level loop reads a level, no level it has
