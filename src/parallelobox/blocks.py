@@ -17,18 +17,19 @@ iteration and piece of the model.  :class:`GrowthState` holds them all,
 padded to the largest block count, and :func:`grow_blocks` steps them in
 lockstep: each pass scores every option of every active problem, and each
 problem then picks its own move exactly as a serial loop over its options
-would.  The state keeps every option's layer, grown box, sums, score
-numerator, proximity and allowed flag, and a move rereads only what it can
-change (:meth:`GrowthState.rescore`): the moved block's six options, and
-the ownership and proximity of the other blocks' options, which a move can
-only worsen.  Every sum is read in O(1) from the summed-volume table of
-its piece's :class:`~parallelobox.grid.CellMeasures`, whose sums are
-exact, so scores are bit-identical to a loop summing slices; the tables of
-all pieces are joined into one, which each problem reads from its own
-offset with its own dims and strides.  Ownership is box arithmetic:
-a block owns every solid cell of its box, so the owned cells of a layer
-are the solid cells of its overlaps with the other boxes.  The boxes are
-the only record of ownership.
+would.  The state keeps every option's layer sums, score numerator,
+proximity and allowed flag, and derives its boxes from the block's box.  A
+move rereads only what it can change (:meth:`GrowthState.rescore`): the
+moved block's six options, and the ownership and proximity of the other
+blocks' options, which a move can only worsen.  Fit is tested in whole
+cells against one limit per piece (:func:`cell_limits`), as in the void
+fill.  Every sum is read in O(1) from the summed-volume table of its
+piece's :class:`~parallelobox.grid.CellMeasures`, whose sums are exact, so
+scores are bit-identical to a loop summing slices; the tables of all
+pieces are joined into one, which each problem reads from its own offset
+with its own dims and strides.  Ownership is box arithmetic: a block owns
+every solid cell of its box, so the owned cells of a layer are the solid
+cells of its overlaps with the other boxes, the only record of ownership.
 
 Seeding is k-means++ on the mesh vertices, one seed cell per block.  Its
 draws come from
@@ -85,6 +86,20 @@ def fits_printer(physical_dims, printer_dims):
     return (np.sort(np.asarray(physical_dims, dtype=np.float64), axis=-1)
             <= np.sort(np.asarray(printer_dims, dtype=np.float64)) + 1e-9
             ).all(axis=-1)
+
+
+def cell_limits(printer_dims, cell_size) -> np.ndarray:
+    """Per sorted printer side, the most cells of side ``cell_size`` that fit
+    it by the rule of :func:`fits_printer` (c cells fit a side s iff
+    ``c * cell_size <= s + 1e-9``), one row per cell size.  As
+    ``c -> c * cell_size`` is monotone in floating point, a box of whole
+    cells fits iff its sorted cell counts are at most these limits."""
+    side = np.sort(np.asarray(printer_dims, dtype=np.float64)) + 1e-9
+    size = np.asarray(cell_size, dtype=np.float64)[..., None]
+    count = np.floor(side / size)
+    count -= count * size > side      # the rounded quotient may be one off
+    count += (count + 1) * size <= side
+    return count.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +284,21 @@ def select_seed_blocks(grid: Grid, mesh: TriangleMesh, k: int,
 # ---------------------------------------------------------------------------
 # growth
 
-_POSITIVE, _NEGATIVE = DIRECTIONS > 0, DIRECTIONS < 0
+#: What a move adds to a box's lo (row 0) and hi (row 1), per direction in
+#: DIRECTIONS order: the one-cell layer beyond that face.
+GROWTH_OFFSETS = np.stack([np.minimum(DIRECTIONS, 0),
+                           np.maximum(DIRECTIONS, 0)], axis=1)
 
 
-def _layers(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive cell range of the one-cell layer beyond each face of the
-    box [lo, hi], in DIRECTIONS order along the second to last axis.  A
-    layer beyond the grid edge reads -1 or dims on its axis."""
-    return (np.where(_POSITIVE, hi, lo) + DIRECTIONS,
-            np.where(_NEGATIVE, lo, hi) + DIRECTIONS)
+def _options(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Grown box and added layer of the six moves of each box [lo, hi]
+    (..., 3), in DIRECTIONS order along the second to last axis: the box
+    plus the move's GROWTH_OFFSETS row, and that box flattened onto its
+    moved face.  A move beyond the grid edge reads -1 or dims."""
+    grown_lo = lo[..., None, :] + GROWTH_OFFSETS[:, 0]
+    grown_hi = hi[..., None, :] + GROWTH_OFFSETS[:, 1]
+    return (grown_lo, grown_hi, np.where(DIRECTIONS > 0, grown_hi, grown_lo),
+            np.where(DIRECTIONS < 0, grown_lo, grown_hi))
 
 
 def _gap(lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray,
@@ -303,28 +324,28 @@ class GrowthState:
     cut in two grows the problems of both pieces in one state.  The
     summed-volume tables of the distinct measures are joined into one
     ``table``, and problem p reads its own from row ``base[p]`` on, with its
-    own ``dims``, ``strides`` and ``cell_size``.  Per-block arrays are
+    own ``dims`` and ``strides``, and fit is tested in whole cells against
+    its row of :func:`cell_limits` (``limits``).  Per-block arrays are
     (n, K, ...), K the largest block count, seed i of problem p in slot
     [p, i]; ``real`` marks the slots that hold a block, whose box is the
     cells ``lo[p, i]`` to ``hi[p, i]``.  ``sums`` holds every channel of the
-    measures summed over each block's box.  Per problem, ``moves`` counts
-    the moves made and ``active`` says whether it is still growing.
+    measures summed over each block's box.  Per problem, ``unassigned``
+    counts the boundary cells no block owns, ``moves`` the moves made, and
+    ``active`` says whether it is still growing.
 
-    Per option, (n, K, 6, ...) arrays in DIRECTIONS order cache the layer a
-    move would add (``layer_lo``, ``layer_hi``), the grown box (``grown_lo``,
-    ``grown_hi``), the layer's sums (``layer_sums``), the score's numerator
-    P + OVERHANG_WEIGHT * O, its denominator (the proximity, at least the
-    floor) and whether the move is ``allowed``.  They are built here and,
-    after each move, by :meth:`rescore`.
+    Option boxes are derived from the block's box (:func:`_options`); per
+    option, (n, K, 6, ...) arrays in DIRECTIONS order keep the layer's sums
+    (``layer_sums``), the score's numerator P + OVERHANG_WEIGHT * O, its
+    denominator (the proximity, at least the floor) and whether the move
+    is ``allowed``, built here and after each move by :meth:`rescore`.
     """
 
     def __init__(self, cell_sizes: list[float], measures: list[CellMeasures],
                  seeds: list[np.ndarray], params: ObjectiveParams):
         self.measures = measures
         self.params = params
-        # The printer's sides as fits_printer compares them.
-        self.printer = np.sort(params.printer_dims) + 1e-9
-        n, k = len(seeds), max((len(s) for s in seeds), default=0)
+        self.limits = cell_limits(params.printer_dims, cell_sizes)
+        n, k = len(seeds), max(len(s) for s in seeds)
         self.lo = np.zeros((n, k, 3), dtype=np.int64)
         self.real = np.zeros((n, k), dtype=bool)
         for p, cells in enumerate(seeds):
@@ -334,26 +355,16 @@ class GrowthState:
         distinct = list({id(m): m for m in measures}.values())
         first_row = dict(zip(map(id, distinct), np.cumsum(
             [0] + [len(m.table) for m in distinct]).tolist()))
-        self.table = np.concatenate([m.table for m in distinct]
-                                    or [np.zeros((0, N_CHANNELS))])
-        self.base = np.array([first_row[id(m)] for m in measures],
-                             dtype=np.int64)
-        self.dims = np.array([m.dims for m in measures],
-                             dtype=np.int64).reshape(n, 3)
-        self.strides = np.array([m.strides for m in measures],
-                                dtype=np.int64).reshape(n, 3)
-        self.cell_size = np.array(cell_sizes, dtype=np.float64)
-        # Boundary cells of each problem's whole grid.
-        self.boundary = np.array([m.table[-1, BOUNDARY] for m in measures])
+        self.table = np.concatenate([m.table for m in distinct])
+        self.base = np.array([first_row[id(m)] for m in measures], dtype=np.int64)
+        self.dims = np.array([m.dims for m in measures], dtype=np.int64)
+        self.strides = np.array([m.strides for m in measures], dtype=np.int64)
         # others[p, i, j]: slot j of problem p holds a block other than i.
         self.others = self.real[:, None, :] & ~np.eye(k, dtype=bool)
-        self.sums = np.where(self.real[..., None],
-                             self.range_sums(np.arange(n)[:, None],
-                                             self.lo, self.hi), 0.0)
-        self.layer_lo = np.zeros((n, k, 6, 3), dtype=np.int64)
-        self.layer_hi = np.zeros((n, k, 6, 3), dtype=np.int64)
-        self.grown_lo = np.zeros((n, k, 6, 3), dtype=np.int64)
-        self.grown_hi = np.zeros((n, k, 6, 3), dtype=np.int64)
+        self.sums = np.where(self.real[..., None], self.range_sums(
+            np.arange(n)[:, None], self.lo, self.hi), 0.0)
+        boundary = np.array([m.table[-1, BOUNDARY] for m in measures])
+        self.unassigned = (boundary - self.sums[..., BOUNDARY].sum(1)).astype(np.int64)
         self.layer_sums = np.zeros((n, k, 6, N_CHANNELS))
         self.numerator = np.zeros((n, k, 6))
         self.denominator = np.ones((n, k, 6))
@@ -368,13 +379,8 @@ class GrowthState:
         return range_sums(self.table, self.base[rows], self.dims[rows],
                           self.strides[rows], lo, hi)
 
-    @property
-    def unassigned(self) -> np.ndarray:
-        """Boundary cells no block owns, per problem."""
-        return (self.boundary - self.sums[..., BOUNDARY].sum(axis=1)).astype(np.int64)
-
     def rescore(self, rows: np.ndarray, index: np.ndarray, moved: bool) -> None:
-        """Cache the six options of block index[m] of problem rows[m] from
+        """Score the six options of block index[m] of problem rows[m] from
         its box, and, if the blocks have just ``moved``, update the other
         blocks' options of the problem.
 
@@ -383,16 +389,14 @@ class GrowthState:
         gap to the grown box only shrinks.  An allowed option's layer holds
         no solid cell of any other box, so it is forbidden once its layer
         holds solid cells of the grown box, and its proximity becomes the
-        lesser of the cached one and its gap to the grown box.  All sums
-        come from one table read.
+        lesser of the kept one and its gap to the grown box.  All sums come
+        from one table read.
         """
-        lo, hi = self.lo[rows, index][:, None], self.hi[rows, index][:, None]
+        lo, hi = self.lo[rows, index], self.hi[rows, index]
         others = self.others[rows, index]
-        layer_lo, layer_hi = _layers(lo, hi)
-        grown_lo = np.minimum(lo, layer_lo)
-        grown_hi = np.maximum(hi, layer_hi)
-        extents = (grown_hi - grown_lo + 1) * self.cell_size[rows][:, None, None]
-        fits = (np.sort(extents, axis=-1) <= self.printer).all(axis=-1)
+        grown_lo, grown_hi, layer_lo, layer_hi = _options(lo, hi)
+        fits = (np.sort(grown_hi - grown_lo + 1, axis=-1)
+                <= self.limits[rows][:, None]).all(axis=-1)
         # A block owns every solid cell of its box, so the owned cells of a
         # layer are the solid cells of its overlaps with the other boxes;
         # only layers that fit the printer and the boxes they meet are read.
@@ -407,8 +411,9 @@ class GrowthState:
         if moved:
             # The allowed options of the other blocks whose layers meet
             # the grown boxes.
-            hit_lo = np.maximum(self.layer_lo[rows], lo[:, None])
-            hit_hi = np.minimum(self.layer_hi[rows], hi[:, None])
+            other_lo, other_hi, hit_lo, hit_hi = _options(self.lo[rows], self.hi[rows])
+            hit_lo = np.maximum(hit_lo, lo[:, None, None])
+            hit_hi = np.minimum(hit_hi, hi[:, None, None])
             hit = ((hit_lo <= hit_hi).all(axis=-1) & self.allowed[rows]
                    & others[..., None])
             hit_m, hit_j, hit_d = np.nonzero(hit)
@@ -431,10 +436,6 @@ class GrowthState:
                         np.inf).min(axis=-1, initial=np.inf)
         # A single block has no neighbour: proximity is moot.
         prox = np.where(np.isfinite(prox), prox, PROXIMITY_FLOOR)
-        self.layer_lo[rows, index] = layer_lo
-        self.layer_hi[rows, index] = layer_hi
-        self.grown_lo[rows, index] = grown_lo
-        self.grown_hi[rows, index] = grown_hi
         self.layer_sums[rows, index] = layer
         self.numerator[rows, index] = p_score + OVERHANG_WEIGHT * o_score
         self.denominator[rows, index] = np.maximum(prox, PROXIMITY_FLOOR)
@@ -446,8 +447,7 @@ class GrowthState:
         self.allowed[rows[hit_m[owned]], hit_j[owned], hit_d[owned]] = False
         # Each axis term of the gap to a box grown by one layer moves by 0
         # or -1, so the new gap is never the larger.
-        gap = _gap(self.grown_lo[rows], self.grown_hi[rows], lo[:, None],
-                   hi[:, None])
+        gap = _gap(other_lo, other_hi, lo[:, None, None], hi[:, None, None])
         self.denominator[rows] = np.minimum(
             self.denominator[rows],
             np.where(others[..., None],
@@ -460,8 +460,8 @@ def score_growth(state: GrowthState, problems=None) -> np.ndarray:
     ``problems`` indexes the state's problems (default: all).  Returns a
     (len(problems), K, 6) array, blocks in slot order and
     directions in DIRECTIONS order; -1 encodes a hard constraint failure
-    or an empty block slot.  The scores are the state's cached numerators
-    over its cached denominators.
+    or an empty block slot.  The scores are the state's kept numerators
+    over its kept denominators.
     """
     if problems is None:
         problems = slice(None)
@@ -474,10 +474,11 @@ def _apply(state: GrowthState, rows: np.ndarray, index: np.ndarray,
            direction: np.ndarray) -> None:
     """Grow block index[m] of problem rows[m] one layer along
     direction[m]; the layers hold no owned cell."""
-    option = (rows, index, direction)
-    state.sums[rows, index] += state.layer_sums[option]
-    state.lo[rows, index] = state.grown_lo[option]
-    state.hi[rows, index] = state.grown_hi[option]
+    layer = state.layer_sums[rows, index, direction]
+    state.sums[rows, index] += layer
+    state.unassigned[rows] -= layer[:, BOUNDARY].astype(np.int64)
+    state.lo[rows, index] += GROWTH_OFFSETS[direction, 0]
+    state.hi[rows, index] += GROWTH_OFFSETS[direction, 1]
     state.moves[rows] += 1
     # With one block per problem, no other option can change.
     state.rescore(rows, index, moved=state.lo.shape[1] > 1)

@@ -78,15 +78,10 @@ class Grid:
 
     def box_of_range(self, lo, hi) -> Aabb:
         """Physical box spanned by cells lo..hi inclusive."""
-        return Aabb(*self.range_corners(lo, hi))
-
-    def range_corners(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Min and max corners of the boxes spanned by cells lo..hi
-        inclusive; lo and hi are (..., 3)."""
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        return (self.origin + lo * self.cell_size,
-                self.origin + (hi + 1.0) * self.cell_size)
+        return Aabb(self.origin + lo * self.cell_size,
+                    self.origin + (hi + 1.0) * self.cell_size)
 
 
 def build_grid(mesh: TriangleMesh, granularity: str = "very_fine") -> Grid:

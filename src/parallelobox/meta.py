@@ -54,8 +54,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .blocks import (SCORE_RTOL, GrowthState, ObjectiveParams, fits_printer,
-                     grow_blocks, print_score, select_seed_blocks)
+from .blocks import (SCORE_RTOL, GrowthState, ObjectiveParams, cell_limits,
+                     fits_printer, grow_blocks, print_score,
+                     select_seed_blocks)
 # The benchmark's traced mode patches clip_halfspace and clip_surface_to_box.
 from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane  # noqa: F401
 from .errors import (InsufficientBoundaryCells, NonWatertightInput,
@@ -384,8 +385,8 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
                  + [("void", f"_v{r}") for r in range(len(regions))])
         kept = np.flatnonzero(sums[:, SOLID] != 0)
         lo, hi = ranges[kept, 0], ranges[kept, 1]
-        low, high = grid.range_corners(lo, hi)
-        fits = fits and bool(fits_printer(high - low, profile.dims).all())
+        fits = fits and bool((np.sort(hi - lo + 1, axis=-1) <= cell_limits(
+            profile.dims, grid.cell_size)).all())
         volumes, areas = piece.measures.boxes(lo, hi)
         for i, box_lo, box_hi, volume, area in zip(
                 kept.tolist(), lo.tolist(), hi.tolist(), volumes.tolist(),

@@ -5,9 +5,11 @@ blocked by ownership or printer limits).  While free printers remain, each
 leftover region is wrapped in a cuboid grown greedily from the first
 boundary cell, in lexicographic (x, y, z) order, that lies in no block box
 and no earlier region: all six faces are swept repeatedly, each viable face
-advancing one cell layer per sweep, until no face can move.  A face move is
-viable when it stays inside the grid, keeps the box within the printer, and
-the new layer holds no owned cell and meets no previously carved region.
+advancing one cell layer per sweep in growth's direction order, until no
+face can move.  A face move is viable when it stays inside the grid, keeps
+the box within the printer (in whole cells, against one limit per piece:
+:func:`~parallelobox.blocks.cell_limits`, as in growth), and the new layer
+holds no owned cell and meets no previously carved region.
 
 Ownership is box arithmetic, as in growth: a block owns every solid cell of
 its box, so a layer holds an owned cell when its overlap with some block
@@ -21,6 +23,7 @@ import logging
 
 import numpy as np
 
+from .blocks import cell_limits
 from .grid import SOLID, CellClass, CellMeasures
 
 logger = logging.getLogger(__name__)
@@ -45,13 +48,12 @@ def get_discrete_empty_regions(measures: CellMeasures, blocks, cell_size: float,
     boundary = np.argwhere(measures.classification == CellClass.BOUNDARY)
     lo, hi = np.array(boxes, dtype=np.int64).reshape(-1, 2, 3).transpose(1, 0, 2)
     inside = ((boundary[:, None] >= lo) & (boundary[:, None] <= hi)).all(axis=2)
-    boundary = boundary[~inside.any(axis=1)]
-    seeds = boundary.tolist()
+    seeds = boundary[~inside.any(axis=1)].tolist()
     if not seeds:
         return []
     dims, (sx, sy, _) = measures.dims.tolist(), measures.strides.tolist()
     solid = measures.table[:, SOLID].tolist()
-    limit = [d + 1e-9 for d in sorted(float(d) for d in printer_dims)]
+    limit = cell_limits(printer_dims, cell_size).tolist()
 
     def owned(lo, hi) -> bool:
         """Whether the cell range [lo, hi] holds a solid cell of a block box."""
@@ -92,9 +94,8 @@ def get_discrete_empty_regions(measures: CellMeasures, blocks, cell_size: float,
                     new_lo, new_hi = lo.copy(), hi.copy()
                     new_lo[axis] = min(lo[axis], pos)
                     new_hi[axis] = max(hi[axis], pos)
-                    extent = sorted((b - a + 1) * cell_size
-                                    for a, b in zip(new_lo, new_hi))
-                    if not all(e <= m for e, m in zip(extent, limit)):
+                    counts = sorted(b - a + 1 for a, b in zip(new_lo, new_hi))
+                    if any(c > m for c, m in zip(counts, limit)):
                         continue
                     layer_lo, layer_hi = lo.copy(), hi.copy()
                     layer_lo[axis] = layer_hi[axis] = pos

@@ -7,15 +7,15 @@ import pytest
 
 from parallelobox import blocks as blocks_module
 from parallelobox.blocks import (OVERHANG_WEIGHT, PROXIMITY_FLOOR, SCORE_RTOL,
-                                 GrowthState, ObjectiveParams,
+                                 GrowthState, ObjectiveParams, cell_limits,
                                  _kmeans_pp, _Pcg64Stream, _pick, fits_printer, grow_blocks,
                                  print_score, score_growth, select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket, unit_cube,
                                    wedge)
-from parallelobox.grid import (AREA, OVERHANG, VOLUME, CellClass, CellMeasures,
-                               Grid, build_grid, measure_cells)
+from parallelobox.grid import (AREA, BOUNDARY, OVERHANG, VOLUME, CellClass,
+                               CellMeasures, Grid, build_grid, measure_cells)
 from parallelobox.mesh import Aabb, TriangleMesh
 from parallelobox.meta import RunPlan, prepare_model
 from test_preprocess import _env
@@ -42,6 +42,49 @@ def test_fits_printer_reorients_by_sorting():
     assert not fits_printer((250.1, 10.0, 10.0), dims)
     # a tall thin part fits a flat wide printer after axis swap
     assert fits_printer((10.0, 20.0, 100.0), (100.0, 20.0, 10.0))
+
+
+def test_cell_limits_match_fits_printer():
+    """Each sorted side's limit is the largest cell count fits_printer
+    accepts on it, and one cell more is rejected; a box of whole cells fits
+    by its sorted counts exactly when fits_printer takes its extents."""
+    # 15 mm cells against 30 mm sides: 2 fit, 3 do not.
+    assert cell_limits((30.0, 30.0, 30.0), 15.0).tolist() == [2, 2, 2]
+    assert fits_printer((30.0,), (30.0,)) and not fits_printer((45.0,), (30.0,))
+    rng = np.random.default_rng(28)
+    cases = [((30.0, 30.0, 30.0), 15.0), ((0.3, 0.7, 0.5), 0.1),
+             ((250.0, 200.0, 30.0), 1.0 / 3.0)]
+    for _ in range(300):
+        size = float(rng.uniform(0.01, 40.0))
+        printer = rng.uniform(0.5, 300.0, size=3)
+        # Sides within 1e-9 of a whole-cell multiple, either way.
+        near = rng.random(3) < 0.5
+        printer[near] = (np.maximum(np.round(printer[near] / size), 1) * size
+                         + rng.choice([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9],
+                                      size=int(near.sum())))
+        # A side whose slack ends one ulp short of m cells, which the
+        # rounded quotient can still reach.
+        m = int(rng.integers(1, 40))
+        short = np.nextafter(m * size, 0)
+        side = short - 1e-9
+        while side + 1e-9 > short:
+            side = np.nextafter(side, 0)
+        while np.nextafter(side, np.inf) + 1e-9 <= short:
+            side = np.nextafter(side, np.inf)
+        printer[0] = side
+        cases.append((tuple(printer.tolist()), size))
+    for printer, size in cases:
+        limits = cell_limits(printer, size)
+        for side, limit in zip(np.sort(printer).tolist(), limits.tolist()):
+            assert limit >= 0
+            assert limit == 0 or fits_printer((limit * size,), (side,))
+            assert not fits_printer(((limit + 1) * size,), (side,))
+        counts = rng.integers(1, np.maximum(limits, 1) + 2, size=(20, 3))
+        assert np.array_equal((np.sort(counts, axis=1) <= limits).all(axis=1),
+                              fits_printer(counts * size, printer))
+    sizes = [size for _, size in cases[:3]]
+    assert np.array_equal(cell_limits((250.0, 200.0, 30.0), sizes),
+                          [cell_limits((250.0, 200.0, 30.0), s) for s in sizes])
 
 
 def _one_cell_overhang(box: Aabb, mesh) -> float:
@@ -416,6 +459,8 @@ def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
             cell_sizes.append(piece.grid.cell_size)
             measures.append(piece.measures)
     state = GrowthState(cell_sizes, measures, problems, params)
+    boundary = np.array([int((m.classification == CellClass.BOUNDARY).sum())
+                         for m in measures])
     passes = []
 
     def checked_score_growth(checked, rows=None):
@@ -431,6 +476,10 @@ def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
         fresh.rescore(*np.nonzero(fresh.real), moved=False)
         assert np.array_equal(score_growth(checked), score_growth(fresh))
         assert np.array_equal(checked.sums, fresh.sums)
+        # The running count of unowned boundary cells.
+        assert checked.unassigned.dtype == np.int64
+        assert np.array_equal(checked.unassigned, boundary
+                              - checked.sums[..., BOUNDARY].sum(axis=1))
         passes.append(len(passes))
         return score_growth(checked, rows)
 

@@ -5,7 +5,8 @@ owner array the tests paint from those boxes.
 """
 import numpy as np
 
-from parallelobox.blocks import fits_printer
+from parallelobox.blocks import (GrowthState, ObjectiveParams, cell_limits,
+                                 fits_printer, grow_blocks)
 from parallelobox.clip import clip_to_box
 from parallelobox.fixtures import box_mesh
 from parallelobox.grid import CellClass, CellMeasures, build_grid, measure_cells
@@ -165,6 +166,32 @@ def test_regions_respect_invariants():
             assert not np.any(owner[sl] >= 0)
             assert not np.any(seen[sl])
             seen[sl] = True
+
+
+def test_void_fill_stops_at_growth_cell_limit():
+    """On a bar of boundary cells, a void region and a grown block both stop
+    at the whole-cell limit of the printer: k cells fit, k + 1 do not."""
+    for cell_size, printer in [(15.0, (30.0, 30.0, 30.0)),
+                               (0.1, (0.3, 0.3, 0.3)),
+                               (0.1, (0.7, 0.3, 0.5)),
+                               (1.0 / 3.0, (2.0 - 5e-10, 1.0, 1.0))]:
+        # A 1 x 1 x c box is held to the printer's longest side.
+        k = int(cell_limits(printer, cell_size)[-1])
+        assert fits_printer((k * cell_size, cell_size, cell_size), printer)
+        assert not fits_printer(((k + 1) * cell_size, cell_size, cell_size),
+                                printer)
+        dims = (k + 3, 1, 1)
+        classification = np.full(dims, int(CellClass.BOUNDARY), dtype=np.int8)
+        # Unit volume and area per cell give growth positive scores.
+        measures = CellMeasures(np.ones(dims), np.ones(dims), np.zeros((6,) + dims),
+                                np.zeros((3,) + dims), classification)
+        regions = get_discrete_empty_regions(measures, [], cell_size, 1, printer)
+        assert _as_tuples(regions) == [((0, 0, 0), (k - 1, 0, 0))]
+        state = GrowthState([cell_size], [measures], [np.zeros((1, 3), dtype=np.int64)],
+                            ObjectiveParams(printer_dims=printer))
+        grow_blocks(state)
+        assert state.hi[0, 0].tolist() == [k - 1, 0, 0]
+        assert state.unassigned.tolist() == [3]
 
 
 def test_zero_free_printers_carves_nothing():
