@@ -9,10 +9,10 @@ from .clip import clip_to_box, cut_by_plane, points_in_mesh
 from .preprocess import (SymmetryPlane, find_best_symmetry_plane,
                          optimize_orientation)
 from .grid import CellClass, Grid, build_grid, measure_cells
-from .blocks import ObjectiveParams, print_score, select_seed_blocks
+from .blocks import PrinterProfile, print_score, select_seed_blocks
 from .resolve import get_discrete_empty_regions
-from .meta import (Decomposition, PartResult, PrinterProfile, RunPlan,
-                   RunRecord, estimate_time, recursive_symmetry_baseline,
+from .meta import (Decomposition, PartResult, RunPlan, RunRecord,
+                   estimate_time, recursive_symmetry_baseline,
                    run_metaheuristic)
 from .cli import parse_config
 
@@ -21,13 +21,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Aabb", "CellClass", "ConfigError", "Decomposition", "DegenerateBox",
     "EmptyMesh", "Grid", "InsufficientBoundaryCells", "NonWatertightInput",
-    "NoValidDecomposition", "ObjectiveParams", "ParalleloboxError",
-    "ParseError", "PartResult", "PrinterProfile", "RunPlan", "RunRecord",
-    "SymmetryPlane", "TriangleMesh", "aabb_of", "build_grid", "clean_mesh",
-    "clip_to_box", "cut_by_plane", "estimate_time",
-    "find_best_symmetry_plane", "get_discrete_empty_regions", "load_mesh",
-    "measure", "measure_cells", "optimize_orientation", "parse_config",
-    "points_in_mesh", "print_score",
+    "NoValidDecomposition", "ParalleloboxError", "ParseError", "PartResult",
+    "PrinterProfile", "RunPlan", "RunRecord", "SymmetryPlane", "TriangleMesh",
+    "aabb_of", "build_grid", "clean_mesh", "clip_to_box", "cut_by_plane",
+    "estimate_time", "find_best_symmetry_plane", "get_discrete_empty_regions",
+    "load_mesh", "measure", "measure_cells", "optimize_orientation",
+    "parse_config", "points_in_mesh", "print_score",
     "recursive_symmetry_baseline", "run_metaheuristic", "save_stl",
     "select_seed_blocks", "validate_watertight",
 ]

@@ -1,13 +1,14 @@
-"""Seed blocks and objective-driven box growth.
+"""The printer, seed blocks and objective-driven box growth.
 
-Blocks are axis-aligned cell ranges that compete to cover the solid.  Each
-growth step applies the cheapest positive (block, direction) option.  The
-cost of growing block M into M' is
+:class:`PrinterProfile` is the one record of the printer, which growth,
+the void fill and part scoring read.  Blocks are axis-aligned cell ranges
+that compete to cover the solid.  Each growth step applies the cheapest
+positive (block, direction) option.  The cost of growing block M into M' is
 
     cost = (P(M') + OVERHANG_WEIGHT * O(M')) / max(S_prox(M'), PROXIMITY_FLOOR)
 
-where P is the print score of the clipped geometry owned by M', O the
-minimum oriented overhang area over the six axis build directions, and
+where P is the :func:`print_score` of the clipped geometry owned by M', O
+the minimum oriented overhang area over the six axis build directions, and
 S_prox the L1 box-gap to the nearest other block in grid units.  Hard
 failures (leaving the grid, outgrowing the printer, an empty new layer, or
 bumping into owned cells) score -1 and are never applied.
@@ -62,19 +63,27 @@ PROXIMITY_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
-class ObjectiveParams:
-    """Print speeds, infill and printer size of the growth objective."""
+class PrinterProfile:
+    """Build volume and kinematics of the (identical) printers."""
 
-    speed_infill: float = 20.0        # mm/s
-    speed_shell: float = 20.0         # mm/s
-    infill_fraction: float = 0.05
-    printer_dims: tuple[float, float, float] = (250.0, 250.0, 250.0)
+    volume_x: float = 250.0   # mm
+    volume_y: float = 250.0
+    volume_z: float = 250.0
+    speed_shell: float = 20.0   # mm/s
+    speed_infill: float = 20.0  # mm/s
+    line_width: float = 0.4     # mm
+    layer_height: float = 0.25  # mm
+
+    @property
+    def dims(self) -> tuple[float, float, float]:
+        return (self.volume_x, self.volume_y, self.volume_z)
 
 
-def print_score(volume: float, surface_area: float, params: ObjectiveParams) -> float:
+def print_score(volume: float, surface_area: float, profile: PrinterProfile,
+                infill_fraction: float) -> float:
     """P = speed_infill * (infill * volume) + speed_shell * area."""
-    return (params.speed_infill * (params.infill_fraction * volume)
-            + params.speed_shell * surface_area)
+    return (profile.speed_infill * (infill_fraction * volume)
+            + profile.speed_shell * surface_area)
 
 
 def fits_printer(physical_dims, printer_dims):
@@ -317,21 +326,22 @@ def _gap(lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray,
 class GrowthState:
     """n growth problems, grown in lockstep.
 
-    Problem p grows one block from each distinct boundary cell of the
-    (k, 3) ``seeds[p]`` on a grid of cells of side ``cell_sizes[p]``, scored
-    from ``measures[p]``; the grown boxes keep disjoint solid cells.
-    Problems on one piece share its measures and classification; a model
-    cut in two grows the problems of both pieces in one state.  The
-    summed-volume tables of the distinct measures are joined into one
-    ``table``, and problem p reads its own from row ``base[p]`` on, with its
-    own ``dims`` and ``strides``, and fit is tested in whole cells against
-    its row of :func:`cell_limits` (``limits``).  Per-block arrays are
-    (n, K, ...), K the largest block count, seed i of problem p in slot
-    [p, i]; ``real`` marks the slots that hold a block, whose box is the
-    cells ``lo[p, i]`` to ``hi[p, i]``.  ``sums`` holds every channel of the
-    measures summed over each block's box.  Per problem, ``unassigned``
-    counts the boundary cells no block owns, ``moves`` the moves made, and
-    ``active`` says whether it is still growing.
+    Problem p grows one block from each distinct boundary cell of the (k, 3)
+    ``seeds[p]`` on a grid of cells of side ``cell_sizes[p]``, scored from
+    ``measures[p]`` at ``infill_fraction``; the grown boxes keep disjoint
+    solid cells.  Problems on one piece share its measures and
+    classification; a model cut in two grows the problems of both pieces in
+    one state.  The summed-volume tables of the distinct measures are joined
+    into one ``table``, and problem p reads its own from row ``base[p]`` on,
+    with its own ``dims`` and ``strides``, and fit is tested in whole cells
+    against its row of :func:`cell_limits` (``limits``) of the printer
+    ``profile``.  Per-block arrays are (n, K, ...), K the largest block
+    count, seed i of problem p in slot [p, i]; ``real`` marks the slots that
+    hold a block, whose box is the cells ``lo[p, i]`` to ``hi[p, i]``.
+    ``sums`` holds every channel of the measures summed over each block's
+    box.  Per problem, ``unassigned`` counts the boundary cells no block
+    owns, ``moves`` the moves made, and ``active`` says whether it is still
+    growing.
 
     Option boxes are derived from the block's box (:func:`_options`); per
     option, (n, K, 6, ...) arrays in DIRECTIONS order keep the layer's sums
@@ -341,10 +351,11 @@ class GrowthState:
     """
 
     def __init__(self, cell_sizes: list[float], measures: list[CellMeasures],
-                 seeds: list[np.ndarray], params: ObjectiveParams):
+                 seeds: list[np.ndarray], profile: PrinterProfile,
+                 infill_fraction: float):
         self.measures = measures
-        self.params = params
-        self.limits = cell_limits(params.printer_dims, cell_sizes)
+        self.profile, self.infill_fraction = profile, infill_fraction
+        self.limits = cell_limits(profile.dims, cell_sizes)
         n, k = len(seeds), max(len(s) for s in seeds)
         self.lo = np.zeros((n, k, 3), dtype=np.int64)
         self.real = np.zeros((n, k), dtype=bool)
@@ -428,7 +439,8 @@ class GrowthState:
         owned = np.zeros(meets.shape, dtype=bool)
         owned[meets] = sums[layer_end:meets_end, SOLID] > 0
         grown = self.sums[rows, index][:, None] + layer
-        p_score = print_score(grown[..., VOLUME], grown[..., AREA], self.params)
+        p_score = print_score(grown[..., VOLUME], grown[..., AREA],
+                              self.profile, self.infill_fraction)
         o_score = grown[..., OVERHANG].min(axis=-1)
         prox = np.where(others[:, None],
                         _gap(grown_lo[:, :, None], grown_hi[:, :, None],

@@ -27,7 +27,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, ParalleloboxError
@@ -45,12 +45,10 @@ CSV_COLUMNS = ("model", "algorithm", "printers", "parts", "parallel_time_s",
 PLOT_SERIES = ("printers", "parts", "parallel_time_s", "aggregate_time_s",
                "parallel_score", "valid", "cut_area_mm2")
 
-_PROFILE_KEYS = ("volume_x", "volume_y", "volume_z", "speed_shell",
-                 "speed_infill", "line_width", "layer_height")
-
 
 def parse_config(path) -> PrinterProfile:
-    """Read a ``[printer]`` ini section; absent keys keep their defaults."""
+    """Read a ``[printer]`` ini section; absent keys keep their defaults,
+    and a key of the section that no PrinterProfile field has raises."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"printer config not found: {path}")
@@ -62,9 +60,11 @@ def parse_config(path) -> PrinterProfile:
     values = {}
     if parser.has_section("printer"):
         section = parser["printer"]
-        for key in _PROFILE_KEYS:
-            if key not in section:
-                continue
+        keys = [f.name for f in fields(PrinterProfile)]
+        unknown = sorted(set(section) - set(keys) - set(parser.defaults()))
+        if unknown:
+            raise ConfigError(f"{path}: unknown [printer] keys {unknown}")
+        for key in [key for key in keys if key in section]:
             try:
                 values[key] = float(section[key])
             except ValueError as exc:
@@ -303,6 +303,9 @@ def load_manifest(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or "models" not in raw:
         raise ConfigError(f"{path}: expected an object with a 'models' list")
+    unknown = sorted(set(raw) - {"models", "printers", *_MANIFEST_OPTIONS})
+    if unknown:
+        raise ConfigError(f"{path}: unknown manifest keys {unknown}")
     models = raw["models"]
     if (not isinstance(models, list) or not models
             or not all(isinstance(m, str) for m in models)):

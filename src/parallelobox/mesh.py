@@ -358,6 +358,7 @@ def _parse_obj(raw: bytes, path: Path):
     text = raw.decode("utf-8", errors="replace")
     verts: list[list[float]] = []
     tris: list[list[int]] = []
+    ahead: list[tuple[int, str, int]] = []  # indices of vertices read later
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split()
         if not parts:
@@ -377,11 +378,20 @@ def _parse_obj(raw: bytes, path: Path):
                     i = int(head)
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: bad face index {tok!r}") from exc
+                if i == 0 or len(verts) + i < 0:
+                    raise ParseError(f"{path}:{lineno}: face index {tok!r} "
+                                     "names no vertex")
                 idx.append(i - 1 if i > 0 else len(verts) + i)
+                if idx[-1] >= len(verts):
+                    ahead.append((lineno, tok, idx[-1]))
             if len(idx) < 3:
                 raise ParseError(f"{path}:{lineno}: face with fewer than 3 vertices")
             for k in range(1, len(idx) - 1):  # fan triangulation
                 tris.append([idx[0], idx[k], idx[k + 1]])
+    for lineno, tok, i in ahead:
+        if i >= len(verts):
+            raise ParseError(f"{path}:{lineno}: face index {tok!r} is past "
+                             f"the {len(verts)} vertices")
     return (np.asarray(verts, dtype=np.float64).reshape(-1, 3),
             np.asarray(tris, dtype=np.int32).reshape(-1, 3))
 

@@ -25,7 +25,10 @@ count, so a search takes its grown runs from a map that a batch shares
 across printer counts (:meth:`ModelWork.search_inputs`): the runs of the
 largest count include those of every smaller one, and each is grown once.
 :class:`ModelWork` builds and holds all the work a batch shares across one
-model's printer counts, for the search and the baseline alike.
+model's printer counts, for the search and the baseline alike.  The
+printer is the :class:`~parallelobox.blocks.PrinterProfile` and the plan's
+infill fraction, nothing else; :func:`run_decomposition` gives its void
+fill and its box check one whole-cell limit per piece.
 
 Every part score is a sum over grid cells plus the caps on the box faces,
 so an iteration is scored from the per-cell tables of
@@ -54,7 +57,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .blocks import (SCORE_RTOL, GrowthState, ObjectiveParams, cell_limits,
+from .blocks import (SCORE_RTOL, GrowthState, PrinterProfile, cell_limits,
                      fits_printer, grow_blocks, print_score,
                      select_seed_blocks)
 # The benchmark's traced mode patches clip_halfspace and clip_surface_to_box.
@@ -72,23 +75,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class PrinterProfile:
-    """Build volume and kinematics of the (identical) printers."""
-
-    volume_x: float = 250.0   # mm
-    volume_y: float = 250.0
-    volume_z: float = 250.0
-    speed_shell: float = 20.0   # mm/s
-    speed_infill: float = 20.0  # mm/s
-    line_width: float = 0.4     # mm
-    layer_height: float = 0.25  # mm
-
-    @property
-    def dims(self) -> tuple[float, float, float]:
-        return (self.volume_x, self.volume_y, self.volume_z)
-
-
-@dataclass(frozen=True)
 class RunPlan:
     """Everything about a decomposition run except the mesh and printer."""
 
@@ -103,17 +89,8 @@ class RunPlan:
     skip_symmetry_cut: bool = False
 
 
-def objective_of(plan: RunPlan, profile: PrinterProfile) -> ObjectiveParams:
-    return ObjectiveParams(
-        speed_infill=profile.speed_infill,
-        speed_shell=profile.speed_shell,
-        infill_fraction=plan.infill_fraction,
-        printer_dims=profile.dims,
-    )
-
-
 def estimate_time(volume: float, surface_area: float, profile: PrinterProfile,
-                  infill_fraction: float = 0.05) -> float:
+                  infill_fraction: float) -> float:
     """Print time in seconds: infill deposition plus shell tracing."""
     infill = (infill_fraction * volume) / (
         profile.line_width * profile.layer_height * profile.speed_infill)
@@ -328,8 +305,8 @@ def grow_runs(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
     if problems:
         state = GrowthState([piece.grid.cell_size for _, piece in problems],
                             [piece.measures for _, piece in problems],
-                            [g.lo for g, _ in problems],
-                            objective_of(plan, profile))
+                            [g.lo for g, _ in problems], profile,
+                            plan.infill_fraction)
         grow_blocks(state)
         for p, (g, _) in enumerate(problems):
             k = len(g.lo)
@@ -359,7 +336,6 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
     tables and nothing is clipped: the parts carry no mesh (``clipped`` is
     False) until :func:`clip_parts` turns them into meshes.
     """
-    params = objective_of(plan, profile)
     total_printers = plan.printers_available
     budget_split = _splits(prepared, total_printers, seed_blocks)[1]
     parts: list[PartResult] = []
@@ -370,10 +346,10 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         if isinstance(entry, str):
             reason = entry
             break
-        grid, blocked = piece.grid, list(zip(entry.lo, entry.hi))
+        blocked = list(zip(entry.lo, entry.hi))
+        limits = cell_limits(profile.dims, piece.grid.cell_size)
         regions = get_discrete_empty_regions(
-            piece.measures, blocked, grid.cell_size,
-            max(0, budget - len(blocked)), params.printer_dims)
+            piece.measures, blocked, max(0, budget - len(blocked)), limits)
         ranges = np.array(blocked + regions, dtype=np.int64)
         sums = piece.measures.sums(ranges[:, 0], ranges[:, 1])
         left_b, left_i = _uncovered_cells(piece.measures, sums)
@@ -385,16 +361,15 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
                  + [("void", f"_v{r}") for r in range(len(regions))])
         kept = np.flatnonzero(sums[:, SOLID] != 0)
         lo, hi = ranges[kept, 0], ranges[kept, 1]
-        fits = fits and bool((np.sort(hi - lo + 1, axis=-1) <= cell_limits(
-            profile.dims, grid.cell_size)).all())
+        fits = fits and bool((np.sort(hi - lo + 1, axis=-1) <= limits).all())
         volumes, areas = piece.measures.boxes(lo, hi)
         for i, box_lo, box_hi, volume, area in zip(
                 kept.tolist(), lo.tolist(), hi.tolist(), volumes.tolist(),
                 areas.tolist()):
             source, suffix = names[i]
-            parts.append(_part(volume, area, source, profile, params,
-                               piece=index, cell_lo=tuple(box_lo),
-                               cell_hi=tuple(box_hi),
+            parts.append(_part(volume, area, source, profile,
+                               plan.infill_fraction, piece=index,
+                               cell_lo=tuple(box_lo), cell_hi=tuple(box_hi),
                                name=piece.mesh.name + suffix))
     if reason:
         # The parts of the pieces before the one that stopped the iteration
@@ -421,7 +396,6 @@ def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
     clipped once; each part still gets its own named mesh.  The boxes it
     lacks are clipped in one :func:`clip_to_box` call.
     """
-    params = objective_of(plan, profile)
     missing = [key for key in dict.fromkeys(
         (part.piece, part.cell_lo, part.cell_hi) for part in result.parts)
         if key not in meshes]
@@ -438,7 +412,7 @@ def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
             continue
         parts.append(_score_part(
             TriangleMesh(clipped.vertices, clipped.triangles, part.name),
-            part.source, profile, params, piece=part.piece,
+            part.source, profile, plan.infill_fraction, piece=part.piece,
             cell_lo=part.cell_lo, cell_hi=part.cell_hi))
     volume = sum(piece.volume for piece in prepared.pieces)
     return _decomposition(
@@ -510,21 +484,22 @@ def _decomposition(parts: list[PartResult], reason: str, plan: RunPlan,
 
 
 def _part(volume: float, area: float, source: str, profile: PrinterProfile,
-          params: ObjectiveParams, **where) -> PartResult:
+          infill_fraction: float, **where) -> PartResult:
     """A part of the given volume and capped surface area, scored;
     ``where`` holds its remaining :class:`PartResult` fields."""
     return PartResult(volume=volume, surface_area=area,
-                      print_score=print_score(volume, area, params),
+                      print_score=print_score(volume, area, profile,
+                                              infill_fraction),
                       time_s=estimate_time(volume, area, profile,
-                                           params.infill_fraction),
+                                           infill_fraction),
                       source=source, **where)
 
 
 def _score_part(mesh: TriangleMesh, source: str, profile: PrinterProfile,
-                params: ObjectiveParams, **where) -> PartResult:
+                infill_fraction: float, **where) -> PartResult:
     """A part scored from its mesh."""
     mm = measure(mesh)
-    return _part(mm.volume, mm.surface_area, source, profile, params,
+    return _part(mm.volume, mm.surface_area, source, profile, infill_fraction,
                  mesh=mesh, name=mesh.name, **where)
 
 
@@ -710,7 +685,6 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
     Raises NonWatertightInput when the mesh is not closed.
     """
     tick = time.perf_counter()
-    params = objective_of(plan, profile)
     work = ModelWork(mesh) if work is None else work
     target = 1
     while target * 2 <= plan.printers_available:
@@ -729,7 +703,7 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
             break
         pieces = halved
 
-    parts = [_score_part(m, "block", profile, params, piece=i)
+    parts = [_score_part(m, "block", profile, plan.infill_fraction, piece=i)
              for i, m in enumerate(pieces)]
     mm = measure(mesh)
     result = _decomposition(

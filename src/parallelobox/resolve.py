@@ -7,9 +7,9 @@ boundary cell, in lexicographic (x, y, z) order, that lies in no block box
 and no earlier region: all six faces are swept repeatedly, each viable face
 advancing one cell layer per sweep in growth's direction order, until no
 face can move.  A face move is viable when it stays inside the grid, keeps
-the box within the printer (in whole cells, against one limit per piece:
-:func:`~parallelobox.blocks.cell_limits`, as in growth), and the new layer
-holds no owned cell and meets no previously carved region.
+the box within the printer (in whole cells, against the piece's row of
+:func:`~parallelobox.blocks.cell_limits`, the one growth tests), and the new
+layer holds no owned cell and meets no previously carved region.
 
 Ownership is box arithmetic, as in growth: a block owns every solid cell of
 its box, so a layer holds an owned cell when its overlap with some block
@@ -23,22 +23,23 @@ import logging
 
 import numpy as np
 
-from .blocks import cell_limits
 from .grid import SOLID, CellClass, CellMeasures
 
 logger = logging.getLogger(__name__)
 
 
-def get_discrete_empty_regions(measures: CellMeasures, blocks, cell_size: float,
+def get_discrete_empty_regions(measures: CellMeasures, blocks,
                                num_free_printers: int,
-                               printer_dims) -> list[tuple[np.ndarray, np.ndarray]]:
+                               limits) -> list[tuple[np.ndarray, np.ndarray]]:
     """Carve up to num_free_printers cuboids over the cells no block owns.
 
     ``measures`` are the piece's cell measures and ``blocks`` the (lo, hi)
     inclusive cell ranges of its grown blocks, which hold disjoint solid
-    cells.  Returns (lo, hi) inclusive cell ranges.  Carved boxes never
-    overlap, and hold no solid cell of a block box; the caller turns the
-    ranges into parts.
+    cells.  ``limits`` holds, per sorted printer side, the most whole cells
+    that fit it: the piece's row of :func:`~parallelobox.blocks.cell_limits`.
+    Returns (lo, hi) inclusive cell ranges.  Carved boxes never overlap,
+    and hold no solid cell of a block box; the caller turns the ranges into
+    parts.
     """
     if num_free_printers <= 0:
         return []
@@ -53,7 +54,7 @@ def get_discrete_empty_regions(measures: CellMeasures, blocks, cell_size: float,
         return []
     dims, (sx, sy, _) = measures.dims.tolist(), measures.strides.tolist()
     solid = measures.table[:, SOLID].tolist()
-    limit = cell_limits(printer_dims, cell_size).tolist()
+    limit = [int(v) for v in limits]
 
     def owned(lo, hi) -> bool:
         """Whether the cell range [lo, hi] holds a solid cell of a block box."""

@@ -15,7 +15,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from parallelobox.blocks import ObjectiveParams, print_score
+from parallelobox.blocks import cell_limits, print_score
 from parallelobox.cli import run_batch
 from parallelobox.clip import clip_to_box
 from parallelobox.errors import NoValidDecomposition
@@ -137,9 +137,9 @@ def test_selection_matches_log_scan():
     assert dec.aggregate_time_s == best.aggregate_time_s
     assert dec.printers_used == best.parts
     # and the logged score really is the max over per-part recomputation
-    params = ObjectiveParams()
     rescored = [print_score(measure(p.mesh).volume,
-                            measure(p.mesh).surface_area, params)
+                            measure(p.mesh).surface_area, PROFILE,
+                            plan.infill_fraction)
                 for p in dec.parts]
     assert dec.parallel_score == max(rescored)
     assert dec.parallel_time_s == max(p.time_s for p in dec.parts)
@@ -148,7 +148,7 @@ def test_selection_matches_log_scan():
 
 def test_worked_scoring_values():
     """The documented example numbers come out exactly."""
-    assert print_score(1000.0, 600.0, ObjectiveParams()) == 13000.0
+    assert print_score(1000.0, 600.0, PROFILE, 0.05) == 13000.0
     assert estimate_time(1000.0, 600.0, PROFILE, infill_fraction=0.05) == 145.0
     # five equal 20-minute parts: 20 min in parallel, 100 min of work
     times = [1200.0] * 5
@@ -302,7 +302,8 @@ def test_void_region_reference():
         budget = int(rng.integers(0, 7))
         got = [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
                for lo, hi in get_discrete_empty_regions(
-                   table_measures(classes), boxes, cell, budget, printer)]
+                   table_measures(classes), boxes, budget,
+                   cell_limits(printer, cell))]
         want = _void_boxes_reference(classes, paint_owner(classes, boxes),
                                      cell, budget, printer)
         assert got == want, f"trial {trial}: {got} != {want}"

@@ -7,7 +7,7 @@ import pytest
 
 from parallelobox import blocks as blocks_module
 from parallelobox.blocks import (OVERHANG_WEIGHT, PROXIMITY_FLOOR, SCORE_RTOL,
-                                 GrowthState, ObjectiveParams, cell_limits,
+                                 GrowthState, PrinterProfile, cell_limits,
                                  _kmeans_pp, _Pcg64Stream, _pick, fits_printer, grow_blocks,
                                  print_score, score_growth, select_seed_blocks)
 from parallelobox.errors import InsufficientBoundaryCells
@@ -22,15 +22,19 @@ from test_preprocess import _env
 from test_resolve import paint_owner
 
 
+def _cube(side):
+    """A printer whose build volume is a cube of the given side."""
+    return PrinterProfile(volume_x=side, volume_y=side, volume_z=side)
+
+
 def test_print_score_reference_values():
-    params = ObjectiveParams(speed_infill=20.0, speed_shell=20.0,
-                             infill_fraction=0.05)
-    assert print_score(1000.0, 600.0, params) == 13000.0
-    assert print_score(0.0, 0.0, params) == 0.0
+    profile = PrinterProfile(speed_infill=20.0, speed_shell=20.0)
+    assert print_score(1000.0, 600.0, profile, 0.05) == 13000.0
+    assert print_score(0.0, 0.0, profile, 0.05) == 0.0
     # doubling all linear dims: volume x8, area x4
     v, a = 1000.0, 600.0
-    s1 = print_score(v, a, params)
-    s2 = print_score(8.0 * v, 4.0 * a, params)
+    s1 = print_score(v, a, profile, 0.05)
+    s2 = print_score(8.0 * v, 4.0 * a, profile, 0.05)
     assert s2 == pytest.approx(20.0 * 0.05 * 8000.0 + 20.0 * 2400.0)
     assert s2 > s1
 
@@ -281,7 +285,7 @@ def test_select_seed_blocks_insufficient():
         select_seed_blocks(grid, mesh, n_boundary + 1, rng_seed=0)
 
 
-def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
+def _uniform_state(dims, classes, seeds, cell_size=1.0, profile=None,
                    volume=None):
     """Synthetic grid with unit volume/area per non-external cell, holding
     one growth problem."""
@@ -294,7 +298,7 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, params=None,
                             section=np.zeros((3,) + tuple(dims)),
                             classification=classification)
     state = GrowthState([cell_size], [measures], [np.array(seeds)],
-                        params or ObjectiveParams(printer_dims=(1e9, 1e9, 1e9)))
+                        profile or _cube(1e9), 0.05)
     return state
 
 
@@ -338,9 +342,8 @@ def test_growth_score_matches_hand_computation():
 def test_growth_hard_constraints():
     # printer limit: 2 cells of 200mm exceed a 250mm printer
     classes = np.full((3, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
-    params = ObjectiveParams(printer_dims=(250.0, 250.0, 250.0))
     state = _uniform_state((3, 1, 1), classes, [(0, 0, 0)],
-                           cell_size=200.0, params=params)
+                           cell_size=200.0, profile=_cube(250.0))
     assert score_growth(state)[0, 0, 0] == -1.0
 
     # an all-external layer is never claimable
@@ -450,7 +453,7 @@ def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
     prepared = prepare_model(fixture(), RunPlan(printers_available=2,
                                                 granularity=granularity))
     assert prepared.cut == (fixture is not asymmetric_blob)
-    params = ObjectiveParams(printer_dims=(printer,) * 3)
+    profile = _cube(printer)
     cell_sizes, measures, problems = [], [], []
     for seed, k in enumerate((1, 8, 3, 5, 2)):
         for index, piece in enumerate(prepared.pieces):
@@ -458,7 +461,7 @@ def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
                                                rng_seed=seed * 2 + index))
             cell_sizes.append(piece.grid.cell_size)
             measures.append(piece.measures)
-    state = GrowthState(cell_sizes, measures, problems, params)
+    state = GrowthState(cell_sizes, measures, problems, profile, 0.05)
     boundary = np.array([int((m.classification == CellClass.BOUNDARY).sum())
                          for m in measures])
     passes = []
@@ -469,7 +472,7 @@ def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
         fresh = GrowthState(cell_sizes, measures,
                             [lo[real] for lo, real in zip(checked.lo,
                                                           checked.real)],
-                            params)
+                            profile, 0.05)
         fresh.hi[:] = checked.hi
         fresh.sums = np.where(fresh.real[..., None], fresh.range_sums(
             np.arange(len(problems))[:, None], fresh.lo, fresh.hi), 0.0)
@@ -504,8 +507,8 @@ def test_growth_caches_match_measures_on_real_mesh():
     grid = build_grid(mesh, "coarse")
     meas = measure_cells(grid, mesh)
     seeds = select_seed_blocks(grid, mesh, 2, rng_seed=9)
-    params = ObjectiveParams()
-    state = GrowthState([grid.cell_size], [meas], [seeds], params)
+    state = GrowthState([grid.cell_size], [meas], [seeds], PrinterProfile(),
+                        0.05)
     grow_blocks(state)
     for i, (lo, hi) in enumerate(_boxes(state)):
         sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(lo, hi))
@@ -539,7 +542,7 @@ def test_grown_blocks_stay_disjoint_random():
         assert claims.max() <= 1
 
 
-def _reference_grow(grid, measures, seeds, params):
+def _reference_grow(grid, measures, seeds, profile, infill_fraction=0.05):
     """The per-option growth loop, kept as the bit-exact reference.
 
     Scores one (block, direction) option at a time with its own slice sums,
@@ -575,7 +578,7 @@ def _reference_grow(grid, measures, seeds, params):
         new_lo = np.minimum(boxes[bid][0], lo)
         new_hi = np.maximum(boxes[bid][1], hi)
         if not np.all(np.sort((new_hi - new_lo + 1) * grid.cell_size)
-                      <= np.sort(np.asarray(params.printer_dims, dtype=float)) + 1e-9):
+                      <= np.sort(np.asarray(profile.dims, dtype=float)) + 1e-9):
             return -1.0
         sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
         if not np.any(cls[sl] != int(CellClass.EXTERNAL)):
@@ -585,7 +588,7 @@ def _reference_grow(grid, measures, seeds, params):
         vol = volume[bid] + float(measures.volume[sl].sum())
         ar = area[bid] + float(measures.area[sl].sum())
         over6 = overhang[bid] + measures.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
-        p_score = print_score(vol, ar, params)
+        p_score = print_score(vol, ar, profile, infill_fraction)
         o_score = float(over6.min())
         centroid = 0.5 * (new_lo + new_hi + 1)
         size = 0.5 * float((new_hi - new_lo + 1).sum())
@@ -652,12 +655,19 @@ def test_grow_blocks_matches_reference(fixture, granularity):
     mesh = fixture()
     grid = build_grid(mesh, granularity)
     meas = measure_cells(grid, mesh)
+    # A printer that is no cube, with its own speeds, at another infill: on
+    # hollow_box's 3 mm cells at fine it holds at most 4, 6 and 9 cells on
+    # its sorted sides, which stop the blocks of the two-block problem.
+    odd = PrinterProfile(volume_x=20.0, volume_y=14.0, volume_z=30.0,
+                         speed_shell=30.0, speed_infill=45.0)
     for k in (2, 8):
-        for printer in (30.0, 250.0):
-            params = ObjectiveParams(printer_dims=(printer,) * 3)
+        for profile, infill in ((_cube(30.0), 0.05), (_cube(250.0), 0.05),
+                                (odd, 0.15)):
             seeds = select_seed_blocks(grid, mesh, k, rng_seed=k)
-            want = _reference_grow(grid, meas, zip(seeds, seeds), params)
-            state = GrowthState([grid.cell_size], [meas], [seeds], params)
+            want = _reference_grow(grid, meas, zip(seeds, seeds), profile,
+                                   infill)
+            state = GrowthState([grid.cell_size], [meas], [seeds], profile,
+                                infill)
             trace = []
             grow_blocks(state, trace)
             _assert_matches_reference(state, 0, trace, want)
@@ -679,7 +689,7 @@ def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
     # whose grids differ from it in dims and cell size.
     surfaces = [(mesh, grid, meas)] + [(piece.mesh, piece.grid, piece.measures)
                                        for piece in prepared.pieces]
-    params = ObjectiveParams(printer_dims=(printer,) * 3)
+    profile = _cube(printer)
     counts = (1, 2, 5, 8, 3)
     cell_sizes, measures, problems, wants = [], [], [], []
     for seed, k in enumerate(counts):
@@ -687,11 +697,11 @@ def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
         for surface, (shape, base, cells) in enumerate(surfaces):
             seeds = select_seed_blocks(base, shape, k,
                                        rng_seed=100 + 10 * seed + surface)
-            wants.append(_reference_grow(base, cells, zip(seeds, seeds), params))
+            wants.append(_reference_grow(base, cells, zip(seeds, seeds), profile))
             cell_sizes.append(base.cell_size)
             measures.append(cells)
             problems.append(seeds)
-    state = GrowthState(cell_sizes, measures, problems, params)
+    state = GrowthState(cell_sizes, measures, problems, profile, 0.05)
     assert state.lo.shape == (len(problems), max(counts), 3)
     assert len({tuple(m.dims) for m in measures}) > 1
     trace = []

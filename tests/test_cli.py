@@ -53,6 +53,8 @@ def test_parse_config_overrides(tmp_path):
     "[printer]\nspeed_shell = 0\n",
     "[printer]\nlayer_height = -0.25\n",
     "not an ini at all\n",
+    "[printer]\nspeed_shel = 40\n",                   # misspelt key
+    "[DEFAULT]\nvolume_x = 100\n[printer]\nseeed = 3\n",
 ])
 def test_parse_config_rejects_bad_values(tmp_path, body):
     ini = _write(tmp_path / "p.ini", body)
@@ -60,12 +62,22 @@ def test_parse_config_rejects_bad_values(tmp_path, body):
         parse_config(ini)
 
 
+def test_parse_config_leaves_default_section_keys_unchecked(tmp_path):
+    """Keys of configparser's DEFAULT section, which other tools' sections
+    may share, are not checked; a known one still reaches the profile."""
+    ini = _write(tmp_path / "p.ini", "[DEFAULT]\nnozzle = 0.6\nvolume_y = 90\n"
+                 "[printer]\nvolume_x = 100\n")
+    assert parse_config(ini).dims == (100.0, 90.0, 250.0)
+
+
 @pytest.mark.parametrize("key, value", [("volume_x", "nan"),
                                         ("speed_shell", "inf"),
-                                        ("line_width", "-inf")])
+                                        ("line_width", "-inf"),
+                                        ("speed_shel", "40")])
 def test_parse_config_rejects_non_finite_values(tmp_path, key, value):
-    """A NaN or infinite printer setting fails up front, naming its key,
-    and the command exits 2 before any model is read."""
+    """A NaN or infinite printer setting, or a key that is no
+    PrinterProfile field, fails up front, naming its key, and the command
+    exits 2 before any model is read."""
     ini = _write(tmp_path / "p.ini", f"[printer]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=key):
         parse_config(ini)
@@ -113,6 +125,7 @@ def test_load_manifest_resolves_relative_paths(tmp_path):
     '{"models": ["a.stl"], "skip_symmetry": "yes"}',
     '{"models": ["a.stl"], "baseline": "plane"}',
     '{"models": ["a.stl"], "out": 7}',
+    '{"models": ["a.stl"], "sample_trie": 9, "seeed": 3}',   # misspelt keys
 ])
 def test_load_manifest_rejects(tmp_path, payload):
     manifest = _write(tmp_path / "m.json", payload)
@@ -571,11 +584,13 @@ def test_batch_missing_manifest_exits_2(tmp_path):
 
 @pytest.mark.parametrize("override", [{"granularity": "huge"},
                                       {"sample_tries": "3"},
-                                      {"printers": []}])
-def test_batch_bad_override_exits_2(tmp_path, override):
+                                      {"printers": []},
+                                      {"sample_trie": 9, "seeed": 3}])
+def test_batch_bad_override_exits_2(tmp_path, override, caplog):
     save_stl(dumbbell(), tmp_path / "dumbbell.stl")
     manifest = _write(tmp_path / "m.json", json.dumps(
         {"models": ["dumbbell.stl"], "printers": [2],
          "out": str(tmp_path / "out"), **override}))
     assert main(["batch", str(manifest)]) == 2
     assert not (tmp_path / "out").exists()
+    assert all(key in caplog.text for key in override)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from parallelobox.cli import main
 from parallelobox.errors import EmptyMesh, ParseError
 from parallelobox import fixtures
 from parallelobox.fixtures import box_mesh, icosphere, unit_cube
@@ -174,6 +175,10 @@ def test_obj_parse(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     mesh = load_mesh(path)
     assert measure(mesh).volume == pytest.approx(1.0, rel=1e-12)
+    # Faces may name vertices listed after them.
+    path.write_text("\n".join(lines[len(cube.vertices):]
+                              + lines[:len(cube.vertices)]) + "\n")
+    assert measure(load_mesh(path)).volume == pytest.approx(1.0, rel=1e-12)
 
 
 def test_load_mesh_errors(tmp_path):
@@ -207,6 +212,17 @@ def test_load_mesh_errors(tmp_path):
     empty.write_bytes(b"\x00" * 80 + struct.pack("<I", 0))
     with pytest.raises(EmptyMesh):
         load_mesh(empty)
+
+    # OBJ face indices naming no vertex: past the count, 0, and a negative
+    # index reaching before the first vertex; the error gives the line.
+    for face in ("f 1 2 5", "f 0 1 2", "f -9 1 2"):
+        bad = tmp_path / "bad.obj"
+        bad.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\n")
+        with pytest.raises(ParseError, match=r"bad\.obj:4: face index"):
+            load_mesh(bad)
+        assert main(["decompose", str(bad), "--printers", "2",
+                     "--granularity", "coarse", "--sample-tries", "1",
+                     "--out", str(tmp_path / "out")]) == 2
 
 
 def test_clean_mesh_random_soups():

@@ -16,10 +16,10 @@ from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
 from parallelobox.grid import AREA, CellClass
 from parallelobox.mesh import (TriangleMesh, aabb_of, measure, triangle_areas,
                               validate_watertight)
-from parallelobox.meta import (Decomposition, ModelWork, PrinterProfile,
-                               RunPlan, _beats, _proportional_share,
-                               _score_part, estimate_time, fits_printer,
-                               objective_of, prepare_model,
+from parallelobox.meta import (Decomposition, ModelWork, PartResult,
+                               PrinterProfile, RunPlan, _beats,
+                               _proportional_share, estimate_time,
+                               fits_printer, prepare_model,
                                recursive_symmetry_baseline, run_metaheuristic)
 from parallelobox.preprocess import SymmetryPlane
 from test_resolve import _reference_regions, paint_owner
@@ -54,16 +54,6 @@ def test_proportional_share():
     assert _proportional_share(4, 1000.0, 1.0) == 3  # never exhausts the other side
     assert _proportional_share(4, 1.0, 1000.0) == 1
     assert _proportional_share(2, 10.0, 1.0) == 1
-
-
-def test_objective_of_copies_plan_and_profile():
-    profile = PrinterProfile(volume_x=100.0, volume_y=200.0, volume_z=300.0,
-                             speed_shell=30.0, speed_infill=40.0)
-    params = objective_of(RunPlan(infill_fraction=0.1), profile)
-    assert params.infill_fraction == 0.1
-    assert params.speed_shell == 30.0
-    assert params.speed_infill == 40.0
-    assert params.printer_dims == (100.0, 200.0, 300.0)
 
 
 def _box(measures, lo, hi) -> tuple[float, float]:
@@ -333,9 +323,9 @@ def test_open_parts_trip_the_gate(monkeypatch):
 
 def test_parts_missing_volume_trip_the_gate():
     """Closed parts whose volumes do not add up to the model's."""
-    params = objective_of(RunPlan(), PROFILE)
     halves = [meta._score_part(box_mesh((10.0, 10.0, 5.0), name=f"p{i}"), "block",
-                               PROFILE, params, piece=0) for i in range(2)]
+                               PROFILE, RunPlan().infill_fraction, piece=0)
+              for i in range(2)]
     assert meta._parts_verdict(halves, 2, PROFILE.dims, 1000.0) == ""
     assert meta._parts_verdict(halves[:1], 2, PROFILE.dims, 1000.0) == (
         "bad_part: part volumes sum to 500, not 1000")
@@ -347,8 +337,10 @@ def test_parts_missing_volume_trip_the_gate():
 
 def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
     """One iteration with every block and void box clipped and scored from
-    its mesh, as the search did before it scored from the cell tables."""
-    params = objective_of(plan, profile)
+    its mesh, as the search did before it scored from the cell tables.
+    Parts are scored by the formulas of ``print_score`` and
+    ``estimate_time`` written out with the profile's speeds and the plan's
+    infill."""
     total_printers = plan.printers_available
     pieces = prepared.pieces
     if len(pieces) == 2:
@@ -372,14 +364,14 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
             reason = f"piece {index}: {exc}"
             break
         state = GrowthState([grid.cell_size], [piece.measures], [seeds],
-                            params)
+                            profile, plan.infill_fraction)
         grow_blocks(state)
         blocks = list(zip(state.lo[0], state.hi[0]))
         free = max(0, budget - len(blocks))
         cls = grid.classification
         owner = paint_owner(cls, blocks)
         regions = _reference_regions(cls, owner, grid.cell_size, free,
-                                     params.printer_dims)
+                                     profile.dims)
         left = paint_owner(cls, blocks + regions) < 0
         left_b = int((left & (cls == CellClass.BOUNDARY)).sum())
         left_i = int((left & (cls == CellClass.INTERNAL)).sum())
@@ -396,10 +388,21 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
             if clipped.is_empty:
                 continue
             clipped.name = piece.mesh.name + suffix
-            parts.append(_score_part(clipped, source, profile, params,
-                                     piece=index,
-                                     cell_lo=tuple(int(x) for x in lo),
-                                     cell_hi=tuple(int(x) for x in hi)))
+            mm = measure(clipped)
+            parts.append(PartResult(
+                volume=mm.volume, surface_area=mm.surface_area,
+                print_score=(profile.speed_infill
+                             * (plan.infill_fraction * mm.volume)
+                             + profile.speed_shell * mm.surface_area),
+                time_s=(plan.infill_fraction * mm.volume
+                        / (profile.line_width * profile.layer_height
+                           * profile.speed_infill)
+                        + profile.line_width * mm.surface_area
+                        / (profile.line_width * profile.layer_height
+                           * profile.speed_shell)),
+                source=source, mesh=clipped, piece=index,
+                cell_lo=tuple(int(x) for x in lo),
+                cell_hi=tuple(int(x) for x in hi), name=clipped.name))
     if reason:
         parts = []      # a stopped iteration has no result
     valid = not reason
@@ -493,6 +496,56 @@ def _part_fields(part):
             part.mesh.triangles.tobytes())
 
 
+def _assert_search_matches_reference(mesh, prepared, plan, profile, case):
+    """The search's winner and records equal those of the reference search
+    that clips every iteration; returns the winner or None."""
+    want, reference = _reference_search(prepared, plan, profile)
+    records = []
+    try:
+        got = run_metaheuristic(mesh, plan, profile, records)
+    except NoValidDecomposition:
+        got = None
+    assert (got is None) == (want is None), case
+    if got is not None:
+        assert (got.seed_blocks, got.seed) == (want.seed_blocks, want.seed), case
+        assert ([_part_fields(p) for p in got.parts]
+                == [_part_fields(p) for p in want.parts]), case
+        assert (got.parallel_score, got.parallel_time_s,
+                got.aggregate_time_s, got.cut_area_mm2) == (
+            want.parallel_score, want.parallel_time_s,
+            want.aggregate_time_s, want.cut_area_mm2), case
+    assert len(records) == len(reference), case
+    for record, exact in zip(records, reference):
+        fields = (record.seed, record.valid, record.parts, record.reason)
+        assert fields == (exact.seed, exact.valid, exact.printers_used,
+                          exact.reason), case
+        assert (math.isnan(record.cut_area_mm2)
+                == math.isnan(exact.cut_area_mm2)), case
+        if record.clipped:
+            assert (record.parallel_score, record.parallel_time_s,
+                    record.aggregate_time_s, record.cut_area_mm2) == (
+                exact.parallel_score, exact.parallel_time_s,
+                exact.aggregate_time_s, exact.cut_area_mm2), case
+            continue
+        if not exact.parts:
+            assert math.isnan(record.parallel_score), case
+            continue
+        # Table and mesh areas agree, and so do the cut areas.
+        assert record.cut_area_mm2 == pytest.approx(
+            exact.cut_area_mm2, rel=1e-9,
+            abs=1e-9 * prepared.surface_area, nan_ok=True), case
+        # The mesh caps cover each box plane once, so tables and meshes
+        # score alike.
+        assert record.parallel_score <= exact.parallel_score * (
+            1.0 + 1e-12), case
+        assert all(_caps_cover_once(
+            p.mesh, prepared.pieces[p.piece].grid.box_of_range(
+                p.cell_lo, p.cell_hi)) for p in exact.parts), case
+        assert record.parallel_score == pytest.approx(
+            exact.parallel_score, rel=1e-9), case
+    return got
+
+
 @pytest.mark.parametrize("granularity", ["coarse", "fine"])
 @pytest.mark.parametrize("fixture", ["unit_cube", "icosphere", "dumbbell",
                                      "l_bracket", "hollow_box",
@@ -511,52 +564,28 @@ def test_search_matches_reference(fixture, granularity, monkeypatch):
                 plan = RunPlan(printers_available=printers,
                                granularity=granularity, sample_tries=1,
                                seed_base=seed_base)
-                want, reference = _reference_search(prepared, plan, profile)
-                records = []
-                try:
-                    got = run_metaheuristic(mesh, plan, profile, records)
-                except NoValidDecomposition:
-                    got = None
-                assert (got is None) == (want is None), case
-                if got is not None:
-                    assert (got.seed_blocks, got.seed) == (want.seed_blocks,
-                                                           want.seed), case
-                    assert ([_part_fields(p) for p in got.parts]
-                            == [_part_fields(p) for p in want.parts]), case
-                    assert (got.parallel_score, got.parallel_time_s,
-                            got.aggregate_time_s, got.cut_area_mm2) == (
-                        want.parallel_score, want.parallel_time_s,
-                        want.aggregate_time_s, want.cut_area_mm2), case
-                assert len(records) == len(reference), case
-                for record, exact in zip(records, reference):
-                    fields = (record.seed, record.valid, record.parts,
-                              record.reason)
-                    assert fields == (exact.seed, exact.valid,
-                                      exact.printers_used, exact.reason), case
-                    assert (math.isnan(record.cut_area_mm2)
-                            == math.isnan(exact.cut_area_mm2)), case
-                    if record.clipped:
-                        assert (record.parallel_score, record.parallel_time_s,
-                                record.aggregate_time_s, record.cut_area_mm2) == (
-                            exact.parallel_score, exact.parallel_time_s,
-                            exact.aggregate_time_s, exact.cut_area_mm2), case
-                        continue
-                    if not exact.parts:
-                        assert math.isnan(record.parallel_score), case
-                        continue
-                    # Table and mesh areas agree, and so do the cut areas.
-                    assert record.cut_area_mm2 == pytest.approx(
-                        exact.cut_area_mm2, rel=1e-9,
-                        abs=1e-9 * prepared.surface_area, nan_ok=True), case
-                    # The mesh caps cover each box plane once, so tables
-                    # and meshes score alike.
-                    assert record.parallel_score <= exact.parallel_score * (
-                        1.0 + 1e-12), case
-                    assert all(_caps_cover_once(
-                        p.mesh, prepared.pieces[p.piece].grid.box_of_range(
-                            p.cell_lo, p.cell_hi)) for p in exact.parts), case
-                    assert record.parallel_score == pytest.approx(
-                        exact.parallel_score, rel=1e-9), case
+                _assert_search_matches_reference(mesh, prepared, plan,
+                                                 profile, case)
+
+
+@pytest.mark.parametrize("fixture", ["dumbbell", "l_bracket"])
+def test_search_matches_reference_with_printer_profile(fixture, monkeypatch):
+    """A non-cubic printer with its own speeds and a non-default infill
+    reach growth, the void fill and part scoring: the search equals the
+    reference, which reads them from the profile and the plan alone."""
+    mesh = getattr(fixtures, fixture)()
+    prepared = prepare_model(mesh, RunPlan(printers_available=2,
+                                           granularity="fine"))
+    monkeypatch.setattr(meta, "prepare_model", lambda *args: prepared)
+    profile = PrinterProfile(volume_x=40.0, volume_y=30.0, volume_z=60.0,
+                             speed_shell=30.0, speed_infill=45.0)
+    winners = 0
+    for printers in (2, 4, 8):
+        plan = RunPlan(printers_available=printers, granularity="fine",
+                       sample_tries=1, infill_fraction=0.15)
+        winners += _assert_search_matches_reference(
+            mesh, prepared, plan, profile, printers) is not None
+    assert winners
 
 
 @pytest.mark.parametrize("granularity", ["coarse", "fine"])

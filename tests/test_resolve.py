@@ -5,7 +5,7 @@ owner array the tests paint from those boxes.
 """
 import numpy as np
 
-from parallelobox.blocks import (GrowthState, ObjectiveParams, cell_limits,
+from parallelobox.blocks import (GrowthState, PrinterProfile, cell_limits,
                                  fits_printer, grow_blocks)
 from parallelobox.clip import clip_to_box
 from parallelobox.fixtures import box_mesh
@@ -139,7 +139,7 @@ def test_matches_reference_on_random_grids():
         else:
             printer = (250.0, 250.0, 250.0)
         got = get_discrete_empty_regions(table_measures(classification), boxes,
-                                         cell_size, free, printer)
+                                         free, cell_limits(printer, cell_size))
         want = _reference_regions(classification,
                                   paint_owner(classification, boxes),
                                   cell_size, free, printer)
@@ -154,7 +154,8 @@ def test_regions_respect_invariants():
         free = int(rng.integers(1, 4))
         printer = (cell_size * 3.5,) * 3
         regions = get_discrete_empty_regions(table_measures(classification),
-                                             boxes, cell_size, free, printer)
+                                             boxes, free,
+                                             cell_limits(printer, cell_size))
         assert len(regions) <= free
         seen = np.zeros(classification.shape, dtype=bool)
         for lo, hi in regions:
@@ -185,10 +186,11 @@ def test_void_fill_stops_at_growth_cell_limit():
         # Unit volume and area per cell give growth positive scores.
         measures = CellMeasures(np.ones(dims), np.ones(dims), np.zeros((6,) + dims),
                                 np.zeros((3,) + dims), classification)
-        regions = get_discrete_empty_regions(measures, [], cell_size, 1, printer)
+        regions = get_discrete_empty_regions(measures, [], 1,
+                                             cell_limits(printer, cell_size))
         assert _as_tuples(regions) == [((0, 0, 0), (k - 1, 0, 0))]
         state = GrowthState([cell_size], [measures], [np.zeros((1, 3), dtype=np.int64)],
-                            ObjectiveParams(printer_dims=printer))
+                            PrinterProfile(*printer), 0.05)
         grow_blocks(state)
         assert state.hi[0, 0].tolist() == [k - 1, 0, 0]
         assert state.unassigned.tolist() == [3]
@@ -198,7 +200,7 @@ def test_zero_free_printers_carves_nothing():
     rng = np.random.default_rng(9)
     classification, cell_size, boxes = _random_piece(rng)
     assert get_discrete_empty_regions(table_measures(classification), boxes,
-                                      cell_size, 0, (250.0,) * 3) == []
+                                      0, cell_limits((250.0,) * 3, cell_size)) == []
 
 
 def _uncovered_of(measures, boxes):
@@ -213,7 +215,8 @@ def test_coverage_and_leftover_accounting():
     assert _uncovered_of(measures, [((0, 0, 0), (1, 1, 0))]) == (0, 0)
     blocks = [((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 1, 0))]
     assert _uncovered_of(measures, blocks) == (1, 0)
-    regions = get_discrete_empty_regions(measures, blocks, 1.0, 1, (250.0,) * 3)
+    regions = get_discrete_empty_regions(measures, blocks, 1,
+                                         cell_limits((250.0,) * 3, 1.0))
     assert _as_tuples(regions) == [((1, 1, 0), (1, 1, 0))]
     assert _uncovered_of(measures, blocks + regions) == (0, 0)
 
@@ -225,9 +228,9 @@ def test_coverage_count_matches_painted_count():
     for trial in range(50):
         classification, cell_size, boxes = _random_piece(rng)
         measures = table_measures(classification)
-        regions = get_discrete_empty_regions(measures, boxes, cell_size,
-                                             int(rng.integers(0, 4)),
-                                             (cell_size * 2.5,) * 3)
+        regions = get_discrete_empty_regions(
+            measures, boxes, int(rng.integers(0, 4)),
+            cell_limits((cell_size * 2.5,) * 3, cell_size))
         free = paint_owner(classification, boxes + regions) < 0
         want = (int((free & (classification == int(CellClass.BOUNDARY))).sum()),
                 int((free & (classification == int(CellClass.INTERNAL))).sum()))
@@ -238,8 +241,8 @@ def test_assign_mesh_boxes_clips_solid():
     mesh = box_mesh(size=(4.0, 4.0, 4.0))
     grid = build_grid(mesh, "coarse")
     measures = measure_cells(grid, mesh)
-    regions = get_discrete_empty_regions(measures, [], grid.cell_size, 2,
-                                         (250.0,) * 3)
+    regions = get_discrete_empty_regions(measures, [], 2,
+                                         cell_limits((250.0,) * 3, grid.cell_size))
     parts = [clip_to_box(mesh, grid.box_of_range(lo, hi))
              for lo, hi in regions]
     parts = [part for part in parts if not part.is_empty]
