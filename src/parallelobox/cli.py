@@ -48,7 +48,8 @@ PLOT_SERIES = ("printers", "parts", "parallel_time_s", "aggregate_time_s",
 
 def parse_config(path) -> PrinterProfile:
     """Read a ``[printer]`` ini section; absent keys keep their defaults,
-    and a key of the section that no PrinterProfile field has raises."""
+    and a missing section or a key of it that no PrinterProfile field has
+    raises."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"printer config not found: {path}")
@@ -57,25 +58,24 @@ def parse_config(path) -> PrinterProfile:
         parser.read_string(path.read_text(encoding="utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not parser.has_section("printer"):
+        raise ConfigError(f"{path}: no [printer] section")
+    section = parser["printer"]
+    keys = [f.name for f in fields(PrinterProfile)]
+    unknown = sorted(set(section) - set(keys) - set(parser.defaults()))
+    if unknown:
+        raise ConfigError(f"{path}: unknown [printer] keys {unknown}")
     values = {}
-    if parser.has_section("printer"):
-        section = parser["printer"]
-        keys = [f.name for f in fields(PrinterProfile)]
-        unknown = sorted(set(section) - set(keys) - set(parser.defaults()))
-        if unknown:
-            raise ConfigError(f"{path}: unknown [printer] keys {unknown}")
-        for key in [key for key in keys if key in section]:
-            try:
-                values[key] = float(section[key])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: [printer] {key} = {section[key]!r} "
-                    "is not a number") from exc
-            if not (math.isfinite(values[key]) and values[key] > 0.0):
-                raise ConfigError(f"{path}: [printer] {key} must be a finite "
-                                  f"positive number, got {section[key]!r}")
-    else:
-        logger.warning("%s has no [printer] section; using defaults", path)
+    for key in [key for key in keys if key in section]:
+        try:
+            values[key] = float(section[key])
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}: [printer] {key} = {section[key]!r} "
+                "is not a number") from exc
+        if not (math.isfinite(values[key]) and values[key] > 0.0):
+            raise ConfigError(f"{path}: [printer] {key} must be a finite "
+                              f"positive number, got {section[key]!r}")
     return PrinterProfile(**values)
 
 
@@ -222,7 +222,10 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
     pass per model; every printer count shares the model's mirror plane and
     the baseline's halving rounds (see :class:`meta.ModelWork`).
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: {exc}") from exc
     report = BatchReport()
     for model_path in models:
         name = Path(model_path).stem

@@ -36,8 +36,8 @@ triangulated with the two-chain stack, and each run is fanned back into
 the one cap triangle that holds its corner edge.
 
 The surface-only clip, which needs no topology, is Sutherland-Hodgman
-("Reentrant polygon clipping", CACM 1974) to one box or to every cell of a
-grid, one axis at a time.  Each triangle is expanded into the x-slabs its
+("Reentrant polygon clipping", CACM 1974) to every cell of a grid, one
+axis at a time.  Each triangle is expanded into the x-slabs its
 bounding box overlaps and clipped to their max then min x plane; the
 survivors are expanded into their (x, y) columns and clipped in y, and
 those into their cells and clipped in z.  A triangle's x passes are so
@@ -94,37 +94,30 @@ _WINDING_PAIRS = 1 << 16
 # surface-only clipping (coordinate polygons, no topology needed)
 
 
-def clip_surface_to_box(mesh: TriangleMesh, box):
-    """Clip the surface to a box, or to every cell of a grid, keeping no
-    volume information.
+def clip_surface_to_box(mesh: TriangleMesh, grid):
+    """Clip the surface to every cell of a grid, keeping no volume
+    information.
 
-    box is one Aabb, or a :class:`~parallelobox.grid.Grid` whose cells are
-    the boxes: cell (i, j, k) spans origin + (i, j, k) * cell_size to that
-    plus cell_size on each axis, and each triangle is clipped to the cells
-    its bounding box overlaps.  Returns (pieces, sources, cells): the
-    (k, 3, 3) output triangles, the triangle id each came from, and the
-    flat C-order index of its cell (0 for an Aabb), sorted by cell, then
-    triangle, then fan order.
+    grid is a :class:`~parallelobox.grid.Grid` whose cells are the boxes:
+    cell (i, j, k) spans origin + (i, j, k) * cell_size to that plus
+    cell_size on each axis, and each triangle is clipped to the cells its
+    bounding box overlaps.  Returns (pieces, sources, cells): the (k, 3, 3)
+    output triangles, the triangle id each came from, and the flat C-order
+    index of its cell, sorted by cell, then triangle, then fan order.
     """
     corners = mesh.vertices[mesh.triangles]
     c0, c1, c2 = corners.transpose(1, 0, 2)     # numpy reduces (m, 3, 3) slowly
     tri_lo = np.minimum(np.minimum(c0, c1), c2)
     tri_hi = np.maximum(np.maximum(c0, c1), c2)
     normals = cross(c1 - c0, c2 - c0)
-    if isinstance(box, Aabb):
-        _check_box(box)
-        dims = (1, 1, 1)
-        first = last = np.zeros(tri_lo.shape, dtype=np.int64)
-        planes = [(box.min[[axis]], box.max[[axis]]) for axis in range(3)]
-    else:
-        dims, size = box.dims, box.cell_size
-        top = np.array(dims) - 1
-        first = np.clip(np.floor((tri_lo - box.origin) / size - 1e-12).astype(np.int64), 0, top)
-        last = np.clip(np.floor((tri_hi - box.origin) / size + 1e-12).astype(np.int64), 0, top)
-        planes = []
-        for axis in range(3):
-            lo = box.origin[axis] + np.arange(dims[axis]) * size
-            planes.append((lo, lo + size))
+    dims, size = grid.dims, grid.cell_size
+    top = np.array(dims) - 1
+    first = np.clip(np.floor((tri_lo - grid.origin) / size - 1e-12).astype(np.int64), 0, top)
+    last = np.clip(np.floor((tri_hi - grid.origin) / size + 1e-12).astype(np.int64), 0, top)
+    planes = []
+    for axis in range(3):
+        lo = grid.origin[axis] + np.arange(dims[axis]) * size
+        planes.append((lo, lo + size))
     # The polygons so far, one per row, lie one after another in verts.  A
     # row also has its triangle and the flat index of its cell over the
     # axes done.

@@ -11,11 +11,10 @@ the box within the printer (in whole cells, against the piece's row of
 :func:`~parallelobox.blocks.cell_limits`, the one growth tests), and the new
 layer holds no owned cell and meets no previously carved region.
 
-Ownership is box arithmetic, as in growth: a block owns every solid cell of
-its box, so a layer holds an owned cell when its overlap with some block
-box holds a solid cell, one 8-term lookup in the SOLID channel of the
-piece's summed-volume table.  A fill meets a few boxes, so the lookups run
-on Python numbers.
+Both rules read one scratch mask of taken cells, shaped like the piece's
+classification: a block owns every solid cell of its box, so the mask
+starts as those cells, and each carved region then takes all of its cells.
+The block boxes stay the only record kept; the mask is dropped at return.
 """
 from __future__ import annotations
 
@@ -23,9 +22,14 @@ import logging
 
 import numpy as np
 
-from .grid import SOLID, CellClass, CellMeasures
+from .grid import CellClass, CellMeasures
 
 logger = logging.getLogger(__name__)
+
+
+def _cells(lo, hi) -> tuple[slice, ...]:
+    """The index of the inclusive cell range [lo, hi]."""
+    return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
 
 
 def get_discrete_empty_regions(measures: CellMeasures, blocks,
@@ -43,47 +47,20 @@ def get_discrete_empty_regions(measures: CellMeasures, blocks,
     """
     if num_free_printers <= 0:
         return []
-    boxes = [([int(v) for v in lo], [int(v) for v in hi]) for lo, hi in blocks]
-    # Boundary cells in no block box, in lexicographic (x, y, z) order (the
-    # order of np.argwhere); the seeds are taken from them in turn.
-    boundary = np.argwhere(measures.classification == CellClass.BOUNDARY)
-    lo, hi = np.array(boxes, dtype=np.int64).reshape(-1, 2, 3).transpose(1, 0, 2)
-    inside = ((boundary[:, None] >= lo) & (boundary[:, None] <= hi)).all(axis=2)
-    seeds = boundary[~inside.any(axis=1)].tolist()
-    if not seeds:
-        return []
-    dims, (sx, sy, _) = measures.dims.tolist(), measures.strides.tolist()
-    solid = measures.table[:, SOLID].tolist()
+    classification = measures.classification
+    solid = classification != CellClass.EXTERNAL
+    taken = np.zeros(classification.shape, dtype=bool)
+    for lo, hi in blocks:
+        box = _cells(lo, hi)
+        taken[box] |= solid[box]
+    dims = classification.shape
     limit = [int(v) for v in limits]
-
-    def owned(lo, hi) -> bool:
-        """Whether the cell range [lo, hi] holds a solid cell of a block box."""
-        for blo, bhi in boxes:
-            x0, y0, z0 = (max(a, b) for a, b in zip(lo, blo))
-            x1, y1, z1 = (min(a, b) + 1 for a, b in zip(hi, bhi))
-            if x0 >= x1 or y0 >= y1 or z0 >= z1:
-                continue
-            x0, x1, y0, y1 = x0 * sx, x1 * sx, y0 * sy, y1 * sy
-            if (solid[x1 + y1 + z1] - solid[x0 + y1 + z1] - solid[x1 + y0 + z1]
-                    - solid[x1 + y1 + z0] + solid[x0 + y0 + z1]
-                    + solid[x0 + y1 + z0] + solid[x1 + y0 + z0]
-                    - solid[x0 + y0 + z0]) > 0:
-                return True
-        return False
-
-    def carved(lo, hi) -> bool:
-        """Whether the cell range [lo, hi] meets a region carved earlier."""
-        return any(all(a <= d and c <= b for a, b, c, d in zip(lo, hi, rlo, rhi))
-                   for rlo, rhi in regions)
-
     regions: list[tuple[list[int], list[int]]] = []
-    next_seed = 0
-    for _ in range(num_free_printers):
-        while next_seed < len(seeds) and carved(seeds[next_seed], seeds[next_seed]):
-            next_seed += 1
-        if next_seed == len(seeds):
-            break
-        lo, hi = list(seeds[next_seed]), list(seeds[next_seed])
+    # Seeds in lexicographic (x, y, z) order, the order of np.argwhere.
+    for seed in np.argwhere((classification == CellClass.BOUNDARY) & ~taken).tolist():
+        if taken[tuple(seed)]:
+            continue
+        lo, hi = seed, list(seed)
         expanded = True
         while expanded:
             expanded = False
@@ -100,11 +77,14 @@ def get_discrete_empty_regions(measures: CellMeasures, blocks,
                         continue
                     layer_lo, layer_hi = lo.copy(), hi.copy()
                     layer_lo[axis] = layer_hi[axis] = pos
-                    if owned(layer_lo, layer_hi) or carved(layer_lo, layer_hi):
+                    if taken[_cells(layer_lo, layer_hi)].any():
                         continue
                     lo, hi = new_lo, new_hi
                     expanded = True
+        taken[_cells(lo, hi)] = True
         regions.append((lo, hi))
         logger.debug("carved empty region %s..%s", lo, hi)
+        if len(regions) == num_free_printers:
+            break
     return [(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
             for lo, hi in regions]

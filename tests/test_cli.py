@@ -32,11 +32,18 @@ def test_parse_config_missing_file(tmp_path):
         parse_config(tmp_path / "nope.ini")
 
 
-def test_parse_config_defaults_without_section(tmp_path):
-    ini = _write(tmp_path / "p.ini", "[other]\nx = 1\n")
-    profile = parse_config(ini)
-    assert profile.dims == (250.0, 250.0, 250.0)
-    assert profile.speed_shell == 20.0
+def test_parse_config_rejects_missing_section(tmp_path):
+    """An ini without a [printer] section, a misspelt one say, fails up
+    front, naming the file, and the command exits 2 before any model is
+    read, rather than running on the default printer."""
+    ini = _write(tmp_path / "p.ini", "[printr]\nvolume_x = 40\n")
+    with pytest.raises(ConfigError, match=r"p\.ini"):
+        parse_config(ini)
+    model = tmp_path / "dumbbell.stl"
+    save_stl(dumbbell(), model)
+    out = tmp_path / "out"
+    assert main(_decompose_args(model, out, ["--config", str(ini)])) == 2
+    assert not out.exists()
 
 
 def test_parse_config_overrides(tmp_path):
@@ -576,6 +583,19 @@ def test_batch_unreadable_model_exits_2(tmp_path):
     assert main(["batch", str(manifest)]) == 2
     rows = _read_csv(tmp_path / "out" / "results.csv")
     assert rows[1][8] == "false"
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, sub, caplog):
+    """An --out or manifest out that is a file, or lies under one, ends
+    the run with exit 2, naming the path, and not with a traceback."""
+    save_stl(dumbbell(), tmp_path / "dumbbell.stl")
+    out = _write(tmp_path / "some_file", "") / sub
+    assert main(_decompose_args(tmp_path / "dumbbell.stl", out)) == 2
+    manifest = _write(tmp_path / "m.json", json.dumps(
+        {"models": ["dumbbell.stl"], "printers": [2], "out": str(out)}))
+    assert main(["batch", str(manifest)]) == 2
+    assert f"output directory {out}:" in caplog.text
 
 
 def test_batch_missing_manifest_exits_2(tmp_path):

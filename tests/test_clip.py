@@ -114,20 +114,20 @@ def test_adjacent_boxes_partition_volume_and_surface():
         # surface-only clips of the same two boxes partition the total area,
         # triangles exactly in the shared plane counted once.
         total = measure(mesh).surface_area
-        a_left = _piece_area(clip_surface_to_box(mesh, left)[0])
-        a_right = _piece_area(clip_surface_to_box(mesh, right)[0])
+        m = len(mesh.triangles)
+        a_left = _piece_area(_reference_clip(mesh, left, np.arange(m))[0])
+        a_right = _piece_area(_reference_clip(mesh, right, np.arange(m))[0])
         assert a_left + a_right == pytest.approx(total, rel=1e-9)
 
         # One per-pair call of the reference kernel with both boxes gives
         # the same two sets of pieces.
-        m = len(mesh.triangles)
         lo = np.repeat([left.min, right.min], m, axis=0)
         hi = np.repeat([left.max, right.max], m, axis=0)
         pieces, sources = _reference_pair_clip(mesh, lo, hi, np.tile(np.arange(m), 2))
         assert _piece_area(pieces[sources < m]) == a_left
         assert _piece_area(pieces[sources >= m]) == a_right
         for box, mine in ((left, sources < m), (right, sources >= m)):
-            got, got_sources, _ = clip_surface_to_box(mesh, box)
+            got, got_sources = _reference_clip(mesh, box, np.arange(m))
             assert np.array_equal(got, pieces[mine])
             assert np.array_equal(got_sources, sources[mine] % m)
 
@@ -149,7 +149,7 @@ def test_coplanar_surface_triangles_single_owner():
         upper = Aabb(upper_lo, (2.0, 2.0, 2.0))
 
         def area(box):
-            return _piece_area(clip_surface_to_box(cube, box)[0])
+            return _piece_area(_reference_clip(cube, box, np.arange(12))[0])
 
         assert area(lower) == pytest.approx(lower_area, rel=1e-12)
         assert area(upper) == pytest.approx(6.0 - lower_area, rel=1e-12)
@@ -160,15 +160,18 @@ def test_coplanar_surface_triangles_single_owner():
             np.repeat([lower.max, upper.max], 12, axis=0), np.tile(np.arange(12), 2))
         assert _piece_area(pieces[sources < 12]) == area(lower)
         assert _piece_area(pieces[sources >= 12]) == area(upper)
-        assert np.array_equal(pieces[sources < 12], clip_surface_to_box(cube, lower)[0])
-        assert np.array_equal(pieces[sources >= 12], clip_surface_to_box(cube, upper)[0])
+        assert np.array_equal(pieces[sources < 12],
+                              _reference_clip(cube, lower, np.arange(12))[0])
+        assert np.array_equal(pieces[sources >= 12],
+                              _reference_clip(cube, upper, np.arange(12))[0])
 
 
 def test_clip_snaps_vertices_within_plane_eps():
     # A vertex 1e-10 beyond a max face (and another beyond a min face) is
     # snapped onto the plane: the triangle comes back unclipped, bit for
-    # bit.  1e-8 beyond the max face is a real crossing and is cut.
-    box = Aabb((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+    # bit.  1e-8 beyond the max face is a real crossing and is cut.  The
+    # box [-1, 1]^3 is a grid of one cell.
+    box = Grid((-1.0, -1.0, -1.0), 2.0, (1, 1, 1))
     for over, clipped in ((1e-10, False), (1e-8, True)):
         verts = np.array([[0.0, 0.0, 0.0], [1.0 + over, 0.5, 0.0],
                           [0.0, -1.0 - 1e-10, 0.5]])
@@ -359,11 +362,13 @@ def test_batched_clip_matches_per_cell_clips(make_mesh):
     seen = 0
     for c in np.unique(pair_cell):
         ids = pair_tris[pair_cell == c]
-        # The cell's box as the grid form builds it, bit for bit.
+        # The cell's box as the grid form builds it, bit for bit, and as
+        # a grid of that one cell.
         lo = grid.origin + np.array(np.unravel_index(c, grid.dims)) * grid.cell_size
         box = Aabb(lo, lo + grid.cell_size)
         binned = TriangleMesh(mesh.vertices, mesh.triangles[ids])
-        want, want_sources, _ = clip_surface_to_box(binned, box)
+        want, want_sources, _ = clip_surface_to_box(
+            binned, Grid(lo, grid.cell_size, (1, 1, 1)))
         ref, ref_sources = _reference_clip(mesh, box, ids)
         assert np.array_equal(want, ref) and np.array_equal(want_sources, ref_sources)
         mine = cells == c
@@ -688,7 +693,7 @@ def _reference_clip_to_box(mesh, box):
     a full weld) is the box or nothing, by the winding number at its
     center, and any other box takes all six cuts.  clip_to_box, which only
     cuts, must agree with it up to the triangulation of the caps."""
-    pieces = clip_surface_to_box(mesh, box)[0]
+    pieces = _reference_clip(mesh, box, np.arange(len(mesh.triangles)))[0]
     verts = pieces.reshape(-1, 3)
     count = 0
     if len(verts):
@@ -851,7 +856,7 @@ def test_touching_boxes_match_the_weld():
     for box in boxes:
         assert clip_to_box(cube, box).is_empty
         assert _reference_clip_to_box(cube, box).is_empty
-        assert len(clip_surface_to_box(cube, box)[0]) == 0
+        assert len(_reference_clip(cube, box, np.arange(12))[0]) == 0
     # A tetrahedron whose tip pokes 1.5e-9 into the box: the pieces are
     # slivers about 1.5e-10 wide, distinct points that weld together.
     tip = TriangleMesh(np.array([[0.0, 0.0, 0.0], [10.0, -1.0, -1.0],
@@ -860,7 +865,7 @@ def test_touching_boxes_match_the_weld():
                                 dtype=np.int32))
     assert validate_watertight(tip).is_watertight
     box = Aabb((-1.0, -1.0, -1.0), (1.5e-9, 1.0, 1.0))
-    pieces = clip_surface_to_box(tip, box)[0]
+    pieces = _reference_clip(tip, box, np.arange(4))[0]
     assert len(pieces) == 3
     assert clip_to_box(tip, box).is_empty
     _assert_same_solid(clip_to_box(tip, box), _reference_clip_to_box(tip, box), box)
@@ -1118,11 +1123,11 @@ def test_vertex_plane_cuts_stay_closed(make_mesh, caplog):
 
 @pytest.mark.parametrize("make_mesh", _FIXTURES, ids=_FIXTURE_IDS)
 def test_culled_surface_clip_matches_unculled_kernel(make_mesh):
-    """clip_surface_to_box drops the triangles beyond PLANE_EPS of their
-    box before clipping; on random boxes, half of them with every plane on
-    a vertex coordinate or PLANE_EPS-scale nudges off it, its pieces are
-    the per-triangle kernel's over every triangle, bit for bit, and so are
-    those of the per-pair reference kernel of the grid form."""
+    """The per-pair reference kernel of the grid form drops the triangles
+    beyond PLANE_EPS of their box before clipping; on random boxes, half of
+    them with every plane on a vertex coordinate or PLANE_EPS-scale nudges
+    off it, its pieces are the per-triangle kernel's over every triangle,
+    bit for bit, one box a call and all boxes in one call."""
     mesh = make_mesh()
     bb = aabb_of(mesh)
     ids = np.arange(len(mesh.triangles))
@@ -1139,7 +1144,9 @@ def test_culled_surface_clip_matches_unculled_kernel(make_mesh):
             lo = bb.min + rng.uniform(-0.1, 0.8, size=3) * bb.extent
             hi = lo + rng.uniform(0.05, 0.6, size=3) * bb.extent
         boxes.append(Aabb(lo, hi))
-        got, got_sources, _ = clip_surface_to_box(mesh, boxes[-1])
+        got, got_sources = _reference_pair_clip(
+            mesh, np.tile(boxes[-1].min, (len(ids), 1)),
+            np.tile(boxes[-1].max, (len(ids), 1)), ids)
         want, want_sources = _reference_clip(mesh, boxes[-1], ids)
         assert np.array_equal(got, want) and np.array_equal(got_sources, want_sources)
     assert len(boxes) >= 12
@@ -1188,7 +1195,7 @@ def test_boundary_edges_read_only_the_cut_plane(monkeypatch):
 def _surface_pass_crosses(mesh, box) -> bool:
     """The surface pass's answer: some piece keeps three corners apart at
     PLANE_EPS resolution."""
-    pieces = clip_surface_to_box(mesh, box)[0]
+    pieces = _reference_clip(mesh, box, np.arange(len(mesh.triangles)))[0]
     keys = np.round(pieces / PLANE_EPS).astype(np.int64)
     return bool((keys != np.roll(keys, -1, axis=1)).any(axis=2).all(axis=1).any())
 
@@ -1236,7 +1243,7 @@ def test_vertex_rule_agrees_with_the_surface_pass(make_mesh):
         inside = ((v >= box.min) & (v <= box.max)).all(axis=1)[t].all(axis=1)
         into = (((np.abs(v - box.min) <= PLANE_EPS)[t].all(axis=1) & (normal >= 0.0))
                 | ((np.abs(v - box.max) <= PLANE_EPS)[t].all(axis=1) & (normal <= 0.0)))
-        pieces, sources, _ = clip_surface_to_box(mesh, box)
+        pieces, sources = _reference_clip(mesh, box, np.arange(len(t)))
         for tri in np.nonzero(inside & ~into.any(axis=1))[0]:
             mine = np.nonzero(sources == tri)[0]
             assert len(mine) == 1 and np.array_equal(pieces[mine[0]], v[t[tri]]), box
