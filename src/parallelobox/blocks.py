@@ -25,12 +25,12 @@ moved block's six options, and the ownership and proximity of the other
 blocks' options, which a move can only worsen.  Fit is tested in whole
 cells against one limit per piece (:func:`cell_limits`), as in the void
 fill.  Every sum is read in O(1) from the summed-volume table of its
-piece's :class:`~parallelobox.grid.CellMeasures`, whose sums are exact, so
-scores are bit-identical to a loop summing slices; the tables of all
-pieces are joined into one, which each problem reads from its own offset
-with its own dims and strides.  Ownership is box arithmetic: a block owns
-every solid cell of its box, so the owned cells of a layer are the solid
-cells of its overlaps with the other boxes, the only record of ownership.
+piece's :class:`~parallelobox.grid.Grid`, whose sums are exact, so scores
+are bit-identical to a loop summing slices; the tables of all pieces are
+joined into one, which each problem reads from its own offset with its own
+dims and strides.  Ownership is box arithmetic: a block owns every solid
+cell of its box, so the owned cells of a layer are the solid cells of its
+overlaps with the other boxes, the only record of ownership.
 
 Seeding is k-means++ on the mesh vertices, one seed cell per block.  Its
 draws come from
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import InsufficientBoundaryCells
 from .grid import (AREA, BOUNDARY, DIRECTIONS, N_CHANNELS, OVERHANG, SOLID,
-                   VOLUME, CellClass, CellMeasures, Grid, range_sums)
+                   VOLUME, CellClass, Grid, range_sums)
 from .mesh import TriangleMesh
 
 logger = logging.getLogger(__name__)
@@ -60,6 +60,9 @@ SCORE_RTOL = 1e-9
 OVERHANG_WEIGHT = 1.0
 #: Least proximity (grid units) the growth cost divides by.
 PROXIMITY_FLOOR = 1.0
+#: Most blocks times block slots that one set-up rescore reads: its
+#: overlap arrays are (blocks, 6, slots, 3), about 1 KB per pair in all.
+SETUP_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,15 @@ def cell_limits(printer_dims, cell_size) -> np.ndarray:
     it by the rule of :func:`fits_printer` (c cells fit a side s iff
     ``c * cell_size <= s + 1e-9``), one row per cell size.  As
     ``c -> c * cell_size`` is monotone in floating point, a box of whole
-    cells fits iff its sorted cell counts are at most these limits."""
+    cells fits iff its sorted cell counts are at most these limits.  No
+    grid has 2**62 cells on an axis, so a count is held to that: a larger
+    side takes any box."""
     side = np.sort(np.asarray(printer_dims, dtype=np.float64)) + 1e-9
     size = np.asarray(cell_size, dtype=np.float64)[..., None]
     count = np.floor(side / size)
     count -= count * size > side      # the rounded quotient may be one off
     count += (count + 1) * size <= side
-    return count.astype(np.int64)
+    return np.minimum(count, 2.0 ** 62).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +332,18 @@ class GrowthState:
     """n growth problems, grown in lockstep.
 
     Problem p grows one block from each distinct boundary cell of the (k, 3)
-    ``seeds[p]`` on a grid of cells of side ``cell_sizes[p]``, scored from
-    ``measures[p]`` at ``infill_fraction``; the grown boxes keep disjoint
-    solid cells.  Problems on one piece share its measures and
-    classification; a model cut in two grows the problems of both pieces in
-    one state.  The summed-volume tables of the distinct measures are joined
-    into one ``table``, and problem p reads its own from row ``base[p]`` on,
-    with its own ``dims`` and ``strides``, and fit is tested in whole cells
-    against its row of :func:`cell_limits` (``limits``) of the printer
-    ``profile``.  Per-block arrays are (n, K, ...), K the largest block
-    count, seed i of problem p in slot [p, i]; ``real`` marks the slots that
-    hold a block, whose box is the cells ``lo[p, i]`` to ``hi[p, i]``.
-    ``sums`` holds every channel of the measures summed over each block's
+    ``seeds[p]`` on the measured ``grids[p]``, scored at
+    ``infill_fraction``; the grown boxes keep disjoint solid cells.
+    Problems on one piece share its grid; a model cut in two grows the
+    problems of both pieces in one state.  The summed-volume tables of the
+    distinct grids are joined into one ``table``, and problem p reads its
+    own from row ``base[p]`` on, with its own ``dims`` and ``strides``, and
+    fit is tested in whole cells of its grid's ``cell_size`` against its
+    row of :func:`cell_limits` (``limits``) of the printer ``profile``.
+    Per-block arrays are (n, K, ...), K the largest block count, seed i of
+    problem p in slot [p, i]; ``real`` marks the slots that hold a block,
+    whose box is the cells ``lo[p, i]`` to ``hi[p, i]``.
+    ``sums`` holds every channel of the tables summed over each block's
     box.  Per problem, ``unassigned`` counts the boundary cells no block
     owns, ``moves`` the moves made, and ``active`` says whether it is still
     growing.
@@ -347,15 +352,15 @@ class GrowthState:
     option, (n, K, 6, ...) arrays in DIRECTIONS order keep the layer's sums
     (``layer_sums``), the score's numerator P + OVERHANG_WEIGHT * O, its
     denominator (the proximity, at least the floor) and whether the move
-    is ``allowed``, built here and after each move by :meth:`rescore`.
+    is ``allowed``, built here, in chunks of at most SETUP_CHUNK blocks
+    times slots, and after each move by :meth:`rescore`.
     """
 
-    def __init__(self, cell_sizes: list[float], measures: list[CellMeasures],
-                 seeds: list[np.ndarray], profile: PrinterProfile,
-                 infill_fraction: float):
-        self.measures = measures
+    def __init__(self, grids: list[Grid], seeds: list[np.ndarray],
+                 profile: PrinterProfile, infill_fraction: float):
+        self.grids = grids
         self.profile, self.infill_fraction = profile, infill_fraction
-        self.limits = cell_limits(profile.dims, cell_sizes)
+        self.limits = cell_limits(profile.dims, [g.cell_size for g in grids])
         n, k = len(seeds), max(len(s) for s in seeds)
         self.lo = np.zeros((n, k, 3), dtype=np.int64)
         self.real = np.zeros((n, k), dtype=bool)
@@ -363,24 +368,26 @@ class GrowthState:
             self.lo[p, :len(cells)] = cells
             self.real[p, :len(cells)] = True
         self.hi = self.lo.copy()
-        distinct = list({id(m): m for m in measures}.values())
+        distinct = list({id(g): g for g in grids}.values())
         first_row = dict(zip(map(id, distinct), np.cumsum(
-            [0] + [len(m.table) for m in distinct]).tolist()))
-        self.table = np.concatenate([m.table for m in distinct])
-        self.base = np.array([first_row[id(m)] for m in measures], dtype=np.int64)
-        self.dims = np.array([m.dims for m in measures], dtype=np.int64)
-        self.strides = np.array([m.strides for m in measures], dtype=np.int64)
+            [0] + [len(g.table) for g in distinct]).tolist()))
+        self.table = np.concatenate([g.table for g in distinct])
+        self.base = np.array([first_row[id(g)] for g in grids], dtype=np.int64)
+        self.dims = np.array([g.dims for g in grids], dtype=np.int64)
+        self.strides = np.array([g.strides for g in grids], dtype=np.int64)
         # others[p, i, j]: slot j of problem p holds a block other than i.
         self.others = self.real[:, None, :] & ~np.eye(k, dtype=bool)
         self.sums = np.where(self.real[..., None], self.range_sums(
             np.arange(n)[:, None], self.lo, self.hi), 0.0)
-        boundary = np.array([m.table[-1, BOUNDARY] for m in measures])
+        boundary = np.array([g.table[-1, BOUNDARY] for g in grids])
         self.unassigned = (boundary - self.sums[..., BOUNDARY].sum(1)).astype(np.int64)
         self.layer_sums = np.zeros((n, k, 6, N_CHANNELS))
         self.numerator = np.zeros((n, k, 6))
         self.denominator = np.ones((n, k, 6))
         self.allowed = np.zeros((n, k, 6), dtype=bool)
-        self.rescore(*np.nonzero(self.real), moved=False)
+        blocks, step = np.argwhere(self.real), max(1, SETUP_CHUNK // k)
+        for chunk in np.split(blocks, range(step, len(blocks), step)):
+            self.rescore(*chunk.T, moved=False)
         self.moves = np.zeros(n, dtype=np.int64)
         self.active = self.unassigned > 0
 

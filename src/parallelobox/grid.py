@@ -6,7 +6,8 @@ a named granularity preset along the longest axis.  A cell is *boundary*
 when the surface clipped to it is non-empty.  A cell without surface is
 *internal* when its solid volume (below) exceeds half the cell, otherwise
 *external*.  Only a closed mesh bounds a solid, so an open one raises
-NonWatertightInput.
+NonWatertightInput.  The :class:`Grid` is the one record of a piece's
+cells: its lattice, labels, measures and their summed-volume table.
 
 The surface is clipped to the cells in one call, one axis at a time: each
 triangle is clipped to the x-slabs its bounding box overlaps, the pieces
@@ -64,17 +65,34 @@ class CellClass(IntEnum):
 
 @dataclass
 class Grid:
-    """Dense cubic grid and its cell labels; parts own the cells of their
-    boxes, counted from the :class:`CellMeasures` table."""
+    """Dense cubic grid over one piece, and the one record of its cells.
+
+    :meth:`set_cells`, with which :func:`measure_cells` ends, keeps their
+    labels and measures and builds the summed-volume ``table`` of them that
+    parts' boxes are counted and scored from.  The measures are rounded as
+    they are set (see :func:`quantize`), so arrays changed afterwards are
+    not seen by the sums: call :meth:`set_cells` again instead.
+    """
 
     origin: np.ndarray
     cell_size: float
     dims: tuple[int, int, int]
-    classification: np.ndarray | None = None  # CellClass values, by measure_cells
+    classification: np.ndarray = field(init=False, repr=False)  # CellClass
+    volume: np.ndarray = field(init=False, repr=False)    # solid volume
+    area: np.ndarray = field(init=False, repr=False)      # cap-free shell area
+    overhang: np.ndarray = field(init=False, repr=False)  # (6, nx, ny, nz):
+                                  # per down-direction overhang area
+    section: np.ndarray = field(init=False, repr=False)   # (3, nx, ny, nz):
+                                  # solid cross-section on the max x, y, z face
+    table: np.ndarray = field(init=False, repr=False)     # ((nx+1)(ny+1)(nz+1), 13)
+    strides: np.ndarray = field(init=False, repr=False)   # of table, in rows
 
     def __post_init__(self) -> None:
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.dims = tuple(int(d) for d in self.dims)
+        # Rows of the flat table, which has one more entry along each axis.
+        nx, ny, nz = self.dims
+        self.strides = np.array([(ny + 1) * (nz + 1), nz + 1, 1])
 
     def box_of_range(self, lo, hi) -> Aabb:
         """Physical box spanned by cells lo..hi inclusive."""
@@ -83,117 +101,23 @@ class Grid:
         return Aabb(self.origin + lo * self.cell_size,
                     self.origin + (hi + 1.0) * self.cell_size)
 
-
-def build_grid(mesh: TriangleMesh, granularity: str = "very_fine") -> Grid:
-    """Lay a cubic grid over the scaled bounding box of a mesh."""
-    if granularity not in GRANULARITY_CELLS:
-        raise ValueError(f"unknown granularity {granularity!r}; "
-                         f"expected one of {sorted(GRANULARITY_CELLS)}")
-    box = aabb_of(mesh).scaled(BBOX_SCALE)
-    extent = box.extent
-    longest = float(extent.max())
-    if longest <= 0:
-        raise ValueError("mesh bounding box has no extent")
-    n_longest = GRANULARITY_CELLS[granularity]
-    cell_size = longest / n_longest
-    # The epsilon guards against ceil(5.0000000001) = 6 on exact divisions.
-    dims = tuple(int(np.ceil(e / cell_size - 1e-9)) if e > 0 else 1 for e in extent)
-    dims = tuple(max(d, 1) for d in dims)
-    return Grid(origin=box.min, cell_size=cell_size, dims=dims)
-
-
-#: Bits, in units of its quantum, of a measure array's absolute sum.  A
-#: float64 holds integers to 2**53 exactly; an 8-term inclusion-exclusion
-#: of table entries needs 3 more bits than one entry, rounding may add one
-#: to the sum, and one is spare.
-EXACT_BITS = 48
-
-#: Channels of CellMeasures.table: volume, area, the six overhangs (in
-#: DIRECTIONS order), the three face sections (x, y, z), and the counts of
-#: non-external (solid) and of boundary cells.
-VOLUME, AREA = 0, 1
-OVERHANG = slice(2, 8)
-SECTION = slice(8, 11)
-SOLID, BOUNDARY = 11, 12
-N_CHANNELS = 13
-
-#: The 8 corners of a cell range in a summed-volume table, as 0/1 picks of
-#: (start, end) per axis, and the sign each corner enters the sum with.
-_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-_CORNER_SIGNS = np.where((3 - _CORNERS.sum(axis=1)) % 2 == 0, 1.0, -1.0)
-
-
-def quantize(values: np.ndarray) -> np.ndarray:
-    """values rounded to the multiples of a power of two q chosen so that
-    sum(|values|) < 2**EXACT_BITS * q; every partial sum is then exact."""
-    total = float(np.abs(values).sum())
-    if total == 0.0:
-        return np.zeros_like(values, dtype=np.float64)
-    exponent = np.frexp(total)[1] - EXACT_BITS    # total < 2**frexp exponent
-    return np.ldexp(np.rint(np.ldexp(values, -exponent)), exponent)
-
-
-def table_strides(dims) -> np.ndarray:
-    """Row strides along x, y and z of the flat summed-volume table of a
-    grid with these dims (the table has one more entry along each axis)."""
-    return np.array([(dims[1] + 1) * (dims[2] + 1), dims[2] + 1, 1])
-
-
-def range_sums(table: np.ndarray, base, dims, strides, lo, hi) -> np.ndarray:
-    """Every channel of flat summed-volume tables summed over the inclusive
-    cell ranges [lo, hi].
-
-    table may hold the tables of several grids one after another: a range
-    reads the table that starts at row base, of a grid with the given dims
-    and strides (:func:`table_strides`).  lo and hi are (..., 3), dims and
-    strides broadcast against them and base against their leading shape;
-    the result is (..., N_CHANNELS).  Ranges are clipped to their grid, and
-    an empty range sums to zero.
-    """
-    start = np.minimum(np.maximum(lo, 0), dims)
-    end = np.maximum(np.minimum(np.asarray(hi) + 1, dims), start)
-    # Corner c takes the end on the axes where it has a 1, the start on
-    # the others.
-    first = base + (start * strides).sum(axis=-1)
-    corners = first[..., None] + ((end - start) * strides) @ _CORNERS.T
-    return _CORNER_SIGNS @ table[corners]
-
-
-@dataclass
-class CellMeasures:
-    """Per-cell quantities the growth objective consumes.
-
-    The measures are rounded on construction (see :func:`quantize`), and
-    ``table`` is built from them, so arrays changed afterwards are not seen
-    by the sums: build a new instance instead.
-    """
-
-    volume: np.ndarray        # solid volume inside each cell
-    area: np.ndarray          # cap-free clipped surface area
-    overhang: np.ndarray      # (6, nx, ny, nz): per down-direction overhang area
-    section: np.ndarray       # (3, nx, ny, nz): solid cross-section on the max
-                              # x, y and z face of each cell
-    classification: np.ndarray  # CellClass per cell
-    table: np.ndarray = field(init=False, repr=False)  # ((nx+1)(ny+1)(nz+1), 13)
-    dims: np.ndarray = field(init=False, repr=False)     # (nx, ny, nz)
-    strides: np.ndarray = field(init=False, repr=False)  # of table, in rows
-
-    def __post_init__(self) -> None:
-        self.volume = quantize(self.volume)
-        self.area = quantize(self.area)
-        self.overhang = quantize(self.overhang)
-        self.section = quantize(self.section)
-        self.classification = np.asarray(self.classification)
-        shape = self.classification.shape
+    def set_cells(self, volume, area, overhang, section,
+                  classification) -> Grid:
+        """Keep the cells' measures, rounded, and labels, build their
+        summed-volume table, and return the grid."""
+        self.volume = quantize(volume)
+        self.area = quantize(area)
+        self.overhang = quantize(overhang)
+        self.section = quantize(section)
+        self.classification = np.asarray(classification)
         channels = np.concatenate([
             self.volume[None], self.area[None], self.overhang, self.section,
             (self.classification != CellClass.EXTERNAL)[None],
             (self.classification == CellClass.BOUNDARY)[None]])
-        table = np.zeros(tuple(n + 1 for n in shape) + (N_CHANNELS,))
+        table = np.zeros(tuple(n + 1 for n in self.dims) + (N_CHANNELS,))
         table[1:, 1:, 1:] = np.moveaxis(channels, 0, -1).cumsum(0).cumsum(1).cumsum(2)
         self.table = table.reshape(-1, N_CHANNELS)
-        self.dims = np.array(shape)
-        self.strides = table_strides(shape)
+        return self
 
     def sums(self, lo, hi) -> np.ndarray:
         """Every channel summed over the inclusive cell ranges [lo, hi].
@@ -228,6 +152,75 @@ class CellMeasures:
         return sums[:, 0, VOLUME], area
 
 
+def build_grid(mesh: TriangleMesh, granularity: str = "very_fine") -> Grid:
+    """Lay a cubic grid over the scaled bounding box of a mesh."""
+    if granularity not in GRANULARITY_CELLS:
+        raise ValueError(f"unknown granularity {granularity!r}; "
+                         f"expected one of {sorted(GRANULARITY_CELLS)}")
+    box = aabb_of(mesh).scaled(BBOX_SCALE)
+    extent = box.extent
+    longest = float(extent.max())
+    if longest <= 0:
+        raise ValueError("mesh bounding box has no extent")
+    n_longest = GRANULARITY_CELLS[granularity]
+    cell_size = longest / n_longest
+    # The epsilon guards against ceil(5.0000000001) = 6 on exact divisions.
+    dims = tuple(int(np.ceil(e / cell_size - 1e-9)) if e > 0 else 1 for e in extent)
+    dims = tuple(max(d, 1) for d in dims)
+    return Grid(origin=box.min, cell_size=cell_size, dims=dims)
+
+
+#: Bits, in units of its quantum, of a measure array's absolute sum.  A
+#: float64 holds integers to 2**53 exactly; an 8-term inclusion-exclusion
+#: of table entries needs 3 more bits than one entry, rounding may add one
+#: to the sum, and one is spare.
+EXACT_BITS = 48
+
+#: Channels of Grid.table: volume, area, the six overhangs (in
+#: DIRECTIONS order), the three face sections (x, y, z), and the counts of
+#: non-external (solid) and of boundary cells.
+VOLUME, AREA = 0, 1
+OVERHANG = slice(2, 8)
+SECTION = slice(8, 11)
+SOLID, BOUNDARY = 11, 12
+N_CHANNELS = 13
+
+#: The 8 corners of a cell range in a summed-volume table, as 0/1 picks of
+#: (start, end) per axis, and the sign each corner enters the sum with.
+_CORNERS = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+_CORNER_SIGNS = np.where((3 - _CORNERS.sum(axis=1)) % 2 == 0, 1.0, -1.0)
+
+
+def quantize(values: np.ndarray) -> np.ndarray:
+    """values rounded to the multiples of a power of two q chosen so that
+    sum(|values|) < 2**EXACT_BITS * q; every partial sum is then exact."""
+    total = float(np.abs(values).sum())
+    if total == 0.0:
+        return np.zeros_like(values, dtype=np.float64)
+    exponent = np.frexp(total)[1] - EXACT_BITS    # total < 2**frexp exponent
+    return np.ldexp(np.rint(np.ldexp(values, -exponent)), exponent)
+
+
+def range_sums(table: np.ndarray, base, dims, strides, lo, hi) -> np.ndarray:
+    """Every channel of flat summed-volume tables summed over the inclusive
+    cell ranges [lo, hi].
+
+    table may hold the tables of several grids one after another: a range
+    reads the table that starts at row base, of a grid with the given dims
+    and strides (:attr:`Grid.strides`).  lo and hi are (..., 3), dims and
+    strides broadcast against them and base against their leading shape;
+    the result is (..., N_CHANNELS).  Ranges are clipped to their grid, and
+    an empty range sums to zero.
+    """
+    start = np.minimum(np.maximum(lo, 0), dims)
+    end = np.maximum(np.minimum(np.asarray(hi) + 1, dims), start)
+    # Corner c takes the end on the axes where it has a 1, the start on
+    # the others.
+    first = base + (start * strides).sum(axis=-1)
+    corners = first[..., None] + ((end - start) * strides) @ _CORNERS.T
+    return _CORNER_SIGNS @ table[corners]
+
+
 #: Growth direction order: +x, -x, +y, -y, +z, -z.
 DIRECTIONS = np.array(
     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
@@ -236,9 +229,9 @@ DIRECTIONS = np.array(
 
 
 def measure_cells(grid: Grid, mesh: TriangleMesh,
-                  overhang_tolerance_deg: float = 1.0) -> CellMeasures:
-    """Label every cell in place and compute its volume, area, overhangs and
-    face sections.
+                  overhang_tolerance_deg: float = 1.0) -> Grid:
+    """Label every cell of grid and set its volume, area, overhangs and face
+    sections (:meth:`Grid.set_cells`); returns grid.
 
     Raises NonWatertightInput when the mesh is not closed.
     """
@@ -273,8 +266,7 @@ def measure_cells(grid: Grid, mesh: TriangleMesh,
     classification = np.where(volume > 0.5 * grid.cell_size ** 3,
                               np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
     classification[per_cell(None) > 0] = CellClass.BOUNDARY
-    grid.classification = classification
-    return CellMeasures(volume, area, over, section, classification)
+    return grid.set_cells(volume, area, over, section, classification)
 
 
 def face_sections(lift: np.ndarray, axis: int) -> np.ndarray:

@@ -31,8 +31,8 @@ infill fraction, nothing else; :func:`run_decomposition` gives its void
 fill and its box check one whole-cell limit per piece.
 
 Every part score is a sum over grid cells plus the caps on the box faces,
-so an iteration is scored from the per-cell tables of
-:class:`~parallelobox.grid.CellMeasures` without clipping anything.  Meshes
+so an iteration is scored from the per-cell tables of its pieces'
+:class:`~parallelobox.grid.Grid` without clipping anything.  Meshes
 are clipped only for the covered iterations that can still win: the
 valid ones and those with a box larger than the printer (the tables cannot
 tell whether the part inside fits), in ascending order of table score
@@ -60,12 +60,12 @@ import numpy as np
 from .blocks import (SCORE_RTOL, GrowthState, PrinterProfile, cell_limits,
                      fits_printer, grow_blocks, print_score,
                      select_seed_blocks)
-# The benchmark's traced mode patches clip_halfspace and clip_surface_to_box.
+# The benchmark's traced mode patches clip_halfspace and clip_surface_to_box
+# here, but this module calls neither, so those two patches record no span.
 from .clip import clip_halfspace, clip_surface_to_box, clip_to_box, cut_by_plane  # noqa: F401
 from .errors import (InsufficientBoundaryCells, NonWatertightInput,
                      NoValidDecomposition)
-from .grid import (BOUNDARY, SOLID, CellMeasures, Grid, build_grid,
-                   measure_cells)
+from .grid import BOUNDARY, SOLID, Grid, build_grid, measure_cells
 from .mesh import TriangleMesh, aabb_of, measure, validate_watertight
 from .preprocess import (SYMMETRY_THRESHOLD, SymmetryPlane,
                          find_best_symmetry_plane, optimize_orientation)
@@ -184,8 +184,7 @@ class PreparedPiece:
     """The model or one side of its symmetry cut, oriented and gridded."""
 
     mesh: TriangleMesh          # capped, oriented, watertight
-    grid: Grid
-    measures: CellMeasures
+    grid: Grid                  # labelled and measured
     volume: float
 
 
@@ -222,10 +221,9 @@ def prepare_model(mesh: TriangleMesh, plan: RunPlan,
         oriented, _pose = optimize_orientation(
             piece, symmetry=plane,
             overhang_tolerance_deg=plan.overhang_tolerance_deg)
-        grid = build_grid(oriented, plan.granularity)
-        measures = measure_cells(grid, oriented, plan.overhang_tolerance_deg)
-        pieces.append(PreparedPiece(oriented, grid, measures,
-                                    measure(oriented).volume))
+        grid = measure_cells(build_grid(oriented, plan.granularity), oriented,
+                             plan.overhang_tolerance_deg)
+        pieces.append(PreparedPiece(oriented, grid, measure(oriented).volume))
     return PreparedModel(pieces, plane, cut, measure(mesh).surface_area)
 
 
@@ -235,13 +233,13 @@ def _proportional_share(total: int, v_first: float, v_second: float) -> int:
     return min(max(share, 1), total - 1)
 
 
-def _uncovered_cells(measures: CellMeasures, sums: np.ndarray) -> tuple[int, int]:
+def _uncovered_cells(grid: Grid, sums: np.ndarray) -> tuple[int, int]:
     """(boundary, internal) cells of a piece in none of its part boxes.
 
-    ``sums`` holds the channel sums of the boxes (``measures.sums``), which
+    ``sums`` holds the channel sums of the boxes (``grid.sums``), which
     hold disjoint solid cells, so their cell counts add up exactly.
     """
-    total = measures.table[-1]
+    total = grid.table[-1]
     boundary = int(total[BOUNDARY] - sums[:, BOUNDARY].sum())
     return boundary, int(total[SOLID] - sums[:, SOLID].sum()) - boundary
 
@@ -303,8 +301,7 @@ def grow_runs(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
             problems.append((entry[-1], piece))
         grown.append(entry)
     if problems:
-        state = GrowthState([piece.grid.cell_size for _, piece in problems],
-                            [piece.measures for _, piece in problems],
+        state = GrowthState([piece.grid for _, piece in problems],
                             [g.lo for g, _ in problems], profile,
                             plan.infill_fraction)
         grow_blocks(state)
@@ -349,10 +346,10 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         blocked = list(zip(entry.lo, entry.hi))
         limits = cell_limits(profile.dims, piece.grid.cell_size)
         regions = get_discrete_empty_regions(
-            piece.measures, blocked, max(0, budget - len(blocked)), limits)
+            piece.grid, blocked, max(0, budget - len(blocked)), limits)
         ranges = np.array(blocked + regions, dtype=np.int64)
-        sums = piece.measures.sums(ranges[:, 0], ranges[:, 1])
-        left_b, left_i = _uncovered_cells(piece.measures, sums)
+        sums = piece.grid.sums(ranges[:, 0], ranges[:, 1])
+        left_b, left_i = _uncovered_cells(piece.grid, sums)
         if left_b or left_i:
             reason = (f"piece {index}: {left_b} boundary / {left_i} internal "
                       "cells uncovered")
@@ -362,7 +359,7 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
         kept = np.flatnonzero(sums[:, SOLID] != 0)
         lo, hi = ranges[kept, 0], ranges[kept, 1]
         fits = fits and bool((np.sort(hi - lo + 1, axis=-1) <= limits).all())
-        volumes, areas = piece.measures.boxes(lo, hi)
+        volumes, areas = piece.grid.boxes(lo, hi)
         for i, box_lo, box_hi, volume, area in zip(
                 kept.tolist(), lo.tolist(), hi.tolist(), volumes.tolist(),
                 areas.tolist()):

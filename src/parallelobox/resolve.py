@@ -11,10 +11,11 @@ the box within the printer (in whole cells, against the piece's row of
 :func:`~parallelobox.blocks.cell_limits`, the one growth tests), and the new
 layer holds no owned cell and meets no previously carved region.
 
-Both rules read one scratch mask of taken cells, shaped like the piece's
-classification: a block owns every solid cell of its box, so the mask
-starts as those cells, and each carved region then takes all of its cells.
-The block boxes stay the only record kept; the mask is dropped at return.
+Both rules read one scratch mask of taken cells, shaped like the
+classification of the piece's :class:`~parallelobox.grid.Grid`: a block
+owns every solid cell of its box, so the mask starts as those cells, and
+each carved region then takes all of its cells.  The block boxes stay the
+only record kept; the mask is dropped at return.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import logging
 
 import numpy as np
 
-from .grid import CellClass, CellMeasures
+from .grid import CellClass, Grid
 
 logger = logging.getLogger(__name__)
 
@@ -32,12 +33,11 @@ def _cells(lo, hi) -> tuple[slice, ...]:
     return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
 
 
-def get_discrete_empty_regions(measures: CellMeasures, blocks,
-                               num_free_printers: int,
+def get_discrete_empty_regions(grid: Grid, blocks, num_free_printers: int,
                                limits) -> list[tuple[np.ndarray, np.ndarray]]:
     """Carve up to num_free_printers cuboids over the cells no block owns.
 
-    ``measures`` are the piece's cell measures and ``blocks`` the (lo, hi)
+    ``grid`` is the piece's labelled grid and ``blocks`` the (lo, hi)
     inclusive cell ranges of its grown blocks, which hold disjoint solid
     cells.  ``limits`` holds, per sorted printer side, the most whole cells
     that fit it: the piece's row of :func:`~parallelobox.blocks.cell_limits`.
@@ -47,7 +47,7 @@ def get_discrete_empty_regions(measures: CellMeasures, blocks,
     """
     if num_free_printers <= 0:
         return []
-    classification = measures.classification
+    classification = grid.classification
     solid = classification != CellClass.EXTERNAL
     taken = np.zeros(classification.shape, dtype=bool)
     for lo, hi in blocks:

@@ -27,7 +27,7 @@ from parallelobox.meta import (ModelWork, PrinterProfile, RunPlan,
                                recursive_symmetry_baseline, run_metaheuristic)
 from parallelobox.resolve import get_discrete_empty_regions
 from test_meta import table_cut_area
-from test_resolve import paint_owner, random_boxes, table_measures
+from test_resolve import measured_grid, paint_owner, random_boxes
 
 PROFILE = PrinterProfile()
 FIXTURES = (unit_cube, icosphere, dumbbell, l_bracket, hollow_box)
@@ -302,7 +302,7 @@ def test_void_region_reference():
         budget = int(rng.integers(0, 7))
         got = [(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
                for lo, hi in get_discrete_empty_regions(
-                   table_measures(classes), boxes, budget,
+                   measured_grid(classes), boxes, budget,
                    cell_limits(printer, cell))]
         want = _void_boxes_reference(classes, paint_owner(classes, boxes),
                                      cell, budget, printer)

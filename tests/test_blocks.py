@@ -1,6 +1,8 @@
 """Scoring pieces of the growth objective, seeding, and the growth loop."""
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket, unit_cube,
                                    wedge)
 from parallelobox.grid import (AREA, BOUNDARY, OVERHANG, VOLUME, CellClass,
-                               CellMeasures, Grid, build_grid, measure_cells)
+                               Grid, build_grid, measure_cells)
 from parallelobox.mesh import Aabb, TriangleMesh
-from parallelobox.meta import RunPlan, prepare_model
+from parallelobox.meta import RunPlan, prepare_model, run_metaheuristic
 from test_preprocess import _env
 from test_resolve import paint_owner
 
@@ -89,6 +91,26 @@ def test_cell_limits_match_fits_printer():
     sizes = [size for _, size in cases[:3]]
     assert np.array_equal(cell_limits((250.0, 200.0, 30.0), sizes),
                           [cell_limits((250.0, 200.0, 30.0), s) for s in sizes])
+
+
+def test_cell_limits_hold_a_huge_side_to_any_box():
+    """A printer side of 2**63 cells or more does not wrap its limit
+    negative in the integer cast: it is held to 2**62 cells, more than any
+    grid has, so a search with it takes the boxes one with a side of 1e6 mm
+    takes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        limits = cell_limits((1e300, 250.0, 250.0), 2.5)
+    assert limits.tolist() == [100, 100, 2 ** 62]
+    plan = RunPlan(printers_available=4, granularity="coarse", sample_tries=1)
+    huge, large = (run_metaheuristic(asymmetric_blob(), plan,
+                                     PrinterProfile(volume_x=side))
+                   for side in (1e300, 1e6))
+    assert huge.valid and len(huge.parts) == 3
+    assert ([(p.piece, p.cell_lo, p.cell_hi) for p in huge.parts]
+            == [(p.piece, p.cell_lo, p.cell_hi) for p in large.parts])
+    assert huge.parallel_time_s == large.parallel_time_s
+    assert huge.parallel_time_s == pytest.approx(368.28, abs=0.005)
 
 
 def _one_cell_overhang(box: Aabb, mesh) -> float:
@@ -292,13 +314,13 @@ def _uniform_state(dims, classes, seeds, cell_size=1.0, profile=None,
     classification = np.broadcast_to(np.asarray(classes, dtype=np.int8),
                                      dims).copy()
     solid = classification != int(CellClass.EXTERNAL)
-    measures = CellMeasures(volume=solid.astype(float) if volume is None else volume,
-                            area=solid.astype(float),
-                            overhang=np.zeros((6,) + tuple(dims)),
-                            section=np.zeros((3,) + tuple(dims)),
-                            classification=classification)
-    state = GrowthState([cell_size], [measures], [np.array(seeds)],
-                        profile or _cube(1e9), 0.05)
+    grid = Grid(np.zeros(3), cell_size, dims).set_cells(
+        volume=solid.astype(float) if volume is None else volume,
+        area=solid.astype(float),
+        overhang=np.zeros((6,) + tuple(dims)),
+        section=np.zeros((3,) + tuple(dims)),
+        classification=classification)
+    state = GrowthState([grid], [np.array(seeds)], profile or _cube(1e9), 0.05)
     return state
 
 
@@ -311,7 +333,7 @@ def _boxes(state, p=0):
 def _owner(state, p=0):
     """Problem p's owner array, painted from its block boxes (a block is
     named by its slot)."""
-    return paint_owner(state.measures[p].classification, _boxes(state, p))
+    return paint_owner(state.grids[p].classification, _boxes(state, p))
 
 
 def test_growth_single_block_covers_bar():
@@ -376,11 +398,11 @@ def test_growth_tie_breaks_lowest_block_then_direction():
 def test_growth_ties_up_to_rounding_go_to_the_first_direction():
     classes = np.full((3, 1, 1), int(CellClass.BOUNDARY), dtype=np.int8)
     # -x scores lower than +x by rounding only; that is still a tie.  The
-    # measures are rounded on construction and the offset survives it.
+    # measures are rounded as they are set and the offset survives it.
     volume = np.ones((3, 1, 1))
     volume[0, 0, 0] -= 1e-13
     state = _uniform_state((3, 1, 1), classes, [(1, 0, 0)], volume=volume)
-    assert state.measures[0].volume[0, 0, 0] < 1.0
+    assert state.grids[0].volume[0, 0, 0] < 1.0
     scores = score_growth(state)[0]
     assert scores[0, 1] < scores[0, 0]
     trace = []
@@ -454,22 +476,21 @@ def test_growth_caches_match_a_fresh_state(fixture, granularity, printer,
                                                 granularity=granularity))
     assert prepared.cut == (fixture is not asymmetric_blob)
     profile = _cube(printer)
-    cell_sizes, measures, problems = [], [], []
+    grids, problems = [], []
     for seed, k in enumerate((1, 8, 3, 5, 2)):
         for index, piece in enumerate(prepared.pieces):
             problems.append(select_seed_blocks(piece.grid, piece.mesh, k,
                                                rng_seed=seed * 2 + index))
-            cell_sizes.append(piece.grid.cell_size)
-            measures.append(piece.measures)
-    state = GrowthState(cell_sizes, measures, problems, profile, 0.05)
-    boundary = np.array([int((m.classification == CellClass.BOUNDARY).sum())
-                         for m in measures])
+            grids.append(piece.grid)
+    state = GrowthState(grids, problems, profile, 0.05)
+    boundary = np.array([int((g.classification == CellClass.BOUNDARY).sum())
+                         for g in grids])
     passes = []
 
     def checked_score_growth(checked, rows=None):
         # A state built from the seeds, given the current boxes and
         # scored anew from them, as its constructor scores the seeds.
-        fresh = GrowthState(cell_sizes, measures,
+        fresh = GrowthState(grids,
                             [lo[real] for lo, real in zip(checked.lo,
                                                           checked.real)],
                             profile, 0.05)
@@ -507,8 +528,7 @@ def test_growth_caches_match_measures_on_real_mesh():
     grid = build_grid(mesh, "coarse")
     meas = measure_cells(grid, mesh)
     seeds = select_seed_blocks(grid, mesh, 2, rng_seed=9)
-    state = GrowthState([grid.cell_size], [meas], [seeds], PrinterProfile(),
-                        0.05)
+    state = GrowthState([grid], [seeds], PrinterProfile(), 0.05)
     grow_blocks(state)
     for i, (lo, hi) in enumerate(_boxes(state)):
         sl = tuple(slice(int(a), int(c) + 1) for a, c in zip(lo, hi))
@@ -542,7 +562,7 @@ def test_grown_blocks_stay_disjoint_random():
         assert claims.max() <= 1
 
 
-def _reference_grow(grid, measures, seeds, profile, infill_fraction=0.05):
+def _reference_grow(grid, seeds, profile, infill_fraction=0.05):
     """The per-option growth loop, kept as the bit-exact reference.
 
     Scores one (block, direction) option at a time with its own slice sums,
@@ -559,9 +579,9 @@ def _reference_grow(grid, measures, seeds, profile, infill_fraction=0.05):
         cell = tuple(int(x) for x in lo)
         owner[cell] = bid
         ov = np.zeros(6)
-        ov += measures.overhang[(slice(None),) + cell]
-        volume.append(0.0 + measures.volume[cell])
-        area.append(0.0 + measures.area[cell])
+        ov += grid.overhang[(slice(None),) + cell]
+        volume.append(0.0 + grid.volume[cell])
+        area.append(0.0 + grid.area[cell])
         overhang.append(ov)
 
     def layer(bid, d):
@@ -585,9 +605,9 @@ def _reference_grow(grid, measures, seeds, profile, infill_fraction=0.05):
             return -1.0
         if np.any(owner[sl] >= 0):
             return -1.0
-        vol = volume[bid] + float(measures.volume[sl].sum())
-        ar = area[bid] + float(measures.area[sl].sum())
-        over6 = overhang[bid] + measures.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
+        vol = volume[bid] + float(grid.volume[sl].sum())
+        ar = area[bid] + float(grid.area[sl].sum())
+        over6 = overhang[bid] + grid.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
         p_score = print_score(vol, ar, profile, infill_fraction)
         o_score = float(over6.min())
         centroid = 0.5 * (new_lo + new_hi + 1)
@@ -622,9 +642,9 @@ def _reference_grow(grid, measures, seeds, profile, infill_fraction=0.05):
         for c in np.argwhere(cls[sl] != int(CellClass.EXTERNAL)) + lo:
             owner[tuple(int(x) for x in c)] = bid
         boxes[bid] = [np.minimum(boxes[bid][0], lo), np.maximum(boxes[bid][1], hi)]
-        volume[bid] += float(measures.volume[sl].sum())
-        area[bid] += float(measures.area[sl].sum())
-        overhang[bid] += measures.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
+        volume[bid] += float(grid.volume[sl].sum())
+        area[bid] += float(grid.area[sl].sum())
+        overhang[bid] += grid.overhang[(slice(None),) + sl].reshape(6, -1).sum(axis=1)
         trace.append((len(trace), bid, ("+x", "-x", "+y", "-y", "+z", "-z")[d], s))
     boxes = [(tuple(int(x) for x in lo), tuple(int(x) for x in hi)) for lo, hi in boxes]
     return trace, owner, boxes, (volume, area, overhang)
@@ -633,7 +653,7 @@ def _reference_grow(grid, measures, seeds, profile, infill_fraction=0.05):
 def _assert_matches_reference(state, p, trace, want):
     """Problem p of a grown state against one _reference_grow result."""
     want_trace, want_owner, want_boxes, want_sums = want
-    boxes, classification = _boxes(state, p), state.measures[p].classification
+    boxes, classification = _boxes(state, p), state.grids[p].classification
     owner = _owner(state, p)
     got = [t[1:] for t in trace if t[0] == p]
     assert got == want_trace
@@ -653,8 +673,7 @@ def _assert_matches_reference(state, p, trace, want):
 @pytest.mark.parametrize("granularity", ["coarse", "fine"])
 def test_grow_blocks_matches_reference(fixture, granularity):
     mesh = fixture()
-    grid = build_grid(mesh, granularity)
-    meas = measure_cells(grid, mesh)
+    grid = measure_cells(build_grid(mesh, granularity), mesh)
     # A printer that is no cube, with its own speeds, at another infill: on
     # hollow_box's 3 mm cells at fine it holds at most 4, 6 and 9 cells on
     # its sorted sides, which stop the blocks of the two-block problem.
@@ -664,10 +683,8 @@ def test_grow_blocks_matches_reference(fixture, granularity):
         for profile, infill in ((_cube(30.0), 0.05), (_cube(250.0), 0.05),
                                 (odd, 0.15)):
             seeds = select_seed_blocks(grid, mesh, k, rng_seed=k)
-            want = _reference_grow(grid, meas, zip(seeds, seeds), profile,
-                                   infill)
-            state = GrowthState([grid.cell_size], [meas], [seeds], profile,
-                                infill)
+            want = _reference_grow(grid, zip(seeds, seeds), profile, infill)
+            state = GrowthState([grid], [seeds], profile, infill)
             trace = []
             grow_blocks(state, trace)
             _assert_matches_reference(state, 0, trace, want)
@@ -681,31 +698,54 @@ def test_lockstep_batch_matches_problems_grown_alone(fixture, printer):
     in one state, each equal the reference loop run alone, bit for bit."""
     mesh = fixture()
     grid = build_grid(mesh, "fine")
-    meas = measure_cells(grid, mesh)
+    measure_cells(grid, mesh)
     prepared = prepare_model(mesh, RunPlan(printers_available=2,
                                            granularity="fine"))
     assert prepared.cut
-    # (mesh, grid, measures) of the whole model and of each cut piece,
-    # whose grids differ from it in dims and cell size.
-    surfaces = [(mesh, grid, meas)] + [(piece.mesh, piece.grid, piece.measures)
-                                       for piece in prepared.pieces]
+    # (mesh, grid) of the whole model and of each cut piece, whose grids
+    # differ from it in dims and cell size.
+    surfaces = [(mesh, grid)] + [(piece.mesh, piece.grid)
+                                 for piece in prepared.pieces]
     profile = _cube(printer)
     counts = (1, 2, 5, 8, 3)
-    cell_sizes, measures, problems, wants = [], [], [], []
+    grids, problems, wants = [], [], []
     for seed, k in enumerate(counts):
         # Problems of the three grids interleave in the state.
-        for surface, (shape, base, cells) in enumerate(surfaces):
+        for surface, (shape, base) in enumerate(surfaces):
             seeds = select_seed_blocks(base, shape, k,
                                        rng_seed=100 + 10 * seed + surface)
-            wants.append(_reference_grow(base, cells, zip(seeds, seeds), profile))
-            cell_sizes.append(base.cell_size)
-            measures.append(cells)
+            wants.append(_reference_grow(base, zip(seeds, seeds), profile))
+            grids.append(base)
             problems.append(seeds)
-    state = GrowthState(cell_sizes, measures, problems, profile, 0.05)
+    state = GrowthState(grids, problems, profile, 0.05)
     assert state.lo.shape == (len(problems), max(counts), 3)
-    assert len({tuple(m.dims) for m in measures}) > 1
+    assert len({tuple(g.dims) for g in grids}) > 1
     trace = []
     grow_blocks(state, trace)
     assert not state.active.any()
     for p, want in enumerate(wants):
         _assert_matches_reference(state, p, trace, want)
+
+
+def test_growth_state_set_up_memory_is_bounded():
+    """Setting up 100 problems of 64 blocks on a 40 x 40 x 1 grid scores the
+    seeds in chunks: scored in one call, whose overlap arrays are (blocks,
+    6, 64, 3), they took 340 MB traced.  The scores do not depend on the
+    chunks."""
+    dims = (40, 40, 1)
+    rng = np.random.default_rng(0)
+    classification = np.full(dims, int(CellClass.BOUNDARY), dtype=np.int8)
+    grid = Grid(np.zeros(3), 1.0, dims).set_cells(
+        np.ones(dims), np.ones(dims), np.zeros((6,) + dims),
+        np.zeros((3,) + dims), classification)
+    seeds = [np.argwhere(classification)[rng.choice(1600, 64, replace=False)]
+             for _ in range(100)]
+    tracemalloc.start()
+    try:
+        state = GrowthState([grid] * 100, seeds, PrinterProfile(), 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert state.numerator.sum() == 1329972.0
+    assert state.allowed.sum() == 23872

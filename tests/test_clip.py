@@ -8,9 +8,9 @@ from parallelobox.clip import (PLANE_EPS, clip_halfspace, clip_surface_to_box,
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket, unit_cube,
                                    wedge)
-from parallelobox.grid import (DIRECTIONS, GRANULARITY_CELLS, CellClass,
-                               CellMeasures, Grid, build_grid, face_sections,
-                               grid_cell_volumes, measure_cells)
+from parallelobox.grid import (DIRECTIONS, GRANULARITY_CELLS, CellClass, Grid,
+                               build_grid, face_sections, grid_cell_volumes,
+                               measure_cells)
 from parallelobox.mesh import (Aabb, TriangleMesh, aabb_of, compact, measure,
                               triangle_normals, validate_watertight)
 from parallelobox.meta import PrinterProfile, RunPlan, prepare_model
@@ -343,7 +343,8 @@ def _reference_measure_cells(grid, mesh, overhang_tolerance_deg=1.0):
     classification = np.where(volume > 0.5 * grid.cell_size ** 3,
                               np.int8(CellClass.INTERNAL), np.int8(CellClass.EXTERNAL))
     classification[per_cell(None) > 0] = CellClass.BOUNDARY
-    return CellMeasures(volume, per_cell(piece_area), over, section, classification)
+    return Grid(grid.origin, grid.cell_size, grid.dims).set_cells(
+        volume, per_cell(piece_area), over, section, classification)
 
 
 @pytest.mark.parametrize("make_mesh", [

@@ -73,6 +73,21 @@ def test_measures_conserve_volume_and_area():
             assert float(meas.overhang[d].sum()) <= mm.surface_area + 1e-9
 
 
+def test_measure_cells_labels_and_measures_the_grid_it_is_given():
+    """measure_cells returns the grid it is passed, labelled, measured and
+    with the summed-volume table of its cells built."""
+    mesh = icosphere(radius=6.0, subdivisions=2)
+    g = build_grid(mesh, "coarse")
+    assert measure_cells(g, mesh) is g
+    assert g.classification.shape == g.volume.shape == g.area.shape == g.dims
+    assert g.overhang.shape == (6,) + g.dims
+    assert g.section.shape == (3,) + g.dims
+    assert g.table.shape == (int(np.prod(np.array(g.dims) + 1)), N_CHANNELS)
+    assert g.table[-1].tolist() == _slice_channels(g).reshape(
+        N_CHANNELS, -1).sum(axis=1).tolist()
+    assert g.table[-1, BOUNDARY] == (g.classification == CellClass.BOUNDARY).sum() > 0
+
+
 def test_external_cells_carry_no_volume():
     mesh = icosphere(radius=6.0, subdivisions=2)
     g = build_grid(mesh, "medium")
@@ -141,8 +156,8 @@ def _slice_channels(meas):
 @pytest.mark.parametrize("granularity", ["coarse", "fine"])
 def test_table_sums_equal_slice_sums(name, granularity):
     """Every channel's table sum over a random box equals its slice sum bit
-    for bit, and so does the capped area of CellMeasures.box; the boxes
-    read stacked in one CellMeasures.boxes call equal those read alone."""
+    for bit, and so does the capped area of Grid.boxes; the boxes read
+    stacked in one Grid.boxes call equal those read alone."""
     mesh = getattr(fixtures, name)()
     g = build_grid(mesh, granularity)
     meas = measure_cells(g, mesh)

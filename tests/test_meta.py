@@ -56,10 +56,10 @@ def test_proportional_share():
     assert _proportional_share(2, 10.0, 1.0) == 1
 
 
-def _box(measures, lo, hi) -> tuple[float, float]:
+def _box(grid, lo, hi) -> tuple[float, float]:
     """Volume and capped area of one cell range, read through
-    ``CellMeasures.boxes``."""
-    volume, area = measures.boxes([lo], [hi])
+    ``Grid.boxes``."""
+    volume, area = grid.boxes([lo], [hi])
     return float(volume[0]), float(area[0])
 
 
@@ -68,9 +68,9 @@ def table_cut_area(mesh, prepared, parts) -> float:
     caps of the symmetry cut, measured on the two halves of mesh."""
     caps = 0.0
     for p in parts:
-        measures = prepared.pieces[p.piece].measures
+        grid = prepared.pieces[p.piece].grid
         lo, hi = np.array(p.cell_lo), np.array(p.cell_hi)
-        caps += _box(measures, lo, hi)[1] - measures.sums(lo, hi)[AREA]
+        caps += _box(grid, lo, hi)[1] - grid.sums(lo, hi)[AREA]
     if prepared.cut:
         normal, offset = prepared.plane.normal, prepared.plane.offset
         for half in cut_by_plane(mesh, normal, offset):
@@ -93,7 +93,7 @@ def test_prepare_model_symmetric_cut_and_shells():
     # the model's surface plus the two caps of the symmetry cut.
     areas = [measure(p.mesh).surface_area for p in prep.pieces]
     for piece, area in zip(prep.pieces, areas):
-        assert piece.measures.area.sum() == pytest.approx(area, rel=1e-9)
+        assert piece.grid.area.sum() == pytest.approx(area, rel=1e-9)
     caps = table_cut_area(hollow_box(), prep, [])
     assert caps > 0.0
     assert sum(areas) - total.surface_area == pytest.approx(caps, rel=1e-9)
@@ -363,8 +363,7 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
         except InsufficientBoundaryCells as exc:
             reason = f"piece {index}: {exc}"
             break
-        state = GrowthState([grid.cell_size], [piece.measures], [seeds],
-                            profile, plan.infill_fraction)
+        state = GrowthState([grid], [seeds], profile, plan.infill_fraction)
         grow_blocks(state)
         blocks = list(zip(state.lo[0], state.hi[0]))
         free = max(0, budget - len(blocks))
@@ -590,7 +589,7 @@ def test_search_matches_reference_with_printer_profile(fixture, monkeypatch):
 
 @pytest.mark.parametrize("granularity", ["coarse", "fine"])
 def test_box_tables_match_clipped_meshes(granularity):
-    """CellMeasures.box against clip_to_box on random cell-aligned boxes."""
+    """Grid.boxes against clip_to_box on random cell-aligned boxes."""
     rng = np.random.default_rng(5)
     for make in (unit_cube, fixtures.icosphere, dumbbell, fixtures.l_bracket,
                  hollow_box, asymmetric_blob):
@@ -606,7 +605,7 @@ def test_box_tables_match_clipped_meshes(granularity):
                 box = piece.grid.box_of_range(lo, hi)
                 clipped = clip_to_box(piece.mesh, box)
                 exact = measure(clipped)
-                volume, area = _box(piece.measures, lo, hi)
+                volume, area = _box(piece.grid, lo, hi)
                 case = (make.__name__, lo, hi)
                 assert volume == pytest.approx(
                     exact.volume, rel=1e-9, abs=1e-9 * cell), case
@@ -626,7 +625,7 @@ def test_dumbbell_box_mesh_matches_its_table():
     piece = prepared.pieces[0]
     lo, hi = np.array([0, 4, 0]), np.array([7, 7, 11])
     clipped = clip_to_box(piece.mesh, piece.grid.box_of_range(lo, hi))
-    _, area = _box(piece.measures, lo, hi)
+    _, area = _box(piece.grid, lo, hi)
     assert area == pytest.approx(1720.0, rel=1e-9)
     assert measure(clipped).surface_area == pytest.approx(area, rel=1e-9)
 
@@ -644,7 +643,7 @@ def test_blob_seed_4002_parts_are_closed(caplog):
     assert result.valid and len(result.parts) == 4
     assert not [r for r in caplog.records if r.name == "parallelobox.clip"]
     for part in result.parts:
-        volume, area = _box(prepared.pieces[part.piece].measures,
+        volume, area = _box(prepared.pieces[part.piece].grid,
                             np.array(part.cell_lo), np.array(part.cell_hi))
         exact = measure(part.mesh)
         assert validate_watertight(part.mesh).is_watertight, part.name

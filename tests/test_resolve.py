@@ -9,7 +9,7 @@ from parallelobox.blocks import (GrowthState, PrinterProfile, cell_limits,
                                  fits_printer, grow_blocks)
 from parallelobox.clip import clip_to_box
 from parallelobox.fixtures import box_mesh
-from parallelobox.grid import CellClass, CellMeasures, build_grid, measure_cells
+from parallelobox.grid import CellClass, Grid, build_grid, measure_cells
 from parallelobox.meta import _uncovered_cells
 from parallelobox.resolve import get_discrete_empty_regions
 
@@ -88,11 +88,12 @@ def paint_owner(classification, boxes):
     return owner
 
 
-def table_measures(classification):
-    """Cell measures of a classification, every other measure zero."""
+def measured_grid(classification):
+    """A grid of unit cells with a classification, every measure zero."""
     dims = classification.shape
-    return CellMeasures(np.zeros(dims), np.zeros(dims), np.zeros((6,) + dims),
-                        np.zeros((3,) + dims), classification)
+    return Grid(np.zeros(3), 1.0, dims).set_cells(
+        np.zeros(dims), np.zeros(dims), np.zeros((6,) + dims),
+        np.zeros((3,) + dims), classification)
 
 
 def random_boxes(rng, classification, tries=6):
@@ -138,7 +139,7 @@ def test_matches_reference_on_random_grids():
             printer = (cell_size * 2.5,) * 3
         else:
             printer = (250.0, 250.0, 250.0)
-        got = get_discrete_empty_regions(table_measures(classification), boxes,
+        got = get_discrete_empty_regions(measured_grid(classification), boxes,
                                          free, cell_limits(printer, cell_size))
         want = _reference_regions(classification,
                                   paint_owner(classification, boxes),
@@ -153,7 +154,7 @@ def test_regions_respect_invariants():
         owner = paint_owner(classification, boxes)
         free = int(rng.integers(1, 4))
         printer = (cell_size * 3.5,) * 3
-        regions = get_discrete_empty_regions(table_measures(classification),
+        regions = get_discrete_empty_regions(measured_grid(classification),
                                              boxes, free,
                                              cell_limits(printer, cell_size))
         assert len(regions) <= free
@@ -184,12 +185,13 @@ def test_void_fill_stops_at_growth_cell_limit():
         dims = (k + 3, 1, 1)
         classification = np.full(dims, int(CellClass.BOUNDARY), dtype=np.int8)
         # Unit volume and area per cell give growth positive scores.
-        measures = CellMeasures(np.ones(dims), np.ones(dims), np.zeros((6,) + dims),
-                                np.zeros((3,) + dims), classification)
-        regions = get_discrete_empty_regions(measures, [], 1,
+        grid = Grid(np.zeros(3), cell_size, dims).set_cells(
+            np.ones(dims), np.ones(dims), np.zeros((6,) + dims),
+            np.zeros((3,) + dims), classification)
+        regions = get_discrete_empty_regions(grid, [], 1,
                                              cell_limits(printer, cell_size))
         assert _as_tuples(regions) == [((0, 0, 0), (k - 1, 0, 0))]
-        state = GrowthState([cell_size], [measures], [np.zeros((1, 3), dtype=np.int64)],
+        state = GrowthState([grid], [np.zeros((1, 3), dtype=np.int64)],
                             PrinterProfile(*printer), 0.05)
         grow_blocks(state)
         assert state.hi[0, 0].tolist() == [k - 1, 0, 0]
@@ -199,26 +201,26 @@ def test_void_fill_stops_at_growth_cell_limit():
 def test_zero_free_printers_carves_nothing():
     rng = np.random.default_rng(9)
     classification, cell_size, boxes = _random_piece(rng)
-    assert get_discrete_empty_regions(table_measures(classification), boxes,
+    assert get_discrete_empty_regions(measured_grid(classification), boxes,
                                       0, cell_limits((250.0,) * 3, cell_size)) == []
 
 
-def _uncovered_of(measures, boxes):
+def _uncovered_of(grid, boxes):
     lo, hi = np.array(boxes, dtype=np.int64).reshape(-1, 2, 3).transpose(1, 0, 2)
-    return _uncovered_cells(measures, measures.sums(lo, hi))
+    return _uncovered_cells(grid, grid.sums(lo, hi))
 
 
 def test_coverage_and_leftover_accounting():
     classification = np.full((2, 2, 1), int(CellClass.BOUNDARY), dtype=np.int8)
-    measures = table_measures(classification)
-    assert _uncovered_of(measures, []) == (4, 0)
-    assert _uncovered_of(measures, [((0, 0, 0), (1, 1, 0))]) == (0, 0)
+    grid = measured_grid(classification)
+    assert _uncovered_of(grid, []) == (4, 0)
+    assert _uncovered_of(grid, [((0, 0, 0), (1, 1, 0))]) == (0, 0)
     blocks = [((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 1, 0))]
-    assert _uncovered_of(measures, blocks) == (1, 0)
-    regions = get_discrete_empty_regions(measures, blocks, 1,
+    assert _uncovered_of(grid, blocks) == (1, 0)
+    regions = get_discrete_empty_regions(grid, blocks, 1,
                                          cell_limits((250.0,) * 3, 1.0))
     assert _as_tuples(regions) == [((1, 1, 0), (1, 1, 0))]
-    assert _uncovered_of(measures, blocks + regions) == (0, 0)
+    assert _uncovered_of(grid, blocks + regions) == (0, 0)
 
 
 def test_coverage_count_matches_painted_count():
@@ -227,21 +229,21 @@ def test_coverage_count_matches_painted_count():
     rng = np.random.default_rng(4321)
     for trial in range(50):
         classification, cell_size, boxes = _random_piece(rng)
-        measures = table_measures(classification)
+        grid = measured_grid(classification)
         regions = get_discrete_empty_regions(
-            measures, boxes, int(rng.integers(0, 4)),
+            grid, boxes, int(rng.integers(0, 4)),
             cell_limits((cell_size * 2.5,) * 3, cell_size))
         free = paint_owner(classification, boxes + regions) < 0
         want = (int((free & (classification == int(CellClass.BOUNDARY))).sum()),
                 int((free & (classification == int(CellClass.INTERNAL))).sum()))
-        assert _uncovered_of(measures, boxes + regions) == want, f"trial {trial}"
+        assert _uncovered_of(grid, boxes + regions) == want, f"trial {trial}"
 
 
 def test_assign_mesh_boxes_clips_solid():
     mesh = box_mesh(size=(4.0, 4.0, 4.0))
     grid = build_grid(mesh, "coarse")
-    measures = measure_cells(grid, mesh)
-    regions = get_discrete_empty_regions(measures, [], 2,
+    measure_cells(grid, mesh)
+    regions = get_discrete_empty_regions(grid, [], 2,
                                          cell_limits((250.0,) * 3, grid.cell_size))
     parts = [clip_to_box(mesh, grid.box_of_range(lo, hi))
              for lo, hi in regions]
