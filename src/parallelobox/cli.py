@@ -1,11 +1,11 @@
 """Batch front end: config parsing, pipeline runs, and report emission.
 
-Two subcommands share one writer:
+Two subcommands make one request of :func:`run_batch`:
 
-* ``decompose model.stl --printers N ...`` runs a single model at a single
-  printer count.
 * ``batch manifest.json`` sweeps the models and printer counts named in a
   small JSON manifest (see :func:`load_manifest`).
+* ``decompose model.stl --printers N ...`` is the batch of a single model
+  at a single printer count.
 
 Every run appends to ``results.csv``, dumps per-model series into
 ``plotdata.json``, streams one JSON line per search iteration into
@@ -83,23 +83,15 @@ def parse_config(path) -> PrinterProfile:
 # run bookkeeping
 
 
-@dataclass
-class RunRow:
-    """One results.csv row; the defaults are a run that gave no result."""
-
-    model: str
-    algorithm: str
-    printers: int
-    compute_time_s: float = 0.0
-    valid: bool = False
-    parts: int = 0
-    parallel_time_s: float | None = None
-    aggregate_time_s: float | None = None
-    parallel_score: float | None = None
-    cut_area_mm2: float | None = None
-
-    def csv_values(self) -> list[str]:
-        return [_csv_cell(getattr(self, column)) for column in CSV_COLUMNS]
+def _row(model: str, algorithm: str, printers: int, compute_time_s: float,
+         result: Decomposition | None) -> dict:
+    """One results row: the run's RunRecord, or 0 parts and not valid when
+    it gave no result; the writers read it by CSV_COLUMNS and PLOT_SERIES."""
+    row = {"model": model, "algorithm": algorithm, "printers": printers,
+           "compute_time_s": compute_time_s}
+    if result is None:
+        return row | {"parts": 0, "valid": False}
+    return row | RunRecord.of(result, 0, 0, compute_time_s).to_dict()
 
 
 def _csv_cell(value) -> str:
@@ -114,23 +106,21 @@ def _csv_cell(value) -> str:
 
 @dataclass
 class BatchReport:
-    rows: list[RunRow] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list)
     log_lines: list[dict] = field(default_factory=list)
 
     @property
     def any_valid(self) -> bool:
-        return any(row.valid for row in self.rows)
+        return any(row["valid"] for row in self.rows)
 
 
-def _clear_parts(part_dir: Path) -> None:
+def _write_parts(parts: list, part_dir: Path) -> None:
+    """Replace the part files in part_dir with the meshes of parts."""
+    if parts:
+        part_dir.mkdir(parents=True, exist_ok=True)
     for stale in sorted(part_dir.glob("part_*.stl")):
         stale.unlink()
-
-
-def _export_parts(result: Decomposition, part_dir: Path) -> None:
-    part_dir.mkdir(parents=True, exist_ok=True)
-    _clear_parts(part_dir)
-    for i, part in enumerate(result.parts):
+    for i, part in enumerate(parts):
         save_stl(part.mesh, part_dir / f"part_{i:03d}.stl")
 
 
@@ -161,25 +151,14 @@ def run_model(model_name: str, printers: int, plan: RunPlan,
             {"model": model_name, "printers": printers, "algorithm": algorithm,
              **record.to_dict()} for record in records)
 
-        part_dir = out_dir / model_name / str(printers) / algorithm
-        if result is not None and result.valid:
-            _export_parts(result, part_dir)
-        else:
-            _clear_parts(part_dir)
-        if result is None:
-            report.rows.append(RunRow(model_name, algorithm, printers,
-                                      compute_time_s=elapsed))
-            continue
-        report.rows.append(RunRow(
-            model=model_name, algorithm=algorithm, printers=printers,
-            parts=result.printers_used, parallel_time_s=result.parallel_time_s,
-            aggregate_time_s=result.aggregate_time_s,
-            parallel_score=result.parallel_score,
-            compute_time_s=elapsed, valid=result.valid,
-            cut_area_mm2=result.cut_area_mm2))
-        logger.info("%s x%d %s: %d parts, parallel %.1f s, valid=%s",
-                    model_name, printers, algorithm, result.printers_used,
-                    result.parallel_time_s, result.valid)
+        _write_parts(result.parts if result is not None and result.valid
+                     else [], out_dir / model_name / str(printers) / algorithm)
+        report.rows.append(_row(model_name, algorithm, printers, elapsed,
+                                result))
+        if result is not None:
+            logger.info("%s x%d %s: %d parts, parallel %.1f s, valid=%s",
+                        model_name, printers, algorithm, result.printers_used,
+                        result.parallel_time_s, result.valid)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +169,18 @@ def write_results_csv(report: BatchReport, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
-            writer.writerow(row.csv_values())
+        writer.writerows([_csv_cell(row.get(column)) for column in CSV_COLUMNS]
+                         for row in report.rows)
 
 
 def write_plotdata(report: BatchReport, path: Path) -> None:
     """Per-model series keyed for bar-chart reproduction."""
     data: dict = {}
     for row in report.rows:
-        series = data.setdefault(row.model, {}).setdefault(
-            row.algorithm, {key: [] for key in PLOT_SERIES})
+        series = data.setdefault(row["model"], {}).setdefault(
+            row["algorithm"], {key: [] for key in PLOT_SERIES})
         for key in PLOT_SERIES:
-            series[key].append(getattr(row, key))
+            series[key].append(row.get(key))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -220,22 +199,29 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
 
     Printer counts of two or more share one prepared model and one growth
     pass per model; every printer count shares the model's mirror plane and
-    the baseline's halving rounds (see :class:`meta.ModelWork`).
+    the baseline's halving rounds (see :class:`meta.ModelWork`).  Models
+    that share a file stem would share their output names, so they raise
+    ConfigError before anything is written.
     """
+    stems = [Path(model_path).stem for model_path in models]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if shared:
+        raise ConfigError(f"models share the output names {shared}: "
+                          + ", ".join(str(m) for m, stem in zip(models, stems)
+                                      if stem in shared))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir}: {exc}") from exc
     report = BatchReport()
-    for model_path in models:
-        name = Path(model_path).stem
+    for model_path, name in zip(models, stems):
         try:
             mesh = load_mesh(model_path)
         except (ParalleloboxError, OSError) as exc:
             logger.error("skipping %s: %s", model_path, exc)
-            for printers in printer_counts:
-                for algorithm in algorithms:
-                    report.rows.append(RunRow(name, algorithm, printers))
+            report.rows.extend(_row(name, algorithm, printers, 0.0, None)
+                               for printers in printer_counts
+                               for algorithm in algorithms)
             continue
         work = ModelWork(mesh, tuple(printer_counts))
         for printers in printer_counts:
@@ -396,8 +382,14 @@ def _plan_from_args(args, overrides: dict | None = None) -> RunPlan:
                       for key, value in given.items()})
 
 
-def _algorithms(choice: str) -> list[str]:
-    return ["parallelobox", "symmetry"] if choice == "both" else [choice]
+def _request(args) -> dict:
+    """The batch a subcommand asks for; the flags fill in what it omits."""
+    if args.command == "batch":
+        return load_manifest(args.manifest)
+    if args.printers < 1:
+        raise ConfigError(f"--printers must be an integer >= 1, "
+                          f"got {args.printers}")
+    return {"models": [args.model], "printers": [args.printers]}
 
 
 def main(argv=None) -> int:
@@ -406,30 +398,19 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
-        if args.command == "decompose":
-            if args.printers < 1:
-                raise ConfigError(f"--printers must be an integer >= 1, "
-                                  f"got {args.printers}")
-            profile = (parse_config(args.config) if args.config
-                       else PrinterProfile())
-            report = run_batch([args.model], [args.printers],
-                               _plan_from_args(args), profile,
-                               _algorithms(args.baseline), args.out)
-        else:
-            manifest = load_manifest(args.manifest)
-            config = manifest.get("config", args.config)
-            profile = parse_config(config) if config else PrinterProfile()
-            out_dir = Path(manifest.get("out", args.out))
-            report = run_batch(manifest["models"], manifest["printers"],
-                               _plan_from_args(args, manifest), profile,
-                               _algorithms(manifest.get("baseline",
-                                                        args.baseline)),
-                               out_dir)
+        request = _request(args)
+        config = request.get("config", args.config)
+        profile = parse_config(config) if config else PrinterProfile()
+        baseline = request.get("baseline", args.baseline)
+        report = run_batch(request["models"], request["printers"],
+                           _plan_from_args(args, request), profile,
+                           ["parallelobox", "symmetry"] if baseline == "both"
+                           else [baseline], Path(request.get("out", args.out)))
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2
-    valid = sum(row.valid for row in report.rows)
-    logger.info("%d/%d runs valid", valid, len(report.rows))
+    logger.info("%d/%d runs valid", sum(row["valid"] for row in report.rows),
+                len(report.rows))
     return 0 if report.any_valid else 2
 
 

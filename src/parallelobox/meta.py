@@ -517,7 +517,9 @@ class ModelWork:
     runs include those of every smaller count.  ``rounds`` holds the
     baseline's halving rounds built so far (:meth:`halving_round`).  Only
     the baseline's stop test reads the printer count and size, so every
-    count walks the same rounds.  Only the methods write the fields.
+    count walks the same rounds.  ``first`` holds the fields of the first
+    run's plan, but its printer count, and profile (:meth:`check`).  Only
+    the methods write the fields.
     """
 
     mesh: TriangleMesh
@@ -526,6 +528,17 @@ class ModelWork:
     searches: dict[bool, tuple[PreparedModel, dict]] = field(default_factory=dict)
     rounds: list[list[TriangleMesh] | None] = field(default_factory=list)
     oriented_plane: SymmetryPlane | None = None  # plane moved with round 0
+    first: dict = field(default_factory=dict)
+
+    def check(self, plan: RunPlan, profile: PrinterProfile) -> None:
+        """Raise ValueError, naming the field, unless plan and profile are
+        the first call's but for the printer count."""
+        given = asdict(replace(plan, printers_available=0)) | asdict(profile)
+        self.first = self.first or given
+        for key, value in given.items():
+            if value != self.first[key]:
+                raise ValueError(f"this ModelWork holds runs of {key}="
+                                 f"{self.first[key]!r}, not {value!r}")
 
     def mirror_plane(self) -> SymmetryPlane:
         if self.plane is None:
@@ -540,7 +553,8 @@ class ModelWork:
         A run's seeds and growth read nothing a batch varies, so the runs
         the map lacks are grown in one :func:`grow_runs` call for the
         largest count of plan's key, which holds the runs of every smaller
-        count."""
+        count.  It calls :meth:`check` first."""
+        self.check(plan, profile)
         key = plan.printers_available >= 2
         if key not in self.searches:
             self.searches[key] = prepare_model(self.mesh, plan,
@@ -613,7 +627,8 @@ def run_metaheuristic(mesh: TriangleMesh, plan: RunPlan,
     iteration left unclipped could have won.  The winner is the best
     clipped result by :func:`_beats`, the earlier iteration on ties.
 
-    Raises NoValidDecomposition when every iteration fails.
+    Raises NoValidDecomposition when every iteration fails, and ValueError
+    when work holds runs of another plan or profile (:meth:`ModelWork.check`).
     """
     work = ModelWork(mesh) if work is None else work
     prepared, grown = work.search_inputs(plan, profile)
@@ -679,10 +694,12 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
     :class:`RunRecord`.  ``work``, when given, is mesh's
     :class:`ModelWork`; it keeps the rounds this call builds.
 
-    Raises NonWatertightInput when the mesh is not closed.
+    Raises NonWatertightInput when the mesh is not closed, and ValueError
+    when work holds runs of another plan or profile (:meth:`ModelWork.check`).
     """
     tick = time.perf_counter()
     work = ModelWork(mesh) if work is None else work
+    work.check(plan, profile)
     target = 1
     while target * 2 <= plan.printers_available:
         target *= 2

@@ -9,7 +9,7 @@ import pytest
 import time
 
 from parallelobox import cli, meta
-from parallelobox.cli import (CSV_COLUMNS, PLOT_SERIES, RunRow, build_parser,
+from parallelobox.cli import (CSV_COLUMNS, PLOT_SERIES, build_parser,
                               load_manifest, main, parse_config, run_batch)
 from parallelobox.errors import ConfigError
 from parallelobox.fixtures import box_mesh, dumbbell, l_bracket
@@ -238,10 +238,15 @@ def test_runlog_growth_steps_and_wall_clock(tmp_path, monkeypatch):
     assert all(0.0 < line["wall_clock_s"] < pause for line in lines)
 
 
-def test_no_result_row_cells():
-    """A run that gave no result: empty cells for its missing numbers."""
-    assert RunRow("ghost", "symmetry", 2).csv_values() == [
-        "ghost", "symmetry", "2", "0", "", "", "", "0.0", "false", ""]
+def test_no_result_row_cells(tmp_path):
+    """A run that gave no result, here of a model that cannot be read:
+    empty cells for its missing numbers."""
+    out = tmp_path / "out"
+    report = run_batch([tmp_path / "ghost.stl"], [2], RunPlan(),
+                       PrinterProfile(), ["symmetry"], out)
+    assert not report.any_valid
+    assert _read_csv(out / "results.csv")[1:] == [[
+        "ghost", "symmetry", "2", "0", "", "", "", "0.0", "false", ""]]
 
 
 def test_baseline_runlog_line_is_its_record(tmp_path, monkeypatch):
@@ -427,7 +432,7 @@ def test_batch_searches_each_model_for_its_mirror_plane_once(tmp_path,
                                                 sample_tries=1),
                        PrinterProfile(), ["parallelobox", "symmetry"],
                        tmp_path / "out")
-    assert all(row.valid for row in report.rows) and len(report.rows) == 4
+    assert all(row["valid"] for row in report.rows) and len(report.rows) == 4
     assert len(prepared) == 2 and prepared[0] is prepared[1]
     assert sum(mesh is prepared[0] for mesh in searched) == 1
     assert oriented and not any(mesh is copy for mesh in searched
@@ -575,6 +580,24 @@ def test_batch_paths_resolve_against_the_manifest(tmp_path, monkeypatch):
     assert (jobs / "sweep" / "results.csv").is_file()
     assert not (elsewhere / "sweep").exists()
     assert list(elsewhere.iterdir()) == []
+
+
+def test_batch_models_sharing_a_stem_exit_2(tmp_path, caplog):
+    """Two models of one file stem would share their output names: the
+    batch exits 2, naming the stem and its paths, before it writes
+    anything."""
+    for sub, make in (("a", dumbbell), ("b", l_bracket)):
+        (tmp_path / sub).mkdir()
+        save_stl(make(), tmp_path / sub / "part.stl")
+    manifest = _write(tmp_path / "m.json", json.dumps({
+        "models": ["a/part.stl", "b/part.stl"], "printers": [2],
+        "granularity": "coarse", "sample_tries": 1, "out": "out"}))
+    assert main(["batch", str(manifest)]) == 2
+    assert "'part'" in caplog.text
+    assert all(str(tmp_path / sub / "part.stl") in caplog.text
+               for sub in ("a", "b"))
+    assert not (tmp_path / "out").exists()
+
 
 def test_batch_unreadable_model_exits_2(tmp_path):
     manifest = _write(tmp_path / "m.json", json.dumps(

@@ -5,6 +5,7 @@ import pytest
 from parallelobox import clip, fixtures
 from parallelobox.clip import (PLANE_EPS, clip_halfspace, clip_surface_to_box,
                                clip_to_box, cut_by_plane, points_in_mesh)
+from parallelobox.errors import DegenerateBox, NonWatertightInput
 from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
                                    hollow_box, icosphere, l_bracket, unit_cube,
                                    wedge)
@@ -576,6 +577,19 @@ def test_clip_empty_and_disjoint():
     whole = Aabb((-1.0, -1.0, -1.0), (2.0, 2.0, 2.0))
     again = clip_to_box(cube, whole)
     assert measure(again).volume == pytest.approx(1.0, rel=1e-12)
+
+
+def test_clip_and_cut_reject_bad_input():
+    """A box of zero extent, an open mesh and a plane normal that is not
+    of unit length raise before anything is clipped."""
+    cube = unit_cube()
+    with pytest.raises(DegenerateBox):
+        clip_to_box(cube, Aabb((0.0, 0.0, 0.0), (1.0, 0.0, 1.0)))
+    open_cube = TriangleMesh(cube.vertices, cube.triangles[:-1], "open")
+    with pytest.raises(NonWatertightInput):
+        clip_to_box(open_cube, Aabb((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)))
+    with pytest.raises(ValueError, match="unit length"):
+        cut_by_plane(cube, (2.0, 0.0, 0.0), 0.5)
 
 
 def test_random_plane_cut_area_conservation_open_shell():

@@ -213,6 +213,26 @@ def test_load_mesh_errors(tmp_path):
     with pytest.raises(EmptyMesh):
         load_mesh(empty)
 
+    # Binary STLs shorter than their preamble or than the triangles their
+    # header promises, an ASCII STL with a triangle of two vertices, and OBJ
+    # files with a short or non-numeric vertex, a non-integer face index
+    # and a face of two vertices.
+    for name, body, message in [
+            ("short.stl", b"\x00" * 83, "shorter than its 84-byte preamble"),
+            ("cut.stl", b"\x00" * 80 + struct.pack("<I", 2) + b"\x00" * 50,
+             "promises 2 triangles"),
+            ("two.stl", b"solid x\nfacet\nvertex 0 0 0\nvertex 1 0 0\n"
+             b"endsolid", "not a multiple of three"),
+            ("v.obj", b"v 0 0\n", r"v\.obj:1: short vertex line"),
+            ("v.obj", b"v 0 0 a\n", r"v\.obj:1: non-numeric vertex"),
+            ("f.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n",
+             r"f\.obj:4: bad face index 'x'"),
+            ("f.obj", b"v 0 0 0\nv 1 0 0\nf 1 2\n",
+             r"f\.obj:3: face with fewer than 3 vertices")]:
+        (tmp_path / name).write_bytes(body)
+        with pytest.raises(ParseError, match=message):
+            load_mesh(tmp_path / name)
+
     # OBJ face indices naming no vertex: past the count, 0, and a negative
     # index reaching before the first vertex; the error gives the line.
     for face in ("f 1 2 5", "f 0 1 2", "f -9 1 2"):

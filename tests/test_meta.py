@@ -249,6 +249,29 @@ def test_baseline_keeps_uncut_pieces_and_ends_its_rounds(monkeypatch):
     assert len(cuts) == 6
 
 
+def test_model_work_rejects_another_plan_or_profile():
+    """A ModelWork holds the runs of one plan and profile but for the
+    printer count: a fine search after a coarse one would read the coarse
+    preparation, so it raises, naming the field, as do baselines of another
+    printer or overhang tolerance.  Another printer count still shares it."""
+    mesh = fixtures.l_bracket()
+    plan = RunPlan(printers_available=4, granularity="coarse", sample_tries=1)
+    work = ModelWork(mesh)
+    run_metaheuristic(mesh, plan, PROFILE, work=work)
+    with pytest.raises(ValueError, match="granularity='coarse', not 'fine'"):
+        run_metaheuristic(mesh, replace(plan, granularity="fine"), PROFILE,
+                          work=work)
+    with pytest.raises(ValueError, match="volume_x=250.0, not 100.0"):
+        recursive_symmetry_baseline(
+            mesh, plan, replace(PROFILE, volume_x=100.0), work=work)
+    with pytest.raises(ValueError, match="overhang_tolerance_deg"):
+        recursive_symmetry_baseline(
+            mesh, replace(plan, overhang_tolerance_deg=5.0), PROFILE, work=work)
+    assert run_metaheuristic(mesh, replace(plan, printers_available=2),
+                             PROFILE, work=work).valid
+    assert list(work.searches) == [True]
+
+
 def _open_mesh(name):
     """A fixture with its last triangle removed: a surface with a hole."""
     mesh = getattr(fixtures, name)()
