@@ -39,7 +39,6 @@ bit for bit, so no run loads ``numpy.random``.
 """
 from __future__ import annotations
 
-import logging
 import operator
 from dataclasses import dataclass
 
@@ -49,8 +48,6 @@ from .errors import InsufficientBoundaryCells
 from .grid import (AREA, BOUNDARY, DIRECTIONS, N_CHANNELS, OVERHANG, SOLID,
                    VOLUME, CellClass, Grid, range_sums)
 from .mesh import TriangleMesh
-
-logger = logging.getLogger(__name__)
 
 DIRECTION_NAMES = ("+x", "-x", "+y", "-y", "+z", "-z")
 #: Relative margin by which a growth option must beat the incumbent; closer

@@ -187,9 +187,13 @@ def write_plotdata(report: BatchReport, path: Path) -> None:
 
 
 def write_runlog(report: BatchReport, path: Path) -> None:
+    """One strict JSON object per line; a NaN or infinite number is null."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in report.log_lines:
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+            line = {key: None if isinstance(value, float)
+                    and not math.isfinite(value) else value
+                    for key, value in line.items()}
+            fh.write(json.dumps(line, sort_keys=True, allow_nan=False) + "\n")
 
 
 def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
@@ -200,8 +204,9 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
     Printer counts of two or more share one prepared model and one growth
     pass per model; every printer count shares the model's mirror plane and
     the baseline's halving rounds (see :class:`meta.ModelWork`).  Models
-    that share a file stem would share their output names, so they raise
-    ConfigError before anything is written.
+    that share a file stem would share their output names, and a repeated
+    printer count would run twice, so both raise ConfigError before
+    anything is written.
     """
     stems = [Path(model_path).stem for model_path in models]
     shared = sorted({stem for stem in stems if stems.count(stem) > 1})
@@ -209,6 +214,9 @@ def run_batch(models: list[Path], printer_counts: list[int], plan: RunPlan,
         raise ConfigError(f"models share the output names {shared}: "
                           + ", ".join(str(m) for m, stem in zip(models, stems)
                                       if stem in shared))
+    repeated = sorted({n for n in printer_counts if printer_counts.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"printer counts {repeated} are repeated")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -258,8 +266,6 @@ _MANIFEST_OPTIONS = {
                      "an integer >= 1"),
     "seed": ("seed_base", lambda v: _is_int(v) and v >= 0,
              "an integer >= 0"),
-    "min_printers": ("min_printers", lambda v: _is_int(v) and v >= 1,
-                     "an integer >= 1"),
     "infill": ("infill_fraction", lambda v: _is_number(v) and 0 <= v <= 1,
                "a number in [0, 1]"),
     "overhang_tolerance": ("overhang_tolerance_deg",
@@ -340,8 +346,6 @@ def _add_shared_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--baseline", default="parallelobox",
                      choices=ALGORITHM_CHOICES,
                      help="which algorithm(s) to run")
-    sub.add_argument("--min-printers", type=int, default=RunPlan.min_printers,
-                     metavar="N", help="stop the outer search below this seed count")
     sub.add_argument("-v", "--verbose", action="store_true",
                      help="debug logging")
 

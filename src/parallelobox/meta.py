@@ -45,9 +45,9 @@ each distinct box once; scoring clips nothing more.  A result's cut area,
 its parts' surface area less the model's, is read from the tables until
 its parts are clipped.
 
-:func:`_decomposition` builds every result, and :func:`_parts_verdict`
-judges every set of part meshes, the search's clipped parts and the
-baseline's alike.
+A :class:`Decomposition` keeps its parts and reads its validity, scores,
+times and cut area from them, and :func:`_parts_verdict` judges every set
+of part meshes, the search's clipped parts and the baseline's alike.
 """
 from __future__ import annotations
 
@@ -82,7 +82,6 @@ class RunPlan:
     granularity: str = "very_fine"
     sample_tries: int = 3
     seed_base: int = 0
-    min_printers: int = 1
     infill_fraction: float = 0.05
     overhang_tolerance_deg: float = 1.0
     symmetry_threshold: float = SYMMETRY_THRESHOLD
@@ -121,23 +120,40 @@ class PartResult:
 
 @dataclass
 class Decomposition:
+    """A result, scored from its parts; valid when there is no reason.
+    Its scores and times are NaN when it has no parts."""
+
     parts: list[PartResult]
-    algorithm: str
-    printers_available: int
     seed_blocks: int
     seed: int
-    valid: bool
     reason: str
-    parallel_score: float
-    parallel_time_s: float
-    aggregate_time_s: float
     symmetry_cut: bool
     clipped: bool           # the parts are clipped meshes, scored from them
-    cut_area_mm2: float     # Σ part − model surface area; NaN when uncovered
+    model_area_mm2: float   # NaN when the parts do not cover the model
+
+    @property
+    def valid(self) -> bool:
+        return not self.reason
 
     @property
     def printers_used(self) -> int:
         return len(self.parts)
+
+    @property
+    def parallel_score(self) -> float:
+        return max((p.print_score for p in self.parts), default=float("nan"))
+
+    @property
+    def parallel_time_s(self) -> float:
+        return max((p.time_s for p in self.parts), default=float("nan"))
+
+    @property
+    def aggregate_time_s(self) -> float:
+        return sum(p.time_s for p in self.parts) if self.parts else float("nan")
+
+    @property
+    def cut_area_mm2(self) -> float:     # Σ part − model surface area
+        return sum(p.surface_area for p in self.parts) - self.model_area_mm2
 
 
 @dataclass
@@ -191,7 +207,6 @@ class PreparedPiece:
 @dataclass
 class PreparedModel:
     pieces: list[PreparedPiece]
-    plane: SymmetryPlane
     cut: bool
     surface_area: float         # of the model before the symmetry cut
 
@@ -224,7 +239,7 @@ def prepare_model(mesh: TriangleMesh, plan: RunPlan,
         grid = measure_cells(build_grid(oriented, plan.granularity), oriented,
                              plan.overhang_tolerance_deg)
         pieces.append(PreparedPiece(oriented, grid, measure(oriented).volume))
-    return PreparedModel(pieces, plane, cut, measure(mesh).surface_area)
+    return PreparedModel(pieces, cut, measure(mesh).surface_area)
 
 
 def _proportional_share(total: int, v_first: float, v_second: float) -> int:
@@ -316,9 +331,8 @@ def search_runs(prepared: PreparedModel,
                 plan: RunPlan) -> list[tuple[int, int, int]]:
     """(seed blocks, try index, seed) of every iteration of the search, in
     the search's order."""
-    floor = max(plan.min_printers, len(prepared.pieces), 1)
     return [(p, t, plan.seed_base + 1000 * p + t)
-            for p in range(plan.printers_available, floor - 1, -1)
+            for p in range(plan.printers_available, len(prepared.pieces) - 1, -1)
             for t in range(1, plan.sample_tries + 1)]
 
 
@@ -375,9 +389,9 @@ def run_decomposition(prepared: PreparedModel, plan: RunPlan,
     reason = reason or _count_verdict(parts, total_printers)
     if not reason and not fits:
         reason = BOX_EXCEEDS_PRINTER
-    return _decomposition(parts, reason, plan, _covered_area(prepared, parts),
-                          algorithm="parallelobox", seed_blocks=seed_blocks,
-                          seed=seed, symmetry_cut=prepared.cut, clipped=False)
+    return Decomposition(parts, seed_blocks, seed, reason, prepared.cut,
+                         clipped=False,
+                         model_area_mm2=_covered_area(prepared, parts))
 
 
 def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
@@ -412,11 +426,11 @@ def clip_parts(prepared: PreparedModel, plan: RunPlan, profile: PrinterProfile,
             part.source, profile, plan.infill_fraction, piece=part.piece,
             cell_lo=part.cell_lo, cell_hi=part.cell_hi))
     volume = sum(piece.volume for piece in prepared.pieces)
-    return _decomposition(
-        parts, _parts_verdict(parts, plan.printers_available, profile.dims, volume),
-        plan, _covered_area(prepared, parts), algorithm="parallelobox",
-        seed_blocks=result.seed_blocks, seed=result.seed,
-        symmetry_cut=prepared.cut, clipped=True)
+    return Decomposition(
+        parts, result.seed_blocks, result.seed,
+        _parts_verdict(parts, plan.printers_available, profile.dims, volume),
+        prepared.cut, clipped=True,
+        model_area_mm2=_covered_area(prepared, parts))
 
 
 def _count_verdict(parts: list[PartResult], printers: int) -> str:
@@ -455,29 +469,6 @@ def _covered_area(prepared: PreparedModel, parts: list[PartResult]) -> float:
     # has parts: the parts cover the model when every piece has some.
     covered = {p.piece for p in parts} == set(range(len(prepared.pieces)))
     return prepared.surface_area if covered else float("nan")
-
-
-def _decomposition(parts: list[PartResult], reason: str, plan: RunPlan,
-                   model_area: float, **fields) -> Decomposition:
-    """A result scored from its parts, valid when there is no reason.
-
-    ``model_area`` is the model's surface area, or NaN when the parts do
-    not cover the model; ``fields`` holds the remaining
-    :class:`Decomposition` fields."""
-    if parts:
-        parallel_score = max(p.print_score for p in parts)
-        parallel_time = max(p.time_s for p in parts)
-        aggregate_time = sum(p.time_s for p in parts)
-    else:
-        parallel_score = parallel_time = aggregate_time = float("nan")
-    return Decomposition(parts=parts,
-                         printers_available=plan.printers_available,
-                         valid=not reason, reason=reason,
-                         parallel_score=parallel_score,
-                         parallel_time_s=parallel_time,
-                         aggregate_time_s=aggregate_time,
-                         cut_area_mm2=sum(p.surface_area for p in parts)
-                         - model_area, **fields)
 
 
 def _part(volume: float, area: float, source: str, profile: PrinterProfile,
@@ -720,11 +711,12 @@ def recursive_symmetry_baseline(mesh: TriangleMesh, plan: RunPlan,
     parts = [_score_part(m, "block", profile, plan.infill_fraction, piece=i)
              for i, m in enumerate(pieces)]
     mm = measure(mesh)
-    result = _decomposition(
-        parts, _parts_verdict(parts, plan.printers_available, profile.dims, mm.volume),
-        plan, mm.surface_area, algorithm="symmetry",
-        seed_blocks=0, seed=plan.seed_base, symmetry_cut=len(parts) > 1,
-        clipped=True)
+    result = Decomposition(
+        parts, seed_blocks=0, seed=plan.seed_base,
+        reason=_parts_verdict(parts, plan.printers_available, profile.dims,
+                              mm.volume),
+        symmetry_cut=len(parts) > 1, clipped=True,
+        model_area_mm2=mm.surface_area)
     if records is not None:
         records.append(RunRecord.of(result, 0, 0, time.perf_counter() - tick))
     return result

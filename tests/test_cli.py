@@ -12,7 +12,7 @@ from parallelobox import cli, meta
 from parallelobox.cli import (CSV_COLUMNS, PLOT_SERIES, build_parser,
                               load_manifest, main, parse_config, run_batch)
 from parallelobox.errors import ConfigError
-from parallelobox.fixtures import box_mesh, dumbbell, l_bracket
+from parallelobox.fixtures import box_mesh, dumbbell, hollow_box, l_bracket
 from parallelobox.mesh import TriangleMesh, save_stl
 from parallelobox.meta import PrinterProfile, RunPlan, RunRecord
 from test_preprocess import _env
@@ -525,7 +525,6 @@ def test_decompose_missing_config_exits_2(tmp_path):
     ["--infill", "2"],
     ["--overhang-tolerance", "120"],
     ["--symmetry-threshold", "-1"],
-    ["--min-printers", "0"],
     ["--printers", "0"],
     ["--sample-tries", "0"],
     ["--infill", "nan"],
@@ -597,6 +596,42 @@ def test_batch_models_sharing_a_stem_exit_2(tmp_path, caplog):
     assert all(str(tmp_path / sub / "part.stl") in caplog.text
                for sub in ("a", "b"))
     assert not (tmp_path / "out").exists()
+
+
+def test_batch_repeated_printer_count_exits_2(tmp_path, caplog):
+    """A printer count given twice would run, and write, twice: the batch
+    exits 2, naming the count, before it writes anything."""
+    save_stl(l_bracket(), tmp_path / "l.stl")
+    manifest = _write(tmp_path / "m.json", json.dumps({
+        "models": ["l.stl"], "printers": [2, 4, 2],
+        "granularity": "coarse", "sample_tries": 1, "out": "out"}))
+    assert main(["batch", str(manifest)]) == 2
+    assert "printer counts [2] are repeated" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_runlog_is_strict_json(tmp_path):
+    """The hollow box at coarse on 8 printers of 30 mm has iterations that
+    stop with no parts: each runlog line parses as strict JSON, and a
+    stopped iteration's score and times are null."""
+    save_stl(hollow_box(), tmp_path / "hollow_box.stl")
+    out = tmp_path / "out"
+    run_batch([tmp_path / "hollow_box.stl"], [8],
+              RunPlan(granularity="coarse", sample_tries=1),
+              PrinterProfile(volume_x=30.0, volume_y=30.0, volume_z=30.0),
+              ["parallelobox"], out)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    lines = [json.loads(line, parse_constant=reject) for line in
+             (out / "runlog.jsonl").read_text(encoding="utf-8").splitlines()]
+    stopped = [line for line in lines if line["parts"] == 0]
+    assert stopped
+    for line in stopped:
+        assert [line[key] for key in ("parallel_score", "parallel_time_s",
+                                      "aggregate_time_s", "cut_area_mm2")] == [
+            None] * 4
 
 
 def test_batch_unreadable_model_exits_2(tmp_path):

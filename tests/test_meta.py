@@ -2,6 +2,7 @@
 import logging
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,12 +17,11 @@ from parallelobox.fixtures import (asymmetric_blob, box_mesh, dumbbell,
 from parallelobox.grid import AREA, CellClass
 from parallelobox.mesh import (TriangleMesh, aabb_of, measure, triangle_areas,
                               validate_watertight)
-from parallelobox.meta import (Decomposition, ModelWork, PartResult,
-                               PrinterProfile, RunPlan, _beats,
-                               _proportional_share, estimate_time,
+from parallelobox.meta import (ModelWork, PartResult, PrinterProfile, RunPlan,
+                               _beats, _proportional_share, estimate_time,
                                fits_printer, prepare_model,
                                recursive_symmetry_baseline, run_metaheuristic)
-from parallelobox.preprocess import SymmetryPlane
+from parallelobox.preprocess import SymmetryPlane, find_best_symmetry_plane
 from test_resolve import _reference_regions, paint_owner
 
 PROFILE = PrinterProfile()
@@ -72,7 +72,8 @@ def table_cut_area(mesh, prepared, parts) -> float:
         lo, hi = np.array(p.cell_lo), np.array(p.cell_hi)
         caps += _box(grid, lo, hi)[1] - grid.sums(lo, hi)[AREA]
     if prepared.cut:
-        normal, offset = prepared.plane.normal, prepared.plane.offset
+        plane = find_best_symmetry_plane(mesh)
+        normal, offset = plane.normal, plane.offset
         for half in cut_by_plane(mesh, normal, offset):
             corners = half.vertices[half.triangles]
             on = (np.abs(corners @ normal - offset) <= 1e-9).all(axis=1)
@@ -437,14 +438,15 @@ def _reference_decomposition(prepared, plan, profile, seed_blocks, seed):
             if not fits_printer(aabb_of(part.mesh).extent, profile.dims):
                 valid, reason = False, f"part {part.mesh.name} exceeds the printer"
                 break
+    # The reference's own scores, not the library's: the attributes of a
+    # Decomposition that the search comparisons read.
     nan = float("nan")
-    return Decomposition(
-        parts=parts, algorithm="parallelobox", printers_available=total_printers,
-        seed_blocks=seed_blocks, seed=seed, valid=valid, reason=reason,
+    return SimpleNamespace(
+        parts=parts, seed_blocks=seed_blocks, seed=seed, valid=valid,
+        reason=reason, printers_used=len(parts),
         parallel_score=max((p.print_score for p in parts), default=nan),
         parallel_time_s=max((p.time_s for p in parts), default=nan),
         aggregate_time_s=sum(p.time_s for p in parts) if parts else nan,
-        symmetry_cut=prepared.cut, clipped=True,
         cut_area_mm2=(sum(p.surface_area for p in parts) - prepared.surface_area
                       if parts else float("nan")))
 
@@ -474,9 +476,8 @@ def test_stopped_iteration_reports_no_parts():
 
 def _reference_search(prepared, plan, profile):
     """The retry loop over clipped iterations; (winner or None, results)."""
-    floor = max(plan.min_printers, len(prepared.pieces), 1)
     best, results = None, []
-    for p in range(plan.printers_available, floor - 1, -1):
+    for p in range(plan.printers_available, len(prepared.pieces) - 1, -1):
         for t in range(1, plan.sample_tries + 1):
             result = _reference_decomposition(prepared, plan, profile, p,
                                               plan.seed_base + 1000 * p + t)
@@ -721,8 +722,7 @@ def test_search_leaves_oversize_iterations_that_cannot_win_unclipped(
     def marked(*args):
         result = decompose(*args)
         if result.seed_blocks == 2:
-            return replace(result, valid=False,
-                           reason=meta.BOX_EXCEEDS_PRINTER)
+            return replace(result, reason=meta.BOX_EXCEEDS_PRINTER)
         return result
 
     monkeypatch.setattr(meta, "run_decomposition", marked)
@@ -738,6 +738,27 @@ def test_search_leaves_oversize_iterations_that_cannot_win_unclipped(
     assert (got.seed_blocks, got.seed) == (want.seed_blocks, want.seed)
     assert [_part_fields(p) for p in got.parts] == [_part_fields(p)
                                                     for p in want.parts]
+
+
+def test_result_reads_validity_scores_and_times_from_its_parts():
+    """A result keeps no copy of what its reason and parts give, so a
+    replaced reason or part list changes its validity, scores, times and
+    cut area with it."""
+    plan = RunPlan(printers_available=2, granularity="coarse")
+    prepared = prepare_model(dumbbell(), plan)
+    grown = meta.grow_runs(prepared, plan, PROFILE, [(2, 0)])[0]
+    result = meta.run_decomposition(prepared, plan, PROFILE, 2, 0, grown)
+    assert result.valid and len(result.parts) == 2
+    assert not replace(result, reason=meta.BOX_EXCEEDS_PRINTER).valid
+    part = result.parts[0]
+    one = replace(result, parts=result.parts[:1])
+    assert (one.printers_used, one.parallel_score, one.parallel_time_s,
+            one.aggregate_time_s, one.cut_area_mm2) == (
+        1, part.print_score, part.time_s, part.time_s,
+        part.surface_area - prepared.surface_area)
+    none = replace(result, parts=[])
+    assert all(math.isnan(x) for x in (
+        none.parallel_score, none.parallel_time_s, none.aggregate_time_s))
 
 
 def test_clip_parts_drops_boxes_that_clip_to_nothing():
