@@ -14,7 +14,6 @@ from .resolve import get_discrete_empty_regions
 from .meta import (Decomposition, PartResult, RunPlan, RunRecord,
                    estimate_time, recursive_symmetry_baseline,
                    run_metaheuristic)
-from .cli import parse_config
 
 __version__ = "0.1.0"
 
@@ -26,7 +25,7 @@ __all__ = [
     "aabb_of", "build_grid", "clean_mesh", "clip_to_box", "cut_by_plane",
     "estimate_time", "find_best_symmetry_plane", "get_discrete_empty_regions",
     "load_mesh", "measure", "measure_cells", "optimize_orientation",
-    "parse_config", "points_in_mesh", "print_score",
+    "points_in_mesh", "print_score",
     "recursive_symmetry_baseline", "run_metaheuristic", "save_stl",
     "select_seed_blocks", "validate_watertight",
 ]

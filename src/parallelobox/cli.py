@@ -256,30 +256,56 @@ def _is_number(value) -> bool:
 
 ALGORITHM_CHOICES = ("parallelobox", "symmetry", "both")
 
-#: Manifest options: key -> (RunPlan field it overrides or None,
-#: accepts the value?, what it must be).
-_MANIFEST_OPTIONS = {
-    "granularity": ("granularity",
-                    lambda v: isinstance(v, str) and v in GRANULARITY_CELLS,
-                    "one of " + ", ".join(sorted(GRANULARITY_CELLS))),
-    "sample_tries": ("sample_tries", lambda v: _is_int(v) and v >= 1,
-                     "an integer >= 1"),
-    "seed": ("seed_base", lambda v: _is_int(v) and v >= 0,
-             "an integer >= 0"),
-    "infill": ("infill_fraction", lambda v: _is_number(v) and 0 <= v <= 1,
-               "a number in [0, 1]"),
-    "overhang_tolerance": ("overhang_tolerance_deg",
-                           lambda v: _is_number(v) and 0 <= v <= 90,
-                           "a number of degrees in [0, 90]"),
-    "symmetry_threshold": ("symmetry_threshold",
-                           lambda v: _is_number(v) and v >= 0,
-                           "a number >= 0"),
-    "skip_symmetry": ("skip_symmetry_cut", lambda v: isinstance(v, bool),
-                      "true or false"),
-    "baseline": (None, lambda v: isinstance(v, str) and v in ALGORITHM_CHOICES,
-                 "one of " + ", ".join(ALGORITHM_CHOICES)),
-    "out": (None, lambda v: isinstance(v, str), "a path string"),
-    "config": (None, lambda v: isinstance(v, str), "a path string"),
+#: The options both subcommands share, each declared once: key, which is
+#: also the flag (--sample-tries for sample_tries) -> (RunPlan field it sets
+#: or None, accepts the value?, what it must be, the flag's argparse
+#: keywords).  A plan flag defaults to the RunPlan default, and a manifest
+#: key overrides the flag of its name.
+_OPTIONS = {
+    "granularity": (
+        "granularity", lambda v: isinstance(v, str) and v in GRANULARITY_CELLS,
+        "one of " + ", ".join(sorted(GRANULARITY_CELLS)),
+        dict(choices=sorted(GRANULARITY_CELLS),
+             help="grid resolution preset")),
+    "sample_tries": (
+        "sample_tries", lambda v: _is_int(v) and v >= 1, "an integer >= 1",
+        dict(type=int, metavar="K",
+             help="random restarts per seed-block count")),
+    "skip_symmetry": (
+        "skip_symmetry_cut", lambda v: isinstance(v, bool), "true or false",
+        dict(action="store_true",
+             help="never apply the pre-cut, even on mirror models")),
+    "symmetry_threshold": (
+        "symmetry_threshold", lambda v: _is_number(v) and v >= 0,
+        "a number >= 0",
+        dict(type=float, metavar="T",
+             help="max normalized mirror error that still cuts")),
+    "overhang_tolerance": (
+        "overhang_tolerance_deg", lambda v: _is_number(v) and 0 <= v <= 90,
+        "a number of degrees in [0, 90]",
+        dict(type=float, metavar="DEG",
+             help="face slope treated as printable")),
+    "infill": (
+        "infill_fraction", lambda v: _is_number(v) and 0 <= v <= 1,
+        "a number in [0, 1]",
+        dict(type=float, metavar="F",
+             help="infill fraction used by the time model")),
+    "config": (
+        None, lambda v: isinstance(v, str), "a path string",
+        dict(type=Path, metavar="INI",
+             help="printer profile .ini (defaults: 250 mm cube)")),
+    "seed": (
+        "seed_base", lambda v: _is_int(v) and v >= 0, "an integer >= 0",
+        dict(type=int, metavar="S", help="base RNG seed")),
+    "out": (
+        None, lambda v: isinstance(v, str), "a path string",
+        dict(type=Path, default=Path("out"), metavar="DIR",
+             help="report/output directory")),
+    "baseline": (
+        None, lambda v: isinstance(v, str) and v in ALGORITHM_CHOICES,
+        "one of " + ", ".join(ALGORITHM_CHOICES),
+        dict(default="parallelobox", choices=ALGORITHM_CHOICES,
+             help="which algorithm(s) to run")),
 }
 
 
@@ -298,7 +324,7 @@ def load_manifest(path) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or "models" not in raw:
         raise ConfigError(f"{path}: expected an object with a 'models' list")
-    unknown = sorted(set(raw) - {"models", "printers", *_MANIFEST_OPTIONS})
+    unknown = sorted(set(raw) - {"models", "printers", *_OPTIONS})
     if unknown:
         raise ConfigError(f"{path}: unknown manifest keys {unknown}")
     models = raw["models"]
@@ -310,7 +336,7 @@ def load_manifest(path) -> dict:
             _is_int(c) and c >= 1 for c in counts):
         raise ConfigError(f"{path}: 'printers' must be a non-empty list of "
                           "counts >= 1")
-    for key, (_, ok, expected) in _MANIFEST_OPTIONS.items():
+    for key, (_, ok, expected, _) in _OPTIONS.items():
         if key in raw and not ok(raw[key]):
             raise ConfigError(f"{path}: {key!r} must be {expected}, "
                               f"got {raw[key]!r}")
@@ -320,34 +346,6 @@ def load_manifest(path) -> dict:
             raw[key] = path.parent / raw[key]
     raw["printers"] = counts
     return raw
-
-
-def _add_shared_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--granularity", choices=sorted(GRANULARITY_CELLS),
-                     default=RunPlan.granularity, help="grid resolution preset")
-    sub.add_argument("--sample-tries", type=int, default=RunPlan.sample_tries,
-                     metavar="K", help="random restarts per seed-block count")
-    sub.add_argument("--skip-symmetry", action="store_true",
-                     help="never apply the pre-cut, even on mirror models")
-    sub.add_argument("--symmetry-threshold", type=float,
-                     default=RunPlan.symmetry_threshold, metavar="T",
-                     help="max normalized mirror error that still cuts")
-    sub.add_argument("--overhang-tolerance", type=float,
-                     default=RunPlan.overhang_tolerance_deg, metavar="DEG",
-                     help="face slope treated as printable")
-    sub.add_argument("--infill", type=float, default=RunPlan.infill_fraction,
-                     metavar="F", help="infill fraction used by the time model")
-    sub.add_argument("--config", type=Path, default=None, metavar="INI",
-                     help="printer profile .ini (defaults: 250 mm cube)")
-    sub.add_argument("--seed", type=int, default=RunPlan.seed_base,
-                     metavar="S", help="base RNG seed")
-    sub.add_argument("--out", type=Path, default=Path("out"), metavar="DIR",
-                     help="report/output directory")
-    sub.add_argument("--baseline", default="parallelobox",
-                     choices=ALGORITHM_CHOICES,
-                     help="which algorithm(s) to run")
-    sub.add_argument("-v", "--verbose", action="store_true",
-                     help="debug logging")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,38 +360,34 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--printers", type=int,
                      default=RunPlan.printers_available, metavar="N",
                      help="printers available")
-    _add_shared_options(one)
-
     many = subs.add_parser("batch", help="sweep models x printer counts")
     many.add_argument("manifest", type=Path,
                       help="JSON manifest with 'models' and 'printers' lists")
-    _add_shared_options(many)
+    for sub in (one, many):
+        for key, (name, _, _, flag) in _OPTIONS.items():
+            default = {"default": getattr(RunPlan, name)} if name else {}
+            sub.add_argument("--" + key.replace("_", "-"), **default, **flag)
+        sub.add_argument("-v", "--verbose", action="store_true",
+                         help="debug logging")
     return parser
 
 
-def _plan_from_args(args, overrides: dict | None = None) -> RunPlan:
-    """The run plan from the command line, manifest overrides taking
-    precedence; command-line values must pass the manifest checks too."""
-    given = {key: getattr(args, key)
-             for key, (name, _, _) in _MANIFEST_OPTIONS.items() if name}
-    for key, value in given.items():
-        _, ok, expected = _MANIFEST_OPTIONS[key]
-        if not ok(value):
-            raise ConfigError(f"--{key.replace('_', '-')} must be {expected}, "
-                              f"got {value!r}")
-    overrides = overrides or {}
-    return RunPlan(**{_MANIFEST_OPTIONS[key][0]: overrides.get(key, value)
-                      for key, value in given.items()})
-
-
 def _request(args) -> dict:
-    """The batch a subcommand asks for; the flags fill in what it omits."""
+    """The batch a subcommand asks for: every option's flag, overlaid by
+    the manifest's keys; plan flags must pass the manifest checks too."""
     if args.command == "batch":
-        return load_manifest(args.manifest)
-    if args.printers < 1:
+        request = load_manifest(args.manifest)
+    elif args.printers < 1:
         raise ConfigError(f"--printers must be an integer >= 1, "
                           f"got {args.printers}")
-    return {"models": [args.model], "printers": [args.printers]}
+    else:
+        request = {"models": [args.model], "printers": [args.printers]}
+    flags = {key: getattr(args, key) for key in _OPTIONS}
+    for key, (name, ok, expected, _) in _OPTIONS.items():
+        if name and not ok(flags[key]):
+            raise ConfigError(f"--{key.replace('_', '-')} must be {expected}, "
+                              f"got {flags[key]!r}")
+    return flags | request
 
 
 def main(argv=None) -> int:
@@ -403,13 +397,15 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         request = _request(args)
-        config = request.get("config", args.config)
-        profile = parse_config(config) if config else PrinterProfile()
-        baseline = request.get("baseline", args.baseline)
-        report = run_batch(request["models"], request["printers"],
-                           _plan_from_args(args, request), profile,
-                           ["parallelobox", "symmetry"] if baseline == "both"
-                           else [baseline], Path(request.get("out", args.out)))
+        profile = (parse_config(request["config"]) if request["config"]
+                   else PrinterProfile())
+        plan = RunPlan(**{name: request[key]
+                          for key, (name, *_) in _OPTIONS.items() if name})
+        baseline = request["baseline"]
+        report = run_batch(request["models"], request["printers"], plan,
+                           profile, ["parallelobox", "symmetry"]
+                           if baseline == "both" else [baseline],
+                           request["out"])
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2

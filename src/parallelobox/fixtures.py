@@ -3,8 +3,8 @@
 Everything here is exact, constructed geometry: boxes, an icosphere, and
 polycube solids extracted from voxel masks.  The shapes exist so tests and
 demos have known volumes, areas, and symmetries without shipping binary
-mesh files.  ``box_mesh`` lives in :mod:`parallelobox.mesh`, where the box
-clip uses it too, and is available here as well.
+mesh files.  ``box_mesh`` lives in :mod:`parallelobox.mesh` and is
+available here as well.
 """
 from __future__ import annotations
 

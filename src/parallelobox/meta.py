@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -188,7 +188,7 @@ class RunRecord:
                    growth_steps=growth_steps, wall_clock_s=wall_clock_s)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +508,8 @@ class ModelWork:
     runs include those of every smaller count.  ``rounds`` holds the
     baseline's halving rounds built so far (:meth:`halving_round`).  Only
     the baseline's stop test reads the printer count and size, so every
-    count walks the same rounds.  ``first`` holds the fields of the first
-    run's plan, but its printer count, and profile (:meth:`check`).  Only
+    count walks the same rounds.  ``first`` holds the first run's plan,
+    its printer count set to 0, and profile (:meth:`check`).  Only
     the methods write the fields.
     """
 
@@ -519,17 +519,19 @@ class ModelWork:
     searches: dict[bool, tuple[PreparedModel, dict]] = field(default_factory=dict)
     rounds: list[list[TriangleMesh] | None] = field(default_factory=list)
     oriented_plane: SymmetryPlane | None = None  # plane moved with round 0
-    first: dict = field(default_factory=dict)
+    first: tuple = ()
 
     def check(self, plan: RunPlan, profile: PrinterProfile) -> None:
         """Raise ValueError, naming the field, unless plan and profile are
         the first call's but for the printer count."""
-        given = asdict(replace(plan, printers_available=0)) | asdict(profile)
+        given = (replace(plan, printers_available=0), profile)
         self.first = self.first or given
-        for key, value in given.items():
-            if value != self.first[key]:
-                raise ValueError(f"this ModelWork holds runs of {key}="
-                                 f"{self.first[key]!r}, not {value!r}")
+        if given != self.first:
+            held = vars(self.first[0]) | vars(self.first[1])
+            for key, value in (vars(given[0]) | vars(given[1])).items():
+                if value != held[key]:
+                    raise ValueError(f"this ModelWork holds runs of {key}="
+                                     f"{held[key]!r}, not {value!r}")
 
     def mirror_plane(self) -> SymmetryPlane:
         if self.plane is None:

@@ -266,19 +266,24 @@ def test_select_seed_blocks_match_default_rng(fixture, monkeypatch):
 
 
 def test_search_does_not_import_numpy_random():
-    """A run seeds its blocks without loading numpy.random."""
+    """A run seeds its blocks without loading numpy.random, and the
+    library loads none of the command line's modules."""
     code = ("import sys\n"
             "import parallelobox\n"
             "from parallelobox.fixtures import dumbbell\n"
             "from parallelobox.meta import PrinterProfile, RunPlan, run_metaheuristic\n"
             "dec = run_metaheuristic(dumbbell(), RunPlan(printers_available=4,\n"
             "    granularity='coarse'), PrinterProfile())\n"
-            "print(len(dec.parts), 'numpy.random' in sys.modules)")
+            "print(len(dec.parts), 'numpy.random' in sys.modules)\n"
+            "print(*sorted({'parallelobox.cli', 'argparse', 'configparser',\n"
+            "               'csv', 'json'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=_env()).stdout
-    parts, loaded = out.split()
+    first, cli_modules = out.split("\n")[:2]
+    parts, loaded = first.split()
     assert int(parts) > 0
     assert loaded == "False"
+    assert cli_modules == ""
 
 
 def test_select_seed_blocks_snaps_to_boundary():

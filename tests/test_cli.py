@@ -275,10 +275,39 @@ def test_baseline_runlog_line_is_its_record(tmp_path, monkeypatch):
     assert 0.0 < line["wall_clock_s"] <= seconds
 
 
-def test_command_line_defaults_are_the_plan_defaults():
+def _batch_calls(monkeypatch) -> list:
+    """The arguments of each run_batch call of main, which runs nothing."""
+    calls = []
+    monkeypatch.setattr(cli, "run_batch",
+                        lambda *args: calls.append(args) or cli.BatchReport())
+    return calls
+
+
+def test_command_line_defaults_are_the_plan_defaults(monkeypatch):
+    calls = _batch_calls(monkeypatch)
     args = build_parser().parse_args(["decompose", "model.stl"])
-    assert cli._plan_from_args(args) == RunPlan()
+    main(["decompose", "model.stl"])
+    [(_, _, plan, _, _, _)] = calls
+    assert plan == RunPlan()
     assert args.printers == RunPlan().printers_available
+
+
+def test_manifest_keys_override_the_flags_of_their_names(tmp_path,
+                                                         monkeypatch):
+    """A manifest key overrides the flag of its name, for a plan setting
+    and the output directory alike; a flag the manifest omits holds."""
+    calls = _batch_calls(monkeypatch)
+    ini = _write(tmp_path / "p.ini", "[printer]\nvolume_x = 120\n")
+    manifest = _write(tmp_path / "m.json", json.dumps(
+        {"models": ["a.stl"], "granularity": "coarse", "out": "from_manifest"}))
+    main(["batch", str(manifest), "--granularity", "fine",
+          "--sample-tries", "2", "--config", str(ini),
+          "--out", str(tmp_path / "from_flag")])
+    [(_, _, plan, profile, _, out)] = calls
+    assert plan.granularity == "coarse"
+    assert plan.sample_tries == 2
+    assert profile == parse_config(ini) != PrinterProfile()
+    assert out == tmp_path / "from_manifest"
 
 
 def test_python_dash_m_runs_the_command_line():
